@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 self-test failure, 2 config/validation error,
 3 solver failure (no convergence or numerical breakdown).
+
+The price field, hedge field and surface CSVs share one writer: one row
+per price node of each (t, regime tuple, ages) block, price nodes in C
+order, every number with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -23,12 +27,6 @@ from .mc_oracle import mc_price
 from .scenario import load_scenario
 from .volterra_pricer import Grid, pde_residual, solve_price_field
 
-_FMT = "%.17g"
-
-
-def _fmt(v) -> str:
-    return _FMT % float(v)
-
 
 def _json_dump(obj, path):
     with open(path, "w") as fh:
@@ -36,58 +34,62 @@ def _json_dump(obj, path):
         fh.write("\n")
 
 
+def _write_csv(path, grid, header, n_values, blocks):
+    """Write one row (t, s.., keys.., values..) per price node of each block.
+
+    blocks yields (t, keys, values): keys is the text of the columns between
+    the prices and the values, with a leading comma, and values has shape
+    (S_1, .., S_n, n_values); price nodes run in C order.  The price columns
+    are formatted once into a row template, so each block takes a single %
+    call.  Every number carries 17 significant digits.
+    """
+    prices = grid.s_mesh().reshape(-1, grid.n)
+    # {0} is t and {1} the keys; the escaped %% become the value fields
+    row = "{0}," + ",".join(["%.17g"] * grid.n) + "{1}," \
+        + ",".join(["%%.17g"] * n_values) + "\n"
+    template = (row * len(prices)) % tuple(prices.ravel())
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, keys, values in blocks:
+            fh.write(template.format("%.17g" % t, keys)
+                     % tuple(values.ravel().tolist()))
+
+
+def _field_blocks(grid, slabs):
+    """(t, keys, values) per (time node, regime tuple, ages) of slabs shaped
+    (n_x, c_i.., S.., k)."""
+    for i, slab in enumerate(slabs):
+        c = int(grid.c_counts[i])
+        for xi, x in enumerate(grid.x_tuples):
+            for y_idx in itertools.product(range(c),
+                                           repeat=grid.n_components):
+                keys = "".join(f",{v}" for v in x) \
+                    + "".join(",%.17g" % grid.age_nodes[a] for a in y_idx)
+                yield grid.t_nodes[i], keys, slab[(xi,) + y_idx]
+
+
+def _field_header(g, value_cols):
+    return ["t"] + [f"s{l+1}" for l in range(g.n)] \
+        + [f"x{m}" for m in range(g.n_components)] \
+        + [f"y{m}" for m in range(g.n_components)] + value_cols
+
+
 def write_price_field(field, report, csv_path, json_path):
     """Columnar CSV (t, s.., x.., y.., phi) plus a JSON header."""
     g = field.grid
-    n, nc = g.n, g.n_components
-    header = ["t"] + [f"s{l+1}" for l in range(n)] \
-        + [f"x{m}" for m in range(nc)] + [f"y{m}" for m in range(nc)] + ["phi"]
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, slab in enumerate(field.slabs):
-            t = g.t_nodes[i]
-            c = int(g.c_counts[i])
-            for xi, x in enumerate(g.x_tuples):
-                for y_idx in itertools.product(range(c), repeat=nc):
-                    ages = [g.age_nodes[a] for a in y_idx]
-                    block = slab[(xi,) + y_idx]
-                    for s_idx in itertools.product(*[range(len(a))
-                                                     for a in g.lns_axes]):
-                        row = [_fmt(t)]
-                        row += [_fmt(g.s_axes[l][s_idx[l]]) for l in range(n)]
-                        row += [str(v) for v in x]
-                        row += [_fmt(a) for a in ages]
-                        row.append(_fmt(block[s_idx]))
-                        fh.write(",".join(row) + "\n")
+    _write_csv(csv_path, g, _field_header(g, ["phi"]), 1,
+               _field_blocks(g, (slab[..., None] for slab in field.slabs)))
     _json_dump({"grid": g.describe(), "convergence": report.to_dict()},
                json_path)
 
 
 def write_hedge_field(hf, field, csv_path):
+    """Columnar CSV (t, s.., x.., y.., xi.., eps)."""
     g = field.grid
-    n, nc = g.n, g.n_components
-    header = ["t"] + [f"s{l+1}" for l in range(n)] \
-        + [f"x{m}" for m in range(nc)] + [f"y{m}" for m in range(nc)] \
-        + [f"xi{l+1}" for l in range(n)] + ["eps"]
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(hf.xi)):
-            t = g.t_nodes[i]
-            c = int(g.c_counts[i])
-            for xi_i, x in enumerate(g.x_tuples):
-                for y_idx in itertools.product(range(c), repeat=nc):
-                    ages = [g.age_nodes[a] for a in y_idx]
-                    xi_block = hf.xi[i][(xi_i,) + y_idx]
-                    eps_block = hf.eps[i][(xi_i,) + y_idx]
-                    for s_idx in itertools.product(*[range(len(a))
-                                                     for a in g.lns_axes]):
-                        row = [_fmt(t)]
-                        row += [_fmt(g.s_axes[l][s_idx[l]]) for l in range(n)]
-                        row += [str(v) for v in x]
-                        row += [_fmt(a) for a in ages]
-                        row += [_fmt(xi_block[s_idx + (l,)]) for l in range(n)]
-                        row.append(_fmt(eps_block[s_idx]))
-                        fh.write(",".join(row) + "\n")
+    header = _field_header(g, [f"xi{l+1}" for l in range(g.n)] + ["eps"])
+    slabs = (np.concatenate([xi, eps[..., None]], axis=-1)
+             for xi, eps in zip(hf.xi, hf.eps))
+    _write_csv(csv_path, g, header, g.n + 1, _field_blocks(g, slabs))
 
 
 def write_surface(field, ep, path):
@@ -95,20 +97,18 @@ def write_surface(field, ep, path):
     g = field.grid
     t0, s0, x, y = ep
     xi = g.x_index[tuple(x)]
-    n = g.n
-    header = ["t"] + [f"s{l+1}" for l in range(n)] + ["phi"]
-    mesh = np.meshgrid(*g.s_axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, t in enumerate(g.t_nodes):
+    header = ["t"] + [f"s{l+1}" for l in range(g.n)] + ["phi"]
+    pts = g.s_mesh().reshape(-1, g.n)
+    B = pts.shape[0]
+
+    def blocks():
+        for t in g.t_nodes:
             ages = np.minimum(np.asarray(y, dtype=float), t)
-            vals = field.values(np.full(pts.shape[0], t), pts,
-                                np.full(pts.shape[0], xi, dtype=int),
-                                np.tile(ages, (pts.shape[0], 1)))
-            for r in range(pts.shape[0]):
-                row = [_fmt(t)] + [_fmt(v) for v in pts[r]] + [_fmt(vals[r])]
-                fh.write(",".join(row) + "\n")
+            vals = field.values(np.full(B, t), pts, np.full(B, xi, dtype=int),
+                                np.tile(ages, (B, 1)))
+            yield t, "", vals
+
+    _write_csv(path, g, header, 1, blocks())
 
 
 def _surface_name(ep):

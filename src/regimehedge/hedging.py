@@ -4,8 +4,13 @@ The hedge ratio in asset m is the s_m-derivative of the price field,
 computed by differentiating the pricing operator under the integral sign
 rather than by numerical differentiation of the field: the frozen-regime
 delta carries the no-switch weight and the switch branch integrates the
-continuation value against the kernel's s-derivative.  Finite differences
-of the solved field are kept only as a test oracle.
+continuation value against the kernel's s-derivative.  On the grid,
+hedge_field runs the pricing step's own switch-branch operator
+(VolterraSolver.switch_branch) with the kernel's s-derivatives in place of
+the kernel, so price and hedge share one discretization.  The pointwise
+hedge_ratio keeps its own panels and scattered interpolation as an
+independent check of that pass; finite differences of the solved field are
+kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -128,29 +133,27 @@ def hedge_field(market, claim, models, field: PriceField,
                 settings: SolverSettings | None = None) -> HedgeField:
     """Hedge ratios at every grid node via the integral formula.
 
-    Runs one solver-style pass with the kernel's s-derivative in place of
-    the kernel, so it reuses the same gathered continuation slabs, survival
-    weights and mass normalization as the pricing step.
+    Applies the pricing step's switch-branch operator to the solved field
+    with the kernel's s-derivatives in place of the kernel, one action per
+    asset in a single pass, so every axis shares the gathered continuation
+    slabs, survival weights and mass normalization of the pricing step.
     """
     settings = settings or SolverSettings()
     solver = VolterraSolver(market, claim, models, field.grid, settings)
     g = field.grid
     M = g.spec.time_steps
     n_x = len(g.x_tuples)
-    lin = solver._linear_part()
     smesh = np.meshgrid(*g.s_axes, indexing="ij")
+    spots = np.stack(smesh, axis=-1)
+    # d/ds_m of the kernel integral, as sm.apply(deriv_axis=m) / s_m
+    actions = [lambda sm, e, m=m: sm.apply(e, deriv_axis=m) / smesh[m]
+               for m in range(g.n)]
 
+    y_pad = (...,) + (None,) * g.n
     xi_slabs, eps_slabs = [], []
     for i in range(M + 1):
         t = float(g.t_nodes[i])
-        c = int(g.c_counts[i])
-        y_pad = (...,) + (None,) * g.n
-        shape = (n_x,) + (c,) * g.n_components + g.s_shape
-        xi_slab = np.empty(shape + (g.n,))
-        js_T = solver._js_T.get(i)
-        if js_T is None:
-            js_T = solver._joint_survival(i, M - i, "full")
-            solver._js_T[i] = js_T
+        js_T = solver.js_T(i)
 
         drho = np.empty((n_x,) + g.s_shape + (g.n,))
         for xi_i, x in enumerate(g.x_tuples):
@@ -158,48 +161,18 @@ def hedge_field(market, claim, models, field: PriceField,
                 drho[xi_i, ..., m_ax] = bsm_delta_grid(
                     market, claim, x, t, g.horizon, g.lns_axes, m_ax,
                     settings.bsm_quad)
-        for xi_i in range(n_x):
-            xi_slab[xi_i] = js_T[xi_i][y_pad + (None,)] * drho[xi_i]
+        xi_slab = js_T[y_pad + (None,)] \
+            * drho[(slice(None),) + (None,) * g.n_components]
 
         if i < M:
-            acc = np.zeros(shape + (g.n,))
-            mass = np.zeros((n_x,) + (c,) * g.n_components)
-            for p in range(M - i):
-                for q in range(settings.panel_nodes):
-                    weights = solver._switch_weights(i, p, q)
-                    vcol = p * settings.panel_nodes + q
-                    v = solver.v_all[vcol]
-                    gathered = {}
-                    for l in range(g.n_components):
-                        gathered[l] = solver._gather(field.slabs, i, p, q, l)
-                    for xi_i, x in enumerate(g.x_tuples):
-                        sm = solver._smoother(i, p, q, xi_i)
-                        disc = math.exp(-market.r(x) * v)
-                        for l in range(g.n_components):
-                            h = models[l]
-                            for j in range(1, h.k + 1):
-                                wt = weights.get((xi_i, l, j))
-                                if wt is None:
-                                    continue
-                                xpi = g.x_index[tuple(x[:l] + (j,) + x[l + 1:])]
-                                excess = gathered[l][xpi] - lin
-                                mass[xi_i] += wt
-                                for m_ax in range(g.n):
-                                    G = sm.apply(excess, deriv_axis=m_ax) \
-                                        / smesh[m_ax]
-                                    acc[xi_i, ..., m_ax] += \
-                                        wt[y_pad] * (disc * G)
-            kappa = np.where(mass > 1e-300,
-                             (1.0 - js_T) / np.maximum(mass, 1e-300), 1.0)
-            xi_slab += kappa[y_pad + (None,)] * acc
+            branch = solver.switch_branch(i, field.slabs, actions)
+            xi_slab += np.stack(branch, axis=-1)
             xi_slab += ((1.0 - js_T)[y_pad + (None,)]
                         * np.stack([np.broadcast_to(c1m, g.s_shape)
                                     for c1m in claim.c1], axis=-1))
 
-        phi = field.slabs[i]
-        spots = np.stack(smesh, axis=-1)
-        eps_slab = phi - np.einsum("...m,...m->...", xi_slab,
-                                   np.broadcast_to(spots, shape + (g.n,)))
+        eps_slab = field.slabs[i] - np.einsum(
+            "...m,...m->...", xi_slab, np.broadcast_to(spots, xi_slab.shape))
         xi_slabs.append(xi_slab)
         eps_slabs.append(eps_slab)
     return HedgeField(grid=g, xi=xi_slabs, eps=eps_slabs)

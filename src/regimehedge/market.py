@@ -164,9 +164,6 @@ class MarketModel:
             total += 0.5 * (b_ - a_) * (self.mu(a_, x) + self.mu(b_, x))
         return total
 
-    def sigma_time_knots(self, x):
-        return self._sigma[tuple(x)].knots
-
     # -- validation ---------------------------------------------------------------
 
     def validate(self, horizon: float):

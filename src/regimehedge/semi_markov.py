@@ -364,11 +364,6 @@ class CsmState:
     def n_components(self):
         return len(self.x)
 
-    def replace_state(self, l: int, j: int) -> "CsmState":
-        x = list(self.x)
-        x[l] = j
-        return CsmState(tuple(x), self.y)
-
 
 # ---------------------------------------------------------------------------
 # Module-level operations (thin wrappers for the common laws)

@@ -161,9 +161,6 @@ class PriceField:
         self.claim = claim
         self.slabs = slabs
 
-    def copy_structure(self):
-        return [None] * len(self.slabs)
-
     def node_value(self, i: int, x, y_idx, s_idx) -> float:
         xi = self.grid.x_index[tuple(x)]
         return float(self.slabs[i][(xi,) + tuple(y_idx) + tuple(s_idx)])
@@ -256,7 +253,11 @@ class SolverSettings:
     panel_nodes: int = 1        # Gauss-Legendre nodes per dt-panel in v
     bsm_quad: QuadratureSettings = dc_field(default_factory=QuadratureSettings)
     threads: int = 1
-    min_report_iters: int = 2
+
+
+# iterations run before a converged solve may stop, so the report always
+# carries at least one contraction ratio
+_MIN_REPORT_ITERS = 2
 
 
 @dataclass
@@ -441,7 +442,6 @@ class VolterraSolver:
         self.models = models
         self.grid = grid
         self.settings = settings or SolverSettings()
-        self.clamp_events = 0
         self._build_tables()
 
     # -- precomputed tables ---------------------------------------------------
@@ -527,6 +527,14 @@ class VolterraSolver:
             out[xi] = np.exp(-acc)
         return out
 
+    def js_T(self, i):
+        """JS(T - t_i; x, y) on the age sub-grid of slab i, per regime tuple."""
+        js = self._js_T.get(i)
+        if js is None:
+            js = self._joint_survival(i, self.grid.spec.time_steps - i, "full")
+            self._js_T[i] = js
+        return js
+
     def _switch_weights(self, i, p, q):
         """Quadrature-weighted JS(v) lam(y_l + v) per (x, l, dest), undiscounted."""
         key = (i, p, q)
@@ -581,6 +589,34 @@ class VolterraSolver:
 
     # -- gathering the continuation slab ---------------------------------------
 
+    def _brackets(self, i, p, q):
+        """(side, weight) of the time slabs bracketing t_i + v_all[p, q] with
+        nonzero weight, and the age shift v / dy as whole cells + fraction."""
+        g = self.grid
+        v = self.v_all[p * self.settings.panel_nodes + q]
+        theta = (v - p * g.dt) / g.dt
+        sides = [(side, wgt) for side, wgt in ((i + p, 1.0 - theta),
+                                               (i + p + 1, theta))
+                 if wgt != 0.0]
+        shift = v / g.dy
+        i0 = int(math.floor(shift))
+        return sides, i0, shift - i0
+
+    def age_clamp_events(self) -> int:
+        """Age blends that run past the stored ages of a bracketing slab, one
+        per (slab, panel, node, bracketing slab); depends on the grid only."""
+        g = self.grid
+        count = 0
+        for i in range(g.spec.time_steps):
+            c = int(g.c_counts[i])
+            for p in range(g.spec.time_steps - i):
+                for q in range(self.settings.panel_nodes):
+                    sides, i0, frac = self._brackets(i, p, q)
+                    if frac > 1e-14:
+                        count += sum(c + i0 > int(g.c_counts[side]) - 1
+                                     for side, _ in sides)
+        return count
+
     def _gather(self, slabs, i, p, q, l):
         """Continuation values at ages (y + v with component l reset to 0).
 
@@ -591,22 +627,13 @@ class VolterraSolver:
         """
         g = self.grid
         c = int(g.c_counts[i])
-        vcol = p * self.settings.panel_nodes + q
-        v = self.v_all[vcol]
-        theta = (v - p * g.dt) / g.dt
+        sides, i0, frac = self._brackets(i, p, q)
         pieces = []
-        for side, wgt in ((i + p, 1.0 - theta), (i + p + 1, theta)):
-            if wgt == 0.0:
-                continue
+        for side, wgt in sides:
             slab = slabs[side]
             c_slab = int(g.c_counts[side])
-            shift = v / g.dy
-            i0 = int(math.floor(shift))
-            frac = shift - i0
             idx0 = np.minimum(np.arange(c) + i0, c_slab - 1)
             idx1 = np.minimum(np.arange(c) + i0 + 1, c_slab - 1)
-            if frac > 1e-14 and (c - 1 + i0 + 1) > c_slab - 1:
-                self.clamp_events += 1
             sel = [slice(None)] * slab.ndim
             sel[1 + l] = slice(0, 1)
             arr = slab[tuple(sel)]
@@ -625,39 +652,34 @@ class VolterraSolver:
 
     # -- one fixed-point application --------------------------------------------
 
-    def _new_slab(self, i, slabs, rho):
+    def switch_branch(self, i, slabs, actions):
+        """The switch-branch integral of slab i, one result per action.
+
+        An action maps (smoother, excess of the gathered continuation over
+        c1.s) to a kernel integral: the kernel itself for pricing, its
+        s-derivatives for hedging.  All actions share the gathers and the
+        mass-normalized, discounted joint-survival-times-hazard weights.
+        """
         g = self.grid
         M = g.spec.time_steps
-        if i == M:
-            return self._terminal_slab()
         n_x = len(g.x_tuples)
         c = int(g.c_counts[i])
-        js_T = self._js_T.get(i)
-        if js_T is None:
-            js_T = self._joint_survival(i, M - i, "full")
-            self._js_T[i] = js_T
         y_pad = (...,) + (None,) * g.n
-        new = np.empty((n_x,) + (c,) * g.n_components + g.s_shape)
-        acc = np.zeros_like(new)
+        accs = [np.zeros((n_x,) + (c,) * g.n_components + g.s_shape)
+                for _ in actions]
         mass = np.zeros((n_x,) + (c,) * g.n_components)
-        for xi in range(n_x):
-            new[xi] = js_T[xi][y_pad] * rho[i][xi]
-
         lin = self._linear_part()
         for p in range(M - i):
             for q in range(self.settings.panel_nodes):
                 weights = self._switch_weights(i, p, q)
-                vcol = p * self.settings.panel_nodes + q
-                v = self.v_all[vcol]
-                gathered = {}
-                for l in range(g.n_components):
-                    gathered[l] = self._gather(slabs, i, p, q, l)
+                v = self.v_all[p * self.settings.panel_nodes + q]
+                gathered = [self._gather(slabs, i, p, q, l)
+                            for l in range(g.n_components)]
                 for xi, x in enumerate(g.x_tuples):
                     sm = self._smoother(i, p, q, xi)
                     disc = math.exp(-self.market.r(x) * v)
                     for l in range(g.n_components):
-                        h = self.models[l]
-                        for j in range(1, h.k + 1):
+                        for j in range(1, self.models[l].k + 1):
                             wt = weights.get((xi, l, j))
                             if wt is None:
                                 continue
@@ -666,15 +688,28 @@ class VolterraSolver:
                             # the linear part of the field integrates in
                             # closed form (discounted kernel mean of c1.S is
                             # c1.s exactly); only the excess is smoothed
-                            G = disc * sm.apply(gathered[l][xpi] - lin)
+                            excess = gathered[l][xpi] - lin
                             mass[xi] += wt
-                            acc[xi] += wt[y_pad] * G
+                            for acc, action in zip(accs, actions):
+                                acc[xi] += wt[y_pad] * (
+                                    disc * action(sm, excess))
         # normalize the switch-branch quadrature so its total mass matches
         # the analytic 1 - JS(T - t); this keeps linear claims exact and the
         # operator a strict sub-probability mixture
+        js_T = self.js_T(i)
         kappa = np.where(mass > 1e-300, (1.0 - js_T) / np.maximum(mass, 1e-300),
                          1.0)
-        new += kappa[y_pad] * acc + ((1.0 - js_T)[y_pad]) * lin
+        return [kappa[y_pad] * acc for acc in accs]
+
+    def _new_slab(self, i, slabs, rho):
+        g = self.grid
+        if i == g.spec.time_steps:
+            return self._terminal_slab()
+        js_T = self.js_T(i)
+        y_pad = (...,) + (None,) * g.n
+        new = js_T[y_pad] * rho[i][(slice(None),) + (None,) * g.n_components]
+        branch, = self.switch_branch(i, slabs, (_Smoother.apply,))
+        new += branch + ((1.0 - js_T)[y_pad]) * self._linear_part()
         np.maximum(new, 0.0, out=new)
         return new
 
@@ -708,11 +743,7 @@ class VolterraSolver:
         M = g.spec.time_steps
         worst = 0.0
         for i in range(M):
-            js = self._js_T.get(i)
-            if js is None:
-                js = self._joint_survival(i, M - i, "full")
-                self._js_T[i] = js
-            worst = max(worst, float(np.max(1.0 - js)))
+            worst = max(worst, float(np.max(1.0 - self.js_T(i))))
         return worst
 
     def solve(self, tol: float, max_iter: int = 200):
@@ -730,8 +761,7 @@ class VolterraSolver:
             report.iterations = it
             if report.converged_at is None and delta < tol:
                 report.converged_at = it
-            if report.converged_at is not None \
-                    and it >= self.settings.min_report_iters:
+            if report.converged_at is not None and it >= _MIN_REPORT_ITERS:
                 break
         if report.converged_at is None:
             report.contraction_bound = self.contraction_bound()
@@ -739,7 +769,7 @@ class VolterraSolver:
                 f"no convergence in {max_iter} iterations (last delta "
                 f"{report.deltas[-1]:.3e}, tol {tol:.3e})", report)
         report.contraction_bound = self.contraction_bound()
-        report.age_clamp_events = self.clamp_events
+        report.age_clamp_events = self.age_clamp_events()
         report.error_budget = self._error_budget(report, current)
         return current, report
 
@@ -792,7 +822,8 @@ class PdeResidualReport:
     def to_dict(self):
         return {"max_scaled": self.max_scaled, "mean_scaled": self.mean_scaled,
                 "n_nodes": self.n_nodes,
-                "max_by_time": [float(v) for v in self.max_by_time]}
+                "max_by_time": [None if v is None else float(v)
+                                for v in self.max_by_time]}
 
 
 def pde_residual(field: PriceField, market: MarketModel, models,
@@ -825,7 +856,7 @@ def pde_residual(field: PriceField, market: MarketModel, models,
         keep = int(np.sum(g.age_nodes[:c] + g.dt
                           <= g.age_nodes[c_next - 1] + 1e-12))
         if keep == 0:
-            max_by_time.append(0.0)
+            max_by_time.append(None)    # no node of this slab is checked
             continue
         slab_max = 0.0
         shift = g.dt / g.dy

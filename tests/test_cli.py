@@ -8,10 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from regimehedge.cli import main, run_scenario
+from regimehedge.cli import main, run_scenario, write_hedge_field, \
+    write_price_field
 from regimehedge.errors import ConfigError
+from regimehedge.hedging import hedge_field
 from regimehedge.regime_bsm import bsm_price
 from regimehedge.scenario import parse_scenario
+from regimehedge.volterra_pricer import Grid, solve_price_field
 
 BASE_CONFIG = {
     "name": "single-regime-call",
@@ -163,6 +166,56 @@ def test_full_output_set_runs(tmp_path):
     assert hedge_rows[0] == "t,s1,x0,x1,y0,y1,xi1,eps"
     # config echo in the report re-parses
     parse_scenario(report["config"])
+
+
+def test_field_csv_rows_match_slabs_two_assets_two_components(tmp_path):
+    doc = copy.deepcopy(BASE_CONFIG)
+    doc["assets"] = {"n": 2}
+    doc["market"]["drift"] = [0.08, 0.06]
+    doc["market"]["vol"] = {"by_component": {
+        "component": 1,
+        "matrices": [[[0.25, 0.0], [0.05, 0.2]], [[0.3, 0.0], [0.0, 0.22]]]}}
+    doc["claim"] = {"kind": "basket-call", "weights": [0.5, 0.5],
+                    "strike": 100.0}
+    doc["grid"] = {"time_steps": 3, "price_nodes": 5, "age_nodes": 3}
+    doc["solver"]["gh_nodes"] = 4
+    doc["eval_points"][0]["s"] = [100.0, 100.0]
+    scn = parse_scenario(doc)
+    grid = Grid(scn.market, scn.horizon, np.array([[100.0, 100.0]]),
+                scn.grid_spec)
+    field, conv = solve_price_field(scn.market, scn.claim, scn.models, grid,
+                                    scn.tol, scn.max_iter, scn.solver)
+    hf = hedge_field(scn.market, scn.claim, scn.models, field, scn.solver)
+    write_price_field(field, conv, str(tmp_path / "price_field.csv"),
+                      str(tmp_path / "price_field.json"))
+    write_hedge_field(hf, field, str(tmp_path / "hedge_field.csv"))
+
+    n, nc = 2, 2
+    n_rows = sum(len(grid.x_tuples) * int(c) ** nc * 5 ** n
+                 for c in grid.c_counts)
+    per_slab = {"price_field.csv": [s[..., None] for s in field.slabs],
+                "hedge_field.csv": [np.concatenate([xi, eps[..., None]], -1)
+                                    for xi, eps in zip(hf.xi, hf.eps)]}
+    for name, slabs in per_slab.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert len(lines) - 1 == n_rows
+        prev = None
+        for line in lines[1:]:
+            cols = line.split(",")
+            t = float(cols[0])
+            s = [float(v) for v in cols[1:1 + n]]
+            x = tuple(int(v) for v in cols[1 + n:1 + n + nc])
+            y = [float(v) for v in cols[1 + n + nc:1 + n + 2 * nc]]
+            vals = [float(v) for v in cols[1 + n + 2 * nc:]]
+            # every printed coordinate is an exact grid node
+            i = list(grid.t_nodes).index(t)
+            s_idx = tuple(list(grid.s_axes[l]).index(s[l]) for l in range(n))
+            y_idx = tuple(list(grid.age_nodes).index(a) for a in y)
+            key = (i, grid.x_index[x]) + y_idx + s_idx
+            # rows run time, regime tuple, ages, then prices in C order
+            assert prev is None or key > prev
+            prev = key
+            assert vals == list(slabs[i][key[1:]])
 
 
 def test_version_command(capsys):

@@ -124,6 +124,44 @@ def test_hedge_bounded_by_payoff_slope():
         assert point_val == pytest.approx(grid_val, rel=3e-3, abs=3e-4)
 
 
+def test_correlated_two_asset_hedge_field_matches_point_route():
+    # a non-diagonal log covariance sends the grid pass through the general
+    # (shifted-blend) smoother with deriv_axis set; the point route is the
+    # independent oracle on both axes
+    def vol(x):
+        base = np.array([[0.2, 0.0], [0.12, 0.22]])
+        return base if x[0] == 1 else 1.4 * base
+
+    m = build_market(2, 2, 1, 0.03, np.array([0.06, 0.07]), vol)
+    assert abs(m.a_integral(0.0, 1.0, (1,))[0, 1]) > 0.01
+    claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
+    models = [HazardModel(2, {(1, 2): WeibullRate(0.8, 1.6),
+                              (2, 1): ConstantRate(0.9)})]
+    grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
+                GridSpec(time_steps=6, price_nodes=21, age_nodes=3))
+    settings = SolverSettings(gh_nodes=8)
+    field, _ = solve_price_field(m, claim, models, grid, tol=1e-4,
+                                 settings=settings)
+    hf = hedge_field(m, claim, models, field, settings)
+    checked = 0
+    for i in (1, 3):
+        t = float(grid.t_nodes[i])
+        for xi_i, x in enumerate(grid.x_tuples):
+            for a in range(int(grid.c_counts[i])):
+                y = np.array([grid.age_nodes[a]])
+                for s_idx in ((10, 10), (8, 12), (12, 8)):
+                    s = np.array([grid.s_axes[0][s_idx[0]],
+                                  grid.s_axes[1][s_idx[1]]])
+                    for axis in (0, 1):
+                        grid_val = hf.xi[i][(xi_i, a) + s_idx + (axis,)]
+                        point_val = hedge_ratio(m, claim, models, field,
+                                                (t, s, x, y), axis, settings)
+                        assert point_val == pytest.approx(grid_val, rel=3e-3,
+                                                          abs=3e-4)
+                        checked += 1
+    assert checked == 36
+
+
 def test_strategy_value_identity_and_terminal_replication():
     m, claim, models, field = regime_case()
     pt = (0.5, np.array([110.0]), (2, 1), np.array([0.3, 0.1]))

@@ -127,6 +127,22 @@ def test_degenerate_regime_equals_frozen_price():
     assert report.error_budget is not None and report.error_budget > 0
 
 
+def test_age_clamp_events_count_grid_geometry_once():
+    # the clamp count is a property of the grid, so it may depend neither on
+    # the number of Picard sweeps nor on the thread count
+    m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
+                                          age_nodes=4)
+    runs = []
+    for tol, threads in ((1e-2, 1), (1e-6, 1), (1e-6, 2)):
+        _, report = solve_price_field(m, claim, models, grid, tol=tol,
+                                      settings=SolverSettings(threads=threads))
+        runs.append(report)
+    assert runs[0].iterations != runs[1].iterations
+    assert runs[0].age_clamp_events > 0
+    assert runs[0].age_clamp_events == runs[1].age_clamp_events \
+        == runs[2].age_clamp_events
+
+
 def test_linear_claim_fixed_point_exact():
     m = build_market(1, 2, 2, 0.04, np.array([0.08]), 0.25 * np.eye(1))
     claim = Claim("linear", weights=[1.0])
@@ -304,6 +320,23 @@ def test_pde_residual_linear_claim_tiny():
                                  settings=SolverSettings(gh_nodes=32))
     res = pde_residual(field, m, [h, h])
     assert res.max_scaled < 1e-6
+
+
+def test_pde_residual_reports_unchecked_slabs_as_none():
+    m, claim, models, grid = regime_setup(price_nodes=41, time_steps=12,
+                                          age_nodes=4)
+    field, _ = solve_price_field(m, claim, models, grid, tol=1e-3)
+    res = pde_residual(field, m, models, maturity_margin_steps=1)
+    by_time = res.to_dict()["max_by_time"]
+    assert len(by_time) == 11
+    # early slabs store too few ages for any age to advance by dt inside
+    # the next slab, so none of their nodes is checked
+    unchecked = [v for v in by_time if v is None]
+    assert 0 < len(unchecked) < len(by_time)
+    assert by_time[:len(unchecked)] == unchecked
+    checked = by_time[len(unchecked):]
+    assert all(math.isfinite(v) for v in checked)
+    assert max(checked) == res.max_scaled
 
 
 def test_pde_residual_first_order_in_dt():
