@@ -16,12 +16,11 @@ Two diagnostics on a solved price field:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .mc_oracle import simulate_path, _spawn_rngs
+from .mc_oracle import map_chunks, simulate_path, _spawn_rngs
 from .volterra_pricer import Grid, PriceField, SolverSettings, solve_price_field
 
 _SUP_GRID = 1001
@@ -146,18 +145,11 @@ def residual_risk(market, claim, models, field: PriceField, start,
     each simulated path; the estimate is the path average.
     """
     horizon = field.grid.horizon
-    ids = np.arange(n_paths)
-    if n_jobs <= 1:
-        costs, jumps = _path_costs(market, claim, models, field, start,
-                                   horizon, seed, ids)
-    else:
-        chunks = np.array_split(ids, n_jobs)
-        with ThreadPoolExecutor(max_workers=n_jobs) as ex:
-            parts = list(ex.map(
-                lambda ch: _path_costs(market, claim, models, field, start,
-                                       horizon, seed, ch), chunks))
-        costs = np.concatenate([p[0] for p in parts])
-        jumps = np.concatenate([p[1] for p in parts])
+    parts = map_chunks(
+        lambda ids: _path_costs(market, claim, models, field, start, horizon,
+                                seed, ids), np.arange(n_paths), n_jobs)
+    costs = np.concatenate([p[0] for p in parts])
+    jumps = np.concatenate([p[1] for p in parts])
     r0 = float(np.mean(costs))
     se = float(np.std(costs, ddof=1) / math.sqrt(n_paths))
     qs = {f"q{int(100 * q)}": float(np.quantile(costs, q))

@@ -1,11 +1,12 @@
 """Monte Carlo pricing from the exact stochastic representation.
 
 Between regime switches the asset vector is exactly lognormal, so paths are
-sampled without any time-discretization error: draw the switch epochs by
-hazard-clock inversion, then one multivariate normal log-increment per
-no-switch interval.  Under the pricing drift the discounted payoff average
-is an unbiased estimate of the price; under the physical drift the same
-machinery feeds the residual-risk accounting.
+sampled without any time-discretization error: ``semi_markov.simulate_csm``
+draws the switch history by hazard-clock inversion, and the oracle overlays
+one multivariate normal log-increment (and the discount) per no-switch
+interval.  Under the pricing drift the discounted payoff average is an
+unbiased estimate of the price; under the physical drift the same paths
+feed the residual-risk accounting.
 """
 
 from __future__ import annotations
@@ -17,30 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import Claim, MarketModel, build_kernel
+from .semi_markov import CsmState, RegimePath, simulate_csm
 
 
 @dataclass
-class PathRecord:
-    """One simulated trajectory with its jump bookkeeping."""
+class PathRecord(RegimePath):
+    """A switch history with the asset prices and discounts along it."""
 
-    start_time: float
-    horizon: float
-    jump_times: np.ndarray        # (m,)
-    jump_component: np.ndarray    # (m,)
-    jump_from: np.ndarray         # (m,)
-    jump_to: np.ndarray           # (m,)
-    states: np.ndarray            # (m+1, n_comp) regime tuple per interval
-    ages_before: np.ndarray       # (m, n_comp) just before each jump
-    ages_after: np.ndarray        # (m, n_comp)
     s_at_jumps: np.ndarray        # (m, n)
     discount_at_jumps: np.ndarray  # (m,) exp(-int_t0^{T_m} r)
     s_terminal: np.ndarray        # (n,)
-    final_ages: np.ndarray        # (n_comp,)
     discount: float               # exp(-int_t0^T r)
-
-    @property
-    def n_jumps(self):
-        return len(self.jump_times)
 
 
 def _spawn_rngs(seed: int, path_id: int):
@@ -48,6 +36,14 @@ def _spawn_rngs(seed: int, path_id: int):
     kids = ss.spawn(2)
     return (np.random.Generator(np.random.Philox(kids[0])),
             np.random.Generator(np.random.Philox(kids[1])))
+
+
+def map_chunks(fn, ids, n_jobs: int):
+    """[fn(chunk)] over n_jobs contiguous chunks of ids, in chunk order."""
+    if n_jobs <= 1:
+        return [fn(ids)]
+    with ThreadPoolExecutor(max_workers=n_jobs) as ex:
+        return list(ex.map(fn, np.array_split(ids, n_jobs)))
 
 
 def simulate_path(market: MarketModel, models, start, horizon: float,
@@ -61,66 +57,32 @@ def simulate_path(market: MarketModel, models, start, horizon: float,
     antithetic pairs (gauss_sign = -1) share the same switch history.
     """
     t0, s0, x0, y0 = start
-    n_comp = market.n_components
-    x = list(x0)
+    y0 = np.asarray(y0, dtype=float).tolist()  # plain floats check faster
+    reg = simulate_csm(models, CsmState(x0, y0), horizon, rng_regime,
+                       start=t0)
+    m = reg.n_jumps
     s = np.asarray(s0, dtype=float).copy()
-    t = float(t0)
-    reset = [t - float(y0[m]) for m in range(n_comp)]
-    next_t = np.empty(n_comp)
-    for m in range(n_comp):
-        tau = models[m].invert_clock(x[m], float(y0[m]),
-                                     rng_regime.exponential())
-        next_t[m] = t + tau
-
-    times, comps, frs, tos = [], [], [], []
-    states = [tuple(x)]
-    ages_b, ages_a, s_jumps, disc_jumps = [], [], [], []
+    bounds = [reg.start_time, *reg.jump_times.tolist(), horizon]
+    s_jumps, disc_jumps = [], []
     log_disc = 0.0
-
-    while True:
-        l = int(np.argmin(next_t))
-        t_next = float(next_t[l])
-        seg_end = min(t_next, horizon)
-        d = seg_end - t
+    for k, x in enumerate(map(tuple, reg.states.tolist())):
+        t = bounds[k]
+        d = bounds[k + 1] - t
         if d > 0:
-            kern = build_kernel(market, t, tuple(x), d, mode=mode)
+            kern = build_kernel(market, t, x, d, mode=mode)
             z = kern.zbar + kern.chol @ (gauss_sign
                                          * rng_gauss.standard_normal(market.n))
             s = s * np.exp(z)
-            log_disc -= market.r(tuple(x)) * d
-        if t_next > horizon:
-            t = horizon
-            break
-        t = t_next
-        age_at_jump = t - reset[l]
-        probs = models[l].transition_probs(x[l], age_at_jump)
-        j = int(np.searchsorted(np.cumsum(probs), rng_regime.random())) + 1
-        times.append(t)
-        comps.append(l)
-        frs.append(x[l])
-        tos.append(j)
-        ages_b.append([t - reset[m] for m in range(n_comp)])
-        x[l] = j
-        reset[l] = t
-        ages_a.append([t - reset[m] for m in range(n_comp)])
-        s_jumps.append(s.copy())
-        disc_jumps.append(math.exp(log_disc))
-        states.append(tuple(x))
-        next_t[l] = t + models[l].invert_clock(j, 0.0, rng_regime.exponential())
+            log_disc -= market.r(x) * d
+        if k < m:
+            s_jumps.append(s.copy())
+            disc_jumps.append(math.exp(log_disc))
 
-    m_count = len(times)
     return PathRecord(
-        start_time=float(t0), horizon=horizon,
-        jump_times=np.asarray(times), jump_component=np.asarray(comps, dtype=int),
-        jump_from=np.asarray(frs, dtype=int), jump_to=np.asarray(tos, dtype=int),
-        states=np.asarray(states, dtype=int),
-        ages_before=np.asarray(ages_b).reshape(m_count, n_comp),
-        ages_after=np.asarray(ages_a).reshape(m_count, n_comp),
-        s_at_jumps=np.asarray(s_jumps).reshape(m_count, market.n),
+        **vars(reg),
+        s_at_jumps=np.asarray(s_jumps).reshape(m, market.n),
         discount_at_jumps=np.asarray(disc_jumps),
-        s_terminal=s, final_ages=np.array([horizon - reset[m]
-                                           for m in range(n_comp)]),
-        discount=math.exp(log_disc))
+        s_terminal=s, discount=math.exp(log_disc))
 
 
 def simulate_risk_neutral(market, models, start, horizon, seed=0, path_id=0,
@@ -131,21 +93,15 @@ def simulate_risk_neutral(market, models, start, horizon, seed=0, path_id=0,
 
 
 def _discounted_payoffs(market, claim, models, start, horizon, seed, ids,
-                        antithetic, mode="risk-neutral"):
-    out = np.empty(len(ids) * (2 if antithetic else 1))
+                        antithetic):
+    signs = (1.0, -1.0) if antithetic else (1.0,)
+    out = np.empty(len(ids) * len(signs))
     k = 0
     for pid in ids:
-        if antithetic:
-            for sign in (1.0, -1.0):
-                rr, rg = _spawn_rngs(seed, pid)
-                path = simulate_path(market, models, start, horizon, rr, rg,
-                                     mode=mode, gauss_sign=sign)
-                out[k] = path.discount * float(claim(path.s_terminal))
-                k += 1
-        else:
+        for sign in signs:
             rr, rg = _spawn_rngs(seed, pid)
             path = simulate_path(market, models, start, horizon, rr, rg,
-                                 mode=mode)
+                                 gauss_sign=sign)
             out[k] = path.discount * float(claim(path.s_terminal))
             k += 1
     return out
@@ -162,18 +118,10 @@ def mc_price(market: MarketModel, claim: Claim, models, start, horizon: float,
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     n_ids = n_paths // 2 if antithetic else n_paths
-    ids = np.arange(n_ids)
-    if n_jobs <= 1:
-        vals = _discounted_payoffs(market, claim, models, start, horizon,
-                                   seed, ids, antithetic)
-    else:
-        chunks = np.array_split(ids, n_jobs)
-        with ThreadPoolExecutor(max_workers=n_jobs) as ex:
-            parts = list(ex.map(
-                lambda ch: _discounted_payoffs(market, claim, models, start,
-                                               horizon, seed, ch, antithetic),
-                chunks))
-        vals = np.concatenate(parts)
+    vals = np.concatenate(map_chunks(
+        lambda ids: _discounted_payoffs(market, claim, models, start, horizon,
+                                        seed, ids, antithetic),
+        np.arange(n_ids), n_jobs))
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     return mean, se

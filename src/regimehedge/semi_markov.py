@@ -290,6 +290,13 @@ class HazardModel:
             tot = p.sum()
         return p / tot
 
+    def draw_destination(self, i: int, y: float, u: float) -> int:
+        """Destination of a jump out of i at age y, for a uniform draw u."""
+        row = self._rows[i]
+        if len(row) == 1:
+            return row[0]
+        return int(np.searchsorted(np.cumsum(self.transition_probs(i, y)), u)) + 1
+
     # -- clock inversion -------------------------------------------------------
 
     def invert_clock(self, i: int, y: float, e: float) -> float:
@@ -307,7 +314,10 @@ class HazardModel:
         base = float(self.cumulative_hazard(i, np.asarray(y)))
         g = lambda tau: float(self.cumulative_hazard(i, np.asarray(y + tau))) - base - e
 
-        hi = max(e / max(float(self.exit_rate(i, np.asarray(y))), 1e-300), 1e-12)
+        # first-order guess e / rate, capped so that it stays finite when
+        # the exit rate vanishes at y
+        rate = float(self.exit_rate(i, np.asarray(y)))
+        hi = max(min(e / rate, 1e12) if rate > 0 else 1e12, 1e-12)
         for _ in range(200):
             if g(hi) >= 0.0:
                 break
@@ -316,6 +326,10 @@ class HazardModel:
             raise RootFindFailure(
                 f"cumulative hazard failed to reach {e} from age {y} in state {i}"
             )
+        # a guess past the root by more than a millionfold (a rate rising
+        # from near zero at y) leaves brentq a bracket it cannot close
+        while hi > 1e-12 and g(1e-6 * hi) >= 0.0:
+            hi *= 1e-6
         return float(optimize.brentq(g, 0.0, hi, xtol=1e-12))
 
     def clock_scale(self, i: int, y: float) -> float:
@@ -526,15 +540,17 @@ def next_jump_time_law(models, state: CsmState, l: int) -> JumpTimeLaw:
 
 @dataclass
 class RegimePath:
-    """Jump record of a simulated componentwise path over [0, horizon]."""
+    """Jump record of a simulated componentwise path over [start_time, horizon]."""
 
+    start_time: float
     horizon: float
-    jump_times: np.ndarray      # (m,)
+    jump_times: np.ndarray      # (m,) absolute times in (start_time, horizon]
     jump_component: np.ndarray  # (m,) int
     jump_from: np.ndarray       # (m,) state labels
     jump_to: np.ndarray         # (m,)
-    ages_before: np.ndarray     # (m, n+1) ages just before each jump
     states: np.ndarray          # (m+1, n+1) state tuple on each inter-jump interval
+    ages_before: np.ndarray     # (m, n+1) ages just before each jump
+    ages_after: np.ndarray      # (m, n+1) the same with the jumper's age at 0
     final_ages: np.ndarray      # (n+1,) ages at the horizon
 
     @property
@@ -543,38 +559,44 @@ class RegimePath:
 
 
 def simulate_csm(models, initial: CsmState, horizon: float,
-                 rng: np.random.Generator, max_jumps: int | None = None) -> RegimePath:
+                 rng: np.random.Generator, max_jumps: int | None = None,
+                 start: float = 0.0) -> RegimePath:
     """Simulate all components exactly by inverting each exponential clock.
 
-    Each component repeatedly draws E ~ Exp(1) and solves
-    Lambda(age + tau) - Lambda(age) = E for its next jump; the earliest
-    candidate jump fires (ties broken by lowest component index), its
-    destination is drawn from the age-dependent transition probabilities,
-    and its age resets to zero while the others keep running.
+    Times are absolute: the components hold ``initial`` at time ``start``
+    and the path runs to ``horizon``.  Each component repeatedly draws
+    E ~ Exp(1) and solves Lambda(age + tau) - Lambda(age) = E for its next
+    jump; the earliest candidate jump fires (ties broken by lowest component
+    index), its destination is drawn from the age-dependent transition
+    probabilities, and its age resets to zero while the others keep running.
 
     max_jumps truncates the record early (first-jump studies); the returned
     final ages then refer to the truncation time, not the horizon.
     """
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
+    start = float(start)
+    if horizon <= 0 or horizon < start:
+        raise ConfigError("horizon must be positive and not before the start")
     n_comp = len(models)
     x = list(initial.x)
-    reset_time = [-float(initial.y[m]) for m in range(n_comp)]  # age(t) = t - reset
-    next_time = np.empty(n_comp)
-    for m in range(n_comp):
-        tau = models[m].invert_clock(x[m], initial.y[m], rng.exponential())
-        next_time[m] = tau
+    ages0 = [float(a) for a in initial.y]
+    reset_time = [start - a for a in ages0]  # age(t) = t - reset
+    next_time = [start + models[m].invert_clock(x[m], ages0[m], rng.exponential())
+                 for m in range(n_comp)]
 
-    times, comps, frs, tos, ages_b, states = [], [], [], [], [], [tuple(x)]
+    times, comps, frs, tos, states = [], [], [], [], [tuple(x)]
+    ages_b, ages_a = [], []
     while True:
-        l = int(np.argmin(next_time))
+        l = min(range(n_comp), key=next_time.__getitem__)  # lowest on ties
         t_jump = float(next_time[l])
         if t_jump > horizon:
             break
-        age_at_jump = t_jump - reset_time[l]
-        probs = models[l].transition_probs(x[l], age_at_jump)
-        j = int(np.searchsorted(np.cumsum(probs), rng.random())) + 1
-        ages_b.append([t_jump - reset_time[m] for m in range(n_comp)])
+        j = models[l].draw_destination(x[l], t_jump - reset_time[l],
+                                       rng.random())
+        before = [t_jump - r for r in reset_time]
+        after = before.copy()
+        after[l] = 0.0
+        ages_b.append(before)
+        ages_a.append(after)
         times.append(t_jump)
         comps.append(l)
         frs.append(x[l])
@@ -587,15 +609,18 @@ def simulate_csm(models, initial: CsmState, horizon: float,
             horizon = t_jump
             break
 
+    n_jumps = len(times)
     return RegimePath(
+        start_time=start,
         horizon=horizon,
         jump_times=np.asarray(times, dtype=float),
         jump_component=np.asarray(comps, dtype=int),
         jump_from=np.asarray(frs, dtype=int),
         jump_to=np.asarray(tos, dtype=int),
-        ages_before=np.asarray(ages_b, dtype=float).reshape(len(times), n_comp),
         states=np.asarray(states, dtype=int),
-        final_ages=np.array([horizon - reset_time[m] for m in range(n_comp)]),
+        ages_before=np.asarray(ages_b, dtype=float).reshape(n_jumps, n_comp),
+        ages_after=np.asarray(ages_a, dtype=float).reshape(n_jumps, n_comp),
+        final_ages=np.array([horizon - r for r in reset_time]),
     )
 
 

@@ -290,27 +290,19 @@ class ConvergenceReport:
 # Smoothing helpers
 # ---------------------------------------------------------------------------
 
-def _pad_axis(arr, axis, pad, lns_axis, c1_l):
-    """Pad a log-price axis with the linear-growth extension.
+def _pad_axis(arr, axis, pad):
+    """Pad a log-price axis by edge replication.
 
-    Above the box: edge + c1 (s - s_edge).  Below: the same extension floored
-    at zero, which is exact for linear fields and collapses to edge
-    replication when c1 = 0.
+    The smoother acts on the excess over the linear part c1.s, which
+    PriceField holds at its edge value beyond the box.
     """
     if pad <= 0:
         return arr
-    h = lns_axis[1] - lns_axis[0]
-    lo = np.take(arr, [0], axis=axis)
-    hi = np.take(arr, [-1], axis=axis)
-    shape = [1] * arr.ndim
+    shape = list(arr.shape)
     shape[axis] = pad
-    s_bot = math.exp(lns_axis[0])
-    subs = c1_l * (np.exp(lns_axis[0] - h * np.arange(pad, 0, -1)) - s_bot)
-    left = lo + subs.reshape(shape)
-    s_top = math.exp(lns_axis[-1])
-    adds = c1_l * (np.exp(lns_axis[-1] + h * np.arange(1, pad + 1)) - s_top)
-    right = hi + adds.reshape(shape)
-    return np.concatenate([left, arr, right], axis=axis)
+    lo = np.broadcast_to(np.take(arr, [0], axis=axis), shape)
+    hi = np.broadcast_to(np.take(arr, [-1], axis=axis), shape)
+    return np.concatenate([lo, arr, hi], axis=axis)
 
 
 def _build_taps(shifts, weights, h):
@@ -326,11 +318,11 @@ def _build_taps(shifts, weights, h):
     return taps, omin
 
 
-def _smooth_axis(arr, taps, omin, axis, lns_axis, c1_l):
+def _smooth_axis(arr, taps, omin, axis):
     """out[k] = sum_o taps[o] arr[k + omin + o] along a log-price axis."""
     width = len(taps)
     pad = max(-omin, omin + width - 1, 0) + 1
-    padded = _pad_axis(arr, axis, pad, lns_axis, c1_l)
+    padded = _pad_axis(arr, axis, pad)
     moved = np.moveaxis(padded, axis, -1)
     size = arr.shape[axis]
     start = pad + omin
@@ -343,13 +335,14 @@ class _Smoother:
     """Kernel smoothing operator on the log-price axes of a slab.
 
     apply() integrates the multilinearly interpolated slab against the
-    lognormal kernel; apply_derivative() integrates it against the kernel's
+    lognormal kernel; apply(deriv_axis=m) integrates it against the kernel's
     s-derivative (the extra node factor is (Sigma^-1 (z - zbar))_m / s_m).
     """
 
-    def __init__(self, zbar, chol, grid: Grid, c1, gh_nodes: int):
+    _deriv = None   # per-axis derivative taps, built on first use
+
+    def __init__(self, zbar, chol, grid: Grid, gh_nodes: int):
         self.grid = grid
-        self.c1 = c1
         self.zbar = zbar
         self.chol = chol
         xi, w = gauss_hermite_standard(gh_nodes)
@@ -386,14 +379,10 @@ class _Smoother:
             out = arr
             for d in range(n):
                 axis = arr.ndim - n + d
+                taps, omin = self.plans[d]
                 if d == deriv_axis:
-                    shifts = self.zbar[d] + self.chol[d, d] * self._xi
-                    wts = self._w * self._xi / self.chol[d, d]
-                    taps, omin = _build_taps(shifts, wts, g.h[d])
-                else:
-                    taps, omin = self.plans[d]
-                out = _smooth_axis(out, taps, omin, axis, g.lns_axes[d],
-                                   self.c1[d])
+                    taps = self._deriv_taps(d)
+                out = _smooth_axis(out, taps, omin, axis)
             return out
         # general path: explicit fractional shifts with multilinear blends
         if deriv_axis is None:
@@ -408,7 +397,7 @@ class _Smoother:
             ext = self.shifts[:, d] / g.h[d]
             pad = int(max(math.ceil(abs(ext.min())), math.ceil(abs(ext.max())))) + 2
             pads.append(pad)
-            padded = _pad_axis(padded, axis, pad, g.lns_axes[d], self.c1[d])
+            padded = _pad_axis(padded, axis, pad)
         out = np.zeros(arr.shape)
         size = arr.shape[-n:] if n else ()
         for q in range(self.shifts.shape[0]):
@@ -426,6 +415,19 @@ class _Smoother:
                 piece = (1.0 - f) * piece[tuple(sl_lo)] + f * piece[tuple(sl_hi)]
             out += factors[q] * piece
         return out
+
+    def _deriv_taps(self, d):
+        """Taps of the kernel's s_d-derivative on a diagonal axis.
+
+        The shifts are the kernel's, so the offset is that of plans[d].
+        """
+        if self._deriv is None:
+            self._deriv = [None] * self.grid.n
+        if self._deriv[d] is None:
+            shifts = self.zbar[d] + self.chol[d, d] * self._xi
+            wts = self._w * self._xi / self.chol[d, d]
+            self._deriv[d], _ = _build_taps(shifts, wts, self.grid.h[d])
+        return self._deriv[d]
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +575,7 @@ class VolterraSolver:
             chol = np.linalg.cholesky(cov)
             # the smoother acts on the excess over the linear part c1.s,
             # which clamps at the box edges, so no growth correction here
-            sm = _Smoother(zbar, chol, g, np.zeros(g.n), self.settings.gh_nodes)
+            sm = _Smoother(zbar, chol, g, self.settings.gh_nodes)
             self._smoothers[key] = sm
         return sm
 

@@ -162,6 +162,39 @@ def test_correlated_two_asset_hedge_field_matches_point_route():
     assert checked == 36
 
 
+
+def test_derivative_taps_built_once_per_smoother_and_axis(monkeypatch):
+    # pricing builds only the kernel taps; the hedge pass adds one set of
+    # derivative taps per smoother and asset axis, shared by every
+    # (component, destination) branch
+    from regimehedge import volterra_pricer as vp
+    m = build_market(2, 2, 2, 0.03, np.zeros(2), np.diag([0.2, 0.3]))
+    claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
+    h = HazardModel(2, {(1, 2): ConstantRate(0.5), (2, 1): ConstantRate(0.7)})
+    grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
+                GridSpec(time_steps=4, price_nodes=11, age_nodes=3))
+    settings = SolverSettings(gh_nodes=8)
+    calls, smoothers = [0], []
+    build, init = vp._build_taps, vp._Smoother.__init__
+
+    def counting_build(*args):
+        calls[0] += 1
+        return build(*args)
+
+    def tracking_init(self, *args):
+        init(self, *args)
+        smoothers.append(self)
+    monkeypatch.setattr(vp, "_build_taps", counting_build)
+    monkeypatch.setattr(vp._Smoother, "__init__", tracking_init)
+
+    field, _ = solve_price_field(m, claim, [h, h], grid, tol=1e-6,
+                                 settings=settings)
+    assert smoothers and calls[0] == 2 * len(smoothers)
+    calls[0] = 0
+    smoothers.clear()
+    hedge_field(m, claim, [h, h], field, settings=settings)
+    assert smoothers and calls[0] == (2 + 2) * len(smoothers)
+
 def test_strategy_value_identity_and_terminal_replication():
     m, claim, models, field = regime_case()
     pt = (0.5, np.array([110.0]), (2, 1), np.array([0.3, 0.1]))

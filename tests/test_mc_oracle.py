@@ -14,7 +14,13 @@ from regimehedge.mc_oracle import (
     _spawn_rngs,
 )
 from regimehedge.regime_bsm import bsm_price
-from regimehedge.semi_markov import ConstantRate, HazardModel, WeibullRate
+from regimehedge.semi_markov import (
+    ConstantRate,
+    CsmState,
+    HazardModel,
+    WeibullRate,
+    simulate_csm,
+)
 
 
 def flat_market(r=0.05, sigma=0.2, mu=0.09):
@@ -122,6 +128,47 @@ def test_path_record_bookkeeping():
         assert path.ages_after[k][l] == 0.0
     assert 0.0 < path.discount <= 1.0
     assert path.discount_at_jumps.shape == (path.n_jumps,)
+
+
+def test_switch_history_is_simulate_csm():
+    # the oracle draws its switch history from simulate_csm on the same
+    # regime stream, from a start time t0 > 0 and nonzero ages
+    m = flat_market()
+    models = [HazardModel(2, {(1, 2): WeibullRate(1.8, 1.6),
+                              (2, 1): ConstantRate(1.2)}),
+              HazardModel(2, {(1, 2): ConstantRate(0.9),
+                              (2, 1): WeibullRate(2.2, 2.0)})]
+    t0, x0, y0 = 0.37, (2, 1), np.array([0.45, 1.3])
+    start = (t0, np.array([100.0]), x0, y0)
+    n_jumps = 0
+    for pid in range(50):
+        rr, rg = _spawn_rngs(8, pid)
+        path = simulate_path(m, models, start, 1.5, rr, rg, mode="physical")
+        rr, _ = _spawn_rngs(8, pid)
+        reg = simulate_csm(models, CsmState(x0, y0), 1.5, rr, start=t0)
+        for name in ("jump_times", "jump_component", "jump_from", "jump_to",
+                     "states", "ages_before", "ages_after", "final_ages"):
+            np.testing.assert_array_equal(getattr(path, name),
+                                          getattr(reg, name), err_msg=name)
+        assert path.start_time == reg.start_time == t0
+        n_jumps += path.n_jumps
+    assert n_jumps > 50
+
+
+def test_eval_point_at_maturity():
+    m = flat_market()
+    models = models_const(2.5, 2.0)
+    claim = Claim("basket-call", weights=[1.0], strike=95.0)
+    s0 = np.array([100.0])
+    start = (1.0, s0, (1, 2), np.array([0.3, 0.0]))
+    path = simulate_risk_neutral(m, models, start, 1.0, seed=2)
+    assert path.n_jumps == 0
+    np.testing.assert_array_equal(path.s_terminal, s0)
+    assert path.discount == 1.0
+    np.testing.assert_allclose(path.final_ages, [0.3, 0.0], rtol=0, atol=1e-15)
+    est, se = mc_price(m, claim, models, start, 1.0, n_paths=200, seed=6)
+    assert est == float(claim(s0)) == 5.0
+    assert se == 0.0
 
 
 def test_dump_paths_format():

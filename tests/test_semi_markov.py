@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from regimehedge.errors import ConfigError, TruncationFailure
@@ -297,3 +298,76 @@ def test_simulate_age_resets_and_monotone_times():
     for step in range(path.n_jumps):
         changed = np.sum(path.states[step] != path.states[step + 1])
         assert changed == 1
+
+
+
+def test_invert_clock_when_every_exit_rate_vanishes_at_the_age():
+    # mixed Weibull shapes have no closed-form inverse, and every exit rate
+    # is zero at age 0, so the first-order guess e / rate says nothing
+    m = HazardModel(3, {(1, 2): WeibullRate(1.0, 2.0), (1, 3): WeibullRate(1.0, 3.0),
+                        (2, 1): ConstantRate(1.0), (3, 1): ConstantRate(1.0)})
+    for y in (0.0, 1e-38, 1e-300):
+        for e in (1e-9, 0.7, 30.0):
+            tau = m.invert_clock(1, y, e)
+            gained = cumulative_hazard(m, 1, y + tau) - cumulative_hazard(m, 1, y)
+            assert gained == pytest.approx(e, rel=1e-9, abs=1e-12)
+
+@st.composite
+def _hazard_rate(draw):
+    family = draw(st.sampled_from(["constant", "affine", "weibull",
+                                   "tabulated"]))
+    level = st.floats(0.1, 2.5)
+    if family == "constant":
+        return ConstantRate(draw(level))
+    if family == "affine":
+        return AffineRate(draw(level), draw(st.floats(0.0, 2.0)))
+    if family == "weibull":
+        return WeibullRate(draw(level), draw(st.floats(1.0, 3.0)))
+    return TabulatedRate([0.0, 0.6, 1.5],
+                         draw(st.lists(level, min_size=3, max_size=3)))
+
+
+@st.composite
+def _csm_case(draw):
+    models, x0 = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(2, 3))
+        models.append(HazardModel(k, {(i, j): draw(_hazard_rate())
+                                      for i in range(1, k + 1)
+                                      for j in range(1, k + 1) if i != j}))
+        x0.append(draw(st.integers(1, k)))
+    y0 = tuple(draw(st.floats(0.0, 2.0)) for _ in models)
+    start = draw(st.floats(0.0, 2.0))
+    horizon = start + draw(st.floats(0.0, 2.5))
+    return models, CsmState(tuple(x0), y0), start, horizon
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(case=_csm_case(), seed=st.integers(0, 2 ** 32 - 1))
+def test_simulate_csm_path_properties(case, seed):
+    models, state, start, horizon = case
+    if horizon <= 0:
+        return
+    path = simulate_csm(models, state, horizon, path_rng(seed, 0), start=start)
+    t = path.jump_times
+    assert path.start_time == start and path.horizon == horizon
+    assert np.all(np.diff(t) > 0)
+    assert np.all((t > start) & (t <= horizon))
+    np.testing.assert_array_equal(path.states[0], state.x)
+    ages = np.asarray(state.y, dtype=float)
+    prev = start
+    for k in range(path.n_jumps):
+        l = path.jump_component[k]
+        changed = np.flatnonzero(path.states[k] != path.states[k + 1])
+        assert changed.tolist() == [l]
+        assert path.states[k][l] == path.jump_from[k]
+        assert path.states[k + 1][l] == path.jump_to[k]
+        np.testing.assert_allclose(path.ages_before[k], ages + (t[k] - prev),
+                                   rtol=0, atol=1e-12)
+        assert path.ages_after[k][l] == 0.0
+        others = np.arange(len(models)) != l
+        np.testing.assert_array_equal(path.ages_after[k][others],
+                                      path.ages_before[k][others])
+        ages, prev = path.ages_after[k], t[k]
+    np.testing.assert_allclose(path.final_ages, ages + (horizon - prev),
+                               rtol=0, atol=1e-12)

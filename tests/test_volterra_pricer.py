@@ -290,9 +290,9 @@ def test_smoother_general_path_matches_diagonal():
     cov = m.a_integral(0.0, 0.25, (1, 1))
     zbar = 0.03 * 0.25 - 0.5 * np.diag(cov)
     chol = np.linalg.cholesky(cov)
-    sm_d = _Smoother(zbar, chol, grid, claim.c1, 8)
+    sm_d = _Smoother(zbar, chol, grid, 8)
     assert sm_d.diagonal
-    sm_g = _Smoother(zbar, chol, grid, claim.c1, 8)
+    sm_g = _Smoother(zbar, chol, grid, 8)
     sm_g.diagonal = False
     xi, w = np.polynomial.hermite.hermgauss(8)
     xi = xi * math.sqrt(2.0)
