@@ -21,6 +21,9 @@ from .errors import ConfigError, SingularCovariance
 from .quadrature import normal_nodes, segmented_gauss_legendre
 
 _COND_LIMIT = 1e12
+# half-width, in conditional standard deviations, of the log-window that
+# claim_nodes splits at the payoff kink
+_KINK_WINDOW_STDS = 8.0
 
 
 @dataclass(frozen=True)
@@ -29,11 +32,8 @@ class QuadratureSettings:
 
     gh_nodes: int = 32            # per-axis tensor Gauss-Hermite
     sparse_level: int | None = None
-    max_tensor_dim: int = 4
     payoff_outer_nodes: int = 24  # outer axes when a payoff kink is split
     payoff_gl_nodes: int = 32     # Gauss-Legendre nodes per kink segment
-    window_stds: float = 8.0      # log-window half-width for split integrals
-    kink_split: bool = True
 
 
 DEFAULT_QUAD = QuadratureSettings()
@@ -407,8 +407,7 @@ def kernel_density_ds(kern: LognormalKernel, sig, axis: int) -> np.ndarray | flo
 def kernel_nodes(kern: LognormalKernel, quad: QuadratureSettings = DEFAULT_QUAD):
     """Plain lognormal quadrature nodes: (sig (Q, n), w (Q,), dev (Q, n))."""
     s = kern._require_s()
-    xi, w = normal_nodes(kern.n, quad.gh_nodes, quad.sparse_level,
-                         quad.max_tensor_dim)
+    xi, w = normal_nodes(kern.n, quad.gh_nodes, quad.sparse_level)
     dev = xi @ kern.chol.T
     sig = s * np.exp(kern.zbar + dev)
     return sig, w, dev
@@ -444,7 +443,7 @@ def claim_nodes(kern: LognormalKernel, claim: Claim, s_batch,
     The pivot axis (largest claim weight) is integrated by split-interval
     Gauss-Legendre in a bounded log-window, with the segment boundary at the
     kink; remaining axes use tensor Gauss-Hermite.  Falls back to plain
-    Gauss-Hermite when the claim has no kink or splitting is disabled.
+    Gauss-Hermite when the claim has no kink or no positive weight.
 
     Parameters
     ----------
@@ -457,11 +456,9 @@ def claim_nodes(kern: LognormalKernel, claim: Claim, s_batch,
     s_batch = np.atleast_2d(np.asarray(s_batch, dtype=float))
     B = s_batch.shape[0]
     n = kern.n
-    kinks = claim.kink_positions() if quad.kink_split else []
-    usable = [b for b in kinks] if np.any(claim.weights > 0) else []
+    usable = claim.kink_positions() if np.any(claim.weights > 0) else []
     if not usable:
-        xi, w = normal_nodes(n, quad.gh_nodes, quad.sparse_level,
-                             quad.max_tensor_dim)
+        xi, w = normal_nodes(n, quad.gh_nodes, quad.sparse_level)
         dev = xi @ kern.chol.T
         sig = s_batch[:, None, :] * np.exp(kern.zbar + dev)[None, :, :]
         w = np.broadcast_to(w, (B, w.shape[0]))
@@ -483,7 +480,7 @@ def claim_nodes(kern: LognormalKernel, claim: Claim, s_batch,
         outer_w = np.ones(1)
     else:
         outer_xi, outer_w = normal_nodes(n - 1, quad.payoff_outer_nodes,
-                                         quad.sparse_level, quad.max_tensor_dim)
+                                         quad.sparse_level)
     Qo = outer_xi.shape[0]
     # head coordinates (B, Qo, n-1)
     dev_heads = outer_xi @ chol_p[:n - 1, :n - 1].T
@@ -493,8 +490,8 @@ def claim_nodes(kern: LognormalKernel, claim: Claim, s_batch,
     cond_mean = zbar_p[-1] + (outer_xi @ chol_p[-1, :n - 1]
                               if n > 1 else np.zeros(1))
     cond_sd = chol_p[-1, -1]
-    lo = cond_mean - quad.window_stds * cond_sd     # (Qo,)
-    hi = cond_mean + quad.window_stds * cond_sd
+    lo = cond_mean - _KINK_WINDOW_STDS * cond_sd     # (Qo,)
+    hi = cond_mean + _KINK_WINDOW_STDS * cond_sd
 
     rest = (np.asarray(usable)[None, None, :]
             - (sig_heads @ w_heads)[:, :, None])    # (B, Qo, J)

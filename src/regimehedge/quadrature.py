@@ -66,13 +66,16 @@ def smolyak_normal_nodes(dim: int, level: int):
     return nodes, weights
 
 
-def normal_nodes(dim: int, n_each: int, sparse_level: int | None = None,
-                 max_tensor_dim: int = 4):
+# largest dimension served by a tensor rule; beyond it a sparse level is needed
+_MAX_TENSOR_DIM = 4
+
+
+def normal_nodes(dim: int, n_each: int, sparse_level: int | None = None):
     """Dispatch between tensor and sparse rules with the dimension cap."""
     if dim <= 2 or sparse_level is None:
-        if dim > max_tensor_dim:
+        if dim > _MAX_TENSOR_DIM:
             raise DimensionTooLarge(
-                f"tensor quadrature capped at dim {max_tensor_dim}, got {dim}; "
+                f"tensor quadrature capped at dim {_MAX_TENSOR_DIM}, got {dim}; "
                 "configure a sparse level")
         return tensor_normal_nodes(dim, n_each)
     return smolyak_normal_nodes(dim, sparse_level)

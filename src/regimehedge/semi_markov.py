@@ -291,11 +291,17 @@ class HazardModel:
         return p / tot
 
     def draw_destination(self, i: int, y: float, u: float) -> int:
-        """Destination of a jump out of i at age y, for a uniform draw u."""
+        """Destination of a jump out of i at age y, for a uniform draw u.
+
+        The first state whose cumulative probability exceeds u, so a state of
+        zero probability is never drawn; a u at or above a cumulative sum that
+        rounds below 1 goes to the row's last destination.
+        """
         row = self._rows[i]
         if len(row) == 1:
             return row[0]
-        return int(np.searchsorted(np.cumsum(self.transition_probs(i, y)), u)) + 1
+        cum = np.cumsum(self.transition_probs(i, y))
+        return min(int(np.searchsorted(cum, u, side="right")) + 1, row[-1])
 
     # -- clock inversion -------------------------------------------------------
 

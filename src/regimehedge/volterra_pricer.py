@@ -22,8 +22,12 @@ Starting from phi_0 = rho the operator is iterated to its fixed point; the
 weighted sup norm |phi| / (1 + |s|_1) certifies the contraction at each
 step.  The v-integral uses composite Gauss-Legendre panels aligned with the
 time grid; the kernel expectation smooths the multilinearly interpolated
-field with tensor Gauss-Hermite nodes (axis-by-axis convolutions when the
-log covariance is diagonal, explicit shifted blends otherwise).
+field with tensor Gauss-Hermite nodes.  When the log covariance is diagonal
+each log-price axis is one ``scipy.ndimage.correlate1d`` with taps centred
+on offset 0 and edge replication; otherwise each node is an explicit shifted
+blend of the edge-padded slab.  Moving a slab along the age axes (ages grow
+by v between t and t + v) is one clamped linear shift per age axis,
+``_shift_axis``, shared by the gather and the PDE residual.
 """
 
 from __future__ import annotations
@@ -33,11 +37,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import correlate1d, map_coordinates
 
 from .errors import ConfigError, NoConvergence
 from .market import Claim, MarketModel, QuadratureSettings
-from .quadrature import gauss_hermite_standard, gauss_legendre
+from .quadrature import gauss_hermite_standard, gauss_legendre, tensor_normal_nodes
 from .regime_bsm import bsm_price_grid
 
 
@@ -287,48 +291,39 @@ class ConvergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# Smoothing helpers
+# Smoothing and age-shift primitives
 # ---------------------------------------------------------------------------
 
-def _pad_axis(arr, axis, pad):
-    """Pad a log-price axis by edge replication.
-
-    The smoother acts on the excess over the linear part c1.s, which
-    PriceField holds at its edge value beyond the box.
-    """
-    if pad <= 0:
-        return arr
-    shape = list(arr.shape)
-    shape[axis] = pad
-    lo = np.broadcast_to(np.take(arr, [0], axis=axis), shape)
-    hi = np.broadcast_to(np.take(arr, [-1], axis=axis), shape)
-    return np.concatenate([lo, arr, hi], axis=axis)
-
-
 def _build_taps(shifts, weights, h):
-    """Collapse fractional shifts into integer-offset taps on a uniform axis."""
+    """Collapse fractional shifts into taps on a uniform axis.
+
+    The taps have odd length and are centred on offset 0, so
+    correlate1d(arr, taps, mode="nearest") gives
+    sum_q weights[q] * (arr interpolated linearly at x + shifts[q]),
+    with the axis held at its edge values beyond the box.
+    """
     cells = np.asarray(shifts, dtype=float) / h
     i0 = np.floor(cells).astype(int)
     frac = cells - i0
-    omin = int(i0.min())
-    omax = int(i0.max()) + 1
-    taps = np.zeros(omax - omin + 1)
-    np.add.at(taps, i0 - omin, weights * (1.0 - frac))
-    np.add.at(taps, i0 - omin + 1, weights * frac)
-    return taps, omin
+    half = max(-int(i0.min()), int(i0.max()) + 1)
+    taps = np.zeros(2 * half + 1)
+    np.add.at(taps, i0 + half, weights * (1.0 - frac))
+    np.add.at(taps, i0 + half + 1, weights * frac)
+    return taps
 
 
-def _smooth_axis(arr, taps, omin, axis):
-    """out[k] = sum_o taps[o] arr[k + omin + o] along a log-price axis."""
-    width = len(taps)
-    pad = max(-omin, omin + width - 1, 0) + 1
-    padded = _pad_axis(arr, axis, pad)
-    moved = np.moveaxis(padded, axis, -1)
-    size = arr.shape[axis]
-    start = pad + omin
-    windows = np.lib.stride_tricks.sliding_window_view(moved, width, axis=-1)
-    out = windows[..., start:start + size, :] @ taps
-    return np.moveaxis(out, -1, axis)
+def _shift_axis(arr, axis, cells, count):
+    """out[k] = (1 - f) arr[k + i0] + f arr[k + i0 + 1] for k < count, where
+    cells = i0 + f with 0 <= f < 1 and indices clamp to the axis."""
+    i0 = math.floor(cells)
+    f = cells - i0
+    idx = np.clip(np.arange(i0, i0 + count + 1), 0, arr.shape[axis] - 1)
+    both = np.take(arr, idx, axis=axis)
+    lo = [slice(None)] * arr.ndim
+    hi = [slice(None)] * arr.ndim
+    lo[axis] = slice(0, count)
+    hi[axis] = slice(1, count + 1)
+    return (1.0 - f) * both[tuple(lo)] + f * both[tuple(hi)]
 
 
 class _Smoother:
@@ -337,35 +332,27 @@ class _Smoother:
     apply() integrates the multilinearly interpolated slab against the
     lognormal kernel; apply(deriv_axis=m) integrates it against the kernel's
     s-derivative (the extra node factor is (Sigma^-1 (z - zbar))_m / s_m).
+    The smoother acts on the excess over the linear part c1.s, which
+    PriceField holds at its edge value beyond the box, so every path
+    replicates the edges.
     """
 
-    _deriv = None   # per-axis derivative taps, built on first use
+    _deriv = None   # per-axis derivative taps or node factors, built on use
 
     def __init__(self, zbar, chol, grid: Grid, gh_nodes: int):
         self.grid = grid
         self.zbar = zbar
         self.chol = chol
-        xi, w = gauss_hermite_standard(gh_nodes)
-        self._xi = xi
-        self._w = w
         n = grid.n
         off = np.abs(chol - np.diag(np.diag(chol))).max() if n > 1 else 0.0
         self.diagonal = off <= 1e-14
         if self.diagonal:
-            self.plans = []
-            for d in range(n):
-                shifts = zbar[d] + chol[d, d] * xi
-                taps, omin = _build_taps(shifts, w, grid.h[d])
-                self.plans.append((taps, omin))
+            self._xi, self._w = gauss_hermite_standard(gh_nodes)
+            self.taps = [_build_taps(zbar[d] + chol[d, d] * self._xi, self._w,
+                                     grid.h[d]) for d in range(n)]
         else:
-            grids = np.meshgrid(*([xi] * n), indexing="ij")
-            nodes = np.stack([g.ravel() for g in grids], axis=-1)
-            weights = np.ones(1)
-            for _ in range(n):
-                weights = np.kron(weights, w)
-            self.nodes = nodes
-            self.shifts = zbar + nodes @ chol.T   # (Q, n)
-            self.weights = weights
+            self.nodes, self.weights = tensor_normal_nodes(n, gh_nodes)
+            self.shifts = zbar + self.nodes @ chol.T   # (Q, n)
 
     def apply(self, arr, deriv_axis: int | None = None):
         """arr has age axes first, then the n log-price axes (last).
@@ -373,60 +360,51 @@ class _Smoother:
         With deriv_axis = m the result is the expectation against
         d(kernel)/d s_m, still to be divided by s_m by the caller.
         """
-        g = self.grid
-        n = g.n
+        n = self.grid.n
+        lead = arr.ndim - n
         if self.diagonal:
             out = arr
             for d in range(n):
-                axis = arr.ndim - n + d
-                taps, omin = self.plans[d]
-                if d == deriv_axis:
-                    taps = self._deriv_taps(d)
-                out = _smooth_axis(out, taps, omin, axis)
+                taps = self.taps[d] if d != deriv_axis else self._derivative(d)
+                out = correlate1d(out, taps, axis=lead + d, mode="nearest")
             return out
         # general path: explicit fractional shifts with multilinear blends
-        if deriv_axis is None:
-            factors = self.weights
-        else:
-            # (Sigma^-1 (z - zbar))_m = (L^-T xi)_m for z - zbar = L xi
-            inv_l = np.linalg.inv(self.chol)
-            factors = self.weights * (self.nodes @ inv_l[:, deriv_axis])
-        pads, padded = [], arr
-        for d in range(n):
-            axis = arr.ndim - n + d
-            ext = self.shifts[:, d] / g.h[d]
-            pad = int(max(math.ceil(abs(ext.min())), math.ceil(abs(ext.max())))) + 2
-            pads.append(pad)
-            padded = _pad_axis(padded, axis, pad)
+        factors = self.weights if deriv_axis is None \
+            else self._derivative(deriv_axis)
+        cells = self.shifts / np.asarray(self.grid.h)
+        i0 = np.floor(cells).astype(int)
+        pads = np.abs(i0).max(axis=0) + 2
+        padded = np.pad(arr, [(0, 0)] * lead + [(p, p) for p in pads],
+                        mode="edge")
+        starts, fracs = (i0 + pads).tolist(), (cells - i0).tolist()
+        size = arr.shape[lead:]
         out = np.zeros(arr.shape)
-        size = arr.shape[-n:] if n else ()
-        for q in range(self.shifts.shape[0]):
+        for q, factor in enumerate(factors):
             piece = padded
             for d in range(n):
-                axis = arr.ndim - n + d
-                cells = self.shifts[q, d] / g.h[d]
-                i0 = int(math.floor(cells))
-                f = cells - i0
-                start = pads[d] + i0
+                start, f = starts[q][d], fracs[q][d]
                 sl_lo = [slice(None)] * piece.ndim
                 sl_hi = [slice(None)] * piece.ndim
-                sl_lo[axis] = slice(start, start + size[d])
-                sl_hi[axis] = slice(start + 1, start + 1 + size[d])
+                sl_lo[lead + d] = slice(start, start + size[d])
+                sl_hi[lead + d] = slice(start + 1, start + 1 + size[d])
                 piece = (1.0 - f) * piece[tuple(sl_lo)] + f * piece[tuple(sl_hi)]
-            out += factors[q] * piece
+            out += factor * piece
         return out
 
-    def _deriv_taps(self, d):
-        """Taps of the kernel's s_d-derivative on a diagonal axis.
-
-        The shifts are the kernel's, so the offset is that of plans[d].
-        """
+    def _derivative(self, d):
+        """Per-axis data of the kernel's s_d-derivative, built once: taps on
+        a diagonal axis, node factors (Sigma^-1 (z - zbar))_d otherwise."""
         if self._deriv is None:
             self._deriv = [None] * self.grid.n
         if self._deriv[d] is None:
-            shifts = self.zbar[d] + self.chol[d, d] * self._xi
-            wts = self._w * self._xi / self.chol[d, d]
-            self._deriv[d], _ = _build_taps(shifts, wts, self.grid.h[d])
+            if self.diagonal:
+                shifts = self.zbar[d] + self.chol[d, d] * self._xi
+                wts = self._w * self._xi / self.chol[d, d]
+                self._deriv[d] = _build_taps(shifts, wts, self.grid.h[d])
+            else:
+                # (Sigma^-1 (z - zbar))_d = (L^-T xi)_d for z - zbar = L xi
+                inv_l = np.linalg.inv(self.chol)
+                self._deriv[d] = self.weights * (self.nodes @ inv_l[:, d])
         return self._deriv[d]
 
 
@@ -478,6 +456,9 @@ class VolterraSolver:
                         self.lam_mid[(m, a, j)] = h.rates[(a, j)].rate(
                             ages[:, None] + self.v_all[None, :])
 
+        # c1 . s on the price grid; its discounted kernel mean is c1 . s
+        mesh = np.meshgrid(*g.s_axes, indexing="ij")
+        self._lin = sum(c * m for c, m in zip(self.claim.c1, mesh))
         self._rho = None
         self._terminal = None
         self._js_T = {}
@@ -579,30 +560,18 @@ class VolterraSolver:
             self._smoothers[key] = sm
         return sm
 
-    def _linear_part(self):
-        """c1 . s on the price grid; its kernel mean is exp(r v) c1 . s."""
-        if getattr(self, "_lin_grid", None) is None:
-            mesh = np.meshgrid(*self.grid.s_axes, indexing="ij")
-            self._lin_grid = sum(c * m for c, m in zip(self.claim.c1, mesh)) \
-                if self.grid.n else np.zeros(self.grid.s_shape)
-            if np.isscalar(self._lin_grid):
-                self._lin_grid = np.zeros(self.grid.s_shape)
-        return self._lin_grid
-
     # -- gathering the continuation slab ---------------------------------------
 
     def _brackets(self, i, p, q):
         """(side, weight) of the time slabs bracketing t_i + v_all[p, q] with
-        nonzero weight, and the age shift v / dy as whole cells + fraction."""
+        nonzero weight, and the age shift v / dy in cells."""
         g = self.grid
         v = self.v_all[p * self.settings.panel_nodes + q]
         theta = (v - p * g.dt) / g.dt
         sides = [(side, wgt) for side, wgt in ((i + p, 1.0 - theta),
                                                (i + p + 1, theta))
                  if wgt != 0.0]
-        shift = v / g.dy
-        i0 = int(math.floor(shift))
-        return sides, i0, shift - i0
+        return sides, v / g.dy
 
     def age_clamp_events(self) -> int:
         """Age blends that run past the stored ages of a bracketing slab, one
@@ -613,8 +582,9 @@ class VolterraSolver:
             c = int(g.c_counts[i])
             for p in range(g.spec.time_steps - i):
                 for q in range(self.settings.panel_nodes):
-                    sides, i0, frac = self._brackets(i, p, q)
-                    if frac > 1e-14:
+                    sides, cells = self._brackets(i, p, q)
+                    i0 = math.floor(cells)
+                    if cells - i0 > 1e-14:
                         count += sum(c + i0 > int(g.c_counts[side]) - 1
                                      for side, _ in sides)
         return count
@@ -629,23 +599,15 @@ class VolterraSolver:
         """
         g = self.grid
         c = int(g.c_counts[i])
-        sides, i0, frac = self._brackets(i, p, q)
+        sides, cells = self._brackets(i, p, q)
         pieces = []
         for side, wgt in sides:
-            slab = slabs[side]
-            c_slab = int(g.c_counts[side])
-            idx0 = np.minimum(np.arange(c) + i0, c_slab - 1)
-            idx1 = np.minimum(np.arange(c) + i0 + 1, c_slab - 1)
-            sel = [slice(None)] * slab.ndim
+            sel = [slice(None)] * slabs[side].ndim
             sel[1 + l] = slice(0, 1)
-            arr = slab[tuple(sel)]
+            arr = slabs[side][tuple(sel)]
             for m in range(g.n_components):
-                if m == l:
-                    continue
-                axis = 1 + m
-                lo = np.take(arr, idx0, axis=axis)
-                hi = np.take(arr, idx1, axis=axis)
-                arr = (1.0 - frac) * lo + frac * hi
+                if m != l:
+                    arr = _shift_axis(arr, 1 + m, cells, c)
             pieces.append(wgt * arr)
         out = pieces[0]
         for extra in pieces[1:]:
@@ -670,7 +632,7 @@ class VolterraSolver:
         accs = [np.zeros((n_x,) + (c,) * g.n_components + g.s_shape)
                 for _ in actions]
         mass = np.zeros((n_x,) + (c,) * g.n_components)
-        lin = self._linear_part()
+        lin = self._lin
         for p in range(M - i):
             for q in range(self.settings.panel_nodes):
                 weights = self._switch_weights(i, p, q)
@@ -711,7 +673,7 @@ class VolterraSolver:
         y_pad = (...,) + (None,) * g.n
         new = js_T[y_pad] * rho[i][(slice(None),) + (None,) * g.n_components]
         branch, = self.switch_branch(i, slabs, (_Smoother.apply,))
-        new += branch + ((1.0 - js_T)[y_pad]) * self._linear_part()
+        new += branch + ((1.0 - js_T)[y_pad]) * self._lin
         np.maximum(new, 0.0, out=new)
         return new
 
@@ -828,6 +790,33 @@ class PdeResidualReport:
                                 for v in self.max_by_time]}
 
 
+def _on_axis(vec, axis, ndim):
+    """vec reshaped to broadcast along one axis of an ndim-array."""
+    return vec.reshape((1,) * axis + (-1,) + (1,) * (ndim - axis - 1))
+
+
+def _d_ds(arr, sv, axis):
+    """First and second s-derivatives at the interior nodes of one axis.
+
+    Central 3-point stencil on the exponentially spaced s-axis sv; exact
+    for fields quadratic in s.
+    """
+    hm = _on_axis(sv[1:-1] - sv[:-2], axis, arr.ndim)
+    hp = _on_axis(sv[2:] - sv[1:-1], axis, arr.ndim)
+    part = [slice(None)] * arr.ndim
+    part[axis] = slice(2, None)
+    up = arr[tuple(part)]
+    part[axis] = slice(1, -1)
+    mid = arr[tuple(part)]
+    part[axis] = slice(0, -2)
+    dn = arr[tuple(part)]
+    d1 = (hm ** 2 * up - hp ** 2 * dn
+          - (hm ** 2 - hp ** 2) * mid) / (hm * hp * (hm + hp))
+    d2 = 2.0 * (hm * up + hp * dn - (hm + hp) * mid) \
+        / (hm * hp * (hm + hp))
+    return d1, d2
+
+
 def pde_residual(field: PriceField, market: MarketModel, models,
                  interior_margin: int = 2,
                  maturity_margin_steps: int = 0) -> PdeResidualReport:
@@ -861,51 +850,26 @@ def pde_residual(field: PriceField, market: MarketModel, models,
             max_by_time.append(None)    # no node of this slab is checked
             continue
         slab_max = 0.0
-        shift = g.dt / g.dy
-        i0 = int(math.floor(shift))
-        frac = shift - i0
-        idx0 = np.arange(keep) + i0
-        idx1 = np.minimum(idx0 + 1, c_next - 1)
 
         for xi, x in enumerate(g.x_tuples):
             phi = field.slabs[i][xi]
             sub = phi[(slice(0, keep),) * g.n_components]
             adv = field.slabs[i + 1][xi]
             for m in range(g.n_components):
-                lo = np.take(adv, idx0, axis=m)
-                hi = np.take(adv, idx1, axis=m)
-                adv = (1.0 - frac) * lo + frac * hi
+                adv = _shift_axis(adv, m, g.dt / g.dy, keep)
             d_char = (adv - sub) / g.dt
 
             rx = market.r(x)
             a = market.a(t, x)
             res = d_char - rx * sub
-
-            def d_ds(arr, l):
-                # central 3-point stencil on the exponentially spaced s-axis;
-                # exact for fields quadratic in s
-                ax = arr.ndim - n + l
-                sv = g.s_axes[l]
-                hm = (sv[1:-1] - sv[:-2]).reshape(
-                    (1,) * ax + (-1,) + (1,) * (arr.ndim - ax - 1))
-                hp = (sv[2:] - sv[1:-1]).reshape(hm.shape)
-                up = np.take(arr, np.arange(2, arr.shape[ax]), axis=ax)
-                mid = np.take(arr, np.arange(1, arr.shape[ax] - 1), axis=ax)
-                dn = np.take(arr, np.arange(arr.shape[ax] - 2), axis=ax)
-                d1 = (hm ** 2 * up - hp ** 2 * dn
-                      - (hm ** 2 - hp ** 2) * mid) / (hm * hp * (hm + hp))
-                d2 = 2.0 * (hm * up + hp * dn - (hm + hp) * mid) \
-                    / (hm * hp * (hm + hp))
-                return d1, d2
-
+            d1s = []
             for l in range(n):
                 ax = sub.ndim - n + l
-                sv = g.s_axes[l].reshape(
-                    (1,) * ax + (-1,) + (1,) * (sub.ndim - ax - 1))
-                d1, d2 = d_ds(sub, l)
+                d1, d2 = _d_ds(sub, g.s_axes[l], ax)
+                d1s.append(d1)
                 pad = [(0, 0)] * sub.ndim
                 pad[ax] = (1, 1)
-                smid = np.take(sv, np.arange(1, sub.shape[ax] - 1), axis=ax)
+                smid = _on_axis(g.s_axes[l][1:-1], ax, sub.ndim)
                 res = res + rx * np.pad(smid * d1, pad) \
                     + 0.5 * a[l, l] * np.pad(smid ** 2 * d2, pad)
             for l in range(n):
@@ -914,12 +878,9 @@ def pde_residual(field: PriceField, market: MarketModel, models,
                         continue
                     axl = sub.ndim - n + l
                     axp = sub.ndim - n + lp
-                    d1, _ = d_ds(sub, l)
-                    dcross, _ = d_ds(d1, lp)
-                    svl = g.s_axes[l][1:-1].reshape(
-                        (1,) * axl + (-1,) + (1,) * (sub.ndim - axl - 1))
-                    svp = g.s_axes[lp][1:-1].reshape(
-                        (1,) * axp + (-1,) + (1,) * (sub.ndim - axp - 1))
+                    dcross, _ = _d_ds(d1s[l], g.s_axes[lp], axp)
+                    svl = _on_axis(g.s_axes[l][1:-1], axl, sub.ndim)
+                    svp = _on_axis(g.s_axes[lp][1:-1], axp, sub.ndim)
                     pad = [(0, 0)] * sub.ndim
                     pad[axl] = (1, 1)
                     pad[axp] = (1, 1)

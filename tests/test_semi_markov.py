@@ -312,6 +312,21 @@ def test_invert_clock_when_every_exit_rate_vanishes_at_the_age():
             gained = cumulative_hazard(m, 1, y + tau) - cumulative_hazard(m, 1, y)
             assert gained == pytest.approx(e, rel=1e-9, abs=1e-12)
 
+
+def test_draw_destination_at_the_ends_of_the_unit_interval():
+    # the draw is the first state whose cumulative probability exceeds u:
+    # u = 0 must not pick the zero-probability self-transition, and a u above
+    # a cumulative sum that rounds below 1 must stay inside the row
+    m = HazardModel(4, {(1, 2): ConstantRate(1.543538379590801),
+                        (1, 3): ConstantRate(1.8348817222179434),
+                        (1, 4): ConstantRate(0.29843586764536734),
+                        (2, 1): ConstantRate(1.0), (3, 1): ConstantRate(1.0),
+                        (4, 1): ConstantRate(1.0)})
+    assert np.cumsum(m.transition_probs(1, 0.0))[-1] < 1.0
+    assert m.draw_destination(1, 0.0, 0.0) == 2
+    assert m.draw_destination(1, 0.0, np.nextafter(1.0, 0.0)) == 4
+
+
 @st.composite
 def _hazard_rate(draw):
     family = draw(st.sampled_from(["constant", "affine", "weibull",

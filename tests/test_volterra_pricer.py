@@ -310,6 +310,82 @@ def test_smoother_general_path_matches_diagonal():
     np.testing.assert_allclose(out_d, out_g, rtol=1e-10, atol=1e-10)
 
 
+def _interp_smoothing(arr, axes, shifts, weights):
+    """Brute-force kernel smoothing: per log-price axis d, the sum over the
+    Gauss-Hermite nodes of weights[d][q] times the line interpolated at
+    ln s + shifts[d][q].  np.interp holds the end values beyond the axis."""
+    out = arr
+    for d, ax in enumerate(axes):
+        moved = np.moveaxis(out, arr.ndim - len(axes) + d, -1)
+        acc = np.zeros(moved.shape)
+        for sh, w in zip(shifts[d], weights[d]):
+            acc += w * np.apply_along_axis(
+                lambda line: np.interp(ax + sh, ax, line), -1, moved)
+        out = np.moveaxis(acc, -1, arr.ndim - len(axes) + d)
+    return out
+
+
+@pytest.mark.parametrize("case", ["one_asset", "drift_past_taps",
+                                  "taps_wider_than_axis", "two_assets"])
+def test_diagonal_smoother_matches_interp_oracle(case):
+    from regimehedge.volterra_pricer import _Smoother
+    if case == "one_asset":
+        vol, nodes = 0.25 * np.eye(1), 41
+        zbar, sd = np.array([0.03 * 0.25 - 0.5 * 0.0625 * 0.25]), [0.125]
+    elif case == "drift_past_taps":
+        # sigma = 0.02, r = 0.5, v = 1: every node shifts the same way, by
+        # more than the nodes spread
+        vol, nodes = 0.2 * np.eye(1), 61
+        zbar, sd = np.array([0.5 - 0.5 * 0.02 ** 2]), [0.02]
+    elif case == "taps_wider_than_axis":
+        vol, nodes = 0.1 * np.eye(1), 5
+        zbar, sd = np.array([-0.9]), [0.6]
+    else:
+        vol, nodes = np.diag([0.2, 0.3]), 21
+        zbar, sd = np.array([-0.01, 0.5 - 0.5 * 0.02 ** 2]), [0.1, 0.02]
+    n = len(sd)
+    m = build_market(n, 2, 1, 0.03, np.zeros(n), vol)
+    grid = Grid(m, 1.0, np.full((1, n), 100.0),
+                GridSpec(time_steps=2, price_nodes=nodes, age_nodes=2))
+    sm = _Smoother(zbar, np.diag(sd), grid, 8)
+    assert sm.diagonal
+    if case == "drift_past_taps":
+        spread = sd[0] * np.max(np.abs(sm._xi))
+        assert zbar[0] - spread > spread + grid.h[0]
+    if case == "taps_wider_than_axis":
+        assert len(sm.taps[0]) > nodes
+
+    xi, w = np.polynomial.hermite.hermgauss(8)
+    xi, w = xi * math.sqrt(2.0), w / math.sqrt(math.pi)
+    shifts = [zbar[d] + sd[d] * xi for d in range(n)]
+    arr = np.random.default_rng(3).uniform(-5.0, 50.0,
+                                           size=(2, 3) + grid.s_shape)
+    tol = dict(rtol=1e-12, atol=1e-12 * np.max(np.abs(arr)))
+    np.testing.assert_allclose(
+        sm.apply(arr), _interp_smoothing(arr, grid.lns_axes, shifts, [w] * n),
+        **tol)
+    for d in range(n):
+        wts = [w * xi / sd[d] if e == d else w for e in range(n)]
+        np.testing.assert_allclose(
+            sm.apply(arr, deriv_axis=d),
+            _interp_smoothing(arr, grid.lns_axes, shifts, wts), **tol)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_shift_axis_matches_clamped_interp(axis):
+    from regimehedge.volterra_pricer import _shift_axis
+    arr = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 7, 8))
+    size = arr.shape[axis]
+    count = size - 2
+    for cells in (-2.5, -1.0, 0.0, 0.3, 1.0, 2.75, size - 0.5, size + 3.2):
+        want = np.apply_along_axis(
+            lambda line: np.interp(np.arange(count) + cells,
+                                   np.arange(size), line), axis, arr)
+        got = _shift_axis(arr, axis, cells, count)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
 def test_pde_residual_linear_claim_tiny():
     m = build_market(1, 2, 2, 0.04, np.array([0.08]), 0.25 * np.eye(1))
     claim = Claim("linear", weights=[1.0])
