@@ -533,7 +533,8 @@ def criterion_10(profile: str, threads: int) -> CriterionResult:
     for scale in (1.1, 1.5):
         tilde = [h.scaled(scale) for h in b["models"]]
         rep = sensitivity_check(b["market"], b["claim"], b["models"], tilde,
-                                b["grid"], tol=1e-4, settings=b["settings"])
+                                b["grid"], tol=1e-4, settings=b["settings"],
+                                base=(b["field"], b["report"]))
         ok = ok and rep.satisfied and rep.phi_sup_diff <= rep.bound_summed
         rows[f"scale_{scale}"] = rep.to_dict()
     return CriterionResult(10, "hazard perturbation bound", ok, rows)

@@ -3,9 +3,11 @@
 Two diagnostics on a solved price field:
 
 * sensitivity_check solves the pricing equation under a perturbed hazard
-  specification on the identical grid and compares the sup distance of the
-  two fields against the Lipschitz bound 2 c2 T sum |lam - lam~|_sup (the
-  per-pair sums maximized over the regime tuple).
+  specification on the identical grid (and under the base hazards, unless
+  the caller passes the field it has already solved) and compares the sup
+  distance of the two fields against the Lipschitz bound
+  2 c2 T sum |lam - lam~|_sup (the per-pair sums maximized over the regime
+  tuple).
 
 * residual_risk estimates the expected squared discounted price jump that
   the optimal non-self-financing hedge absorbs at regime switches, by
@@ -56,10 +58,17 @@ def _pair_sup_diffs(models, models_tilde, horizon: float):
 
 def sensitivity_check(market, claim, models, models_tilde, grid: Grid,
                       tol: float = 1e-4,
-                      settings: SolverSettings | None = None) -> SensitivityReport:
-    """Dual solve under the base and perturbed hazards, with the sup bound."""
-    field_a, rep_a = solve_price_field(market, claim, models, grid, tol,
-                                       settings=settings)
+                      settings: SolverSettings | None = None,
+                      base=None) -> SensitivityReport:
+    """Dual solve under the base and perturbed hazards, with the sup bound.
+
+    base, when given, is the already solved (field, report) under models
+    on grid; only the perturbed hazards are then solved.
+    """
+    if base is None:
+        base = solve_price_field(market, claim, models, grid, tol,
+                                 settings=settings)
+    field_a, rep_a = base
     field_b, rep_b = solve_price_field(market, claim, models_tilde, grid, tol,
                                        settings=settings)
     sup_phi = 0.0

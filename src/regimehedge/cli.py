@@ -199,7 +199,8 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
     if "sensitivity" in scn.outputs:
         tilde = [h.scaled(scn.sensitivity_scale) for h in scn.models]
         rep = sensitivity_check(scn.market, scn.claim, scn.models, tilde,
-                                grid, scn.tol, scn.solver)
+                                grid, scn.tol, scn.solver,
+                                base=(field, conv))
         report["sensitivity"] = rep.to_dict()
     if "residual-risk" in scn.outputs:
         rep = residual_risk(scn.market, scn.claim, scn.models, field,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -28,6 +29,24 @@ ALL_OUTPUTS = ("price-field", "hedge-field", "mc-check", "pde-residual",
 
 def _fail(msg, path):
     raise ConfigError(msg, path=path)
+
+
+def _count(spec, key, default, path):
+    """spec[key] as an integer >= 1."""
+    v = spec.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        _fail(f"{key} must be an integer >= 1, got {v!r}", f"{path}.{key}")
+    return v
+
+
+def _positive(spec, key, default, path):
+    """spec[key] as a finite number > 0."""
+    v = spec.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not math.isfinite(v) or v <= 0:
+        _fail(f"{key} must be a finite number > 0, got {v!r}",
+              f"{path}.{key}")
+    return float(v)
 
 
 def _scalar_coeff(spec, k, n_components, path):
@@ -278,19 +297,18 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
                          span_stds=float(gr.get("span_stds", 8.0)))
 
     sv = doc.get("solver", {})
+    sv_path = f"{path}.solver"
     quad = QuadratureSettings(
-        gh_nodes=int(sv.get("bsm_gh_nodes", 32)),
+        gh_nodes=_count(sv, "bsm_gh_nodes", 32, sv_path),
         sparse_level=sv.get("sparse_level"),
-        payoff_outer_nodes=int(sv.get("bsm_outer_nodes", 24)),
-        payoff_gl_nodes=int(sv.get("bsm_gl_nodes", 32)))
+        payoff_outer_nodes=_count(sv, "bsm_outer_nodes", 24, sv_path),
+        payoff_gl_nodes=_count(sv, "bsm_gl_nodes", 32, sv_path))
     threads = int(doc.get("threads", 1))
-    solver = SolverSettings(gh_nodes=int(sv.get("gh_nodes", 16)),
-                            panel_nodes=int(sv.get("panel_nodes", 1)),
+    solver = SolverSettings(gh_nodes=_count(sv, "gh_nodes", 16, sv_path),
+                            panel_nodes=_count(sv, "panel_nodes", 1, sv_path),
                             bsm_quad=quad, threads=threads)
-    tol = float(sv.get("tol", 1e-4))
-    max_iter = int(sv.get("max_iter", 200))
-    if tol <= 0:
-        _fail("solver.tol must be positive", f"{path}.solver.tol")
+    tol = _positive(sv, "tol", 1e-4, sv_path)
+    max_iter = _count(sv, "max_iter", 200, sv_path)
 
     outputs = tuple(doc.get("outputs", ["price-field"]))
     for o in outputs:
@@ -318,10 +336,8 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
             _fail("residual_risk.paths must be >= 100",
                   f"{path}.residual_risk.paths")
 
-    sens = doc.get("sensitivity", {})
-    sens_scale = float(sens.get("scale", 1.1))
-    if sens_scale <= 0:
-        _fail("sensitivity.scale must be positive", f"{path}.sensitivity.scale")
+    sens_scale = _positive(doc.get("sensitivity", {}), "scale", 1.1,
+                           f"{path}.sensitivity")
 
     eps = doc.get("eval_points", [])
     if not isinstance(eps, list) or not eps:

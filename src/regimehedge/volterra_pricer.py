@@ -18,13 +18,21 @@ first and on the jump time turns the per-component laws into exactly the
 joint-survival-times-hazard weights above, so both formulations give the
 same operator (the tests check this against the conditional-law route).
 
-Starting from phi_0 = rho the operator is iterated to its fixed point; the
-weighted sup norm |phi| / (1 + |s|_1) certifies the contraction at each
-step.  The v-integral uses composite Gauss-Legendre panels aligned with the
-time grid; the kernel expectation smooths the multilinearly interpolated
-field with tensor Gauss-Hermite nodes.  When the log covariance is diagonal
-each log-price axis is one ``scipy.ndimage.correlate1d`` with taps centred
-on offset 0 and edge replication; otherwise each node is an explicit shifted
+The v-integral uses composite Gauss-Legendre panels aligned with the time
+grid, so the discrete operator T is triangular in time: slab i reads only
+slabs i..M, and itself only through the first panel (p = 0).  The solver
+therefore marches backward from maturity (the step-by-step method for
+second-kind Volterra equations): the panels p >= 1 of slab i are computed
+once from the final later slabs, and only the p = 0 panel is iterated on
+slab i, starting from rho, until the local residual |(T phi)_i - phi_i| in
+the weighted sup norm |.| / (1 + |s|_1) drops below tol.  The kept iterate's
+residual is exactly (T phi - phi)_i, so the report certifies |T phi - phi|
+without a further global application.
+
+The kernel expectation smooths the multilinearly interpolated field with
+tensor Gauss-Hermite nodes.  When the log covariance is diagonal each
+log-price axis is one ``scipy.ndimage.correlate1d`` with taps centred on
+offset 0 and edge replication; otherwise each node is an explicit shifted
 blend of the edge-padded slab.  Moving a slab along the age axes (ages grow
 by v between t and t + v) is one clamped linear shift per age axis,
 ``_shift_axis``, shared by the gather and the PDE residual.
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -259,19 +268,23 @@ class SolverSettings:
     threads: int = 1
 
 
-# iterations run before a converged solve may stop, so the report always
-# carries at least one contraction ratio
-_MIN_REPORT_ITERS = 2
-
-
 @dataclass
 class ConvergenceReport:
+    """How the backward march settled the field.
+
+    deltas[k-1] is the largest k-th local residual over the slabs that made
+    a k-th local application, ratios are the quotients of successive
+    deltas, and iterations (= converged_at) is the most local applications
+    any slab needed.  residual is |T phi - phi| of the returned field.
+    """
+
     tol: float
     iterations: int = 0
     converged_at: int | None = None
     deltas: list = dc_field(default_factory=list)
     ratios: list = dc_field(default_factory=list)
     contraction_bound: float | None = None
+    residual: float | None = None
     age_clamp_events: int = 0
     error_budget: float | None = None
     grid: dict = dc_field(default_factory=dict)
@@ -284,6 +297,7 @@ class ConvergenceReport:
             "deltas": [float(d) for d in self.deltas],
             "ratios": [float(r) for r in self.ratios],
             "contraction_bound": self.contraction_bound,
+            "residual": self.residual,
             "age_clamp_events": self.age_clamp_events,
             "error_budget": self.error_budget,
             "grid": self.grid,
@@ -462,8 +476,7 @@ class VolterraSolver:
         self._rho = None
         self._terminal = None
         self._js_T = {}
-        self._wt = {}
-        self._smoothers = {}
+        self._held = None       # the slab whose weights and smoothers are held
 
     def _rho_slabs(self):
         if self._rho is None:
@@ -518,9 +531,38 @@ class VolterraSolver:
             self._js_T[i] = js
         return js
 
+    def _hold(self, i):
+        """Make slab i the one whose switch weights, smoothers and kappa are
+        cached.  Every caller settles or applies the slabs one at a time, so
+        one slab's tables are held at once."""
+        if self._held != i:
+            self._held = i
+            self._wt, self._smoothers, self._kappa_i = {}, {}, None
+
+    def _kappa(self, i):
+        """Mass normalization of slab i's switch branch: (1 - JS(T - t_i))
+        over the quadrature mass of all its panels.  It depends on the
+        tables only, so a sum over some panels is part of the full branch.
+        Normalizing keeps linear claims exact and the operator a strict
+        sub-probability mixture."""
+        self._hold(i)
+        if self._kappa_i is None:
+            g = self.grid
+            mass = np.zeros((len(g.x_tuples),)
+                            + (int(g.c_counts[i]),) * g.n_components)
+            for p in range(g.spec.time_steps - i):
+                for q in range(self.settings.panel_nodes):
+                    for (xi, _, _), wt in self._switch_weights(i, p, q).items():
+                        mass[xi] += wt
+            self._kappa_i = np.where(
+                mass > 1e-300, (1.0 - self.js_T(i)) / np.maximum(mass, 1e-300),
+                1.0)
+        return self._kappa_i
+
     def _switch_weights(self, i, p, q):
         """Quadrature-weighted JS(v) lam(y_l + v) per (x, l, dest), undiscounted."""
-        key = (i, p, q)
+        self._hold(i)
+        key = (p, q)
         if key in self._wt:
             return self._wt[key]
         g = self.grid
@@ -543,7 +585,9 @@ class VolterraSolver:
         return out
 
     def _smoother(self, i, p, q, xi):
-        key = (i, p, q, xi)
+        # called from worker threads, each with its own xi, after the
+        # caller has held slab i
+        key = (p, q, xi)
         sm = self._smoothers.get(key)
         if sm is None:
             g = self.grid
@@ -614,81 +658,91 @@ class VolterraSolver:
             out = out + extra
         return out
 
-    # -- one fixed-point application --------------------------------------------
+    # -- the switch-branch operator ------------------------------------------
 
-    def switch_branch(self, i, slabs, actions):
+    def switch_branch(self, i, slabs, actions, panels=None):
         """The switch-branch integral of slab i, one result per action.
 
         An action maps (smoother, excess of the gathered continuation over
         c1.s) to a kernel integral: the kernel itself for pricing, its
         s-derivatives for hedging.  All actions share the gathers and the
         mass-normalized, discounted joint-survival-times-hazard weights.
+        panels selects the v-panels to sum (all by default); the panels
+        p >= 1 read only slabs after i.  With threads > 1 the regime tuples
+        of each panel node fan out over worker threads; every tuple sums
+        its own terms in a fixed order, so results do not depend on the
+        thread count.
         """
         g = self.grid
-        M = g.spec.time_steps
-        n_x = len(g.x_tuples)
+        if panels is None:
+            panels = range(g.spec.time_steps - i)
         c = int(g.c_counts[i])
         y_pad = (...,) + (None,) * g.n
-        accs = [np.zeros((n_x,) + (c,) * g.n_components + g.s_shape)
+        kappa = self._kappa(i)
+        accs = [np.zeros((len(g.x_tuples),) + (c,) * g.n_components + g.s_shape)
                 for _ in actions]
-        mass = np.zeros((n_x,) + (c,) * g.n_components)
         lin = self._lin
-        for p in range(M - i):
-            for q in range(self.settings.panel_nodes):
-                weights = self._switch_weights(i, p, q)
-                v = self.v_all[p * self.settings.panel_nodes + q]
-                gathered = [self._gather(slabs, i, p, q, l)
-                            for l in range(g.n_components)]
-                for xi, x in enumerate(g.x_tuples):
-                    sm = self._smoother(i, p, q, xi)
-                    disc = math.exp(-self.market.r(x) * v)
-                    for l in range(g.n_components):
-                        for j in range(1, self.models[l].k + 1):
-                            wt = weights.get((xi, l, j))
-                            if wt is None:
-                                continue
-                            xpi = g.x_index[tuple(
-                                x[:l] + (j,) + x[l + 1:])]
-                            # the linear part of the field integrates in
-                            # closed form (discounted kernel mean of c1.S is
-                            # c1.s exactly); only the excess is smoothed
-                            excess = gathered[l][xpi] - lin
-                            mass[xi] += wt
-                            for acc, action in zip(accs, actions):
-                                acc[xi] += wt[y_pad] * (
-                                    disc * action(sm, excess))
-        # normalize the switch-branch quadrature so its total mass matches
-        # the analytic 1 - JS(T - t); this keeps linear claims exact and the
-        # operator a strict sub-probability mixture
-        js_T = self.js_T(i)
-        kappa = np.where(mass > 1e-300, (1.0 - js_T) / np.maximum(mass, 1e-300),
-                         1.0)
+        threads = self.settings.threads
+        with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as ex:
+            run = ex.map if ex else map
+            for p in panels:
+                for q in range(self.settings.panel_nodes):
+                    weights = self._switch_weights(i, p, q)
+                    v = self.v_all[p * self.settings.panel_nodes + q]
+                    gathered = [self._gather(slabs, i, p, q, l)
+                                for l in range(g.n_components)]
+
+                    def add_regime(xi):
+                        x = g.x_tuples[xi]
+                        sm = self._smoother(i, p, q, xi)
+                        disc = math.exp(-self.market.r(x) * v)
+                        for l in range(g.n_components):
+                            for j in range(1, self.models[l].k + 1):
+                                wt = weights.get((xi, l, j))
+                                if wt is None:
+                                    continue
+                                xpi = g.x_index[x[:l] + (j,) + x[l + 1:]]
+                                # the linear part of the field integrates in
+                                # closed form (discounted kernel mean of c1.S
+                                # is c1.s exactly); only the excess is smoothed
+                                excess = gathered[l][xpi] - lin
+                                for acc, action in zip(accs, actions):
+                                    acc[xi] += wt[y_pad] * (
+                                        disc * action(sm, excess))
+
+                    list(run(add_regime, range(len(g.x_tuples))))
         return [kappa[y_pad] * acc for acc in accs]
 
-    def _new_slab(self, i, slabs, rho):
+    # -- the operator, split for marching ------------------------------------
+
+    def _fixed_part(self, i, slabs, rho):
+        """The part of (T phi)_i that does not read slab i: the no-switch
+        branch, the closed-form linear part and the panels p >= 1."""
         g = self.grid
-        if i == g.spec.time_steps:
-            return self._terminal_slab()
         js_T = self.js_T(i)
         y_pad = (...,) + (None,) * g.n
-        new = js_T[y_pad] * rho[i][(slice(None),) + (None,) * g.n_components]
-        branch, = self.switch_branch(i, slabs, (_Smoother.apply,))
-        new += branch + ((1.0 - js_T)[y_pad]) * self._lin
+        out = js_T[y_pad] * rho[i][(slice(None),) + (None,) * g.n_components]
+        far, = self.switch_branch(i, slabs, (_Smoother.apply,),
+                                  panels=range(1, g.spec.time_steps - i))
+        out += far + ((1.0 - js_T)[y_pad]) * self._lin
+        return out
+
+    def _apply(self, i, slabs, fixed):
+        """(T phi)_i: fixed plus the p = 0 panel, floored at zero."""
+        near, = self.switch_branch(i, slabs, (_Smoother.apply,),
+                                   panels=range(1))
+        new = fixed + near
         np.maximum(new, 0.0, out=new)
         return new
 
     def step(self, field: PriceField) -> PriceField:
+        """One application of T to every slab of field."""
         rho = self._rho_slabs()
-        g = self.grid
-        M = g.spec.time_steps
-        idxs = list(range(M + 1))
-        if self.settings.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.settings.threads) as ex:
-                new_slabs = list(ex.map(
-                    lambda i: self._new_slab(i, field.slabs, rho), idxs))
-        else:
-            new_slabs = [self._new_slab(i, field.slabs, rho) for i in idxs]
-        return PriceField(g, self.claim, new_slabs)
+        slabs = field.slabs
+        new_slabs = [self._apply(i, slabs, self._fixed_part(i, slabs, rho))
+                     for i in range(self.grid.spec.time_steps)]
+        new_slabs.append(self._terminal_slab())
+        return PriceField(self.grid, self.claim, new_slabs)
 
     def initial_field(self) -> PriceField:
         rho = self._rho_slabs()
@@ -711,38 +765,54 @@ class VolterraSolver:
         return worst
 
     def solve(self, tol: float, max_iter: int = 200):
-        if tol <= 0:
+        """March backward from maturity; iterate only the p = 0 panel of
+        each slab, at most max_iter local applications per slab."""
+        if not tol > 0:
             raise ConfigError("tol must be positive")
-        report = ConvergenceReport(tol=tol, grid=self.grid.describe())
-        current = self.initial_field()
-        for it in range(1, max_iter + 1):
-            nxt = self.step(current)
-            delta = linear_growth_norm(nxt, current)
-            report.deltas.append(delta)
-            if len(report.deltas) >= 2 and report.deltas[-2] > 0:
-                report.ratios.append(delta / report.deltas[-2])
-            current = nxt
-            report.iterations = it
-            if report.converged_at is None and delta < tol:
-                report.converged_at = it
-            if report.converged_at is not None and it >= _MIN_REPORT_ITERS:
-                break
-        if report.converged_at is None:
-            report.contraction_bound = self.contraction_bound()
-            raise NoConvergence(
-                f"no convergence in {max_iter} iterations (last delta "
-                f"{report.deltas[-1]:.3e}, tol {tol:.3e})", report)
+        if max_iter < 1:
+            raise ConfigError("max_iter must be at least 1")
+        g = self.grid
+        report = ConvergenceReport(tol=tol, grid=g.describe())
+        rho = self._rho_slabs()
+        slabs = self.initial_field().slabs
+        w = g.inv_weight()
+        residual = 0.0
+        for i in range(g.spec.time_steps - 1, -1, -1):
+            fixed = self._fixed_part(i, slabs, rho)
+            for k in range(max_iter):
+                new = self._apply(i, slabs, fixed)
+                delta = float(np.max(np.abs(new - slabs[i]) * w))
+                if k == len(report.deltas):
+                    report.deltas.append(delta)
+                else:
+                    report.deltas[k] = max(report.deltas[k], delta)
+                report.iterations = max(report.iterations, k + 1)
+                if delta < tol:
+                    # keep this iterate: delta is then exactly (T phi - phi)_i
+                    residual = max(residual, delta)
+                    break
+                slabs[i] = new
+            else:
+                report.ratios = _ratios(report.deltas)
+                report.contraction_bound = self.contraction_bound()
+                raise NoConvergence(
+                    f"no convergence in {max_iter} local iterations at time "
+                    f"node {i} (last residual {delta:.3e}, tol {tol:.3e})",
+                    report)
+        field = PriceField(g, self.claim, slabs)
+        report.converged_at = report.iterations
+        report.ratios = _ratios(report.deltas)
+        report.residual = residual
         report.contraction_bound = self.contraction_bound()
         report.age_clamp_events = self.age_clamp_events()
-        report.error_budget = self._error_budget(report, current)
-        return current, report
+        report.error_budget = self._error_budget(report, field)
+        return field, report
 
     def _error_budget(self, report, field: PriceField) -> float:
-        """Crude certified-style budget: iteration tail + curvature terms."""
-        tail = report.deltas[-1]
-        if report.ratios:
-            r = min(max(report.ratios[-1], 0.0), 0.999)
-            tail = report.deltas[-1] * r / (1.0 - r)
+        """Crude certified-style budget: the a-posteriori iteration error
+        |T phi - phi| / (1 - bound) plus curvature terms."""
+        # a bound that reaches 1 certifies nothing; cap the factor at 1000
+        tail = report.residual / max(1.0 - report.contraction_bound, 1e-3)
         curv = 0.0
         w = self.grid.inv_weight()
         for slab in (field.slabs[0], field.slabs[len(field.slabs) // 2]):
@@ -755,6 +825,10 @@ class VolterraSolver:
                 second = np.abs(np.diff(slab, n=2, axis=d)) * w[trim]
                 curv = max(curv, float(np.max(second)) / 8.0)
         return float(tail + 2.0 * curv)
+
+
+def _ratios(deltas):
+    return [d / prev for prev, d in zip(deltas, deltas[1:]) if prev > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +845,8 @@ def picard_step(market, claim, models, field: PriceField,
 def solve_price_field(market, claim, models, grid: Grid, tol: float = 1e-4,
                       max_iter: int = 200,
                       settings: SolverSettings | None = None):
-    """Iterate the pricing operator from rho to its fixed point."""
+    """Solve for the fixed point of the pricing operator by backward
+    marching (see VolterraSolver.solve)."""
     solver = VolterraSolver(market, claim, models, grid, settings)
     return solver.solve(tol, max_iter)
 
@@ -795,12 +870,10 @@ def _on_axis(vec, axis, ndim):
     return vec.reshape((1,) * axis + (-1,) + (1,) * (ndim - axis - 1))
 
 
-def _d_ds(arr, sv, axis):
-    """First and second s-derivatives at the interior nodes of one axis.
-
-    Central 3-point stencil on the exponentially spaced s-axis sv; exact
-    for fields quadratic in s.
-    """
+def _three_point(arr, sv, axis):
+    """Spacings and (dn, mid, up) neighbours of the central 3-point stencil
+    at the interior nodes of one axis of arr, on the exponentially spaced
+    s-axis sv."""
     hm = _on_axis(sv[1:-1] - sv[:-2], axis, arr.ndim)
     hp = _on_axis(sv[2:] - sv[1:-1], axis, arr.ndim)
     part = [slice(None)] * arr.ndim
@@ -810,11 +883,55 @@ def _d_ds(arr, sv, axis):
     mid = arr[tuple(part)]
     part[axis] = slice(0, -2)
     dn = arr[tuple(part)]
-    d1 = (hm ** 2 * up - hp ** 2 * dn
-          - (hm ** 2 - hp ** 2) * mid) / (hm * hp * (hm + hp))
-    d2 = 2.0 * (hm * up + hp * dn - (hm + hp) * mid) \
+    return hm, hp, dn, mid, up
+
+
+def _d1_ds(arr, sv, axis):
+    """First s-derivative at the interior nodes; exact for quadratics."""
+    hm, hp, dn, mid, up = _three_point(arr, sv, axis)
+    return (hm ** 2 * up - hp ** 2 * dn
+            - (hm ** 2 - hp ** 2) * mid) / (hm * hp * (hm + hp))
+
+
+def _d2_ds(arr, sv, axis):
+    """Second s-derivative at the interior nodes; exact for quadratics."""
+    hm, hp, dn, mid, up = _three_point(arr, sv, axis)
+    return 2.0 * (hm * up + hp * dn - (hm + hp) * mid) \
         / (hm * hp * (hm + hp))
-    return d1, d2
+
+
+def _add_price_terms(res, sub, s_axes, rx, a):
+    """res + r sum_l s_l d_l phi + 1/2 sum_{l,l'} a_ll' s_l s_l' d_l d_l' phi.
+
+    phi = sub, whose last len(s_axes) axes are the price axes; every term
+    is zero on the price-axis edges it cannot reach.  a is symmetric, so the
+    two ordered terms of a mixed derivative are one term a_ll' d_l' d_l phi,
+    taken once per pair l < l' with the first-derivative stencil.
+    """
+    n = len(s_axes)
+    lead = sub.ndim - n
+    d1s = []
+    for l in range(n):
+        ax = lead + l
+        d1 = _d1_ds(sub, s_axes[l], ax)
+        d2 = _d2_ds(sub, s_axes[l], ax)
+        d1s.append(d1)
+        pad = [(0, 0)] * sub.ndim
+        pad[ax] = (1, 1)
+        smid = _on_axis(s_axes[l][1:-1], ax, sub.ndim)
+        res = res + rx * np.pad(smid * d1, pad) \
+            + 0.5 * a[l, l] * np.pad(smid ** 2 * d2, pad)
+    for l in range(n):
+        for lp in range(l + 1, n):
+            axl, axp = lead + l, lead + lp
+            dcross = _d1_ds(d1s[l], s_axes[lp], axp)
+            svl = _on_axis(s_axes[l][1:-1], axl, sub.ndim)
+            svp = _on_axis(s_axes[lp][1:-1], axp, sub.ndim)
+            pad = [(0, 0)] * sub.ndim
+            pad[axl] = (1, 1)
+            pad[axp] = (1, 1)
+            res = res + a[l, lp] * np.pad(svl * svp * dcross, pad)
+    return res
 
 
 def pde_residual(field: PriceField, market: MarketModel, models,
@@ -860,31 +977,8 @@ def pde_residual(field: PriceField, market: MarketModel, models,
             d_char = (adv - sub) / g.dt
 
             rx = market.r(x)
-            a = market.a(t, x)
-            res = d_char - rx * sub
-            d1s = []
-            for l in range(n):
-                ax = sub.ndim - n + l
-                d1, d2 = _d_ds(sub, g.s_axes[l], ax)
-                d1s.append(d1)
-                pad = [(0, 0)] * sub.ndim
-                pad[ax] = (1, 1)
-                smid = _on_axis(g.s_axes[l][1:-1], ax, sub.ndim)
-                res = res + rx * np.pad(smid * d1, pad) \
-                    + 0.5 * a[l, l] * np.pad(smid ** 2 * d2, pad)
-            for l in range(n):
-                for lp in range(n):
-                    if l == lp:
-                        continue
-                    axl = sub.ndim - n + l
-                    axp = sub.ndim - n + lp
-                    dcross, _ = _d_ds(d1s[l], g.s_axes[lp], axp)
-                    svl = _on_axis(g.s_axes[l][1:-1], axl, sub.ndim)
-                    svp = _on_axis(g.s_axes[lp][1:-1], axp, sub.ndim)
-                    pad = [(0, 0)] * sub.ndim
-                    pad[axl] = (1, 1)
-                    pad[axp] = (1, 1)
-                    res = res + 0.5 * a[l, lp] * np.pad(svl * svp * dcross, pad)
+            res = _add_price_terms(d_char - rx * sub, sub, g.s_axes, rx,
+                                   market.a(t, x))
 
             # non-local switch coupling at the node itself
             ages = g.age_nodes[:keep]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,21 @@ def test_perturbation_bound_holds():
     assert rep.bound_plain <= rep.bound_summed
     # the observed change is far inside the Lipschitz bound
     assert rep.ratio < 0.5
+
+
+def test_sensitivity_with_solved_base_field_is_byte_identical():
+    # passing the already solved base field skips one solve and changes no
+    # byte of the report
+    m, claim, models, grid = two_state_setup(price_nodes=41, time_steps=8,
+                                             age_nodes=4)
+    tilde = [h.scaled(1.1) for h in models]
+    settings = SolverSettings(gh_nodes=12)
+    base = solve_price_field(m, claim, models, grid, 1e-4, settings=settings)
+    reps = [sensitivity_check(m, claim, models, tilde, grid, tol=1e-4,
+                              settings=settings, base=b) for b in (None, base)]
+    a, b = (json.dumps(r.to_dict(), sort_keys=True) for r in reps)
+    assert a == b
+    assert reps[0].phi_sup_diff > 0.0
 
 
 def test_sup_diff_uses_age_grid():

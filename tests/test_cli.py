@@ -94,6 +94,33 @@ def test_missing_seed_rejected_for_stochastic_output():
     assert "mc.seed" in str(err.value)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("solver", "gh_nodes", 0),
+    ("solver", "panel_nodes", 0),
+    ("solver", "bsm_gh_nodes", 0),
+    ("solver", "bsm_outer_nodes", -3),
+    ("solver", "bsm_gl_nodes", 0),
+    ("solver", "max_iter", 0),
+    ("solver", "tol", float("nan")),
+    ("solver", "tol", 0.0),
+    ("sensitivity", "scale", float("inf")),
+    ("sensitivity", "scale", -1.1),
+])
+def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
+                                                        section, key, value):
+    doc = copy.deepcopy(BASE_CONFIG)
+    doc.setdefault(section, {})[key] = value
+    where = f"scenario.{section}.{key}"
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    assert err.value.path == where
+    # json writes NaN and Infinity as literals, which the loader reads back
+    path = write_config(tmp_path, doc)
+    assert run_scenario(path, out_dir=str(tmp_path / "out")) == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dry_run_prints_grid(tmp_path, capsys):
     path = write_config(tmp_path, copy.deepcopy(BASE_CONFIG))
     code = run_scenario(path, out_dir=str(tmp_path), dry_run=True)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from regimehedge.errors import NoConvergence
+from regimehedge.errors import ConfigError, NoConvergence
 from regimehedge.market import Claim, build_kernel, build_market, kernel_expectation
 from regimehedge.regime_bsm import bsm_price, bsm_price_grid
 from regimehedge.semi_markov import (
@@ -129,7 +129,7 @@ def test_degenerate_regime_equals_frozen_price():
 
 def test_age_clamp_events_count_grid_geometry_once():
     # the clamp count is a property of the grid, so it may depend neither on
-    # the number of Picard sweeps nor on the thread count
+    # the number of local iterations nor on the thread count
     m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
                                           age_nodes=4)
     runs = []
@@ -199,6 +199,13 @@ def test_no_convergence_raises_with_report():
     with pytest.raises(NoConvergence) as err:
         solve_price_field(m, claim, models, grid, tol=1e-15, max_iter=2)
     assert err.value.report.iterations == 2
+
+
+def test_solve_rejects_max_iter_below_one():
+    m, claim, models, grid = degenerate_setup(price_nodes=21, time_steps=4,
+                                              age_nodes=3)
+    with pytest.raises(ConfigError, match="max_iter"):
+        solve_price_field(m, claim, models, grid, tol=1e-3, max_iter=0)
 
 
 def test_step_matches_conditional_law_route():
@@ -386,6 +393,49 @@ def test_shift_axis_matches_clamped_interp(axis):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_price_terms_take_each_mixed_derivative_once(n):
+    # one term per pair l < l' must equal the sum over ordered pairs, where
+    # (l, l') differentiates d_l phi along l' and (l', l) the reverse
+    from regimehedge.volterra_pricer import (_add_price_terms, _d1_ds,
+                                             _d2_ds, _on_axis)
+    rng = np.random.default_rng(40 + n)
+    s_axes = [np.exp(np.linspace(3.5, 5.5, 7 + 2 * d)) for d in range(n)]
+    sub = rng.uniform(0.0, 50.0, size=(2, 3) + tuple(len(a) for a in s_axes))
+    b = rng.uniform(-0.3, 0.3, size=(n, n))
+    a = b @ b.T
+    rx = 0.04
+    res0 = rng.normal(size=sub.shape)
+    got = _add_price_terms(res0, sub, s_axes, rx, a)
+
+    lead = sub.ndim - n
+    want = res0
+    d1s = []
+    for l in range(n):
+        ax = lead + l
+        d1, d2 = _d1_ds(sub, s_axes[l], ax), _d2_ds(sub, s_axes[l], ax)
+        d1s.append(d1)
+        pad = [(0, 0)] * sub.ndim
+        pad[ax] = (1, 1)
+        smid = _on_axis(s_axes[l][1:-1], ax, sub.ndim)
+        want = want + rx * np.pad(smid * d1, pad) \
+            + 0.5 * a[l, l] * np.pad(smid ** 2 * d2, pad)
+    for l in range(n):
+        for lp in range(n):
+            if l == lp:
+                continue
+            axl, axp = lead + l, lead + lp
+            dcross = _d1_ds(d1s[l], s_axes[lp], axp)
+            svl = _on_axis(s_axes[l][1:-1], axl, sub.ndim)
+            svp = _on_axis(s_axes[lp][1:-1], axp, sub.ndim)
+            pad = [(0, 0)] * sub.ndim
+            pad[axl] = (1, 1)
+            pad[axp] = (1, 1)
+            want = want + 0.5 * a[l, lp] * np.pad(svl * svp * dcross, pad)
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+
 def test_pde_residual_linear_claim_tiny():
     m = build_market(1, 2, 2, 0.04, np.array([0.08]), 0.25 * np.eye(1))
     claim = Claim("linear", weights=[1.0])
@@ -462,6 +512,67 @@ def test_threaded_step_bit_identical():
     s2 = VolterraSolver(m, claim, models, grid, SolverSettings(threads=2))
     f1 = s1.step(s1.initial_field())
     f2 = s2.step(s2.initial_field())
+    for a, b in zip(f1.slabs, f2.slabs):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_far_and_near_panels_sum_to_the_full_switch_branch():
+    from regimehedge.volterra_pricer import _Smoother
+    m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
+                                          age_nodes=4)
+    solver = VolterraSolver(m, claim, models, grid)
+    field, _ = solver.solve(tol=1e-3)
+    M = grid.spec.time_steps
+    for i in (0, 3, M - 2, M - 1):
+        full, = solver.switch_branch(i, field.slabs, (_Smoother.apply,))
+        far, = solver.switch_branch(i, field.slabs, (_Smoother.apply,),
+                                    panels=range(1, M - i))
+        near, = solver.switch_branch(i, field.slabs, (_Smoother.apply,),
+                                     panels=range(1))
+        np.testing.assert_allclose(far + near, full, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(full)))
+        if i == M - 1:
+            assert not np.any(far)
+
+
+def test_report_residual_is_one_global_application():
+    # the kept iterate of each slab carries its exact residual, so the
+    # report's residual is |T phi - phi| without a further sweep
+    m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
+                                          age_nodes=4)
+    solver = VolterraSolver(m, claim, models, grid)
+    field, report = solver.solve(tol=1e-4)
+    assert 0.0 < report.residual < 1e-4
+    assert report.iterations == report.converged_at == len(report.deltas)
+    assert linear_growth_norm(solver.step(field), field) \
+        == pytest.approx(report.residual, rel=1e-12, abs=1e-16)
+
+
+def test_marched_field_within_certificate_of_picard_reference():
+    m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
+                                          age_nodes=4)
+    solver = VolterraSolver(m, claim, models, grid)
+    field, report = solver.solve(tol=1e-3)
+    ref = solver.initial_field()
+    for _ in range(100):
+        nxt = solver.step(ref)
+        done = linear_growth_norm(nxt, ref) < 1e-10
+        ref = nxt
+        if done:
+            break
+    assert done
+    gap = linear_growth_norm(field, ref)
+    assert 0.0 < gap <= report.residual / (1.0 - report.contraction_bound)
+
+
+def test_threaded_solve_bit_identical():
+    m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
+                                          age_nodes=4)
+    runs = [solve_price_field(m, claim, models, grid, tol=1e-6,
+                              settings=SolverSettings(threads=threads))
+            for threads in (1, 2)]
+    (f1, r1), (f2, r2) = runs
+    assert r1.to_dict() == r2.to_dict()
     for a, b in zip(f1.slabs, f2.slabs):
         np.testing.assert_array_equal(a, b)
 
