@@ -3,9 +3,8 @@
 Two diagnostics on a solved price field:
 
 * sensitivity_check solves the pricing equation under a perturbed hazard
-  specification on the identical grid (and under the base hazards, unless
-  the caller passes the field it has already solved) and compares the sup
-  distance of the two fields against the Lipschitz bound
+  specification on the grid of the caller's solved base field and compares
+  the sup distance of the two fields against the Lipschitz bound
   2 c2 T sum |lam - lam~|_sup (the per-pair sums maximized over the regime
   tuple).
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .mc_oracle import map_chunks, simulate_path, _spawn_rngs
-from .volterra_pricer import Grid, PriceField, SolverSettings, solve_price_field
+from .volterra_pricer import PriceField, SolverSettings, solve_price_field
 
 _SUP_GRID = 1001
 
@@ -56,19 +55,18 @@ def _pair_sup_diffs(models, models_tilde, horizon: float):
     return out
 
 
-def sensitivity_check(market, claim, models, models_tilde, grid: Grid,
+def sensitivity_check(market, claim, models, models_tilde, base,
                       tol: float = 1e-4,
-                      settings: SolverSettings | None = None,
-                      base=None) -> SensitivityReport:
-    """Dual solve under the base and perturbed hazards, with the sup bound.
+                      settings: SolverSettings | None = None
+                      ) -> SensitivityReport:
+    """Solve under the perturbed hazards and compare with the sup bound.
 
-    base, when given, is the already solved (field, report) under models
-    on grid; only the perturbed hazards are then solved.
+    base is the solved (field, report) under models; the perturbed hazards
+    are solved on its grid at tol.  Each solve's own error budget enters
+    the numerical floor, so base may have been solved at another tol.
     """
-    if base is None:
-        base = solve_price_field(market, claim, models, grid, tol,
-                                 settings=settings)
     field_a, rep_a = base
+    grid = field_a.grid
     field_b, rep_b = solve_price_field(market, claim, models_tilde, grid, tol,
                                        settings=settings)
     sup_phi = 0.0

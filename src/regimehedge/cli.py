@@ -199,8 +199,7 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
     if "sensitivity" in scn.outputs:
         tilde = [h.scaled(scn.sensitivity_scale) for h in scn.models]
         rep = sensitivity_check(scn.market, scn.claim, scn.models, tilde,
-                                grid, scn.tol, scn.solver,
-                                base=(field, conv))
+                                (field, conv), scn.tol, scn.solver)
         report["sensitivity"] = rep.to_dict()
     if "residual-risk" in scn.outputs:
         rep = residual_risk(scn.market, scn.claim, scn.models, field,

@@ -25,9 +25,9 @@ therefore marches backward from maturity (the step-by-step method for
 second-kind Volterra equations): the panels p >= 1 of slab i are computed
 once from the final later slabs, and only the p = 0 panel is iterated on
 slab i, starting from rho, until the local residual |(T phi)_i - phi_i| in
-the weighted sup norm |.| / (1 + |s|_1) drops below tol.  The kept iterate's
-residual is exactly (T phi - phi)_i, so the report certifies |T phi - phi|
-without a further global application.
+the weighted sup norm |.| / (1 + |s|_1) drops below tol.  The kept iterate
+is the one whose residual was measured, so the report certifies the exact
+|T phi - phi| without a further global application.
 
 The kernel expectation smooths the multilinearly interpolated field with
 tensor Gauss-Hermite nodes.  When the log covariance is diagonal each
@@ -41,8 +41,6 @@ by v between t and t + v) is one clamped linear shift per age axis,
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -265,7 +263,14 @@ class SolverSettings:
     gh_nodes: int = 16          # per-axis Gauss-Hermite for field smoothing
     panel_nodes: int = 1        # Gauss-Legendre nodes per dt-panel in v
     bsm_quad: QuadratureSettings = dc_field(default_factory=QuadratureSettings)
+    # the grid solver runs serially; scenarios pass threads on to the MC
+    # oracle and residual risk
     threads: int = 1
+
+
+# local applications every slab makes before it may stop, so the report
+# always carries at least one contraction ratio
+_MIN_REPORT_ITERS = 2
 
 
 @dataclass
@@ -273,9 +278,12 @@ class ConvergenceReport:
     """How the backward march settled the field.
 
     deltas[k-1] is the largest k-th local residual over the slabs that made
-    a k-th local application, ratios are the quotients of successive
-    deltas, and iterations (= converged_at) is the most local applications
-    any slab needed.  residual is |T phi - phi| of the returned field.
+    a k-th local application, and ratios are the quotients of successive
+    deltas.  converged_at is the most local applications any slab needed to
+    bring its residual below tol, iterations the most any slab ran (at
+    least _MIN_REPORT_ITERS).  residual is |T phi - phi| of the returned
+    field: each slab keeps the iterate whose residual its last application
+    measured.
     """
 
     tol: float
@@ -426,6 +434,19 @@ class _Smoother:
 # The solver
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _SlabTables:
+    """What the switch branch of slab i reuses between panels and between
+    local applications: the switch weights per (p, q), the smoothers per
+    (p, q, xi) and the mass normalization kappa, each built on first use.
+    Whoever applies slab i makes its tables and drops them after."""
+
+    i: int
+    weights: dict = dc_field(default_factory=dict)
+    smoothers: dict = dc_field(default_factory=dict)
+    kappa: np.ndarray | None = None
+
+
 class VolterraSolver:
     def __init__(self, market: MarketModel, claim: Claim, models,
                  grid: Grid, settings: SolverSettings | None = None):
@@ -476,7 +497,6 @@ class VolterraSolver:
         self._rho = None
         self._terminal = None
         self._js_T = {}
-        self._held = None       # the slab whose weights and smoothers are held
 
     def _rho_slabs(self):
         if self._rho is None:
@@ -531,44 +551,35 @@ class VolterraSolver:
             self._js_T[i] = js
         return js
 
-    def _hold(self, i):
-        """Make slab i the one whose switch weights, smoothers and kappa are
-        cached.  Every caller settles or applies the slabs one at a time, so
-        one slab's tables are held at once."""
-        if self._held != i:
-            self._held = i
-            self._wt, self._smoothers, self._kappa_i = {}, {}, None
-
-    def _kappa(self, i):
-        """Mass normalization of slab i's switch branch: (1 - JS(T - t_i))
+    def _kappa(self, tab):
+        """Mass normalization of slab tab.i's switch branch: (1 - JS(T - t_i))
         over the quadrature mass of all its panels.  It depends on the
         tables only, so a sum over some panels is part of the full branch.
         Normalizing keeps linear claims exact and the operator a strict
         sub-probability mixture."""
-        self._hold(i)
-        if self._kappa_i is None:
+        if tab.kappa is None:
             g = self.grid
+            i = tab.i
             mass = np.zeros((len(g.x_tuples),)
                             + (int(g.c_counts[i]),) * g.n_components)
             for p in range(g.spec.time_steps - i):
                 for q in range(self.settings.panel_nodes):
-                    for (xi, _, _), wt in self._switch_weights(i, p, q).items():
+                    for (xi, _, _), wt in self._switch_weights(tab, p, q).items():
                         mass[xi] += wt
-            self._kappa_i = np.where(
+            tab.kappa = np.where(
                 mass > 1e-300, (1.0 - self.js_T(i)) / np.maximum(mass, 1e-300),
                 1.0)
-        return self._kappa_i
+        return tab.kappa
 
-    def _switch_weights(self, i, p, q):
+    def _switch_weights(self, tab, p, q):
         """Quadrature-weighted JS(v) lam(y_l + v) per (x, l, dest), undiscounted."""
-        self._hold(i)
-        key = (p, q)
-        if key in self._wt:
-            return self._wt[key]
+        out = tab.weights.get((p, q))
+        if out is not None:
+            return out
         g = self.grid
-        c = int(g.c_counts[i])
+        c = int(g.c_counts[tab.i])
         vcol = p * self.settings.panel_nodes + q
-        js = self._joint_survival(i, vcol, "mid")
+        js = self._joint_survival(tab.i, vcol, "mid")
         out = {}
         for xi, x in enumerate(g.x_tuples):
             for l in range(g.n_components):
@@ -581,19 +592,17 @@ class VolterraSolver:
                     shape[l] = c
                     out[(xi, l, j)] = self.w_in_panel[q] * js[xi] \
                         * lam.reshape(shape)
-        self._wt[key] = out
+        tab.weights[(p, q)] = out
         return out
 
-    def _smoother(self, i, p, q, xi):
-        # called from worker threads, each with its own xi, after the
-        # caller has held slab i
+    def _smoother(self, tab, p, q, xi):
         key = (p, q, xi)
-        sm = self._smoothers.get(key)
+        sm = tab.smoothers.get(key)
         if sm is None:
             g = self.grid
             vcol = p * self.settings.panel_nodes + q
             v = self.v_all[vcol]
-            t = g.t_nodes[i]
+            t = g.t_nodes[tab.i]
             x = g.x_tuples[xi]
             cov = self.market.a_integral(t, t + v, x)
             zbar = self.market.r(x) * v - 0.5 * np.diag(cov)
@@ -601,7 +610,7 @@ class VolterraSolver:
             # the smoother acts on the excess over the linear part c1.s,
             # which clamps at the box edges, so no growth correction here
             sm = _Smoother(zbar, chol, g, self.settings.gh_nodes)
-            self._smoothers[key] = sm
+            tab.smoothers[key] = sm
         return sm
 
     # -- gathering the continuation slab ---------------------------------------
@@ -660,7 +669,7 @@ class VolterraSolver:
 
     # -- the switch-branch operator ------------------------------------------
 
-    def switch_branch(self, i, slabs, actions, panels=None):
+    def switch_branch(self, i, slabs, actions, panels=None, tables=None):
         """The switch-branch integral of slab i, one result per action.
 
         An action maps (smoother, excess of the gathered continuation over
@@ -668,81 +677,84 @@ class VolterraSolver:
         s-derivatives for hedging.  All actions share the gathers and the
         mass-normalized, discounted joint-survival-times-hazard weights.
         panels selects the v-panels to sum (all by default); the panels
-        p >= 1 read only slabs after i.  With threads > 1 the regime tuples
-        of each panel node fan out over worker threads; every tuple sums
-        its own terms in a fixed order, so results do not depend on the
-        thread count.
+        p >= 1 read only slabs after i.  tables are slab i's _SlabTables,
+        made afresh when not given.
         """
         g = self.grid
+        tab = _SlabTables(i) if tables is None else tables
         if panels is None:
             panels = range(g.spec.time_steps - i)
         c = int(g.c_counts[i])
         y_pad = (...,) + (None,) * g.n
-        kappa = self._kappa(i)
         accs = [np.zeros((len(g.x_tuples),) + (c,) * g.n_components + g.s_shape)
                 for _ in actions]
         lin = self._lin
-        threads = self.settings.threads
-        with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as ex:
-            run = ex.map if ex else map
-            for p in panels:
-                for q in range(self.settings.panel_nodes):
-                    weights = self._switch_weights(i, p, q)
-                    v = self.v_all[p * self.settings.panel_nodes + q]
-                    gathered = [self._gather(slabs, i, p, q, l)
-                                for l in range(g.n_components)]
-
-                    def add_regime(xi):
-                        x = g.x_tuples[xi]
-                        sm = self._smoother(i, p, q, xi)
-                        disc = math.exp(-self.market.r(x) * v)
-                        for l in range(g.n_components):
-                            for j in range(1, self.models[l].k + 1):
-                                wt = weights.get((xi, l, j))
-                                if wt is None:
-                                    continue
-                                xpi = g.x_index[x[:l] + (j,) + x[l + 1:]]
-                                # the linear part of the field integrates in
-                                # closed form (discounted kernel mean of c1.S
-                                # is c1.s exactly); only the excess is smoothed
-                                excess = gathered[l][xpi] - lin
-                                for acc, action in zip(accs, actions):
-                                    acc[xi] += wt[y_pad] * (
-                                        disc * action(sm, excess))
-
-                    list(run(add_regime, range(len(g.x_tuples))))
+        for p in panels:
+            for q in range(self.settings.panel_nodes):
+                weights = self._switch_weights(tab, p, q)
+                v = self.v_all[p * self.settings.panel_nodes + q]
+                gathered = [self._gather(slabs, i, p, q, l)
+                            for l in range(g.n_components)]
+                for xi, x in enumerate(g.x_tuples):
+                    sm = self._smoother(tab, p, q, xi)
+                    disc = math.exp(-self.market.r(x) * v)
+                    for l in range(g.n_components):
+                        for j in range(1, self.models[l].k + 1):
+                            wt = weights.get((xi, l, j))
+                            if wt is None:
+                                continue
+                            xpi = g.x_index[x[:l] + (j,) + x[l + 1:]]
+                            # the linear part of the field integrates in
+                            # closed form (discounted kernel mean of c1.S is
+                            # c1.s exactly); only the excess is smoothed
+                            excess = gathered[l][xpi] - lin
+                            for acc, action in zip(accs, actions):
+                                acc[xi] += wt[y_pad] * (
+                                    disc * action(sm, excess))
+        kappa = self._kappa(tab)
         return [kappa[y_pad] * acc for acc in accs]
 
     # -- the operator, split for marching ------------------------------------
 
-    def _fixed_part(self, i, slabs, rho):
-        """The part of (T phi)_i that does not read slab i: the no-switch
-        branch, the closed-form linear part and the panels p >= 1."""
+    def _fixed_part(self, slabs, tab):
+        """The part of (T phi)_i that does not read slab i = tab.i: the
+        no-switch branch, the closed-form linear part and the panels p >= 1."""
         g = self.grid
+        i = tab.i
         js_T = self.js_T(i)
         y_pad = (...,) + (None,) * g.n
-        out = js_T[y_pad] * rho[i][(slice(None),) + (None,) * g.n_components]
+        rho = self._rho_slabs()[i]
+        out = js_T[y_pad] * rho[(slice(None),) + (None,) * g.n_components]
         far, = self.switch_branch(i, slabs, (_Smoother.apply,),
-                                  panels=range(1, g.spec.time_steps - i))
+                                  panels=range(1, g.spec.time_steps - i),
+                                  tables=tab)
         out += far + ((1.0 - js_T)[y_pad]) * self._lin
         return out
 
-    def _apply(self, i, slabs, fixed):
-        """(T phi)_i: fixed plus the p = 0 panel, floored at zero."""
-        near, = self.switch_branch(i, slabs, (_Smoother.apply,),
-                                   panels=range(1))
+    def step(self, field: PriceField, i: int | None = None, fixed=None,
+             tables=None):
+        """One application of T.
+
+        Without i, to every slab of field: returns the PriceField T phi.
+        With i, to slab i only: returns the array (T phi)_i, which reads
+        slabs i..M of field.  The backward march makes one such call per
+        local application and passes what stays the same between them:
+        fixed, the part of (T phi)_i that does not read slab i, and slab
+        i's tables.
+        """
+        if i is None:
+            new_slabs = [self.step(field, j)
+                         for j in range(self.grid.spec.time_steps)]
+            new_slabs.append(self._terminal_slab())
+            return PriceField(self.grid, self.claim, new_slabs)
+        tab = _SlabTables(i) if tables is None else tables
+        if fixed is None:
+            fixed = self._fixed_part(field.slabs, tab)
+        near, = self.switch_branch(i, field.slabs, (_Smoother.apply,),
+                                   panels=range(1), tables=tab)
         new = fixed + near
         np.maximum(new, 0.0, out=new)
         return new
-
-    def step(self, field: PriceField) -> PriceField:
-        """One application of T to every slab of field."""
-        rho = self._rho_slabs()
-        slabs = field.slabs
-        new_slabs = [self._apply(i, slabs, self._fixed_part(i, slabs, rho))
-                     for i in range(self.grid.spec.time_steps)]
-        new_slabs.append(self._terminal_slab())
-        return PriceField(self.grid, self.claim, new_slabs)
 
     def initial_field(self) -> PriceField:
         rho = self._rho_slabs()
@@ -773,23 +785,27 @@ class VolterraSolver:
             raise ConfigError("max_iter must be at least 1")
         g = self.grid
         report = ConvergenceReport(tol=tol, grid=g.describe())
-        rho = self._rho_slabs()
-        slabs = self.initial_field().slabs
+        field = self.initial_field()
+        slabs = field.slabs     # settled in place, from the last slab back
         w = g.inv_weight()
+        least = min(_MIN_REPORT_ITERS, max_iter)
         residual = 0.0
+        converged_at = 0
         for i in range(g.spec.time_steps - 1, -1, -1):
-            fixed = self._fixed_part(i, slabs, rho)
+            tab = _SlabTables(i)
+            fixed = self._fixed_part(slabs, tab)
+            settled = None
             for k in range(max_iter):
-                new = self._apply(i, slabs, fixed)
+                new = self.step(field, i, fixed, tab)
                 delta = float(np.max(np.abs(new - slabs[i]) * w))
                 if k == len(report.deltas):
                     report.deltas.append(delta)
                 else:
                     report.deltas[k] = max(report.deltas[k], delta)
                 report.iterations = max(report.iterations, k + 1)
-                if delta < tol:
-                    # keep this iterate: delta is then exactly (T phi - phi)_i
-                    residual = max(residual, delta)
+                if settled is None and delta < tol:
+                    settled = k + 1
+                if delta < tol and k + 1 >= least:
                     break
                 slabs[i] = new
             else:
@@ -799,8 +815,10 @@ class VolterraSolver:
                     f"no convergence in {max_iter} local iterations at time "
                     f"node {i} (last residual {delta:.3e}, tol {tol:.3e})",
                     report)
-        field = PriceField(g, self.claim, slabs)
-        report.converged_at = report.iterations
+            # keep slabs[i]: delta is then exactly (T phi - phi)_i
+            converged_at = max(converged_at, settled)
+            residual = max(residual, delta)
+        report.converged_at = converged_at
         report.ratios = _ratios(report.deltas)
         report.residual = residual
         report.contraction_bound = self.contraction_bound()

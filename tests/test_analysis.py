@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -34,7 +32,8 @@ START = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
 def test_identical_hazards_give_zero_diff():
     m, claim, models, grid = two_state_setup(price_nodes=41, time_steps=8,
                                              age_nodes=4)
-    rep = sensitivity_check(m, claim, models, models, grid, tol=1e-4)
+    base = solve_price_field(m, claim, models, grid, 1e-4)
+    rep = sensitivity_check(m, claim, models, models, base, tol=1e-4)
     assert rep.lambda_sup_diff == 0.0
     assert rep.phi_sup_diff == 0.0
     assert rep.bound_summed == 0.0
@@ -46,15 +45,18 @@ def test_linear_claim_insensitive_to_hazards():
                                          age_nodes=4)
     claim = Claim("linear", weights=[1.0])
     tilde = [h.scaled(1.5) for h in models]
-    rep = sensitivity_check(m, claim, models, tilde, grid, tol=1e-6,
-                            settings=SolverSettings(gh_nodes=32))
+    settings = SolverSettings(gh_nodes=32)
+    base = solve_price_field(m, claim, models, grid, 1e-6, settings=settings)
+    rep = sensitivity_check(m, claim, models, tilde, base, tol=1e-6,
+                            settings=settings)
     assert rep.phi_sup_diff < 1e-5
 
 
 def test_perturbation_bound_holds():
     m, claim, models, grid = two_state_setup()
     tilde = [h.scaled(1.1) for h in models]
-    rep = sensitivity_check(m, claim, models, tilde, grid, tol=1e-4)
+    base = solve_price_field(m, claim, models, grid, 1e-4)
+    rep = sensitivity_check(m, claim, models, tilde, base, tol=1e-4)
     assert rep.satisfied
     assert rep.phi_sup_diff > 0.0
     assert rep.phi_sup_diff <= rep.bound_summed
@@ -63,25 +65,11 @@ def test_perturbation_bound_holds():
     assert rep.ratio < 0.5
 
 
-def test_sensitivity_with_solved_base_field_is_byte_identical():
-    # passing the already solved base field skips one solve and changes no
-    # byte of the report
-    m, claim, models, grid = two_state_setup(price_nodes=41, time_steps=8,
-                                             age_nodes=4)
-    tilde = [h.scaled(1.1) for h in models]
-    settings = SolverSettings(gh_nodes=12)
-    base = solve_price_field(m, claim, models, grid, 1e-4, settings=settings)
-    reps = [sensitivity_check(m, claim, models, tilde, grid, tol=1e-4,
-                              settings=settings, base=b) for b in (None, base)]
-    a, b = (json.dumps(r.to_dict(), sort_keys=True) for r in reps)
-    assert a == b
-    assert reps[0].phi_sup_diff > 0.0
-
-
 def test_sup_diff_uses_age_grid():
     m, claim, models, grid = two_state_setup(price_nodes=41, time_steps=8)
     tilde = [models[0].scaled(1.2), models[1]]
-    rep = sensitivity_check(m, claim, models, tilde, grid, tol=1e-3)
+    base = solve_price_field(m, claim, models, grid, 1e-3)
+    rep = sensitivity_check(m, claim, models, tilde, base, tol=1e-3)
     # constant 0.7 scaled by 1.2 gives the largest gap: 0.14
     assert rep.lambda_sup_diff == pytest.approx(0.14, abs=1e-12)
 

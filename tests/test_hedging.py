@@ -195,27 +195,6 @@ def test_derivative_taps_built_once_per_smoother_and_axis(monkeypatch):
     hedge_field(m, claim, [h, h], field, settings=settings)
     assert smoothers and calls[0] == (2 + 2) * len(smoothers)
 
-def test_threaded_hedge_field_bit_identical():
-    # the switch branch fans its regime tuples out over threads; a
-    # correlated model takes the general smoother path
-    m = build_market(2, 2, 2, lambda x: 0.02 if x[0] == 1 else 0.05,
-                     np.zeros(2), np.array([[0.2, 0.0], [0.08, 0.3]]))
-    claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
-    models = [
-        HazardModel(2, {(1, 2): ConstantRate(0.5), (2, 1): ConstantRate(0.7)}),
-        HazardModel(2, {(1, 2): WeibullRate(0.6, 2.0), (2, 1): ConstantRate(0.4)}),
-    ]
-    grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
-                GridSpec(time_steps=4, price_nodes=11, age_nodes=3))
-    field, _ = solve_price_field(m, claim, models, grid, tol=1e-6,
-                                 settings=SolverSettings(gh_nodes=6))
-    hfs = [hedge_field(m, claim, models, field,
-                       settings=SolverSettings(gh_nodes=6, threads=threads))
-           for threads in (1, 2)]
-    for a, b in zip(hfs[0].xi + hfs[0].eps, hfs[1].xi + hfs[1].eps):
-        np.testing.assert_array_equal(a, b)
-
-
 def test_strategy_value_identity_and_terminal_replication():
     m, claim, models, field = regime_case()
     pt = (0.5, np.array([110.0]), (2, 1), np.array([0.3, 0.1]))

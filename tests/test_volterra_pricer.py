@@ -543,9 +543,32 @@ def test_report_residual_is_one_global_application():
     solver = VolterraSolver(m, claim, models, grid)
     field, report = solver.solve(tol=1e-4)
     assert 0.0 < report.residual < 1e-4
-    assert report.iterations == report.converged_at == len(report.deltas)
+    assert report.converged_at <= report.iterations == len(report.deltas)
+    assert report.ratios and all(r < 1.0 for r in report.ratios)
     assert linear_growth_norm(solver.step(field), field) \
         == pytest.approx(report.residual, rel=1e-12, abs=1e-16)
+
+
+def test_march_applies_step_slab_by_slab(monkeypatch):
+    # every local application of the march is one call of step(field, i),
+    # from the last slab back, at least _MIN_REPORT_ITERS per slab
+    from regimehedge.volterra_pricer import _MIN_REPORT_ITERS
+    m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
+                                          age_nodes=4)
+    calls = []
+    original = VolterraSolver.step
+
+    def spy(self, field, i=None, *args):
+        calls.append(i)
+        return original(self, field, i, *args)
+
+    monkeypatch.setattr(VolterraSolver, "step", spy)
+    _, report = solve_price_field(m, claim, models, grid, tol=1e-4)
+    M = grid.spec.time_steps
+    assert calls == sorted(calls, reverse=True)
+    assert set(calls) == set(range(M))
+    assert len(calls) >= _MIN_REPORT_ITERS * M
+    assert max(calls.count(i) for i in range(M)) == report.iterations
 
 
 def test_marched_field_within_certificate_of_picard_reference():
@@ -563,18 +586,6 @@ def test_marched_field_within_certificate_of_picard_reference():
     assert done
     gap = linear_growth_norm(field, ref)
     assert 0.0 < gap <= report.residual / (1.0 - report.contraction_bound)
-
-
-def test_threaded_solve_bit_identical():
-    m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
-                                          age_nodes=4)
-    runs = [solve_price_field(m, claim, models, grid, tol=1e-6,
-                              settings=SolverSettings(threads=threads))
-            for threads in (1, 2)]
-    (f1, r1), (f2, r2) = runs
-    assert r1.to_dict() == r2.to_dict()
-    for a, b in zip(f1.slabs, f2.slabs):
-        np.testing.assert_array_equal(a, b)
 
 
 def test_field_lookup_interpolation_and_extrapolation():
