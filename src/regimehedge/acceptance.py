@@ -154,15 +154,13 @@ def _bundle_c3(profile: str, threads: int):
         spec = GridSpec(time_steps=40, price_nodes=41, age_nodes=11)
         settings = SolverSettings(
             gh_nodes=8, panel_nodes=1, threads=threads,
-            bsm_quad=QuadratureSettings(payoff_outer_nodes=8,
-                                        payoff_gl_nodes=16))
+            bsm_quad=QuadratureSettings(payoff_outer_nodes=8))
         tol = 5e-4
     else:
         spec = GridSpec(time_steps=10, price_nodes=15, age_nodes=4)
         settings = SolverSettings(
             gh_nodes=6, panel_nodes=1, threads=threads,
-            bsm_quad=QuadratureSettings(payoff_outer_nodes=8,
-                                        payoff_gl_nodes=12))
+            bsm_quad=QuadratureSettings(payoff_outer_nodes=8))
         tol = 2e-3
     grid = Grid(market, 1.0, np.array([[100.0, 100.0]]), spec)
     field, report = solve_price_field(market, claim, models, grid, tol,

@@ -79,33 +79,3 @@ def normal_nodes(dim: int, n_each: int, sparse_level: int | None = None):
                 "configure a sparse level")
         return tensor_normal_nodes(dim, n_each)
     return smolyak_normal_nodes(dim, sparse_level)
-
-
-def segmented_gauss_legendre(lo, cuts, hi, n_per_segment: int):
-    """Composite Gauss-Legendre nodes on [lo, hi] split at interior cuts.
-
-    lo/hi/cuts broadcast over a leading batch shape; cuts has a trailing
-    axis over (possibly degenerate) cut positions, each clipped into
-    [lo, hi] so out-of-window kinks contribute zero-width segments.
-
-    Returns nodes and weights with a trailing quadrature axis.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    cuts = np.asarray(cuts, dtype=float)
-    batch = np.broadcast_shapes(lo.shape, hi.shape, cuts.shape[:-1])
-    n_cuts = cuts.shape[-1]
-    lo_b = np.broadcast_to(lo, batch)[..., None]
-    hi_b = np.broadcast_to(hi, batch)[..., None]
-    cuts_b = np.clip(np.broadcast_to(cuts, batch + (n_cuts,)), lo_b, hi_b)
-    cuts_b = np.sort(cuts_b, axis=-1)
-    edges = np.concatenate([lo_b, cuts_b, hi_b], axis=-1)
-
-    gx, gw = gauss_legendre(n_per_segment)
-    a = edges[..., :-1, None]
-    b = edges[..., 1:, None]
-    half = 0.5 * (b - a)
-    nodes = a + half * (gx + 1.0)
-    weights = half * gw
-    flat = batch + (-1,)
-    return nodes.reshape(flat), weights.reshape(flat)

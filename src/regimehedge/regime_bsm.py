@@ -1,9 +1,11 @@
 """Frozen-regime lognormal pricing of the claim (the no-switch building block).
 
 With the regime tuple frozen at x the discounted claim expectation is a
-plain lognormal integral with variance int_t^T a(u, x) du, evaluated by the
-kink-aware kernel quadrature.  For one asset and a vanilla payoff this
-reproduces the classical closed-form price to quadrature accuracy.
+plain lognormal integral with variance int_t^T a(u, x) du.  Given the head
+assets at the outer Gauss-Hermite nodes of ``claim_nodes``, the pivot
+integral is a Black formula per payoff hinge, so for one asset price and
+delta are the classical closed forms and for n >= 2 the outer rule is the
+only quadrature.
 """
 
 from __future__ import annotations
@@ -38,15 +40,14 @@ def bsm_price(market: MarketModel, claim: Claim, x, t: float, maturity: float,
         out = claim(s_batch)
         return float(out[0]) if scalar else out
     kern = build_kernel(market, t, x, v, mode="risk-neutral")
-    sig, w, _ = claim_nodes(kern, claim, s_batch, quad)
-    disc = math.exp(-market.r(tuple(x)) * v)
-    out = disc * np.sum(w * claim(sig), axis=-1)
+    w, value, _ = claim_nodes(kern, claim, s_batch, quad)
+    out = math.exp(-market.r(tuple(x)) * v) * (value @ w)
     return float(out[0]) if scalar else out
 
 
 def bsm_delta(market: MarketModel, claim: Claim, x, t: float, maturity: float,
               s, axis: int, quad: QuadratureSettings = DEFAULT_QUAD):
-    """d(price)/d s_axis by differentiating under the kernel integral."""
+    """d(price)/d s_axis by the likelihood ratio of the kernel."""
     s_batch, scalar = _batched(s)
     v = maturity - t
     if v <= 0.0:
@@ -57,11 +58,8 @@ def bsm_delta(market: MarketModel, claim: Claim, x, t: float, maturity: float,
         out = (claim(bump) - claim(s_batch)) / h
         return float(out[0]) if scalar else out
     kern = build_kernel(market, t, x, v, mode="risk-neutral")
-    sig, w, dev = claim_nodes(kern, claim, s_batch, quad)
-    sol = np.linalg.solve(kern.cov, dev.reshape(-1, kern.n).T).T
-    sol = sol.reshape(dev.shape)
-    disc = math.exp(-market.r(tuple(x)) * v)
-    out = disc * np.sum(w * claim(sig) * sol[..., axis], axis=-1) \
+    w, _, score = claim_nodes(kern, claim, s_batch, quad)
+    out = math.exp(-market.r(tuple(x)) * v) * (score[..., axis] @ w) \
         / s_batch[:, axis]
     return float(out[0]) if scalar else out
 
@@ -73,22 +71,15 @@ def _grid_points(lns_axes):
 
 
 def bsm_price_grid(market, claim, x, t, maturity, lns_axes,
-                   quad: QuadratureSettings = DEFAULT_QUAD, chunk: int = 2048):
-    """Price surface over the tensor log-price grid, chunked over rows."""
+                   quad: QuadratureSettings = DEFAULT_QUAD):
+    """Price surface over the tensor log-price grid."""
     pts, shape = _grid_points(lns_axes)
-    out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
-        out[lo:hi] = bsm_price(market, claim, x, t, maturity, pts[lo:hi], quad)
-    return out.reshape(shape)
+    return bsm_price(market, claim, x, t, maturity, pts, quad).reshape(shape)
 
 
 def bsm_delta_grid(market, claim, x, t, maturity, lns_axes, axis,
-                   quad: QuadratureSettings = DEFAULT_QUAD, chunk: int = 2048):
+                   quad: QuadratureSettings = DEFAULT_QUAD):
+    """Delta surface along one asset axis over the tensor log-price grid."""
     pts, shape = _grid_points(lns_axes)
-    out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
-        out[lo:hi] = bsm_delta(market, claim, x, t, maturity, pts[lo:hi],
-                               axis, quad)
-    return out.reshape(shape)
+    return bsm_delta(market, claim, x, t, maturity, pts, axis,
+                     quad).reshape(shape)

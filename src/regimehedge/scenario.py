@@ -299,10 +299,8 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     sv = doc.get("solver", {})
     sv_path = f"{path}.solver"
     quad = QuadratureSettings(
-        gh_nodes=_count(sv, "bsm_gh_nodes", 32, sv_path),
         sparse_level=sv.get("sparse_level"),
-        payoff_outer_nodes=_count(sv, "bsm_outer_nodes", 24, sv_path),
-        payoff_gl_nodes=_count(sv, "bsm_gl_nodes", 32, sv_path))
+        payoff_outer_nodes=_count(sv, "bsm_outer_nodes", 24, sv_path))
     threads = int(doc.get("threads", 1))
     solver = SolverSettings(gh_nodes=_count(sv, "gh_nodes", 16, sv_path),
                             panel_nodes=_count(sv, "panel_nodes", 1, sv_path),

@@ -97,9 +97,7 @@ def test_missing_seed_rejected_for_stochastic_output():
 @pytest.mark.parametrize("section,key,value", [
     ("solver", "gh_nodes", 0),
     ("solver", "panel_nodes", 0),
-    ("solver", "bsm_gh_nodes", 0),
     ("solver", "bsm_outer_nodes", -3),
-    ("solver", "bsm_gl_nodes", 0),
     ("solver", "max_iter", 0),
     ("solver", "tol", float("nan")),
     ("solver", "tol", 0.0),
@@ -119,6 +117,24 @@ def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
     assert run_scenario(path, out_dir=str(tmp_path / "out")) == 2
     assert where in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value,kind", [("bsm_gl_nodes", 16, "basket-call"),
+                                            ("bsm_gh_nodes", 4, "linear")])
+def test_retired_bsm_key_leaves_price_unchanged(tmp_path, key, value, kind):
+    # the frozen-regime price has no Gauss-Legendre rule (which served kinked
+    # claims) and no plain Gauss-Hermite branch (which served claims without
+    # a kink) any more; the retired keys parse like any other unread one
+    prices = []
+    for extra in ({}, {key: value}):
+        doc = copy.deepcopy(BASE_CONFIG)
+        doc["claim"]["kind"] = kind
+        doc["solver"].update(extra)
+        out = tmp_path / f"out{len(prices)}"
+        assert run_scenario(write_config(tmp_path, doc), out_dir=str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        prices.append(report["eval_points"][0]["price"])
+    assert prices[0] == prices[1]
 
 
 def test_dry_run_prints_grid(tmp_path, capsys):

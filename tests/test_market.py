@@ -231,25 +231,25 @@ def test_claim_envelope_violation_detected():
 
 
 def test_claim_nodes_integrate_call_price_1d():
-    # split-interval nodes reproduce the closed-form lognormal call value
+    # the conditional closed form reproduces the lognormal call value
     m = flat_market(sigma=0.2, r=0.05)
     s0 = np.array([[100.0]])
     claim = Claim("basket-call", weights=[1.0], strike=100.0)
     kern = build_kernel(m, 0.0, X0, 1.0)
-    sig, w, _ = claim_nodes(kern, claim, s0)
-    got = math.exp(-0.05) * float(np.sum(w * claim(sig), axis=-1)[0])
+    w, value, _ = claim_nodes(kern, claim, s0)
+    got = math.exp(-0.05) * float((value @ w)[0])
     from scipy.stats import norm
     var = 0.04
     d1 = (math.log(1.0) + 0.05 + 0.5 * var) / math.sqrt(var)
     d2 = d1 - math.sqrt(var)
     bs = 100.0 * norm.cdf(d1) - 100.0 * math.exp(-0.05) * norm.cdf(d2)
-    assert got == pytest.approx(bs, abs=1e-8)
+    assert got == pytest.approx(bs, abs=1e-12)
 
 
 def test_claim_nodes_weights_normalize():
     m = flat_market(n=2, sigma=0.25, n_components=3)
     claim = Claim("basket-call", weights=[0.6, 0.4], strike=95.0)
     kern = build_kernel(m, 0.0, (1, 1, 1), 0.75)
-    sig, w, dev = claim_nodes(kern, claim, np.array([[90.0, 110.0]]))
-    assert float(w.sum()) == pytest.approx(1.0, abs=1e-9)
-    assert sig.shape[-1] == 2 and dev.shape == sig.shape
+    w, value, score = claim_nodes(kern, claim, np.array([[90.0, 110.0]]))
+    assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
+    assert value.shape == (1, w.size) and score.shape == (1, w.size, 2)

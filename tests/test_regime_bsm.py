@@ -2,10 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.stats import norm
 
-from regimehedge.market import Claim, TimeCoeff, build_market
-from regimehedge.regime_bsm import bsm_delta, bsm_price, bsm_price_grid
+from regimehedge.market import (
+    Claim,
+    QuadratureSettings,
+    TimeCoeff,
+    build_kernel,
+    build_market,
+    claim_nodes,
+)
+from regimehedge.quadrature import normal_nodes
+from regimehedge.regime_bsm import (
+    bsm_delta,
+    bsm_delta_grid,
+    bsm_price,
+    bsm_price_grid,
+)
 
 
 def closed_form_call(s, k, r, var, tau):
@@ -127,3 +143,150 @@ def test_bsm_pde_residual_fourth_order():
     res = dpdt[c] + r * dz + 0.5 * a * (dzz - dz) - r * grid[c]
     scale = 1.0 + np.exp(lns[c])
     assert float(np.max(np.abs(res) / scale)) < 1e-3
+
+
+def c3_market(corr=0.0):
+    # the C3 acceptance model, optionally with correlated assets
+    def vol(x):
+        s1 = 0.2 if x[1] == 1 else 0.3
+        s2 = 0.25 if x[2] == 1 else 0.32
+        return np.array([[s1, 0.0], [corr * s2, math.sqrt(1 - corr ** 2) * s2]])
+
+    return build_market(2, 2, 3, lambda x: 0.02 if x[0] == 1 else 0.05,
+                        np.array([0.06, 0.07]), vol)
+
+
+TWO_ASSET_CLAIMS = [
+    Claim("basket-call", weights=[0.5, 0.5], strike=100.0),
+    Claim("basket-put", weights=[0.3, 0.7], strike=95.0),
+    Claim("linear", weights=[0.5, 1.5]),
+    Claim("custom-piecewise-linear", weights=[0.6, 0.4],
+          knots=[80.0, 100.0, 120.0], values=[5.0, 0.0, 10.0],
+          final_slope=0.2),
+]
+
+
+def _pivot_reference(kern, claim, s, xi_head):
+    """Value and Sigma^-1 dev score at one outer node by adaptive quadrature
+    over the pivot axis, split at every payoff kink."""
+    n = kern.n
+    pivot = int(np.argmax(claim.weights))
+    perm = [i for i in range(n) if i != pivot] + [pivot]
+    chol = np.linalg.cholesky(kern.cov[np.ix_(perm, perm)])
+    inv_perm = np.argsort(perm)
+
+    def at(xi_p):
+        dev = (chol @ np.append(xi_head, xi_p))[inv_perm]
+        sig = s * np.exp(kern.zbar + dev)
+        return sig, dev
+
+    lim = 12.0
+    basket = lambda xi_p: claim.basket(at(xi_p)[0])
+    kinks = claim.knots if claim.knots is not None else [claim.strike]
+    points = [brentq(lambda z, k=k: basket(z) - k, -lim, lim)
+              for k in kinks
+              if (basket(-lim) - k) * (basket(lim) - k) < 0]
+    pdf = lambda z: math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+    def integrate(g):
+        return quad(lambda z: g(z) * pdf(z), -lim, lim, points=points or None,
+                    epsabs=1e-12, epsrel=1e-12, limit=400)[0]
+
+    value = integrate(lambda z: float(claim(at(z)[0])))
+    score = [integrate(lambda z, a=a: float(claim(at(z)[0]))
+                       * np.linalg.solve(kern.cov, at(z)[1])[a])
+             for a in range(n)]
+    return value, np.array(score)
+
+
+@pytest.mark.parametrize("corr", [0.0, 0.6])
+@pytest.mark.parametrize("claim", TWO_ASSET_CLAIMS,
+                         ids=[c.kind for c in TWO_ASSET_CLAIMS])
+def test_claim_nodes_match_pivot_quadrature_two_assets(claim, corr):
+    m = c3_market(corr)
+    q8 = QuadratureSettings(payoff_outer_nodes=8)
+    s_batch = np.array([[100.0, 100.0], [70.0, 130.0], [140.0, 85.0]])
+    for x, t in [((1, 1, 1), 0.0), ((2, 1, 2), 0.6), ((1, 2, 2), 0.9)]:
+        kern = build_kernel(m, t, x, 1.0 - t)
+        w, value, score = claim_nodes(kern, claim, s_batch, q8)
+        xi_outer, _ = normal_nodes(1, 8)
+        assert w.size == 8
+        for b, s in enumerate(s_batch):
+            for q in range(8):
+                ref_v, ref_s = _pivot_reference(kern, claim, s, xi_outer[q])
+                assert value[b, q] == pytest.approx(ref_v, abs=1e-9)
+                np.testing.assert_allclose(score[b, q], ref_s, rtol=0,
+                                           atol=1e-9)
+        disc = math.exp(-m.r(x) * (1.0 - t))
+        np.testing.assert_allclose(
+            bsm_price(m, claim, x, t, 1.0, s_batch, q8),
+            disc * value @ w, rtol=0, atol=1e-12)
+        for a in range(2):
+            np.testing.assert_allclose(
+                bsm_delta(m, claim, x, t, 1.0, s_batch, a, q8),
+                disc * score[..., a] @ w / s_batch[:, a], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("weights", [[0.0], [0.0, 0.0]])
+def test_zero_weight_claim_prices_discounted_constant(weights):
+    n = len(weights)
+    m = build_market(n, 2, 2, 0.04, np.zeros(n), 0.3 * np.eye(n))
+    claims = [Claim("basket-put", weights=weights, strike=90.0),
+              Claim("custom-piecewise-linear", weights=weights,
+                    knots=[10.0, 20.0], values=[3.0, 5.0], final_slope=0.5)]
+    s = np.array([[50.0] * n, [100.0] * n, [1e-3] * n])
+    lns = [np.log(100.0) + np.linspace(-1.0, 1.0, 5)] * n
+    for claim, k0 in zip(claims, [90.0, 3.0]):
+        for t in (0.0, 0.5, 1.0):
+            want = math.exp(-0.04 * (1.0 - t)) * k0
+            price = bsm_price(m, claim, X0, t, 1.0, s)
+            np.testing.assert_allclose(price, want, rtol=1e-14, atol=0)
+            grid = bsm_price_grid(m, claim, X0, t, 1.0, lns)
+            np.testing.assert_allclose(grid, want, rtol=1e-14, atol=0)
+            for a in range(n):
+                assert np.all(bsm_delta(m, claim, X0, t, 1.0, s, a) == 0.0)
+                assert np.all(bsm_delta_grid(m, claim, X0, t, 1.0, lns,
+                                             a) == 0.0)
+
+
+@st.composite
+def _frozen_case(draw):
+    n = draw(st.integers(1, 2))
+    vols = [draw(st.floats(0.05, 0.8)) for _ in range(n)]
+    corr = draw(st.floats(-0.9, 0.9)) if n == 2 else 0.0
+    vol = np.diag(vols)
+    if n == 2:
+        vol[1] = vols[1] * np.array([corr, math.sqrt(1 - corr ** 2)])
+    m = build_market(n, 2, 1, draw(st.floats(0.0, 0.1)), np.zeros(n), vol)
+    weights = [draw(st.floats(0.1, 2.0)) for _ in range(n)]
+    spot = np.array([draw(st.floats(20.0, 300.0)) for _ in range(n)])
+    return (m, weights, spot, draw(st.floats(1.0, 300.0)),
+            draw(st.floats(0.01, 3.0)), draw(st.integers(0, n - 1)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(case=_frozen_case())
+def test_frozen_price_properties(case):
+    m, weights, spot, strike, v, axis = case
+    x, r = (1,), m.r((1,))
+
+    def rho(kind, s, k=strike):
+        claim = Claim(kind, weights=weights, strike=k)
+        return bsm_price(m, claim, x, 0.0, v, s, QuadratureSettings(
+            payoff_outer_nodes=8))
+
+    lin = rho("linear", spot)
+    parity = rho("basket-call", spot) - rho("basket-put", spot)
+    assert parity == pytest.approx(lin - strike * math.exp(-r * v),
+                                   abs=1e-9 * (1.0 + lin))
+
+    spots = np.repeat(spot[None, :], 41, axis=0)
+    spots[:, axis] *= np.linspace(0.2, 3.0, 41)
+    calls = rho("basket-call", spots)
+    tol = 1e-10 * (1.0 + float(np.max(calls)))
+    assert np.all(np.diff(calls) >= -tol)
+    assert np.all(np.diff(calls, 2) >= -tol)
+
+    by_strike = [rho("basket-call", spot, k)
+                 for k in np.linspace(0.0, 2.0 * strike, 21)]
+    assert np.all(np.diff(by_strike) <= tol)
