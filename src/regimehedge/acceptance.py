@@ -3,7 +3,7 @@
 Each criterion builds its own scenario, runs the relevant pipeline at a
 pinned tolerance and returns a structured pass/fail row.  Tolerances can be
 overridden through environment variables prefixed ``REGIMEHEDGE_`` (for
-example ``REGIMEHEDGE_TOL_KERNEL_MEAN``); the suite is deterministic for
+example ``REGIMEHEDGE_TOL_C2_MOMENTS``); the suite is deterministic for
 fixed seeds, including under different worker counts.
 
 The ``full`` profile runs every criterion at its stated scale; the ``fast``
@@ -130,8 +130,8 @@ def _random_hazard(rng) -> HazardModel:
     return HazardModel(k, rates)
 
 
-def _bundle_c3(profile: str, threads: int):
-    key = ("c3", profile, threads)
+def _bundle_c3(profile: str):
+    key = ("c3", profile)
     if key in _BUNDLES:
         return _BUNDLES[key]
 
@@ -153,14 +153,12 @@ def _bundle_c3(profile: str, threads: int):
     if profile == "full":
         spec = GridSpec(time_steps=40, price_nodes=41, age_nodes=11)
         settings = SolverSettings(
-            gh_nodes=8, panel_nodes=1, threads=threads,
-            bsm_quad=QuadratureSettings(payoff_outer_nodes=8))
+            gh_nodes=8, bsm_quad=QuadratureSettings(payoff_outer_nodes=8))
         tol = 5e-4
     else:
         spec = GridSpec(time_steps=10, price_nodes=15, age_nodes=4)
         settings = SolverSettings(
-            gh_nodes=6, panel_nodes=1, threads=threads,
-            bsm_quad=QuadratureSettings(payoff_outer_nodes=8))
+            gh_nodes=6, bsm_quad=QuadratureSettings(payoff_outer_nodes=8))
         tol = 2e-3
     grid = Grid(market, 1.0, np.array([[100.0, 100.0]]), spec)
     field, report = solve_price_field(market, claim, models, grid, tol,
@@ -171,33 +169,33 @@ def _bundle_c3(profile: str, threads: int):
     return out
 
 
-def _c4_pieces(profile: str, threads: int, spec: GridSpec, tol: float):
+def _c4_pieces(spec: GridSpec, tol: float):
     market = build_market(1, 2, 2, 0.04, np.array([0.08]), 0.25 * np.eye(1))
     claim = Claim("basket-call", weights=[1.0], strike=100.0)
     h = HazardModel(2, {(1, 2): ConstantRate(0.3), (2, 1): ConstantRate(0.4)})
     models = [h, h]
     grid = Grid(market, 1.0, np.array([[100.0]]), spec)
-    settings = SolverSettings(gh_nodes=16, threads=threads)
+    settings = SolverSettings(gh_nodes=16)
     field, report = solve_price_field(market, claim, models, grid, tol,
                                       settings=settings)
     return dict(market=market, claim=claim, models=models, grid=grid,
                 field=field, report=report, settings=settings)
 
 
-def _bundle_c4(profile: str, threads: int):
-    key = ("c4", profile, threads)
+def _bundle_c4(profile: str):
+    key = ("c4", profile)
     if key in _BUNDLES:
         return _BUNDLES[key]
     if profile == "full":
         spec = GridSpec(time_steps=40, price_nodes=81, age_nodes=5)
     else:
         spec = GridSpec(time_steps=10, price_nodes=41, age_nodes=3)
-    _BUNDLES[key] = _c4_pieces(profile, threads, spec, 1e-3)
+    _BUNDLES[key] = _c4_pieces(spec, 1e-3)
     return _BUNDLES[key]
 
 
-def _bundle_c6(profile: str, threads: int):
-    key = ("c6", profile, threads)
+def _bundle_c6(profile: str):
+    key = ("c6", profile)
     if key in _BUNDLES:
         return _BUNDLES[key]
 
@@ -224,7 +222,7 @@ def _bundle_c6(profile: str, threads: int):
         spec = GridSpec(time_steps=12, price_nodes=61, age_nodes=5)
         tol, paths = 1e-3, 20_000
     grid = Grid(market, 1.0, np.array([[100.0]]), spec)
-    settings = SolverSettings(gh_nodes=16, threads=threads)
+    settings = SolverSettings(gh_nodes=16)
     field, report = solve_price_field(market, claim, models, grid, tol,
                                       settings=settings)
     out = dict(market=market, claim=claim, models=models, grid=grid,
@@ -334,7 +332,7 @@ def criterion_2(profile: str, threads: int) -> CriterionResult:
 def criterion_3(profile: str, threads: int) -> CriterionResult:
     """Terminal exactness, positivity and the linear-growth envelope for a
     two-asset basket call driven by three components."""
-    b = _bundle_c3(profile, threads)
+    b = _bundle_c3(profile)
     field, claim, grid = b["field"], b["claim"], b["grid"]
     pay = claim(grid.s_mesh())
     terminal_gap = float(np.max(np.abs(
@@ -358,7 +356,7 @@ def criterion_3(profile: str, threads: int) -> CriterionResult:
 def criterion_4(profile: str, threads: int) -> CriterionResult:
     """Regime-independent coefficients collapse the field to the
     frozen-regime price within 1e-3 in the weighted sup norm."""
-    b = _bundle_c4(profile, threads)
+    b = _bundle_c4(profile)
     solver = VolterraSolver(b["market"], b["claim"], b["models"], b["grid"],
                             b["settings"])
     rho_field = solver.initial_field()
@@ -394,7 +392,7 @@ def criterion_5(profile: str, threads: int) -> CriterionResult:
         spec = GridSpec(time_steps=8, price_nodes=31, age_nodes=3)
         paths = 600
     grid = Grid(market, 1.0, np.array([[100.0]]), spec)
-    settings = SolverSettings(gh_nodes=32, threads=threads)
+    settings = SolverSettings(gh_nodes=32)
     field, report = solve_price_field(market, claim, models, grid, 1e-7,
                                       settings=settings)
     smesh = grid.s_mesh()[..., 0]
@@ -420,7 +418,7 @@ def criterion_5(profile: str, threads: int) -> CriterionResult:
 def criterion_6(profile: str, threads: int) -> CriterionResult:
     """Fixed-point price agrees with the exact-path Monte Carlo oracle
     within three standard errors, at sub-percent standard error."""
-    b = _bundle_c6(profile, threads)
+    b = _bundle_c6(profile)
     price = b["field"].value(*b["start"])
     est, se = mc_price(b["market"], b["claim"], b["models"], b["start"], 1.0,
                        b["mc_paths"], b["mc_seed"], n_jobs=max(threads, 1))
@@ -435,7 +433,7 @@ def criterion_6(profile: str, threads: int) -> CriterionResult:
 def criterion_7(profile: str, threads: int) -> CriterionResult:
     """Integral-formula hedge matches a central finite difference of the
     solved field at randomized interior points."""
-    b = _bundle_c6(profile, threads)
+    b = _bundle_c6(profile)
     field, grid = b["field"], b["grid"]
     market, claim, models = b["market"], b["claim"], b["models"]
     # the stated tolerance applies at the full scale; the fast profile runs
@@ -481,9 +479,9 @@ def criterion_8(profile: str, threads: int) -> CriterionResult:
     slack = _tol("TOL_C8_SLACK", 0.05)
     rows = {}
     ok = True
-    for tag, bundle in (("c3", _bundle_c3(profile, threads)),
-                        ("c4", _bundle_c4(profile, threads)),
-                        ("c6", _bundle_c6(profile, threads))):
+    for tag, bundle in (("c3", _bundle_c3(profile)),
+                        ("c4", _bundle_c4(profile)),
+                        ("c6", _bundle_c6(profile))):
         rep = bundle["report"]
         bound = rep.contraction_bound
         ratios = rep.ratios
@@ -505,7 +503,7 @@ def criterion_9(profile: str, threads: int) -> CriterionResult:
         fine = GridSpec(time_steps=20, price_nodes=161, age_nodes=3)
     reports = []
     for spec in (coarse, fine):
-        bundle = _c4_pieces(profile, threads, spec, 1e-3)
+        bundle = _c4_pieces(spec, 1e-3)
         margin = max(1, round(0.15 * spec.time_steps))
         reports.append(pde_residual(bundle["field"], bundle["market"],
                                     bundle["models"],
@@ -525,7 +523,7 @@ def criterion_9(profile: str, threads: int) -> CriterionResult:
 def criterion_10(profile: str, threads: int) -> CriterionResult:
     """Hazard perturbations move the price by no more than the Lipschitz
     bound 2 c2 T sum |dlam|_sup."""
-    b = _bundle_c6(profile, threads)
+    b = _bundle_c6(profile)
     rows = {}
     ok = True
     for scale in (1.1, 1.5):

@@ -11,7 +11,6 @@ order, every number with 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import os
@@ -126,7 +125,6 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
         return 2
 
     if threads is not None and threads > 0:
-        scn.solver = dataclasses.replace(scn.solver, threads=threads)
         scn.threads = threads
 
     grid = Grid(scn.market, scn.horizon,

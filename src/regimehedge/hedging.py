@@ -20,17 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import Claim, MarketModel
+from .market import Claim, MarketModel, build_kernel
 from .quadrature import gauss_legendre, tensor_normal_nodes
 from .regime_bsm import bsm_delta, bsm_delta_grid
+from .semi_markov import CsmState, _joint_log_survival
 from .volterra_pricer import Grid, PriceField, SolverSettings, VolterraSolver
-
-
-def _joint_log_survival_at(models, x, y, v):
-    out = 0.0
-    for m, h in enumerate(models):
-        out += float(h.residual_log_survival(x[m], y[m], np.asarray(v)))
-    return out
 
 
 def hedge_ratio(market: MarketModel, claim: Claim, models, field: PriceField,
@@ -47,7 +41,8 @@ def hedge_ratio(market: MarketModel, claim: Claim, models, field: PriceField,
     if rem <= 1e-12:
         return float(bsm_delta(market, claim, x, T, T, s, axis))
 
-    js_T = math.exp(_joint_log_survival_at(models, x, y, rem))
+    log_js = _joint_log_survival(models, CsmState(x, y))
+    js_T = math.exp(log_js(rem))
     out = float(bsm_delta(market, claim, x, t, T, s, axis)) * js_T
 
     n_panels = max(1, int(round(rem / g.dt)))
@@ -63,13 +58,10 @@ def hedge_ratio(market: MarketModel, claim: Claim, models, field: PriceField,
         for gx, gw in zip(gl_x, gl_w):
             v = (p + 0.5 * (gx + 1.0)) * width
             wv = 0.5 * width * gw
-            js = math.exp(_joint_log_survival_at(models, x, y, v))
-            cov = market.a_integral(t, t + v, x)
-            chol = np.linalg.cholesky(cov)
-            zbar = rate_x * v - 0.5 * np.diag(cov)
-            dev = nodes @ chol.T
-            sig = s * np.exp(zbar + dev)
-            inv_l = np.linalg.inv(chol)
+            js = math.exp(log_js(v))
+            kern = build_kernel(market, t, x, v)
+            sig = s * np.exp(kern.zbar + nodes @ kern.chol.T)
+            inv_l = np.linalg.inv(kern.chol)
             fac = (nodes @ inv_l[:, axis]) / s[axis]
             for l in range(g.n_components):
                 h = models[l]

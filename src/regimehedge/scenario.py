@@ -31,11 +31,12 @@ def _fail(msg, path):
     raise ConfigError(msg, path=path)
 
 
-def _count(spec, key, default, path):
-    """spec[key] as an integer >= 1."""
+def _count(spec, key, default, path, least=1):
+    """spec[key] as an integer >= least."""
     v = spec.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        _fail(f"{key} must be an integer >= 1, got {v!r}", f"{path}.{key}")
+    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+        _fail(f"{key} must be an integer >= {least}, got {v!r}",
+              f"{path}.{key}")
     return v
 
 
@@ -291,20 +292,22 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     claim.check_envelope(np.random.default_rng(doc.get("envelope_check_seed", 0)))
 
     gr = doc.get("grid", {})
-    grid_spec = GridSpec(time_steps=int(gr.get("time_steps", 40)),
-                         price_nodes=int(gr.get("price_nodes", 81)),
-                         age_nodes=int(gr.get("age_nodes", 11)),
-                         span_stds=float(gr.get("span_stds", 8.0)))
+    gr_path = f"{path}.grid"
+    # the smallest grid Grid accepts: 2 time steps, 5 price and 2 age nodes
+    grid_spec = GridSpec(
+        time_steps=_count(gr, "time_steps", 40, gr_path, least=2),
+        price_nodes=_count(gr, "price_nodes", 81, gr_path, least=5),
+        age_nodes=_count(gr, "age_nodes", 11, gr_path, least=2),
+        span_stds=_positive(gr, "span_stds", 8.0, gr_path))
 
     sv = doc.get("solver", {})
     sv_path = f"{path}.solver"
     quad = QuadratureSettings(
         sparse_level=sv.get("sparse_level"),
         payoff_outer_nodes=_count(sv, "bsm_outer_nodes", 24, sv_path))
-    threads = int(doc.get("threads", 1))
+    threads = _count(doc, "threads", 1, path)
     solver = SolverSettings(gh_nodes=_count(sv, "gh_nodes", 16, sv_path),
-                            panel_nodes=_count(sv, "panel_nodes", 1, sv_path),
-                            bsm_quad=quad, threads=threads)
+                            bsm_quad=quad)
     tol = _positive(sv, "tol", 1e-4, sv_path)
     max_iter = _count(sv, "max_iter", 200, sv_path)
 
@@ -314,25 +317,21 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
             _fail(f"unknown output {o!r}; choose from {ALL_OUTPUTS}",
                   f"{path}.outputs")
 
+    # path counts are integers; a requested output needs at least 100 paths
     mc = doc.get("mc", {})
-    mc_paths = int(mc.get("paths", 0))
     mc_seed = mc.get("seed")
+    if "mc-check" in outputs and mc_seed is None:
+        _fail("mc.seed is required for the mc-check output (stochastic "
+              "outputs need explicit seeds)", f"{path}.mc.seed")
+    mc_paths = _count(mc, "paths", 0, f"{path}.mc",
+                      least=100 if "mc-check" in outputs else 0)
     rr = doc.get("residual_risk", {})
-    rr_paths = int(rr.get("paths", 0))
     rr_seed = rr.get("seed")
-    if "mc-check" in outputs:
-        if mc_seed is None:
-            _fail("mc.seed is required for the mc-check output (stochastic "
-                  "outputs need explicit seeds)", f"{path}.mc.seed")
-        if mc_paths < 100:
-            _fail("mc.paths must be >= 100", f"{path}.mc.paths")
-    if "residual-risk" in outputs:
-        if rr_seed is None:
-            _fail("residual_risk.seed is required for the residual-risk "
-                  "output", f"{path}.residual_risk.seed")
-        if rr_paths < 100:
-            _fail("residual_risk.paths must be >= 100",
-                  f"{path}.residual_risk.paths")
+    if "residual-risk" in outputs and rr_seed is None:
+        _fail("residual_risk.seed is required for the residual-risk "
+              "output", f"{path}.residual_risk.seed")
+    rr_paths = _count(rr, "paths", 0, f"{path}.residual_risk",
+                      least=100 if "residual-risk" in outputs else 0)
 
     sens_scale = _positive(doc.get("sensitivity", {}), "scale", 1.1,
                            f"{path}.sensitivity")

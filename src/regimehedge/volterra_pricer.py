@@ -18,9 +18,11 @@ first and on the jump time turns the per-component laws into exactly the
 joint-survival-times-hazard weights above, so both formulations give the
 same operator (the tests check this against the conditional-law route).
 
-The v-integral uses composite Gauss-Legendre panels aligned with the time
-grid, so the discrete operator T is triangular in time: slab i reads only
-slabs i..M, and itself only through the first panel (p = 0).  The solver
+The v-integral uses the midpoint rule on panels aligned with the time grid:
+panel p contributes the switch time v_p = (p + 1/2) dt with weight dt, where
+the continuation field is the mean of slabs i + p and i + p + 1.  So the
+discrete operator T is triangular in time: slab i reads only slabs i..M,
+and itself only through the first panel (p = 0).  The solver
 therefore marches backward from maturity (the step-by-step method for
 second-kind Volterra equations): the panels p >= 1 of slab i are computed
 once from the final later slabs, and only the p = 0 panel is iterated on
@@ -47,8 +49,8 @@ import numpy as np
 from scipy.ndimage import correlate1d, map_coordinates
 
 from .errors import ConfigError, NoConvergence
-from .market import Claim, MarketModel, QuadratureSettings
-from .quadrature import gauss_hermite_standard, gauss_legendre, tensor_normal_nodes
+from .market import Claim, MarketModel, QuadratureSettings, build_kernel
+from .quadrature import gauss_hermite_standard, tensor_normal_nodes
 from .regime_bsm import bsm_price_grid
 
 
@@ -261,11 +263,7 @@ def linear_growth_norm(field: PriceField, other: PriceField | None = None) -> fl
 @dataclass(frozen=True)
 class SolverSettings:
     gh_nodes: int = 16          # per-axis Gauss-Hermite for field smoothing
-    panel_nodes: int = 1        # Gauss-Legendre nodes per dt-panel in v
     bsm_quad: QuadratureSettings = dc_field(default_factory=QuadratureSettings)
-    # the grid solver runs serially; scenarios pass threads on to the MC
-    # oracle and residual risk
-    threads: int = 1
 
 
 # local applications every slab makes before it may stop, so the report
@@ -437,8 +435,8 @@ class _Smoother:
 @dataclass
 class _SlabTables:
     """What the switch branch of slab i reuses between panels and between
-    local applications: the switch weights per (p, q), the smoothers per
-    (p, q, xi) and the mass normalization kappa, each built on first use.
+    local applications: the switch weights per panel p, the smoothers per
+    (p, xi) and the mass normalization kappa, each built on first use.
     Whoever applies slab i makes its tables and drops them after."""
 
     i: int
@@ -464,32 +462,25 @@ class VolterraSolver:
     def _build_tables(self):
         g = self.grid
         M = g.spec.time_steps
-        gl_x, gl_w = gauss_legendre(self.settings.panel_nodes)
-        # v-offsets inside one dt panel, shared by every panel
-        self.v_in_panel = 0.5 * g.dt * (gl_x + 1.0)
-        self.w_in_panel = 0.5 * g.dt * gl_w
-        self.v_all = (np.arange(M)[:, None] + 0.5 * (gl_x + 1.0)[None, :]).ravel() * g.dt
+        # the switch time of panel p is its midpoint v_p = (p + 1/2) dt
+        self.v_mid = (np.arange(M) + 0.5) * g.dt
+        half_steps = np.arange(2 * M + 1) * (0.5 * g.dt)
         ages = g.age_nodes
 
-        # per-component residual hazard increments and switch rates at every
-        # (age node, v node) pair, plus at the whole-step offsets q*dt
-        self.dlam_mid = {}   # (m, state) -> (A, P*g)
-        self.dlam_full = {}  # (m, state) -> (A, M+1)
-        self.lam_mid = {}    # (m, state, dest) -> (A, P*g)
-        vfull = np.arange(M + 1) * g.dt
+        # per-component residual hazard increments at every (age node,
+        # half-step offset k dt/2) pair: panel midpoints are the odd columns,
+        # whole steps the even ones; switch rates at the panel midpoints
+        self.dlam = {}       # (m, state) -> (A, 2M+1)
+        self.lam_mid = {}    # (m, state, dest) -> (A, M)
         for m, h in enumerate(self.models):
             for a in range(1, h.k + 1):
-                base = h.cumulative_hazard(a, ages)
-                self.dlam_mid[(m, a)] = (
-                    h.cumulative_hazard(a, ages[:, None] + self.v_all[None, :])
-                    - base[:, None])
-                self.dlam_full[(m, a)] = (
-                    h.cumulative_hazard(a, ages[:, None] + vfull[None, :])
-                    - base[:, None])
+                self.dlam[(m, a)] = (
+                    h.cumulative_hazard(a, ages[:, None] + half_steps[None, :])
+                    - h.cumulative_hazard(a, ages)[:, None])
                 for j in range(1, h.k + 1):
                     if (a, j) in h.rates:
                         self.lam_mid[(m, a, j)] = h.rates[(a, j)].rate(
-                            ages[:, None] + self.v_all[None, :])
+                            ages[:, None] + self.v_mid[None, :])
 
         # c1 . s on the price grid; its discounted kernel mean is c1 . s
         mesh = np.meshgrid(*g.s_axes, indexing="ij")
@@ -527,16 +518,16 @@ class VolterraSolver:
             self._terminal = np.broadcast_to(view, shape)
         return self._terminal
 
-    def _joint_survival(self, i, vcol, kind):
-        """exp(-sum_m dLam) on the age sub-grid of slab i, per regime tuple."""
+    def _joint_survival(self, i, k):
+        """exp(-sum_m dLam) over the offset k dt/2, on the age sub-grid of
+        slab i, per regime tuple."""
         g = self.grid
         c = int(g.c_counts[i])
-        table = self.dlam_mid if kind == "mid" else self.dlam_full
         out = np.empty((len(g.x_tuples),) + (c,) * g.n_components)
         for xi, x in enumerate(g.x_tuples):
             acc = np.zeros((c,) * g.n_components)
             for m in range(g.n_components):
-                col = table[(m, x[m])][:c, vcol]
+                col = self.dlam[(m, x[m])][:c, k]
                 shape = [1] * g.n_components
                 shape[m] = c
                 acc = acc + col.reshape(shape)
@@ -547,7 +538,7 @@ class VolterraSolver:
         """JS(T - t_i; x, y) on the age sub-grid of slab i, per regime tuple."""
         js = self._js_T.get(i)
         if js is None:
-            js = self._joint_survival(i, self.grid.spec.time_steps - i, "full")
+            js = self._joint_survival(i, 2 * (self.grid.spec.time_steps - i))
             self._js_T[i] = js
         return js
 
@@ -563,23 +554,21 @@ class VolterraSolver:
             mass = np.zeros((len(g.x_tuples),)
                             + (int(g.c_counts[i]),) * g.n_components)
             for p in range(g.spec.time_steps - i):
-                for q in range(self.settings.panel_nodes):
-                    for (xi, _, _), wt in self._switch_weights(tab, p, q).items():
-                        mass[xi] += wt
+                for (xi, _, _), wt in self._switch_weights(tab, p).items():
+                    mass[xi] += wt
             tab.kappa = np.where(
                 mass > 1e-300, (1.0 - self.js_T(i)) / np.maximum(mass, 1e-300),
                 1.0)
         return tab.kappa
 
-    def _switch_weights(self, tab, p, q):
-        """Quadrature-weighted JS(v) lam(y_l + v) per (x, l, dest), undiscounted."""
-        out = tab.weights.get((p, q))
+    def _switch_weights(self, tab, p):
+        """dt JS(v_p) lam(y_l + v_p) per (x, l, dest), undiscounted."""
+        out = tab.weights.get(p)
         if out is not None:
             return out
         g = self.grid
         c = int(g.c_counts[tab.i])
-        vcol = p * self.settings.panel_nodes + q
-        js = self._joint_survival(tab.i, vcol, "mid")
+        js = self._joint_survival(tab.i, 2 * p + 1)
         out = {}
         for xi, x in enumerate(g.x_tuples):
             for l in range(g.n_components):
@@ -587,85 +576,65 @@ class VolterraSolver:
                 for j in range(1, h.k + 1):
                     if (x[l], j) not in h.rates:
                         continue
-                    lam = self.lam_mid[(l, x[l], j)][:c, vcol]
+                    lam = self.lam_mid[(l, x[l], j)][:c, p]
                     shape = [1] * g.n_components
                     shape[l] = c
-                    out[(xi, l, j)] = self.w_in_panel[q] * js[xi] \
-                        * lam.reshape(shape)
-        tab.weights[(p, q)] = out
+                    out[(xi, l, j)] = g.dt * js[xi] * lam.reshape(shape)
+        tab.weights[p] = out
         return out
 
-    def _smoother(self, tab, p, q, xi):
-        key = (p, q, xi)
+    def _smoother(self, tab, p, xi):
+        key = (p, xi)
         sm = tab.smoothers.get(key)
         if sm is None:
             g = self.grid
-            vcol = p * self.settings.panel_nodes + q
-            v = self.v_all[vcol]
-            t = g.t_nodes[tab.i]
-            x = g.x_tuples[xi]
-            cov = self.market.a_integral(t, t + v, x)
-            zbar = self.market.r(x) * v - 0.5 * np.diag(cov)
-            chol = np.linalg.cholesky(cov)
+            kern = build_kernel(self.market, g.t_nodes[tab.i], g.x_tuples[xi],
+                                self.v_mid[p])
             # the smoother acts on the excess over the linear part c1.s,
             # which clamps at the box edges, so no growth correction here
-            sm = _Smoother(zbar, chol, g, self.settings.gh_nodes)
+            sm = _Smoother(kern.zbar, kern.chol, g, self.settings.gh_nodes)
             tab.smoothers[key] = sm
         return sm
 
     # -- gathering the continuation slab ---------------------------------------
 
-    def _brackets(self, i, p, q):
-        """(side, weight) of the time slabs bracketing t_i + v_all[p, q] with
-        nonzero weight, and the age shift v / dy in cells."""
-        g = self.grid
-        v = self.v_all[p * self.settings.panel_nodes + q]
-        theta = (v - p * g.dt) / g.dt
-        sides = [(side, wgt) for side, wgt in ((i + p, 1.0 - theta),
-                                               (i + p + 1, theta))
-                 if wgt != 0.0]
-        return sides, v / g.dy
-
     def age_clamp_events(self) -> int:
         """Age blends that run past the stored ages of a bracketing slab, one
-        per (slab, panel, node, bracketing slab); depends on the grid only."""
+        per (slab, panel, bracketing slab); depends on the grid only."""
         g = self.grid
         count = 0
         for i in range(g.spec.time_steps):
             c = int(g.c_counts[i])
             for p in range(g.spec.time_steps - i):
-                for q in range(self.settings.panel_nodes):
-                    sides, cells = self._brackets(i, p, q)
-                    i0 = math.floor(cells)
-                    if cells - i0 > 1e-14:
-                        count += sum(c + i0 > int(g.c_counts[side]) - 1
-                                     for side, _ in sides)
+                cells = self.v_mid[p] / g.dy
+                i0 = math.floor(cells)
+                if cells - i0 > 1e-14:
+                    count += sum(c + i0 > int(g.c_counts[side]) - 1
+                                 for side in (i + p, i + p + 1))
         return count
 
-    def _gather(self, slabs, i, p, q, l):
-        """Continuation values at ages (y + v with component l reset to 0).
+    def _gather(self, slabs, i, p, l):
+        """Continuation values at ages (y + v_p with component l reset to 0).
 
-        Returns an array (n_x, c_i, .., 1 at axis l, .., c_i, S...) built from
-        the two time slabs bracketing t_i + v, blended linearly in t.  The
-        resetting component's axis is collapsed first (its queried age is
-        zero), so the remaining age blends work on c-squared-sized arrays.
+        Returns an array (n_x, c_i, .., 1 at axis l, .., c_i, S...): the mean
+        of the time slabs i + p and i + p + 1, which bracket t_i + v_p at its
+        midpoint.  The resetting component's axis is collapsed first (its
+        queried age is zero), so the remaining age blends work on
+        c-squared-sized arrays.
         """
         g = self.grid
         c = int(g.c_counts[i])
-        sides, cells = self._brackets(i, p, q)
+        cells = self.v_mid[p] / g.dy
         pieces = []
-        for side, wgt in sides:
+        for side in (i + p, i + p + 1):
             sel = [slice(None)] * slabs[side].ndim
             sel[1 + l] = slice(0, 1)
             arr = slabs[side][tuple(sel)]
             for m in range(g.n_components):
                 if m != l:
                     arr = _shift_axis(arr, 1 + m, cells, c)
-            pieces.append(wgt * arr)
-        out = pieces[0]
-        for extra in pieces[1:]:
-            out = out + extra
-        return out
+            pieces.append(arr)
+        return 0.5 * (pieces[0] + pieces[1])
 
     # -- the switch-branch operator ------------------------------------------
 
@@ -690,27 +659,25 @@ class VolterraSolver:
                 for _ in actions]
         lin = self._lin
         for p in panels:
-            for q in range(self.settings.panel_nodes):
-                weights = self._switch_weights(tab, p, q)
-                v = self.v_all[p * self.settings.panel_nodes + q]
-                gathered = [self._gather(slabs, i, p, q, l)
-                            for l in range(g.n_components)]
-                for xi, x in enumerate(g.x_tuples):
-                    sm = self._smoother(tab, p, q, xi)
-                    disc = math.exp(-self.market.r(x) * v)
-                    for l in range(g.n_components):
-                        for j in range(1, self.models[l].k + 1):
-                            wt = weights.get((xi, l, j))
-                            if wt is None:
-                                continue
-                            xpi = g.x_index[x[:l] + (j,) + x[l + 1:]]
-                            # the linear part of the field integrates in
-                            # closed form (discounted kernel mean of c1.S is
-                            # c1.s exactly); only the excess is smoothed
-                            excess = gathered[l][xpi] - lin
-                            for acc, action in zip(accs, actions):
-                                acc[xi] += wt[y_pad] * (
-                                    disc * action(sm, excess))
+            weights = self._switch_weights(tab, p)
+            v = self.v_mid[p]
+            gathered = [self._gather(slabs, i, p, l)
+                        for l in range(g.n_components)]
+            for xi, x in enumerate(g.x_tuples):
+                sm = self._smoother(tab, p, xi)
+                disc = math.exp(-self.market.r(x) * v)
+                for l in range(g.n_components):
+                    for j in range(1, self.models[l].k + 1):
+                        wt = weights.get((xi, l, j))
+                        if wt is None:
+                            continue
+                        xpi = g.x_index[x[:l] + (j,) + x[l + 1:]]
+                        # the linear part of the field integrates in closed
+                        # form (discounted kernel mean of c1.S is c1.s
+                        # exactly); only the excess is smoothed
+                        excess = gathered[l][xpi] - lin
+                        for acc, action in zip(accs, actions):
+                            acc[xi] += wt[y_pad] * (disc * action(sm, excess))
         kappa = self._kappa(tab)
         return [kappa[y_pad] * acc for acc in accs]
 

@@ -96,19 +96,29 @@ def test_missing_seed_rejected_for_stochastic_output():
 
 @pytest.mark.parametrize("section,key,value", [
     ("solver", "gh_nodes", 0),
-    ("solver", "panel_nodes", 0),
     ("solver", "bsm_outer_nodes", -3),
     ("solver", "max_iter", 0),
     ("solver", "tol", float("nan")),
     ("solver", "tol", 0.0),
     ("sensitivity", "scale", float("inf")),
     ("sensitivity", "scale", -1.1),
+    ("grid", "time_steps", "abc"),
+    ("grid", "time_steps", 1),
+    ("grid", "price_nodes", 7.9),
+    ("grid", "price_nodes", 4),
+    ("grid", "age_nodes", 1),
+    ("grid", "span_stds", 0),
+    ("grid", "span_stds", -2),
+    ("mc", "paths", "many"),
+    ("residual_risk", "paths", "many"),
+    (None, "threads", "x"),
 ])
 def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
                                                         section, key, value):
+    # section None is a top-level key
     doc = copy.deepcopy(BASE_CONFIG)
-    doc.setdefault(section, {})[key] = value
-    where = f"scenario.{section}.{key}"
+    (doc if section is None else doc.setdefault(section, {}))[key] = value
+    where = ".".join(p for p in ("scenario", section, key) if p)
     with pytest.raises(ConfigError) as err:
         parse_scenario(doc)
     assert err.value.path == where
@@ -120,11 +130,13 @@ def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("key,value,kind", [("bsm_gl_nodes", 16, "basket-call"),
-                                            ("bsm_gh_nodes", 4, "linear")])
+                                            ("bsm_gh_nodes", 4, "linear"),
+                                            ("panel_nodes", 2, "basket-call")])
 def test_retired_bsm_key_leaves_price_unchanged(tmp_path, key, value, kind):
     # the frozen-regime price has no Gauss-Legendre rule (which served kinked
     # claims) and no plain Gauss-Hermite branch (which served claims without
-    # a kink) any more; the retired keys parse like any other unread one
+    # a kink) any more, and the switch-time integral is the panel midpoint
+    # rule; the retired keys parse like any other unread one
     prices = []
     for extra in ({}, {key: value}):
         doc = copy.deepcopy(BASE_CONFIG)
