@@ -119,12 +119,15 @@ def _surface_name(ep):
 def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = None,
                  dry_run: bool = False) -> int:
     try:
+        if threads is not None and threads < 1:
+            raise ConfigError(f"must be an integer >= 1, got {threads}",
+                              path="--threads")
         scn = load_scenario(config_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if threads is not None and threads > 0:
+    if threads is not None:
         scn.threads = threads
 
     grid = Grid(scn.market, scn.horizon,

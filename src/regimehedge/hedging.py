@@ -23,7 +23,7 @@ import numpy as np
 from .market import Claim, MarketModel, build_kernel
 from .quadrature import gauss_legendre, tensor_normal_nodes
 from .regime_bsm import bsm_delta, bsm_delta_grid
-from .semi_markov import CsmState, _joint_log_survival
+from .semi_markov import CsmState, _joint_log_survival, switch_edges
 from .volterra_pricer import Grid, PriceField, SolverSettings, VolterraSolver
 
 
@@ -39,16 +39,18 @@ def hedge_ratio(market: MarketModel, claim: Claim, models, field: PriceField,
     T = g.horizon
     rem = T - t
     if rem <= 1e-12:
-        return float(bsm_delta(market, claim, x, T, T, s, axis))
+        return float(bsm_delta(market, claim, x, T, T, s, axis,
+                               settings.bsm_quad))
 
     log_js = _joint_log_survival(models, CsmState(x, y))
     js_T = math.exp(log_js(rem))
-    out = float(bsm_delta(market, claim, x, t, T, s, axis)) * js_T
+    out = float(bsm_delta(market, claim, x, t, T, s, axis,
+                          settings.bsm_quad)) * js_T
 
     n_panels = max(1, int(round(rem / g.dt)))
     width = rem / n_panels
     gl_x, gl_w = gauss_legendre(2)
-    xi_idx = g.x_index
+    edges = switch_edges(models, g.x_tuples)[g.x_index[x]]
     rate_x = market.r(x)
     nodes, wq = tensor_normal_nodes(g.n, settings.gh_nodes)
 
@@ -63,32 +65,23 @@ def hedge_ratio(market: MarketModel, claim: Claim, models, field: PriceField,
             sig = s * np.exp(kern.zbar + nodes @ kern.chol.T)
             inv_l = np.linalg.inv(kern.chol)
             fac = (nodes @ inv_l[:, axis]) / s[axis]
-            for l in range(g.n_components):
-                h = models[l]
-                lam_tot = 0.0
-                inner = 0.0
-                for j in range(1, h.k + 1):
-                    if (x[l], j) not in h.rates:
-                        continue
-                    lam = float(h.rates[(x[l], j)].rate(np.asarray(y[l] + v)))
-                    if lam == 0.0:
-                        continue
-                    xp = x[:l] + (j,) + x[l + 1:]
-                    yp = y + v
-                    yp[l] = 0.0
-                    B = sig.shape[0]
-                    vals = field.values(np.full(B, t + v), sig,
-                                        np.full(B, xi_idx[xp]),
-                                        np.tile(yp, (B, 1)))
-                    # subtract the interpolated linear part and restore its
-                    # closed-form derivative, matching the grid solver
-                    excess = vals - g.interp_linear_part(sig, claim.c1)
-                    d_excess = float(np.dot(wq * fac, excess))
-                    lin_term = math.exp(rate_x * v) * claim.c1[axis]
-                    inner += lam * (d_excess + lin_term)
-                    lam_tot += lam
-                switch += wv * math.exp(-rate_x * v) * js * inner
-                mass += wv * js * lam_tot
+            lin_term = math.exp(rate_x * v) * claim.c1[axis]
+            for l, _, xpi, fam in edges:
+                lam = float(fam.rate(np.asarray(y[l] + v)))
+                if lam == 0.0:
+                    continue
+                yp = y + v
+                yp[l] = 0.0
+                B = sig.shape[0]
+                vals = field.values(np.full(B, t + v), sig, np.full(B, xpi),
+                                    np.tile(yp, (B, 1)))
+                # subtract the interpolated linear part and restore its
+                # closed-form derivative, matching the grid solver
+                excess = vals - g.interp_linear_part(sig, claim.c1)
+                d_excess = float(np.dot(wq * fac, excess))
+                switch += wv * math.exp(-rate_x * v) * js * lam \
+                    * (d_excess + lin_term)
+                mass += wv * js * lam
     if mass > 1e-300:
         switch *= (1.0 - js_T) / mass
     return out + switch

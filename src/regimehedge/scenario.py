@@ -55,14 +55,17 @@ def _scalar_coeff(spec, k, n_components, path):
     tuples = list(itertools.product(range(1, k + 1), repeat=n_components))
 
     def as_time_coeff(v, p):
-        if isinstance(v, (int, float)):
-            return TimeCoeff.constant(np.array(float(v)))
-        if isinstance(v, dict) and "const" in v:
-            return TimeCoeff.constant(np.array(float(v["const"])))
-        if isinstance(v, dict) and "knots" in v:
-            pts = v["knots"]
-            return TimeCoeff([float(t) for t, _ in pts],
-                             np.array([[float(val)] for _, val in pts])[:, 0])
+        try:
+            if isinstance(v, (int, float)):
+                return TimeCoeff.constant(np.array(float(v)))
+            if isinstance(v, dict) and "const" in v:
+                return TimeCoeff.constant(np.array(float(v["const"])))
+            if isinstance(v, dict) and "knots" in v:
+                pts = v["knots"]
+                return TimeCoeff([float(t) for t, _ in pts],
+                                 np.array([[float(val)] for _, val in pts])[:, 0])
+        except (TypeError, ValueError):
+            _fail(f"coefficient values must be numbers, got {v!r}", p)
         _fail(f"cannot interpret scalar coefficient {v!r}", p)
 
     if isinstance(spec, (int, float)) or (isinstance(spec, dict)
@@ -129,14 +132,17 @@ def _matrix_coeff(spec, n, k, n_components, path):
         return arr
 
     def as_time_coeff(v, p):
-        if isinstance(v, list):
-            return TimeCoeff.constant(as_mat(v, p))
-        if isinstance(v, dict) and "const" in v:
-            return TimeCoeff.constant(as_mat(v["const"], p))
-        if isinstance(v, dict) and "knots" in v:
-            pts = v["knots"]
-            return TimeCoeff([float(t) for t, _ in pts],
-                             np.stack([as_mat(mat, p) for _, mat in pts]))
+        try:
+            if isinstance(v, list):
+                return TimeCoeff.constant(as_mat(v, p))
+            if isinstance(v, dict) and "const" in v:
+                return TimeCoeff.constant(as_mat(v["const"], p))
+            if isinstance(v, dict) and "knots" in v:
+                pts = v["knots"]
+                return TimeCoeff([float(t) for t, _ in pts],
+                                 np.stack([as_mat(mat, p) for _, mat in pts]))
+        except (TypeError, ValueError):
+            _fail(f"matrix entries must be numbers, got {v!r}", p)
         _fail(f"cannot interpret matrix coefficient {v!r}", p)
 
     if isinstance(spec, list) or (isinstance(spec, dict)
@@ -223,6 +229,8 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
 
     models = []
     for l, comp in enumerate(comps):
+        if not isinstance(comp, dict):
+            _fail("component must be an object", f"{path}.components[{l}]")
         hz = comp.get("hazards")
         if not isinstance(hz, dict) or not hz:
             _fail("component needs a hazards table",
@@ -342,10 +350,17 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     eval_points = []
     for e_i, ep in enumerate(eps):
         p = f"{path}.eval_points[{e_i}]"
-        t = float(ep.get("t", 0.0))
-        s = np.asarray(ep.get("s", []), dtype=float)
-        x = tuple(int(v) for v in ep.get("x", ()))
-        y = np.asarray(ep.get("y", [0.0] * n_components), dtype=float)
+        if not isinstance(ep, dict):
+            _fail("eval point must be an object", p)
+        t = ep.get("t", 0.0)
+        if isinstance(t, bool) or not isinstance(t, (int, float)):
+            _fail(f"t must be a number, got {t!r}", f"{p}.t")
+        try:
+            s = np.asarray(ep.get("s", []), dtype=float)
+            x = tuple(int(v) for v in ep.get("x", ()))
+            y = np.asarray(ep.get("y", [0.0] * n_components), dtype=float)
+        except (TypeError, ValueError):
+            _fail("eval point s, x and y must be numbers", p)
         if s.shape != (n,):
             _fail(f"eval point needs {n} prices", p)
         if np.any(s <= 0):

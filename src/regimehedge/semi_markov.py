@@ -168,15 +168,24 @@ _CLOSED_FORM_AFFINE = (ConstantRate, AffineRate)
 
 def make_rate(spec: dict):
     """Build a rate family from a config mapping."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"hazard spec must be an object, got {spec!r}")
     fam = spec.get("family")
-    if fam == "constant":
-        return ConstantRate(spec["c"])
-    if fam == "affine":
-        return AffineRate(spec.get("a", 0.0), spec.get("b", 0.0))
-    if fam == "weibull":
-        return WeibullRate(spec["c"], spec.get("kappa", 1.0))
-    if fam == "tabulated":
-        return TabulatedRate(spec["knots"], spec["values"])
+    try:
+        if fam == "constant":
+            return ConstantRate(spec["c"])
+        if fam == "affine":
+            return AffineRate(spec.get("a", 0.0), spec.get("b", 0.0))
+        if fam == "weibull":
+            return WeibullRate(spec["c"], spec.get("kappa", 1.0))
+        if fam == "tabulated":
+            return TabulatedRate(spec["knots"], spec["values"])
+    except KeyError as exc:
+        raise ConfigError(f"{fam} hazard needs parameter {exc.args[0]!r}") \
+            from None
+    except (TypeError, ValueError):
+        raise ConfigError(f"{fam} hazard parameters must be numbers, "
+                          f"got {spec!r}") from None
     raise ConfigError(f"unknown hazard family {fam!r}")
 
 
@@ -383,6 +392,20 @@ class CsmState:
     @property
     def n_components(self):
         return len(self.x)
+
+
+def switch_edges(models, x_tuples):
+    """The single-component switches out of each regime tuple.
+
+    edges[xi] lists (l, j, xpi, fam) for every component l and destination
+    j with a hazard x_l -> j: xpi indexes the landing tuple (x with
+    component l set to j) in x_tuples and fam is the rate family of
+    lam^l_{x_l j}.  Components come in order and destinations ascending.
+    """
+    index = {tuple(x): xi for xi, x in enumerate(x_tuples)}
+    return [[(l, j, index[x[:l] + (j,) + x[l + 1:]], h.rates[(x[l], j)])
+             for l, h in enumerate(models) for j in h._rows[x[l]]]
+            for x in map(tuple, x_tuples)]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,13 @@ the weighted sup norm |.| / (1 + |s|_1) drops below tol.  The kept iterate
 is the one whose residual was measured, so the report certifies the exact
 |T phi - phi| without a further global application.
 
+The switches out of each regime tuple come from ``semi_markov.switch_edges``.
+Slab i builds its switch tables once (``_slab_tables``): per panel and
+regime tuple the kernel smoother, and per switch edge one weight that
+carries the discount e^{-r(x) v_p}, dt, JS(v_p), the hazard and the mass
+normalization, so the switch branch is gather, smooth and one weighted add
+per edge.
+
 The kernel expectation smooths the multilinearly interpolated field with
 tensor Gauss-Hermite nodes.  When the log covariance is diagonal each
 log-price axis is one ``scipy.ndimage.correlate1d`` with taps centred on
@@ -52,6 +59,7 @@ from .errors import ConfigError, NoConvergence
 from .market import Claim, MarketModel, QuadratureSettings, build_kernel
 from .quadrature import gauss_hermite_standard, tensor_normal_nodes
 from .regime_bsm import bsm_price_grid
+from .semi_markov import switch_edges
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +440,6 @@ class _Smoother:
 # The solver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _SlabTables:
-    """What the switch branch of slab i reuses between panels and between
-    local applications: the switch weights per panel p, the smoothers per
-    (p, xi) and the mass normalization kappa, each built on first use.
-    Whoever applies slab i makes its tables and drops them after."""
-
-    i: int
-    weights: dict = dc_field(default_factory=dict)
-    smoothers: dict = dc_field(default_factory=dict)
-    kappa: np.ndarray | None = None
-
-
 class VolterraSolver:
     def __init__(self, market: MarketModel, claim: Claim, models,
                  grid: Grid, settings: SolverSettings | None = None):
@@ -469,18 +464,14 @@ class VolterraSolver:
 
         # per-component residual hazard increments at every (age node,
         # half-step offset k dt/2) pair: panel midpoints are the odd columns,
-        # whole steps the even ones; switch rates at the panel midpoints
+        # whole steps the even ones
         self.dlam = {}       # (m, state) -> (A, 2M+1)
-        self.lam_mid = {}    # (m, state, dest) -> (A, M)
         for m, h in enumerate(self.models):
             for a in range(1, h.k + 1):
                 self.dlam[(m, a)] = (
                     h.cumulative_hazard(a, ages[:, None] + half_steps[None, :])
                     - h.cumulative_hazard(a, ages)[:, None])
-                for j in range(1, h.k + 1):
-                    if (a, j) in h.rates:
-                        self.lam_mid[(m, a, j)] = h.rates[(a, j)].rate(
-                            ages[:, None] + self.v_mid[None, :])
+        self.edges = switch_edges(self.models, g.x_tuples)
 
         # c1 . s on the price grid; its discounted kernel mean is c1 . s
         mesh = np.meshgrid(*g.s_axes, indexing="ij")
@@ -542,59 +533,48 @@ class VolterraSolver:
             self._js_T[i] = js
         return js
 
-    def _kappa(self, tab):
-        """Mass normalization of slab tab.i's switch branch: (1 - JS(T - t_i))
-        over the quadrature mass of all its panels.  It depends on the
-        tables only, so a sum over some panels is part of the full branch.
-        Normalizing keeps linear claims exact and the operator a strict
-        sub-probability mixture."""
-        if tab.kappa is None:
-            g = self.grid
-            i = tab.i
-            mass = np.zeros((len(g.x_tuples),)
-                            + (int(g.c_counts[i]),) * g.n_components)
-            for p in range(g.spec.time_steps - i):
-                for (xi, _, _), wt in self._switch_weights(tab, p).items():
-                    mass[xi] += wt
-            tab.kappa = np.where(
-                mass > 1e-300, (1.0 - self.js_T(i)) / np.maximum(mass, 1e-300),
-                1.0)
-        return tab.kappa
+    def _slab_tables(self, i):
+        """The switch-branch tables of slab i, one entry per panel p: per
+        regime tuple, the smoother of the kernel over v_p and the weight
+        of each switch edge (l, xpi, w), where
 
-    def _switch_weights(self, tab, p):
-        """dt JS(v_p) lam(y_l + v_p) per (x, l, dest), undiscounted."""
-        out = tab.weights.get(p)
-        if out is not None:
-            return out
+            w = kappa e^{-r(x) v_p} dt JS(v_p; x, y) lam^l(y_l + v_p)
+
+        broadcasts over the price axes.  kappa is the mass normalization
+        (1 - JS(T - t_i)) over the quadrature mass of all panels; it keeps
+        linear claims exact and the operator a strict sub-probability
+        mixture.  Whoever applies slab i builds its tables once and drops
+        them after."""
         g = self.grid
-        c = int(g.c_counts[tab.i])
-        js = self._joint_survival(tab.i, 2 * p + 1)
-        out = {}
-        for xi, x in enumerate(g.x_tuples):
-            for l in range(g.n_components):
-                h = self.models[l]
-                for j in range(1, h.k + 1):
-                    if (x[l], j) not in h.rates:
-                        continue
-                    lam = self.lam_mid[(l, x[l], j)][:c, p]
-                    shape = [1] * g.n_components
-                    shape[l] = c
-                    out[(xi, l, j)] = g.dt * js[xi] * lam.reshape(shape)
-        tab.weights[p] = out
-        return out
-
-    def _smoother(self, tab, p, xi):
-        key = (p, xi)
-        sm = tab.smoothers.get(key)
-        if sm is None:
-            g = self.grid
-            kern = build_kernel(self.market, g.t_nodes[tab.i], g.x_tuples[xi],
-                                self.v_mid[p])
-            # the smoother acts on the excess over the linear part c1.s,
-            # which clamps at the box edges, so no growth correction here
-            sm = _Smoother(kern.zbar, kern.chol, g, self.settings.gh_nodes)
-            tab.smoothers[key] = sm
-        return sm
+        c = int(g.c_counts[i])
+        y_pad = (...,) + (None,) * g.n
+        mass = np.zeros((len(g.x_tuples),) + (c,) * g.n_components)
+        tables = []
+        for p, v in enumerate(self.v_mid[:g.spec.time_steps - i]):
+            js = self._joint_survival(i, 2 * p + 1)
+            ages = g.age_nodes[:c] + v
+            panel = []
+            for xi, x in enumerate(g.x_tuples):
+                kern = build_kernel(self.market, g.t_nodes[i], x, v)
+                # the smoother acts on the excess over the linear part c1.s,
+                # which clamps at the box edges, so no growth correction here
+                sm = _Smoother(kern.zbar, kern.chol, g, self.settings.gh_nodes)
+                edges = []
+                for l, _, xpi, fam in self.edges[xi]:
+                    wt = g.dt * js[xi] * _on_axis(fam.rate(ages), l,
+                                                  g.n_components)
+                    mass[xi] += wt
+                    edges.append((l, xpi, wt))
+                panel.append((sm, edges))
+            tables.append(panel)
+        kappa = np.where(
+            mass > 1e-300, (1.0 - self.js_T(i)) / np.maximum(mass, 1e-300), 1.0)
+        for v, panel in zip(self.v_mid, tables):
+            for xi, (sm, edges) in enumerate(panel):
+                scale = kappa[xi] * math.exp(-self.market.r(g.x_tuples[xi]) * v)
+                panel[xi] = (sm, [(l, xpi, (scale * wt)[y_pad])
+                                  for l, xpi, wt in edges])
+        return tables
 
     # -- gathering the continuation slab ---------------------------------------
 
@@ -644,57 +624,43 @@ class VolterraSolver:
         An action maps (smoother, excess of the gathered continuation over
         c1.s) to a kernel integral: the kernel itself for pricing, its
         s-derivatives for hedging.  All actions share the gathers and the
-        mass-normalized, discounted joint-survival-times-hazard weights.
-        panels selects the v-panels to sum (all by default); the panels
-        p >= 1 read only slabs after i.  tables are slab i's _SlabTables,
-        made afresh when not given.
+        weights of slab i's tables (see _slab_tables), built afresh when
+        not given.  panels selects the v-panels to sum (all by default); the
+        panels p >= 1 read only slabs after i.
         """
         g = self.grid
-        tab = _SlabTables(i) if tables is None else tables
+        if tables is None:
+            tables = self._slab_tables(i)
         if panels is None:
-            panels = range(g.spec.time_steps - i)
+            panels = range(len(tables))
         c = int(g.c_counts[i])
-        y_pad = (...,) + (None,) * g.n
         accs = [np.zeros((len(g.x_tuples),) + (c,) * g.n_components + g.s_shape)
                 for _ in actions]
-        lin = self._lin
         for p in panels:
-            weights = self._switch_weights(tab, p)
-            v = self.v_mid[p]
             gathered = [self._gather(slabs, i, p, l)
                         for l in range(g.n_components)]
-            for xi, x in enumerate(g.x_tuples):
-                sm = self._smoother(tab, p, xi)
-                disc = math.exp(-self.market.r(x) * v)
-                for l in range(g.n_components):
-                    for j in range(1, self.models[l].k + 1):
-                        wt = weights.get((xi, l, j))
-                        if wt is None:
-                            continue
-                        xpi = g.x_index[x[:l] + (j,) + x[l + 1:]]
-                        # the linear part of the field integrates in closed
-                        # form (discounted kernel mean of c1.S is c1.s
-                        # exactly); only the excess is smoothed
-                        excess = gathered[l][xpi] - lin
-                        for acc, action in zip(accs, actions):
-                            acc[xi] += wt[y_pad] * (disc * action(sm, excess))
-        kappa = self._kappa(tab)
-        return [kappa[y_pad] * acc for acc in accs]
+            for xi, (sm, edges) in enumerate(tables[p]):
+                for l, xpi, w in edges:
+                    # the linear part of the field integrates in closed form
+                    # (discounted kernel mean of c1.S is c1.s exactly); only
+                    # the excess is smoothed
+                    excess = gathered[l][xpi] - self._lin
+                    for acc, action in zip(accs, actions):
+                        acc[xi] += w * action(sm, excess)
+        return accs
 
     # -- the operator, split for marching ------------------------------------
 
-    def _fixed_part(self, slabs, tab):
-        """The part of (T phi)_i that does not read slab i = tab.i: the
-        no-switch branch, the closed-form linear part and the panels p >= 1."""
+    def _fixed_part(self, slabs, i, tables):
+        """The part of (T phi)_i that does not read slab i: the no-switch
+        branch, the closed-form linear part and the panels p >= 1."""
         g = self.grid
-        i = tab.i
         js_T = self.js_T(i)
         y_pad = (...,) + (None,) * g.n
         rho = self._rho_slabs()[i]
         out = js_T[y_pad] * rho[(slice(None),) + (None,) * g.n_components]
         far, = self.switch_branch(i, slabs, (_Smoother.apply,),
-                                  panels=range(1, g.spec.time_steps - i),
-                                  tables=tab)
+                                  panels=range(1, len(tables)), tables=tables)
         out += far + ((1.0 - js_T)[y_pad]) * self._lin
         return out
 
@@ -714,11 +680,12 @@ class VolterraSolver:
                          for j in range(self.grid.spec.time_steps)]
             new_slabs.append(self._terminal_slab())
             return PriceField(self.grid, self.claim, new_slabs)
-        tab = _SlabTables(i) if tables is None else tables
+        if tables is None:
+            tables = self._slab_tables(i)
         if fixed is None:
-            fixed = self._fixed_part(field.slabs, tab)
+            fixed = self._fixed_part(field.slabs, i, tables)
         near, = self.switch_branch(i, field.slabs, (_Smoother.apply,),
-                                   panels=range(1), tables=tab)
+                                   panels=range(1), tables=tables)
         new = fixed + near
         np.maximum(new, 0.0, out=new)
         return new
@@ -759,11 +726,11 @@ class VolterraSolver:
         residual = 0.0
         converged_at = 0
         for i in range(g.spec.time_steps - 1, -1, -1):
-            tab = _SlabTables(i)
-            fixed = self._fixed_part(slabs, tab)
+            tables = self._slab_tables(i)
+            fixed = self._fixed_part(slabs, i, tables)
             settled = None
             for k in range(max_iter):
-                new = self.step(field, i, fixed, tab)
+                new = self.step(field, i, fixed, tables)
                 delta = float(np.max(np.abs(new - slabs[i]) * w))
                 if k == len(report.deltas):
                     report.deltas.append(delta)
@@ -940,6 +907,7 @@ def pde_residual(field: PriceField, market: MarketModel, models,
     inv_w = g.inv_weight()
     core = tuple(slice(interior_margin, -interior_margin) for _ in range(n))
     max_by_time = []
+    edges = switch_edges(models, g.x_tuples)
 
     for i in range(M - maturity_margin_steps):
         t = float(g.t_nodes[i])
@@ -967,21 +935,14 @@ def pde_residual(field: PriceField, market: MarketModel, models,
 
             # non-local switch coupling at the node itself
             ages = g.age_nodes[:keep]
-            for l in range(g.n_components):
-                h = models[l]
-                for j in range(1, h.k + 1):
-                    if (x[l], j) not in h.rates:
-                        continue
-                    lam = h.rates[(x[l], j)].rate(ages)
-                    shape = [1] * (g.n_components + n)
-                    shape[l] = keep
-                    xpi = g.x_index[tuple(x[:l] + (j,) + x[l + 1:])]
-                    jumped = field.slabs[i][xpi]
-                    jumped = jumped[(slice(0, keep),) * g.n_components]
-                    sel = [slice(None)] * jumped.ndim
-                    sel[l] = slice(0, 1)
-                    jumped = np.broadcast_to(jumped[tuple(sel)], sub.shape)
-                    res = res + lam.reshape(shape) * (jumped - sub)
+            for l, _, xpi, fam in edges[xi]:
+                lam = _on_axis(fam.rate(ages), l, sub.ndim)
+                jumped = field.slabs[i][xpi]
+                jumped = jumped[(slice(0, keep),) * g.n_components]
+                sel = [slice(None)] * jumped.ndim
+                sel[l] = slice(0, 1)
+                jumped = np.broadcast_to(jumped[tuple(sel)], sub.shape)
+                res = res + lam * (jumped - sub)
 
             scaled = np.abs(res) * inv_w
             trimmed = scaled[(slice(None),) * g.n_components + core]

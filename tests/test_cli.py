@@ -129,6 +129,47 @@ def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("keys,value,where", [
+    (("components", 0, "hazards", "1->2"), {"family": "constant"},
+     "scenario.components[0].hazards['1->2']"),
+    (("market", "rate"), {"const": "abc"}, "scenario.market.rate"),
+    (("eval_points", 0, "t"), "abc", "scenario.eval_points[0].t"),
+    (("components", 1), ["hazards"], "scenario.components[1]"),
+    (("components", 0, "hazards", "1->2"), 0.4,
+     "scenario.components[0].hazards['1->2']"),
+    (("components", 0, "hazards", "1->2"), {"family": "constant", "c": "x"},
+     "scenario.components[0].hazards['1->2']"),
+    (("market", "vol"), [["abc"]], "scenario.market.vol"),
+    (("eval_points", 0), "abc", "scenario.eval_points[0]"),
+    (("eval_points", 0, "s"), ["abc"], "scenario.eval_points[0]"),
+])
+def test_malformed_config_exits_2_naming_its_path(tmp_path, capsys, keys,
+                                                  value, where):
+    doc = copy.deepcopy(BASE_CONFIG)
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    assert err.value.path == where
+    path = write_config(tmp_path, doc)
+    assert run_scenario(path, out_dir=str(tmp_path / "out")) == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_nonpositive_threads_flag_exits_2(tmp_path, capsys, threads):
+    # like threads: 0 in a config, a count below 1 is an error, not ignored
+    path = write_config(tmp_path, copy.deepcopy(BASE_CONFIG))
+    out = tmp_path / "out"
+    assert main(["price", path, "--out", str(out), "--dry-run",
+                 "--threads", str(threads)]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value,kind", [("bsm_gl_nodes", 16, "basket-call"),
                                             ("bsm_gh_nodes", 4, "linear"),
                                             ("panel_nodes", 2, "basket-call")])

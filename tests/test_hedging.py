@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from regimehedge.market import Claim, build_market
+from regimehedge.market import Claim, QuadratureSettings, build_market
 from regimehedge.mc_oracle import simulate_path, _spawn_rngs
 from regimehedge.regime_bsm import bsm_delta
 from regimehedge.semi_markov import AffineRate, ConstantRate, HazardModel, WeibullRate
@@ -124,10 +124,16 @@ def test_hedge_bounded_by_payoff_slope():
         assert point_val == pytest.approx(grid_val, rel=3e-3, abs=3e-4)
 
 
-def test_correlated_two_asset_hedge_field_matches_point_route():
+@pytest.mark.parametrize("settings", [
+    SolverSettings(gh_nodes=8),
+    SolverSettings(gh_nodes=8,
+                   bsm_quad=QuadratureSettings(payoff_outer_nodes=2)),
+], ids=["default-outer-nodes", "two-outer-nodes"])
+def test_correlated_two_asset_hedge_field_matches_point_route(settings):
     # a non-diagonal log covariance sends the grid pass through the general
     # (shifted-blend) smoother with deriv_axis set; the point route is the
-    # independent oracle on both axes
+    # independent oracle on both axes.  Both routes take the frozen-regime
+    # delta from the same outer rule, however coarse
     def vol(x):
         base = np.array([[0.2, 0.0], [0.12, 0.22]])
         return base if x[0] == 1 else 1.4 * base
@@ -139,7 +145,6 @@ def test_correlated_two_asset_hedge_field_matches_point_route():
                               (2, 1): ConstantRate(0.9)})]
     grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
                 GridSpec(time_steps=6, price_nodes=21, age_nodes=3))
-    settings = SolverSettings(gh_nodes=8)
     field, _ = solve_price_field(m, claim, models, grid, tol=1e-4,
                                  settings=settings)
     hf = hedge_field(m, claim, models, field, settings)

@@ -501,6 +501,52 @@ def test_picard_step_public_wrapper():
         np.testing.assert_array_equal(a, b)
 
 
+def test_lumped_three_state_components_match_two_state_model():
+    # states 2 and 3 of each 3-state component share their coefficients and
+    # their exit to 1, and 2 <-> 3 is omitted, so {2, 3} lumps into one
+    # state entered at the summed rate: the grid solver, the hedge pass and
+    # the PDE residual must agree with the lumped 2-state model tuple by
+    # tuple
+    from regimehedge.hedging import hedge_field
+
+    def model(k):
+        def rate(x):
+            return 0.02 if x[0] == 1 else 0.05
+
+        def vol(x):
+            return (0.2 if x[1] == 1 else 0.32) * np.eye(1)
+        return build_market(1, k, 2, rate, np.array([0.07]), vol)
+
+    enter = [(0.4, 0.3), (0.2, 0.5)]     # per component: 1 -> 2, 1 -> 3
+    leave = [0.6, 0.8]                   # per component: 2 -> 1 and 3 -> 1
+    full = [HazardModel(3, {(1, 2): ConstantRate(a), (1, 3): ConstantRate(b),
+                            (2, 1): ConstantRate(c), (3, 1): ConstantRate(c)})
+            for (a, b), c in zip(enter, leave)]
+    lumped = [HazardModel(2, {(1, 2): ConstantRate(a + b),
+                              (2, 1): ConstantRate(c)})
+              for (a, b), c in zip(enter, leave)]
+    claim = Claim("basket-call", weights=[1.0], strike=100.0)
+    spec = GridSpec(time_steps=8, price_nodes=41, age_nodes=4)
+    runs = []
+    for k, models in ((3, full), (2, lumped)):
+        m = model(k)
+        grid = Grid(m, 1.0, np.array([[100.0]]), spec)
+        field, _ = solve_price_field(m, claim, models, grid, tol=1e-6)
+        runs.append((grid, field, hedge_field(m, claim, models, field),
+                     pde_residual(field, m, models, maturity_margin_steps=1)))
+    (g3, f3, h3, r3), (g2, f2, h2, r2) = runs
+    lump = [g2.x_index[tuple(min(v, 2) for v in x)] for x in g3.x_tuples]
+    for i in range(spec.time_steps + 1):
+        np.testing.assert_allclose(f3.slabs[i], f2.slabs[i][lump],
+                                   rtol=0, atol=1e-10)
+        np.testing.assert_allclose(h3.xi[i], h2.xi[i][lump], rtol=0,
+                                   atol=1e-10)
+    assert r3.n_nodes == 9 * r2.n_nodes // 4
+    assert r3.max_scaled == pytest.approx(r2.max_scaled, rel=1e-9)
+    for a, b in zip(r3.max_by_time, r2.max_by_time):
+        assert (a is None and b is None) or a == pytest.approx(b, rel=1e-9)
+
+
 def test_far_and_near_panels_sum_to_the_full_switch_branch():
     from regimehedge.volterra_pricer import _Smoother
     m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
