@@ -5,16 +5,19 @@ Brownian motion with coefficients frozen at the current regime tuple x, so
 the transition law over an interval of length v is lognormal with log-mean
 ``zbar = int (mu - a_ll/2)`` (or with mu replaced by r(x) under the pricing
 measure) and log-covariance ``Sigma = int a``, where ``a = sigma sigma^T``.
-This module owns those coefficient maps, the kernel, its density/derivative,
-quadrature-based expectations against it, and the claims.  A claim's
-expectation is closed form given the other assets: the payoff is piecewise
-linear in the basket, so the pivot asset's integral is a Black formula per
-hinge and only the head assets need quadrature.
+sigma and mu are piecewise linear in time, so both integrals are read from
+a per-piece polynomial table built once per regime tuple.  This module owns
+those coefficient maps, the kernel, its density/derivative, quadrature-based
+expectations against it, and the claims.  A claim's expectation is closed
+form given the other assets: the payoff is piecewise linear in the basket,
+so the pivot asset's integral is a Black formula per hinge and only the
+head assets need quadrature.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +59,8 @@ class TimeCoeff:
     def __init__(self, knots, values):
         self.knots = np.atleast_1d(np.asarray(knots, dtype=float))
         self.values = np.asarray(values, dtype=float)
-        if self.values.shape[0] != self.knots.shape[0]:
-            raise ConfigError("coefficient knots and values must align")
+        if not self.knots.size or self.values.shape[0] != self.knots.size:
+            raise ConfigError("coefficient needs knots, each with a value")
         if self.knots.size > 1 and np.any(np.diff(self.knots) <= 0):
             raise ConfigError("coefficient knots must be strictly increasing")
 
@@ -78,20 +81,43 @@ class TimeCoeff:
         w = (t - self.knots[idx]) / (self.knots[idx + 1] - self.knots[idx])
         return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
 
-    def breakpoints(self, t0: float, t1: float):
-        inner = [float(k) for k in self.knots if t0 < k < t1]
-        return inner
+
+def _piece_table(coeff: TimeCoeff, shape, square: bool):
+    """Polynomial pieces of c(u), or of c(u) c(u)^T when square.
+
+    Piece j spans [edges[j], edges[j+1]], edges = [-inf, knots..., inf], and
+    holds its left end u_j (the knot of a flat end piece) and the rows
+    (P0, P1, P2) of its polynomial in w = u - u_j.
+    """
+    knots = coeff.knots.tolist()
+    c = coeff.values.reshape((len(knots),) + shape)
+    zero = np.zeros(shape)
+    lines = [(knots[0], c[0], zero)] + [
+        (knots[j - 1], c[j - 1], (c[j] - c[j - 1]) / (knots[j] - knots[j - 1]))
+        for j in range(1, len(knots))] + [(knots[-1], c[-1], zero)]
+    # (c0 + c1 w)(c0 + c1 w)^T, or c0 + c1 w
+    pieces = [(u, np.reshape((c0 @ c0.T, c0 @ c1.T + c1 @ c0.T, c1 @ c1.T)
+                             if square else (c0, c1, zero), (3, -1)))
+              for u, c0, c1 in lines]
+    return [-math.inf] + knots + [math.inf], pieces, shape
 
 
-def _simpson_pieces(f, t0: float, t1: float, cuts):
-    """Exact integral of a piecewise-quadratic f via per-piece Simpson."""
-    edges = [t0] + sorted(c for c in cuts if t0 < c < t1) + [t1]
-    total = None
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        piece = (b - a) / 6.0 * (f(a) + 4.0 * f(mid) + f(b))
-        total = piece if total is None else total + piece
-    return total
+def _integrate_pieces(table, t0: float, t1: float):
+    """int_{t0}^{t1} of a piece table, t0 < t1.
+
+    Each piece adds d (P0 + P1 (w0 + w1)/2 + P2 (w1^2 + w1 w0 + w0^2)/3)
+    over its part [w0, w1] of length d; the product form keeps a short
+    segment's digits, where a difference of antiderivatives would not.
+    """
+    edges, pieces, shape = table
+    total = 0.0
+    for j in range(bisect_right(edges, t0) - 1, bisect_left(edges, t1)):
+        u, poly = pieces[j]
+        a, b = max(t0, edges[j]), min(t1, edges[j + 1])
+        w0, w1 = a - u, b - u
+        m = (1.0, 0.5 * (w0 + w1), (w1 * w1 + w1 * w0 + w0 * w0) / 3.0)
+        total = total + (b - a) * np.dot(m, poly)
+    return total.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +156,11 @@ class MarketModel:
         self._rate = {x: float(rate[x]) for x in self.x_tuples}
         self._mu = drift
         self._sigma = vol
+        # per regime tuple, the pieces of mu and of a = sigma sigma^T
+        self._mu_pieces = {x: _piece_table(drift[x], (self.n,), False)
+                           for x in self.x_tuples}
+        self._a_pieces = {x: _piece_table(vol[x], (self.n, self.n), True)
+                          for x in self.x_tuples}
 
     # -- pointwise evaluation --------------------------------------------------
 
@@ -152,20 +183,13 @@ class MarketModel:
         """int_{t0}^{t1} a(u, x) du, exact for piecewise-linear sigma."""
         if t1 <= t0:
             return np.zeros((self.n, self.n))
-        coeff = self._sigma[tuple(x)]
-        cuts = coeff.breakpoints(t0, t1)
-        return _simpson_pieces(lambda u: self.a(u, x), t0, t1, cuts)
+        return _integrate_pieces(self._a_pieces[tuple(x)], t0, t1)
 
     def mu_integral(self, t0: float, t1: float, x) -> np.ndarray:
+        """int_{t0}^{t1} mu(u, x) du, exact for piecewise-linear mu."""
         if t1 <= t0:
             return np.zeros(self.n)
-        coeff = self._mu[tuple(x)]
-        cuts = coeff.breakpoints(t0, t1)
-        edges = [t0] + cuts + [t1]
-        total = np.zeros(self.n)
-        for a_, b_ in zip(edges[:-1], edges[1:]):
-            total += 0.5 * (b_ - a_) * (self.mu(a_, x) + self.mu(b_, x))
-        return total
+        return _integrate_pieces(self._mu_pieces[tuple(x)], t0, t1)
 
     # -- validation ---------------------------------------------------------------
 

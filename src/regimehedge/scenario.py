@@ -40,139 +40,113 @@ def _count(spec, key, default, path, least=1):
     return v
 
 
-def _positive(spec, key, default, path):
-    """spec[key] as a finite number > 0."""
+def _number(spec, key, default, path, positive=False):
+    """spec[key] as a finite number, > 0 if positive."""
     v = spec.get(key, default)
     if isinstance(v, bool) or not isinstance(v, (int, float)) \
-            or not math.isfinite(v) or v <= 0:
-        _fail(f"{key} must be a finite number > 0, got {v!r}",
-              f"{path}.{key}")
+            or not math.isfinite(v) or (positive and v <= 0):
+        _fail(f"{key} must be a finite number{' > 0' if positive else ''}, "
+              f"got {v!r}", f"{path}.{key}")
     return float(v)
 
 
-def _scalar_coeff(spec, k, n_components, path):
-    """Resolve a scalar coefficient spec to a map x -> TimeCoeff."""
+def _section(spec, key, path):
+    """spec[key] as an object, {} when absent."""
+    v = spec.get(key, {})
+    if not isinstance(v, dict):
+        _fail(f"{key} must be an object, got {v!r}", f"{path}.{key}")
+    return v
+
+
+def _union(coeffs):
+    """The union of the coefficients' knots and their values there, (K, m)."""
+    knots = sorted({float(kk) for c in coeffs for kk in c.knots})
+    return knots, np.array([[float(c(t)) for c in coeffs] for t in knots])
+
+
+def _coeff(spec, k, n_components, path, shape=()):
+    """Resolve a coefficient spec to a map x -> TimeCoeff of value shape
+    () or (n, n): one value for every tuple, a table per regime tuple, one
+    value per state of a component (by_component) or, for a scalar, a sum
+    or product over components of such terms (factored)."""
     tuples = list(itertools.product(range(1, k + 1), repeat=n_components))
+    plain = list if shape else (int, float)
+    entries = "matrices" if shape else "values"
 
-    def as_time_coeff(v, p):
-        try:
-            if isinstance(v, (int, float)):
-                return TimeCoeff.constant(np.array(float(v)))
-            if isinstance(v, dict) and "const" in v:
-                return TimeCoeff.constant(np.array(float(v["const"])))
-            if isinstance(v, dict) and "knots" in v:
-                pts = v["knots"]
-                return TimeCoeff([float(t) for t, _ in pts],
-                                 np.array([[float(val)] for _, val in pts])[:, 0])
-        except (TypeError, ValueError):
-            _fail(f"coefficient values must be numbers, got {v!r}", p)
-        _fail(f"cannot interpret scalar coefficient {v!r}", p)
-
-    if isinstance(spec, (int, float)) or (isinstance(spec, dict)
-                                          and ("const" in spec or "knots" in spec)):
-        coeff = as_time_coeff(spec, path)
-        return {x: coeff for x in tuples}
-    if isinstance(spec, dict) and "table" in spec:
-        out = {}
-        for row_i, row in enumerate(spec["table"]):
-            x = tuple(int(v) for v in row.get("x", ()))
-            if len(x) != n_components:
-                _fail("table entry needs a full regime tuple x",
-                      f"{path}.table[{row_i}]")
-            out[x] = as_time_coeff(row.get("value"), f"{path}.table[{row_i}]")
-        for x in tuples:
-            if x not in out:
-                _fail(f"missing table entry for regime tuple {x}", path)
-        return out
-    if isinstance(spec, dict) and ("factored" in spec or "by_component" in spec):
-        if "by_component" in spec:
-            bc = spec["by_component"]
-            terms = [{"component": bc.get("component"),
-                      "values": bc.get("values")}]
-            combine = "sum"
-        else:
-            combine = spec["factored"].get("combine", "sum")
-            terms = spec["factored"].get("terms", [])
-        if combine not in ("sum", "product"):
-            _fail(f"combine must be 'sum' or 'product', got {combine!r}", path)
-        resolved_terms = []
-        for t_i, term in enumerate(terms):
-            mcomp = term.get("component")
-            vals = term.get("values")
-            if not isinstance(mcomp, int) or not 0 <= mcomp < n_components:
-                _fail("term needs a valid component index",
-                      f"{path}.terms[{t_i}]")
-            if not isinstance(vals, list) or len(vals) != k:
-                _fail(f"term needs one value per state (k={k})",
-                      f"{path}.terms[{t_i}]")
-            resolved_terms.append(
-                (mcomp, [as_time_coeff(v, f"{path}.terms[{t_i}]") for v in vals]))
-        out = {}
-        for x in tuples:
-            coeffs = [vals[x[mcomp] - 1] for mcomp, vals in resolved_terms]
-            knots = sorted({float(kk) for c in coeffs for kk in c.knots})
-            vals_at = []
-            for t in knots:
-                parts = [float(c(t)) for c in coeffs]
-                agg = sum(parts) if combine == "sum" else float(np.prod(parts))
-                vals_at.append(agg)
-            out[x] = TimeCoeff(knots, np.asarray(vals_at))
-        return out
-    _fail(f"cannot interpret coefficient spec {spec!r}", path)
-
-
-def _matrix_coeff(spec, n, k, n_components, path):
-    """Resolve an n x n matrix coefficient spec to a map x -> TimeCoeff."""
-    tuples = list(itertools.product(range(1, k + 1), repeat=n_components))
-
-    def as_mat(v, p):
+    def value(v, p):
         arr = np.asarray(v, dtype=float)
-        if arr.shape != (n, n):
-            _fail(f"matrix must be {n}x{n}, got {arr.shape}", p)
+        if arr.shape != shape or not np.all(np.isfinite(arr)):
+            _fail(f"value must be finite with shape {shape}, got {v!r}", p)
         return arr
 
     def as_time_coeff(v, p):
         try:
-            if isinstance(v, list):
-                return TimeCoeff.constant(as_mat(v, p))
+            if isinstance(v, plain):
+                return TimeCoeff.constant(value(v, p))
             if isinstance(v, dict) and "const" in v:
-                return TimeCoeff.constant(as_mat(v["const"], p))
+                return TimeCoeff.constant(value(v["const"], p))
             if isinstance(v, dict) and "knots" in v:
-                pts = v["knots"]
-                return TimeCoeff([float(t) for t, _ in pts],
-                                 np.stack([as_mat(mat, p) for _, mat in pts]))
+                return TimeCoeff([float(t) for t, _ in v["knots"]],
+                                 np.stack([value(u, p) for _, u in v["knots"]]))
         except (TypeError, ValueError):
-            _fail(f"matrix entries must be numbers, got {v!r}", p)
-        _fail(f"cannot interpret matrix coefficient {v!r}", p)
+            _fail(f"coefficient entries must be numbers, got {v!r}", p)
+        _fail(f"cannot interpret coefficient {v!r}", p)
 
-    if isinstance(spec, list) or (isinstance(spec, dict)
-                                  and ("const" in spec or "knots" in spec)):
+    def per_state(term, p):
+        """(component, [TimeCoeff per state]) of a term."""
+        mcomp, vals = term.get("component"), term.get(entries)
+        if not isinstance(mcomp, int) or not 0 <= mcomp < n_components:
+            _fail("term needs a valid component index", p)
+        if not isinstance(vals, list) or len(vals) != k:
+            _fail(f"term needs one of {entries} per state (k={k})", p)
+        return mcomp, [as_time_coeff(v, f"{p}.{entries}[{j}]")
+                       for j, v in enumerate(vals)]
+
+    if isinstance(spec, plain) or (isinstance(spec, dict)
+                                   and ("const" in spec or "knots" in spec)):
         coeff = as_time_coeff(spec, path)
         return {x: coeff for x in tuples}
     if isinstance(spec, dict) and "table" in spec:
+        if not isinstance(spec["table"], list):
+            _fail("table must be a list", f"{path}.table")
         out = {}
         for row_i, row in enumerate(spec["table"]):
-            x = tuple(int(v) for v in row.get("x", ()))
+            p = f"{path}.table[{row_i}]"
+            if not isinstance(row, dict):
+                _fail("table entry must be an object", p)
+            try:
+                x = tuple(int(v) for v in row.get("x", ()))
+            except (TypeError, ValueError):
+                _fail("table entry x must be a list of integers", p)
             if len(x) != n_components:
-                _fail("table entry needs a full regime tuple x",
-                      f"{path}.table[{row_i}]")
-            out[x] = as_time_coeff(row.get("value"), f"{path}.table[{row_i}]")
+                _fail("table entry needs a full regime tuple x", p)
+            out[x] = as_time_coeff(row.get("value"), p)
         for x in tuples:
             if x not in out:
                 _fail(f"missing table entry for regime tuple {x}", path)
         return out
     if isinstance(spec, dict) and "by_component" in spec:
-        bc = spec["by_component"]
-        mcomp = bc.get("component")
-        mats = bc.get("matrices")
-        if not isinstance(mcomp, int) or not 0 <= mcomp < n_components:
-            _fail("by_component needs a valid component index", path)
-        if not isinstance(mats, list) or len(mats) != k:
-            _fail(f"by_component needs one matrix per state (k={k})", path)
-        coeffs = [as_time_coeff(v, f"{path}.matrices[{j}]")
-                  for j, v in enumerate(mats)]
+        mcomp, coeffs = per_state(_section(spec, "by_component", path), path)
         return {x: coeffs[x[mcomp] - 1] for x in tuples}
-    _fail(f"cannot interpret volatility spec {spec!r}", path)
+    if isinstance(spec, dict) and "factored" in spec and not shape:
+        fac = _section(spec, "factored", path)
+        combine, terms = fac.get("combine", "sum"), fac.get("terms", [])
+        if combine not in ("sum", "product"):
+            _fail(f"combine must be 'sum' or 'product', got {combine!r}", path)
+        if not isinstance(terms, list) or not terms:
+            _fail("terms must be a non-empty list", f"{path}.terms")
+        resolved = []
+        for t_i, term in enumerate(terms):
+            if not isinstance(term, dict):
+                _fail("term must be an object", f"{path}.terms[{t_i}]")
+            resolved.append(per_state(term, f"{path}.terms[{t_i}]"))
+        agg = np.sum if combine == "sum" else np.prod
+        out = {}
+        for x in tuples:
+            knots, parts = _union([vals[x[m] - 1] for m, vals in resolved])
+            out[x] = TimeCoeff(knots, agg(parts, axis=1))
+        return out
+    _fail(f"cannot interpret coefficient spec {spec!r}", path)
 
 
 @dataclass
@@ -213,7 +187,7 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     if not isinstance(horizon, (int, float)) or horizon <= 0:
         _fail("horizon must be a positive number", f"{path}.horizon")
 
-    assets = doc.get("assets", {})
+    assets = _section(doc, "assets", path)
     n = assets.get("n")
     if not isinstance(n, int) or n < 1:
         _fail("assets.n must be a positive integer", f"{path}.assets.n")
@@ -253,9 +227,9 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
         except ConfigError as exc:
             _fail(str(exc), f"{path}.components[{l}]")
 
-    mkt = doc.get("market", {})
-    rate_map = _scalar_coeff(mkt.get("rate", 0.0), k, n_components,
-                             f"{path}.market.rate")
+    mkt = _section(doc, "market", path)
+    rate_map = _coeff(mkt.get("rate", 0.0), k, n_components,
+                      f"{path}.market.rate")
     rate_d = {}
     for x, coeff in rate_map.items():
         if not coeff.is_constant:
@@ -266,49 +240,46 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     drift_spec = mkt.get("drift", 0.0)
     if isinstance(drift_spec, list) and len(drift_spec) == n \
             and not (n == 1 and isinstance(drift_spec[0], list)):
-        per_asset = [_scalar_coeff(ds, k, n_components,
-                                   f"{path}.market.drift[{l}]")
+        per_asset = [_coeff(ds, k, n_components, f"{path}.market.drift[{l}]")
                      for l, ds in enumerate(drift_spec)]
     else:
-        shared = _scalar_coeff(drift_spec, k, n_components,
-                               f"{path}.market.drift")
+        shared = _coeff(drift_spec, k, n_components, f"{path}.market.drift")
         per_asset = [shared] * n
-    drift_d = {}
-    for x in rate_d:
-        knots = sorted({float(kk) for pa in per_asset for kk in pa[x].knots})
-        vals = np.array([[float(pa[x](t)) for pa in per_asset] for t in knots])
-        drift_d[x] = TimeCoeff(knots, vals)
+    drift_d = {x: TimeCoeff(*_union([pa[x] for pa in per_asset]))
+               for x in rate_d}
 
-    vol_d = _matrix_coeff(mkt.get("vol"), n, k, n_components,
-                          f"{path}.market.vol")
+    vol_d = _coeff(mkt.get("vol"), k, n_components, f"{path}.market.vol",
+                   shape=(n, n))
     try:
         market = MarketModel(n, k, n_components, rate_d, drift_d, vol_d)
         market.validate(horizon)
     except ConfigError as exc:
         raise ConfigError(str(exc), path=f"{path}.market") from None
 
-    cl = doc.get("claim", {})
+    cl = _section(doc, "claim", path)
+    cl_path = f"{path}.claim"
+    strike, slope = (_number(cl, key, 0.0, cl_path)
+                     for key in ("strike", "final_slope"))
     try:
-        claim = Claim(cl.get("kind", ""), cl.get("weights", []),
-                      strike=cl.get("strike", 0.0), knots=cl.get("knots"),
-                      values=cl.get("values"),
-                      final_slope=cl.get("final_slope", 0.0))
-    except ConfigError as exc:
-        raise ConfigError(str(exc), path=f"{path}.claim") from None
+        claim = Claim(cl.get("kind", ""), cl.get("weights", []), strike=strike,
+                      knots=cl.get("knots"), values=cl.get("values"),
+                      final_slope=slope)
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), path=cl_path) from None
     if claim.weights.size != n:
         _fail(f"claim needs {n} weights", f"{path}.claim.weights")
     claim.check_envelope(np.random.default_rng(doc.get("envelope_check_seed", 0)))
 
-    gr = doc.get("grid", {})
+    gr = _section(doc, "grid", path)
     gr_path = f"{path}.grid"
     # the smallest grid Grid accepts: 2 time steps, 5 price and 2 age nodes
     grid_spec = GridSpec(
         time_steps=_count(gr, "time_steps", 40, gr_path, least=2),
         price_nodes=_count(gr, "price_nodes", 81, gr_path, least=5),
         age_nodes=_count(gr, "age_nodes", 11, gr_path, least=2),
-        span_stds=_positive(gr, "span_stds", 8.0, gr_path))
+        span_stds=_number(gr, "span_stds", 8.0, gr_path, positive=True))
 
-    sv = doc.get("solver", {})
+    sv = _section(doc, "solver", path)
     sv_path = f"{path}.solver"
     quad = QuadratureSettings(
         sparse_level=sv.get("sparse_level"),
@@ -316,24 +287,29 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     threads = _count(doc, "threads", 1, path)
     solver = SolverSettings(gh_nodes=_count(sv, "gh_nodes", 16, sv_path),
                             bsm_quad=quad)
-    tol = _positive(sv, "tol", 1e-4, sv_path)
+    tol = _number(sv, "tol", 1e-4, sv_path, positive=True)
     max_iter = _count(sv, "max_iter", 200, sv_path)
 
-    outputs = tuple(doc.get("outputs", ["price-field"]))
+    outputs = doc.get("outputs", ["price-field"])
+    if not isinstance(outputs, list) \
+            or not all(isinstance(o, str) for o in outputs):
+        _fail(f"outputs must be a list of names, got {outputs!r}",
+              f"{path}.outputs")
+    outputs = tuple(outputs)
     for o in outputs:
         if o not in ALL_OUTPUTS:
             _fail(f"unknown output {o!r}; choose from {ALL_OUTPUTS}",
                   f"{path}.outputs")
 
     # path counts are integers; a requested output needs at least 100 paths
-    mc = doc.get("mc", {})
+    mc = _section(doc, "mc", path)
     mc_seed = mc.get("seed")
     if "mc-check" in outputs and mc_seed is None:
         _fail("mc.seed is required for the mc-check output (stochastic "
               "outputs need explicit seeds)", f"{path}.mc.seed")
     mc_paths = _count(mc, "paths", 0, f"{path}.mc",
                       least=100 if "mc-check" in outputs else 0)
-    rr = doc.get("residual_risk", {})
+    rr = _section(doc, "residual_risk", path)
     rr_seed = rr.get("seed")
     if "residual-risk" in outputs and rr_seed is None:
         _fail("residual_risk.seed is required for the residual-risk "
@@ -341,8 +317,8 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     rr_paths = _count(rr, "paths", 0, f"{path}.residual_risk",
                       least=100 if "residual-risk" in outputs else 0)
 
-    sens_scale = _positive(doc.get("sensitivity", {}), "scale", 1.1,
-                           f"{path}.sensitivity")
+    sens_scale = _number(_section(doc, "sensitivity", path), "scale", 1.1,
+                         f"{path}.sensitivity", positive=True)
 
     eps = doc.get("eval_points", [])
     if not isinstance(eps, list) or not eps:

@@ -142,6 +142,16 @@ def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
     (("market", "vol"), [["abc"]], "scenario.market.vol"),
     (("eval_points", 0), "abc", "scenario.eval_points[0]"),
     (("eval_points", 0, "s"), ["abc"], "scenario.eval_points[0]"),
+    (("assets",), 5, "scenario.assets"),
+    (("claim",), [], "scenario.claim"),
+    (("grid",), [], "scenario.grid"),
+    (("solver",), [], "scenario.solver"),
+    (("mc",), [], "scenario.mc"),
+    (("market", "vol"), {"table": [5]}, "scenario.market.vol.table[0]"),
+    (("claim", "strike"), "abc", "scenario.claim.strike"),
+    (("outputs",), 5, "scenario.outputs"),
+    (("market", "rate"), {"factored": {"terms": [5]}},
+     "scenario.market.rate.terms[0]"),
 ])
 def test_malformed_config_exits_2_naming_its_path(tmp_path, capsys, keys,
                                                   value, where):

@@ -140,6 +140,58 @@ def test_kernel_moments_match_conditional_formulas():
                 assert got_cov == pytest.approx(want, rel=2e-6, abs=1e-10)
 
 
+def _quad_integral(f, t0, t1, knots, shape):
+    """Elementwise scipy quad of f over [t0, t1], split at the inner knots."""
+    inner = [k for k in knots if t0 < k < t1] or None
+    out = np.empty(shape)
+    for idx in np.ndindex(*shape):
+        out[idx], _ = integrate.quad(lambda u: f(u)[idx], t0, t1, points=inner,
+                                     epsabs=1e-15 * (t1 - t0), epsrel=1e-12,
+                                     limit=200)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_time_integrals_match_quad_on_random_piecewise_linear(seed):
+    # mu and sigma piecewise linear with 1-4 knots: the piece tables must
+    # agree with an adaptive quadrature of the pointwise coefficients
+    rng = np.random.default_rng(seed)
+    n, n_knots = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    knots = np.cumsum(rng.uniform(0.1, 0.5, n_knots))
+    vol = TimeCoeff(knots, rng.uniform(-0.08, 0.08, (n_knots, n, n))
+                    + rng.uniform(0.15, 0.35, (n_knots, 1, 1)) * np.eye(n))
+    drift = TimeCoeff(knots, rng.uniform(-0.1, 0.2, (n_knots, n)))
+    m = build_market(n, 2, 2, 0.03, lambda x: drift, lambda x: vol)
+    lo, hi = float(knots[0]), float(knots[-1])
+    segments = [(lo - 0.4, lo - 0.1),                 # before the first knot
+                (lo - 0.05, hi + 0.05),               # across every knot
+                (hi + 0.1, hi + 0.6),                 # past the last knot
+                (lo, hi + 0.1), (0.5 * (lo + hi), hi + 0.3)]
+    for d in (1e-9, 1e-6, 1e-3, 0.7):
+        t0 = float(rng.uniform(lo - 0.2, hi + 0.2))
+        segments.append((t0, t0 + d))
+    for t0, t1 in segments:
+        d = t1 - t0
+        a_int = m.a_integral(t0, t1, X0)
+        want = _quad_integral(lambda u: m.a(u, X0), t0, t1, knots, (n, n))
+        scale = d * max(float(np.max(np.abs(m.a(u, X0)))) for u in (t0, t1))
+        np.testing.assert_allclose(a_int, want, rtol=1e-12, atol=1e-13 * scale)
+        mu_int = m.mu_integral(t0, t1, X0)
+        want = _quad_integral(lambda u: m.mu(u, X0), t0, t1, knots, (n,))
+        np.testing.assert_allclose(mu_int, want, rtol=1e-12, atol=1e-13 * d)
+        if d <= 1e-9:
+            np.linalg.cholesky(a_int)
+            build_kernel(m, t0, X0, d)
+    # additivity at a knot and between knots
+    t0, t2 = lo - 0.3, hi + 0.2
+    for t1 in (float(knots[n_knots // 2]), 0.5 * (t0 + lo)):
+        for integral in (m.a_integral, m.mu_integral):
+            np.testing.assert_allclose(
+                integral(t0, t2, X0),
+                integral(t0, t1, X0) + integral(t1, t2, X0),
+                rtol=1e-13, atol=1e-15)
+
+
 def test_kernel_expectation_constant_and_growth_guard():
     m = flat_market()
     kern = build_kernel(m, 0.0, X0, 0.5, s=np.array([100.0]))

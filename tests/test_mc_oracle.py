@@ -1,11 +1,19 @@
 import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from regimehedge.market import Claim, TimeCoeff, build_kernel, build_market
+from regimehedge.market import (
+    Claim,
+    MarketModel,
+    TimeCoeff,
+    build_kernel,
+    build_market,
+)
 from regimehedge.mc_oracle import (
     dump_paths,
     mc_price,
@@ -14,6 +22,7 @@ from regimehedge.mc_oracle import (
     _spawn_rngs,
 )
 from regimehedge.regime_bsm import bsm_price
+from regimehedge.scenario import parse_scenario
 from regimehedge.semi_markov import (
     ConstantRate,
     CsmState,
@@ -182,3 +191,58 @@ def test_dump_paths_format():
     assert lines[0] == "path,t,component,from_state,to_state,s1"
     total = sum(p.n_jumps for p in paths)
     assert len(lines) == 1 + total
+
+
+def _simpson_a_integral(self, t0, t1, x):
+    # Simpson's rule per piece between the knots of sigma: exact for the
+    # quadratic a = sigma sigma^T on each piece
+    if t1 <= t0:
+        return np.zeros((self.n, self.n))
+    cuts = [t0] + [k for k in self._sigma[tuple(x)].knots if t0 < k < t1] + [t1]
+    return sum((b - a) / 6.0 * (self.a(a, x) + 4.0 * self.a(0.5 * (a + b), x)
+                                + self.a(b, x))
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+def _trapezoid_mu_integral(self, t0, t1, x):
+    # the trapezoid rule per piece between the knots of mu: exact for linear mu
+    if t1 <= t0:
+        return np.zeros(self.n)
+    cuts = [t0] + [k for k in self._mu[tuple(x)].knots if t0 < k < t1] + [t1]
+    return sum(0.5 * (b - a) * (self.mu(a, x) + self.mu(b, x))
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize("mode", ["risk-neutral", "physical"])
+@pytest.mark.parametrize("t0,y0", [(0.0, [0.0, 0.0]), (0.37, [0.2, 0.37])])
+def test_paths_match_pointwise_quadrature_of_the_coefficients(
+        monkeypatch, mode, t0, y0):
+    # the piece tables change no switch history and move prices and
+    # discounts by rounding only: 200 demo paths against per-piece
+    # Simpson/trapezoid integrals of the pointwise coefficients
+    path = Path(__file__).resolve().parents[1] / "configs" / "two_state_call.json"
+    scn = parse_scenario(json.loads(path.read_text()))
+    start = (t0, np.array([100.0]), (1, 2), np.array(y0))
+
+    def records():
+        out = []
+        for pid in range(200):
+            rr, rg = _spawn_rngs(17, pid)
+            out.append(simulate_path(scn.market, scn.models, start, 1.0,
+                                     rr, rg, mode=mode))
+        return out
+
+    table = records()
+    monkeypatch.setattr(MarketModel, "a_integral", _simpson_a_integral)
+    monkeypatch.setattr(MarketModel, "mu_integral", _trapezoid_mu_integral)
+    oracle = records()
+    for got, want in zip(table, oracle):
+        for name in ("jump_times", "jump_component", "jump_from", "jump_to",
+                     "states", "ages_before", "ages_after", "final_ages"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), err_msg=name)
+        for name in ("s_terminal", "s_at_jumps", "discount",
+                     "discount_at_jumps"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=1e-12, atol=0, err_msg=name)
+    assert sum(p.n_jumps for p in table) > 100
