@@ -21,7 +21,7 @@ from .errors import (
     SingularCovariance,
     TruncationFailure,
 )
-from .market import Claim, MarketModel, QuadratureSettings, TimeCoeff, build_market
+from .market import Claim, MarketModel, TimeCoeff, build_market
 from .semi_markov import CsmState, HazardModel, RegimePath, simulate_csm
 from .volterra_pricer import (
     ConvergenceReport,
@@ -47,7 +47,7 @@ __all__ = [
     "Claim", "ConfigError", "ConvergenceReport", "CsmState",
     "DimensionTooLarge", "Grid", "GridSpec", "HazardModel", "HedgeField",
     "MarketModel", "NoConvergence", "PathRecord", "PriceField",
-    "QuadratureSettings", "RegimeHedgeError", "RegimePath",
+    "RegimeHedgeError", "RegimePath",
     "ResidualRiskReport", "RootFindFailure", "SensitivityReport",
     "SingularCovariance", "SolverSettings", "TimeCoeff", "TruncationFailure",
     "build_market", "hedge_field", "hedge_ratio", "linear_growth_norm",

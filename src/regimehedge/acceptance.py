@@ -26,7 +26,6 @@ from .analysis import residual_risk, sensitivity_check
 from .hedging import hedge_ratio, strategy_at
 from .market import (
     Claim,
-    QuadratureSettings,
     TimeCoeff,
     build_kernel,
     build_market,
@@ -152,13 +151,11 @@ def _bundle_c3(profile: str):
     ]
     if profile == "full":
         spec = GridSpec(time_steps=40, price_nodes=41, age_nodes=11)
-        settings = SolverSettings(
-            gh_nodes=8, bsm_quad=QuadratureSettings(payoff_outer_nodes=8))
+        settings = SolverSettings(gh_nodes=8, bsm_outer_nodes=8)
         tol = 5e-4
     else:
         spec = GridSpec(time_steps=10, price_nodes=15, age_nodes=4)
-        settings = SolverSettings(
-            gh_nodes=6, bsm_quad=QuadratureSettings(payoff_outer_nodes=8))
+        settings = SolverSettings(gh_nodes=6, bsm_outer_nodes=8)
         tol = 2e-3
     grid = Grid(market, 1.0, np.array([[100.0, 100.0]]), spec)
     field, report = solve_price_field(market, claim, models, grid, tol,
@@ -289,30 +286,31 @@ def criterion_2(profile: str, threads: int) -> CriterionResult:
         v = float(rng.uniform(0.2, 1.0))
         t0 = float(rng.uniform(0.0, 0.4))
         s0 = rng.uniform(60.0, 140.0, size=n)
-        kern = build_kernel(market, t0, x, v, mode="physical", s=s0)
+        kern = build_kernel(market, t0, x, v, mode="physical")
 
-        one = kernel_expectation(kern, lambda sig: np.ones(sig.shape[0]))
+        one = kernel_expectation(kern, s0, lambda sig: np.ones(sig.shape[0]))
         worst_norm = max(worst_norm, abs(one - 1.0))
         if n == 1 and trial < 6:
             sd = math.sqrt(kern.cov[0, 0])
             lo = s0[0] * math.exp(kern.zbar[0] - 8.5 * sd)
             hi = s0[0] * math.exp(kern.zbar[0] + 8.5 * sd)
             total, _ = integrate.quad(
-                lambda u: kernel_density(kern, np.array([u])), lo, hi,
+                lambda u: kernel_density(kern, s0, np.array([u])), lo, hi,
                 limit=400)
             worst_density = max(worst_density, abs(total - 1.0))
 
         mu_int = market.mu_integral(t0, t0 + v, x)
         a_int = market.a_integral(t0, t0 + v, x)
         for l in range(n):
-            got = kernel_expectation(kern, lambda sig, l=l: sig[:, l] / s0[l])
+            got = kernel_expectation(kern, s0,
+                                     lambda sig, l=l: sig[:, l] / s0[l])
             worst_mean = max(worst_mean,
                              abs(got - math.exp(mu_int[l]))
                              / math.exp(mu_int[l]))
         for l in range(n):
             for lp in range(n):
                 got = kernel_expectation(
-                    kern, lambda sig, l=l, lp=lp:
+                    kern, s0, lambda sig, l=l, lp=lp:
                     (sig[:, l] / s0[l]) * (sig[:, lp] / s0[lp]))
                 got_cov = got - math.exp(mu_int[l] + mu_int[lp])
                 want = math.exp(mu_int[l] + mu_int[lp]) \

@@ -40,12 +40,12 @@ def hedge_ratio(market: MarketModel, claim: Claim, models, field: PriceField,
     rem = T - t
     if rem <= 1e-12:
         return float(bsm_delta(market, claim, x, T, T, s, axis,
-                               settings.bsm_quad))
+                               settings.bsm_outer_nodes))
 
     log_js = _joint_log_survival(models, CsmState(x, y))
     js_T = math.exp(log_js(rem))
     out = float(bsm_delta(market, claim, x, t, T, s, axis,
-                          settings.bsm_quad)) * js_T
+                          settings.bsm_outer_nodes)) * js_T
 
     n_panels = max(1, int(round(rem / g.dt)))
     width = rem / n_panels
@@ -145,7 +145,7 @@ def hedge_field(market, claim, models, field: PriceField,
             for m_ax in range(g.n):
                 drho[xi_i, ..., m_ax] = bsm_delta_grid(
                     market, claim, x, t, g.horizon, g.lns_axes, m_ax,
-                    settings.bsm_quad)
+                    settings.bsm_outer_nodes)
         xi_slab = js_T[y_pad + (None,)] \
             * drho[(slice(None),) + (None,) * g.n_components]
 

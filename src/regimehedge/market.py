@@ -7,11 +7,13 @@ the transition law over an interval of length v is lognormal with log-mean
 measure) and log-covariance ``Sigma = int a``, where ``a = sigma sigma^T``.
 sigma and mu are piecewise linear in time, so both integrals are read from
 a per-piece polynomial table built once per regime tuple.  This module owns
-those coefficient maps, the kernel, its density/derivative, quadrature-based
-expectations against it, and the claims.  A claim's expectation is closed
-form given the other assets: the payoff is piecewise linear in the basket,
-so the pivot asset's integral is a Black formula per hinge and only the
-head assets need quadrature.
+those coefficient maps, the kernel (the law zbar, Sigma and the Cholesky
+factor of Sigma; the density, its derivative and the quadrature-based
+expectation take the reference price s as an argument), and the claims.  A
+claim's expectation is closed form given the other assets: the payoff is
+piecewise linear in the basket, so the pivot asset's integral is a Black
+formula per hinge and only the head assets need quadrature, a tensor
+Gauss-Hermite rule with ``outer_nodes`` per axis.
 """
 
 from __future__ import annotations
@@ -24,25 +26,12 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError, SingularCovariance
-from .quadrature import normal_nodes
+from .quadrature import tensor_normal_nodes
 
 _COND_LIMIT = 1e12
 
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Node counts for kernel quadrature."""
-
-    gh_nodes: int = 32            # per-axis tensor Gauss-Hermite
-    sparse_level: int | None = None
-    # per-axis nodes over the n - 1 head assets of claim_nodes; the pivot
-    # axis is exact, so for n >= 2 this is the only quadrature error in the
-    # frozen-regime price: on the C3 model at the money, 8 -> 16 moves it
-    # by 3.3e-3 at t = 0.3 and by up to 1.7e-2 at t = 0
-    payoff_outer_nodes: int = 24
-
-
-DEFAULT_QUAD = QuadratureSettings()
+# per-axis Gauss-Hermite nodes of kernel_expectation
+_EXPECTATION_NODES = 32
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +50,10 @@ class TimeCoeff:
         self.values = np.asarray(values, dtype=float)
         if not self.knots.size or self.values.shape[0] != self.knots.size:
             raise ConfigError("coefficient needs knots, each with a value")
-        if self.knots.size > 1 and np.any(np.diff(self.knots) <= 0):
-            raise ConfigError("coefficient knots must be strictly increasing")
+        if not np.all(np.isfinite(self.knots)) \
+                or np.any(np.diff(self.knots) <= 0):
+            raise ConfigError(
+                "coefficient knots must be finite and strictly increasing")
 
     @classmethod
     def constant(cls, value):
@@ -362,30 +353,19 @@ class Claim:
 
 @dataclass
 class LognormalKernel:
-    """Lognormal transition kernel of the asset vector over a no-jump interval."""
+    """Lognormal law of S_{t+v}/S_t over a no-jump interval."""
 
-    t: float
-    v: float
-    x: tuple
-    mode: str                  # "physical" or "risk-neutral"
-    rate: float
-    zbar: np.ndarray           # (n,) log-mean of S_{t+v}/S_t
-    cov: np.ndarray            # (n, n)
-    chol: np.ndarray           # (n, n) lower
-    s: np.ndarray | None = None  # reference price; required for densities
+    zbar: np.ndarray           # (n,) log-mean
+    cov: np.ndarray            # (n, n) log-covariance
+    chol: np.ndarray           # (n, n) lower Cholesky factor of cov
 
     @property
     def n(self):
         return self.zbar.shape[0]
 
-    def _require_s(self):
-        if self.s is None:
-            raise ValueError("kernel was built without a reference price s")
-        return self.s
-
 
 def build_kernel(market: MarketModel, t: float, x, v: float,
-                 mode: str = "risk-neutral", s=None) -> LognormalKernel:
+                 mode: str = "risk-neutral") -> LognormalKernel:
     """Kernel over [t, t+v] in regime x; v must be positive."""
     if v <= 0:
         raise ValueError("kernel horizon v must be positive")
@@ -403,14 +383,12 @@ def build_kernel(market: MarketModel, t: float, x, v: float,
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(
             f"log covariance not SPD at t={t}, x={x}, v={v}") from exc
-    sv = None if s is None else np.asarray(s, dtype=float).reshape(market.n)
-    return LognormalKernel(t=t, v=v, x=x, mode=mode, rate=market.r(x),
-                           zbar=zbar, cov=cov, chol=chol, s=sv)
+    return LognormalKernel(zbar=zbar, cov=cov, chol=chol)
 
 
-def kernel_density(kern: LognormalKernel, sig) -> np.ndarray | float:
-    """Density of S_{t+v} at sig given S_t = kern.s."""
-    s = kern._require_s()
+def kernel_density(kern: LognormalKernel, s, sig) -> np.ndarray | float:
+    """Density of S_{t+v} at sig given S_t = s."""
+    s = np.asarray(s, dtype=float)
     sig = np.asarray(sig, dtype=float)
     scalar = sig.ndim == 1
     pts = np.atleast_2d(sig)
@@ -424,38 +402,35 @@ def kernel_density(kern: LognormalKernel, sig) -> np.ndarray | float:
     return float(dens[0]) if scalar else dens
 
 
-def kernel_density_ds(kern: LognormalKernel, sig, axis: int) -> np.ndarray | float:
+def kernel_density_ds(kern: LognormalKernel, s, sig,
+                      axis: int) -> np.ndarray | float:
     """d/ds_axis of the density: alpha * (Sigma^-1 (z - zbar))_axis / s_axis."""
-    s = kern._require_s()
+    s = np.asarray(s, dtype=float)
     sig = np.asarray(sig, dtype=float)
     scalar = sig.ndim == 1
     pts = np.atleast_2d(sig)
     z = np.log(pts / s)
     dev = z - kern.zbar
     sol = np.linalg.solve(kern.cov, dev.T).T
-    alpha = kernel_density(kern, pts)
+    alpha = kernel_density(kern, s, pts)
     out = alpha * sol[:, axis] / s[axis]
     return float(out[0]) if scalar else out
 
 
-def kernel_nodes(kern: LognormalKernel, quad: QuadratureSettings = DEFAULT_QUAD):
-    """Plain lognormal quadrature nodes: (sig (Q, n), w (Q,), dev (Q, n))."""
-    s = kern._require_s()
-    xi, w = normal_nodes(kern.n, quad.gh_nodes, quad.sparse_level)
-    dev = xi @ kern.chol.T
-    sig = s * np.exp(kern.zbar + dev)
-    return sig, w, dev
+def kernel_nodes(kern: LognormalKernel, s):
+    """Gauss-Hermite nodes of S_{t+v} given S_t = s: sig (Q, n), w (Q,)."""
+    xi, w = tensor_normal_nodes(kern.n, _EXPECTATION_NODES)
+    return np.asarray(s, dtype=float) * np.exp(kern.zbar + xi @ kern.chol.T), w
 
 
-def kernel_expectation(kern: LognormalKernel, g,
-                       quad: QuadratureSettings = DEFAULT_QUAD,
+def kernel_expectation(kern: LognormalKernel, s, g,
                        growth_bound: tuple | None = None) -> float:
     """E[g(S_{t+v}) | S_t = s] for g of at most linear growth.
 
     growth_bound, when given as (c1_vec, c2), is sanity-checked at the most
     extreme quadrature node.
     """
-    sig, w, _ = kernel_nodes(kern, quad)
+    sig, w = kernel_nodes(kern, s)
     vals = np.asarray(g(sig), dtype=float)
     if growth_bound is not None:
         c1, c2 = growth_bound
@@ -471,7 +446,7 @@ def kernel_expectation(kern: LognormalKernel, g,
 # ---------------------------------------------------------------------------
 
 def claim_nodes(kern: LognormalKernel, claim: Claim, s_batch,
-                quad: QuadratureSettings = DEFAULT_QUAD):
+                outer_nodes: int):
     """Outer nodes for E[K(S_{t+v})] with the pivot asset integrated exactly.
 
     The pivot asset (largest claim weight) is ordered last in the Cholesky
@@ -485,6 +460,7 @@ def claim_nodes(kern: LognormalKernel, claim: Claim, s_batch,
     Parameters
     ----------
     s_batch : (B, n) reference prices.
+    outer_nodes : per-axis Gauss-Hermite nodes over the n - 1 head assets.
 
     Returns
     -------
@@ -504,8 +480,7 @@ def claim_nodes(kern: LognormalKernel, claim: Claim, s_batch,
     if n == 1:
         outer_xi, outer_w = np.zeros((1, 0)), np.ones(1)
     else:
-        outer_xi, outer_w = normal_nodes(n - 1, quad.payoff_outer_nodes,
-                                         quad.sparse_level)
+        outer_xi, outer_w = tensor_normal_nodes(n - 1, outer_nodes)
     Qo = outer_xi.shape[0]
     if w_pivot == 0.0:
         # all weights are zero: the basket is 0 on every path

@@ -4,7 +4,8 @@ With the regime tuple frozen at x the discounted claim expectation is a
 plain lognormal integral with variance int_t^T a(u, x) du.  Given the head
 assets at the outer Gauss-Hermite nodes of ``claim_nodes``, the pivot
 integral is a Black formula per payoff hinge, so for one asset price and
-delta are the classical closed forms and for n >= 2 the outer rule is the
+delta are the classical closed forms and for n >= 2 the outer rule, with
+``outer_nodes`` per head axis (``SolverSettings.bsm_outer_nodes``), is the
 only quadrature.
 """
 
@@ -14,14 +15,12 @@ import math
 
 import numpy as np
 
-from .market import (
-    Claim,
-    DEFAULT_QUAD,
-    MarketModel,
-    QuadratureSettings,
-    build_kernel,
-    claim_nodes,
-)
+from .market import Claim, MarketModel, build_kernel, claim_nodes
+
+# per-axis outer nodes over the head assets; for n >= 2 the only quadrature
+# error in the frozen-regime price: on the C3 model at the money, 8 -> 16
+# moves it by 3.3e-3 at t = 0.3 and by up to 1.7e-2 at t = 0
+OUTER_NODES = 24
 
 
 def _batched(s):
@@ -32,7 +31,7 @@ def _batched(s):
 
 
 def bsm_price(market: MarketModel, claim: Claim, x, t: float, maturity: float,
-              s, quad: QuadratureSettings = DEFAULT_QUAD):
+              s, outer_nodes: int = OUTER_NODES):
     """Frozen-regime discounted claim value; terminal slice returns K(s)."""
     s_batch, scalar = _batched(s)
     v = maturity - t
@@ -40,13 +39,13 @@ def bsm_price(market: MarketModel, claim: Claim, x, t: float, maturity: float,
         out = claim(s_batch)
         return float(out[0]) if scalar else out
     kern = build_kernel(market, t, x, v, mode="risk-neutral")
-    w, value, _ = claim_nodes(kern, claim, s_batch, quad)
+    w, value, _ = claim_nodes(kern, claim, s_batch, outer_nodes)
     out = math.exp(-market.r(tuple(x)) * v) * (value @ w)
     return float(out[0]) if scalar else out
 
 
 def bsm_delta(market: MarketModel, claim: Claim, x, t: float, maturity: float,
-              s, axis: int, quad: QuadratureSettings = DEFAULT_QUAD):
+              s, axis: int, outer_nodes: int = OUTER_NODES):
     """d(price)/d s_axis by the likelihood ratio of the kernel."""
     s_batch, scalar = _batched(s)
     v = maturity - t
@@ -58,7 +57,7 @@ def bsm_delta(market: MarketModel, claim: Claim, x, t: float, maturity: float,
         out = (claim(bump) - claim(s_batch)) / h
         return float(out[0]) if scalar else out
     kern = build_kernel(market, t, x, v, mode="risk-neutral")
-    w, _, score = claim_nodes(kern, claim, s_batch, quad)
+    w, _, score = claim_nodes(kern, claim, s_batch, outer_nodes)
     out = math.exp(-market.r(tuple(x)) * v) * (score[..., axis] @ w) \
         / s_batch[:, axis]
     return float(out[0]) if scalar else out
@@ -71,15 +70,16 @@ def _grid_points(lns_axes):
 
 
 def bsm_price_grid(market, claim, x, t, maturity, lns_axes,
-                   quad: QuadratureSettings = DEFAULT_QUAD):
+                   outer_nodes: int = OUTER_NODES):
     """Price surface over the tensor log-price grid."""
     pts, shape = _grid_points(lns_axes)
-    return bsm_price(market, claim, x, t, maturity, pts, quad).reshape(shape)
+    return bsm_price(market, claim, x, t, maturity, pts,
+                     outer_nodes).reshape(shape)
 
 
 def bsm_delta_grid(market, claim, x, t, maturity, lns_axes, axis,
-                   quad: QuadratureSettings = DEFAULT_QUAD):
+                   outer_nodes: int = OUTER_NODES):
     """Delta surface along one asset axis over the tensor log-price grid."""
     pts, shape = _grid_points(lns_axes)
     return bsm_delta(market, claim, x, t, maturity, pts, axis,
-                     quad).reshape(shape)
+                     outer_nodes).reshape(shape)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigError
-from .market import Claim, MarketModel, QuadratureSettings, TimeCoeff
+from .market import Claim, MarketModel, TimeCoeff
+from .regime_bsm import OUTER_NODES
 from .semi_markov import HazardModel, make_rate
 from .volterra_pricer import GridSpec, SolverSettings
 
@@ -31,20 +32,63 @@ def _fail(msg, path):
     raise ConfigError(msg, path=path)
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _count(spec, key, default, path, least=1):
     """spec[key] as an integer >= least."""
     v = spec.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int) or v < least:
+    if not _is_int(v) or v < least:
         _fail(f"{key} must be an integer >= {least}, got {v!r}",
               f"{path}.{key}")
     return v
 
 
+def _seed(spec, path, required, output):
+    """spec["seed"] as an integer >= 0, or None when absent."""
+    if spec.get("seed") is None:
+        if required:
+            _fail(f"seed is required for the {output} output (stochastic "
+                  "outputs need explicit seeds)", f"{path}.seed")
+        return None
+    return _count(spec, "seed", None, path, least=0)
+
+
+def _ints(v, path, what):
+    """v as a tuple of integers."""
+    if not isinstance(v, list) or not all(_is_int(u) for u in v):
+        _fail(f"{what} must be a list of integers, got {v!r}", path)
+    return tuple(v)
+
+
+def _is_real(v):
+    """v is a JSON number (not a boolean) or nested lists of them."""
+    if isinstance(v, list):
+        return all(_is_real(u) for u in v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _reals(v, path):
+    """v, a number or nested lists of numbers, as a finite float array."""
+    try:
+        arr = np.asarray(v, dtype=float) if _is_real(v) else None
+    except (ValueError, OverflowError):  # ragged lists, huge integers
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        _fail(f"expected finite numbers, got {v!r}", path)
+    return arr
+
+
 def _number(spec, key, default, path, positive=False):
     """spec[key] as a finite number, > 0 if positive."""
     v = spec.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) \
-            or not math.isfinite(v) or (positive and v <= 0):
+    try:
+        bad = isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not math.isfinite(v) or (positive and v <= 0)
+    except OverflowError:  # an integer beyond the float range
+        bad = True
+    if bad:
         _fail(f"{key} must be a finite number{' > 0' if positive else ''}, "
               f"got {v!r}", f"{path}.{key}")
     return float(v)
@@ -74,28 +118,33 @@ def _coeff(spec, k, n_components, path, shape=()):
     entries = "matrices" if shape else "values"
 
     def value(v, p):
-        arr = np.asarray(v, dtype=float)
-        if arr.shape != shape or not np.all(np.isfinite(arr)):
-            _fail(f"value must be finite with shape {shape}, got {v!r}", p)
+        arr = _reals(v, p)
+        if arr.shape != shape:
+            _fail(f"value must have shape {shape}, got {v!r}", p)
         return arr
 
     def as_time_coeff(v, p):
-        try:
-            if isinstance(v, plain):
-                return TimeCoeff.constant(value(v, p))
-            if isinstance(v, dict) and "const" in v:
-                return TimeCoeff.constant(value(v["const"], p))
-            if isinstance(v, dict) and "knots" in v:
-                return TimeCoeff([float(t) for t, _ in v["knots"]],
-                                 np.stack([value(u, p) for _, u in v["knots"]]))
-        except (TypeError, ValueError):
-            _fail(f"coefficient entries must be numbers, got {v!r}", p)
+        if isinstance(v, plain):
+            return TimeCoeff.constant(value(v, p))
+        if isinstance(v, dict) and "const" in v:
+            return TimeCoeff.constant(value(v["const"], p))
+        if isinstance(v, dict) and "knots" in v:
+            try:
+                times, vals = zip(*v["knots"])
+            except (TypeError, ValueError):
+                _fail(f"knots must be [time, value] pairs, got {v!r}", p)
+            times = _reals(list(times), p)
+            vals = np.stack([value(u, p) for u in vals])
+            try:
+                return TimeCoeff(times, vals)
+            except ConfigError as exc:
+                raise ConfigError(str(exc), path=p) from None
         _fail(f"cannot interpret coefficient {v!r}", p)
 
     def per_state(term, p):
         """(component, [TimeCoeff per state]) of a term."""
         mcomp, vals = term.get("component"), term.get(entries)
-        if not isinstance(mcomp, int) or not 0 <= mcomp < n_components:
+        if not _is_int(mcomp) or not 0 <= mcomp < n_components:
             _fail("term needs a valid component index", p)
         if not isinstance(vals, list) or len(vals) != k:
             _fail(f"term needs one of {entries} per state (k={k})", p)
@@ -114,10 +163,7 @@ def _coeff(spec, k, n_components, path, shape=()):
             p = f"{path}.table[{row_i}]"
             if not isinstance(row, dict):
                 _fail("table entry must be an object", p)
-            try:
-                x = tuple(int(v) for v in row.get("x", ()))
-            except (TypeError, ValueError):
-                _fail("table entry x must be a list of integers", p)
+            x = _ints(row.get("x"), p, "table entry x")
             if len(x) != n_components:
                 _fail("table entry needs a full regime tuple x", p)
             out[x] = as_time_coeff(row.get("value"), p)
@@ -183,23 +229,14 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         _fail("config root must be an object", path)
     name = doc.get("name", "scenario")
-    horizon = doc.get("horizon")
-    if not isinstance(horizon, (int, float)) or horizon <= 0:
-        _fail("horizon must be a positive number", f"{path}.horizon")
-
-    assets = _section(doc, "assets", path)
-    n = assets.get("n")
-    if not isinstance(n, int) or n < 1:
-        _fail("assets.n must be a positive integer", f"{path}.assets.n")
+    horizon = _number(doc, "horizon", None, path, positive=True)
+    n = _count(_section(doc, "assets", path), "n", None, f"{path}.assets")
 
     comps = doc.get("components")
     if not isinstance(comps, list) or not comps:
         _fail("components must be a non-empty list", f"{path}.components")
     n_components = len(comps)
-    k = doc.get("states_per_component")
-    if not isinstance(k, int) or k < 2:
-        _fail("states_per_component must be an integer >= 2",
-              f"{path}.states_per_component")
+    k = _count(doc, "states_per_component", None, path, least=2)
 
     models = []
     for l, comp in enumerate(comps):
@@ -260,15 +297,18 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     cl_path = f"{path}.claim"
     strike, slope = (_number(cl, key, 0.0, cl_path)
                      for key in ("strike", "final_slope"))
+    arrays = {key: _reals(cl[key], f"{cl_path}.{key}")
+              for key in ("weights", "knots", "values") if key in cl}
     try:
-        claim = Claim(cl.get("kind", ""), cl.get("weights", []), strike=strike,
-                      knots=cl.get("knots"), values=cl.get("values"),
-                      final_slope=slope)
-    except (ConfigError, TypeError, ValueError) as exc:
+        claim = Claim(cl.get("kind", ""), arrays.get("weights", []),
+                      strike=strike, knots=arrays.get("knots"),
+                      values=arrays.get("values"), final_slope=slope)
+    except ConfigError as exc:
         raise ConfigError(str(exc), path=cl_path) from None
-    if claim.weights.size != n:
-        _fail(f"claim needs {n} weights", f"{path}.claim.weights")
-    claim.check_envelope(np.random.default_rng(doc.get("envelope_check_seed", 0)))
+    if claim.weights.shape != (n,):
+        _fail(f"claim needs {n} weights", f"{cl_path}.weights")
+    claim.check_envelope(np.random.default_rng(
+        _count(doc, "envelope_check_seed", 0, path, least=0)))
 
     gr = _section(doc, "grid", path)
     gr_path = f"{path}.grid"
@@ -281,12 +321,10 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
 
     sv = _section(doc, "solver", path)
     sv_path = f"{path}.solver"
-    quad = QuadratureSettings(
-        sparse_level=sv.get("sparse_level"),
-        payoff_outer_nodes=_count(sv, "bsm_outer_nodes", 24, sv_path))
     threads = _count(doc, "threads", 1, path)
-    solver = SolverSettings(gh_nodes=_count(sv, "gh_nodes", 16, sv_path),
-                            bsm_quad=quad)
+    solver = SolverSettings(
+        gh_nodes=_count(sv, "gh_nodes", 16, sv_path),
+        bsm_outer_nodes=_count(sv, "bsm_outer_nodes", OUTER_NODES, sv_path))
     tol = _number(sv, "tol", 1e-4, sv_path, positive=True)
     max_iter = _count(sv, "max_iter", 200, sv_path)
 
@@ -303,19 +341,18 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
 
     # path counts are integers; a requested output needs at least 100 paths
     mc = _section(doc, "mc", path)
-    mc_seed = mc.get("seed")
-    if "mc-check" in outputs and mc_seed is None:
-        _fail("mc.seed is required for the mc-check output (stochastic "
-              "outputs need explicit seeds)", f"{path}.mc.seed")
-    mc_paths = _count(mc, "paths", 0, f"{path}.mc",
-                      least=100 if "mc-check" in outputs else 0)
+    mc_on = "mc-check" in outputs
+    mc_seed = _seed(mc, f"{path}.mc", mc_on, "mc-check")
+    mc_paths = _count(mc, "paths", 0, f"{path}.mc", least=100 if mc_on else 0)
+    antithetic = mc.get("antithetic", False)
+    if not isinstance(antithetic, bool):
+        _fail(f"antithetic must be true or false, got {antithetic!r}",
+              f"{path}.mc.antithetic")
     rr = _section(doc, "residual_risk", path)
-    rr_seed = rr.get("seed")
-    if "residual-risk" in outputs and rr_seed is None:
-        _fail("residual_risk.seed is required for the residual-risk "
-              "output", f"{path}.residual_risk.seed")
+    rr_on = "residual-risk" in outputs
+    rr_seed = _seed(rr, f"{path}.residual_risk", rr_on, "residual-risk")
     rr_paths = _count(rr, "paths", 0, f"{path}.residual_risk",
-                      least=100 if "residual-risk" in outputs else 0)
+                      least=100 if rr_on else 0)
 
     sens_scale = _number(_section(doc, "sensitivity", path), "scale", 1.1,
                          f"{path}.sensitivity", positive=True)
@@ -328,15 +365,11 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
         p = f"{path}.eval_points[{e_i}]"
         if not isinstance(ep, dict):
             _fail("eval point must be an object", p)
-        t = ep.get("t", 0.0)
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            _fail(f"t must be a number, got {t!r}", f"{p}.t")
-        try:
-            s = np.asarray(ep.get("s", []), dtype=float)
-            x = tuple(int(v) for v in ep.get("x", ()))
-            y = np.asarray(ep.get("y", [0.0] * n_components), dtype=float)
-        except (TypeError, ValueError):
-            _fail("eval point s, x and y must be numbers", p)
+        _number(ep, "t", 0.0, p)
+        t = ep.get("t", 0.0)  # the report echoes t as written
+        s = _reals(ep.get("s", []), p)
+        x = _ints(ep.get("x", []), p, "eval point x")
+        y = _reals(ep.get("y", [0.0] * n_components), p)
         if s.shape != (n,):
             _fail(f"eval point needs {n} prices", p)
         if np.any(s <= 0):
@@ -355,7 +388,7 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
         n_components=n_components, market=market, models=models, claim=claim,
         grid_spec=grid_spec, solver=solver, tol=tol, max_iter=max_iter,
         mc_paths=mc_paths, mc_seed=mc_seed,
-        mc_antithetic=bool(mc.get("antithetic", False)),
+        mc_antithetic=antithetic,
         rr_paths=rr_paths, rr_seed=rr_seed,
         sensitivity_scale=sens_scale, eval_points=eval_points,
         outputs=outputs, threads=threads, raw=doc)

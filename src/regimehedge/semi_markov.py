@@ -42,8 +42,8 @@ class ConstantRate:
     kind = "constant"
 
     def __init__(self, c: float):
-        if not c > 0:
-            raise ConfigError(f"constant hazard requires c > 0, got {c}")
+        if not 0 < c < math.inf:
+            raise ConfigError(f"constant hazard requires finite c > 0, got {c}")
         self.c = float(c)
 
     def rate(self, y):
@@ -63,10 +63,10 @@ class AffineRate:
     kind = "affine"
 
     def __init__(self, a: float, b: float):
-        if a < 0 or b < 0 or a + b == 0:
+        if not (0 <= a < math.inf and 0 <= b < math.inf) or a + b == 0:
             raise ConfigError(
-                f"affine hazard requires a >= 0, b >= 0, a + b > 0, got a={a}, b={b}"
-            )
+                f"affine hazard requires finite a >= 0, b >= 0, a + b > 0, "
+                f"got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
 
@@ -92,10 +92,11 @@ class WeibullRate:
     kind = "weibull"
 
     def __init__(self, c: float, kappa: float):
-        if not c > 0:
-            raise ConfigError(f"weibull hazard requires c > 0, got {c}")
-        if not kappa >= 1:
-            raise ConfigError(f"weibull hazard requires kappa >= 1, got {kappa}")
+        if not 0 < c < math.inf:
+            raise ConfigError(f"weibull hazard requires finite c > 0, got {c}")
+        if not 1 <= kappa < math.inf:
+            raise ConfigError(
+                f"weibull hazard requires finite kappa >= 1, got {kappa}")
         self.c = float(c)
         self.kappa = float(kappa)
 
@@ -129,10 +130,12 @@ class TabulatedRate:
         values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or knots.size < 2:
             raise ConfigError("tabulated hazard needs at least two knots")
-        if np.any(np.diff(knots) <= 0):
-            raise ConfigError("tabulated hazard knots must be strictly increasing")
-        if np.any(values <= 0):
-            raise ConfigError("tabulated hazard values must be strictly positive")
+        if not np.all(np.isfinite(knots)) or np.any(np.diff(knots) <= 0):
+            raise ConfigError(
+                "tabulated hazard knots must be finite and strictly increasing")
+        if not np.all((values > 0) & np.isfinite(values)):
+            raise ConfigError(
+                "tabulated hazard values must be finite and strictly positive")
         if knots[0] < 0:
             raise ConfigError("tabulated hazard knots must be >= 0")
         self.knots = knots
@@ -183,7 +186,7 @@ def make_rate(spec: dict):
     except KeyError as exc:
         raise ConfigError(f"{fam} hazard needs parameter {exc.args[0]!r}") \
             from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{fam} hazard parameters must be numbers, "
                           f"got {spec!r}") from None
     raise ConfigError(f"unknown hazard family {fam!r}")

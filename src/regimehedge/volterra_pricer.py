@@ -56,9 +56,9 @@ import numpy as np
 from scipy.ndimage import correlate1d, map_coordinates
 
 from .errors import ConfigError, NoConvergence
-from .market import Claim, MarketModel, QuadratureSettings, build_kernel
+from .market import Claim, MarketModel, build_kernel
 from .quadrature import gauss_hermite_standard, tensor_normal_nodes
-from .regime_bsm import bsm_price_grid
+from .regime_bsm import OUTER_NODES, bsm_price_grid
 from .semi_markov import switch_edges
 
 
@@ -270,8 +270,12 @@ def linear_growth_norm(field: PriceField, other: PriceField | None = None) -> fl
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """The two node counts that set the solver's quadrature error."""
+
     gh_nodes: int = 16          # per-axis Gauss-Hermite for field smoothing
-    bsm_quad: QuadratureSettings = dc_field(default_factory=QuadratureSettings)
+    # per-axis Gauss-Hermite over the head assets of the frozen-regime
+    # price; one asset is priced exactly
+    bsm_outer_nodes: int = OUTER_NODES
 
 
 # local applications every slab makes before it may stop, so the report
@@ -495,7 +499,7 @@ class VolterraSolver:
                         continue
                     slab[xi] = bsm_price_grid(
                         self.market, self.claim, x, float(t), g.horizon,
-                        g.lns_axes, self.settings.bsm_quad)
+                        g.lns_axes, self.settings.bsm_outer_nodes)
                     seen[key] = xi
                 self._rho.append(slab)
         return self._rho

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regimehedge.cli import main, run_scenario, write_hedge_field, \
     write_price_field
@@ -100,6 +101,7 @@ def test_missing_seed_rejected_for_stochastic_output():
     ("solver", "max_iter", 0),
     ("solver", "tol", float("nan")),
     ("solver", "tol", 0.0),
+    pytest.param("solver", "tol", 10 ** 400, id="solver-tol-huge-int"),
     ("sensitivity", "scale", float("inf")),
     ("sensitivity", "scale", -1.1),
     ("grid", "time_steps", "abc"),
@@ -152,6 +154,32 @@ def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
     (("outputs",), 5, "scenario.outputs"),
     (("market", "rate"), {"factored": {"terms": [5]}},
      "scenario.market.rate.terms[0]"),
+    (("market", "vol"), {"knots": [[0.5, [[0.2]]], [0.2, [[0.3]]]]},
+     "scenario.market.vol"),
+    (("horizon",), math.inf, "scenario.horizon"),
+    (("horizon",), True, "scenario.horizon"),
+    (("assets", "n"), True, "scenario.assets.n"),
+    (("eval_points", 0, "s"), [math.nan], "scenario.eval_points[0]"),
+    (("eval_points", 0, "y"), [math.nan, 0.0], "scenario.eval_points[0]"),
+    (("eval_points", 0, "x"), [1.5, 1], "scenario.eval_points[0]"),
+    (("claim", "weights"), [math.nan], "scenario.claim.weights"),
+    (("claim",), {"kind": "custom-piecewise-linear", "weights": [1.0],
+                  "knots": [0.0, math.nan], "values": [0.0, 1.0],
+                  "final_slope": 1.0}, "scenario.claim.knots"),
+    (("components", 0, "hazards", "1->2"),
+     {"family": "affine", "a": 0.2, "b": math.nan},
+     "scenario.components[0].hazards['1->2']"),
+    (("market", "vol"), {"knots": [[0.0, [[0.2]]], [math.nan, [[0.3]]]]},
+     "scenario.market.vol"),
+    (("mc", "seed"), "abc", "scenario.mc.seed"),
+    (("mc", "seed"), -1, "scenario.mc.seed"),
+    (("residual_risk", "seed"), "abc", "scenario.residual_risk.seed"),
+    (("residual_risk", "seed"), -1, "scenario.residual_risk.seed"),
+    (("envelope_check_seed",), "abc", "scenario.envelope_check_seed"),
+    (("mc", "antithetic"), "no", "scenario.mc.antithetic"),
+    (("components", 0, "hazards", "1->2"), {"family": "constant",
+                                             "c": 10 ** 400},
+     "scenario.components[0].hazards['1->2']"),
 ])
 def test_malformed_config_exits_2_naming_its_path(tmp_path, capsys, keys,
                                                   value, where):
@@ -169,6 +197,40 @@ def test_malformed_config_exits_2_naming_its_path(tmp_path, capsys, keys,
     assert not (tmp_path / "out").exists()
 
 
+def _leaves(node, keys=()):
+    """Key paths of the values of a config that are not objects or lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, v in items:
+        if isinstance(v, (dict, list)):
+            yield from _leaves(v, keys + (key,))
+        else:
+            yield keys + (key,)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(keys=st.sampled_from(list(_leaves(BASE_CONFIG))),
+       value=st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, True,
+                              "x", [], {}, None]))
+def test_fuzzed_config_parses_or_names_its_path(keys, value):
+    # one leaf of the base config replaced: the parse either succeeds or
+    # raises a ConfigError with a path, and a non-finite number in place
+    # of a number never parses
+    doc = copy.deepcopy(BASE_CONFIG)
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    old = node[keys[-1]]
+    node[keys[-1]] = copy.deepcopy(value)
+    try:
+        parse_scenario(doc)
+    except ConfigError as exc:
+        assert exc.path is not None
+    else:
+        numeric = isinstance(old, (int, float)) and not isinstance(old, bool)
+        assert not (numeric and isinstance(value, float)
+                    and not math.isfinite(value))
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_nonpositive_threads_flag_exits_2(tmp_path, capsys, threads):
     # like threads: 0 in a config, a count below 1 is an error, not ignored
@@ -182,12 +244,14 @@ def test_nonpositive_threads_flag_exits_2(tmp_path, capsys, threads):
 
 @pytest.mark.parametrize("key,value,kind", [("bsm_gl_nodes", 16, "basket-call"),
                                             ("bsm_gh_nodes", 4, "linear"),
-                                            ("panel_nodes", 2, "basket-call")])
+                                            ("panel_nodes", 2, "basket-call"),
+                                            ("sparse_level", 2, "basket-call")])
 def test_retired_bsm_key_leaves_price_unchanged(tmp_path, key, value, kind):
     # the frozen-regime price has no Gauss-Legendre rule (which served kinked
     # claims) and no plain Gauss-Hermite branch (which served claims without
     # a kink) any more, and the switch-time integral is the panel midpoint
-    # rule; the retired keys parse like any other unread one
+    # rule, and the head-asset rule is always the tensor rule; the retired
+    # keys parse like any other unread one
     prices = []
     for extra in ({}, {key: value}):
         doc = copy.deepcopy(BASE_CONFIG)

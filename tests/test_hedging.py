@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from regimehedge.market import Claim, QuadratureSettings, build_market
+from regimehedge.market import Claim, build_market
 from regimehedge.mc_oracle import simulate_path, _spawn_rngs
 from regimehedge.regime_bsm import bsm_delta
 from regimehedge.semi_markov import AffineRate, ConstantRate, HazardModel, WeibullRate
@@ -126,8 +126,7 @@ def test_hedge_bounded_by_payoff_slope():
 
 @pytest.mark.parametrize("settings", [
     SolverSettings(gh_nodes=8),
-    SolverSettings(gh_nodes=8,
-                   bsm_quad=QuadratureSettings(payoff_outer_nodes=2)),
+    SolverSettings(gh_nodes=8, bsm_outer_nodes=2),
 ], ids=["default-outer-nodes", "two-outer-nodes"])
 def test_correlated_two_asset_hedge_field_matches_point_route(settings):
     # a non-diagonal log covariance sends the grid pass through the general
@@ -234,8 +233,7 @@ def test_self_financing_along_no_jump_path():
     sset = [s]
     from regimehedge.market import build_kernel
     for k in range(n_steps):
-        kern = build_kernel(m, k * dt, (1, 1), dt, mode="physical",
-                            s=np.array([s]))
+        kern = build_kernel(m, k * dt, (1, 1), dt, mode="physical")
         z = kern.zbar[0] + kern.chol[0, 0] * rg.standard_normal()
         s = s * math.exp(z)
         sset.append(s)

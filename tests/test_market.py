@@ -7,7 +7,6 @@ from scipy import integrate
 from regimehedge.errors import ConfigError, DimensionTooLarge, SingularCovariance
 from regimehedge.market import (
     Claim,
-    QuadratureSettings,
     TimeCoeff,
     build_kernel,
     build_market,
@@ -63,8 +62,9 @@ def test_kernel_physical_drift_uses_mu_integral():
 
 def test_kernel_density_normalizes_scipy_oracle():
     m = flat_market(sigma=0.3, r=0.02)
-    kern = build_kernel(m, 0.0, X0, 0.7, s=np.array([100.0]))
-    total, _ = integrate.quad(lambda v: kernel_density(kern, np.array([v])),
+    kern = build_kernel(m, 0.0, X0, 0.7)
+    total, _ = integrate.quad(lambda v: kernel_density(kern, np.array([100.0]),
+                                                       np.array([v])),
                               1e-3, 1e4, limit=400)
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -73,16 +73,17 @@ def test_kernel_risk_neutral_mean():
     # mean of the pricing-measure lognormal is exp(r v)
     m = flat_market(sigma=0.3, r=0.06)
     s0 = 80.0
-    kern = build_kernel(m, 0.1, X0, 0.9, s=np.array([s0]))
-    mean = kernel_expectation(kern, lambda sig: sig[:, 0])
+    kern = build_kernel(m, 0.1, X0, 0.9)
+    mean = kernel_expectation(kern, np.array([s0]), lambda sig: sig[:, 0])
     assert mean == pytest.approx(s0 * math.exp(0.06 * 0.9), rel=1e-8)
 
 
 def test_kernel_martingale_after_discounting():
     m = flat_market(sigma=0.22, r=0.07)
     s0 = 123.0
-    kern = build_kernel(m, 0.0, X0, 1.3, s=np.array([s0]))
-    val = kernel_expectation(kern, lambda sig: sig[:, 0]) * math.exp(-0.07 * 1.3)
+    kern = build_kernel(m, 0.0, X0, 1.3)
+    val = kernel_expectation(kern, np.array([s0]), lambda sig: sig[:, 0]) \
+        * math.exp(-0.07 * 1.3)
     assert val == pytest.approx(s0, rel=1e-8)
 
 
@@ -92,19 +93,18 @@ def test_kernel_density_derivative_matches_fd():
     m2 = build_market(2, 2, 3, 0.03, np.array([0.05, 0.06]), sig_m)
     x = (1, 1, 1)
     s = np.array([90.0, 110.0])
-    kern = build_kernel(m2, 0.0, x, 0.8, s=s)
+    kern = build_kernel(m2, 0.0, x, 0.8)
     pt = np.array([95.0, 105.0])
     for axis in (0, 1):
-        exact = kernel_density_ds(kern, pt, axis)
+        exact = kernel_density_ds(kern, s, pt, axis)
         h = 1e-5 * s[axis]
         for bump in (h,):
             s_up = s.copy()
             s_up[axis] += bump
             s_dn = s.copy()
             s_dn[axis] -= bump
-            k_up = build_kernel(m2, 0.0, x, 0.8, s=s_up)
-            k_dn = build_kernel(m2, 0.0, x, 0.8, s=s_dn)
-            fd = (kernel_density(k_up, pt) - kernel_density(k_dn, pt)) / (2 * bump)
+            fd = (kernel_density(kern, s_up, pt)
+                  - kernel_density(kern, s_dn, pt)) / (2 * bump)
         assert exact == pytest.approx(fd, rel=1e-5)
 
 
@@ -123,17 +123,17 @@ def test_kernel_moments_match_conditional_formulas():
         vol = TimeCoeff([0.0, 1.5], np.stack([base, end]))
         m = build_market(n, 2, 3, r, mu, lambda x: vol)
         x = (1, 2, 1)
-        kern = build_kernel(m, 0.1, x, v, mode="physical", s=s0)
+        kern = build_kernel(m, 0.1, x, v, mode="physical")
 
         mu_int = m.mu_integral(0.1, 0.1 + v, x)
         a_int = m.a_integral(0.1, 0.1 + v, x)
         for l in range(n):
-            got = kernel_expectation(kern, lambda sig, l=l: sig[:, l] / s0[l])
+            got = kernel_expectation(kern, s0, lambda sig, l=l: sig[:, l] / s0[l])
             assert got == pytest.approx(math.exp(mu_int[l]), rel=1e-6)
         for l in range(n):
             for lp in range(n):
                 got = kernel_expectation(
-                    kern, lambda sig, l=l, lp=lp:
+                    kern, s0, lambda sig, l=l, lp=lp:
                     (sig[:, l] / s0[l]) * (sig[:, lp] / s0[lp]))
                 got_cov = got - math.exp(mu_int[l]) * math.exp(mu_int[lp])
                 want = math.exp(mu_int[l] + mu_int[lp]) * math.expm1(a_int[l, lp])
@@ -194,31 +194,22 @@ def test_time_integrals_match_quad_on_random_piecewise_linear(seed):
 
 def test_kernel_expectation_constant_and_growth_guard():
     m = flat_market()
-    kern = build_kernel(m, 0.0, X0, 0.5, s=np.array([100.0]))
-    assert kernel_expectation(kern, lambda sig: np.ones(sig.shape[0])) \
+    kern = build_kernel(m, 0.0, X0, 0.5)
+    s = np.array([100.0])
+    assert kernel_expectation(kern, s, lambda sig: np.ones(sig.shape[0])) \
         == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        kernel_expectation(kern, lambda sig: sig[:, 0] ** 2,
+        kernel_expectation(kern, s, lambda sig: sig[:, 0] ** 2,
                            growth_bound=(np.array([1.0]), 0.0))
 
 
 def test_dimension_cap():
     n = 5
     m = build_market(n, 2, 2, 0.02, np.zeros(n), 0.2 * np.eye(n))
-    kern = build_kernel(m, 0.0, X0, 0.5, s=np.full(n, 100.0))
+    kern = build_kernel(m, 0.0, X0, 0.5)
     with pytest.raises(DimensionTooLarge):
-        kernel_expectation(kern, lambda sig: np.ones(sig.shape[0]))
-
-
-def test_sparse_grid_moments_dim3():
-    n = 3
-    m = build_market(n, 2, 2, 0.03, np.zeros(n), 0.25 * np.eye(n))
-    kern = build_kernel(m, 0.0, X0, 0.8, s=np.full(n, 100.0))
-    quad = QuadratureSettings(sparse_level=5)
-    one = kernel_expectation(kern, lambda sig: np.ones(sig.shape[0]), quad)
-    assert one == pytest.approx(1.0, abs=1e-10)
-    mean = kernel_expectation(kern, lambda sig: sig[:, 1], quad)
-    assert mean == pytest.approx(100.0 * math.exp(0.03 * 0.8), rel=1e-6)
+        kernel_expectation(kern, np.full(n, 100.0),
+                           lambda sig: np.ones(sig.shape[0]))
 
 
 def test_singular_covariance_raises():
@@ -288,7 +279,7 @@ def test_claim_nodes_integrate_call_price_1d():
     s0 = np.array([[100.0]])
     claim = Claim("basket-call", weights=[1.0], strike=100.0)
     kern = build_kernel(m, 0.0, X0, 1.0)
-    w, value, _ = claim_nodes(kern, claim, s0)
+    w, value, _ = claim_nodes(kern, claim, s0, 24)
     got = math.exp(-0.05) * float((value @ w)[0])
     from scipy.stats import norm
     var = 0.04
@@ -302,6 +293,6 @@ def test_claim_nodes_weights_normalize():
     m = flat_market(n=2, sigma=0.25, n_components=3)
     claim = Claim("basket-call", weights=[0.6, 0.4], strike=95.0)
     kern = build_kernel(m, 0.0, (1, 1, 1), 0.75)
-    w, value, score = claim_nodes(kern, claim, np.array([[90.0, 110.0]]))
+    w, value, score = claim_nodes(kern, claim, np.array([[90.0, 110.0]]), 24)
     assert float(w.sum()) == pytest.approx(1.0, abs=1e-12)
     assert value.shape == (1, w.size) and score.shape == (1, w.size, 2)

@@ -83,7 +83,7 @@ def test_no_switch_conditioning_reproduces_kernel_law():
         path = simulate_path(m, models, START, v, rr, rg, mode="physical")
         if path.n_jumps == 0:
             ratios.append(path.s_terminal[0] / 100.0)
-    kern = build_kernel(m, 0.0, (1, 1), v, mode="physical", s=np.array([1.0]))
+    kern = build_kernel(m, 0.0, (1, 1), v, mode="physical")
     sd = math.sqrt(kern.cov[0, 0])
 
     def cdf(u):

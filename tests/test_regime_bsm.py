@@ -9,13 +9,12 @@ from scipy.stats import norm
 
 from regimehedge.market import (
     Claim,
-    QuadratureSettings,
     TimeCoeff,
     build_kernel,
     build_market,
     claim_nodes,
 )
-from regimehedge.quadrature import normal_nodes
+from regimehedge.quadrature import tensor_normal_nodes
 from regimehedge.regime_bsm import (
     bsm_delta,
     bsm_delta_grid,
@@ -204,12 +203,11 @@ def _pivot_reference(kern, claim, s, xi_head):
                          ids=[c.kind for c in TWO_ASSET_CLAIMS])
 def test_claim_nodes_match_pivot_quadrature_two_assets(claim, corr):
     m = c3_market(corr)
-    q8 = QuadratureSettings(payoff_outer_nodes=8)
     s_batch = np.array([[100.0, 100.0], [70.0, 130.0], [140.0, 85.0]])
     for x, t in [((1, 1, 1), 0.0), ((2, 1, 2), 0.6), ((1, 2, 2), 0.9)]:
         kern = build_kernel(m, t, x, 1.0 - t)
-        w, value, score = claim_nodes(kern, claim, s_batch, q8)
-        xi_outer, _ = normal_nodes(1, 8)
+        w, value, score = claim_nodes(kern, claim, s_batch, 8)
+        xi_outer, _ = tensor_normal_nodes(1, 8)
         assert w.size == 8
         for b, s in enumerate(s_batch):
             for q in range(8):
@@ -219,11 +217,11 @@ def test_claim_nodes_match_pivot_quadrature_two_assets(claim, corr):
                                            atol=1e-9)
         disc = math.exp(-m.r(x) * (1.0 - t))
         np.testing.assert_allclose(
-            bsm_price(m, claim, x, t, 1.0, s_batch, q8),
+            bsm_price(m, claim, x, t, 1.0, s_batch, 8),
             disc * value @ w, rtol=0, atol=1e-12)
         for a in range(2):
             np.testing.assert_allclose(
-                bsm_delta(m, claim, x, t, 1.0, s_batch, a, q8),
+                bsm_delta(m, claim, x, t, 1.0, s_batch, a, 8),
                 disc * score[..., a] @ w / s_batch[:, a], rtol=0, atol=1e-12)
 
 
@@ -272,8 +270,7 @@ def test_frozen_price_properties(case):
 
     def rho(kind, s, k=strike):
         claim = Claim(kind, weights=weights, strike=k)
-        return bsm_price(m, claim, x, 0.0, v, s, QuadratureSettings(
-            payoff_outer_nodes=8))
+        return bsm_price(m, claim, x, 0.0, v, s, 8)
 
     lin = rho("linear", spot)
     parity = rho("basket-call", spot) - rho("basket-put", spot)

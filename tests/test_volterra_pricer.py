@@ -209,7 +209,7 @@ def test_step_matches_conditional_law_route():
     operator through the conditional next-jump laws at sampled nodes."""
     m, claim, models, grid = regime_setup(price_nodes=41, time_steps=8,
                                           age_nodes=4)
-    # same Gauss-Hermite order as the oracle's kernel_expectation default,
+    # same Gauss-Hermite order as the oracle's kernel_expectation (32),
     # so both routes quadrate the interpolated field at identical nodes
     solver = VolterraSolver(m, claim, models, grid,
                             SolverSettings(gh_nodes=32))
@@ -255,7 +255,7 @@ def test_step_matches_conditional_law_route():
                     xp = x[:l] + (j,) + x[l + 1:]
                     yp = np.array([0.0 if mm == l else y[mm] + v
                                    for mm in range(2)])
-                    kern = build_kernel(m, t, x, v, s=np.array([s]))
+                    kern = build_kernel(m, t, x, v)
 
                     def cont(sig):
                         B = sig.shape[0]
@@ -271,8 +271,8 @@ def test_step_matches_conditional_law_route():
                     # the solver smooths the excess over c1.s and restores
                     # the linear part analytically; mirror that split here
                     lin_mean = math.exp(m.r(x) * v) * claim.c1[0] * s
-                    value = kernel_expectation(kern, cont) + lin_mean \
-                        - kernel_expectation(kern, lin_interp)
+                    value = kernel_expectation(kern, np.array([s]), cont) + lin_mean \
+                        - kernel_expectation(kern, np.array([s]), lin_interp)
                     inner += pl[j - 1] * value
                 total += probs[l] * grid.dt * math.exp(-m.r(x) * v) \
                     * law.pdf(v) * inner
