@@ -34,7 +34,7 @@ from .volterra_pricer import (
     picard_step,
     solve_price_field,
 )
-from .mc_oracle import PathRecord, mc_price, simulate_risk_neutral
+from .mc_oracle import mc_price
 from .hedging import HedgeField, hedge_field, hedge_ratio, strategy_at
 from .analysis import (
     ResidualRiskReport,
@@ -46,12 +46,12 @@ from .analysis import (
 __all__ = [
     "Claim", "ConfigError", "ConvergenceReport", "CsmState",
     "DimensionTooLarge", "Grid", "GridSpec", "HazardModel", "HedgeField",
-    "MarketModel", "NoConvergence", "PathRecord", "PriceField",
+    "MarketModel", "NoConvergence", "PriceField",
     "RegimeHedgeError", "RegimePath",
     "ResidualRiskReport", "RootFindFailure", "SensitivityReport",
     "SingularCovariance", "SolverSettings", "TimeCoeff", "TruncationFailure",
     "build_market", "hedge_field", "hedge_ratio", "linear_growth_norm",
     "mc_price", "pde_residual", "picard_step", "residual_risk",
-    "sensitivity_check", "simulate_csm", "simulate_risk_neutral",
+    "sensitivity_check", "simulate_csm",
     "solve_price_field", "strategy_at",
 ]

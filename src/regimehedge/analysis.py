@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .mc_oracle import map_chunks, simulate_path, _spawn_rngs
+from .mc_oracle import map_chunks, simulate_path, stream_blocks
 from .volterra_pricer import PriceField, SolverSettings, solve_price_field
 
 _SUP_GRID = 1001
@@ -112,36 +112,21 @@ class ResidualRiskReport:
 
 def _path_costs(market, claim, models, field: PriceField, start, horizon,
                 seed, ids):
-    g = field.grid
-    costs = np.zeros(len(ids))
-    jumps = np.zeros(len(ids))
-    queries = []  # (row, t, s, xi_pre, xi_post, y_pre, y_post, disc)
-    for row, pid in enumerate(ids):
-        rr, rg = _spawn_rngs(seed, pid)
-        path = simulate_path(market, models, start, horizon, rr, rg,
-                             mode="physical")
-        jumps[row] = path.n_jumps
-        for mth in range(path.n_jumps):
-            pre = tuple(path.states[mth])
-            post = tuple(path.states[mth + 1])
-            queries.append((row, path.jump_times[mth], path.s_at_jumps[mth],
-                            g.x_index[pre], g.x_index[post],
-                            path.ages_before[mth], path.ages_after[mth],
-                            path.discount_at_jumps[mth]))
-    if queries:
-        tq = np.array([q[1] for q in queries])
-        sq = np.array([q[2] for q in queries])
-        pre_idx = np.array([q[3] for q in queries])
-        post_idx = np.array([q[4] for q in queries])
-        y_pre = np.array([q[5] for q in queries])
-        y_post = np.array([q[6] for q in queries])
-        disc = np.array([q[7] for q in queries])
-        phi_pre = field.values(tq, sq, pre_idx, y_pre)
-        phi_post = field.values(tq, sq, post_idx, y_post)
-        contrib = np.square(disc * (phi_post - phi_pre))
-        for (row, *_), cval in zip(queries, contrib):
-            costs[row] += cval
-    return costs, jumps
+    costs, jumps = [], []
+    for rngs in stream_blocks(seed, ids):
+        blk = simulate_path(market, models, start, horizon, rngs,
+                            mode="physical")
+        s = blk.s_at_jumps[0]
+        phi_pre = field.values(blk.jump_times, s, blk.pre_index,
+                               blk.ages_before)
+        phi_post = field.values(blk.jump_times, s, blk.post_index,
+                                blk.ages_after)
+        contrib = np.square(blk.discount_at_jumps * (phi_post - phi_pre))
+        # per path, summed in jump order
+        costs.append(np.bincount(blk.jump_path, weights=contrib,
+                                 minlength=len(blk.n_jumps)))
+        jumps.append(blk.n_jumps)
+    return np.concatenate(costs), np.concatenate(jumps)
 
 
 def residual_risk(market, claim, models, field: PriceField, start,

@@ -19,7 +19,6 @@ Gauss-Hermite rule with ``outer_nodes`` per axis.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +76,8 @@ def _piece_table(coeff: TimeCoeff, shape, square: bool):
     """Polynomial pieces of c(u), or of c(u) c(u)^T when square.
 
     Piece j spans [edges[j], edges[j+1]], edges = [-inf, knots..., inf], and
-    holds its left end u_j (the knot of a flat end piece) and the rows
-    (P0, P1, P2) of its polynomial in w = u - u_j.
+    holds its left end lefts[j] (the knot of a flat end piece) and the rows
+    polys[j] = (P0, P1, P2) of its polynomial in w = u - lefts[j].
     """
     knots = coeff.knots.tolist()
     c = coeff.values.reshape((len(knots),) + shape)
@@ -87,28 +86,40 @@ def _piece_table(coeff: TimeCoeff, shape, square: bool):
         (knots[j - 1], c[j - 1], (c[j] - c[j - 1]) / (knots[j] - knots[j - 1]))
         for j in range(1, len(knots))] + [(knots[-1], c[-1], zero)]
     # (c0 + c1 w)(c0 + c1 w)^T, or c0 + c1 w
-    pieces = [(u, np.reshape((c0 @ c0.T, c0 @ c1.T + c1 @ c0.T, c1 @ c1.T)
-                             if square else (c0, c1, zero), (3, -1)))
-              for u, c0, c1 in lines]
-    return [-math.inf] + knots + [math.inf], pieces, shape
+    polys = [np.reshape((c0 @ c0.T, c0 @ c1.T + c1 @ c0.T, c1 @ c1.T)
+                        if square else (c0, c1, zero), (3, -1))
+             for _, c0, c1 in lines]
+    return (np.array([-math.inf] + knots + [math.inf]),
+            np.array([u for u, _, _ in lines]), np.stack(polys), shape)
 
 
-def _integrate_pieces(table, t0: float, t1: float):
-    """int_{t0}^{t1} of a piece table, t0 < t1.
+def _integrate_pieces(table, t0, t1):
+    """int_{t0}^{t1} of a piece table, zero where t1 <= t0.
 
-    Each piece adds d (P0 + P1 (w0 + w1)/2 + P2 (w1^2 + w1 w0 + w0^2)/3)
-    over its part [w0, w1] of length d; the product form keeps a short
-    segment's digits, where a difference of antiderivatives would not.
+    t0 and t1 are scalars or equal-length 1-D arrays; arrays add a leading
+    axis to the result.  Each piece adds d (P0 + P1 (w0 + w1)/2 +
+    P2 (w1^2 + w1 w0 + w0^2)/3) over its part [w0, w1] of length d; the
+    product form keeps a short segment's digits, where a difference of
+    antiderivatives would not.  The terms are elementwise, so an entry's
+    bits do not depend on the other entries of the call.
     """
-    edges, pieces, shape = table
-    total = 0.0
-    for j in range(bisect_right(edges, t0) - 1, bisect_left(edges, t1)):
-        u, poly = pieces[j]
-        a, b = max(t0, edges[j]), min(t1, edges[j + 1])
-        w0, w1 = a - u, b - u
-        m = (1.0, 0.5 * (w0 + w1), (w1 * w1 + w1 * w0 + w0 * w0) / 3.0)
-        total = total + (b - a) * np.dot(m, poly)
-    return total.reshape(shape)
+    edges, lefts, polys, shape = table
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    first = np.searchsorted(edges, t0, side="right") - 1
+    stop = np.maximum(np.searchsorted(edges, t1, side="left"), first + 1)
+    total = np.zeros(np.broadcast(t0, t1).shape + polys.shape[-1:])
+    for q in range(int((stop - first).max(initial=0))):
+        j = np.minimum(first + q, stop - 1)
+        a = np.maximum(t0, edges[j])
+        b = np.minimum(t1, edges[j + 1])
+        d = np.where((first + q < stop) & (t1 > t0), b - a, 0.0)[..., None]
+        w0, w1 = a - lefts[j], b - lefts[j]
+        m1 = (0.5 * (w0 + w1))[..., None]
+        m2 = ((w1 * w1 + w1 * w0 + w0 * w0) / 3.0)[..., None]
+        p = polys[j]
+        total = total + d * (p[..., 0, :] + p[..., 1, :] * m1
+                             + p[..., 2, :] * m2)
+    return total.reshape(total.shape[:-1] + shape)
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +181,16 @@ class MarketModel:
 
     # -- exact time integrals ----------------------------------------------------
 
-    def a_integral(self, t0: float, t1: float, x) -> np.ndarray:
-        """int_{t0}^{t1} a(u, x) du, exact for piecewise-linear sigma."""
-        if t1 <= t0:
-            return np.zeros((self.n, self.n))
+    def a_integral(self, t0, t1, x) -> np.ndarray:
+        """int_{t0}^{t1} a(u, x) du, exact for piecewise-linear sigma.
+
+        Zero where t1 <= t0; array t0, t1 add a leading axis."""
         return _integrate_pieces(self._a_pieces[tuple(x)], t0, t1)
 
-    def mu_integral(self, t0: float, t1: float, x) -> np.ndarray:
-        """int_{t0}^{t1} mu(u, x) du, exact for piecewise-linear mu."""
-        if t1 <= t0:
-            return np.zeros(self.n)
+    def mu_integral(self, t0, t1, x) -> np.ndarray:
+        """int_{t0}^{t1} mu(u, x) du, exact for piecewise-linear mu.
+
+        Zero where t1 <= t0; array t0, t1 add a leading axis."""
         return _integrate_pieces(self._mu_pieces[tuple(x)], t0, t1)
 
     # -- validation ---------------------------------------------------------------
@@ -353,7 +364,8 @@ class Claim:
 
 @dataclass
 class LognormalKernel:
-    """Lognormal law of S_{t+v}/S_t over a no-jump interval."""
+    """Lognormal law of S_{t+v}/S_t over a no-jump interval, or over a batch
+    of intervals along a leading segment axis."""
 
     zbar: np.ndarray           # (n,) log-mean
     cov: np.ndarray            # (n, n) log-covariance
@@ -361,19 +373,25 @@ class LognormalKernel:
 
     @property
     def n(self):
-        return self.zbar.shape[0]
+        return self.zbar.shape[-1]
 
 
-def build_kernel(market: MarketModel, t: float, x, v: float,
+def build_kernel(market: MarketModel, t, x, v,
                  mode: str = "risk-neutral") -> LognormalKernel:
-    """Kernel over [t, t+v] in regime x; v must be positive."""
-    if v <= 0:
+    """Kernel over [t, t+v] in regime x; v must be positive.
+
+    t and v are scalars or equal-length 1-D arrays (one of them may be a
+    scalar).  With arrays zbar, cov and chol carry a leading segment axis,
+    and each segment's kernel equals the scalar call bit for bit.
+    """
+    t, v = np.asarray(t, dtype=float), np.asarray(v, dtype=float)
+    if np.any(v <= 0):
         raise ValueError("kernel horizon v must be positive")
     x = tuple(x)
     cov = market.a_integral(t, t + v, x)
-    diag = np.diag(cov)
+    diag = np.diagonal(cov, axis1=-2, axis2=-1)
     if mode == "risk-neutral":
-        zbar = market.r(x) * v - 0.5 * diag
+        zbar = market.r(x) * v[..., None] - 0.5 * diag
     elif mode == "physical":
         zbar = market.mu_integral(t, t + v, x) - 0.5 * diag
     else:
@@ -381,9 +399,19 @@ def build_kernel(market: MarketModel, t: float, x, v: float,
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
+        t, v = np.broadcast_arrays(t, v)
+        k = next(k for k in np.ndindex(t.shape) if not _is_spd(cov[k]))
         raise SingularCovariance(
-            f"log covariance not SPD at t={t}, x={x}, v={v}") from exc
+            f"log covariance not SPD at t={t[k]}, x={x}, v={v[k]}") from exc
     return LognormalKernel(zbar=zbar, cov=cov, chol=chol)
+
+
+def _is_spd(mat) -> bool:
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def kernel_density(kern: LognormalKernel, s, sig) -> np.ndarray | float:

@@ -4,9 +4,13 @@ Between regime switches the asset vector is exactly lognormal, so paths are
 sampled without any time-discretization error: ``semi_markov.simulate_csm``
 draws the switch history by hazard-clock inversion, and the oracle overlays
 one multivariate normal log-increment (and the discount) per no-switch
-interval.  Under the pricing drift the discounted payoff average is an
-unbiased estimate of the price; under the physical drift the same paths
-feed the residual-risk accounting.
+segment.  Paths are simulated in blocks: the switch histories and Gaussian
+draws of a block first, then one ``build_kernel`` call per regime tuple over
+all of the block's segments.  Each path owns its streams, and a segment's
+kernel does not depend on the block it sits in, so the block size and the
+worker count never change a result.  Under the pricing drift the discounted
+payoff average is an unbiased estimate of the price; under the physical
+drift the same paths feed the residual-risk accounting.
 """
 
 from __future__ import annotations
@@ -18,24 +22,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market import Claim, MarketModel, build_kernel
-from .semi_markov import CsmState, RegimePath, simulate_csm
+from .semi_markov import CsmState, simulate_csm
+
+_BLOCK = 1024   # path ids simulated together
 
 
 @dataclass
-class PathRecord(RegimePath):
-    """A switch history with the asset prices and discounts along it."""
+class PathBlock:
+    """Exact paths of a block, flat per path and per jump.
 
-    s_at_jumps: np.ndarray        # (m, n)
-    discount_at_jumps: np.ndarray  # (m,) exp(-int_t0^{T_m} r)
-    s_terminal: np.ndarray        # (n,)
-    discount: float               # exp(-int_t0^T r)
+    Jumps are ordered by path, then by time.  Prices carry a leading axis
+    over the Gaussian signs of the simulation.
+    """
+
+    n_jumps: np.ndarray            # (P,)
+    final_ages: np.ndarray         # (P, c) ages at the horizon
+    s_terminal: np.ndarray         # (S, P, n)
+    discount: np.ndarray           # (P,) exp(-int_t0^T r)
+    jump_path: np.ndarray          # (J,) row of the jump's path
+    jump_times: np.ndarray         # (J,)
+    pre_index: np.ndarray          # (J,) regime-tuple index before the jump
+    post_index: np.ndarray         # (J,) and after it
+    ages_before: np.ndarray        # (J, c)
+    ages_after: np.ndarray         # (J, c) the jumper's age at 0
+    s_at_jumps: np.ndarray         # (S, J, n)
+    discount_at_jumps: np.ndarray  # (J,) exp(-int_t0^{T_m} r)
 
 
 def _spawn_rngs(seed: int, path_id: int):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path_id,))
-    kids = ss.spawn(2)
-    return (np.random.Generator(np.random.Philox(kids[0])),
-            np.random.Generator(np.random.Philox(kids[1])))
+    """The (regime, Gaussian) streams of one path: the children 0 and 1 of
+    SeedSequence(seed, spawn_key=(path_id,)), built without spawning."""
+    return tuple(np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        entropy=seed, spawn_key=(path_id, k)))) for k in (0, 1))
+
+
+def stream_blocks(seed: int, ids):
+    """The streams of ids in consecutive blocks of _BLOCK, made lazily."""
+    for lo in range(0, len(ids), _BLOCK):
+        yield (_spawn_rngs(seed, pid) for pid in ids[lo:lo + _BLOCK])
 
 
 def map_chunks(fn, ids, n_jobs: int):
@@ -46,65 +70,104 @@ def map_chunks(fn, ids, n_jobs: int):
         return list(ex.map(fn, np.array_split(ids, n_jobs)))
 
 
-def simulate_path(market: MarketModel, models, start, horizon: float,
-                  rng_regime: np.random.Generator,
-                  rng_gauss: np.random.Generator,
-                  mode: str = "risk-neutral",
-                  gauss_sign: float = 1.0) -> PathRecord:
-    """Exact path over [t0, horizon] from start = (t0, s, x, y).
+def _exp(u: np.ndarray) -> np.ndarray:
+    # math.exp per entry: np.exp differs from it in the last bit for some
+    # arguments, and the discounts have always been math.exp
+    return np.array([math.exp(w) for w in u.tolist()])
 
-    Regime randomness and Gaussian increments come from separate streams so
-    antithetic pairs (gauss_sign = -1) share the same switch history.
+
+def simulate_path(market: MarketModel, models, start, horizon: float, rngs,
+                  mode: str = "risk-neutral", signs=(1.0,)) -> PathBlock:
+    """Exact paths over [t0, horizon] from start = (t0, s, x, y), one per
+    (rng_regime, rng_gauss) pair of rngs.
+
+    Pass 1 runs simulate_csm on each path's regime stream and draws
+    standard_normal((k, n)) from its Gaussian stream, k the number of its
+    segments of positive length.  Pass 2 builds the kernels of the block's
+    segments with one build_kernel call per regime tuple and compounds
+    prices and log-discounts in segment order.  Every sign reuses the same
+    switch histories and draws, so signs = (1, -1) gives antithetic pairs.
     """
     t0, s0, x0, y0 = start
-    y0 = np.asarray(y0, dtype=float).tolist()  # plain floats check faster
-    reg = simulate_csm(models, CsmState(x0, y0), horizon, rng_regime,
-                       start=t0)
-    m = reg.n_jumps
-    s = np.asarray(s0, dtype=float).copy()
-    bounds = [reg.start_time, *reg.jump_times.tolist(), horizon]
-    s_jumps, disc_jumps = [], []
-    log_disc = 0.0
-    for k, x in enumerate(map(tuple, reg.states.tolist())):
-        t = bounds[k]
-        d = bounds[k + 1] - t
-        if d > 0:
-            kern = build_kernel(market, t, x, d, mode=mode)
-            z = kern.zbar + kern.chol @ (gauss_sign
-                                         * rng_gauss.standard_normal(market.n))
-            s = s * np.exp(z)
-            log_disc -= market.r(x) * d
-        if k < m:
-            s_jumps.append(s.copy())
-            disc_jumps.append(math.exp(log_disc))
+    init = CsmState(x0, np.asarray(y0, dtype=float).tolist())
+    n = market.n
+    seg_t, seg_v, seg_x, n_segs, draws = [], [], [], [], []
+    j_times, ages_b, ages_a, final = [], [], [], []
+    for rng_regime, rng_gauss in rngs:
+        reg = simulate_csm(models, init, horizon, rng_regime, start=t0)
+        bounds = [reg.start_time, *reg.jump_times.tolist(), horizon]
+        lengths = [b - a for a, b in zip(bounds[:-1], bounds[1:])]
+        seg_t += bounds[:-1]
+        seg_v += lengths
+        seg_x += [market.x_index[x] for x in map(tuple, reg.states.tolist())]
+        n_segs.append(len(lengths))
+        draws.append(rng_gauss.standard_normal(
+            (sum(d > 0 for d in lengths), n)))
+        j_times.append(reg.jump_times)
+        ages_b.append(reg.ages_before)
+        ages_a.append(reg.ages_after)
+        final.append(reg.final_ages)
 
-    return PathRecord(
-        **vars(reg),
-        s_at_jumps=np.asarray(s_jumps).reshape(m, market.n),
-        discount_at_jumps=np.asarray(disc_jumps),
-        s_terminal=s, discount=math.exp(log_disc))
+    seg_t, seg_v = np.array(seg_t), np.array(seg_v)
+    seg_x, n_segs = np.array(seg_x, dtype=int), np.array(n_segs, dtype=int)
+    eps = np.concatenate(draws)
+    live = np.flatnonzero(seg_v > 0)     # the segments that own a draw
+    growth = np.ones((len(signs), len(seg_v), n))
+    rate_dt = np.zeros(len(seg_v))
+    live_x = seg_x[live]
+    for xi in np.unique(live_x):
+        rows = np.flatnonzero(live_x == xi)
+        seg = live[rows]
+        x = market.x_tuples[xi]
+        kern = build_kernel(market, seg_t[seg], x, seg_v[seg], mode=mode)
+        # chol @ eps per segment, summed in column order
+        e = eps[rows]
+        shock = kern.chol[..., 0] * e[:, None, 0]
+        for col in range(1, n):
+            shock = shock + kern.chol[..., col] * e[:, None, col]
+        for si, sign in enumerate(signs):
+            growth[si, seg] = np.exp(kern.zbar + sign * shock)
+        rate_dt[seg] = market.r(x) * seg_v[seg]
 
+    P = len(n_segs)
+    first = np.cumsum(n_segs) - n_segs
+    jump_first = first - np.arange(P)
+    J = len(seg_v) - P
+    jump_path = np.repeat(np.arange(P), n_segs - 1)
+    s = np.broadcast_to(np.asarray(s0, dtype=float),
+                        (len(signs), P, n)).copy()
+    log_disc = np.zeros(P)
+    s_jumps = np.empty((len(signs), J, n))
+    log_disc_jumps = np.empty(J)
+    for k in range(int(n_segs.max(initial=0))):
+        alive = np.flatnonzero(n_segs > k)
+        seg = first[alive] + k
+        s[:, alive] = s[:, alive] * growth[:, seg]
+        log_disc[alive] = log_disc[alive] - rate_dt[seg]
+        jumping = alive[n_segs[alive] > k + 1]
+        jrow = jump_first[jumping] + k
+        s_jumps[:, jrow] = s[:, jumping]
+        log_disc_jumps[jrow] = log_disc[jumping]
 
-def simulate_risk_neutral(market, models, start, horizon, seed=0, path_id=0,
-                          gauss_sign=1.0) -> PathRecord:
-    rr, rg = _spawn_rngs(seed, path_id)
-    return simulate_path(market, models, start, horizon, rr, rg,
-                         mode="risk-neutral", gauss_sign=gauss_sign)
+    pre_seg = np.arange(J) + jump_path    # jump m of path p ends segment m
+    return PathBlock(
+        n_jumps=n_segs - 1, final_ages=np.array(final).reshape(P, -1),
+        s_terminal=s, discount=_exp(log_disc), jump_path=jump_path,
+        jump_times=np.concatenate(j_times), pre_index=seg_x[pre_seg],
+        post_index=seg_x[pre_seg + 1],
+        ages_before=np.concatenate(ages_b), ages_after=np.concatenate(ages_a),
+        s_at_jumps=s_jumps, discount_at_jumps=_exp(log_disc_jumps))
 
 
 def _discounted_payoffs(market, claim, models, start, horizon, seed, ids,
                         antithetic):
     signs = (1.0, -1.0) if antithetic else (1.0,)
-    out = np.empty(len(ids) * len(signs))
-    k = 0
-    for pid in ids:
-        for sign in signs:
-            rr, rg = _spawn_rngs(seed, pid)
-            path = simulate_path(market, models, start, horizon, rr, rg,
-                                 gauss_sign=sign)
-            out[k] = path.discount * float(claim(path.s_terminal))
-            k += 1
-    return out
+    out = []
+    for rngs in stream_blocks(seed, ids):
+        blk = simulate_path(market, models, start, horizon, rngs, signs=signs)
+        # (S, P) -> path-major, sign-minor
+        out.append((blk.discount * claim(blk.s_terminal)).T.ravel())
+    return np.concatenate(out)
 
 
 def mc_price(market: MarketModel, claim: Claim, models, start, horizon: float,
@@ -125,26 +188,3 @@ def mc_price(market: MarketModel, claim: Claim, models, start, horizon: float,
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     return mean, se
-
-
-def dump_paths(paths, fileobj) -> None:
-    """Jump log as CSV: path-id, jump time, component, from, to, prices."""
-    close = False
-    if isinstance(fileobj, (str, bytes)):
-        fileobj = open(fileobj, "w")
-        close = True
-    try:
-        n = paths[0].s_terminal.shape[0] if paths else 0
-        cols = ["path", "t", "component", "from_state", "to_state"]
-        cols += [f"s{l + 1}" for l in range(n)]
-        fileobj.write(",".join(cols) + "\n")
-        for pid, p in enumerate(paths):
-            for m in range(p.n_jumps):
-                row = [str(pid), f"{p.jump_times[m]:.17g}",
-                       str(int(p.jump_component[m])),
-                       str(int(p.jump_from[m])), str(int(p.jump_to[m]))]
-                row += [f"{v:.17g}" for v in p.s_at_jumps[m]]
-                fileobj.write(",".join(row) + "\n")
-    finally:
-        if close:
-            fileobj.close()

@@ -69,6 +69,10 @@ def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+# the real-valued parameters of the hazard families
+_HAZARD_LEAVES = ("c", "kappa", "a", "b", "knots", "values")
+
+
 def _reals(v, path):
     """v, a number or nested lists of numbers, as a finite float array."""
     try:
@@ -254,11 +258,14 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
             except ValueError:
                 _fail(f"hazard key must look like 'i->j', got {key!r}",
                       f"{path}.components[{l}].hazards")
+            where = f"{path}.components[{l}].hazards['{key}']"
+            for leaf in _HAZARD_LEAVES:
+                if isinstance(spec, dict) and leaf in spec:
+                    _reals(spec[leaf], where)
             try:
                 rates[(i, j)] = make_rate(spec)
             except ConfigError as exc:
-                _fail(f"invalid hazard for pair ({i}, {j}): {exc}",
-                      f"{path}.components[{l}].hazards['{key}']")
+                _fail(f"invalid hazard for pair ({i}, {j}): {exc}", where)
         try:
             models.append(HazardModel(k, rates))
         except ConfigError as exc:

@@ -553,16 +553,19 @@ class VolterraSolver:
         c = int(g.c_counts[i])
         y_pad = (...,) + (None,) * g.n
         mass = np.zeros((len(g.x_tuples),) + (c,) * g.n_components)
+        v_mid = self.v_mid[:g.spec.time_steps - i]
+        kerns = [build_kernel(self.market, g.t_nodes[i], x, v_mid)
+                 for x in g.x_tuples]
         tables = []
-        for p, v in enumerate(self.v_mid[:g.spec.time_steps - i]):
+        for p, v in enumerate(v_mid):
             js = self._joint_survival(i, 2 * p + 1)
             ages = g.age_nodes[:c] + v
             panel = []
-            for xi, x in enumerate(g.x_tuples):
-                kern = build_kernel(self.market, g.t_nodes[i], x, v)
+            for xi, kern in enumerate(kerns):
                 # the smoother acts on the excess over the linear part c1.s,
                 # which clamps at the box edges, so no growth correction here
-                sm = _Smoother(kern.zbar, kern.chol, g, self.settings.gh_nodes)
+                sm = _Smoother(kern.zbar[p], kern.chol[p], g,
+                               self.settings.gh_nodes)
                 edges = []
                 for l, _, xpi, fam in self.edges[xi]:
                     wt = g.dt * js[xi] * _on_axis(fam.rate(ages), l,

@@ -180,6 +180,17 @@ def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
     (("components", 0, "hazards", "1->2"), {"family": "constant",
                                              "c": 10 ** 400},
      "scenario.components[0].hazards['1->2']"),
+    (("components", 0, "hazards", "1->2"), {"family": "constant", "c": True},
+     "scenario.components[0].hazards['1->2']"),
+    (("components", 1, "hazards", "2->1"),
+     {"family": "weibull", "c": 0.7, "kappa": True},
+     "scenario.components[1].hazards['2->1']"),
+    (("components", 0, "hazards", "2->1"),
+     {"family": "affine", "a": 0.2, "b": True},
+     "scenario.components[0].hazards['2->1']"),
+    (("components", 1, "hazards", "1->2"),
+     {"family": "tabulated", "knots": [0.0, 1.0], "values": [0.5, True]},
+     "scenario.components[1].hazards['1->2']"),
 ])
 def test_malformed_config_exits_2_naming_its_path(tmp_path, capsys, keys,
                                                   value, where):

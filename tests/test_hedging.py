@@ -218,11 +218,10 @@ def test_self_financing_along_no_jump_path():
     # simulate a path conditioned on no switches, rebalance on a fine grid
     pid = 0
     while True:
-        rr, rg = _spawn_rngs(31, pid)
         path = simulate_path(m, models,
                              (0.0, np.array([100.0]), (1, 1), np.zeros(2)),
-                             1.0, rr, rg, mode="physical")
-        if path.n_jumps == 0:
+                             1.0, [_spawn_rngs(31, pid)], mode="physical")
+        if path.n_jumps[0] == 0:
             break
         pid += 1
     # step along the same Brownian path at dt resolution using the kernel

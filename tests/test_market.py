@@ -192,6 +192,46 @@ def test_time_integrals_match_quad_on_random_piecewise_linear(seed):
                 rtol=1e-13, atol=1e-15)
 
 
+@pytest.mark.parametrize("mode", ["risk-neutral", "physical"])
+@pytest.mark.parametrize("seed", range(4))
+def test_array_kernel_equals_scalar_kernels_bit_for_bit(seed, mode):
+    # a segment's kernel does not depend on the batch it is built in
+    rng = np.random.default_rng(100 + seed)
+    n, n_knots = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    knots = np.cumsum(rng.uniform(0.1, 0.5, n_knots))
+    vol = TimeCoeff(knots, rng.uniform(-0.08, 0.08, (n_knots, n, n))
+                    + rng.uniform(0.15, 0.35, (n_knots, 1, 1)) * np.eye(n))
+    drift = TimeCoeff(knots, rng.uniform(-0.1, 0.2, (n_knots, n)))
+    m = build_market(n, 2, 2, 0.03, lambda x: drift, lambda x: vol)
+    t = rng.uniform(knots[0] - 0.3, knots[-1] + 0.3, 40)
+    v = np.concatenate([rng.uniform(0.0, 1.5, 36), [1e-9, 1e-6, 2.0, 0.05]])
+    batch = build_kernel(m, t, X0, v, mode=mode)
+    assert batch.zbar.shape == (40, n) and batch.chol.shape == (40, n, n)
+    for k in range(40):
+        one = build_kernel(m, float(t[k]), X0, float(v[k]), mode=mode)
+        for name in ("zbar", "cov", "chol"):
+            np.testing.assert_array_equal(getattr(batch, name)[k],
+                                          getattr(one, name), err_msg=name)
+    # a scalar start with an array of lengths, as the slab tables call it
+    fan = build_kernel(m, float(t[0]), X0, v, mode=mode)
+    for k in (0, 17, 39):
+        np.testing.assert_array_equal(
+            fan.cov[k], build_kernel(m, float(t[0]), X0, float(v[k])).cov)
+    # empty and reversed intervals integrate to zero
+    np.testing.assert_array_equal(
+        m.a_integral(t[:3], t[:3] - np.array([0.0, 0.1, 1.0]), X0),
+        np.zeros((3, n, n)))
+
+
+def test_array_kernel_names_the_singular_segment():
+    sig = np.array([[0.2, 0.2], [0.2, 0.2]])  # rank deficient
+    m = build_market(2, 2, 2, 0.02, np.zeros(2), sig)
+    with pytest.raises(SingularCovariance, match="v=0.5"):
+        build_kernel(m, np.array([0.0, 0.1]), X0, np.array([0.5, 0.25]))
+    with pytest.raises(ValueError):
+        build_kernel(flat_market(), np.zeros(2), X0, np.array([0.5, 0.0]))
+
+
 def test_kernel_expectation_constant_and_growth_guard():
     m = flat_market()
     kern = build_kernel(m, 0.0, X0, 0.5)

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 from pathlib import Path
@@ -14,11 +13,11 @@ from regimehedge.market import (
     build_kernel,
     build_market,
 )
+from regimehedge.analysis import residual_risk
 from regimehedge.mc_oracle import (
-    dump_paths,
+    PathBlock,
     mc_price,
     simulate_path,
-    simulate_risk_neutral,
     _spawn_rngs,
 )
 from regimehedge.regime_bsm import bsm_price
@@ -30,6 +29,7 @@ from regimehedge.semi_markov import (
     WeibullRate,
     simulate_csm,
 )
+from regimehedge.volterra_pricer import Grid, GridSpec, solve_price_field
 
 
 def flat_market(r=0.05, sigma=0.2, mu=0.09):
@@ -42,6 +42,25 @@ def models_const(c0=0.5, c1=0.8):
 
 
 START = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
+
+
+def paths(market, models, start, horizon, seed, ids, mode="risk-neutral",
+          signs=(1.0,)):
+    """The block of the paths ids, each on its own streams."""
+    return simulate_path(market, models, start, horizon,
+                         (_spawn_rngs(seed, pid) for pid in ids), mode=mode,
+                         signs=signs)
+
+
+def path_states(market, blk, p, x0):
+    """(m + 1, c) regime tuples on the segments of path p of a block."""
+    sel = blk.jump_path == p
+    np.testing.assert_array_equal(
+        blk.pre_index[sel][1:], blk.post_index[sel][:-1])
+    idx = [market.x_index[tuple(x0)], *blk.post_index[sel].tolist()]
+    if sel.any():
+        assert blk.pre_index[sel][0] == idx[0]
+    return np.array([market.x_tuples[i] for i in idx])
 
 
 def test_martingale_property_of_discounted_terminal():
@@ -57,10 +76,11 @@ def test_zero_vol_zero_hazard_deterministic_growth():
     vol = TimeCoeff.constant(1e-8 * np.eye(1))
     m = build_market(1, 2, 2, 0.04, np.array([0.04]), lambda x: vol)
     h = HazardModel(2, {(1, 2): ConstantRate(1e-9), (2, 1): ConstantRate(1e-9)})
-    path = simulate_risk_neutral(m, [h, h], START, 1.0, seed=3)
-    assert path.n_jumps == 0
-    assert path.s_terminal[0] == pytest.approx(100.0 * math.exp(0.04), rel=1e-5)
-    assert path.discount == pytest.approx(math.exp(-0.04), rel=1e-12)
+    path = paths(m, [h, h], START, 1.0, 3, [0])
+    assert path.n_jumps[0] == 0
+    assert path.s_terminal[0, 0, 0] == pytest.approx(100.0 * math.exp(0.04),
+                                                     rel=1e-5)
+    assert path.discount[0] == pytest.approx(math.exp(-0.04), rel=1e-12)
 
 
 def test_regime_independent_matches_frozen_price():
@@ -77,12 +97,8 @@ def test_no_switch_conditioning_reproduces_kernel_law():
     m = flat_market(r=0.02, sigma=0.35, mu=0.11)
     models = models_const(0.7, 0.4)
     v = 0.6
-    ratios = []
-    for pid in range(4000):
-        rr, rg = _spawn_rngs(77, pid)
-        path = simulate_path(m, models, START, v, rr, rg, mode="physical")
-        if path.n_jumps == 0:
-            ratios.append(path.s_terminal[0] / 100.0)
+    blk = paths(m, models, START, v, 77, range(4000), mode="physical")
+    ratios = blk.s_terminal[0, blk.n_jumps == 0, 0] / 100.0
     kern = build_kernel(m, 0.0, (1, 1), v, mode="physical")
     sd = math.sqrt(kern.cov[0, 0])
 
@@ -127,16 +143,20 @@ def test_variance_scales_inversely_with_paths():
 def test_path_record_bookkeeping():
     m = flat_market()
     models = models_const(2.5, 2.0)
-    path = simulate_risk_neutral(m, models, START, 1.0, seed=13)
-    assert path.n_jumps >= 1
+    path = paths(m, models, START, 1.0, 13, [0])
+    n_jumps = int(path.n_jumps[0])
+    assert n_jumps >= 1
     assert np.all(np.diff(path.jump_times) > 0)
-    for k in range(path.n_jumps):
-        l = path.jump_component[k]
-        assert path.states[k][l] == path.jump_from[k]
-        assert path.states[k + 1][l] == path.jump_to[k]
+    np.testing.assert_array_equal(path.jump_path, np.zeros(n_jumps))
+    states = path_states(m, path, 0, START[2])
+    for k in range(n_jumps):
+        # exactly one component jumps, and its age resets
+        (l,) = np.flatnonzero(states[k] != states[k + 1])
         assert path.ages_after[k][l] == 0.0
-    assert 0.0 < path.discount <= 1.0
-    assert path.discount_at_jumps.shape == (path.n_jumps,)
+        assert path.ages_before[k][l] > 0.0
+    assert 0.0 < path.discount[0] <= 1.0
+    assert path.discount_at_jumps.shape == (n_jumps,)
+    assert path.s_at_jumps.shape == (1, n_jumps, 1)
 
 
 def test_switch_history_is_simulate_csm():
@@ -149,19 +169,20 @@ def test_switch_history_is_simulate_csm():
                               (2, 1): WeibullRate(2.2, 2.0)})]
     t0, x0, y0 = 0.37, (2, 1), np.array([0.45, 1.3])
     start = (t0, np.array([100.0]), x0, y0)
-    n_jumps = 0
+    blk = paths(m, models, start, 1.5, 8, range(50), mode="physical")
     for pid in range(50):
-        rr, rg = _spawn_rngs(8, pid)
-        path = simulate_path(m, models, start, 1.5, rr, rg, mode="physical")
         rr, _ = _spawn_rngs(8, pid)
         reg = simulate_csm(models, CsmState(x0, y0), 1.5, rr, start=t0)
-        for name in ("jump_times", "jump_component", "jump_from", "jump_to",
-                     "states", "ages_before", "ages_after", "final_ages"):
-            np.testing.assert_array_equal(getattr(path, name),
+        sel = blk.jump_path == pid
+        assert blk.n_jumps[pid] == reg.n_jumps
+        np.testing.assert_array_equal(path_states(m, blk, pid, x0),
+                                      reg.states)
+        for name in ("jump_times", "ages_before", "ages_after"):
+            np.testing.assert_array_equal(getattr(blk, name)[sel],
                                           getattr(reg, name), err_msg=name)
-        assert path.start_time == reg.start_time == t0
-        n_jumps += path.n_jumps
-    assert n_jumps > 50
+        np.testing.assert_array_equal(blk.final_ages[pid], reg.final_ages)
+        assert reg.start_time == t0
+    assert blk.n_jumps.sum() > 50
 
 
 def test_eval_point_at_maturity():
@@ -170,27 +191,15 @@ def test_eval_point_at_maturity():
     claim = Claim("basket-call", weights=[1.0], strike=95.0)
     s0 = np.array([100.0])
     start = (1.0, s0, (1, 2), np.array([0.3, 0.0]))
-    path = simulate_risk_neutral(m, models, start, 1.0, seed=2)
-    assert path.n_jumps == 0
-    np.testing.assert_array_equal(path.s_terminal, s0)
-    assert path.discount == 1.0
-    np.testing.assert_allclose(path.final_ages, [0.3, 0.0], rtol=0, atol=1e-15)
+    path = paths(m, models, start, 1.0, 2, [0])
+    assert path.n_jumps[0] == 0
+    np.testing.assert_array_equal(path.s_terminal[0, 0], s0)
+    assert path.discount[0] == 1.0
+    np.testing.assert_allclose(path.final_ages[0], [0.3, 0.0], rtol=0,
+                               atol=1e-15)
     est, se = mc_price(m, claim, models, start, 1.0, n_paths=200, seed=6)
     assert est == float(claim(s0)) == 5.0
     assert se == 0.0
-
-
-def test_dump_paths_format():
-    m = flat_market()
-    models = models_const(1.5, 1.5)
-    paths = [simulate_risk_neutral(m, models, START, 1.0, seed=1, path_id=i)
-             for i in range(3)]
-    buf = io.StringIO()
-    dump_paths(paths, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "path,t,component,from_state,to_state,s1"
-    total = sum(p.n_jumps for p in paths)
-    assert len(lines) == 1 + total
 
 
 def _simpson_a_integral(self, t0, t1, x):
@@ -213,6 +222,23 @@ def _trapezoid_mu_integral(self, t0, t1, x):
                for a, b in zip(cuts[:-1], cuts[1:]))
 
 
+def _per_segment(integral):
+    # the pointwise oracles take one interval; build_kernel passes arrays
+    def batched(self, t0, t1, x):
+        t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float),
+                                     np.asarray(t1, dtype=float))
+        if t0.ndim == 0:
+            return integral(self, float(t0), float(t1), x)
+        return np.array([integral(self, a, b, x)
+                         for a, b in zip(t0.tolist(), t1.tolist())])
+    return batched
+
+
+_HISTORY = ("n_jumps", "final_ages", "jump_path", "jump_times", "pre_index",
+            "post_index", "ages_before", "ages_after")
+_PRICES = ("s_terminal", "discount", "s_at_jumps", "discount_at_jumps")
+
+
 @pytest.mark.parametrize("mode", ["risk-neutral", "physical"])
 @pytest.mark.parametrize("t0,y0", [(0.0, [0.0, 0.0]), (0.37, [0.2, 0.37])])
 def test_paths_match_pointwise_quadrature_of_the_coefficients(
@@ -225,24 +251,104 @@ def test_paths_match_pointwise_quadrature_of_the_coefficients(
     start = (t0, np.array([100.0]), (1, 2), np.array(y0))
 
     def records():
-        out = []
-        for pid in range(200):
-            rr, rg = _spawn_rngs(17, pid)
-            out.append(simulate_path(scn.market, scn.models, start, 1.0,
-                                     rr, rg, mode=mode))
-        return out
+        return paths(scn.market, scn.models, start, 1.0, 17, range(200),
+                     mode=mode)
 
     table = records()
-    monkeypatch.setattr(MarketModel, "a_integral", _simpson_a_integral)
-    monkeypatch.setattr(MarketModel, "mu_integral", _trapezoid_mu_integral)
+    monkeypatch.setattr(MarketModel, "a_integral",
+                        _per_segment(_simpson_a_integral))
+    monkeypatch.setattr(MarketModel, "mu_integral",
+                        _per_segment(_trapezoid_mu_integral))
     oracle = records()
-    for got, want in zip(table, oracle):
-        for name in ("jump_times", "jump_component", "jump_from", "jump_to",
-                     "states", "ages_before", "ages_after", "final_ages"):
-            np.testing.assert_array_equal(getattr(got, name),
-                                          getattr(want, name), err_msg=name)
-        for name in ("s_terminal", "s_at_jumps", "discount",
-                     "discount_at_jumps"):
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
-                                       rtol=1e-12, atol=0, err_msg=name)
-    assert sum(p.n_jumps for p in table) > 100
+    for name in _HISTORY:
+        np.testing.assert_array_equal(getattr(table, name),
+                                      getattr(oracle, name), err_msg=name)
+    for name in _PRICES:
+        np.testing.assert_allclose(getattr(table, name), getattr(oracle, name),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    assert table.n_jumps.sum() > 100
+
+
+def _concat(blocks):
+    """One block from consecutive blocks, as if simulated together."""
+    rows = np.cumsum([0] + [len(b.n_jumps) for b in blocks])
+    out = {}
+    for name in _HISTORY + _PRICES:
+        parts = [getattr(b, name) for b in blocks]
+        if name == "jump_path":
+            parts = [p + r for p, r in zip(parts, rows)]
+        axis = 1 if name in ("s_terminal", "s_at_jumps") else 0
+        out[name] = np.concatenate(parts, axis=axis)
+    return PathBlock(**out)
+
+
+def correlated_case():
+    """Two correlated assets, two components; the rate hangs on component 0
+    and the volatility on component 1."""
+    def vol(x):
+        lo = np.array([[0.2, 0.0], [0.1, 0.25]])
+        hi = np.array([[0.3, 0.0], [-0.12, 0.22]])
+        return TimeCoeff([0.0, 0.6, 1.0],
+                         [lo, hi, lo] if x[1] == 1 else [hi, lo, hi])
+
+    m = build_market(2, 2, 2, lambda x: 0.02 if x[0] == 1 else 0.06,
+                     lambda x: np.array([0.05, 0.08 + 0.02 * x[1]]), vol)
+    models = [HazardModel(2, {(1, 2): WeibullRate(1.1, 1.6),
+                              (2, 1): ConstantRate(0.9)}),
+              HazardModel(2, {(1, 2): ConstantRate(1.3),
+                              (2, 1): WeibullRate(0.8, 2.0)})]
+    claim = Claim("basket-call", weights=[0.6, 0.4], strike=100.0)
+    return m, models, claim
+
+
+@pytest.mark.parametrize("mode", ["risk-neutral", "physical"])
+@pytest.mark.parametrize("t0,y0", [(0.0, [0.0, 0.0]), (0.37, [0.2, 0.37])])
+def test_block_equals_smaller_blocks_bit_for_bit(mode, t0, y0):
+    m, models, _ = correlated_case()
+    start = (t0, np.array([100.0, 90.0]), (2, 1), np.array(y0))
+    whole = paths(m, models, start, 1.0, 5, range(300), mode=mode,
+                  signs=(1.0, -1.0))
+    assert whole.n_jumps.sum() > 300
+    for size in (1, 7):
+        parts = _concat([paths(m, models, start, 1.0, 5,
+                               range(lo, min(lo + size, 300)), mode=mode,
+                               signs=(1.0, -1.0))
+                         for lo in range(0, 300, size)])
+        for name in _HISTORY + _PRICES:
+            np.testing.assert_array_equal(getattr(parts, name),
+                                          getattr(whole, name), err_msg=name)
+    # each sign is the path of that sign alone, and the minus sign the
+    # mirrored draw of the same history
+    for si, sign in enumerate((1.0, -1.0)):
+        alone = paths(m, models, start, 1.0, 5, range(300), mode=mode,
+                      signs=(sign,))
+        np.testing.assert_array_equal(alone.s_terminal[0],
+                                      whole.s_terminal[si])
+        np.testing.assert_array_equal(alone.s_at_jumps[0],
+                                      whole.s_at_jumps[si])
+
+
+def test_worker_count_changes_no_estimate():
+    m, models, claim = correlated_case()
+    start = (0.37, np.array([100.0, 90.0]), (2, 1), np.array([0.2, 0.37]))
+    for antithetic in (False, True):
+        one = mc_price(m, claim, models, start, 1.0, 2500, 4,
+                       antithetic=antithetic, n_jobs=1)
+        two = mc_price(m, claim, models, start, 1.0, 2500, 4,
+                       antithetic=antithetic, n_jobs=2)
+        assert one == two
+    grid = Grid(m, 1.0, np.array([[100.0, 90.0]]),
+                GridSpec(time_steps=4, price_nodes=9, age_nodes=3))
+    field, _ = solve_price_field(m, claim, models, grid, 1e-3)
+    one = residual_risk(m, claim, models, field, start, 2500, 6, n_jobs=1)
+    two = residual_risk(m, claim, models, field, start, 2500, 6, n_jobs=2)
+    assert one.to_dict() == two.to_dict()
+    assert one.mean_jumps > 0.5
+
+
+def test_path_streams_are_the_spawned_children():
+    for seed, pid in ((0, 0), (42, 7), (2 ** 31 - 1, np.int64(123456))):
+        kids = np.random.SeedSequence(seed, spawn_key=(pid,)).spawn(2)
+        for rng, kid in zip(_spawn_rngs(seed, pid), kids):
+            want = np.random.Generator(np.random.Philox(kid))
+            np.testing.assert_array_equal(rng.random(8), want.random(8))
