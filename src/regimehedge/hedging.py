@@ -50,38 +50,40 @@ def hedge_ratio(market: MarketModel, claim: Claim, models, field: PriceField,
     n_panels = max(1, int(round(rem / g.dt)))
     width = rem / n_panels
     gl_x, gl_w = gauss_legendre(2)
+    # the switch times of every panel's Gauss-Legendre nodes, panel-major,
+    # with one kernel and one inverse Cholesky factor each
+    v_nodes = [(p + 0.5 * (gx + 1.0)) * width
+               for p in range(n_panels) for gx in gl_x]
+    w_nodes = [0.5 * width * gw for _ in range(n_panels) for gw in gl_w]
+    kern = build_kernel(market, t, x, np.array(v_nodes))
+    inv_l = np.linalg.inv(kern.chol)
     edges = switch_edges(models, g.x_tuples)[g.x_index[x]]
     rate_x = market.r(x)
     nodes, wq = tensor_normal_nodes(g.n, settings.gh_nodes)
 
     switch = 0.0
     mass = 0.0
-    for p in range(n_panels):
-        for gx, gw in zip(gl_x, gl_w):
-            v = (p + 0.5 * (gx + 1.0)) * width
-            wv = 0.5 * width * gw
-            js = math.exp(log_js(v))
-            kern = build_kernel(market, t, x, v)
-            sig = s * np.exp(kern.zbar + nodes @ kern.chol.T)
-            inv_l = np.linalg.inv(kern.chol)
-            fac = (nodes @ inv_l[:, axis]) / s[axis]
-            lin_term = math.exp(rate_x * v) * claim.c1[axis]
-            for l, _, xpi, fam in edges:
-                lam = float(fam.rate(np.asarray(y[l] + v)))
-                if lam == 0.0:
-                    continue
-                yp = y + v
-                yp[l] = 0.0
-                B = sig.shape[0]
-                vals = field.values(np.full(B, t + v), sig, np.full(B, xpi),
-                                    np.tile(yp, (B, 1)))
-                # subtract the interpolated linear part and restore its
-                # closed-form derivative, matching the grid solver
-                excess = vals - g.interp_linear_part(sig, claim.c1)
-                d_excess = float(np.dot(wq * fac, excess))
-                switch += wv * math.exp(-rate_x * v) * js * lam \
-                    * (d_excess + lin_term)
-                mass += wv * js * lam
+    for j, (v, wv) in enumerate(zip(v_nodes, w_nodes)):
+        js = math.exp(log_js(v))
+        sig = s * np.exp(kern.zbar[j] + nodes @ kern.chol[j].T)
+        fac = (nodes @ inv_l[j][:, axis]) / s[axis]
+        lin_term = math.exp(rate_x * v) * claim.c1[axis]
+        for l, _, xpi, fam in edges:
+            lam = float(fam.rate(np.asarray(y[l] + v)))
+            if lam == 0.0:
+                continue
+            yp = y + v
+            yp[l] = 0.0
+            B = sig.shape[0]
+            vals = field.values(np.full(B, t + v), sig, np.full(B, xpi),
+                                np.tile(yp, (B, 1)))
+            # subtract the interpolated linear part and restore its
+            # closed-form derivative, matching the grid solver
+            excess = vals - g.interp_linear_part(sig, claim.c1)
+            d_excess = float(np.dot(wq * fac, excess))
+            switch += wv * math.exp(-rate_x * v) * js * lam \
+                * (d_excess + lin_term)
+            mass += wv * js * lam
     if mass > 1e-300:
         switch *= (1.0 - js_T) / mass
     return out + switch

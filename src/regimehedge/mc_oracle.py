@@ -11,6 +11,14 @@ kernel does not depend on the block it sits in, so the block size and the
 worker count never change a result.  Under the pricing drift the discounted
 payoff average is an unbiased estimate of the price; under the physical
 drift the same paths feed the residual-risk accounting.
+
+Path ``pid`` of a run with seed ``seed`` draws its switch history from the
+Philox stream of ``SeedSequence(seed, spawn_key=(pid, 0))`` and its Gaussian
+increments from that of ``spawn_key=(pid, 1)``.  Philox is counter based
+(Salmon, Moraes, Dror and Shaw, SC'11): a stream is fixed by its 128-bit key
+alone.  So the keys of a block are hashed at once with SeedSequence's own
+mixing, vectorized over the path ids, and one pair of generators is re-keyed
+for each path instead of building two seed sequences per path.
 """
 
 from __future__ import annotations
@@ -49,17 +57,110 @@ class PathBlock:
     discount_at_jumps: np.ndarray  # (J,) exp(-int_t0^{T_m} r)
 
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx): pool of 4 uint32
+# words, multiply-xorshift hashes and a pairwise mix, all modulo 2**32
+_MASK = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
+def _stream_keys(seed: int, ids, k: int) -> np.ndarray:
+    """(P, 2) uint64 Philox keys of the paths ids: row p is
+    SeedSequence(entropy=seed, spawn_key=(ids[p], k)).generate_state(2,
+    np.uint64), computed for all ids at once.
+
+    The words are Python ints while they do not depend on the path and
+    uint32 arrays once they do; every product is reduced modulo 2**32, so
+    both kinds follow the same code.
+    """
+    ids = np.asarray(ids).reshape(-1)
+    if ids.size and (ids.min() < 0 or ids.max() > _MASK):
+        raise ValueError("path ids must lie in [0, 2**32) to hash as one "
+                         "entropy word each")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    # entropy: the seed's little-endian words, zero-padded to the pool
+    # size, then the spawn key (path id, k)
+    words, rest = [], int(seed)
+    while True:
+        words.append(rest & _MASK)
+        rest >>= 32
+        if not rest:
+            break
+    words += [0] * (_POOL - len(words)) + [ids.astype(np.uint32), k]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK
+        value = value * const & _MASK
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    # generate_state(2, np.uint64): four uint32 words, paired little-endian
+    const = _INIT_B
+    state = np.empty((len(ids), 4), dtype=np.uint32)
+    for i in range(4):
+        value = pool[i] ^ const
+        const = const * _MULT_B & _MASK
+        value = value * const & _MASK
+        state[:, i] = value ^ value >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _stream_pair():
+    """A (regime, Gaussian) pair of generators, to be re-keyed per path."""
+    return tuple(np.random.Generator(np.random.Philox(0)) for _ in (0, 1))
+
+
+def _rekey(pair, keys):
+    """Point pair at the streams keys, at counter 0 with empty buffers."""
+    for rng, key in zip(pair, keys):
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO4, "key": key},
+            "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0}
+    return pair
+
+
 def _spawn_rngs(seed: int, path_id: int):
     """The (regime, Gaussian) streams of one path: the children 0 and 1 of
     SeedSequence(seed, spawn_key=(path_id,)), built without spawning."""
-    return tuple(np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        entropy=seed, spawn_key=(path_id, k)))) for k in (0, 1))
+    return _rekey(_stream_pair(),
+                  [_stream_keys(seed, [path_id], k)[0] for k in (0, 1)])
 
 
 def stream_blocks(seed: int, ids):
-    """The streams of ids in consecutive blocks of _BLOCK, made lazily."""
+    """The streams of ids in consecutive blocks of _BLOCK, made lazily.
+
+    Each block is an iterator of (regime, Gaussian) generator pairs, one
+    per id.  The keys of a block are hashed together, and every pair this
+    call yields is the same two generators re-keyed for the next id, so a
+    pair is valid only until the next one is drawn: use each path's streams
+    completely before advancing.  Separate calls own separate generators.
+    """
+    pair = _stream_pair()
     for lo in range(0, len(ids), _BLOCK):
-        yield (_spawn_rngs(seed, pid) for pid in ids[lo:lo + _BLOCK])
+        block = ids[lo:lo + _BLOCK]
+        keys = zip(*(_stream_keys(seed, block, k) for k in (0, 1)))
+        yield (_rekey(pair, path_keys) for path_keys in keys)
 
 
 def map_chunks(fn, ids, n_jobs: int):

@@ -26,6 +26,7 @@ from .volterra_pricer import GridSpec, SolverSettings
 
 ALL_OUTPUTS = ("price-field", "hedge-field", "mc-check", "pde-residual",
                "sensitivity", "residual-risk")
+_MAX_PATHS = 2 ** 32   # path ids 0..paths-1 key their streams as one uint32
 
 
 def _fail(msg, path):
@@ -36,12 +37,14 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _count(spec, key, default, path, least=1):
-    """spec[key] as an integer >= least."""
+def _count(spec, key, default, path, least=1, most=None):
+    """spec[key] as an integer >= least (and <= most when given)."""
     v = spec.get(key, default)
     if not _is_int(v) or v < least:
         _fail(f"{key} must be an integer >= {least}, got {v!r}",
               f"{path}.{key}")
+    if most is not None and v > most:
+        _fail(f"{key} must be at most {most}, got {v!r}", f"{path}.{key}")
     return v
 
 
@@ -350,7 +353,8 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     mc = _section(doc, "mc", path)
     mc_on = "mc-check" in outputs
     mc_seed = _seed(mc, f"{path}.mc", mc_on, "mc-check")
-    mc_paths = _count(mc, "paths", 0, f"{path}.mc", least=100 if mc_on else 0)
+    mc_paths = _count(mc, "paths", 0, f"{path}.mc", least=100 if mc_on else 0,
+                      most=_MAX_PATHS)
     antithetic = mc.get("antithetic", False)
     if not isinstance(antithetic, bool):
         _fail(f"antithetic must be true or false, got {antithetic!r}",
@@ -359,7 +363,7 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     rr_on = "residual-risk" in outputs
     rr_seed = _seed(rr, f"{path}.residual_risk", rr_on, "residual-risk")
     rr_paths = _count(rr, "paths", 0, f"{path}.residual_risk",
-                      least=100 if rr_on else 0)
+                      least=100 if rr_on else 0, most=_MAX_PATHS)
 
     sens_scale = _number(_section(doc, "sensitivity", path), "scale", 1.1,
                          f"{path}.sensitivity", positive=True)

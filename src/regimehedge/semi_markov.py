@@ -654,10 +654,3 @@ def simulate_csm(models, initial: CsmState, horizon: float,
         ages_after=np.asarray(ages_a, dtype=float).reshape(n_jumps, n_comp),
         final_ages=np.array([horizon - r for r in reset_time]),
     )
-
-
-def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for reproducible independent streams."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
-    )

@@ -191,6 +191,8 @@ def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
     (("components", 1, "hazards", "1->2"),
      {"family": "tabulated", "knots": [0.0, 1.0], "values": [0.5, True]},
      "scenario.components[1].hazards['1->2']"),
+    (("mc", "paths"), 2 ** 32 + 1, "scenario.mc.paths"),
+    (("residual_risk", "paths"), 2 ** 40, "scenario.residual_risk.paths"),
 ])
 def test_malformed_config_exits_2_naming_its_path(tmp_path, capsys, keys,
                                                   value, where):

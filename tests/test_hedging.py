@@ -3,10 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from regimehedge.market import Claim, build_market
+from regimehedge import hedging
+from regimehedge.market import Claim, build_kernel, build_market
 from regimehedge.mc_oracle import simulate_path, _spawn_rngs
+from regimehedge.quadrature import gauss_legendre, tensor_normal_nodes
 from regimehedge.regime_bsm import bsm_delta
-from regimehedge.semi_markov import AffineRate, ConstantRate, HazardModel, WeibullRate
+from regimehedge.semi_markov import (
+    AffineRate,
+    ConstantRate,
+    CsmState,
+    HazardModel,
+    WeibullRate,
+    _joint_log_survival,
+    switch_edges,
+)
 from regimehedge.hedging import hedge_field, hedge_ratio, strategy_at
 from regimehedge.volterra_pricer import (
     Grid,
@@ -252,3 +262,115 @@ def test_self_financing_along_no_jump_path():
             xi, eps = strategy_at(m, claim, models, field, ptk,
                                   discount=math.exp(-r * t))
         assert abs(value - phi) < 0.8  # discrete-rebalancing slippage
+
+
+def _hedge_ratio_per_node(market, claim, models, field, point, axis,
+                          settings=None):
+    """hedge_ratio with one scalar kernel and one inverse per panel node:
+    the loop the batched kernels must reproduce bit for bit."""
+    settings = settings or SolverSettings()
+    g = field.grid
+    t, s, x, y = point
+    s = np.asarray(s, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x = tuple(x)
+    T = g.horizon
+    rem = T - t
+    if rem <= 1e-12:
+        return float(bsm_delta(market, claim, x, T, T, s, axis,
+                               settings.bsm_outer_nodes))
+    log_js = _joint_log_survival(models, CsmState(x, y))
+    js_T = math.exp(log_js(rem))
+    out = float(bsm_delta(market, claim, x, t, T, s, axis,
+                          settings.bsm_outer_nodes)) * js_T
+    n_panels = max(1, int(round(rem / g.dt)))
+    width = rem / n_panels
+    gl_x, gl_w = gauss_legendre(2)
+    edges = switch_edges(models, g.x_tuples)[g.x_index[x]]
+    rate_x = market.r(x)
+    nodes, wq = tensor_normal_nodes(g.n, settings.gh_nodes)
+    switch = 0.0
+    mass = 0.0
+    for p in range(n_panels):
+        for gx, gw in zip(gl_x, gl_w):
+            v = (p + 0.5 * (gx + 1.0)) * width
+            wv = 0.5 * width * gw
+            js = math.exp(log_js(v))
+            kern = build_kernel(market, t, x, v)
+            sig = s * np.exp(kern.zbar + nodes @ kern.chol.T)
+            inv_l = np.linalg.inv(kern.chol)
+            fac = (nodes @ inv_l[:, axis]) / s[axis]
+            lin_term = math.exp(rate_x * v) * claim.c1[axis]
+            for l, _, xpi, fam in edges:
+                lam = float(fam.rate(np.asarray(y[l] + v)))
+                if lam == 0.0:
+                    continue
+                yp = y + v
+                yp[l] = 0.0
+                B = sig.shape[0]
+                vals = field.values(np.full(B, t + v), sig, np.full(B, xpi),
+                                    np.tile(yp, (B, 1)))
+                excess = vals - g.interp_linear_part(sig, claim.c1)
+                d_excess = float(np.dot(wq * fac, excess))
+                switch += wv * math.exp(-rate_x * v) * js * lam \
+                    * (d_excess + lin_term)
+                mass += wv * js * lam
+    if mass > 1e-300:
+        switch *= (1.0 - js_T) / mass
+    return out + switch
+
+
+def _small_one_asset_case():
+    def rate(x):
+        return 0.02 if x[0] == 1 else 0.05
+
+    def vol(x):
+        return (0.2 if x[1] == 1 else 0.3) * np.eye(1)
+
+    m = build_market(1, 2, 2, rate, np.array([0.07]), vol)
+    claim = Claim("basket-call", weights=[1.0], strike=100.0)
+    models = [
+        HazardModel(2, {(1, 2): ConstantRate(0.5), (2, 1): ConstantRate(0.7)}),
+        HazardModel(2, {(1, 2): WeibullRate(0.6, 2.0), (2, 1): AffineRate(0.3, 0.2)}),
+    ]
+    grid = Grid(m, 1.0, np.array([[100.0]]),
+                GridSpec(time_steps=8, price_nodes=41, age_nodes=4))
+    field, _ = solve_price_field(m, claim, models, grid, tol=1e-3)
+    points = [(0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0])),
+              (0.37, np.array([93.0]), (2, 1), np.array([0.2, 0.37])),
+              (0.95, np.array([108.0]), (1, 2), np.array([0.5, 0.1]))]
+    return m, claim, models, field, points
+
+
+def _small_correlated_case():
+    def vol(x):
+        base = np.array([[0.2, 0.0], [0.12, 0.22]])
+        return base if x[0] == 1 else 1.4 * base
+
+    m = build_market(2, 2, 1, 0.03, np.array([0.06, 0.07]), vol)
+    claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
+    models = [HazardModel(2, {(1, 2): WeibullRate(0.8, 1.6),
+                              (2, 1): ConstantRate(0.9)})]
+    grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
+                GridSpec(time_steps=6, price_nodes=21, age_nodes=3))
+    field, _ = solve_price_field(m, claim, models, grid, tol=1e-4,
+                                 settings=SolverSettings(gh_nodes=8))
+    points = [(0.0, np.array([100.0, 95.0]), (1,), np.array([0.0])),
+              (0.41, np.array([90.0, 112.0]), (2,), np.array([0.3]))]
+    return m, claim, models, field, points
+
+
+@pytest.mark.parametrize("case", [_small_one_asset_case,
+                                  _small_correlated_case],
+                         ids=["one-asset", "correlated-two-asset"])
+def test_batched_kernels_equal_the_per_node_loop(monkeypatch, case):
+    m, claim, models, field, points = case()
+    settings = SolverSettings(gh_nodes=8)
+    got = [strategy_at(m, claim, models, field, pt, 0.93, settings)
+           for pt in points]
+    monkeypatch.setattr(hedging, "hedge_ratio", _hedge_ratio_per_node)
+    for pt, (xi, eps) in zip(points, got):
+        ref_xi, ref_eps = strategy_at(m, claim, models, field, pt, 0.93,
+                                      settings)
+        np.testing.assert_array_equal(xi, ref_xi)
+        assert eps == ref_eps

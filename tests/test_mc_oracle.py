@@ -18,7 +18,9 @@ from regimehedge.mc_oracle import (
     PathBlock,
     mc_price,
     simulate_path,
+    stream_blocks,
     _spawn_rngs,
+    _stream_keys,
 )
 from regimehedge.regime_bsm import bsm_price
 from regimehedge.scenario import parse_scenario
@@ -352,3 +354,84 @@ def test_path_streams_are_the_spawned_children():
         for rng, kid in zip(_spawn_rngs(seed, pid), kids):
             want = np.random.Generator(np.random.Philox(kid))
             np.testing.assert_array_equal(rng.random(8), want.random(8))
+
+
+def test_stream_keys_are_seed_sequence_states():
+    pids = [0, 1, 1023, 1024, 1025, 2 ** 32 - 1]
+    for seed in (0, 5, 2 ** 32, 2 ** 64 + 3):
+        for k in (0, 1):
+            got = _stream_keys(seed, np.array(pids), k)
+            want = [np.random.SeedSequence(seed, spawn_key=(pid, k))
+                    .generate_state(2, np.uint64) for pid in pids]
+            assert got.dtype == np.uint64
+            np.testing.assert_array_equal(got, want)
+    for seed, bad in ((5, [2 ** 32]), (5, [3, -1]), (-1, [0])):
+        with pytest.raises(ValueError):
+            _stream_keys(seed, np.array(bad), 0)
+
+
+def _numpy_streams(seed, pid):
+    """The streams of path pid as numpy builds them, without re-keying."""
+    return tuple(np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        seed, spawn_key=(int(pid), k)))) for k in (0, 1))
+
+
+def _mixed_draws(rng_regime, rng_gauss, pid):
+    """Draws of every kind a path makes, of a length that varies by path.
+    Raw 32-bit draws come first, and an odd count of them leaves half a
+    buffered word behind, so a stale buffer after re-keying shows."""
+    k = 1 + pid % 4
+    return np.concatenate([
+        rng_regime.integers(0, 2 ** 32, size=k, dtype=np.uint32),
+        rng_regime.exponential(size=k), rng_regime.random(k),
+        rng_gauss.standard_normal((k, 2)).ravel(),
+        rng_regime.random(2), rng_gauss.standard_normal(3)])
+
+
+def test_stream_blocks_rekey_to_the_numpy_streams():
+    ids = np.arange(2100)     # two full blocks and a partial one
+    got, sizes = [], []
+    for block in stream_blocks(42, ids):
+        # each pair is used up before the block re-keys it for the next id
+        for pair in block:
+            got.append(_mixed_draws(*pair, len(got)))
+        sizes.append(len(got) - sum(sizes))
+    assert sizes == [1024, 1024, 52]
+    for pid in ids:
+        np.testing.assert_array_equal(
+            got[pid], _mixed_draws(*_numpy_streams(42, pid), pid))
+
+
+def test_estimates_equal_numpy_stream_reference():
+    m, models, claim = correlated_case()
+    start = (0.37, np.array([100.0, 90.0]), (2, 1), np.array([0.2, 0.37]))
+
+    def block(seed, n_ids, **kw):
+        return simulate_path(m, models, start, 1.0,
+                             (_numpy_streams(seed, pid)
+                              for pid in range(n_ids)),
+                             **kw)
+
+    for antithetic in (False, True):
+        signs = (1.0, -1.0) if antithetic else (1.0,)
+        blk = block(4, 1050 if antithetic else 2100, signs=signs)
+        vals = (blk.discount * claim(blk.s_terminal)).T.ravel()
+        want = (float(np.mean(vals)),
+                float(np.std(vals, ddof=1) / math.sqrt(len(vals))))
+        assert mc_price(m, claim, models, start, 1.0, 2100, 4,
+                        antithetic=antithetic) == want
+
+    grid = Grid(m, 1.0, np.array([[100.0, 90.0]]),
+                GridSpec(time_steps=4, price_nodes=9, age_nodes=3))
+    field, _ = solve_price_field(m, claim, models, grid, 1e-3)
+    blk = block(6, 2100, mode="physical")
+    s = blk.s_at_jumps[0]
+    jump = blk.discount_at_jumps * (
+        field.values(blk.jump_times, s, blk.post_index, blk.ages_after)
+        - field.values(blk.jump_times, s, blk.pre_index, blk.ages_before))
+    costs = np.bincount(blk.jump_path, weights=jump ** 2, minlength=2100)
+    rep = residual_risk(m, claim, models, field, start, 2100, 6)
+    assert rep.r0 == float(np.mean(costs))
+    assert rep.se == float(np.std(costs, ddof=1) / math.sqrt(2100))
+    assert rep.mean_jumps == float(np.mean(blk.n_jumps)) > 0.5
+    assert rep.cost_quantiles["q90"] == float(np.quantile(costs, 0.9))

@@ -18,13 +18,18 @@ from regimehedge.semi_markov import (
     holding_pdf,
     next_jump_component_prob,
     next_jump_time_law,
-    path_rng,
     residual_holding_cdf,
     simulate_csm,
     transition_probs,
 )
 
 SUM_TOL = 1e-8
+
+
+def path_rng(seed, stream=0):
+    """A Philox generator on the stream SeedSequence(seed, spawn_key=(stream,))."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
 
 
 def two_state(rate12, rate21=None):
