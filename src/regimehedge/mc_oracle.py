@@ -80,16 +80,13 @@ def _stream_keys(seed: int, ids, k: int) -> np.ndarray:
     if ids.size and (ids.min() < 0 or ids.max() > _MASK):
         raise ValueError("path ids must lie in [0, 2**32) to hash as one "
                          "entropy word each")
+    seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     # entropy: the seed's little-endian words, zero-padded to the pool
     # size, then the spawn key (path id, k)
-    words, rest = [], int(seed)
-    while True:
-        words.append(rest & _MASK)
-        rest >>= 32
-        if not rest:
-            break
+    words = [seed >> b & _MASK
+             for b in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL - len(words)) + [ids.astype(np.uint32), k]
     const = _INIT_A
 

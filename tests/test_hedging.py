@@ -320,22 +320,8 @@ def _hedge_ratio_per_node(market, claim, models, field, point, axis,
     return out + switch
 
 
-def _small_one_asset_case():
-    def rate(x):
-        return 0.02 if x[0] == 1 else 0.05
-
-    def vol(x):
-        return (0.2 if x[1] == 1 else 0.3) * np.eye(1)
-
-    m = build_market(1, 2, 2, rate, np.array([0.07]), vol)
-    claim = Claim("basket-call", weights=[1.0], strike=100.0)
-    models = [
-        HazardModel(2, {(1, 2): ConstantRate(0.5), (2, 1): ConstantRate(0.7)}),
-        HazardModel(2, {(1, 2): WeibullRate(0.6, 2.0), (2, 1): AffineRate(0.3, 0.2)}),
-    ]
-    grid = Grid(m, 1.0, np.array([[100.0]]),
-                GridSpec(time_steps=8, price_nodes=41, age_nodes=4))
-    field, _ = solve_price_field(m, claim, models, grid, tol=1e-3)
+def _one_asset_case():
+    m, claim, models, field = regime_case()
     points = [(0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0])),
               (0.37, np.array([93.0]), (2, 1), np.array([0.2, 0.37])),
               (0.95, np.array([108.0]), (1, 2), np.array([0.5, 0.1]))]
@@ -360,8 +346,7 @@ def _small_correlated_case():
     return m, claim, models, field, points
 
 
-@pytest.mark.parametrize("case", [_small_one_asset_case,
-                                  _small_correlated_case],
+@pytest.mark.parametrize("case", [_one_asset_case, _small_correlated_case],
                          ids=["one-asset", "correlated-two-asset"])
 def test_batched_kernels_equal_the_per_node_loop(monkeypatch, case):
     m, claim, models, field, points = case()

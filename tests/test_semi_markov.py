@@ -27,9 +27,9 @@ SUM_TOL = 1e-8
 
 
 def path_rng(seed, stream=0):
-    """A Philox generator on the stream SeedSequence(seed, spawn_key=(stream,))."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
+    """The Philox generator of SeedSequence(seed, spawn_key=(stream,))."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
 
 
 def two_state(rate12, rate21=None):
