@@ -31,7 +31,6 @@ from .volterra_pricer import (
     SolverSettings,
     linear_growth_norm,
     pde_residual,
-    picard_step,
     solve_price_field,
 )
 from .mc_oracle import mc_price
@@ -51,7 +50,7 @@ __all__ = [
     "ResidualRiskReport", "RootFindFailure", "SensitivityReport",
     "SingularCovariance", "SolverSettings", "TimeCoeff", "TruncationFailure",
     "build_market", "hedge_field", "hedge_ratio", "linear_growth_norm",
-    "mc_price", "pde_residual", "picard_step", "residual_risk",
+    "mc_price", "pde_residual", "residual_risk",
     "sensitivity_check", "simulate_csm",
     "solve_price_field", "strategy_at",
 ]

@@ -32,11 +32,17 @@ is the one whose residual was measured, so the report certifies the exact
 |T phi - phi| without a further global application.
 
 The switches out of each regime tuple come from ``semi_markov.switch_edges``.
-Slab i builds its switch tables once (``_slab_tables``): per panel and
-regime tuple the kernel smoother, and per switch edge one weight that
-carries the discount e^{-r(x) v_p}, dt, JS(v_p), the hazard and the mass
-normalization, so the switch branch is gather, smooth and one weighted add
-per edge.
+Slab i builds its switch tables once, for all panels at once
+(``_slab_tables``): the joint survival at every panel midpoint as one
+array, each hazard family's rate over the (panel, age) grid in one call,
+and per regime tuple the kernel smoothers of all panels, whose diagonal
+taps come from one batch per log-price axis.  Per panel, regime tuple and
+switch edge, one weight carries the discount e^{-r(x) v_p}, dt, JS(v_p),
+the hazard and the mass normalization.  The switch branch of a panel then
+gathers the continuation once per resetting component and subtracts the
+linear part c1.s once; the excesses of all edges out of a regime tuple are
+stacked and smoothed together (one ``correlate1d`` per log-price axis), and
+each edge adds its weighted share.
 
 The kernel expectation smooths the multilinearly interpolated field with
 tensor Gauss-Hermite nodes.  When the log covariance is diagonal each
@@ -44,7 +50,10 @@ log-price axis is one ``scipy.ndimage.correlate1d`` with taps centred on
 offset 0 and edge replication; otherwise each node is an explicit shifted
 blend of the edge-padded slab.  Moving a slab along the age axes (ages grow
 by v between t and t + v) is one clamped linear shift per age axis,
-``_shift_axis``, shared by the gather and the PDE residual.
+``_shift_axis``, shared by the gather and the PDE residual; its rows are a
+slice of the slab wherever no index clamps.  The gather takes the whole
+rows of both bracketing slabs, each clamped to its own stored ages, and
+blends their mean once per age axis.
 """
 
 from __future__ import annotations
@@ -181,10 +190,6 @@ class PriceField:
         self.grid = grid
         self.claim = claim
         self.slabs = slabs
-
-    def node_value(self, i: int, x, y_idx, s_idx) -> float:
-        xi = self.grid.x_index[tuple(x)]
-        return float(self.slabs[i][(xi,) + tuple(y_idx) + tuple(s_idx)])
 
     def values(self, t, s, x_idx, y) -> np.ndarray:
         """Interpolated field at scattered points.
@@ -327,35 +332,55 @@ class ConvergenceReport:
 # ---------------------------------------------------------------------------
 
 def _build_taps(shifts, weights, h):
-    """Collapse fractional shifts into taps on a uniform axis.
+    """Collapse fractional shifts into taps on a uniform axis, one tap array
+    per row of shifts (P, Q); weights is (Q,) or (P, Q).
 
-    The taps have odd length and are centred on offset 0, so
-    correlate1d(arr, taps, mode="nearest") gives
-    sum_q weights[q] * (arr interpolated linearly at x + shifts[q]),
-    with the axis held at its edge values beyond the box.
+    Each tap array has odd length and is centred on offset 0, so
+    correlate1d(arr, taps[p], mode="nearest") gives
+    sum_q weights[p, q] * (arr interpolated linearly at x + shifts[p, q]),
+    with the axis held at its edge values beyond the box.  All rows share
+    one flat array and one pair of np.add.at calls, whose adds reach each
+    tap in the order of a one-row build, so a row's taps do not depend on
+    the rows built with it.
     """
     cells = np.asarray(shifts, dtype=float) / h
     i0 = np.floor(cells).astype(int)
     frac = cells - i0
-    half = max(-int(i0.min()), int(i0.max()) + 1)
-    taps = np.zeros(2 * half + 1)
-    np.add.at(taps, i0 + half, weights * (1.0 - frac))
-    np.add.at(taps, i0 + half + 1, weights * frac)
-    return taps
+    half = np.maximum(-i0.min(axis=1), i0.max(axis=1) + 1)
+    ends = np.cumsum(2 * half + 1)
+    centre = (ends - half - 1)[:, None]
+    flat = np.zeros(int(ends[-1]))
+    np.add.at(flat, i0 + centre, weights * (1.0 - frac))
+    np.add.at(flat, i0 + centre + 1, weights * frac)
+    return [flat[e - 2 * k - 1:e] for k, e in zip(half.tolist(), ends.tolist())]
 
 
 def _shift_axis(arr, axis, cells, count):
     """out[k] = (1 - f) arr[k + i0] + f arr[k + i0 + 1] for k < count, where
-    cells = i0 + f with 0 <= f < 1 and indices clamp to the axis."""
+    cells = i0 + f with 0 <= f < 1 and indices clamp to the axis.
+
+    The rows are a slice of arr where no index clamps, and a whole shift
+    (f = 0) returns them unblended, so the result may be a view of arr."""
     i0 = math.floor(cells)
     f = cells - i0
-    idx = np.clip(np.arange(i0, i0 + count + 1), 0, arr.shape[axis] - 1)
-    both = np.take(arr, idx, axis=axis)
+    rows = count + (f > 0)
+    size = arr.shape[axis]
+    if 0 <= i0 and i0 + rows <= size:
+        sel = [slice(None)] * arr.ndim
+        sel[axis] = slice(i0, i0 + rows)
+        both = arr[tuple(sel)]
+    else:
+        idx = [min(max(k, 0), size - 1) for k in range(i0, i0 + rows)]
+        both = np.take(arr, idx, axis=axis)
+    if f == 0:
+        return both
     lo = [slice(None)] * arr.ndim
     hi = [slice(None)] * arr.ndim
     lo[axis] = slice(0, count)
     hi[axis] = slice(1, count + 1)
-    return (1.0 - f) * both[tuple(lo)] + f * both[tuple(hi)]
+    out = (1.0 - f) * both[tuple(lo)]
+    out += f * both[tuple(hi)]
+    return out
 
 
 class _Smoother:
@@ -371,20 +396,37 @@ class _Smoother:
 
     _deriv = None   # per-axis derivative taps or node factors, built on use
 
-    def __init__(self, zbar, chol, grid: Grid, gh_nodes: int):
+    def __init__(self, zbar, chol, grid: Grid, gh_nodes: int, taps=None):
+        """taps, when given, are the per-axis kernel taps of a diagonal chol,
+        built in a batch by for_panels."""
         self.grid = grid
         self.zbar = zbar
         self.chol = chol
         n = grid.n
-        off = np.abs(chol - np.diag(np.diag(chol))).max() if n > 1 else 0.0
-        self.diagonal = off <= 1e-14
+        self.diagonal = taps is not None or _is_diagonal(chol[None])[0]
         if self.diagonal:
             self._xi, self._w = gauss_hermite_standard(gh_nodes)
-            self.taps = [_build_taps(zbar[d] + chol[d, d] * self._xi, self._w,
-                                     grid.h[d]) for d in range(n)]
+            if taps is None:
+                taps = [_build_taps((zbar[d] + chol[d, d] * self._xi)[None],
+                                    self._w, grid.h[d])[0] for d in range(n)]
+            self.taps = taps
         else:
             self.nodes, self.weights = tensor_normal_nodes(n, gh_nodes)
             self.shifts = zbar + self.nodes @ chol.T   # (Q, n)
+
+    @classmethod
+    def for_panels(cls, kern, grid: Grid, gh_nodes: int):
+        """One smoother per panel of a kernel over several horizons (zbar
+        (P, n), chol (P, n, n)).  The kernel taps of all diagonal panels come
+        from one _build_taps call per log-price axis."""
+        diag = np.flatnonzero(_is_diagonal(kern.chol))
+        xi, w = gauss_hermite_standard(gh_nodes)
+        taps = [_build_taps(kern.zbar[diag, d, None]
+                            + kern.chol[diag, d, d, None] * xi, w, grid.h[d])
+                for d in range(grid.n)] if len(diag) else []
+        per_panel = dict(zip(diag.tolist(), zip(*taps)))
+        return [cls(zbar, chol, grid, gh_nodes, per_panel.get(p))
+                for p, (zbar, chol) in enumerate(zip(kern.zbar, kern.chol))]
 
     def apply(self, arr, deriv_axis: int | None = None):
         """arr has age axes first, then the n log-price axes (last).
@@ -432,12 +474,20 @@ class _Smoother:
             if self.diagonal:
                 shifts = self.zbar[d] + self.chol[d, d] * self._xi
                 wts = self._w * self._xi / self.chol[d, d]
-                self._deriv[d] = _build_taps(shifts, wts, self.grid.h[d])
+                self._deriv[d] = _build_taps(shifts[None], wts,
+                                             self.grid.h[d])[0]
             else:
                 # (Sigma^-1 (z - zbar))_d = (L^-T xi)_d for z - zbar = L xi
                 inv_l = np.linalg.inv(self.chol)
                 self._deriv[d] = self.weights * (self.nodes @ inv_l[:, d])
         return self._deriv[d]
+
+
+def _is_diagonal(chol):
+    """Per matrix of a stack (P, n, n): no off-diagonal entry above 1e-14."""
+    n = chol.shape[-1]
+    off = np.abs(chol[:, ~np.eye(n, dtype=bool)])
+    return off.max(axis=1, initial=0.0) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -513,19 +563,18 @@ class VolterraSolver:
             self._terminal = np.broadcast_to(view, shape)
         return self._terminal
 
-    def _joint_survival(self, i, k):
-        """exp(-sum_m dLam) over the offset k dt/2, on the age sub-grid of
-        slab i, per regime tuple."""
+    def _joint_survival(self, i, ks):
+        """exp(-sum_m dLam) over the offsets k dt/2 for k in ks, on the age
+        sub-grid of slab i: an array (n_x, len(ks), c_i, ..., c_i)."""
         g = self.grid
         c = int(g.c_counts[i])
-        out = np.empty((len(g.x_tuples),) + (c,) * g.n_components)
+        nc = g.n_components
+        out = np.empty((len(g.x_tuples), len(ks)) + (c,) * nc)
         for xi, x in enumerate(g.x_tuples):
-            acc = np.zeros((c,) * g.n_components)
-            for m in range(g.n_components):
-                col = self.dlam[(m, x[m])][:c, k]
-                shape = [1] * g.n_components
-                shape[m] = c
-                acc = acc + col.reshape(shape)
+            acc = np.zeros((len(ks),) + (c,) * nc)
+            for m in range(nc):
+                col = self.dlam[(m, x[m])][:c, ks]
+                acc = acc + _on_axis(col.T, (0, 1 + m), 1 + nc)
             out[xi] = np.exp(-acc)
         return out
 
@@ -533,54 +582,58 @@ class VolterraSolver:
         """JS(T - t_i; x, y) on the age sub-grid of slab i, per regime tuple."""
         js = self._js_T.get(i)
         if js is None:
-            js = self._joint_survival(i, 2 * (self.grid.spec.time_steps - i))
+            js = self._joint_survival(
+                i, [2 * (self.grid.spec.time_steps - i)])[:, 0]
             self._js_T[i] = js
         return js
 
     def _slab_tables(self, i):
         """The switch-branch tables of slab i, one entry per panel p: per
-        regime tuple, the smoother of the kernel over v_p and the weight
-        of each switch edge (l, xpi, w), where
+        regime tuple, the smoother of the kernel over v_p and the weights of
+        its switch edges (self.edges order), stacked on the first axis, where
 
             w = kappa e^{-r(x) v_p} dt JS(v_p; x, y) lam^l(y_l + v_p)
 
         broadcasts over the price axes.  kappa is the mass normalization
         (1 - JS(T - t_i)) over the quadrature mass of all panels; it keeps
         linear claims exact and the operator a strict sub-probability
-        mixture.  Whoever applies slab i builds its tables once and drops
-        them after."""
+        mixture.  All panels are built at once: one joint-survival array,
+        one rate call per hazard family and one batch of kernel taps per
+        regime tuple and log-price axis.  Whoever applies slab i builds its
+        tables once and drops them after."""
         g = self.grid
+        nc = g.n_components
         c = int(g.c_counts[i])
+        P = g.spec.time_steps - i
         y_pad = (...,) + (None,) * g.n
-        mass = np.zeros((len(g.x_tuples),) + (c,) * g.n_components)
-        v_mid = self.v_mid[:g.spec.time_steps - i]
-        kerns = [build_kernel(self.market, g.t_nodes[i], x, v_mid)
-                 for x in g.x_tuples]
-        tables = []
-        for p, v in enumerate(v_mid):
-            js = self._joint_survival(i, 2 * p + 1)
-            ages = g.age_nodes[:c] + v
-            panel = []
-            for xi, kern in enumerate(kerns):
-                # the smoother acts on the excess over the linear part c1.s,
-                # which clamps at the box edges, so no growth correction here
-                sm = _Smoother(kern.zbar[p], kern.chol[p], g,
-                               self.settings.gh_nodes)
-                edges = []
-                for l, _, xpi, fam in self.edges[xi]:
-                    wt = g.dt * js[xi] * _on_axis(fam.rate(ages), l,
-                                                  g.n_components)
-                    mass[xi] += wt
-                    edges.append((l, xpi, wt))
-                panel.append((sm, edges))
-            tables.append(panel)
+        v_mid = self.v_mid[:P]
+        js = self._joint_survival(i, range(1, 2 * P, 2))
+        ages = v_mid[:, None] + g.age_nodes[:c]
+        rates = {}
+        weights = []
+        mass = np.empty((len(g.x_tuples),) + (c,) * nc)
+        for xi, edges in enumerate(self.edges):
+            base = g.dt * js[xi]
+            wt = np.empty((P, len(edges)) + (c,) * nc)
+            for e, (l, _, _, fam) in enumerate(edges):
+                if id(fam) not in rates:
+                    rates[id(fam)] = fam.rate(ages)
+                wt[:, e] = base * _on_axis(rates[id(fam)], (0, 1 + l), 1 + nc)
+            mass[xi] = wt.reshape((-1,) + (c,) * nc).sum(axis=0)
+            weights.append(wt)
         kappa = np.where(
             mass > 1e-300, (1.0 - self.js_T(i)) / np.maximum(mass, 1e-300), 1.0)
-        for v, panel in zip(self.v_mid, tables):
-            for xi, (sm, edges) in enumerate(panel):
-                scale = kappa[xi] * math.exp(-self.market.r(g.x_tuples[xi]) * v)
-                panel[xi] = (sm, [(l, xpi, (scale * wt)[y_pad])
-                                  for l, xpi, wt in edges])
+        tables = [[] for _ in range(P)]
+        for xi, (x, wt) in enumerate(zip(g.x_tuples, weights)):
+            disc = np.exp(-self.market.r(x) * v_mid)
+            scale = kappa[xi] * _on_axis(disc, (0,), 1 + nc)
+            wt *= scale[:, None]
+            # the smoother acts on the excess over the linear part c1.s,
+            # which clamps at the box edges, so no growth correction here
+            kern = build_kernel(self.market, g.t_nodes[i], x, v_mid)
+            sms = _Smoother.for_panels(kern, g, self.settings.gh_nodes)
+            for panel, sm, w in zip(tables, sms, wt):
+                panel.append((sm, w[y_pad]))
         return tables
 
     # -- gathering the continuation slab ---------------------------------------
@@ -603,25 +656,27 @@ class VolterraSolver:
     def _gather(self, slabs, i, p, l):
         """Continuation values at ages (y + v_p with component l reset to 0).
 
-        Returns an array (n_x, c_i, .., 1 at axis l, .., c_i, S...): the mean
-        of the time slabs i + p and i + p + 1, which bracket t_i + v_p at its
-        midpoint.  The resetting component's axis is collapsed first (its
-        queried age is zero), so the remaining age blends work on
-        c-squared-sized arrays.
+        Returns an array (n_x, c_i, ..., c_i, S...) over the ages of every
+        component but l (the reset axis is dropped): the mean of the time
+        slabs i + p and i + p + 1, which bracket t_i + v_p at its midpoint.
+        Each bracketing slab gives the rows i0..i0 + c_i of its own stored
+        ages, clamped to them (slices where no index clamps), and the mean
+        of the two is blended once per age axis.
         """
         g = self.grid
         c = int(g.c_counts[i])
         cells = self.v_mid[p] / g.dy
-        pieces = []
+        i0 = math.floor(cells)
+        rows = []
         for side in (i + p, i + p + 1):
-            sel = [slice(None)] * slabs[side].ndim
-            sel[1 + l] = slice(0, 1)
-            arr = slabs[side][tuple(sel)]
-            for m in range(g.n_components):
-                if m != l:
-                    arr = _shift_axis(arr, 1 + m, cells, c)
-            pieces.append(arr)
-        return 0.5 * (pieces[0] + pieces[1])
+            arr = slabs[side][(slice(None),) * (1 + l) + (0,)]
+            for ax in range(1, g.n_components):
+                arr = _shift_axis(arr, ax, i0, c + 1)
+            rows.append(arr)
+        mean = 0.5 * (rows[0] + rows[1])
+        for ax in range(1, g.n_components):
+            mean = _shift_axis(mean, ax, cells - i0, c)
+        return mean
 
     # -- the switch-branch operator ------------------------------------------
 
@@ -633,7 +688,9 @@ class VolterraSolver:
         s-derivatives for hedging.  All actions share the gathers and the
         weights of slab i's tables (see _slab_tables), built afresh when
         not given.  panels selects the v-panels to sum (all by default); the
-        panels p >= 1 read only slabs after i.
+        panels p >= 1 read only slabs after i.  Per panel, the excesses of
+        all switch edges out of a regime tuple are stacked and smoothed by
+        one action call; each edge then adds its weighted share.
         """
         g = self.grid
         if tables is None:
@@ -643,17 +700,28 @@ class VolterraSolver:
         c = int(g.c_counts[i])
         accs = [np.zeros((len(g.x_tuples),) + (c,) * g.n_components + g.s_shape)
                 for _ in actions]
+        share = np.empty(accs[0].shape[1:])
         for p in panels:
-            gathered = [self._gather(slabs, i, p, l)
-                        for l in range(g.n_components)]
-            for xi, (sm, edges) in enumerate(tables[p]):
-                for l, xpi, w in edges:
-                    # the linear part of the field integrates in closed form
-                    # (discounted kernel mean of c1.S is c1.s exactly); only
-                    # the excess is smoothed
-                    excess = gathered[l][xpi] - self._lin
-                    for acc, action in zip(accs, actions):
-                        acc[xi] += w * action(sm, excess)
+            # the linear part of the field integrates in closed form
+            # (discounted kernel mean of c1.S is c1.s exactly); only the
+            # excess is smoothed
+            excess = []
+            for l in range(g.n_components):
+                gathered = self._gather(slabs, i, p, l)
+                gathered -= self._lin
+                excess.append(gathered)
+            for xi, (sm, w) in enumerate(tables[p]):
+                edges = self.edges[xi]
+                if not edges:
+                    continue
+                stacked = np.stack([excess[l][xpi] for l, _, xpi, _ in edges])
+                for acc, action in zip(accs, actions):
+                    smoothed = action(sm, stacked)
+                    # each edge's reset axis comes back as a singleton
+                    for (l, _, _, _), we, se in zip(edges, w, smoothed):
+                        np.multiply(we, se[(slice(None),) * l + (None,)],
+                                    out=share)
+                        acc[xi] += share
         return accs
 
     # -- the operator, split for marching ------------------------------------
@@ -794,13 +862,6 @@ def _ratios(deltas):
 # Public operations
 # ---------------------------------------------------------------------------
 
-def picard_step(market, claim, models, field: PriceField,
-                settings: SolverSettings | None = None) -> PriceField:
-    """One application of the pricing operator to a field on its grid."""
-    solver = VolterraSolver(market, claim, models, field.grid, settings)
-    return solver.step(field)
-
-
 def solve_price_field(market, claim, models, grid: Grid, tol: float = 1e-4,
                       max_iter: int = 200,
                       settings: SolverSettings | None = None):
@@ -825,8 +886,13 @@ class PdeResidualReport:
 
 
 def _on_axis(vec, axis, ndim):
-    """vec reshaped to broadcast along one axis of an ndim-array."""
-    return vec.reshape((1,) * axis + (-1,) + (1,) * (ndim - axis - 1))
+    """vec reshaped to broadcast along one axis of an ndim-array, or along
+    each of a tuple of increasing axes (one dimension of vec per axis)."""
+    axes = (axis,) if isinstance(axis, int) else axis
+    shape = [1] * ndim
+    for ax, size in zip(axes, np.shape(vec)):
+        shape[ax] = size
+    return np.reshape(vec, shape)
 
 
 def _three_point(arr, sv, axis):

@@ -180,7 +180,8 @@ def test_correlated_two_asset_hedge_field_matches_point_route(settings):
 def test_derivative_taps_built_once_per_smoother_and_axis(monkeypatch):
     # pricing builds only the kernel taps; the hedge pass adds one set of
     # derivative taps per smoother and asset axis, shared by every
-    # (component, destination) branch
+    # (component, destination) branch.  _build_taps builds a batch of tap
+    # arrays per call, so the count is of arrays built, not of calls
     from regimehedge import volterra_pricer as vp
     m = build_market(2, 2, 2, 0.03, np.zeros(2), np.diag([0.2, 0.3]))
     claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
@@ -192,8 +193,9 @@ def test_derivative_taps_built_once_per_smoother_and_axis(monkeypatch):
     build, init = vp._build_taps, vp._Smoother.__init__
 
     def counting_build(*args):
-        calls[0] += 1
-        return build(*args)
+        taps = build(*args)
+        calls[0] += len(taps)
+        return taps
 
     def tracking_init(self, *args):
         init(self, *args)

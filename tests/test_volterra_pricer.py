@@ -24,7 +24,6 @@ from regimehedge.volterra_pricer import (
     VolterraSolver,
     linear_growth_norm,
     pde_residual,
-    picard_step,
     solve_price_field,
 )
 
@@ -276,7 +275,7 @@ def test_step_matches_conditional_law_route():
                     inner += pl[j - 1] * value
                 total += probs[l] * grid.dt * math.exp(-m.r(x) * v) \
                     * law.pdf(v) * inner
-        got = stepped.node_value(i, x, y_idx, (s_idx,))
+        got = float(stepped.slabs[i][(xi,) + y_idx + (s_idx,)])
         # the solver floors each slab at zero (positivity invariant)
         assert got == pytest.approx(max(total, 0.0), rel=2e-3, abs=2e-3)
 
@@ -490,12 +489,14 @@ def test_two_discretizations_agree_within_budgets():
     assert abs(vals[0] - vals[1]) / scale <= budgets[0] + budgets[1]
 
 
-def test_picard_step_public_wrapper():
+def test_fresh_and_warm_solvers_step_alike():
+    # a fresh solver builds its frozen-regime slabs and survival tables on
+    # the first step; one that built them for the initial field reuses them
     m, claim, models, grid = degenerate_setup(price_nodes=21, time_steps=4,
                                               age_nodes=3)
     solver = VolterraSolver(m, claim, models, grid)
     f0 = solver.initial_field()
-    f1 = picard_step(m, claim, models, f0)
+    f1 = VolterraSolver(m, claim, models, f0.grid).step(f0)
     f1b = solver.step(f0)
     for a, b in zip(f1.slabs, f1b.slabs):
         np.testing.assert_array_equal(a, b)
@@ -636,3 +637,280 @@ def test_field_lookup_interpolation_and_extrapolation():
     vT = field.values(np.array([1.0]), np.array([[137.0]]), np.array([2]),
                       np.array([[0.3, 0.9]]))
     assert vT[0] == pytest.approx(37.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The bulk switch branch against a per-edge reference
+# ---------------------------------------------------------------------------
+
+def _ref_build_taps(shifts, weights, h):
+    """One panel's taps, built on their own (the per-panel construction)."""
+    cells = np.asarray(shifts, dtype=float) / h
+    i0 = np.floor(cells).astype(int)
+    frac = cells - i0
+    half = max(-int(i0.min()), int(i0.max()) + 1)
+    taps = np.zeros(2 * half + 1)
+    np.add.at(taps, i0 + half, weights * (1.0 - frac))
+    np.add.at(taps, i0 + half + 1, weights * frac)
+    return taps
+
+
+def _ref_slab_tables(solver, i):
+    """Per panel and regime tuple: a smoother built on its own and one
+    (l, xpi, weight) entry per switch edge, each weight built from its own
+    joint-survival and rate evaluation."""
+    from regimehedge.volterra_pricer import _Smoother, _on_axis
+    g = solver.grid
+    nc = g.n_components
+    c = int(g.c_counts[i])
+    y_pad = (...,) + (None,) * g.n
+    mass = np.zeros((len(g.x_tuples),) + (c,) * nc)
+    v_mid = solver.v_mid[:g.spec.time_steps - i]
+    kerns = [build_kernel(solver.market, g.t_nodes[i], x, v_mid)
+             for x in g.x_tuples]
+    tables = []
+    for p, v in enumerate(v_mid):
+        ages = g.age_nodes[:c] + v
+        panel = []
+        for xi, (x, kern) in enumerate(zip(g.x_tuples, kerns)):
+            log_js = sum(_on_axis(solver.dlam[(m, x[m])][:c, 2 * p + 1], m, nc)
+                         for m in range(nc))
+            js = np.exp(-log_js)
+            sm = _Smoother(kern.zbar[p], kern.chol[p], g,
+                           solver.settings.gh_nodes)
+            edges = []
+            for l, _, xpi, fam in solver.edges[xi]:
+                wt = g.dt * js * _on_axis(fam.rate(ages), l, nc)
+                mass[xi] += wt
+                edges.append((l, xpi, wt))
+            panel.append((sm, edges))
+        tables.append(panel)
+    kappa = np.where(mass > 1e-300,
+                     (1.0 - solver.js_T(i)) / np.maximum(mass, 1e-300), 1.0)
+    for v, panel in zip(v_mid, tables):
+        for xi, (sm, edges) in enumerate(panel):
+            scale = kappa[xi] * math.exp(-solver.market.r(g.x_tuples[xi]) * v)
+            panel[xi] = (sm, [(l, xpi, (scale * wt)[y_pad])
+                              for l, xpi, wt in edges])
+    return tables
+
+
+def _ref_gather(solver, slabs, i, p, l):
+    """Each bracketing slab shifted on its own along every age axis but l
+    (l collapsed to age 0), then the mean of the two."""
+    from regimehedge.volterra_pricer import _shift_axis
+    g = solver.grid
+    c = int(g.c_counts[i])
+    cells = solver.v_mid[p] / g.dy
+    pieces = []
+    for side in (i + p, i + p + 1):
+        sel = [slice(None)] * slabs[side].ndim
+        sel[1 + l] = slice(0, 1)
+        arr = slabs[side][tuple(sel)]
+        for m in range(g.n_components):
+            if m != l:
+                arr = _shift_axis(arr, 1 + m, cells, c)
+        pieces.append(arr)
+    return 0.5 * (pieces[0] + pieces[1])
+
+
+def _ref_switch_branch(solver, i, slabs, actions):
+    """The switch branch with one gather per (panel, component) and one
+    smoothing and weighted add per (panel, tuple, edge)."""
+    g = solver.grid
+    tables = _ref_slab_tables(solver, i)
+    c = int(g.c_counts[i])
+    accs = [np.zeros((len(g.x_tuples),) + (c,) * g.n_components + g.s_shape)
+            for _ in actions]
+    for p in range(len(tables)):
+        gathered = [_ref_gather(solver, slabs, i, p, l)
+                    for l in range(g.n_components)]
+        for xi, (sm, edges) in enumerate(tables[p]):
+            for l, xpi, w in edges:
+                excess = gathered[l][xpi] - solver._lin
+                for acc, action in zip(accs, actions):
+                    acc[xi] += w * action(sm, excess)
+    return accs
+
+
+def _switch_case(case):
+    if case == "1_asset_2_components":
+        m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
+                                              age_nodes=4)
+        return m, claim, models, grid, SolverSettings()
+    if case in ("2_assets_3_components", "2_assets_correlated"):
+        corr = case == "2_assets_correlated"
+
+        def vol(x):
+            s1, s2 = (0.2, 0.25) if x[1] == 1 else (0.3, 0.32)
+            return np.array([[s1, 0.0], [0.12 if corr else 0.0, s2]])
+        nc = 2 if corr else 3
+        m = build_market(2, 2, nc, lambda x: 0.02 if x[0] == 1 else 0.05,
+                         np.array([0.06, 0.07]), vol)
+        claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
+        models = [
+            HazardModel(2, {(1, 2): ConstantRate(0.25),
+                            (2, 1): ConstantRate(0.35)}),
+            HazardModel(2, {(1, 2): WeibullRate(0.4, 2.0),
+                            (2, 1): ConstantRate(0.3)}),
+            HazardModel(2, {(1, 2): AffineRate(0.2, 0.15),
+                            (2, 1): ConstantRate(0.25)}),
+        ][:nc]
+        grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
+                    GridSpec(time_steps=6, price_nodes=13, age_nodes=4))
+        return m, claim, models, grid, SolverSettings(gh_nodes=6)
+    # one 3-state component: every (tuple, component) pair has two edges
+    m = build_market(1, 3, 1, lambda x: 0.02 + 0.01 * x[0], np.array([0.07]),
+                     lambda x: (0.15 + 0.05 * x[0]) * np.eye(1))
+    claim = Claim("basket-call", weights=[1.0], strike=100.0)
+    models = [HazardModel(3, {(1, 2): WeibullRate(0.6, 1.5),
+                              (1, 3): ConstantRate(0.3),
+                              (2, 1): AffineRate(0.2, 0.4),
+                              (2, 3): ConstantRate(0.5),
+                              (3, 1): ConstantRate(0.7),
+                              (3, 2): WeibullRate(0.5, 2.0)})]
+    grid = Grid(m, 1.0, np.array([[100.0]]),
+                GridSpec(time_steps=8, price_nodes=31, age_nodes=4))
+    return m, claim, models, grid, SolverSettings()
+
+
+@pytest.mark.parametrize("case", ["1_asset_2_components",
+                                  "2_assets_3_components",
+                                  "2_assets_correlated",
+                                  "one_3_state_component"])
+def test_switch_branch_matches_per_edge_reference(case):
+    from regimehedge.volterra_pricer import _Smoother
+    m, claim, models, grid, settings = _switch_case(case)
+    solver = VolterraSolver(m, claim, models, grid, settings)
+    if case == "one_3_state_component":
+        assert all(len(edges) == 2 for edges in solver.edges)
+    if case == "2_assets_correlated":
+        assert not _Smoother(np.zeros(2), np.linalg.cholesky(
+            m.a_integral(0.0, 0.5, (1, 2))), grid, 6).diagonal
+    field, _ = solver.solve(tol=1e-3)
+    actions = [_Smoother.apply] + [
+        lambda sm, e, d=d: sm.apply(e, deriv_axis=d) for d in range(grid.n)]
+    for i in range(grid.spec.time_steps):
+        got = solver.switch_branch(i, field.slabs, actions)
+        want = _ref_switch_branch(solver, i, field.slabs, actions)
+        for g_arr, w_arr in zip(got, want):
+            np.testing.assert_allclose(g_arr, w_arr, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(w_arr)))
+
+
+def test_bulk_taps_equal_per_panel_taps():
+    # a broad kernel on a 5-node axis: the late panels' taps are wider than
+    # the axis
+    from regimehedge.quadrature import gauss_hermite_standard
+    from regimehedge.volterra_pricer import _Smoother
+    m = build_market(2, 2, 1, 0.03, np.zeros(2), np.diag([0.9, 0.2]))
+    grid = Grid(m, 1.0, np.full((1, 2), 100.0),
+                GridSpec(time_steps=8, price_nodes=5, age_nodes=2,
+                         span_stds=2.0))
+    v_mid = (np.arange(8) + 0.5) * grid.dt
+    kern = build_kernel(m, 0.0, (1,), v_mid)
+    sms = _Smoother.for_panels(kern, grid, 16)
+    assert len(sms) == 8 and all(sm.diagonal for sm in sms)
+    widths = [len(sm.taps[0]) for sm in sms]
+    assert min(widths) <= grid.spec.price_nodes < max(widths)
+    xi, w = gauss_hermite_standard(16)
+    for p, sm in enumerate(sms):
+        for d in range(2):
+            shifts = kern.zbar[p, d] + kern.chol[p, d, d] * xi
+            want = _ref_build_taps(shifts, w, grid.h[d])
+            assert sm.taps[d].shape == want.shape
+            assert np.array_equal(sm.taps[d], want)
+            want_d = _ref_build_taps(shifts, w * xi / kern.chol[p, d, d],
+                                     grid.h[d])
+            assert np.array_equal(sm._derivative(d), want_d)
+
+
+def _interp_ages(arr, axes, cells, count):
+    """arr interpolated along each of axes at the nodes k + cells, k < count,
+    holding its end values beyond the stored ages."""
+    for ax in axes:
+        size = arr.shape[ax]
+        arr = np.apply_along_axis(
+            lambda line: np.interp(np.arange(count) + cells,
+                                   np.arange(size), line), ax, arr)
+    return arr
+
+
+@pytest.mark.parametrize("clamps", ["neither", "one"])
+def test_gather_matches_per_slab_interp(clamps):
+    m, claim, models, grid = regime_setup(price_nodes=11, time_steps=16,
+                                          age_nodes=5)
+    solver = VolterraSolver(m, claim, models, grid)
+    rng = np.random.default_rng(8)
+    slabs = [rng.uniform(0.0, 50.0, (4,) + grid.y_shape(i) + grid.s_shape)
+             for i in range(17)]
+    cc = grid.c_counts
+    found = 0
+    for i in range(16):
+        c = int(cc[i])
+        for p in range(16 - i):
+            cells = solver.v_mid[p] / grid.dy
+            top = math.floor(cells) + c     # the highest age row read
+            clamped = [top > int(cc[side]) - 1 for side in (i + p, i + p + 1)]
+            if sum(clamped) != {"neither": 0, "one": 1}[clamps]:
+                continue
+            found += 1
+            for l in range(2):
+                # the reset axis l is read at age 0 and dropped
+                want = 0.5 * sum(
+                    _interp_ages(slabs[side][:, 0] if l == 0
+                                 else slabs[side][:, :, 0], [1], cells, c)
+                    for side in (i + p, i + p + 1))
+                got = solver._gather(slabs, i, p, l)
+                assert got.shape == (4, c) + grid.s_shape
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
+    assert found > 0
+
+
+def test_permuting_components_permutes_age_axes():
+    # components permuted together with their hazard models and the
+    # coefficient maps that read them: the solved field is the same field
+    # with its age axes permuted
+    def rate(x):
+        return 0.02 if x[0] == 1 else 0.05
+
+    def vol(x):
+        return (0.2 if x[1] == 1 else 0.32) * np.eye(1)
+
+    def drift(x):
+        return np.array([0.07 if x[2] == 1 else 0.04])
+
+    models = [
+        HazardModel(2, {(1, 2): ConstantRate(0.5), (2, 1): ConstantRate(0.7)}),
+        HazardModel(2, {(1, 2): WeibullRate(0.6, 2.0),
+                        (2, 1): AffineRate(0.3, 0.2)}),
+        HazardModel(2, {(1, 2): AffineRate(0.1, 0.6),
+                        (2, 1): WeibullRate(0.9, 1.5)}),
+    ]
+    claim = Claim("basket-call", weights=[1.0], strike=100.0)
+    spec = GridSpec(time_steps=8, price_nodes=21, age_nodes=4)
+    perm = (2, 0, 1)        # new component j is old component perm[j]
+
+    def old_x(x_new):
+        x = [0] * 3
+        for j, pj in enumerate(perm):
+            x[pj] = x_new[j]
+        return tuple(x)
+
+    fields = []
+    for coeffs, hms in (((rate, drift, vol), models),
+                        ((lambda x: rate(old_x(x)), lambda x: drift(old_x(x)),
+                          lambda x: vol(old_x(x))),
+                         [models[pj] for pj in perm])):
+        m = build_market(1, 2, 3, coeffs[0], coeffs[1], coeffs[2])
+        grid = Grid(m, 1.0, np.array([[100.0]]), spec)
+        field, report = solve_price_field(m, claim, hms, grid, tol=1e-6)
+        fields.append((grid, field, report))
+    (g0, f0, r0), (g1, f1, r1) = fields
+    assert r0.iterations == r1.iterations
+    order = [g0.x_index[old_x(x)] for x in g1.x_tuples]
+    axes = (0,) + tuple(1 + pj for pj in perm) + (4,)
+    for i in range(spec.time_steps + 1):
+        want = np.transpose(f0.slabs[i][order], axes)
+        np.testing.assert_allclose(f1.slabs[i], want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
