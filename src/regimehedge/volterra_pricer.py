@@ -712,8 +712,6 @@ class VolterraSolver:
                 excess.append(gathered)
             for xi, (sm, w) in enumerate(tables[p]):
                 edges = self.edges[xi]
-                if not edges:
-                    continue
                 stacked = np.stack([excess[l][xpi] for l, _, xpi, _ in edges])
                 for acc, action in zip(accs, actions):
                     smoothed = action(sm, stacked)
