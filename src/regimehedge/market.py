@@ -430,21 +430,6 @@ def kernel_density(kern: LognormalKernel, s, sig) -> np.ndarray | float:
     return float(dens[0]) if scalar else dens
 
 
-def kernel_density_ds(kern: LognormalKernel, s, sig,
-                      axis: int) -> np.ndarray | float:
-    """d/ds_axis of the density: alpha * (Sigma^-1 (z - zbar))_axis / s_axis."""
-    s = np.asarray(s, dtype=float)
-    sig = np.asarray(sig, dtype=float)
-    scalar = sig.ndim == 1
-    pts = np.atleast_2d(sig)
-    z = np.log(pts / s)
-    dev = z - kern.zbar
-    sol = np.linalg.solve(kern.cov, dev.T).T
-    alpha = kernel_density(kern, s, pts)
-    out = alpha * sol[:, axis] / s[axis]
-    return float(out[0]) if scalar else out
-
-
 def kernel_nodes(kern: LognormalKernel, s):
     """Gauss-Hermite nodes of S_{t+v} given S_t = s: sig (Q, n), w (Q,)."""
     xi, w = tensor_normal_nodes(kern.n, _EXPECTATION_NODES)

@@ -10,6 +10,13 @@ on inverting the exponential clock.
 
 States are labelled 1..k in the public API; asset/component positions are
 plain 0-based indices.
+
+``scipy.integrate``, ``scipy.optimize`` and ``scipy.interpolate`` are
+imported inside the functions that use them: the competing-jump laws
+(quadrature), the bracketing clock inversion of rows without a closed form
+(brentq) and tabulated hazards (PCHIP).  A priced scenario with parametric
+hazards reaches none of them, and at module level every run would pay
+their import time and memory at start-up.
 """
 
 from __future__ import annotations
@@ -18,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, RootFindFailure, TruncationFailure
 
@@ -138,6 +143,7 @@ class TabulatedRate:
                 "tabulated hazard values must be finite and strictly positive")
         if knots[0] < 0:
             raise ConfigError("tabulated hazard knots must be >= 0")
+        from scipy.interpolate import PchipInterpolator
         self.knots = knots
         self.values = values
         self._interp = PchipInterpolator(knots, values, extrapolate=False)
@@ -348,6 +354,7 @@ class HazardModel:
         # from near zero at y) leaves brentq a bracket it cannot close
         while hi > 1e-12 and g(1e-6 * hi) >= 0.0:
             hi *= 1e-6
+        from scipy import optimize
         return float(optimize.brentq(g, 0.0, hi, xtol=1e-12))
 
     def clock_scale(self, i: int, y: float) -> float:
@@ -409,32 +416,6 @@ def switch_edges(models, x_tuples):
     return [[(l, j, index[x[:l] + (j,) + x[l + 1:]], h.rates[(x[l], j)])
              for l, h in enumerate(models) for j in h._rows[x[l]]]
             for x in map(tuple, x_tuples)]
-
-
-# ---------------------------------------------------------------------------
-# Module-level operations (thin wrappers for the common laws)
-# ---------------------------------------------------------------------------
-
-def cumulative_hazard(h: HazardModel, i: int, y: float) -> float:
-    return float(h.cumulative_hazard(i, np.asarray(y, dtype=float)))
-
-
-def holding_cdf(h: HazardModel, i: int, y: float) -> float:
-    return float(h.holding_cdf(i, np.asarray(y, dtype=float)))
-
-
-def holding_pdf(h: HazardModel, i: int, y: float) -> float:
-    return float(h.holding_pdf(i, np.asarray(y, dtype=float)))
-
-
-def residual_holding_cdf(h: HazardModel, i: int, y: float, s) -> float | np.ndarray:
-    """CDF of the remaining holding time given current age y."""
-    out = 1.0 - np.exp(h.residual_log_survival(i, y, s))
-    return float(out) if np.ndim(s) == 0 else out
-
-
-def transition_probs(h: HazardModel, i: int, y: float) -> np.ndarray:
-    return h.transition_probs(i, y)
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +495,7 @@ def next_jump_component_prob(models, state: CsmState) -> np.ndarray:
     of each component, truncated where the joint survival falls below
     SURVIVAL_CUTOFF.  Entries sum to one within quadrature tolerance.
     """
+    from scipy import integrate
     s_max = _truncation_horizon(models, state)
     pts = _breakpoints(models, state, s_max)
     out = np.empty(len(models))
@@ -536,6 +518,7 @@ class JumpTimeLaw:
     _s_max: float = field(repr=False)
 
     def cdf(self, v):
+        from scipy import integrate
         f = _component_integrand(self._models, self._state, self.component)
         pts = _breakpoints(self._models, self._state, self._s_max)
 
@@ -558,6 +541,7 @@ class JumpTimeLaw:
 
 def next_jump_time_law(models, state: CsmState, l: int) -> JumpTimeLaw:
     """Waiting-time law of component l's jump given it is the first to jump."""
+    from scipy import integrate
     s_max = _truncation_horizon(models, state)
     f = _component_integrand(models, state, l)
     pts = _breakpoints(models, state, s_max)

@@ -50,10 +50,11 @@ log-price axis is one ``scipy.ndimage.correlate1d`` with taps centred on
 offset 0 and edge replication; otherwise each node is an explicit shifted
 blend of the edge-padded slab.  Moving a slab along the age axes (ages grow
 by v between t and t + v) is one clamped linear shift per age axis,
-``_shift_axis``, shared by the gather and the PDE residual; its rows are a
-slice of the slab wherever no index clamps.  The gather takes the whole
-rows of both bracketing slabs, each clamped to its own stored ages, and
-blends their mean once per age axis.
+``_shift_axis``, shared by the gather and the PDE residual; it blends
+slices of the slab and builds the rows whose indices clamp from the edge
+row they read.  The gather takes the whole rows of both bracketing slabs,
+each clamped to its own stored ages, and blends their mean once per age
+axis.
 """
 
 from __future__ import annotations
@@ -359,27 +360,41 @@ def _shift_axis(arr, axis, cells, count):
     """out[k] = (1 - f) arr[k + i0] + f arr[k + i0 + 1] for k < count, where
     cells = i0 + f with 0 <= f < 1 and indices clamp to the axis.
 
-    The rows are a slice of arr where no index clamps, and a whole shift
-    (f = 0) returns them unblended, so the result may be a view of arr."""
+    Rows k in [head, stop) read arr unclamped and blend slices of it; the
+    rows before read only the first stored row and those after only the
+    last, so each of those is blended once and broadcast.  A whole shift
+    (f = 0) with no clamp returns its rows unblended, as a view of arr."""
     i0 = math.floor(cells)
     f = cells - i0
-    rows = count + (f > 0)
     size = arr.shape[axis]
-    if 0 <= i0 and i0 + rows <= size:
+    head = min(max(-i0, 0), count)
+    stop = max(min(size - (f > 0) - i0, count), head)
+
+    def rows(a, b):
         sel = [slice(None)] * arr.ndim
-        sel[axis] = slice(i0, i0 + rows)
-        both = arr[tuple(sel)]
-    else:
-        idx = [min(max(k, 0), size - 1) for k in range(i0, i0 + rows)]
-        both = np.take(arr, idx, axis=axis)
+        sel[axis] = slice(a, b)
+        return tuple(sel)
+
+    lo = arr[rows(head + i0, stop + i0)]
+    if head == 0 and stop == count:
+        if f == 0:
+            return lo
+        out = (1.0 - f) * lo
+        out += f * arr[rows(i0 + 1, i0 + count + 1)]
+        return out
+    shape = list(arr.shape)
+    shape[axis] = count
+    out = np.empty(shape)
+    for a, b, src in ((0, head, 0), (stop, count, size - 1)):
+        if a < b:
+            edge = arr[rows(src, src + 1)]
+            out[rows(a, b)] = (1.0 - f) * edge + f * edge if f > 0 else edge
+    mid = out[rows(head, stop)]
     if f == 0:
-        return both
-    lo = [slice(None)] * arr.ndim
-    hi = [slice(None)] * arr.ndim
-    lo[axis] = slice(0, count)
-    hi[axis] = slice(1, count + 1)
-    out = (1.0 - f) * both[tuple(lo)]
-    out += f * both[tuple(hi)]
+        mid[...] = lo
+    else:
+        np.multiply(lo, 1.0 - f, out=mid)
+        mid += f * arr[rows(head + i0 + 1, stop + i0 + 1)]
     return out
 
 

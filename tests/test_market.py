@@ -12,7 +12,6 @@ from regimehedge.market import (
     build_market,
     claim_nodes,
     kernel_density,
-    kernel_density_ds,
     kernel_expectation,
     kernel_nodes,
 )
@@ -85,27 +84,6 @@ def test_kernel_martingale_after_discounting():
     val = kernel_expectation(kern, np.array([s0]), lambda sig: sig[:, 0]) \
         * math.exp(-0.07 * 1.3)
     assert val == pytest.approx(s0, rel=1e-8)
-
-
-def test_kernel_density_derivative_matches_fd():
-    m = flat_market(n=2, sigma=0.2, r=0.03, n_components=3)
-    sig_m = np.array([[0.25, 0.05], [0.0, 0.3]])
-    m2 = build_market(2, 2, 3, 0.03, np.array([0.05, 0.06]), sig_m)
-    x = (1, 1, 1)
-    s = np.array([90.0, 110.0])
-    kern = build_kernel(m2, 0.0, x, 0.8)
-    pt = np.array([95.0, 105.0])
-    for axis in (0, 1):
-        exact = kernel_density_ds(kern, s, pt, axis)
-        h = 1e-5 * s[axis]
-        for bump in (h,):
-            s_up = s.copy()
-            s_up[axis] += bump
-            s_dn = s.copy()
-            s_dn[axis] -= bump
-            fd = (kernel_density(kern, s_up, pt)
-                  - kernel_density(kern, s_dn, pt)) / (2 * bump)
-        assert exact == pytest.approx(fd, rel=1e-5)
 
 
 def test_kernel_moments_match_conditional_formulas():

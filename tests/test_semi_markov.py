@@ -13,14 +13,9 @@ from regimehedge.semi_markov import (
     HazardModel,
     TabulatedRate,
     WeibullRate,
-    cumulative_hazard,
-    holding_cdf,
-    holding_pdf,
     next_jump_component_prob,
     next_jump_time_law,
-    residual_holding_cdf,
     simulate_csm,
-    transition_probs,
 )
 
 SUM_TOL = 1e-8
@@ -38,15 +33,15 @@ def two_state(rate12, rate21=None):
 
 def test_cumulative_hazard_constant():
     h = two_state(ConstantRate(0.5))
-    assert cumulative_hazard(h, 1, 2.0) == pytest.approx(1.0)
-    assert cumulative_hazard(h, 1, 0.0) == 0.0
+    assert h.cumulative_hazard(1, 2.0) == pytest.approx(1.0)
+    assert h.cumulative_hazard(1, 0.0) == 0.0
 
 
 def test_cumulative_hazard_weibull_vs_quadrature():
     h = two_state(WeibullRate(2.0, 2.0))
     # oracle: numerical quadrature of the rate 2*v over [0, 3]
     oracle, _ = integrate.quad(lambda v: 2.0 * v, 0.0, 3.0)
-    assert cumulative_hazard(h, 1, 3.0) == pytest.approx(oracle, abs=1e-12)
+    assert h.cumulative_hazard(1, 3.0) == pytest.approx(oracle, abs=1e-12)
     assert oracle == pytest.approx(9.0)
 
 
@@ -57,23 +52,28 @@ def test_cumulative_hazard_tabulated_vs_quadrature():
     fam = h.rates[(1, 2)]
     oracle, _ = integrate.quad(lambda v: float(fam.rate(np.asarray(v))), 0.0, 1.7,
                                points=[0.5, 1.0], epsabs=1e-12)
-    assert cumulative_hazard(h, 1, 1.7) == pytest.approx(oracle, abs=1e-10)
+    assert h.cumulative_hazard(1, 1.7) == pytest.approx(oracle, abs=1e-10)
     # constant extrapolation beyond the last knot
-    beyond = cumulative_hazard(h, 1, 3.0) - cumulative_hazard(h, 1, 2.0)
+    beyond = h.cumulative_hazard(1, 3.0) - h.cumulative_hazard(1, 2.0)
     assert beyond == pytest.approx(0.9, abs=1e-12)
 
 
 def test_holding_cdf_constant_exponential():
     h = two_state(ConstantRate(0.5))
-    assert holding_cdf(h, 1, 2.0) == pytest.approx(1.0 - math.exp(-1.0))
-    assert holding_cdf(h, 1, 0.0) == 0.0
-    assert holding_pdf(h, 1, 0.0) == pytest.approx(0.5)
+    assert h.holding_cdf(1, 2.0) == pytest.approx(1.0 - math.exp(-1.0))
+    assert h.holding_cdf(1, 0.0) == 0.0
+    assert h.holding_pdf(1, 0.0) == pytest.approx(0.5)
 
 
 def test_holding_law_weibull():
     h = two_state(WeibullRate(2.0, 2.0))
-    assert holding_cdf(h, 1, 1.0) == pytest.approx(1.0 - math.exp(-1.0))
-    assert holding_pdf(h, 1, 1.0) == pytest.approx(2.0 * math.exp(-1.0))
+    assert h.holding_cdf(1, 1.0) == pytest.approx(1.0 - math.exp(-1.0))
+    assert h.holding_pdf(1, 1.0) == pytest.approx(2.0 * math.exp(-1.0))
+
+
+def residual_holding_cdf(h, i, y, s):
+    """CDF of the remaining holding time given current age y."""
+    return 1.0 - math.exp(h.residual_log_survival(i, y, s))
 
 
 def test_residual_holding_memoryless_iff_constant():
@@ -94,7 +94,7 @@ def test_residual_holding_zero_increment():
 
 def test_transition_probs_two_state():
     h = two_state(ConstantRate(0.5))
-    np.testing.assert_allclose(transition_probs(h, 1, 1.0), [0.0, 1.0])
+    np.testing.assert_allclose(h.transition_probs(1, 1.0), [0.0, 1.0])
 
 
 def test_transition_probs_three_state_symmetry_and_ratio():
@@ -102,13 +102,13 @@ def test_transition_probs_three_state_symmetry_and_ratio():
         (1, 2): ConstantRate(1.0), (1, 3): ConstantRate(1.0),
         (2, 1): ConstantRate(1.0), (3, 1): ConstantRate(1.0),
     })
-    np.testing.assert_allclose(transition_probs(h, 1, 0.3), [0.0, 0.5, 0.5])
+    np.testing.assert_allclose(h.transition_probs(1, 0.3), [0.0, 0.5, 0.5])
 
     h2 = HazardModel(3, {
         (1, 2): ConstantRate(1.0), (1, 3): AffineRate(0.0, 1.0),
         (2, 1): ConstantRate(1.0), (3, 1): ConstantRate(1.0),
     })
-    np.testing.assert_allclose(transition_probs(h2, 1, 1.0), [0.0, 0.5, 0.5])
+    np.testing.assert_allclose(h2.transition_probs(1, 1.0), [0.0, 0.5, 0.5])
 
 
 def test_transition_probs_sum_to_one_exactly():
@@ -119,7 +119,7 @@ def test_transition_probs_sum_to_one_exactly():
     })
     for y in rng.uniform(0.0, 3.0, size=10):
         for i in (1, 2, 3):
-            p = transition_probs(h, i, float(y))
+            p = h.transition_probs(i, float(y))
             assert p.sum() == pytest.approx(1.0, abs=1e-15)
             assert p[i - 1] == 0.0
 
@@ -314,7 +314,7 @@ def test_invert_clock_when_every_exit_rate_vanishes_at_the_age():
     for y in (0.0, 1e-38, 1e-300):
         for e in (1e-9, 0.7, 30.0):
             tau = m.invert_clock(1, y, e)
-            gained = cumulative_hazard(m, 1, y + tau) - cumulative_hazard(m, 1, y)
+            gained = m.cumulative_hazard(1, y + tau) - m.cumulative_hazard(1, y)
             assert gained == pytest.approx(e, rel=1e-9, abs=1e-12)
 
 

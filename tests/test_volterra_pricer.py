@@ -14,7 +14,6 @@ from regimehedge.semi_markov import (
     WeibullRate,
     next_jump_component_prob,
     next_jump_time_law,
-    transition_probs,
 )
 from regimehedge.volterra_pricer import (
     Grid,
@@ -246,7 +245,7 @@ def test_step_matches_conditional_law_route():
             # solver's quadrature so the comparison isolates the law algebra
             for p in range(8 - i):
                 v = (p + 0.5) * grid.dt
-                pl = transition_probs(models[l], x[l], y[l] + v)
+                pl = models[l].transition_probs(x[l], y[l] + v)
                 inner = 0.0
                 for j in range(1, 3):
                     if pl[j - 1] == 0.0:
