@@ -34,6 +34,7 @@ def gauss_legendre(n: int):
 _MAX_TENSOR_DIM = 4
 
 
+@lru_cache(maxsize=64)
 def tensor_normal_nodes(dim: int, n_each: int):
     """Tensor-product standard-normal rule: (Q, dim) nodes and (Q,) weights."""
     if dim > _MAX_TENSOR_DIM:

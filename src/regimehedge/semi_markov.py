@@ -282,12 +282,6 @@ class HazardModel:
             out = out + self.rates[(i, j)].integral(y)
         return out
 
-    def holding_cdf(self, i: int, y):
-        return 1.0 - np.exp(-self.cumulative_hazard(i, y))
-
-    def holding_pdf(self, i: int, y):
-        return self.exit_rate(i, y) * np.exp(-self.cumulative_hazard(i, y))
-
     def residual_log_survival(self, i: int, y: float, s):
         """log P(holding > y + s | holding > y) = -(Lambda(y+s) - Lambda(y))."""
         s = np.asarray(s, dtype=float)

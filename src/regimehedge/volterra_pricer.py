@@ -35,39 +35,41 @@ The switches out of each regime tuple come from ``semi_markov.switch_edges``.
 Slab i builds its switch tables once, for all panels at once
 (``_slab_tables``): the joint survival at every panel midpoint as one
 array, each hazard family's rate over the (panel, age) grid in one call,
-and per regime tuple the kernel smoothers of all panels, whose diagonal
-taps come from one batch per log-price axis.  Per panel, regime tuple and
+and per regime tuple the kernel smoothers of all panels, whose taps come
+from one batch per tap array.  Per panel, regime tuple and
 switch edge, one weight carries the discount e^{-r(x) v_p}, dt, JS(v_p),
 the hazard and the mass normalization.  The switch branch of a panel then
 gathers the continuation once per resetting component and subtracts the
 linear part c1.s once; the excesses of all edges out of a regime tuple are
-stacked and smoothed together (one ``correlate1d`` per log-price axis), and
-each edge adds its weighted share.
+stacked and smoothed together (one correlation with taps), and each edge
+adds its weighted share.
 
 The kernel expectation smooths the multilinearly interpolated field with
-tensor Gauss-Hermite nodes.  When the log covariance is diagonal each
-log-price axis is one ``scipy.ndimage.correlate1d`` with taps centred on
-offset 0 and edge replication; otherwise each node is an explicit shifted
-blend of the edge-padded slab.  Moving a slab along the age axes (ages grow
-by v between t and t + v) is one clamped linear shift per age axis,
-``_shift_axis``, shared by the gather and the PDE residual; it blends
-slices of the slab and builds the rows whose indices clamp from the edge
-row they read.  The gather takes the whole rows of both bracketing slabs,
-each clamped to its own stored ages, and blends their mean once per age
-axis.
+tensor Gauss-Hermite nodes, each splatted onto the corners of its grid
+cell, so the nodes collapse into taps centred on offset 0 (the QUAD idea
+of Andricopoulos et al., 2003).  A diagonal log covariance gives one
+``scipy.ndimage.correlate1d`` per log-price axis, any other one n-D
+``scipy.ndimage.correlate``, both with edge replication.  Moving a slab
+along the age axes (ages grow by v between t and t + v) is one clamped
+linear shift per age axis, ``_shift_axis``, shared by the gather and the
+PDE residual; it blends slices of the slab and builds the rows whose
+indices clamp from the edge row they read.  The gather takes the whole
+rows of both bracketing slabs, each clamped to its own stored ages, and
+blends their mean once per age axis.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.ndimage import correlate1d, map_coordinates
+from scipy.ndimage import correlate, correlate1d, map_coordinates
 
 from .errors import ConfigError, NoConvergence
 from .market import Claim, MarketModel, build_kernel
-from .quadrature import gauss_hermite_standard, tensor_normal_nodes
+from .quadrature import tensor_normal_nodes
 from .regime_bsm import OUTER_NODES, bsm_price_grid
 from .semi_markov import switch_edges
 
@@ -333,27 +335,37 @@ class ConvergenceReport:
 # ---------------------------------------------------------------------------
 
 def _build_taps(shifts, weights, h):
-    """Collapse fractional shifts into taps on a uniform axis, one tap array
-    per row of shifts (P, Q); weights is (Q,) or (P, Q).
+    """Collapse fractional shifts into taps on a uniform grid, one tap array
+    per row of shifts (P, Q, k) on k axes of spacings h; weights is (Q,) or
+    (P, Q).
 
-    Each tap array has odd length and is centred on offset 0, so
-    correlate1d(arr, taps[p], mode="nearest") gives
-    sum_q weights[p, q] * (arr interpolated linearly at x + shifts[p, q]),
-    with the axis held at its edge values beyond the box.  All rows share
-    one flat array and one pair of np.add.at calls, whose adds reach each
-    tap in the order of a one-row build, so a row's taps do not depend on
-    the rows built with it.
+    Each tap array has odd length per axis and is centred on offset 0, so
+    correlating arr with taps[p] (mode="nearest") gives
+    sum_q weights[p, q] * (arr interpolated multilinearly at x + shifts[p, q]),
+    with the axes held at their edge values beyond the box.  Each weight is
+    splatted onto the 2^k corners of its cell, one np.add.at call per corner
+    (all lo, then all hi, for k = 1) for all rows, which share one flat
+    array; the adds reach each tap in the order of a one-row build, so a
+    row's taps do not depend on the rows built with it.
     """
-    cells = np.asarray(shifts, dtype=float) / h
+    cells = shifts / np.asarray(h)
     i0 = np.floor(cells).astype(int)
     frac = cells - i0
-    half = np.maximum(-i0.min(axis=1), i0.max(axis=1) + 1)
-    ends = np.cumsum(2 * half + 1)
-    centre = (ends - half - 1)[:, None]
+    half = np.maximum(-i0.min(axis=1), i0.max(axis=1) + 1)      # (P, k)
+    width = 2 * half + 1
+    # size[:, j] is the product of width[:, j:], so a row's box has the
+    # row-major strides size // width
+    size = np.cumprod(width[:, ::-1], axis=1)[:, ::-1]
+    strides = size // width
+    ends = np.cumsum(size[:, 0])
+    lo = (ends - size[:, 0])[:, None] \
+        + ((i0 + half[:, None]) * strides[:, None]).sum(axis=2)
     flat = np.zeros(int(ends[-1]))
-    np.add.at(flat, i0 + centre, weights * (1.0 - frac))
-    np.add.at(flat, i0 + centre + 1, weights * frac)
-    return [flat[e - 2 * k - 1:e] for k, e in zip(half.tolist(), ends.tolist())]
+    for hi in itertools.product((False, True), repeat=cells.shape[2]):
+        np.add.at(flat, lo + (strides * hi).sum(axis=1)[:, None],
+                  weights * np.where(hi, frac, 1.0 - frac).prod(axis=2))
+    return [flat[e - n[0]:e].reshape(w)
+            for w, n, e in zip(width.tolist(), size.tolist(), ends.tolist())]
 
 
 def _shift_axis(arr, axis, cells, count):
@@ -404,44 +416,37 @@ class _Smoother:
     apply() integrates the multilinearly interpolated slab against the
     lognormal kernel; apply(deriv_axis=m) integrates it against the kernel's
     s-derivative (the extra node factor is (Sigma^-1 (z - zbar))_m / s_m).
+    Both correlate the slab with taps, the kernel's Gauss-Hermite nodes
+    collapsed onto the price grid (_group_taps).  A diagonal kernel has one
+    1-D tap array per log-price axis, each one correlate1d; a correlated
+    kernel has one n-D array over its tensor nodes, one ndimage.correlate,
+    which skips the taps with |w| <= 2.2e-16 (a round-off change only).
     The smoother acts on the excess over the linear part c1.s, which
-    PriceField holds at its edge value beyond the box, so every path
-    replicates the edges.
+    PriceField holds at its edge value beyond the box, so both replicate
+    the edges.
     """
 
-    _deriv = None   # per-axis derivative taps or node factors, built on use
+    _deriv = None   # per-axis derivative taps, built on first use
 
     def __init__(self, zbar, chol, grid: Grid, gh_nodes: int, taps=None):
-        """taps, when given, are the per-axis kernel taps of a diagonal chol,
-        built in a batch by for_panels."""
+        """taps, when given, are the kernel taps built in bulk by
+        for_panels."""
         self.grid = grid
         self.zbar = zbar
         self.chol = chol
-        n = grid.n
-        self.diagonal = taps is not None or _is_diagonal(chol[None])[0]
-        if self.diagonal:
-            self._xi, self._w = gauss_hermite_standard(gh_nodes)
-            if taps is None:
-                taps = [_build_taps((zbar[d] + chol[d, d] * self._xi)[None],
-                                    self._w, grid.h[d])[0] for d in range(n)]
-            self.taps = taps
-        else:
-            self.nodes, self.weights = tensor_normal_nodes(n, gh_nodes)
-            self.shifts = zbar + self.nodes @ chol.T   # (Q, n)
+        self.gh_nodes = gh_nodes
+        if taps is None:
+            taps, = _kernel_taps(zbar[None], chol[None], grid, gh_nodes)
+        self.taps = taps
+        self.diagonal = len(taps) == grid.n
 
     @classmethod
     def for_panels(cls, kern, grid: Grid, gh_nodes: int):
         """One smoother per panel of a kernel over several horizons (zbar
-        (P, n), chol (P, n, n)).  The kernel taps of all diagonal panels come
-        from one _build_taps call per log-price axis."""
-        diag = np.flatnonzero(_is_diagonal(kern.chol))
-        xi, w = gauss_hermite_standard(gh_nodes)
-        taps = [_build_taps(kern.zbar[diag, d, None]
-                            + kern.chol[diag, d, d, None] * xi, w, grid.h[d])
-                for d in range(grid.n)] if len(diag) else []
-        per_panel = dict(zip(diag.tolist(), zip(*taps)))
-        return [cls(zbar, chol, grid, gh_nodes, per_panel.get(p))
-                for p, (zbar, chol) in enumerate(zip(kern.zbar, kern.chol))]
+        (P, n), chol (P, n, n)), with the taps of all panels built in bulk."""
+        return [cls(zbar, chol, grid, gh_nodes, taps) for zbar, chol, taps
+                in zip(kern.zbar, kern.chol,
+                       _kernel_taps(kern.zbar, kern.chol, grid, gh_nodes))]
 
     def apply(self, arr, deriv_axis: int | None = None):
         """arr has age axes first, then the n log-price axes (last).
@@ -449,60 +454,58 @@ class _Smoother:
         With deriv_axis = m the result is the expectation against
         d(kernel)/d s_m, still to be divided by s_m by the caller.
         """
-        n = self.grid.n
-        lead = arr.ndim - n
-        if self.diagonal:
-            out = arr
-            for d in range(n):
-                taps = self.taps[d] if d != deriv_axis else self._derivative(d)
-                out = correlate1d(out, taps, axis=lead + d, mode="nearest")
-            return out
-        # general path: explicit fractional shifts with multilinear blends
-        factors = self.weights if deriv_axis is None \
-            else self._derivative(deriv_axis)
-        cells = self.shifts / np.asarray(self.grid.h)
-        i0 = np.floor(cells).astype(int)
-        pads = np.abs(i0).max(axis=0) + 2
-        padded = np.pad(arr, [(0, 0)] * lead + [(p, p) for p in pads],
-                        mode="edge")
-        starts, fracs = (i0 + pads).tolist(), (cells - i0).tolist()
-        size = arr.shape[lead:]
-        out = np.zeros(arr.shape)
-        for q, factor in enumerate(factors):
-            piece = padded
-            for d in range(n):
-                start, f = starts[q][d], fracs[q][d]
-                sl_lo = [slice(None)] * piece.ndim
-                sl_hi = [slice(None)] * piece.ndim
-                sl_lo[lead + d] = slice(start, start + size[d])
-                sl_hi[lead + d] = slice(start + 1, start + 1 + size[d])
-                piece = (1.0 - f) * piece[tuple(sl_lo)] + f * piece[tuple(sl_hi)]
-            out += factor * piece
-        return out
+        lead = arr.ndim - self.grid.n
+        taps = list(self.taps)
+        if deriv_axis is not None:
+            taps[deriv_axis if self.diagonal else 0] = \
+                self._derivative(deriv_axis)
+        for d, tap in enumerate(taps):
+            arr = correlate1d(arr, tap, axis=lead + d, mode="nearest") \
+                if self.diagonal \
+                else correlate(arr, tap[(None,) * lead], mode="nearest")
+        return arr
 
     def _derivative(self, d):
-        """Per-axis data of the kernel's s_d-derivative, built once: taps on
-        a diagonal axis, node factors (Sigma^-1 (z - zbar))_d otherwise."""
+        """The taps of the kernel's s_d-derivative; those of every axis are
+        built on first use, from one inverse Cholesky factor."""
         if self._deriv is None:
-            self._deriv = [None] * self.grid.n
-        if self._deriv[d] is None:
-            if self.diagonal:
-                shifts = self.zbar[d] + self.chol[d, d] * self._xi
-                wts = self._w * self._xi / self.chol[d, d]
-                self._deriv[d] = _build_taps(shifts[None], wts,
-                                             self.grid.h[d])[0]
-            else:
-                # (Sigma^-1 (z - zbar))_d = (L^-T xi)_d for z - zbar = L xi
-                inv_l = np.linalg.inv(self.chol)
-                self._deriv[d] = self.weights * (self.nodes @ inv_l[:, d])
+            n = self.grid.n
+            inv_l = np.linalg.inv(self.chol)
+            self._deriv = [_group_taps(
+                self.zbar[None], self.chol[None], self.grid, self.gh_nodes,
+                [e] if self.diagonal else list(range(n)), (e, inv_l))[0]
+                for e in range(n)]
         return self._deriv[d]
 
 
-def _is_diagonal(chol):
-    """Per matrix of a stack (P, n, n): no off-diagonal entry above 1e-14."""
-    n = chol.shape[-1]
-    off = np.abs(chol[:, ~np.eye(n, dtype=bool)])
-    return off.max(axis=1, initial=0.0) <= 1e-14
+def _group_taps(zbar, chol, grid: Grid, gh_nodes: int, axes, deriv=None):
+    """The taps on the log-price axes `axes` of every kernel of a stack
+    (zbar (P, n), chol (P, n, n)), from one _build_taps call: the tensor
+    Gauss-Hermite nodes xi of the group at zbar + L xi with weights w, or,
+    for deriv = (d, L^-1) of a one-kernel stack, with the weights of the
+    kernel's s_d-derivative, w (Sigma^-1 (z - zbar))_d = w (L^-T xi)_d."""
+    xi, w = tensor_normal_nodes(len(axes), gh_nodes)
+    shifts = zbar[:, None, axes] + xi @ chol[:, axes][:, :, axes].swapaxes(1, 2)
+    if deriv is not None:
+        d, inv_l = deriv
+        # the leading term xi_d / L_dd is divided out last, so a diagonal
+        # axis gets w xi / L_dd
+        col = inv_l[axes, d] * chol[0, d, d]
+        col[axes.index(d)] = 1.0
+        w = w * (xi @ col) / chol[0, d, d]
+    return _build_taps(shifts, w, [grid.h[e] for e in axes])
+
+
+def _kernel_taps(zbar, chol, grid: Grid, gh_nodes: int):
+    """Per kernel of a stack (zbar (P, n), chol (P, n, n)), its taps: one
+    1-D array per log-price axis when no chol of the stack has an
+    off-diagonal entry above 1e-14, else one n-D array.  Each tap array is
+    built for the whole stack at once."""
+    n = grid.n
+    diagonal = np.abs(chol[:, ~np.eye(n, dtype=bool)]).max(initial=0.0) <= 1e-14
+    groups = [[d] for d in range(n)] if diagonal else [list(range(n))]
+    return [list(t) for t in zip(*[_group_taps(zbar, chol, grid, gh_nodes, g)
+                                   for g in groups])]
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,8 @@ def test_hedge_bounded_by_payoff_slope():
     SolverSettings(gh_nodes=8, bsm_outer_nodes=2),
 ], ids=["default-outer-nodes", "two-outer-nodes"])
 def test_correlated_two_asset_hedge_field_matches_point_route(settings):
-    # a non-diagonal log covariance sends the grid pass through the general
-    # (shifted-blend) smoother with deriv_axis set; the point route is the
+    # a non-diagonal log covariance sends the grid pass through the n-D
+    # stencil smoother with deriv_axis set; the point route is the
     # independent oracle on both axes.  Both routes take the frozen-regime
     # delta from the same outer rule, however coarse
     def vol(x):

@@ -1,10 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regimehedge.errors import ConfigError, NoConvergence
 from regimehedge.market import Claim, build_kernel, build_market, kernel_expectation
+from regimehedge.quadrature import tensor_normal_nodes
 from regimehedge.regime_bsm import bsm_price, bsm_price_grid
 from regimehedge.semi_markov import (
     AffineRate,
@@ -280,9 +283,9 @@ def test_step_matches_conditional_law_route():
 
 
 def test_smoother_general_path_matches_diagonal():
-    # correlated sigma forces the general shift path; on a diagonal model the
-    # two paths must agree
-    from regimehedge.volterra_pricer import _Smoother
+    # the n-D tap builder on a diagonal model: one 2-D stencil over the
+    # tensor nodes must agree with the per-axis path
+    from regimehedge.volterra_pricer import _Smoother, _build_taps
     m = build_market(2, 2, 2, 0.03, np.zeros(2),
                      np.diag([0.2, 0.3]))
     claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
@@ -293,15 +296,15 @@ def test_smoother_general_path_matches_diagonal():
     chol = np.linalg.cholesky(cov)
     sm_d = _Smoother(zbar, chol, grid, 8)
     assert sm_d.diagonal
-    sm_g = _Smoother(zbar, chol, grid, 8)
-    sm_g.diagonal = False
     xi, w = np.polynomial.hermite.hermgauss(8)
     xi = xi * math.sqrt(2.0)
     w = w / math.sqrt(math.pi)
     grids = np.meshgrid(xi, xi, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    sm_g.shifts = zbar + nodes @ chol.T
-    sm_g.weights = np.kron(w, w)
+    shifts = zbar + nodes @ chol.T
+    taps = _build_taps(shifts[None], np.kron(w, w), grid.h)
+    sm_g = _Smoother(zbar, chol, grid, 8, taps)
+    assert not sm_g.diagonal and sm_g.taps[0].ndim == 2
 
     rng = np.random.default_rng(0)
     arr = rng.uniform(0.0, 50.0, size=(2, grid.spec.price_nodes,
@@ -309,6 +312,108 @@ def test_smoother_general_path_matches_diagonal():
     out_d = sm_d.apply(arr)
     out_g = sm_g.apply(arr)
     np.testing.assert_allclose(out_d, out_g, rtol=1e-10, atol=1e-10)
+
+
+def _ref_loop_apply(zbar, chol, grid, gh_nodes, arr, deriv_axis=None):
+    """The per-node smoothing that the n-D stencil replaced: every tensor
+    Gauss-Hermite node is an explicit multilinear blend of the edge-padded
+    slab at its fractional shift, weighted by the node weight (times the
+    node factor (L^-T xi)_d for the derivative along d)."""
+    n = grid.n
+    lead = arr.ndim - n
+    nodes, weights = tensor_normal_nodes(n, gh_nodes)
+    shifts = zbar + nodes @ chol.T
+    factors = weights if deriv_axis is None \
+        else weights * (nodes @ np.linalg.inv(chol)[:, deriv_axis])
+    cells = shifts / np.asarray(grid.h)
+    i0 = np.floor(cells).astype(int)
+    pads = np.abs(i0).max(axis=0) + 2
+    padded = np.pad(arr, [(0, 0)] * lead + [(p, p) for p in pads],
+                    mode="edge")
+    starts, fracs = (i0 + pads).tolist(), (cells - i0).tolist()
+    size = arr.shape[lead:]
+    out = np.zeros(arr.shape)
+    for q, factor in enumerate(factors):
+        piece = padded
+        for d in range(n):
+            start, f = starts[q][d], fracs[q][d]
+            sl_lo = [slice(None)] * piece.ndim
+            sl_hi = [slice(None)] * piece.ndim
+            sl_lo[lead + d] = slice(start, start + size[d])
+            sl_hi[lead + d] = slice(start + 1, start + 1 + size[d])
+            piece = (1.0 - f) * piece[tuple(sl_lo)] + f * piece[tuple(sl_hi)]
+        out += factor * piece
+    return out
+
+
+@pytest.mark.parametrize("case", ["n2_short", "n2_long", "n3_short",
+                                  "n3_long", "wider_than_5_nodes"])
+def test_correlated_stencil_matches_node_loop(case):
+    # the correlated kernel is one n-D stencil; the per-node blend loop is
+    # the reference, for the kernel and for its derivative along every axis
+    from regimehedge.volterra_pricer import _Smoother
+    n = 3 if case.startswith("n3") else 2
+    vol = {2: [[0.25, 0.0], [0.12, 0.22]],
+           3: [[0.2, 0.0, 0.0], [0.1, 0.25, 0.0], [-0.08, 0.15, 0.3]]}[n]
+    nodes, span, v = {"n2_short": (21, 8.0, 0.02), "n2_long": (21, 8.0, 1.0),
+                      "n3_short": (11, 8.0, 0.05), "n3_long": (11, 8.0, 1.0),
+                      "wider_than_5_nodes": (5, 2.0, 1.0)}[case]
+    vol = np.array(vol) * (3.0 if case == "wider_than_5_nodes" else 1.0)
+    m = build_market(n, 2, 1, 0.03, np.full(n, 0.05), vol)
+    grid = Grid(m, 1.0, np.full((1, n), 100.0),
+                GridSpec(time_steps=2, price_nodes=nodes, age_nodes=2,
+                         span_stds=span))
+    kern = build_kernel(m, 0.0, (1,), np.array([v]))
+    sm = _Smoother(kern.zbar[0], kern.chol[0], grid, 8)
+    assert not sm.diagonal and sm.taps[0].ndim == n
+    if case == "wider_than_5_nodes":
+        assert max(sm.taps[0].shape) > nodes
+    lead = (3, 4) if n == 2 else (2, 3)
+    arr = np.random.default_rng(17).uniform(-5.0, 50.0,
+                                            size=lead + grid.s_shape)
+    for d in (None,) + tuple(range(n)):
+        want = _ref_loop_apply(kern.zbar[0], kern.chol[0], grid, 8, arr, d)
+        np.testing.assert_allclose(sm.apply(arr, deriv_axis=d), want,
+                                   rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+
+@st.composite
+def _lower_triangular_kernel(draw):
+    n = draw(st.integers(2, 3))
+    diag = [draw(st.floats(0.05, 0.5)) for _ in range(n)]
+    chol = np.diag(diag)
+    for a in range(1, n):
+        for b in range(a):
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            chol[a, b] = sign * draw(st.floats(0.01, 0.3))
+    zbar = np.array([draw(st.floats(-0.2, 0.2)) for _ in range(n)])
+    h = [draw(st.floats(0.02, 0.2)) for _ in range(n)]
+    return zbar, chol, h, draw(st.integers(4, 10))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(case=_lower_triangular_kernel())
+def test_correlated_taps_have_unit_mass_and_exact_first_moment(case):
+    # splatting a node onto its cell's corners reproduces affine functions
+    # of ln s, so the stencil keeps the rule's mass and first moment; the
+    # derivative taps integrate constants to 0
+    from regimehedge.volterra_pricer import _Smoother
+    zbar, chol, h, gh = case
+    n = len(zbar)
+    sm = _Smoother(zbar, chol, SimpleNamespace(n=n, h=h), gh)
+    taps, = sm.taps
+    assert not sm.diagonal and taps.ndim == n
+    nodes, w = tensor_normal_nodes(n, gh)
+    assert abs(taps.sum() - 1.0) <= 1e-13
+    shifts = zbar + nodes @ chol.T
+    for d in range(n):
+        offsets = np.arange(taps.shape[d]) - taps.shape[d] // 2
+        moment = np.moveaxis(taps, d, -1).sum(
+            axis=tuple(range(n - 1))) @ offsets * h[d]
+        assert moment == pytest.approx(w @ shifts[:, d], rel=1e-12,
+                                       abs=1e-13)
+        assert abs(sm._derivative(d).sum()) <= 1e-12
 
 
 def _interp_smoothing(arr, axes, shifts, weights):
@@ -350,14 +455,14 @@ def test_diagonal_smoother_matches_interp_oracle(case):
                 GridSpec(time_steps=2, price_nodes=nodes, age_nodes=2))
     sm = _Smoother(zbar, np.diag(sd), grid, 8)
     assert sm.diagonal
+    xi, w = np.polynomial.hermite.hermgauss(8)
+    xi, w = xi * math.sqrt(2.0), w / math.sqrt(math.pi)
     if case == "drift_past_taps":
-        spread = sd[0] * np.max(np.abs(sm._xi))
+        spread = sd[0] * np.max(np.abs(xi))
         assert zbar[0] - spread > spread + grid.h[0]
     if case == "taps_wider_than_axis":
         assert len(sm.taps[0]) > nodes
 
-    xi, w = np.polynomial.hermite.hermgauss(8)
-    xi, w = xi * math.sqrt(2.0), w / math.sqrt(math.pi)
     shifts = [zbar[d] + sd[d] * xi for d in range(n)]
     arr = np.random.default_rng(3).uniform(-5.0, 50.0,
                                            size=(2, 3) + grid.s_shape)
