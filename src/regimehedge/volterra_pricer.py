@@ -48,14 +48,14 @@ The kernel expectation smooths the multilinearly interpolated field with
 tensor Gauss-Hermite nodes, each splatted onto the corners of its grid
 cell, so the nodes collapse into taps centred on offset 0 (the QUAD idea
 of Andricopoulos et al., 2003).  A diagonal log covariance gives one
-``scipy.ndimage.correlate1d`` per log-price axis, any other one n-D
-``scipy.ndimage.correlate``, both with edge replication.  Moving a slab
-along the age axes (ages grow by v between t and t + v) is one clamped
-linear shift per age axis, ``_shift_axis``, shared by the gather and the
-PDE residual; it blends slices of the slab and builds the rows whose
-indices clamp from the edge row they read.  The gather takes the whole
-rows of both bracketing slabs, each clamped to its own stored ages, and
-blends their mean once per age axis.
+``scipy.ndimage.correlate1d`` per log-price axis, any other one n-D tap
+array, correlated with the edge-padded slab by FFT; both replicate the
+edges.  Moving a slab along the age axes (ages grow by v between t and
+t + v) is one clamped linear shift per age axis, ``_shift_axis``, shared
+by the gather and the PDE residual; it blends slices of the slab and
+builds the rows whose indices clamp from the edge row they read.  The
+gather takes the whole rows of both bracketing slabs, each clamped to its
+own stored ages, and blends their mean once per age axis.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.ndimage import correlate, correlate1d, map_coordinates
+from scipy.ndimage import correlate1d, map_coordinates
 
 from .errors import ConfigError, NoConvergence
 from .market import Claim, MarketModel, build_kernel
@@ -343,10 +343,10 @@ def _build_taps(shifts, weights, h):
     correlating arr with taps[p] (mode="nearest") gives
     sum_q weights[p, q] * (arr interpolated multilinearly at x + shifts[p, q]),
     with the axes held at their edge values beyond the box.  Each weight is
-    splatted onto the 2^k corners of its cell, one np.add.at call per corner
-    (all lo, then all hi, for k = 1) for all rows, which share one flat
-    array; the adds reach each tap in the order of a one-row build, so a
-    row's taps do not depend on the rows built with it.
+    splatted onto the 2^k corners of its cell, corner by corner (all lo,
+    then all hi, for k = 1), for all rows, which share one flat array; the
+    adds reach each tap in the order of a one-row build, so a row's taps do
+    not depend on the rows built with it.
     """
     cells = shifts / np.asarray(h)
     i0 = np.floor(cells).astype(int)
@@ -360,10 +360,12 @@ def _build_taps(shifts, weights, h):
     ends = np.cumsum(size[:, 0])
     lo = (ends - size[:, 0])[:, None] \
         + ((i0 + half[:, None]) * strides[:, None]).sum(axis=2)
-    flat = np.zeros(int(ends[-1]))
-    for hi in itertools.product((False, True), repeat=cells.shape[2]):
-        np.add.at(flat, lo + (strides * hi).sum(axis=1)[:, None],
-                  weights * np.where(hi, frac, 1.0 - frac).prod(axis=2))
+    corners = np.array(list(itertools.product((0, 1), repeat=cells.shape[2])))
+    # one bincount over the corners in turn adds like one np.add.at each
+    flat = np.bincount(
+        (lo + (corners @ strides.T)[:, :, None]).ravel(),
+        (weights * np.where(corners[:, None, None], frac, 1.0 - frac).prod(
+            axis=3)).ravel(), minlength=ends[-1])
     return [flat[e - n[0]:e].reshape(w)
             for w, n, e in zip(width.tolist(), size.tolist(), ends.tolist())]
 
@@ -417,10 +419,10 @@ class _Smoother:
     lognormal kernel; apply(deriv_axis=m) integrates it against the kernel's
     s-derivative (the extra node factor is (Sigma^-1 (z - zbar))_m / s_m).
     Both correlate the slab with taps, the kernel's Gauss-Hermite nodes
-    collapsed onto the price grid (_group_taps).  A diagonal kernel has one
-    1-D tap array per log-price axis, each one correlate1d; a correlated
-    kernel has one n-D array over its tensor nodes, one ndimage.correlate,
-    which skips the taps with |w| <= 2.2e-16 (a round-off change only).
+    collapsed onto the price grid (_kernel_nodes, _build_taps).  A diagonal
+    kernel has one 1-D tap array per log-price axis, each one correlate1d; a
+    correlated kernel has one n-D array over its tensor nodes, correlated
+    with the slab by FFT (_correlate_nd).
     The smoother acts on the excess over the linear part c1.s, which
     PriceField holds at its edge value beyond the box, so both replicate
     the edges.
@@ -454,58 +456,96 @@ class _Smoother:
         With deriv_axis = m the result is the expectation against
         d(kernel)/d s_m, still to be divided by s_m by the caller.
         """
-        lead = arr.ndim - self.grid.n
         taps = list(self.taps)
         if deriv_axis is not None:
             taps[deriv_axis if self.diagonal else 0] = \
                 self._derivative(deriv_axis)
+        if not self.diagonal:
+            return _correlate_nd(arr, taps[0])
+        lead = arr.ndim - self.grid.n
         for d, tap in enumerate(taps):
-            arr = correlate1d(arr, tap, axis=lead + d, mode="nearest") \
-                if self.diagonal \
-                else correlate(arr, tap[(None,) * lead], mode="nearest")
+            arr = correlate1d(arr, tap, axis=lead + d, mode="nearest")
         return arr
 
     def _derivative(self, d):
-        """The taps of the kernel's s_d-derivative; those of every axis are
-        built on first use, from one inverse Cholesky factor."""
+        """The taps of the kernel's s_d-derivative, the kernel's nodes with
+        weights w (Sigma^-1 (z - zbar))_d = w (L^-T xi)_d; those of every
+        axis are built on first use, a correlated kernel's from one inverse
+        Cholesky factor."""
         if self._deriv is None:
             n = self.grid.n
-            inv_l = np.linalg.inv(self.chol)
-            self._deriv = [_group_taps(
-                self.zbar[None], self.chol[None], self.grid, self.gh_nodes,
-                [e] if self.diagonal else list(range(n)), (e, inv_l))[0]
-                for e in range(n)]
+            inv_l = None if self.diagonal else np.linalg.inv(self.chol)
+            self._deriv = []
+            for e in range(n):
+                axes = [e] if self.diagonal else list(range(n))
+                xi, w, shifts = _kernel_nodes(self.zbar[None],
+                                              self.chol[None], axes,
+                                              self.gh_nodes)
+                w = w * xi[:, 0] / self.chol[e, e] if self.diagonal \
+                    else w * (xi @ inv_l[:, e])
+                self._deriv += _build_taps(shifts, w,
+                                           [self.grid.h[a] for a in axes])
         return self._deriv[d]
 
 
-def _group_taps(zbar, chol, grid: Grid, gh_nodes: int, axes, deriv=None):
-    """The taps on the log-price axes `axes` of every kernel of a stack
-    (zbar (P, n), chol (P, n, n)), from one _build_taps call: the tensor
-    Gauss-Hermite nodes xi of the group at zbar + L xi with weights w, or,
-    for deriv = (d, L^-1) of a one-kernel stack, with the weights of the
-    kernel's s_d-derivative, w (Sigma^-1 (z - zbar))_d = w (L^-T xi)_d."""
+def _kernel_nodes(zbar, chol, axes, gh_nodes: int):
+    """The tensor Gauss-Hermite nodes xi (Q, k) and weights w (Q,) on the k
+    log-price axes `axes`, and per kernel of a stack (zbar (P, n), chol
+    (P, n, n)) their shifts zbar + L xi on those axes, (P, Q, k)."""
     xi, w = tensor_normal_nodes(len(axes), gh_nodes)
-    shifts = zbar[:, None, axes] + xi @ chol[:, axes][:, :, axes].swapaxes(1, 2)
-    if deriv is not None:
-        d, inv_l = deriv
-        # the leading term xi_d / L_dd is divided out last, so a diagonal
-        # axis gets w xi / L_dd
-        col = inv_l[axes, d] * chol[0, d, d]
-        col[axes.index(d)] = 1.0
-        w = w * (xi @ col) / chol[0, d, d]
-    return _build_taps(shifts, w, [grid.h[e] for e in axes])
+    sub = chol[:, axes][:, :, axes]
+    return xi, w, zbar[:, None, axes] + xi @ sub.swapaxes(1, 2)
 
 
 def _kernel_taps(zbar, chol, grid: Grid, gh_nodes: int):
     """Per kernel of a stack (zbar (P, n), chol (P, n, n)), its taps: one
-    1-D array per log-price axis when no chol of the stack has an
-    off-diagonal entry above 1e-14, else one n-D array.  Each tap array is
-    built for the whole stack at once."""
+    1-D array per log-price axis when its chol has no off-diagonal entry
+    above 1e-14, else one n-D array.  Each tap array is built for all the
+    diagonal, or all the correlated, kernels of the stack at once."""
     n = grid.n
-    diagonal = np.abs(chol[:, ~np.eye(n, dtype=bool)]).max(initial=0.0) <= 1e-14
-    groups = [[d] for d in range(n)] if diagonal else [list(range(n))]
-    return [list(t) for t in zip(*[_group_taps(zbar, chol, grid, gh_nodes, g)
-                                   for g in groups])]
+    off = np.abs(chol[:, ~np.eye(n, dtype=bool)]).max(axis=1, initial=0.0)
+    taps = [None] * len(chol)
+    for groups, sel in (([[d] for d in range(n)], off <= 1e-14),
+                        ([list(range(n))], off > 1e-14)):
+        sel = np.flatnonzero(sel)
+        if len(sel) == 0:
+            continue
+        built = []
+        for g in groups:
+            _, w, shifts = _kernel_nodes(zbar[sel], chol[sel], g, gh_nodes)
+            built.append(_build_taps(shifts, w, [grid.h[e] for e in g]))
+        for p, t in zip(sel.tolist(), zip(*built)):
+            taps[p] = list(t)
+    return taps
+
+
+def _correlate_nd(arr, taps):
+    """Correlate the last taps.ndim axes of arr with the centred n-D taps,
+    holding the edge values beyond the box (ndimage's mode="nearest"), by
+    FFT of the edge-padded slab: the cost does not grow with the number of
+    taps, and with all but the last transform in place the peak memory is
+    about twice the padded slab.  (ndimage.correlate would keep a table of
+    prod(min(S, width)) x (nonzero taps) offsets, 0.3 GB for n = 3 on 31
+    nodes.)  The result changes at round-off only, about 1e-15 of its
+    largest value.
+    """
+    lead = arr.ndim - taps.ndim
+    half = [w // 2 for w in taps.shape]
+    size = arr.shape[lead:]
+    shape = [s + 2 * h for s, h in zip(size, half)]
+    spec = np.fft.rfft(np.pad(arr, [(0, 0)] * lead + [(h, h) for h in half],
+                              mode="edge"), axis=-1)
+    for a in range(lead, arr.ndim - 1):
+        np.fft.fft(spec, axis=a, out=spec)
+    spec *= np.fft.rfftn(taps[(slice(None, None, -1),) * taps.ndim], s=shape,
+                         axes=range(taps.ndim))
+    for a in range(lead, arr.ndim - 1):
+        np.fft.ifft(spec, axis=a, out=spec)
+    # the circular convolution with the reversed taps is exact from index
+    # 2 half on, where the output of slab node 0 sits
+    full = np.fft.irfft(spec, n=shape[-1], axis=-1)
+    return full[(...,) + tuple(slice(2 * h, 2 * h + s)
+                               for h, s in zip(half, size))].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -929,6 +929,26 @@ def test_bulk_taps_equal_per_panel_taps():
             assert np.array_equal(sm._derivative(d), want_d)
 
 
+def test_bulk_taps_keep_each_panels_path():
+    # a stack whose off-diagonal vol is zero on its early panels: each panel
+    # keeps the taps, 1-D or n-D, that a smoother built on its own gets
+    from regimehedge.volterra_pricer import _Smoother
+    m = build_market(2, 2, 1, 0.03, np.zeros(2), np.diag([0.3, 0.2]))
+    grid = Grid(m, 1.0, np.full((1, 2), 100.0),
+                GridSpec(time_steps=4, price_nodes=11, age_nodes=2))
+    v = np.array([0.1, 0.2, 0.4, 0.8])
+    chol = np.zeros((4, 2, 2))
+    chol[:, 0, 0], chol[:, 1, 1] = 0.3 * np.sqrt(v), 0.2 * np.sqrt(v)
+    chol[2:, 1, 0] = 0.1 * np.sqrt(v[2:])
+    kern = SimpleNamespace(zbar=-0.01 * v[:, None] * np.ones(2), chol=chol)
+    sms = _Smoother.for_panels(kern, grid, 8)
+    assert [sm.diagonal for sm in sms] == [True, True, False, False]
+    for p, sm in enumerate(sms):
+        alone = _Smoother(kern.zbar[p], kern.chol[p], grid, 8)
+        assert alone.diagonal == sm.diagonal
+        assert all(np.array_equal(a, b) for a, b in zip(sm.taps, alone.taps))
+
+
 def _interp_ages(arr, axes, cells, count):
     """arr interpolated along each of axes at the nodes k + cells, k < count,
     holding its end values beyond the stored ages."""
