@@ -132,8 +132,8 @@ def hedge_field(market, claim, models, field: PriceField,
     n_x = len(g.x_tuples)
     smesh = np.meshgrid(*g.s_axes, indexing="ij")
     spots = np.stack(smesh, axis=-1)
-    # d/ds_m of the kernel integral, as sm.apply(deriv_axis=m) / s_m
-    actions = [lambda sm, e, m=m: sm.apply(e, deriv_axis=m) / smesh[m]
+    # d/ds_m of the kernel integral, as sm.apply(e, p, deriv_axis=m) / s_m
+    actions = [lambda sm, e, p, m=m: sm.apply(e, p, deriv_axis=m) / smesh[m]
                for m in range(g.n)]
 
     y_pad = (...,) + (None,) * g.n

@@ -137,13 +137,6 @@ def _rekey(pair, keys):
     return pair
 
 
-def _spawn_rngs(seed: int, path_id: int):
-    """The (regime, Gaussian) streams of one path: the children 0 and 1 of
-    SeedSequence(seed, spawn_key=(path_id,)), built without spawning."""
-    return _rekey(_stream_pair(),
-                  [_stream_keys(seed, [path_id], k)[0] for k in (0, 1)])
-
-
 def stream_blocks(seed: int, ids):
     """The streams of ids in consecutive blocks of _BLOCK, made lazily.
 

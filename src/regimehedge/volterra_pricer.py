@@ -35,8 +35,8 @@ The switches out of each regime tuple come from ``semi_markov.switch_edges``.
 Slab i builds its switch tables once, for all panels at once
 (``_slab_tables``): the joint survival at every panel midpoint as one
 array, each hazard family's rate over the (panel, age) grid in one call,
-and per regime tuple the kernel smoothers of all panels, whose taps come
-from one batch per tap array.  Per panel, regime tuple and
+and per regime tuple one smoother over the kernels of all panels, whose
+taps come from one batch per tap array.  Per panel, regime tuple and
 switch edge, one weight carries the discount e^{-r(x) v_p}, dt, JS(v_p),
 the hazard and the mass normalization.  The switch branch of a panel then
 gathers the continuation once per resetting component and subtracts the
@@ -413,79 +413,51 @@ def _shift_axis(arr, axis, cells, count):
 
 
 class _Smoother:
-    """Kernel smoothing operator on the log-price axes of a slab.
+    """Kernel smoothing operators on the log-price axes of a slab, one per
+    kernel of a stack (zbar (P, n), chol (P, n, n)): the panels of one
+    regime tuple.
 
-    apply() integrates the multilinearly interpolated slab against the
-    lognormal kernel; apply(deriv_axis=m) integrates it against the kernel's
-    s-derivative (the extra node factor is (Sigma^-1 (z - zbar))_m / s_m).
-    Both correlate the slab with taps, the kernel's Gauss-Hermite nodes
-    collapsed onto the price grid (_kernel_nodes, _build_taps).  A diagonal
-    kernel has one 1-D tap array per log-price axis, each one correlate1d; a
-    correlated kernel has one n-D array over its tensor nodes, correlated
-    with the slab by FFT (_correlate_nd).
+    apply(arr, p) integrates the multilinearly interpolated slab against
+    kernel p, apply(arr, p, deriv_axis=m) against its s_m-derivative.  Both
+    correlate the slab with taps from _kernel_taps, built for all kernels
+    at once: the kernel taps with the smoother, the derivative taps of an
+    axis on its first use.  A diagonal kernel has one 1-D tap array per
+    log-price axis, each one correlate1d; a correlated kernel has one n-D
+    array over its tensor nodes, correlated with the slab by FFT
+    (_correlate_nd).
     The smoother acts on the excess over the linear part c1.s, which
     PriceField holds at its edge value beyond the box, so both replicate
     the edges.
     """
 
-    _deriv = None   # per-axis derivative taps, built on first use
-
-    def __init__(self, zbar, chol, grid: Grid, gh_nodes: int, taps=None):
-        """taps, when given, are the kernel taps built in bulk by
-        for_panels."""
+    def __init__(self, zbar, chol, grid: Grid, gh_nodes: int):
         self.grid = grid
         self.zbar = zbar
         self.chol = chol
         self.gh_nodes = gh_nodes
-        if taps is None:
-            taps, = _kernel_taps(zbar[None], chol[None], grid, gh_nodes)
-        self.taps = taps
-        self.diagonal = len(taps) == grid.n
+        self.taps = _kernel_taps(zbar, chol, grid, gh_nodes)
+        self._deriv = {}
 
-    @classmethod
-    def for_panels(cls, kern, grid: Grid, gh_nodes: int):
-        """One smoother per panel of a kernel over several horizons (zbar
-        (P, n), chol (P, n, n)), with the taps of all panels built in bulk."""
-        return [cls(zbar, chol, grid, gh_nodes, taps) for zbar, chol, taps
-                in zip(kern.zbar, kern.chol,
-                       _kernel_taps(kern.zbar, kern.chol, grid, gh_nodes))]
-
-    def apply(self, arr, deriv_axis: int | None = None):
+    def apply(self, arr, p: int, deriv_axis: int | None = None):
         """arr has age axes first, then the n log-price axes (last).
 
         With deriv_axis = m the result is the expectation against
-        d(kernel)/d s_m, still to be divided by s_m by the caller.
+        d(kernel p)/d s_m, still to be divided by s_m by the caller.
         """
-        taps = list(self.taps)
+        taps = self.taps[p]
         if deriv_axis is not None:
-            taps[deriv_axis if self.diagonal else 0] = \
-                self._derivative(deriv_axis)
-        if not self.diagonal:
+            if deriv_axis not in self._deriv:
+                self._deriv[deriv_axis] = _kernel_taps(
+                    self.zbar, self.chol, self.grid, self.gh_nodes, deriv_axis)
+            d_tap, = self._deriv[deriv_axis][p]
+            taps = [d_tap] if d_tap.ndim > 1 else \
+                taps[:deriv_axis] + [d_tap] + taps[deriv_axis + 1:]
+        if taps[0].ndim > 1:
             return _correlate_nd(arr, taps[0])
         lead = arr.ndim - self.grid.n
         for d, tap in enumerate(taps):
             arr = correlate1d(arr, tap, axis=lead + d, mode="nearest")
         return arr
-
-    def _derivative(self, d):
-        """The taps of the kernel's s_d-derivative, the kernel's nodes with
-        weights w (Sigma^-1 (z - zbar))_d = w (L^-T xi)_d; those of every
-        axis are built on first use, a correlated kernel's from one inverse
-        Cholesky factor."""
-        if self._deriv is None:
-            n = self.grid.n
-            inv_l = None if self.diagonal else np.linalg.inv(self.chol)
-            self._deriv = []
-            for e in range(n):
-                axes = [e] if self.diagonal else list(range(n))
-                xi, w, shifts = _kernel_nodes(self.zbar[None],
-                                              self.chol[None], axes,
-                                              self.gh_nodes)
-                w = w * xi[:, 0] / self.chol[e, e] if self.diagonal \
-                    else w * (xi @ inv_l[:, e])
-                self._deriv += _build_taps(shifts, w,
-                                           [self.grid.h[a] for a in axes])
-        return self._deriv[d]
 
 
 def _kernel_nodes(zbar, chol, axes, gh_nodes: int):
@@ -497,22 +469,34 @@ def _kernel_nodes(zbar, chol, axes, gh_nodes: int):
     return xi, w, zbar[:, None, axes] + xi @ sub.swapaxes(1, 2)
 
 
-def _kernel_taps(zbar, chol, grid: Grid, gh_nodes: int):
+def _kernel_taps(zbar, chol, grid: Grid, gh_nodes: int,
+                 deriv_axis: int | None = None):
     """Per kernel of a stack (zbar (P, n), chol (P, n, n)), its taps: one
     1-D array per log-price axis when its chol has no off-diagonal entry
-    above 1e-14, else one n-D array.  Each tap array is built for all the
-    diagonal, or all the correlated, kernels of the stack at once."""
+    above 1e-14, else one n-D array.  With deriv_axis = m, the taps of the
+    kernel's s_m-derivative instead, its nodes weighted by
+    w (Sigma^-1 (z - zbar))_m = w (L^-T xi)_m: a correlated kernel's n-D
+    array, or a diagonal kernel's 1-D array on axis m alone (w xi / L_mm),
+    which stands in for that axis' kernel taps.  Each tap array is built
+    for all the diagonal, or all the correlated, kernels of the stack at
+    once."""
     n = grid.n
     off = np.abs(chol[:, ~np.eye(n, dtype=bool)]).max(axis=1, initial=0.0)
+    diag_axes = range(n) if deriv_axis is None else [deriv_axis]
     taps = [None] * len(chol)
-    for groups, sel in (([[d] for d in range(n)], off <= 1e-14),
-                        ([list(range(n))], off > 1e-14)):
-        sel = np.flatnonzero(sel)
+    for corr, groups in ((False, [[d] for d in diag_axes]),
+                         (True, [list(range(n))])):
+        sel = np.flatnonzero((off > 1e-14) == corr)
         if len(sel) == 0:
             continue
         built = []
         for g in groups:
-            _, w, shifts = _kernel_nodes(zbar[sel], chol[sel], g, gh_nodes)
+            xi, w, shifts = _kernel_nodes(zbar[sel], chol[sel], g, gh_nodes)
+            if deriv_axis is not None and corr:
+                w = np.stack([w * (xi @ inv_l[:, deriv_axis])
+                              for inv_l in np.linalg.inv(chol[sel])])
+            elif deriv_axis is not None:
+                w = w * xi[:, 0] / chol[sel, deriv_axis, deriv_axis][:, None]
             built.append(_build_taps(shifts, w, [grid.h[e] for e in g]))
         for p, t in zip(sel.tolist(), zip(*built)):
             taps[p] = list(t)
@@ -646,9 +630,10 @@ class VolterraSolver:
         return js
 
     def _slab_tables(self, i):
-        """The switch-branch tables of slab i, one entry per panel p: per
-        regime tuple, the smoother of the kernel over v_p and the weights of
-        its switch edges (self.edges order), stacked on the first axis, where
+        """The switch-branch tables of slab i, one entry per regime tuple:
+        the smoother of the tuple's kernels over the panel midpoints v_p,
+        and the weights of its switch edges (self.edges order), an array
+        (P, E, c..c, 1..1) over panels and edges, where
 
             w = kappa e^{-r(x) v_p} dt JS(v_p; x, y) lam^l(y_l + v_p)
 
@@ -656,9 +641,9 @@ class VolterraSolver:
         (1 - JS(T - t_i)) over the quadrature mass of all panels; it keeps
         linear claims exact and the operator a strict sub-probability
         mixture.  All panels are built at once: one joint-survival array,
-        one rate call per hazard family and one batch of kernel taps per
-        regime tuple and log-price axis.  Whoever applies slab i builds its
-        tables once and drops them after."""
+        one rate call per hazard family and one kernel call and smoother
+        per regime tuple.  Whoever applies slab i builds its tables once
+        and drops them after."""
         g = self.grid
         nc = g.n_components
         c = int(g.c_counts[i])
@@ -681,7 +666,7 @@ class VolterraSolver:
             weights.append(wt)
         kappa = np.where(
             mass > 1e-300, (1.0 - self.js_T(i)) / np.maximum(mass, 1e-300), 1.0)
-        tables = [[] for _ in range(P)]
+        tables = []
         for xi, (x, wt) in enumerate(zip(g.x_tuples, weights)):
             disc = np.exp(-self.market.r(x) * v_mid)
             scale = kappa[xi] * _on_axis(disc, (0,), 1 + nc)
@@ -689,9 +674,8 @@ class VolterraSolver:
             # the smoother acts on the excess over the linear part c1.s,
             # which clamps at the box edges, so no growth correction here
             kern = build_kernel(self.market, g.t_nodes[i], x, v_mid)
-            sms = _Smoother.for_panels(kern, g, self.settings.gh_nodes)
-            for panel, sm, w in zip(tables, sms, wt):
-                panel.append((sm, w[y_pad]))
+            tables.append((_Smoother(kern.zbar, kern.chol, g,
+                                     self.settings.gh_nodes), wt[y_pad]))
         return tables
 
     # -- gathering the continuation slab ---------------------------------------
@@ -741,20 +725,21 @@ class VolterraSolver:
     def switch_branch(self, i, slabs, actions, panels=None, tables=None):
         """The switch-branch integral of slab i, one result per action.
 
-        An action maps (smoother, excess of the gathered continuation over
-        c1.s) to a kernel integral: the kernel itself for pricing, its
-        s-derivatives for hedging.  All actions share the gathers and the
-        weights of slab i's tables (see _slab_tables), built afresh when
-        not given.  panels selects the v-panels to sum (all by default); the
-        panels p >= 1 read only slabs after i.  Per panel, the excesses of
-        all switch edges out of a regime tuple are stacked and smoothed by
-        one action call; each edge then adds its weighted share.
+        An action maps (a regime tuple's smoother, excess of the gathered
+        continuation over c1.s, panel p) to the integral against kernel p:
+        the kernel itself for pricing (_Smoother.apply), its s-derivatives
+        for hedging.  All actions share the gathers and the weights of slab
+        i's tables (see _slab_tables), built afresh when not given.  panels
+        selects the v-panels to sum (all by default); the panels p >= 1 read
+        only slabs after i.  Per panel, the excesses of all switch edges out
+        of a regime tuple are stacked and smoothed by one action call; each
+        edge then adds its weighted share.
         """
         g = self.grid
         if tables is None:
             tables = self._slab_tables(i)
         if panels is None:
-            panels = range(len(tables))
+            panels = range(g.spec.time_steps - i)
         c = int(g.c_counts[i])
         accs = [np.zeros((len(g.x_tuples),) + (c,) * g.n_components + g.s_shape)
                 for _ in actions]
@@ -768,13 +753,13 @@ class VolterraSolver:
                 gathered = self._gather(slabs, i, p, l)
                 gathered -= self._lin
                 excess.append(gathered)
-            for xi, (sm, w) in enumerate(tables[p]):
+            for xi, (sm, w) in enumerate(tables):
                 edges = self.edges[xi]
                 stacked = np.stack([excess[l][xpi] for l, _, xpi, _ in edges])
                 for acc, action in zip(accs, actions):
-                    smoothed = action(sm, stacked)
+                    smoothed = action(sm, stacked, p)
                     # each edge's reset axis comes back as a singleton
-                    for (l, _, _, _), we, se in zip(edges, w, smoothed):
+                    for (l, _, _, _), we, se in zip(edges, w[p], smoothed):
                         np.multiply(we, se[(slice(None),) * l + (None,)],
                                     out=share)
                         acc[xi] += share
@@ -791,7 +776,8 @@ class VolterraSolver:
         rho = self._rho_slabs()[i]
         out = js_T[y_pad] * rho[(slice(None),) + (None,) * g.n_components]
         far, = self.switch_branch(i, slabs, (_Smoother.apply,),
-                                  panels=range(1, len(tables)), tables=tables)
+                                  panels=range(1, g.spec.time_steps - i),
+                                  tables=tables)
         out += far + ((1.0 - js_T)[y_pad]) * self._lin
         return out
 
@@ -1015,8 +1001,12 @@ def _add_price_terms(res, sub, s_axes, rx, a):
     return res
 
 
+# price nodes per side of the box that the residual skips: the difference
+# stencils are cut off at the edge nodes
+_INTERIOR_MARGIN = 2
+
+
 def pde_residual(field: PriceField, market: MarketModel, models,
-                 interior_margin: int = 2,
                  maturity_margin_steps: int = 0) -> PdeResidualReport:
     """Discrete residual of the non-local pricing equation on interior nodes.
 
@@ -1034,7 +1024,7 @@ def pde_residual(field: PriceField, market: MarketModel, models,
     total = 0.0
     count = 0
     inv_w = g.inv_weight()
-    core = tuple(slice(interior_margin, -interior_margin) for _ in range(n))
+    core = tuple(slice(_INTERIOR_MARGIN, -_INTERIOR_MARGIN) for _ in range(n))
     max_by_time = []
     edges = switch_edges(models, g.x_tuples)
 

@@ -5,7 +5,7 @@ import pytest
 
 from regimehedge import hedging
 from regimehedge.market import Claim, build_kernel, build_market
-from regimehedge.mc_oracle import simulate_path, _spawn_rngs
+from regimehedge.mc_oracle import simulate_path
 from regimehedge.quadrature import gauss_legendre, tensor_normal_nodes
 from regimehedge.regime_bsm import bsm_delta
 from regimehedge.semi_markov import (
@@ -24,6 +24,13 @@ from regimehedge.volterra_pricer import (
     SolverSettings,
     solve_price_field,
 )
+
+
+def _spawn_rngs(seed, pid):
+    """The (regime, Gaussian) streams of path pid, built by numpy itself:
+    the children 0 and 1 of SeedSequence(seed, spawn_key=(pid,))."""
+    return tuple(np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(pid, k)))) for k in (0, 1))
 
 
 def degenerate_case():
@@ -179,9 +186,10 @@ def test_correlated_two_asset_hedge_field_matches_point_route(settings):
 
 def test_derivative_taps_built_once_per_smoother_and_axis(monkeypatch):
     # pricing builds only the kernel taps; the hedge pass adds one set of
-    # derivative taps per smoother and asset axis, shared by every
+    # derivative taps per panel kernel and asset axis, shared by every
     # (component, destination) branch.  _build_taps builds a batch of tap
-    # arrays per call, so the count is of arrays built, not of calls
+    # arrays per call, so the count is of arrays built, not of calls, and
+    # a smoother holds the kernels of all panels of a slab's regime tuple
     from regimehedge import volterra_pricer as vp
     m = build_market(2, 2, 2, 0.03, np.zeros(2), np.diag([0.2, 0.3]))
     claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
@@ -205,11 +213,14 @@ def test_derivative_taps_built_once_per_smoother_and_axis(monkeypatch):
 
     field, _ = solve_price_field(m, claim, [h, h], grid, tol=1e-6,
                                  settings=settings)
-    assert smoothers and calls[0] == 2 * len(smoothers)
+    kernels = sum(len(sm.taps) for sm in smoothers)
+    assert smoothers and calls[0] == 2 * kernels
+    assert not any(sm._deriv for sm in smoothers)
     calls[0] = 0
     smoothers.clear()
     hedge_field(m, claim, [h, h], field, settings=settings)
-    assert smoothers and calls[0] == (2 + 2) * len(smoothers)
+    kernels = sum(len(sm.taps) for sm in smoothers)
+    assert smoothers and calls[0] == (2 + 2) * kernels
 
 def test_strategy_value_identity_and_terminal_replication():
     m, claim, models, field = regime_case()

@@ -19,7 +19,6 @@ from regimehedge.mc_oracle import (
     mc_price,
     simulate_path,
     stream_blocks,
-    _spawn_rngs,
     _stream_keys,
 )
 from regimehedge.regime_bsm import bsm_price
@@ -32,6 +31,13 @@ from regimehedge.semi_markov import (
     simulate_csm,
 )
 from regimehedge.volterra_pricer import Grid, GridSpec, solve_price_field
+
+
+def _spawn_rngs(seed, pid):
+    """The (regime, Gaussian) streams of path pid, built by numpy itself:
+    the children 0 and 1 of SeedSequence(seed, spawn_key=(pid,))."""
+    return tuple(np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(pid, k)))) for k in (0, 1))
 
 
 def flat_market(r=0.05, sigma=0.2, mu=0.09):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -294,23 +295,23 @@ def test_smoother_general_path_matches_diagonal():
     cov = m.a_integral(0.0, 0.25, (1, 1))
     zbar = 0.03 * 0.25 - 0.5 * np.diag(cov)
     chol = np.linalg.cholesky(cov)
-    sm_d = _Smoother(zbar, chol, grid, 8)
-    assert sm_d.diagonal
+    sm_d = _Smoother(zbar[None], chol[None], grid, 8)
+    assert [t.ndim for t in sm_d.taps[0]] == [1, 1]
     xi, w = np.polynomial.hermite.hermgauss(8)
     xi = xi * math.sqrt(2.0)
     w = w / math.sqrt(math.pi)
     grids = np.meshgrid(xi, xi, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     shifts = zbar + nodes @ chol.T
-    taps = _build_taps(shifts[None], np.kron(w, w), grid.h)
-    sm_g = _Smoother(zbar, chol, grid, 8, taps)
-    assert not sm_g.diagonal and sm_g.taps[0].ndim == 2
+    sm_g = _Smoother(zbar[None], chol[None], grid, 8)
+    sm_g.taps = [_build_taps(shifts[None], np.kron(w, w), grid.h)]
+    assert [t.ndim for t in sm_g.taps[0]] == [2]
 
     rng = np.random.default_rng(0)
     arr = rng.uniform(0.0, 50.0, size=(2, grid.spec.price_nodes,
                                        grid.spec.price_nodes))
-    out_d = sm_d.apply(arr)
-    out_g = sm_g.apply(arr)
+    out_d = sm_d.apply(arr, 0)
+    out_g = sm_g.apply(arr, 0)
     np.testing.assert_allclose(out_d, out_g, rtol=1e-10, atol=1e-10)
 
 
@@ -364,16 +365,16 @@ def test_correlated_stencil_matches_node_loop(case):
                 GridSpec(time_steps=2, price_nodes=nodes, age_nodes=2,
                          span_stds=span))
     kern = build_kernel(m, 0.0, (1,), np.array([v]))
-    sm = _Smoother(kern.zbar[0], kern.chol[0], grid, 8)
-    assert not sm.diagonal and sm.taps[0].ndim == n
+    sm = _Smoother(kern.zbar, kern.chol, grid, 8)
+    assert [t.ndim for t in sm.taps[0]] == [n]
     if case == "wider_than_5_nodes":
-        assert max(sm.taps[0].shape) > nodes
+        assert max(sm.taps[0][0].shape) > nodes
     lead = (3, 4) if n == 2 else (2, 3)
     arr = np.random.default_rng(17).uniform(-5.0, 50.0,
                                             size=lead + grid.s_shape)
     for d in (None,) + tuple(range(n)):
         want = _ref_loop_apply(kern.zbar[0], kern.chol[0], grid, 8, arr, d)
-        np.testing.assert_allclose(sm.apply(arr, deriv_axis=d), want,
+        np.testing.assert_allclose(sm.apply(arr, 0, deriv_axis=d), want,
                                    rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
 
@@ -398,12 +399,13 @@ def test_correlated_taps_have_unit_mass_and_exact_first_moment(case):
     # splatting a node onto its cell's corners reproduces affine functions
     # of ln s, so the stencil keeps the rule's mass and first moment; the
     # derivative taps integrate constants to 0
-    from regimehedge.volterra_pricer import _Smoother
+    from regimehedge.volterra_pricer import _Smoother, _kernel_taps
     zbar, chol, h, gh = case
     n = len(zbar)
-    sm = _Smoother(zbar, chol, SimpleNamespace(n=n, h=h), gh)
-    taps, = sm.taps
-    assert not sm.diagonal and taps.ndim == n
+    grid = SimpleNamespace(n=n, h=h)
+    sm = _Smoother(zbar[None], chol[None], grid, gh)
+    taps, = sm.taps[0]
+    assert taps.ndim == n
     nodes, w = tensor_normal_nodes(n, gh)
     assert abs(taps.sum() - 1.0) <= 1e-13
     shifts = zbar + nodes @ chol.T
@@ -413,7 +415,8 @@ def test_correlated_taps_have_unit_mass_and_exact_first_moment(case):
             axis=tuple(range(n - 1))) @ offsets * h[d]
         assert moment == pytest.approx(w @ shifts[:, d], rel=1e-12,
                                        abs=1e-13)
-        assert abs(sm._derivative(d).sum()) <= 1e-12
+        d_taps, = _kernel_taps(zbar[None], chol[None], grid, gh, d)[0]
+        assert abs(d_taps.sum()) <= 1e-12
 
 
 def _interp_smoothing(arr, axes, shifts, weights):
@@ -453,27 +456,28 @@ def test_diagonal_smoother_matches_interp_oracle(case):
     m = build_market(n, 2, 1, 0.03, np.zeros(n), vol)
     grid = Grid(m, 1.0, np.full((1, n), 100.0),
                 GridSpec(time_steps=2, price_nodes=nodes, age_nodes=2))
-    sm = _Smoother(zbar, np.diag(sd), grid, 8)
-    assert sm.diagonal
+    sm = _Smoother(zbar[None], np.diag(sd)[None], grid, 8)
+    assert [t.ndim for t in sm.taps[0]] == [1] * n
     xi, w = np.polynomial.hermite.hermgauss(8)
     xi, w = xi * math.sqrt(2.0), w / math.sqrt(math.pi)
     if case == "drift_past_taps":
         spread = sd[0] * np.max(np.abs(xi))
         assert zbar[0] - spread > spread + grid.h[0]
     if case == "taps_wider_than_axis":
-        assert len(sm.taps[0]) > nodes
+        assert len(sm.taps[0][0]) > nodes
 
     shifts = [zbar[d] + sd[d] * xi for d in range(n)]
     arr = np.random.default_rng(3).uniform(-5.0, 50.0,
                                            size=(2, 3) + grid.s_shape)
     tol = dict(rtol=1e-12, atol=1e-12 * np.max(np.abs(arr)))
     np.testing.assert_allclose(
-        sm.apply(arr), _interp_smoothing(arr, grid.lns_axes, shifts, [w] * n),
+        sm.apply(arr, 0),
+        _interp_smoothing(arr, grid.lns_axes, shifts, [w] * n),
         **tol)
     for d in range(n):
         wts = [w * xi / sd[d] if e == d else w for e in range(n)]
         np.testing.assert_allclose(
-            sm.apply(arr, deriv_axis=d),
+            sm.apply(arr, 0, deriv_axis=d),
             _interp_smoothing(arr, grid.lns_axes, shifts, wts), **tol)
 
 
@@ -748,14 +752,19 @@ def test_field_lookup_interpolation_and_extrapolation():
 # ---------------------------------------------------------------------------
 
 def _ref_build_taps(shifts, weights, h):
-    """One panel's taps, built on their own (the per-panel construction)."""
-    cells = np.asarray(shifts, dtype=float) / h
+    """One kernel's taps, built on their own (the per-panel construction):
+    shifts (Q,) on one axis of spacing h, or (Q, k) on k axes of spacings
+    h.  Each weight is added to the 2^k corners of its cell, corner by
+    corner (all lo first), with np.add.at."""
+    cells = np.asarray(shifts, dtype=float) / np.asarray(h)
+    cells = cells.reshape(len(cells), -1)
     i0 = np.floor(cells).astype(int)
     frac = cells - i0
-    half = max(-int(i0.min()), int(i0.max()) + 1)
-    taps = np.zeros(2 * half + 1)
-    np.add.at(taps, i0 + half, weights * (1.0 - frac))
-    np.add.at(taps, i0 + half + 1, weights * frac)
+    half = np.maximum(-i0.min(axis=0), i0.max(axis=0) + 1)
+    taps = np.zeros(tuple(2 * half + 1))
+    for corner in itertools.product((0, 1), repeat=cells.shape[1]):
+        np.add.at(taps, tuple((i0 + half + corner).T),
+                  weights * np.where(corner, frac, 1.0 - frac).prod(axis=1))
     return taps
 
 
@@ -780,7 +789,7 @@ def _ref_slab_tables(solver, i):
             log_js = sum(_on_axis(solver.dlam[(m, x[m])][:c, 2 * p + 1], m, nc)
                          for m in range(nc))
             js = np.exp(-log_js)
-            sm = _Smoother(kern.zbar[p], kern.chol[p], g,
+            sm = _Smoother(kern.zbar[p:p + 1], kern.chol[p:p + 1], g,
                            solver.settings.gh_nodes)
             edges = []
             for l, _, xpi, fam in solver.edges[xi]:
@@ -833,7 +842,7 @@ def _ref_switch_branch(solver, i, slabs, actions):
             for l, xpi, w in edges:
                 excess = gathered[l][xpi] - solver._lin
                 for acc, action in zip(accs, actions):
-                    acc[xi] += w * action(sm, excess)
+                    acc[xi] += w * action(sm, excess, 0)
     return accs
 
 
@@ -889,11 +898,13 @@ def test_switch_branch_matches_per_edge_reference(case):
     if case == "one_3_state_component":
         assert all(len(edges) == 2 for edges in solver.edges)
     if case == "2_assets_correlated":
-        assert not _Smoother(np.zeros(2), np.linalg.cholesky(
-            m.a_integral(0.0, 0.5, (1, 2))), grid, 6).diagonal
+        chol = np.linalg.cholesky(m.a_integral(0.0, 0.5, (1, 2)))
+        sm = _Smoother(np.zeros((1, 2)), chol[None], grid, 6)
+        assert [t.ndim for t in sm.taps[0]] == [2]
     field, _ = solver.solve(tol=1e-3)
     actions = [_Smoother.apply] + [
-        lambda sm, e, d=d: sm.apply(e, deriv_axis=d) for d in range(grid.n)]
+        lambda sm, e, p, d=d: sm.apply(e, p, deriv_axis=d)
+        for d in range(grid.n)]
     for i in range(grid.spec.time_steps):
         got = solver.switch_branch(i, field.slabs, actions)
         want = _ref_switch_branch(solver, i, field.slabs, actions)
@@ -906,33 +917,35 @@ def test_bulk_taps_equal_per_panel_taps():
     # a broad kernel on a 5-node axis: the late panels' taps are wider than
     # the axis
     from regimehedge.quadrature import gauss_hermite_standard
-    from regimehedge.volterra_pricer import _Smoother
+    from regimehedge.volterra_pricer import _Smoother, _kernel_taps
     m = build_market(2, 2, 1, 0.03, np.zeros(2), np.diag([0.9, 0.2]))
     grid = Grid(m, 1.0, np.full((1, 2), 100.0),
                 GridSpec(time_steps=8, price_nodes=5, age_nodes=2,
                          span_stds=2.0))
     v_mid = (np.arange(8) + 0.5) * grid.dt
     kern = build_kernel(m, 0.0, (1,), v_mid)
-    sms = _Smoother.for_panels(kern, grid, 16)
-    assert len(sms) == 8 and all(sm.diagonal for sm in sms)
-    widths = [len(sm.taps[0]) for sm in sms]
+    sm = _Smoother(kern.zbar, kern.chol, grid, 16)
+    assert len(sm.taps) == 8
+    assert all([t.ndim for t in taps] == [1, 1] for taps in sm.taps)
+    widths = [len(taps[0]) for taps in sm.taps]
     assert min(widths) <= grid.spec.price_nodes < max(widths)
+    derivs = [_kernel_taps(kern.zbar, kern.chol, grid, 16, d)
+              for d in range(2)]
     xi, w = gauss_hermite_standard(16)
-    for p, sm in enumerate(sms):
+    for p, taps in enumerate(sm.taps):
         for d in range(2):
             shifts = kern.zbar[p, d] + kern.chol[p, d, d] * xi
             want = _ref_build_taps(shifts, w, grid.h[d])
-            assert sm.taps[d].shape == want.shape
-            assert np.array_equal(sm.taps[d], want)
+            assert taps[d].shape == want.shape
+            assert np.array_equal(taps[d], want)
             want_d = _ref_build_taps(shifts, w * xi / kern.chol[p, d, d],
                                      grid.h[d])
-            assert np.array_equal(sm._derivative(d), want_d)
+            assert np.array_equal(derivs[d][p][0], want_d)
 
 
-def test_bulk_taps_keep_each_panels_path():
-    # a stack whose off-diagonal vol is zero on its early panels: each panel
-    # keeps the taps, 1-D or n-D, that a smoother built on its own gets
-    from regimehedge.volterra_pricer import _Smoother
+def _mixed_stack():
+    """A kernel stack whose off-diagonal vol is zero on its first two
+    panels and nonzero on the last two, on a two-asset grid."""
     m = build_market(2, 2, 1, 0.03, np.zeros(2), np.diag([0.3, 0.2]))
     grid = Grid(m, 1.0, np.full((1, 2), 100.0),
                 GridSpec(time_steps=4, price_nodes=11, age_nodes=2))
@@ -940,13 +953,45 @@ def test_bulk_taps_keep_each_panels_path():
     chol = np.zeros((4, 2, 2))
     chol[:, 0, 0], chol[:, 1, 1] = 0.3 * np.sqrt(v), 0.2 * np.sqrt(v)
     chol[2:, 1, 0] = 0.1 * np.sqrt(v[2:])
-    kern = SimpleNamespace(zbar=-0.01 * v[:, None] * np.ones(2), chol=chol)
-    sms = _Smoother.for_panels(kern, grid, 8)
-    assert [sm.diagonal for sm in sms] == [True, True, False, False]
-    for p, sm in enumerate(sms):
-        alone = _Smoother(kern.zbar[p], kern.chol[p], grid, 8)
-        assert alone.diagonal == sm.diagonal
-        assert all(np.array_equal(a, b) for a, b in zip(sm.taps, alone.taps))
+    return grid, SimpleNamespace(zbar=-0.01 * v[:, None] * np.ones(2),
+                                 chol=chol)
+
+
+def test_bulk_taps_keep_each_panels_path():
+    # each panel of a mixed stack keeps the taps, 1-D or n-D, that a
+    # smoother built on its own gets
+    from regimehedge.volterra_pricer import _Smoother
+    grid, kern = _mixed_stack()
+    sm = _Smoother(kern.zbar, kern.chol, grid, 8)
+    assert [len(taps) == 2 for taps in sm.taps] == [True, True, False, False]
+    for p, taps in enumerate(sm.taps):
+        alone = _Smoother(kern.zbar[p:p + 1], kern.chol[p:p + 1], grid, 8)
+        assert len(alone.taps[0]) == len(taps)
+        assert all(np.array_equal(a, b) for a, b in zip(taps, alone.taps[0]))
+
+
+def test_bulk_derivative_taps_equal_per_kernel_taps():
+    # the s_m-derivative taps of a mixed stack, built in bulk for every axis
+    # m: a diagonal panel's 1-D array on axis m (weights w xi / L_mm), a
+    # correlated panel's n-D array (weights w (L^-T xi)_m), each equal to
+    # its kernel's taps built on their own
+    from regimehedge.volterra_pricer import _kernel_taps
+    grid, kern = _mixed_stack()
+    for m in range(2):
+        got = _kernel_taps(kern.zbar, kern.chol, grid, 8, m)
+        for p, (zbar, chol) in enumerate(zip(kern.zbar, kern.chol)):
+            if p < 2:
+                xi, w = tensor_normal_nodes(1, 8)
+                want = _ref_build_taps(zbar[m] + chol[m, m] * xi[:, 0],
+                                       w * xi[:, 0] / chol[m, m], grid.h[m])
+            else:
+                xi, w = tensor_normal_nodes(2, 8)
+                want = _ref_build_taps(zbar + xi @ chol.T,
+                                       w * (xi @ np.linalg.inv(chol)[:, m]),
+                                       grid.h)
+            d_tap, = got[p]
+            assert d_tap.shape == want.shape
+            assert np.array_equal(d_tap, want)
 
 
 def _interp_ages(arr, axes, cells, count):
