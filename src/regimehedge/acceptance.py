@@ -47,7 +47,6 @@ from .volterra_pricer import (
     Grid,
     GridSpec,
     SolverSettings,
-    VolterraSolver,
     linear_growth_norm,
     pde_residual,
     solve_price_field,
@@ -160,10 +159,8 @@ def _bundle_c3(profile: str):
     grid = Grid(market, 1.0, np.array([[100.0, 100.0]]), spec)
     field, report = solve_price_field(market, claim, models, grid, tol,
                                       settings=settings)
-    out = dict(market=market, claim=claim, models=models, grid=grid,
-               field=field, report=report, settings=settings)
-    _BUNDLES[key] = out
-    return out
+    _BUNDLES[key] = dict(field=field, report=report)
+    return _BUNDLES[key]
 
 
 def _c4_pieces(spec: GridSpec, tol: float):
@@ -175,8 +172,7 @@ def _c4_pieces(spec: GridSpec, tol: float):
     settings = SolverSettings(gh_nodes=16)
     field, report = solve_price_field(market, claim, models, grid, tol,
                                       settings=settings)
-    return dict(market=market, claim=claim, models=models, grid=grid,
-                field=field, report=report, settings=settings)
+    return dict(field=field, report=report)
 
 
 def _bundle_c4(profile: str):
@@ -222,9 +218,7 @@ def _bundle_c6(profile: str):
     settings = SolverSettings(gh_nodes=16)
     field, report = solve_price_field(market, claim, models, grid, tol,
                                       settings=settings)
-    out = dict(market=market, claim=claim, models=models, grid=grid,
-               field=field, report=report, settings=settings,
-               mc_paths=paths, mc_seed=20240801,
+    out = dict(field=field, report=report, mc_paths=paths, mc_seed=20240801,
                start=(0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0])))
     _BUNDLES[key] = out
     return out
@@ -331,7 +325,8 @@ def criterion_3(profile: str, threads: int) -> CriterionResult:
     """Terminal exactness, positivity and the linear-growth envelope for a
     two-asset basket call driven by three components."""
     b = _bundle_c3(profile)
-    field, claim, grid = b["field"], b["claim"], b["grid"]
+    field = b["field"]
+    claim, grid = field.claim, field.grid
     pay = claim(grid.s_mesh())
     terminal_gap = float(np.max(np.abs(
         field.slabs[-1] - pay[(None,) * (1 + grid.n_components)])))
@@ -355,9 +350,7 @@ def criterion_4(profile: str, threads: int) -> CriterionResult:
     """Regime-independent coefficients collapse the field to the
     frozen-regime price within 1e-3 in the weighted sup norm."""
     b = _bundle_c4(profile)
-    solver = VolterraSolver(b["market"], b["claim"], b["models"], b["grid"],
-                            b["settings"])
-    rho_field = solver.initial_field()
+    rho_field = b["field"].solver.initial_field()
     gap = linear_growth_norm(b["field"], rho_field)
     tol = _tol("TOL_C4_DEGENERATE", 1e-3)
     passed = gap < tol and b["report"].converged_at is not None \
@@ -400,9 +393,8 @@ def criterion_5(profile: str, threads: int) -> CriterionResult:
         worst_phi = max(worst_phi, float(np.max(
             np.abs(slab - target) / (1.0 + smesh))))
     start = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
-    xi, eps = strategy_at(market, claim, models, field, start,
-                          settings=settings)
-    rr = residual_risk(market, claim, models, field, start, paths, seed=7)
+    xi, eps = strategy_at(field, start)
+    rr = residual_risk(field, start, paths, seed=7)
     tol = _tol("TOL_C5_LINEAR", 1e-6)
     passed = worst_phi <= tol and abs(xi[0] - 1.2) <= tol \
         and abs(eps) <= tol and rr.r0 <= 3 * rr.se + 1e-12
@@ -417,9 +409,10 @@ def criterion_6(profile: str, threads: int) -> CriterionResult:
     """Fixed-point price agrees with the exact-path Monte Carlo oracle
     within three standard errors, at sub-percent standard error."""
     b = _bundle_c6(profile)
+    solver = b["field"].solver
     price = b["field"].value(*b["start"])
-    est, se = mc_price(b["market"], b["claim"], b["models"], b["start"], 1.0,
-                       b["mc_paths"], b["mc_seed"], n_jobs=max(threads, 1))
+    est, se = mc_price(solver.market, solver.claim, solver.models, b["start"],
+                       1.0, b["mc_paths"], b["mc_seed"], n_jobs=max(threads, 1))
     rel_se_cap = 0.01 if profile == "full" else 0.03
     passed = abs(price - est) <= 3 * se and se / est < rel_se_cap
     return CriterionResult(6, "cross-method price agreement", passed,
@@ -432,8 +425,8 @@ def criterion_7(profile: str, threads: int) -> CriterionResult:
     """Integral-formula hedge matches a central finite difference of the
     solved field at randomized interior points."""
     b = _bundle_c6(profile)
-    field, grid = b["field"], b["grid"]
-    market, claim, models = b["market"], b["claim"], b["models"]
+    field = b["field"]
+    grid = field.grid
     # the stated tolerance applies at the full scale; the fast profile runs
     # on a deliberately rough grid
     tol = _tol("TOL_C7_HEDGE", 1e-2 if profile == "full" else 3e-2)
@@ -460,9 +453,8 @@ def criterion_7(profile: str, threads: int) -> CriterionResult:
         fd = dz / grid.s_axes[0][s_idx]
         if abs(fd) < 0.05:
             continue
-        eta = hedge_ratio(market, claim, models, field,
-                          (t, np.array([grid.s_axes[0][s_idx]]), x, y), 0,
-                          b["settings"])
+        s = np.array([grid.s_axes[0][s_idx]])
+        eta = hedge_ratio(field, (t, s, x, y), 0)
         worst = max(worst, abs(eta - fd) / abs(fd))
         checked += 1
     passed = checked >= n_points and worst <= tol
@@ -503,8 +495,7 @@ def criterion_9(profile: str, threads: int) -> CriterionResult:
     for spec in (coarse, fine):
         bundle = _c4_pieces(spec, 1e-3)
         margin = max(1, round(0.15 * spec.time_steps))
-        reports.append(pde_residual(bundle["field"], bundle["market"],
-                                    bundle["models"],
+        reports.append(pde_residual(bundle["field"],
                                     maturity_margin_steps=margin))
     ratio = reports[0].mean_scaled / reports[1].mean_scaled
     tol_abs = _tol("TOL_C9_RESIDUAL", 5e-2)
@@ -525,13 +516,11 @@ def criterion_10(profile: str, threads: int) -> CriterionResult:
     rows = {}
     ok = True
     for scale in (1.1, 1.5):
-        tilde = [h.scaled(scale) for h in b["models"]]
+        tilde = [h.scaled(scale) for h in b["field"].solver.models]
         # the base field is the c6 bundle's, solved at the bundle's tol (2e-4
         # full, 1e-3 fast); the perturbed field is solved at 1e-4, and each
         # solve's error budget enters the check's numerical floor
-        rep = sensitivity_check(b["market"], b["claim"], b["models"], tilde,
-                                (b["field"], b["report"]), tol=1e-4,
-                                settings=b["settings"])
+        rep = sensitivity_check((b["field"], b["report"]), tilde, tol=1e-4)
         ok = ok and rep.satisfied and rep.phi_sup_diff <= rep.bound_summed
         rows[f"scale_{scale}"] = rep.to_dict()
     return CriterionResult(10, "hazard perturbation bound", ok, rows)

@@ -3,15 +3,15 @@
 Two diagnostics on a solved price field:
 
 * sensitivity_check solves the pricing equation under a perturbed hazard
-  specification on the grid of the caller's solved base field and compares
-  the sup distance of the two fields against the Lipschitz bound
-  2 c2 T sum |lam - lam~|_sup (the per-pair sums maximized over the regime
-  tuple).
+  specification with the market, claim, grid and node counts of the
+  caller's solved base field and compares the sup distance of the two
+  fields against the Lipschitz bound 2 c2 T sum |lam - lam~|_sup (the
+  per-pair sums maximized over the regime tuple).
 
 * residual_risk estimates the expected squared discounted price jump that
   the optimal non-self-financing hedge absorbs at regime switches, by
-  simulating physical-measure paths and reading the solved field at the
-  pre- and post-switch states.
+  simulating physical-measure paths under the field's market and hazard
+  models and reading the solved field at the pre- and post-switch states.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .mc_oracle import map_chunks, simulate_path, stream_blocks
-from .volterra_pricer import PriceField, SolverSettings, solve_price_field
+from .volterra_pricer import PriceField, solve_price_field
 
 _SUP_GRID = 1001
 
@@ -55,20 +55,20 @@ def _pair_sup_diffs(models, models_tilde, horizon: float):
     return out
 
 
-def sensitivity_check(market, claim, models, models_tilde, base,
-                      tol: float = 1e-4,
-                      settings: SolverSettings | None = None
-                      ) -> SensitivityReport:
+def sensitivity_check(base, models_tilde,
+                      tol: float = 1e-4) -> SensitivityReport:
     """Solve under the perturbed hazards and compare with the sup bound.
 
-    base is the solved (field, report) under models; the perturbed hazards
-    are solved on its grid at tol.  Each solve's own error budget enters
-    the numerical floor, so base may have been solved at another tol.
+    base is a solved (field, report); the perturbed hazards are solved with
+    the market, claim, grid and settings of the field's solver at tol.
+    Each solve's own error budget enters the numerical floor, so base may
+    have been solved at another tol.
     """
     field_a, rep_a = base
-    grid = field_a.grid
-    field_b, rep_b = solve_price_field(market, claim, models_tilde, grid, tol,
-                                       settings=settings)
+    solver, grid = field_a.solver, field_a.grid
+    models, claim = solver.models, solver.claim
+    field_b, rep_b = solve_price_field(solver.market, claim, models_tilde,
+                                       grid, tol, settings=solver.settings)
     sup_phi = 0.0
     for sa, sb in zip(field_a.slabs, field_b.slabs):
         sup_phi = max(sup_phi, float(np.max(np.abs(sa - sb))))
@@ -110,12 +110,12 @@ class ResidualRiskReport:
                 "cost_quantiles": self.cost_quantiles}
 
 
-def _path_costs(market, claim, models, field: PriceField, start, horizon,
-                seed, ids):
+def _path_costs(field: PriceField, start, seed, ids):
+    solver = field.solver
     costs, jumps = [], []
     for rngs in stream_blocks(seed, ids):
-        blk = simulate_path(market, models, start, horizon, rngs,
-                            mode="physical")
+        blk = simulate_path(solver.market, solver.models, start,
+                            field.grid.horizon, rngs, mode="physical")
         s = blk.s_at_jumps[0]
         phi_pre = field.values(blk.jump_times, s, blk.pre_index,
                                blk.ages_before)
@@ -129,17 +129,18 @@ def _path_costs(market, claim, models, field: PriceField, start, horizon,
     return np.concatenate(costs), np.concatenate(jumps)
 
 
-def residual_risk(market, claim, models, field: PriceField, start,
-                  n_paths: int, seed: int, n_jobs: int = 1) -> ResidualRiskReport:
+def residual_risk(field: PriceField, start, n_paths: int, seed: int,
+                  n_jobs: int = 1) -> ResidualRiskReport:
     """Quadratic residual risk at the start point under the physical measure.
 
     Accumulates the squared discounted field jump at every switch epoch of
-    each simulated path; the estimate is the path average.
+    each simulated path; the estimate is the path average.  The paths
+    follow the market and hazard models of the field's solver.
     """
-    horizon = field.grid.horizon
-    parts = map_chunks(
-        lambda ids: _path_costs(market, claim, models, field, start, horizon,
-                                seed, ids), np.arange(n_paths), n_jobs)
+    if n_paths < 100:
+        raise ValueError("n_paths must be at least 100")
+    parts = map_chunks(lambda ids: _path_costs(field, start, seed, ids),
+                       np.arange(n_paths), n_jobs)
     costs = np.concatenate([p[0] for p in parts])
     jumps = np.concatenate([p[1] for p in parts])
     r0 = float(np.mean(costs))

@@ -82,9 +82,9 @@ def write_price_field(field, report, csv_path, json_path):
                json_path)
 
 
-def write_hedge_field(hf, field, csv_path):
+def write_hedge_field(hf, csv_path):
     """Columnar CSV (t, s.., x.., y.., xi.., eps)."""
-    g = field.grid
+    g = hf.grid
     header = _field_header(g, [f"xi{l+1}" for l in range(g.n)] + ["eps"])
     slabs = (np.concatenate([xi, eps[..., None]], axis=-1)
              for xi, eps in zip(hf.xi, hf.eps))
@@ -165,8 +165,7 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
                  "y": list(map(float, y)),
                  "price": field.value(t, s, x, y)}
         if "hedge-field" in scn.outputs:
-            xi, eps = strategy_at(scn.market, scn.claim, scn.models, field,
-                                  ep, settings=scn.solver)
+            xi, eps = strategy_at(field, ep)
             entry["xi"] = [float(v) for v in xi]
             entry["eps"] = float(eps)
         points.append(entry)
@@ -178,8 +177,8 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
         for ep in scn.eval_points:
             write_surface(field, ep, os.path.join(out_dir, _surface_name(ep)))
     if "hedge-field" in scn.outputs:
-        hf = hedge_field(scn.market, scn.claim, scn.models, field, scn.solver)
-        write_hedge_field(hf, field, os.path.join(out_dir, "hedge_field.csv"))
+        write_hedge_field(hedge_field(field),
+                          os.path.join(out_dir, "hedge_field.csv"))
     if "mc-check" in scn.outputs:
         checks = []
         for ep in scn.eval_points:
@@ -193,19 +192,16 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
                            "within_3se": bool(abs(price - est) <= 3 * se)})
         report["mc_check"] = checks
     if "pde-residual" in scn.outputs:
-        res = pde_residual(field, scn.market, scn.models,
-                           maturity_margin_steps=max(
-                               1, round(0.1 * scn.grid_spec.time_steps)))
+        res = pde_residual(field, maturity_margin_steps=max(
+            1, round(0.1 * scn.grid_spec.time_steps)))
         report["pde_residual"] = res.to_dict()
     if "sensitivity" in scn.outputs:
         tilde = [h.scaled(scn.sensitivity_scale) for h in scn.models]
-        rep = sensitivity_check(scn.market, scn.claim, scn.models, tilde,
-                                (field, conv), scn.tol, scn.solver)
+        rep = sensitivity_check((field, conv), tilde, scn.tol)
         report["sensitivity"] = rep.to_dict()
     if "residual-risk" in scn.outputs:
-        rep = residual_risk(scn.market, scn.claim, scn.models, field,
-                            scn.eval_points[0], scn.rr_paths, scn.rr_seed,
-                            n_jobs=max(scn.threads, 1))
+        rep = residual_risk(field, scn.eval_points[0], scn.rr_paths,
+                            scn.rr_seed, n_jobs=max(scn.threads, 1))
         report["residual_risk"] = rep.to_dict()
 
     _json_dump(report, os.path.join(out_dir, "report.json"))

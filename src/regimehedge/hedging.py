@@ -11,6 +11,14 @@ the kernel, so price and hedge share one discretization.  The pointwise
 hedge_ratio keeps its own panels and scattered interpolation as an
 independent check of that pass; finite differences of the solved field are
 kept only as a test oracle.
+
+Every function here takes only the solved field: the market, claim, hazard
+models, node counts and switch edges are those of field.solver, the solver
+that produced it, so a hedge cannot be taken under another model or at
+other node counts than the price.  hedge_field runs on that solver and
+reuses the survival weights JS(T - t_i) the solve cached; only each slab's
+switch tables are built again, because the march drops them slab by slab
+to bound its memory.
 """
 
 from __future__ import annotations
@@ -20,17 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import Claim, MarketModel, build_kernel
+from .market import build_kernel
 from .quadrature import gauss_legendre, tensor_normal_nodes
 from .regime_bsm import bsm_delta, bsm_delta_grid
-from .semi_markov import CsmState, _joint_log_survival, switch_edges
-from .volterra_pricer import Grid, PriceField, SolverSettings, VolterraSolver
+from .semi_markov import CsmState, _joint_log_survival
+from .volterra_pricer import Grid, PriceField
 
 
-def hedge_ratio(market: MarketModel, claim: Claim, models, field: PriceField,
-                point, axis: int, settings: SolverSettings | None = None) -> float:
+def hedge_ratio(field: PriceField, point, axis: int) -> float:
     """d(price)/d s_axis at point = (t, s, x, y) via the integral formula."""
-    settings = settings or SolverSettings()
+    solver = field.solver
+    market, claim, settings = solver.market, solver.claim, solver.settings
     g = field.grid
     t, s, x, y = point
     s = np.asarray(s, dtype=float)
@@ -42,7 +50,7 @@ def hedge_ratio(market: MarketModel, claim: Claim, models, field: PriceField,
         return float(bsm_delta(market, claim, x, T, T, s, axis,
                                settings.bsm_outer_nodes))
 
-    log_js = _joint_log_survival(models, CsmState(x, y))
+    log_js = _joint_log_survival(solver.models, CsmState(x, y))
     js_T = math.exp(log_js(rem))
     out = float(bsm_delta(market, claim, x, t, T, s, axis,
                           settings.bsm_outer_nodes)) * js_T
@@ -57,7 +65,7 @@ def hedge_ratio(market: MarketModel, claim: Claim, models, field: PriceField,
     w_nodes = [0.5 * width * gw for _ in range(n_panels) for gw in gl_w]
     kern = build_kernel(market, t, x, np.array(v_nodes))
     inv_l = np.linalg.inv(kern.chol)
-    edges = switch_edges(models, g.x_tuples)[g.x_index[x]]
+    edges = solver.edges[g.x_index[x]]
     rate_x = market.r(x)
     nodes, wq = tensor_normal_nodes(g.n, settings.gh_nodes)
 
@@ -89,9 +97,7 @@ def hedge_ratio(market: MarketModel, claim: Claim, models, field: PriceField,
     return out + switch
 
 
-def strategy_at(market, claim, models, field: PriceField, point,
-                discount: float = 1.0,
-                settings: SolverSettings | None = None):
+def strategy_at(field: PriceField, point, discount: float = 1.0):
     """Hedge vector and cash position at a point.
 
     The cash position is quoted in discounted units: eps = D (phi - xi . s)
@@ -100,8 +106,7 @@ def strategy_at(market, claim, models, field: PriceField, point,
     """
     t, s, x, y = point
     s = np.asarray(s, dtype=float)
-    xi = np.array([hedge_ratio(market, claim, models, field, point, m, settings)
-                   for m in range(field.grid.n)])
+    xi = np.array([hedge_ratio(field, point, m) for m in range(field.grid.n)])
     phi = field.value(t, s, tuple(x), np.asarray(y, dtype=float))
     eps = discount * (phi - float(xi @ s))
     return xi, eps
@@ -116,17 +121,20 @@ class HedgeField:
     eps: list     # per time node: (n_x, c_i.., S..)
 
 
-def hedge_field(market, claim, models, field: PriceField,
-                settings: SolverSettings | None = None) -> HedgeField:
+def hedge_field(field: PriceField) -> HedgeField:
     """Hedge ratios at every grid node via the integral formula.
 
     Applies the pricing step's switch-branch operator to the solved field
     with the kernel's s-derivatives in place of the kernel, one action per
     asset in a single pass, so every axis shares the gathered continuation
     slabs, survival weights and mass normalization of the pricing step.
+    Runs on field.solver, whose survival weights JS(T - t_i) the solve
+    cached; each slab's switch tables are built again here, one slab at a
+    time, since keeping them from the march would hold the tables of every
+    slab through the whole solve.
     """
-    settings = settings or SolverSettings()
-    solver = VolterraSolver(market, claim, models, field.grid, settings)
+    solver = field.solver
+    market, claim = solver.market, solver.claim
     g = field.grid
     M = g.spec.time_steps
     n_x = len(g.x_tuples)
@@ -147,7 +155,7 @@ def hedge_field(market, claim, models, field: PriceField,
             for m_ax in range(g.n):
                 drho[xi_i, ..., m_ax] = bsm_delta_grid(
                     market, claim, x, t, g.horizon, g.lns_axes, m_ax,
-                    settings.bsm_outer_nodes)
+                    solver.settings.bsm_outer_nodes)
         xi_slab = js_T[y_pad + (None,)] \
             * drho[(slice(None),) + (None,) * g.n_components]
 

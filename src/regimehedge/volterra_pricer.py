@@ -187,11 +187,17 @@ class PriceField:
     (one per component), then log-price axes.  Interpolation is linear in t
     between slabs and multilinear in (ln s, y); ages clamp to the stored
     range and prices beyond the top edge extrapolate with slope c1.
+
+    The field holds the VolterraSolver that produced it and takes its grid
+    and claim from it, so whatever reads the field (hedges, residual risk,
+    sensitivity, the PDE residual) reads the market, hazard models,
+    settings and switch edges of the very model it was solved under.
     """
 
-    def __init__(self, grid: Grid, claim: Claim, slabs):
-        self.grid = grid
-        self.claim = claim
+    def __init__(self, solver: VolterraSolver, slabs):
+        self.solver = solver
+        self.grid = solver.grid
+        self.claim = solver.claim
         self.slabs = slabs
 
     def values(self, t, s, x_idx, y) -> np.ndarray:
@@ -796,7 +802,7 @@ class VolterraSolver:
             new_slabs = [self.step(field, j)
                          for j in range(self.grid.spec.time_steps)]
             new_slabs.append(self._terminal_slab())
-            return PriceField(self.grid, self.claim, new_slabs)
+            return PriceField(self, new_slabs)
         if tables is None:
             tables = self._slab_tables(i)
         if fixed is None:
@@ -816,7 +822,7 @@ class VolterraSolver:
             view = rho[i][(slice(None),) + (None,) * g.n_components]
             slabs.append(np.broadcast_to(view, shape))
         slabs[-1] = self._terminal_slab()
-        return PriceField(g, self.claim, slabs)
+        return PriceField(self, slabs)
 
     def contraction_bound(self) -> float:
         """max over grid nodes of 1 - JS(T - t; x, y)."""
@@ -1006,7 +1012,7 @@ def _add_price_terms(res, sub, s_axes, rx, a):
 _INTERIOR_MARGIN = 2
 
 
-def pde_residual(field: PriceField, market: MarketModel, models,
+def pde_residual(field: PriceField,
                  maturity_margin_steps: int = 0) -> PdeResidualReport:
     """Discrete residual of the non-local pricing equation on interior nodes.
 
@@ -1015,9 +1021,11 @@ def pde_residual(field: PriceField, market: MarketModel, models,
     central in ln s; the switch coupling evaluates the field at the jumped
     regime tuples with the jumping component's age reset to zero.
     maturity_margin_steps excludes the last time slabs, where the payoff
-    kink dominates any fixed-order difference scheme.
+    kink dominates any fixed-order difference scheme.  The market and the
+    switch edges are those of the solver that produced the field.
     """
     g = field.grid
+    market = field.solver.market
     M = g.spec.time_steps
     n = g.n
     worst = 0.0
@@ -1026,7 +1034,7 @@ def pde_residual(field: PriceField, market: MarketModel, models,
     inv_w = g.inv_weight()
     core = tuple(slice(_INTERIOR_MARGIN, -_INTERIOR_MARGIN) for _ in range(n))
     max_by_time = []
-    edges = switch_edges(models, g.x_tuples)
+    edges = field.solver.edges
 
     for i in range(M - maturity_margin_steps):
         t = float(g.t_nodes[i])

@@ -33,7 +33,7 @@ def test_identical_hazards_give_zero_diff():
     m, claim, models, grid = two_state_setup(price_nodes=41, time_steps=8,
                                              age_nodes=4)
     base = solve_price_field(m, claim, models, grid, 1e-4)
-    rep = sensitivity_check(m, claim, models, models, base, tol=1e-4)
+    rep = sensitivity_check(base, models, tol=1e-4)
     assert rep.lambda_sup_diff == 0.0
     assert rep.phi_sup_diff == 0.0
     assert rep.bound_summed == 0.0
@@ -47,8 +47,7 @@ def test_linear_claim_insensitive_to_hazards():
     tilde = [h.scaled(1.5) for h in models]
     settings = SolverSettings(gh_nodes=32)
     base = solve_price_field(m, claim, models, grid, 1e-6, settings=settings)
-    rep = sensitivity_check(m, claim, models, tilde, base, tol=1e-6,
-                            settings=settings)
+    rep = sensitivity_check(base, tilde, tol=1e-6)
     assert rep.phi_sup_diff < 1e-5
 
 
@@ -56,7 +55,7 @@ def test_perturbation_bound_holds():
     m, claim, models, grid = two_state_setup()
     tilde = [h.scaled(1.1) for h in models]
     base = solve_price_field(m, claim, models, grid, 1e-4)
-    rep = sensitivity_check(m, claim, models, tilde, base, tol=1e-4)
+    rep = sensitivity_check(base, tilde, tol=1e-4)
     assert rep.satisfied
     assert rep.phi_sup_diff > 0.0
     assert rep.phi_sup_diff <= rep.bound_summed
@@ -69,7 +68,7 @@ def test_sup_diff_uses_age_grid():
     m, claim, models, grid = two_state_setup(price_nodes=41, time_steps=8)
     tilde = [models[0].scaled(1.2), models[1]]
     base = solve_price_field(m, claim, models, grid, 1e-3)
-    rep = sensitivity_check(m, claim, models, tilde, base, tol=1e-3)
+    rep = sensitivity_check(base, tilde, tol=1e-3)
     # constant 0.7 scaled by 1.2 gives the largest gap: 0.14
     assert rep.lambda_sup_diff == pytest.approx(0.14, abs=1e-12)
 
@@ -81,7 +80,7 @@ def test_residual_risk_zero_for_regime_independent():
     grid = Grid(m, 1.0, np.array([[100.0]]),
                 GridSpec(time_steps=12, price_nodes=61, age_nodes=4))
     field, _ = solve_price_field(m, claim, [h, h], grid, tol=5e-4)
-    rep = residual_risk(m, claim, [h, h], field, START, n_paths=2000, seed=17)
+    rep = residual_risk(field, START, n_paths=2000, seed=17)
     # floor covers the solver's cross-regime quadrature spread, squared;
     # 1e-8 c2^2 is ~1e-10 relative on this claim scale
     assert rep.r0 <= 3 * rep.se + 1e-8 * claim.c2 ** 2
@@ -89,9 +88,9 @@ def test_residual_risk_zero_for_regime_independent():
 
 def test_residual_risk_vanishes_with_hazards():
     m, claim, models, grid = two_state_setup()
-    field, _ = solve_price_field(m, claim, models, grid, tol=5e-4)
     tiny = [h.scaled(1e-6) for h in models]
-    rep = residual_risk(m, claim, tiny, field, START, n_paths=2000, seed=23)
+    field, _ = solve_price_field(m, claim, tiny, grid, tol=5e-4)
+    rep = residual_risk(field, START, n_paths=2000, seed=23)
     assert rep.mean_jumps < 0.01
     assert rep.r0 < 1e-6
 
@@ -99,23 +98,22 @@ def test_residual_risk_vanishes_with_hazards():
 def test_residual_risk_positive_and_seed_stable():
     m, claim, models, grid = two_state_setup()
     field, _ = solve_price_field(m, claim, models, grid, tol=2e-4)
-    rep1 = residual_risk(m, claim, models, field, START, n_paths=4000, seed=5)
-    rep2 = residual_risk(m, claim, models, field, START, n_paths=4000, seed=6)
+    rep1 = residual_risk(field, START, n_paths=4000, seed=5)
+    rep2 = residual_risk(field, START, n_paths=4000, seed=6)
     assert rep1.r0 > 0.0
     assert abs(rep1.r0 - rep2.r0) < 3 * (rep1.se + rep2.se)
     # same seed reproduces exactly, batches don't change the estimate
-    rep1b = residual_risk(m, claim, models, field, START, n_paths=4000, seed=5)
+    rep1b = residual_risk(field, START, n_paths=4000, seed=5)
     assert rep1b.r0 == rep1.r0
-    rep1c = residual_risk(m, claim, models, field, START, n_paths=4000, seed=5,
-                          n_jobs=2)
+    rep1c = residual_risk(field, START, n_paths=4000, seed=5, n_jobs=2)
     assert rep1c.r0 == rep1.r0
 
 
 def test_residual_risk_variance_halves_with_paths():
     m, claim, models, grid = two_state_setup(price_nodes=41, time_steps=8)
     field, _ = solve_price_field(m, claim, models, grid, tol=5e-4)
-    rep_a = residual_risk(m, claim, models, field, START, n_paths=2000, seed=9)
-    rep_b = residual_risk(m, claim, models, field, START, n_paths=8000, seed=9)
+    rep_a = residual_risk(field, START, n_paths=2000, seed=9)
+    rep_b = residual_risk(field, START, n_paths=8000, seed=9)
     assert rep_b.se < rep_a.se / 1.5
 
 
@@ -138,6 +136,16 @@ def test_payoff_shift_invariance_for_constant_rate():
                 GridSpec(time_steps=12, price_nodes=61, age_nodes=5))
     f1, _ = solve_price_field(m, base, models, grid, tol=1e-4)
     f2, _ = solve_price_field(m, shifted, models, grid, tol=1e-4)
-    r1 = residual_risk(m, base, models, f1, START, n_paths=1500, seed=3)
-    r2 = residual_risk(m, shifted, models, f2, START, n_paths=1500, seed=3)
+    r1 = residual_risk(f1, START, n_paths=1500, seed=3)
+    r2 = residual_risk(f2, START, n_paths=1500, seed=3)
     assert r1.r0 == pytest.approx(r2.r0, rel=2e-2, abs=1e-4)
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_residual_risk_rejects_too_few_paths(n_paths):
+    # one path has no standard error and zero paths no estimate at all
+    m, claim, models, grid = two_state_setup(price_nodes=21, time_steps=4,
+                                             age_nodes=3)
+    field, _ = solve_price_field(m, claim, models, grid, tol=1e-3)
+    with pytest.raises(ValueError, match="n_paths must be at least 100"):
+        residual_risk(field, START, n_paths=n_paths, seed=1)

@@ -368,10 +368,10 @@ def test_field_csv_rows_match_slabs_two_assets_two_components(tmp_path):
                 scn.grid_spec)
     field, conv = solve_price_field(scn.market, scn.claim, scn.models, grid,
                                     scn.tol, scn.max_iter, scn.solver)
-    hf = hedge_field(scn.market, scn.claim, scn.models, field, scn.solver)
+    hf = hedge_field(field)
     write_price_field(field, conv, str(tmp_path / "price_field.csv"),
                       str(tmp_path / "price_field.json"))
-    write_hedge_field(hf, field, str(tmp_path / "hedge_field.csv"))
+    write_hedge_field(hf, str(tmp_path / "hedge_field.csv"))
 
     n, nc = 2, 2
     n_rows = sum(len(grid.x_tuples) * int(c) ** nc * 5 ** n

@@ -40,7 +40,7 @@ def degenerate_case():
     grid = Grid(m, 1.0, np.array([[100.0]]),
                 GridSpec(time_steps=20, price_nodes=121, age_nodes=5))
     field, _ = solve_price_field(m, claim, [h, h], grid, tol=5e-4)
-    return m, claim, [h, h], field
+    return field
 
 
 def regime_case():
@@ -59,7 +59,7 @@ def regime_case():
     grid = Grid(m, 1.0, np.array([[100.0]]),
                 GridSpec(time_steps=24, price_nodes=121, age_nodes=7))
     field, _ = solve_price_field(m, claim, models, grid, tol=2e-4)
-    return m, claim, models, field
+    return field
 
 
 def test_linear_claim_hedge_is_weights():
@@ -71,27 +71,26 @@ def test_linear_claim_hedge_is_weights():
     field, _ = solve_price_field(m, claim, [h, h], grid, tol=1e-7,
                                  settings=SolverSettings(gh_nodes=32))
     pt = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
-    eta = hedge_ratio(m, claim, [h, h], field, pt, 0,
-                      SolverSettings(gh_nodes=32))
+    eta = hedge_ratio(field, pt, 0)
     assert eta == pytest.approx(1.3, abs=1e-6)
-    xi, eps = strategy_at(m, claim, [h, h], field, pt,
-                          settings=SolverSettings(gh_nodes=32))
+    xi, eps = strategy_at(field, pt)
     assert xi[0] == pytest.approx(1.3, abs=1e-6)
     assert eps == pytest.approx(0.0, abs=1e-6)
 
 
 def test_regime_independent_hedge_matches_frozen_delta():
-    m, claim, models, field = degenerate_case()
+    field = degenerate_case()
     pt = (0.25, np.array([100.0]), (1, 1), np.array([0.1, 0.2]))
-    eta = hedge_ratio(m, claim, models, field, pt, 0)
-    ref = bsm_delta(m, claim, (1, 1), 0.25, 1.0, np.array([100.0]), 0)
+    eta = hedge_ratio(field, pt, 0)
+    ref = bsm_delta(field.solver.market, field.claim, (1, 1), 0.25, 1.0,
+                    np.array([100.0]), 0)
     assert eta == pytest.approx(ref, abs=1e-3)
 
 
 def test_hedge_matches_field_finite_difference():
     # oracle: 4th-order central difference of the solved field in ln s,
     # converted to an s-derivative at the node
-    m, claim, models, field = regime_case()
+    field = regime_case()
     g = field.grid
     rng = np.random.default_rng(8)
     checked = 0
@@ -104,7 +103,7 @@ def test_hedge_matches_field_finite_difference():
         s_idx = int(rng.integers(45, 76))
         s = np.array([g.s_axes[0][s_idx]])
         pt = (t, s, x, y)
-        eta = hedge_ratio(m, claim, models, field, pt, 0)
+        eta = hedge_ratio(field, pt, 0)
         vals = [field.value(t, np.array([g.s_axes[0][s_idx + k]]), x, y)
                 for k in (-2, -1, 1, 2)]
         dz = (-vals[3] + 8.0 * vals[2] - 8.0 * vals[1] + vals[0]) / (12.0 * g.h[0])
@@ -116,10 +115,9 @@ def test_hedge_matches_field_finite_difference():
 
 
 def test_hedge_bounded_by_payoff_slope():
-    m, claim, models, field = regime_case()
-    hf = hedge_field(m, claim, models, field,
-                     SolverSettings(gh_nodes=16))
-    bound = claim.lipschitz * 1.1
+    field = regime_case()
+    hf = hedge_field(field)
+    bound = field.claim.lipschitz * 1.1
     for i in (0, 10, 20):
         assert float(np.max(np.abs(hf.xi[i]))) <= bound
     # value identity: phi = xi . s + eps at discount one
@@ -136,8 +134,7 @@ def test_hedge_bounded_by_payoff_slope():
         y = np.array([g.age_nodes[a] for a in y_idx])
         s = np.array([g.s_axes[0][s_idx]])
         grid_val = hf.xi[i][(xi_i,) + y_idx + (s_idx, 0)]
-        point_val = hedge_ratio(m, claim, models, field, (t, s, x, y), 0,
-                                SolverSettings(gh_nodes=16))
+        point_val = hedge_ratio(field, (t, s, x, y), 0)
         assert point_val == pytest.approx(grid_val, rel=3e-3, abs=3e-4)
 
 
@@ -163,7 +160,7 @@ def test_correlated_two_asset_hedge_field_matches_point_route(settings):
                 GridSpec(time_steps=6, price_nodes=21, age_nodes=3))
     field, _ = solve_price_field(m, claim, models, grid, tol=1e-4,
                                  settings=settings)
-    hf = hedge_field(m, claim, models, field, settings)
+    hf = hedge_field(field)
     checked = 0
     for i in (1, 3):
         t = float(grid.t_nodes[i])
@@ -175,8 +172,7 @@ def test_correlated_two_asset_hedge_field_matches_point_route(settings):
                                   grid.s_axes[1][s_idx[1]]])
                     for axis in (0, 1):
                         grid_val = hf.xi[i][(xi_i, a) + s_idx + (axis,)]
-                        point_val = hedge_ratio(m, claim, models, field,
-                                                (t, s, x, y), axis, settings)
+                        point_val = hedge_ratio(field, (t, s, x, y), axis)
                         assert point_val == pytest.approx(grid_val, rel=3e-3,
                                                           abs=3e-4)
                         checked += 1
@@ -218,14 +214,62 @@ def test_derivative_taps_built_once_per_smoother_and_axis(monkeypatch):
     assert not any(sm._deriv for sm in smoothers)
     calls[0] = 0
     smoothers.clear()
-    hedge_field(m, claim, [h, h], field, settings=settings)
+    hedge_field(field)
     kernels = sum(len(sm.taps) for sm in smoothers)
     assert smoothers and calls[0] == (2 + 2) * kernels
 
+
+def test_hedge_pass_runs_on_the_pricing_solver_at_its_settings(monkeypatch):
+    # the grid pass and the point route read the solver that priced the
+    # field: no second solver, no survival weights recomputed, and the
+    # field's node counts (not the SolverSettings defaults, 16 and 24)
+    from regimehedge import volterra_pricer as vp
+    m = build_market(2, 2, 1, 0.03, np.array([0.06, 0.07]),
+                     lambda x: (1.0 if x[0] == 1 else 1.3)
+                     * np.diag([0.2, 0.25]))
+    claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
+    models = [HazardModel(2, {(1, 2): ConstantRate(0.6),
+                              (2, 1): WeibullRate(0.8, 1.5)})]
+    grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
+                GridSpec(time_steps=4, price_nodes=11, age_nodes=3))
+    field, _ = solve_price_field(
+        m, claim, models, grid, tol=1e-4,
+        settings=SolverSettings(gh_nodes=8, bsm_outer_nodes=2))
+    cached = dict(field.solver._js_T)
+    assert cached
+
+    built, gh, outer = [], set(), set()
+    init = vp.VolterraSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recording(fn, seen, arg):
+        def wrapper(*args):
+            seen.add(args[arg])
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(vp.VolterraSolver, "__init__", counting_init)
+    for mod in (hedging, vp):
+        monkeypatch.setattr(mod, "tensor_normal_nodes",
+                            recording(mod.tensor_normal_nodes, gh, 1))
+    for name in ("bsm_delta", "bsm_delta_grid"):
+        monkeypatch.setattr(hedging, name,
+                            recording(getattr(hedging, name), outer, 7))
+
+    hedge_field(field)
+    strategy_at(field, (0.3, np.array([95.0, 104.0]), (2,), np.array([0.3])))
+    assert built == []
+    assert gh == {8} and outer == {2}
+    for i, js in cached.items():
+        assert field.solver._js_T[i] is js
+
+
 def test_strategy_value_identity_and_terminal_replication():
-    m, claim, models, field = regime_case()
+    field = regime_case()
     pt = (0.5, np.array([110.0]), (2, 1), np.array([0.3, 0.1]))
-    xi, eps = strategy_at(m, claim, models, field, pt, discount=0.97)
+    xi, eps = strategy_at(field, pt, discount=0.97)
     phi = field.value(*pt)
     assert xi[0] * 110.0 + eps / 0.97 == pytest.approx(phi, rel=1e-12)
 
@@ -233,11 +277,12 @@ def test_strategy_value_identity_and_terminal_replication():
     sT = np.array([[87.0], [100.0], [133.0]])
     vals = field.values(np.full(3, 1.0), sT, np.zeros(3, dtype=int),
                         np.zeros((3, 2)))
-    np.testing.assert_allclose(vals, claim(sT), atol=1e-12)
+    np.testing.assert_allclose(vals, field.claim(sT), atol=1e-12)
 
 
 def test_self_financing_along_no_jump_path():
-    m, claim, models, field = degenerate_case()
+    field = degenerate_case()
+    m, models = field.solver.market, field.solver.models
     # simulate a path conditioned on no switches, rebalance on a fine grid
     pid = 0
     while True:
@@ -263,7 +308,7 @@ def test_self_financing_along_no_jump_path():
     r = 0.04
     t = 0.0
     pt = (0.0, np.array([sset[0]]), (1, 1), np.zeros(2))
-    xi, eps = strategy_at(m, claim, models, field, pt)
+    xi, eps = strategy_at(field, pt)
     value = field.value(*pt)
     for k in range(1, n_steps + 1):
         t = k * dt
@@ -272,16 +317,16 @@ def test_self_financing_along_no_jump_path():
         phi = field.value(t, np.array([sset[k]]), (1, 1), y)
         if k < n_steps:
             ptk = (t, np.array([sset[k]]), (1, 1), y)
-            xi, eps = strategy_at(m, claim, models, field, ptk,
-                                  discount=math.exp(-r * t))
+            xi, eps = strategy_at(field, ptk, discount=math.exp(-r * t))
         assert abs(value - phi) < 0.8  # discrete-rebalancing slippage
 
 
-def _hedge_ratio_per_node(market, claim, models, field, point, axis,
-                          settings=None):
+def _hedge_ratio_per_node(field, point, axis):
     """hedge_ratio with one scalar kernel and one inverse per panel node:
     the loop the batched kernels must reproduce bit for bit."""
-    settings = settings or SolverSettings()
+    solver = field.solver
+    market, claim, models = solver.market, solver.claim, solver.models
+    settings = solver.settings
     g = field.grid
     t, s, x, y = point
     s = np.asarray(s, dtype=float)
@@ -334,11 +379,11 @@ def _hedge_ratio_per_node(market, claim, models, field, point, axis,
 
 
 def _one_asset_case():
-    m, claim, models, field = regime_case()
+    field = regime_case()
     points = [(0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0])),
               (0.37, np.array([93.0]), (2, 1), np.array([0.2, 0.37])),
               (0.95, np.array([108.0]), (1, 2), np.array([0.5, 0.1]))]
-    return m, claim, models, field, points
+    return field, points
 
 
 def _small_correlated_case():
@@ -356,19 +401,16 @@ def _small_correlated_case():
                                  settings=SolverSettings(gh_nodes=8))
     points = [(0.0, np.array([100.0, 95.0]), (1,), np.array([0.0])),
               (0.41, np.array([90.0, 112.0]), (2,), np.array([0.3]))]
-    return m, claim, models, field, points
+    return field, points
 
 
 @pytest.mark.parametrize("case", [_one_asset_case, _small_correlated_case],
                          ids=["one-asset", "correlated-two-asset"])
 def test_batched_kernels_equal_the_per_node_loop(monkeypatch, case):
-    m, claim, models, field, points = case()
-    settings = SolverSettings(gh_nodes=8)
-    got = [strategy_at(m, claim, models, field, pt, 0.93, settings)
-           for pt in points]
+    field, points = case()
+    got = [strategy_at(field, pt, 0.93) for pt in points]
     monkeypatch.setattr(hedging, "hedge_ratio", _hedge_ratio_per_node)
     for pt, (xi, eps) in zip(points, got):
-        ref_xi, ref_eps = strategy_at(m, claim, models, field, pt, 0.93,
-                                      settings)
+        ref_xi, ref_eps = strategy_at(field, pt, 0.93)
         np.testing.assert_array_equal(xi, ref_xi)
         assert eps == ref_eps

@@ -210,15 +210,12 @@ def test_array_kernel_names_the_singular_segment():
         build_kernel(flat_market(), np.zeros(2), X0, np.array([0.5, 0.0]))
 
 
-def test_kernel_expectation_constant_and_growth_guard():
+def test_kernel_expectation_of_constant_is_one():
     m = flat_market()
     kern = build_kernel(m, 0.0, X0, 0.5)
     s = np.array([100.0])
     assert kernel_expectation(kern, s, lambda sig: np.ones(sig.shape[0])) \
         == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        kernel_expectation(kern, s, lambda sig: sig[:, 0] ** 2,
-                           growth_bound=(np.array([1.0]), 0.0))
 
 
 def test_dimension_cap():

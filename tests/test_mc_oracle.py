@@ -348,8 +348,8 @@ def test_worker_count_changes_no_estimate():
     grid = Grid(m, 1.0, np.array([[100.0, 90.0]]),
                 GridSpec(time_steps=4, price_nodes=9, age_nodes=3))
     field, _ = solve_price_field(m, claim, models, grid, 1e-3)
-    one = residual_risk(m, claim, models, field, start, 2500, 6, n_jobs=1)
-    two = residual_risk(m, claim, models, field, start, 2500, 6, n_jobs=2)
+    one = residual_risk(field, start, 2500, 6, n_jobs=1)
+    two = residual_risk(field, start, 2500, 6, n_jobs=2)
     assert one.to_dict() == two.to_dict()
     assert one.mean_jumps > 0.5
 
@@ -436,7 +436,7 @@ def test_estimates_equal_numpy_stream_reference():
         field.values(blk.jump_times, s, blk.post_index, blk.ages_after)
         - field.values(blk.jump_times, s, blk.pre_index, blk.ages_before))
     costs = np.bincount(blk.jump_path, weights=jump ** 2, minlength=2100)
-    rep = residual_risk(m, claim, models, field, start, 2100, 6)
+    rep = residual_risk(field, start, 2100, 6)
     assert rep.r0 == float(np.mean(costs))
     assert rep.se == float(np.std(costs, ddof=1) / math.sqrt(2100))
     assert rep.mean_jumps == float(np.mean(blk.n_jumps)) > 0.5

@@ -84,8 +84,8 @@ def test_linear_growth_norm_cases():
     for i in range(5):
         shape = (4,) + grid.y_shape(i) + grid.s_shape
         ones.append(np.broadcast_to(1.0 + smesh, shape))
-    g1 = PriceField(grid, claim, ones)
-    zero = PriceField(grid, claim, [np.zeros_like(s) for s in ones])
+    g1 = PriceField(solver, ones)
+    zero = PriceField(solver, [np.zeros_like(s) for s in ones])
     assert linear_growth_norm(g1, zero) == pytest.approx(1.0)
 
     # matches a brute-force scan over every node
@@ -224,7 +224,7 @@ def test_step_matches_conditional_law_route():
     lin_grid = claim.c1[0] * grid.s_mesh()[..., 0]
     lin_slabs = [np.broadcast_to(lin_grid[(None,) * 3], s.shape)
                  for s in base.slabs]
-    lin_field = PriceField(grid, claim, lin_slabs)
+    lin_field = PriceField(solver, lin_slabs)
 
     rng = np.random.default_rng(3)
     for _ in range(4):
@@ -547,7 +547,7 @@ def test_pde_residual_linear_claim_tiny():
                 GridSpec(time_steps=10, price_nodes=41, age_nodes=4))
     field, _ = solve_price_field(m, claim, [h, h], grid, tol=1e-7,
                                  settings=SolverSettings(gh_nodes=32))
-    res = pde_residual(field, m, [h, h])
+    res = pde_residual(field)
     assert res.max_scaled < 1e-6
 
 
@@ -555,7 +555,7 @@ def test_pde_residual_reports_unchecked_slabs_as_none():
     m, claim, models, grid = regime_setup(price_nodes=41, time_steps=12,
                                           age_nodes=4)
     field, _ = solve_price_field(m, claim, models, grid, tol=1e-3)
-    res = pde_residual(field, m, models, maturity_margin_steps=1)
+    res = pde_residual(field, maturity_margin_steps=1)
     by_time = res.to_dict()["max_by_time"]
     assert len(by_time) == 11
     # early slabs store too few ages for any age to advance by dt inside
@@ -576,8 +576,7 @@ def test_pde_residual_first_order_in_dt():
                     GridSpec(time_steps=M, price_nodes=S, age_nodes=4))
         field, _ = solve_price_field(m, claim, models, grid, tol=1e-3)
         margin = max(1, round(0.15 * M))
-        reports.append(pde_residual(field, m, models,
-                                    maturity_margin_steps=margin))
+        reports.append(pde_residual(field, maturity_margin_steps=margin))
     ratio = reports[0].mean_scaled / reports[1].mean_scaled
     assert ratio >= 1.7
     assert reports[1].max_scaled < 5e-2
@@ -641,8 +640,8 @@ def test_lumped_three_state_components_match_two_state_model():
         m = model(k)
         grid = Grid(m, 1.0, np.array([[100.0]]), spec)
         field, _ = solve_price_field(m, claim, models, grid, tol=1e-6)
-        runs.append((grid, field, hedge_field(m, claim, models, field),
-                     pde_residual(field, m, models, maturity_margin_steps=1)))
+        runs.append((grid, field, hedge_field(field),
+                     pde_residual(field, maturity_margin_steps=1)))
     (g3, f3, h3, r3), (g2, f2, h2, r2) = runs
     lump = [g2.x_index[tuple(min(v, 2) for v in x)] for x in g3.x_tuples]
     for i in range(spec.time_steps + 1):
