@@ -1,10 +1,10 @@
 """Built-in acceptance suite: the criteria behind `regimehedge selftest`.
 
 Each criterion builds its own scenario, runs the relevant pipeline at a
-pinned tolerance and returns a structured pass/fail row.  Tolerances can be
-overridden through environment variables prefixed ``REGIMEHEDGE_`` (for
-example ``REGIMEHEDGE_TOL_C2_MOMENTS``); the suite is deterministic for
-fixed seeds, including under different worker counts.
+pinned tolerance and returns a structured pass/fail row.  The tolerances
+are module constants, so nothing outside the code can loosen a gate; the
+suite is deterministic for fixed seeds, including under different worker
+counts.
 
 The ``full`` profile runs every criterion at its stated scale; the ``fast``
 profile shrinks grids and path counts for smoke runs and the determinism
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -53,8 +52,19 @@ from .volterra_pricer import (
 )
 
 
-def _tol(name: str, default: float) -> float:
-    return float(os.environ.get(f"REGIMEHEDGE_{name}", default))
+TOL_C1_IDENTITY = 1e-8
+TOL_C2_NORM = 1e-8
+TOL_C2_MOMENTS = 1e-6
+TOL_C3_ENVELOPE = 1e-9
+TOL_C4_DEGENERATE = 1e-3
+TOL_C5_LINEAR = 1e-6
+# the stated C7 tolerance applies at the full scale; the fast profile runs
+# on a deliberately rough grid
+TOL_C7_HEDGE = 1e-2
+TOL_C7_HEDGE_FAST = 3e-2
+TOL_C8_SLACK = 0.05
+TOL_C9_RESIDUAL = 5e-2
+TOL_C9_RATIO = 1.7
 
 
 def _plain(obj):
@@ -231,7 +241,7 @@ def _bundle_c6(profile: str):
 def criterion_1(profile: str, threads: int) -> CriterionResult:
     """Competing-jump probabilities sum to one; the zero-time density
     identity pdf(0) P(l first) = exit rate holds for randomized draws."""
-    tol = _tol("TOL_C1_IDENTITY", 1e-8)
+    tol = TOL_C1_IDENTITY
     draws = 50 if profile == "full" else 12
     rng = np.random.default_rng(1810)
     worst_sum = 0.0
@@ -258,8 +268,8 @@ def criterion_1(profile: str, threads: int) -> CriterionResult:
 def criterion_2(profile: str, threads: int) -> CriterionResult:
     """Kernel normalization and first/second moments against the
     conditional-law formulas, with time-varying volatility."""
-    tol_norm = _tol("TOL_C2_NORM", 1e-8)
-    tol_mom = _tol("TOL_C2_MOMENTS", 1e-6)
+    tol_norm = TOL_C2_NORM
+    tol_mom = TOL_C2_MOMENTS
     n_models = 20 if profile == "full" else 6
     rng = np.random.default_rng(95)
     worst_norm = 0.0
@@ -336,9 +346,8 @@ def criterion_3(profile: str, threads: int) -> CriterionResult:
     worst_env = 0.0
     for slab in field.slabs:
         worst_env = max(worst_env, float(np.max(np.abs(slab - lin))))
-    env_tol = _tol("TOL_C3_ENVELOPE", 1e-9)
     passed = terminal_gap == 0.0 and min_phi >= 0.0 \
-        and worst_env <= claim.c2 + env_tol
+        and worst_env <= claim.c2 + TOL_C3_ENVELOPE
     return CriterionResult(3, "terminal and envelope bounds", passed,
                            {"terminal_gap": terminal_gap, "min_phi": min_phi,
                             "max_envelope_gap": worst_env, "c2": claim.c2,
@@ -352,7 +361,7 @@ def criterion_4(profile: str, threads: int) -> CriterionResult:
     b = _bundle_c4(profile)
     rho_field = b["field"].solver.initial_field()
     gap = linear_growth_norm(b["field"], rho_field)
-    tol = _tol("TOL_C4_DEGENERATE", 1e-3)
+    tol = TOL_C4_DEGENERATE
     passed = gap < tol and b["report"].converged_at is not None \
         and b["report"].converged_at <= 2
     return CriterionResult(4, "degenerate regime equivalence", passed,
@@ -395,7 +404,7 @@ def criterion_5(profile: str, threads: int) -> CriterionResult:
     start = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
     xi, eps = strategy_at(field, start)
     rr = residual_risk(field, start, paths, seed=7)
-    tol = _tol("TOL_C5_LINEAR", 1e-6)
+    tol = TOL_C5_LINEAR
     passed = worst_phi <= tol and abs(xi[0] - 1.2) <= tol \
         and abs(eps) <= tol and rr.r0 <= 3 * rr.se + 1e-12
     return CriterionResult(5, "linear claim exactness", passed,
@@ -427,9 +436,7 @@ def criterion_7(profile: str, threads: int) -> CriterionResult:
     b = _bundle_c6(profile)
     field = b["field"]
     grid = field.grid
-    # the stated tolerance applies at the full scale; the fast profile runs
-    # on a deliberately rough grid
-    tol = _tol("TOL_C7_HEDGE", 1e-2 if profile == "full" else 3e-2)
+    tol = TOL_C7_HEDGE if profile == "full" else TOL_C7_HEDGE_FAST
     n_points = 100 if profile == "full" else 20
     rng = np.random.default_rng(1234)
     M = grid.spec.time_steps
@@ -466,7 +473,6 @@ def criterion_7(profile: str, threads: int) -> CriterionResult:
 def criterion_8(profile: str, threads: int) -> CriterionResult:
     """Every solve certifies a strict contraction: successive-difference
     ratios stay below one and below the joint-survival bound plus slack."""
-    slack = _tol("TOL_C8_SLACK", 0.05)
     rows = {}
     ok = True
     for tag, bundle in (("c3", _bundle_c3(profile)),
@@ -475,7 +481,7 @@ def criterion_8(profile: str, threads: int) -> CriterionResult:
         rep = bundle["report"]
         bound = rep.contraction_bound
         ratios = rep.ratios
-        good = all(r < 1.0 and r <= bound + slack for r in ratios)
+        good = all(r < 1.0 and r <= bound + TOL_C8_SLACK for r in ratios)
         ok = ok and good and bound < 1.0
         rows[tag] = {"ratios": [float(r) for r in ratios],
                      "bound": bound, "ok": good}
@@ -498,15 +504,15 @@ def criterion_9(profile: str, threads: int) -> CriterionResult:
         reports.append(pde_residual(bundle["field"],
                                     maturity_margin_steps=margin))
     ratio = reports[0].mean_scaled / reports[1].mean_scaled
-    tol_abs = _tol("TOL_C9_RESIDUAL", 5e-2)
-    tol_ratio = _tol("TOL_C9_RATIO", 1.7)
-    passed = ratio >= tol_ratio and reports[1].max_scaled < tol_abs
+    passed = ratio >= TOL_C9_RATIO \
+        and reports[1].max_scaled < TOL_C9_RESIDUAL
     return CriterionResult(9, "pde residual refinement", passed,
                            {"coarse_mean": reports[0].mean_scaled,
                             "fine_mean": reports[1].mean_scaled,
                             "ratio": ratio,
                             "fine_max": reports[1].max_scaled,
-                            "tol_ratio": tol_ratio, "tol_abs": tol_abs})
+                            "tol_ratio": TOL_C9_RATIO,
+                            "tol_abs": TOL_C9_RESIDUAL})
 
 
 def criterion_10(profile: str, threads: int) -> CriterionResult:

@@ -8,12 +8,12 @@ measure) and log-covariance ``Sigma = int a``, where ``a = sigma sigma^T``.
 sigma and mu are piecewise linear in time, so both integrals are read from
 a per-piece polynomial table built once per regime tuple.  This module owns
 those coefficient maps, the kernel (the law zbar, Sigma and the Cholesky
-factor of Sigma; the density, its derivative and the quadrature-based
-expectation take the reference price s as an argument), and the claims.  A
-claim's expectation is closed form given the other assets: the payoff is
-piecewise linear in the basket, so the pivot asset's integral is a Black
-formula per hinge and only the head assets need quadrature, a tensor
-Gauss-Hermite rule with ``outer_nodes`` per axis.
+factor of Sigma; the density and the quadrature-based expectation take the
+reference price s as an argument), and the claims.  Every claim is one
+hinge form in the basket, so its expectation is closed form given the
+other assets: the pivot asset's integral is a Black formula per hinge and
+only the head assets need quadrature, a tensor Gauss-Hermite rule with
+``outer_nodes`` per axis.
 """
 
 from __future__ import annotations
@@ -253,13 +253,14 @@ class Claim:
     (a piecewise-linear function of the basket value b = w.s given by
     (knot, value) pairs plus a final slope beyond the last knot).
 
-    Every kind is also written once in hinge form,
+    Every kind is one hinge form,
     K = offset + slope * b + sum_j hinge_slopes[j] * (b - hinge_strikes[j])^+,
-    which the frozen-regime pricer integrates in closed form.
+    which the payoff, its envelope and the frozen-regime pricer's closed
+    form all read.
 
-    Derived attributes: ``c1`` (asymptotic linear coefficient), ``c2``
+    Derived attributes: ``c1`` (asymptotic linear coefficient) and ``c2``
     (envelope half-width with |K(s) - c1.s| <= c2 on the nonnegative
-    orthant), and ``lipschitz`` (bound for the l1 metric).
+    orthant).
     """
 
     def __init__(self, kind: str, weights, strike: float = 0.0,
@@ -276,19 +277,12 @@ class Claim:
         if kind in ("basket-call", "basket-put"):
             if self.strike < 0:
                 raise ConfigError("strike must be nonnegative")
-            self.c1 = self.weights.copy() if kind == "basket-call" \
-                else np.zeros_like(self.weights)
-            self.c2 = max(self.strike, 1e-12)
-            slope_max = 1.0
             # the put is K - b + (b - K)^+
             put = kind == "basket-put"
             self.offset, self.slope = (self.strike, -1.0) if put else (0.0, 0.0)
             self.hinge_strikes = np.array([self.strike])
             self.hinge_slopes = np.ones(1)
         elif kind == "linear":
-            self.c1 = self.weights.copy()
-            self.c2 = 1e-10  # envelope width is arbitrarily small here
-            slope_max = 1.0
             self.offset, self.slope = 0.0, 1.0
             self.hinge_strikes = self.hinge_slopes = np.zeros(0)
         elif kind == "custom-piecewise-linear":
@@ -297,17 +291,11 @@ class Claim:
             if self.knots.ndim != 1 or self.knots.size < 1 \
                     or self.values.shape != self.knots.shape:
                 raise ConfigError("custom claim needs matching knots and values")
-            if self.knots.size > 1 and np.any(np.diff(self.knots) <= 0):
+            if np.any(np.diff(self.knots) <= 0):
                 raise ConfigError("custom claim knots must be strictly increasing")
             if np.any(self.values < 0) or self.final_slope < 0:
                 raise ConfigError("custom claim must stay nonnegative")
-            self.c1 = self.final_slope * self.weights
-            dev = self.values - self.final_slope * self.knots
-            b0_val = self.values[0]  # constant below the first knot
-            self.c2 = max(float(np.max(np.abs(dev))), abs(b0_val), 1e-12)
-            slopes = np.diff(self.values) / np.diff(self.knots) \
-                if self.knots.size > 1 else np.array([])
-            slope_max = max([abs(self.final_slope)] + [abs(s) for s in slopes] + [0.0])
+            slopes = np.diff(self.values) / np.diff(self.knots)
             self.offset, self.slope = float(self.values[0]), 0.0
             self.hinge_strikes = self.knots
             self.hinge_slopes = np.diff(
@@ -315,39 +303,23 @@ class Claim:
         else:
             raise ConfigError(f"unknown claim kind {kind!r}")
 
-        wmax = float(np.max(self.weights)) if self.weights.size else 0.0
-        self.lipschitz = slope_max * wmax
+        final = self.slope + self.hinge_slopes.sum()  # beyond the last hinge
+        self.c1 = final * self.weights
+        # K - c1.s is piecewise linear in b and flat beyond the last hinge,
+        # so its supremum over b >= 0 sits at b = 0 or at a hinge
+        b = np.concatenate([[0.0], self.hinge_strikes[self.hinge_strikes > 0]])
+        self.c2 = max(float(np.max(np.abs(self._hinge_sum(b) - final * b))),
+                      1e-12)
 
     def basket(self, s):
         return np.asarray(s, dtype=float) @ self.weights
 
-    def __call__(self, s):
-        b = self.basket(s)
-        if self.kind == "basket-call":
-            return np.maximum(b - self.strike, 0.0)
-        if self.kind == "basket-put":
-            return np.maximum(self.strike - b, 0.0)
-        if self.kind == "linear":
-            return b
-        below = np.full(np.shape(b), self.values[0])
-        inside = np.interp(b, self.knots, self.values)
-        beyond = self.values[-1] + self.final_slope * (b - self.knots[-1])
-        out = np.where(b <= self.knots[0], below,
-                       np.where(b >= self.knots[-1], beyond, inside))
-        return out
+    def _hinge_sum(self, b):
+        ramps = np.maximum(b[..., None] - self.hinge_strikes, 0.0)
+        return self.offset + self.slope * b + ramps @ self.hinge_slopes
 
-    def check_envelope(self, rng: np.random.Generator, n_samples: int = 10_000,
-                       scale: float = 100.0):
-        """Randomized check of |K(s) - c1.s| <= c2 on the positive orthant."""
-        n = self.weights.size
-        s = scale * rng.lognormal(mean=0.0, sigma=1.5, size=(n_samples, n))
-        gap = np.abs(self(s) - s @ self.c1)
-        worst = float(np.max(gap))
-        if worst > self.c2 + 1e-9 * max(1.0, self.c2):
-            raise ConfigError(
-                f"claim envelope violated: |K - c1.s| reached {worst:.6g} "
-                f"> c2 = {self.c2:.6g}")
-        return worst
+    def __call__(self, s):
+        return self._hinge_sum(self.basket(s))
 
     def describe(self):
         out = {"kind": self.kind, "weights": self.weights.tolist(),

@@ -317,8 +317,6 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
         raise ConfigError(str(exc), path=cl_path) from None
     if claim.weights.shape != (n,):
         _fail(f"claim needs {n} weights", f"{cl_path}.weights")
-    claim.check_envelope(np.random.default_rng(
-        _count(doc, "envelope_check_seed", 0, path, least=0)))
 
     gr = _section(doc, "grid", path)
     gr_path = f"{path}.grid"

@@ -44,8 +44,6 @@ _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
 class ConstantRate:
     """lam(age) = c with c > 0."""
 
-    kind = "constant"
-
     def __init__(self, c: float):
         if not 0 < c < math.inf:
             raise ConfigError(f"constant hazard requires finite c > 0, got {c}")
@@ -64,8 +62,6 @@ class ConstantRate:
 
 class AffineRate:
     """lam(age) = a + b*age with a, b >= 0 and a + b > 0."""
-
-    kind = "affine"
 
     def __init__(self, a: float, b: float):
         if not (0 <= a < math.inf and 0 <= b < math.inf) or a + b == 0:
@@ -93,8 +89,6 @@ class WeibullRate:
     kappa = 1 degenerates to the constant family; kappa > 1 gives an
     increasing (aging) hazard that vanishes at age zero.
     """
-
-    kind = "weibull"
 
     def __init__(self, c: float, kappa: float):
         if not 0 < c < math.inf:
@@ -127,8 +121,6 @@ class TabulatedRate:
     the rate is extrapolated as the constant last value (below the first knot,
     the constant first value), which keeps the cumulative hazard unbounded.
     """
-
-    kind = "tabulated"
 
     def __init__(self, knots, values):
         knots = np.asarray(knots, dtype=float)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regimehedge import acceptance
 from regimehedge.cli import main, run_scenario, write_hedge_field, \
     write_price_field
 from regimehedge.errors import ConfigError
@@ -175,7 +176,7 @@ def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
     (("mc", "seed"), -1, "scenario.mc.seed"),
     (("residual_risk", "seed"), "abc", "scenario.residual_risk.seed"),
     (("residual_risk", "seed"), -1, "scenario.residual_risk.seed"),
-    (("envelope_check_seed",), "abc", "scenario.envelope_check_seed"),
+    (("claim", "final_slope"), "abc", "scenario.claim.final_slope"),
     (("mc", "antithetic"), "no", "scenario.mc.antithetic"),
     (("components", 0, "hazards", "1->2"), {"family": "constant",
                                              "c": 10 ** 400},
@@ -258,18 +259,22 @@ def test_nonpositive_threads_flag_exits_2(tmp_path, capsys, threads):
 @pytest.mark.parametrize("key,value,kind", [("bsm_gl_nodes", 16, "basket-call"),
                                             ("bsm_gh_nodes", 4, "linear"),
                                             ("panel_nodes", 2, "basket-call"),
-                                            ("sparse_level", 2, "basket-call")])
+                                            ("sparse_level", 2, "basket-call"),
+                                            ("envelope_check_seed", "abc",
+                                             "basket-put")])
 def test_retired_bsm_key_leaves_price_unchanged(tmp_path, key, value, kind):
     # the frozen-regime price has no Gauss-Legendre rule (which served kinked
     # claims) and no plain Gauss-Hermite branch (which served claims without
     # a kink) any more, and the switch-time integral is the panel midpoint
-    # rule, and the head-asset rule is always the tensor rule; the retired
-    # keys parse like any other unread one
+    # rule, and the head-asset rule is always the tensor rule; a claim's
+    # envelope holds by construction, so no randomized check reads the
+    # top-level envelope_check_seed; the retired keys parse like any other
+    # unread one
     prices = []
     for extra in ({}, {key: value}):
         doc = copy.deepcopy(BASE_CONFIG)
         doc["claim"]["kind"] = kind
-        doc["solver"].update(extra)
+        (doc if key == "envelope_check_seed" else doc["solver"]).update(extra)
         out = tmp_path / f"out{len(prices)}"
         assert run_scenario(write_config(tmp_path, doc), out_dir=str(out)) == 0
         report = json.loads((out / "report.json").read_text())
@@ -440,12 +445,7 @@ def test_selftest_fast_deterministic_bytes(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_selftest_corrupted_tolerance_fails(tmp_path):
-    env = dict(os.environ)
-    env["REGIMEHEDGE_TOL_C1_IDENTITY"] = "1e-30"
-    cmd = [sys.executable, "-m", "regimehedge.cli", "selftest",
-           "--profile", "fast", "--out", str(tmp_path)]
-    r = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                       timeout=900)
-    assert r.returncode == 1
-    assert "[FAIL] C01" in r.stdout
+def test_selftest_corrupted_tolerance_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "TOL_C1_IDENTITY", 1e-30)
+    assert main(["selftest", "--profile", "fast", "--out", str(tmp_path)]) == 1
+    assert "[FAIL] C01" in capsys.readouterr().out

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from regimehedge.errors import ConfigError, DimensionTooLarge, SingularCovariance
@@ -249,15 +250,33 @@ def test_market_validation_rejects_singular_sigma():
         m.validate(1.0)
 
 
+def reference_payoff(claim, s):
+    """Each claim kind's payoff written directly, not in hinge form."""
+    b = claim.basket(s)
+    if claim.kind == "basket-call":
+        return np.maximum(b - claim.strike, 0.0)
+    if claim.kind == "basket-put":
+        return np.maximum(claim.strike - b, 0.0)
+    if claim.kind == "linear":
+        return b
+    knots, values = claim.knots, claim.values
+    beyond = values[-1] + claim.final_slope * (b - knots[-1])
+    return np.where(b <= knots[0], np.full(np.shape(b), values[0]),
+                    np.where(b >= knots[-1], beyond,
+                             np.interp(b, knots, values)))
+
+
 def test_claim_basket_call_envelope_and_lipschitz():
     c = Claim("basket-call", weights=[0.5, 0.5], strike=90.0)
-    rng = np.random.default_rng(0)
-    c.check_envelope(rng)
     assert c.c2 == 90.0
     np.testing.assert_allclose(c.c1, [0.5, 0.5])
-    assert c.lipschitz == pytest.approx(0.5)
     s = np.array([[100.0, 120.0]])
     assert c(s)[0] == pytest.approx(20.0)
+    # Lipschitz in the l1 metric with constant max(weights) = 0.5
+    rng = np.random.default_rng(0)
+    s0, s1 = rng.uniform(0.0, 200.0, (2, 1000, 2))
+    assert np.all(np.abs(c(s0) - c(s1))
+                  <= 0.5 * np.abs(s0 - s1).sum(axis=-1) + 1e-12)
 
 
 def test_claim_put_linear_custom():
@@ -275,17 +294,91 @@ def test_claim_put_linear_custom():
     assert cust(np.array([[50.0]]))[0] == pytest.approx(5.0)
     # sup_b |K(b) - b| is attained at the kink: |5 - 100| = 95
     assert cust.c2 == pytest.approx(95.0)
-    rng = np.random.default_rng(1)
-    cust.check_envelope(rng)
 
 
-def test_claim_envelope_violation_detected():
-    bad = Claim("custom-piecewise-linear", weights=[1.0],
-                knots=[0.0, 10.0], values=[0.0, 30.0], final_slope=1.0)
-    # force an inconsistent envelope then check it trips
-    bad.c2 = 1.0
-    with pytest.raises(ConfigError):
-        bad.check_envelope(np.random.default_rng(2))
+ORACLE_CLAIMS = [
+    Claim("basket-call", weights=[1.0], strike=100.0),
+    Claim("basket-call", weights=[0.5, 0.5], strike=90.0),
+    Claim("basket-put", weights=[1.0], strike=100.0),
+    Claim("basket-put", weights=[0.3, 0.7], strike=95.0),
+    Claim("linear", weights=[1.3]),
+    Claim("linear", weights=[0.5, 1.5]),
+    Claim("custom-piecewise-linear", weights=[1.0],
+          knots=[80.0, 100.0, 120.0], values=[0.0, 20.0, 0.0]),
+    Claim("custom-piecewise-linear", weights=[0.5, 0.5],
+          knots=[0.0, 100.0], values=[5.0, 5.0], final_slope=1.0),
+]
+
+
+@pytest.mark.parametrize("claim", ORACLE_CLAIMS,
+                         ids=[f"{c.kind}-{c.weights.size}" for c in ORACLE_CLAIMS])
+def test_claim_equals_per_kind_payoff_bit_for_bit(claim):
+    n = claim.weights.size
+    rng = np.random.default_rng(2024)
+    kinks = claim.knots if claim.knots is not None else [claim.strike]
+    s = np.concatenate([
+        rng.lognormal(np.log(100.0), 0.6, (4000, n)),
+        np.zeros((1, n)),
+        # with weights summing to one in halves or a single unit weight,
+        # every asset at a kink puts the basket exactly on it
+        np.repeat(np.asarray(kinks, dtype=float)[:, None], n, axis=1)])
+    got, want = claim(s), reference_payoff(claim, s)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    # one point at a time too
+    for row in s[-len(kinks) - 1:]:
+        assert claim(row) == reference_payoff(claim, row)
+
+
+@st.composite
+def hinge_claims(draw):
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.just(0.0) | st.floats(0.01, 2.0), min_size=n,
+                            max_size=n))
+    kind = draw(st.sampled_from(["basket-call", "basket-put", "linear",
+                                 "custom-piecewise-linear"]))
+    if kind != "custom-piecewise-linear":
+        return Claim(kind, weights, strike=draw(st.floats(0.0, 200.0)))
+    # knots on a half grid, the first possibly below zero
+    halves = draw(st.lists(st.integers(-100, 400), min_size=1, max_size=4,
+                           unique=True))
+    knots = sorted(0.5 * h for h in halves)
+    values = draw(st.lists(st.floats(0.0, 100.0), min_size=len(knots),
+                           max_size=len(knots)))
+    return Claim(kind, weights, knots=knots, values=values,
+                 final_slope=draw(st.floats(0.0, 3.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(claim=hinge_claims(), seed=st.integers(0, 2 ** 32 - 1))
+def test_claim_envelope_holds_and_is_attained(claim, seed):
+    n = claim.weights.size
+    rng = np.random.default_rng(seed)
+    s = np.concatenate([rng.uniform(0.0, 1000.0, (500, n)),
+                        rng.lognormal(np.log(100.0), 1.0, (500, n)),
+                        np.zeros((1, n))])
+    lead = claim.slope + claim.hinge_slopes.sum()
+
+    def tol(b):
+        # 1e-12 of the largest term the hinge sum adds up
+        return 1e-12 * (abs(claim.offset) + claim.c2 + (abs(claim.slope)
+                        + np.abs(claim.hinge_slopes).sum() + abs(lead)) * b)
+
+    b = claim.basket(s)
+    gap = np.abs(reference_payoff(claim, s) - s @ claim.c1)
+    assert np.all(gap <= claim.c2 + tol(b))
+    # the supremum sits at b = 0 or at a hinge: put the basket there through
+    # the pivot asset
+    pivot = int(np.argmax(claim.weights))
+    if claim.weights[pivot] == 0.0:
+        return
+    at = np.concatenate([[0.0], claim.hinge_strikes[claim.hinge_strikes > 0]])
+    s_at = np.zeros((at.size, n))
+    s_at[:, pivot] = at / claim.weights[pivot]
+    attained = np.max(np.abs(reference_payoff(claim, s_at) - s_at @ claim.c1))
+    assert abs(max(attained, 1e-12) - claim.c2) <= tol(at.max())
+    np.testing.assert_allclose(claim.c1, lead * claim.weights, rtol=0,
+                               atol=1e-12 * np.abs(claim.hinge_slopes).sum())
 
 
 def test_claim_nodes_integrate_call_price_1d():
