@@ -116,11 +116,10 @@ def _path_costs(field: PriceField, start, seed, ids):
     for rngs in stream_blocks(seed, ids):
         blk = simulate_path(solver.market, solver.models, start,
                             field.grid.horizon, rngs, mode="physical")
-        s = blk.s_at_jumps[0]
-        phi_pre = field.values(blk.jump_times, s, blk.pre_index,
-                               blk.ages_before)
-        phi_post = field.values(blk.jump_times, s, blk.post_index,
-                                blk.ages_after)
+        phi_pre = field.values(blk.jump_times, blk.s_at_jumps,
+                               blk.pre_index, blk.ages_before)
+        phi_post = field.values(blk.jump_times, blk.s_at_jumps,
+                                blk.post_index, blk.ages_after)
         contrib = np.square(blk.discount_at_jumps * (phi_post - phi_pre))
         # per path, summed in jump order
         costs.append(np.bincount(blk.jump_path, weights=contrib,

@@ -184,7 +184,6 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
         for ep in scn.eval_points:
             est, se = mc_price(scn.market, scn.claim, scn.models, ep,
                                scn.horizon, scn.mc_paths, scn.mc_seed,
-                               antithetic=scn.mc_antithetic,
                                n_jobs=max(scn.threads, 1))
             price = field.value(*ep)
             checks.append({"price": price, "mc": est, "se": se,

@@ -321,14 +321,6 @@ class Claim:
     def __call__(self, s):
         return self._hinge_sum(self.basket(s))
 
-    def describe(self):
-        out = {"kind": self.kind, "weights": self.weights.tolist(),
-               "strike": self.strike}
-        if self.knots is not None:
-            out.update(knots=self.knots.tolist(), values=self.values.tolist(),
-                       final_slope=self.final_slope)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Inter-jump lognormal kernel

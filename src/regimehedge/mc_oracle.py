@@ -39,13 +39,11 @@ _BLOCK = 1024   # path ids simulated together
 class PathBlock:
     """Exact paths of a block, flat per path and per jump.
 
-    Jumps are ordered by path, then by time.  Prices carry a leading axis
-    over the Gaussian signs of the simulation.
+    Jumps are ordered by path, then by time.
     """
 
     n_jumps: np.ndarray            # (P,)
-    final_ages: np.ndarray         # (P, c) ages at the horizon
-    s_terminal: np.ndarray         # (S, P, n)
+    s_terminal: np.ndarray         # (P, n)
     discount: np.ndarray           # (P,) exp(-int_t0^T r)
     jump_path: np.ndarray          # (J,) row of the jump's path
     jump_times: np.ndarray         # (J,)
@@ -53,7 +51,7 @@ class PathBlock:
     post_index: np.ndarray         # (J,) and after it
     ages_before: np.ndarray        # (J, c)
     ages_after: np.ndarray         # (J, c) the jumper's age at 0
-    s_at_jumps: np.ndarray         # (S, J, n)
+    s_at_jumps: np.ndarray         # (J, n)
     discount_at_jumps: np.ndarray  # (J,) exp(-int_t0^{T_m} r)
 
 
@@ -168,7 +166,7 @@ def _exp(u: np.ndarray) -> np.ndarray:
 
 
 def simulate_path(market: MarketModel, models, start, horizon: float, rngs,
-                  mode: str = "risk-neutral", signs=(1.0,)) -> PathBlock:
+                  mode: str = "risk-neutral") -> PathBlock:
     """Exact paths over [t0, horizon] from start = (t0, s, x, y), one per
     (rng_regime, rng_gauss) pair of rngs.
 
@@ -176,14 +174,13 @@ def simulate_path(market: MarketModel, models, start, horizon: float, rngs,
     standard_normal((k, n)) from its Gaussian stream, k the number of its
     segments of positive length.  Pass 2 builds the kernels of the block's
     segments with one build_kernel call per regime tuple and compounds
-    prices and log-discounts in segment order.  Every sign reuses the same
-    switch histories and draws, so signs = (1, -1) gives antithetic pairs.
+    prices and log-discounts in segment order.
     """
     t0, s0, x0, y0 = start
     init = CsmState(x0, np.asarray(y0, dtype=float).tolist())
     n = market.n
     seg_t, seg_v, seg_x, n_segs, draws = [], [], [], [], []
-    j_times, ages_b, ages_a, final = [], [], [], []
+    j_times, ages_b, ages_a = [], [], []
     for rng_regime, rng_gauss in rngs:
         reg = simulate_csm(models, init, horizon, rng_regime, start=t0)
         bounds = [reg.start_time, *reg.jump_times.tolist(), horizon]
@@ -197,13 +194,12 @@ def simulate_path(market: MarketModel, models, start, horizon: float, rngs,
         j_times.append(reg.jump_times)
         ages_b.append(reg.ages_before)
         ages_a.append(reg.ages_after)
-        final.append(reg.final_ages)
 
     seg_t, seg_v = np.array(seg_t), np.array(seg_v)
     seg_x, n_segs = np.array(seg_x, dtype=int), np.array(n_segs, dtype=int)
     eps = np.concatenate(draws)
     live = np.flatnonzero(seg_v > 0)     # the segments that own a draw
-    growth = np.ones((len(signs), len(seg_v), n))
+    growth = np.ones((len(seg_v), n))
     rate_dt = np.zeros(len(seg_v))
     live_x = seg_x[live]
     for xi in np.unique(live_x):
@@ -216,8 +212,7 @@ def simulate_path(market: MarketModel, models, start, horizon: float, rngs,
         shock = kern.chol[..., 0] * e[:, None, 0]
         for col in range(1, n):
             shock = shock + kern.chol[..., col] * e[:, None, col]
-        for si, sign in enumerate(signs):
-            growth[si, seg] = np.exp(kern.zbar + sign * shock)
+        growth[seg] = np.exp(kern.zbar + shock)
         rate_dt[seg] = market.r(x) * seg_v[seg]
 
     P = len(n_segs)
@@ -225,45 +220,39 @@ def simulate_path(market: MarketModel, models, start, horizon: float, rngs,
     jump_first = first - np.arange(P)
     J = len(seg_v) - P
     jump_path = np.repeat(np.arange(P), n_segs - 1)
-    s = np.broadcast_to(np.asarray(s0, dtype=float),
-                        (len(signs), P, n)).copy()
+    s = np.broadcast_to(np.asarray(s0, dtype=float), (P, n)).copy()
     log_disc = np.zeros(P)
-    s_jumps = np.empty((len(signs), J, n))
+    s_jumps = np.empty((J, n))
     log_disc_jumps = np.empty(J)
     for k in range(int(n_segs.max(initial=0))):
         alive = np.flatnonzero(n_segs > k)
         seg = first[alive] + k
-        s[:, alive] = s[:, alive] * growth[:, seg]
+        s[alive] = s[alive] * growth[seg]
         log_disc[alive] = log_disc[alive] - rate_dt[seg]
         jumping = alive[n_segs[alive] > k + 1]
         jrow = jump_first[jumping] + k
-        s_jumps[:, jrow] = s[:, jumping]
+        s_jumps[jrow] = s[jumping]
         log_disc_jumps[jrow] = log_disc[jumping]
 
     pre_seg = np.arange(J) + jump_path    # jump m of path p ends segment m
     return PathBlock(
-        n_jumps=n_segs - 1, final_ages=np.array(final).reshape(P, -1),
-        s_terminal=s, discount=_exp(log_disc), jump_path=jump_path,
-        jump_times=np.concatenate(j_times), pre_index=seg_x[pre_seg],
-        post_index=seg_x[pre_seg + 1],
+        n_jumps=n_segs - 1, s_terminal=s, discount=_exp(log_disc),
+        jump_path=jump_path, jump_times=np.concatenate(j_times),
+        pre_index=seg_x[pre_seg], post_index=seg_x[pre_seg + 1],
         ages_before=np.concatenate(ages_b), ages_after=np.concatenate(ages_a),
         s_at_jumps=s_jumps, discount_at_jumps=_exp(log_disc_jumps))
 
 
-def _discounted_payoffs(market, claim, models, start, horizon, seed, ids,
-                        antithetic):
-    signs = (1.0, -1.0) if antithetic else (1.0,)
+def _discounted_payoffs(market, claim, models, start, horizon, seed, ids):
     out = []
     for rngs in stream_blocks(seed, ids):
-        blk = simulate_path(market, models, start, horizon, rngs, signs=signs)
-        # (S, P) -> path-major, sign-minor
-        out.append((blk.discount * claim(blk.s_terminal)).T.ravel())
+        blk = simulate_path(market, models, start, horizon, rngs)
+        out.append(blk.discount * claim(blk.s_terminal))
     return np.concatenate(out)
 
 
 def mc_price(market: MarketModel, claim: Claim, models, start, horizon: float,
-             n_paths: int, seed: int, antithetic: bool = False,
-             n_jobs: int = 1):
+             n_paths: int, seed: int, n_jobs: int = 1):
     """Discounted-payoff mean and standard error over n_paths exact paths.
 
     Reproducible for a fixed seed: each path owns counter-derived streams
@@ -271,11 +260,10 @@ def mc_price(market: MarketModel, claim: Claim, models, start, horizon: float,
     """
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
-    n_ids = n_paths // 2 if antithetic else n_paths
     vals = np.concatenate(map_chunks(
         lambda ids: _discounted_payoffs(market, claim, models, start, horizon,
-                                        seed, ids, antithetic),
-        np.arange(n_ids), n_jobs))
+                                        seed, ids),
+        np.arange(n_paths), n_jobs))
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     return mean, se

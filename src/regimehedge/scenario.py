@@ -206,9 +206,6 @@ def _coeff(spec, k, n_components, path, shape=()):
 class Scenario:
     name: str
     horizon: float
-    n: int
-    k: int
-    n_components: int
     market: MarketModel
     models: list
     claim: Claim
@@ -218,7 +215,6 @@ class Scenario:
     max_iter: int
     mc_paths: int
     mc_seed: int | None
-    mc_antithetic: bool
     rr_paths: int
     rr_seed: int | None
     sensitivity_scale: float
@@ -353,10 +349,6 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     mc_seed = _seed(mc, f"{path}.mc", mc_on, "mc-check")
     mc_paths = _count(mc, "paths", 0, f"{path}.mc", least=100 if mc_on else 0,
                       most=_MAX_PATHS)
-    antithetic = mc.get("antithetic", False)
-    if not isinstance(antithetic, bool):
-        _fail(f"antithetic must be true or false, got {antithetic!r}",
-              f"{path}.mc.antithetic")
     rr = _section(doc, "residual_risk", path)
     rr_on = "residual-risk" in outputs
     rr_seed = _seed(rr, f"{path}.residual_risk", rr_on, "residual-risk")
@@ -393,11 +385,9 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
         eval_points.append((t, s, x, y))
 
     return Scenario(
-        name=str(name), horizon=float(horizon), n=n, k=k,
-        n_components=n_components, market=market, models=models, claim=claim,
-        grid_spec=grid_spec, solver=solver, tol=tol, max_iter=max_iter,
-        mc_paths=mc_paths, mc_seed=mc_seed,
-        mc_antithetic=antithetic,
+        name=str(name), horizon=float(horizon), market=market, models=models,
+        claim=claim, grid_spec=grid_spec, solver=solver, tol=tol,
+        max_iter=max_iter, mc_paths=mc_paths, mc_seed=mc_seed,
         rr_paths=rr_paths, rr_seed=rr_seed,
         sensitivity_scale=sens_scale, eval_points=eval_points,
         outputs=outputs, threads=threads, raw=doc)

@@ -56,9 +56,6 @@ class ConstantRate:
     def integral(self, y):
         return self.c * np.asarray(y, dtype=float)
 
-    def params(self):
-        return {"family": "constant", "c": self.c}
-
 
 class AffineRate:
     """lam(age) = a + b*age with a, b >= 0 and a + b > 0."""
@@ -78,9 +75,6 @@ class AffineRate:
     def integral(self, y):
         y = np.asarray(y, dtype=float)
         return self.a * y + 0.5 * self.b * y * y
-
-    def params(self):
-        return {"family": "affine", "a": self.a, "b": self.b}
 
 
 class WeibullRate:
@@ -108,9 +102,6 @@ class WeibullRate:
     def integral(self, y):
         y = np.asarray(y, dtype=float)
         return (self.c / self.kappa) * np.power(y, self.kappa)
-
-    def params(self):
-        return {"family": "weibull", "c": self.c, "kappa": self.kappa}
 
 
 class TabulatedRate:
@@ -155,13 +146,6 @@ class TabulatedRate:
         out = out + self.values[0] * (np.minimum(y, k0) - 0.0)
         out = out + self.values[-1] * np.maximum(y - k1, 0.0)
         return np.asarray(out, dtype=float)
-
-    def params(self):
-        return {
-            "family": "tabulated",
-            "knots": self.knots.tolist(),
-            "values": self.values.tolist(),
-        }
 
 
 _CLOSED_FORM_AFFINE = (ConstantRate, AffineRate)
@@ -347,10 +331,6 @@ class HazardModel:
         """Residual time to accumulate one unit of hazard (e-folding time)."""
         return self.invert_clock(i, y, 1.0)
 
-    def describe(self):
-        return {"k": self.k,
-                "rates": {f"{i}->{j}": fam.params() for (i, j), fam in self.rates.items()}}
-
     def scaled(self, factor: float) -> "HazardModel":
         """New model with every rate multiplied by a positive factor."""
         if factor <= 0:
@@ -384,10 +364,6 @@ class CsmState:
             raise ConfigError("state and age vectors must have equal length")
         if any(a < 0 for a in self.y):
             raise ConfigError("ages must be nonnegative")
-
-    @property
-    def n_components(self):
-        return len(self.x)
 
 
 def switch_edges(models, x_tuples):

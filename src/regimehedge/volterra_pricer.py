@@ -892,8 +892,6 @@ class VolterraSolver:
         w = self.grid.inv_weight()
         for slab in (field.slabs[0], field.slabs[len(field.slabs) // 2]):
             for d in range(slab.ndim - self.grid.n, slab.ndim):
-                if slab.shape[d] < 3:
-                    continue
                 ds = d - (slab.ndim - self.grid.n)
                 trim = tuple(slice(1, -1) if a == ds else slice(None)
                              for a in range(self.grid.n))

@@ -52,14 +52,24 @@ def write_config(tmp_path, doc, name="scenario.json"):
 
 def test_parse_and_roundtrip():
     scn = parse_scenario(copy.deepcopy(BASE_CONFIG))
-    assert scn.n == 1 and scn.k == 2 and scn.n_components == 2
-    assert scn.market.r((1, 1)) == 0.04
-    # the resolved echo re-parses to an equivalent scenario
+    market = scn.market
+    assert market.n == 1 and market.k == 2 and market.n_components == 2
+    assert market.r((1, 1)) == 0.04
+    # the resolved echo re-parses to an equivalent scenario: the same claim
+    # and the same hazard rates, bit for bit
     again = parse_scenario(scn.resolved_dict())
-    assert again.claim.describe() == scn.claim.describe()
+    for name in ("weights", "offset", "slope", "hinge_strikes",
+                 "hinge_slopes", "c1", "c2"):
+        np.testing.assert_array_equal(getattr(again.claim, name),
+                                      getattr(scn.claim, name), err_msg=name)
     assert again.tol == scn.tol
-    assert [m.describe() for m in again.models] \
-        == [m.describe() for m in scn.models]
+    ages = np.linspace(0.0, 2.0, 41)
+    assert len(again.models) == len(scn.models)
+    for h, h0 in zip(again.models, scn.models):
+        assert h.k == h0.k and set(h.rates) == set(h0.rates)
+        for i, j in h0.rates:
+            np.testing.assert_array_equal(h.rate(i, j, ages),
+                                          h0.rate(i, j, ages))
 
 
 def test_factored_and_by_component_coefficients():
@@ -177,7 +187,7 @@ def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
     (("residual_risk", "seed"), "abc", "scenario.residual_risk.seed"),
     (("residual_risk", "seed"), -1, "scenario.residual_risk.seed"),
     (("claim", "final_slope"), "abc", "scenario.claim.final_slope"),
-    (("mc", "antithetic"), "no", "scenario.mc.antithetic"),
+    (("residual_risk",), [], "scenario.residual_risk"),
     (("components", 0, "hazards", "1->2"), {"family": "constant",
                                              "c": 10 ** 400},
      "scenario.components[0].hazards['1->2']"),
@@ -280,6 +290,21 @@ def test_retired_bsm_key_leaves_price_unchanged(tmp_path, key, value, kind):
         report = json.loads((out / "report.json").read_text())
         prices.append(report["eval_points"][0]["price"])
     assert prices[0] == prices[1]
+
+
+def test_retired_antithetic_key_leaves_mc_check_unchanged(tmp_path):
+    # the Monte Carlo check draws one Gaussian vector per path segment, so
+    # mc.antithetic is read by no code, like the other retired keys
+    reports = []
+    for extra in ({}, {"antithetic": True}):
+        doc = copy.deepcopy(BASE_CONFIG)
+        doc["mc"].update(extra)
+        doc["outputs"] = ["mc-check"]
+        out = tmp_path / f"out{len(reports)}"
+        assert run_scenario(write_config(tmp_path, doc), out_dir=str(out)) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+    for key in ("eval_points", "mc_check"):
+        assert reports[0][key] == reports[1][key]
 
 
 def test_dry_run_prints_grid(tmp_path, capsys):

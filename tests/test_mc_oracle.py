@@ -52,12 +52,10 @@ def models_const(c0=0.5, c1=0.8):
 START = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
 
 
-def paths(market, models, start, horizon, seed, ids, mode="risk-neutral",
-          signs=(1.0,)):
+def paths(market, models, start, horizon, seed, ids, mode="risk-neutral"):
     """The block of the paths ids, each on its own streams."""
     return simulate_path(market, models, start, horizon,
-                         (_spawn_rngs(seed, pid) for pid in ids), mode=mode,
-                         signs=signs)
+                         (_spawn_rngs(seed, pid) for pid in ids), mode=mode)
 
 
 def path_states(market, blk, p, x0):
@@ -86,8 +84,8 @@ def test_zero_vol_zero_hazard_deterministic_growth():
     h = HazardModel(2, {(1, 2): ConstantRate(1e-9), (2, 1): ConstantRate(1e-9)})
     path = paths(m, [h, h], START, 1.0, 3, [0])
     assert path.n_jumps[0] == 0
-    assert path.s_terminal[0, 0, 0] == pytest.approx(100.0 * math.exp(0.04),
-                                                     rel=1e-5)
+    assert path.s_terminal[0, 0] == pytest.approx(100.0 * math.exp(0.04),
+                                                  rel=1e-5)
     assert path.discount[0] == pytest.approx(math.exp(-0.04), rel=1e-12)
 
 
@@ -106,7 +104,7 @@ def test_no_switch_conditioning_reproduces_kernel_law():
     models = models_const(0.7, 0.4)
     v = 0.6
     blk = paths(m, models, START, v, 77, range(4000), mode="physical")
-    ratios = blk.s_terminal[0, blk.n_jumps == 0, 0] / 100.0
+    ratios = blk.s_terminal[blk.n_jumps == 0, 0] / 100.0
     kern = build_kernel(m, 0.0, (1, 1), v, mode="physical")
     sd = math.sqrt(kern.cov[0, 0])
 
@@ -117,7 +115,7 @@ def test_no_switch_conditioning_reproduces_kernel_law():
     assert res.pvalue > 0.01
 
 
-def test_reproducibility_and_antithetic():
+def test_reproducibility():
     m = flat_market()
     models = models_const()
     claim = Claim("basket-call", weights=[1.0], strike=95.0)
@@ -127,12 +125,6 @@ def test_reproducibility_and_antithetic():
     # batch split must not change the estimate
     a3 = mc_price(m, claim, models, START, 1.0, n_paths=4000, seed=9, n_jobs=3)
     assert a3[0] == a1[0]
-
-    plain, se_p = mc_price(m, claim, models, START, 1.0, n_paths=20_000, seed=5)
-    anti, se_a = mc_price(m, claim, models, START, 1.0, n_paths=20_000, seed=5,
-                          antithetic=True)
-    assert abs(anti - plain) < 3 * math.hypot(se_p, se_a)
-    assert se_a < se_p  # monotone payoff
 
 
 def test_variance_scales_inversely_with_paths():
@@ -164,7 +156,7 @@ def test_path_record_bookkeeping():
         assert path.ages_before[k][l] > 0.0
     assert 0.0 < path.discount[0] <= 1.0
     assert path.discount_at_jumps.shape == (n_jumps,)
-    assert path.s_at_jumps.shape == (1, n_jumps, 1)
+    assert path.s_at_jumps.shape == (n_jumps, 1)
 
 
 def test_switch_history_is_simulate_csm():
@@ -188,7 +180,6 @@ def test_switch_history_is_simulate_csm():
         for name in ("jump_times", "ages_before", "ages_after"):
             np.testing.assert_array_equal(getattr(blk, name)[sel],
                                           getattr(reg, name), err_msg=name)
-        np.testing.assert_array_equal(blk.final_ages[pid], reg.final_ages)
         assert reg.start_time == t0
     assert blk.n_jumps.sum() > 50
 
@@ -201,10 +192,8 @@ def test_eval_point_at_maturity():
     start = (1.0, s0, (1, 2), np.array([0.3, 0.0]))
     path = paths(m, models, start, 1.0, 2, [0])
     assert path.n_jumps[0] == 0
-    np.testing.assert_array_equal(path.s_terminal[0, 0], s0)
+    np.testing.assert_array_equal(path.s_terminal[0], s0)
     assert path.discount[0] == 1.0
-    np.testing.assert_allclose(path.final_ages[0], [0.3, 0.0], rtol=0,
-                               atol=1e-15)
     est, se = mc_price(m, claim, models, start, 1.0, n_paths=200, seed=6)
     assert est == float(claim(s0)) == 5.0
     assert se == 0.0
@@ -242,8 +231,8 @@ def _per_segment(integral):
     return batched
 
 
-_HISTORY = ("n_jumps", "final_ages", "jump_path", "jump_times", "pre_index",
-            "post_index", "ages_before", "ages_after")
+_HISTORY = ("n_jumps", "jump_path", "jump_times", "pre_index", "post_index",
+            "ages_before", "ages_after")
 _PRICES = ("s_terminal", "discount", "s_at_jumps", "discount_at_jumps")
 
 
@@ -285,8 +274,7 @@ def _concat(blocks):
         parts = [getattr(b, name) for b in blocks]
         if name == "jump_path":
             parts = [p + r for p, r in zip(parts, rows)]
-        axis = 1 if name in ("s_terminal", "s_at_jumps") else 0
-        out[name] = np.concatenate(parts, axis=axis)
+        out[name] = np.concatenate(parts)
     return PathBlock(**out)
 
 
@@ -314,37 +302,23 @@ def correlated_case():
 def test_block_equals_smaller_blocks_bit_for_bit(mode, t0, y0):
     m, models, _ = correlated_case()
     start = (t0, np.array([100.0, 90.0]), (2, 1), np.array(y0))
-    whole = paths(m, models, start, 1.0, 5, range(300), mode=mode,
-                  signs=(1.0, -1.0))
+    whole = paths(m, models, start, 1.0, 5, range(300), mode=mode)
     assert whole.n_jumps.sum() > 300
     for size in (1, 7):
         parts = _concat([paths(m, models, start, 1.0, 5,
-                               range(lo, min(lo + size, 300)), mode=mode,
-                               signs=(1.0, -1.0))
+                               range(lo, min(lo + size, 300)), mode=mode)
                          for lo in range(0, 300, size)])
         for name in _HISTORY + _PRICES:
             np.testing.assert_array_equal(getattr(parts, name),
                                           getattr(whole, name), err_msg=name)
-    # each sign is the path of that sign alone, and the minus sign the
-    # mirrored draw of the same history
-    for si, sign in enumerate((1.0, -1.0)):
-        alone = paths(m, models, start, 1.0, 5, range(300), mode=mode,
-                      signs=(sign,))
-        np.testing.assert_array_equal(alone.s_terminal[0],
-                                      whole.s_terminal[si])
-        np.testing.assert_array_equal(alone.s_at_jumps[0],
-                                      whole.s_at_jumps[si])
 
 
 def test_worker_count_changes_no_estimate():
     m, models, claim = correlated_case()
     start = (0.37, np.array([100.0, 90.0]), (2, 1), np.array([0.2, 0.37]))
-    for antithetic in (False, True):
-        one = mc_price(m, claim, models, start, 1.0, 2500, 4,
-                       antithetic=antithetic, n_jobs=1)
-        two = mc_price(m, claim, models, start, 1.0, 2500, 4,
-                       antithetic=antithetic, n_jobs=2)
-        assert one == two
+    one = mc_price(m, claim, models, start, 1.0, 2500, 4, n_jobs=1)
+    two = mc_price(m, claim, models, start, 1.0, 2500, 4, n_jobs=2)
+    assert one == two
     grid = Grid(m, 1.0, np.array([[100.0, 90.0]]),
                 GridSpec(time_steps=4, price_nodes=9, age_nodes=3))
     field, _ = solve_price_field(m, claim, models, grid, 1e-3)
@@ -418,20 +392,17 @@ def test_estimates_equal_numpy_stream_reference():
                               for pid in range(n_ids)),
                              **kw)
 
-    for antithetic in (False, True):
-        signs = (1.0, -1.0) if antithetic else (1.0,)
-        blk = block(4, 1050 if antithetic else 2100, signs=signs)
-        vals = (blk.discount * claim(blk.s_terminal)).T.ravel()
-        want = (float(np.mean(vals)),
-                float(np.std(vals, ddof=1) / math.sqrt(len(vals))))
-        assert mc_price(m, claim, models, start, 1.0, 2100, 4,
-                        antithetic=antithetic) == want
+    blk = block(4, 2100)
+    vals = blk.discount * claim(blk.s_terminal)
+    want = (float(np.mean(vals)),
+            float(np.std(vals, ddof=1) / math.sqrt(len(vals))))
+    assert mc_price(m, claim, models, start, 1.0, 2100, 4) == want
 
     grid = Grid(m, 1.0, np.array([[100.0, 90.0]]),
                 GridSpec(time_steps=4, price_nodes=9, age_nodes=3))
     field, _ = solve_price_field(m, claim, models, grid, 1e-3)
     blk = block(6, 2100, mode="physical")
-    s = blk.s_at_jumps[0]
+    s = blk.s_at_jumps
     jump = blk.discount_at_jumps * (
         field.values(blk.jump_times, s, blk.post_index, blk.ages_after)
         - field.values(blk.jump_times, s, blk.pre_index, blk.ages_before))
