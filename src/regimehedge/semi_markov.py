@@ -235,6 +235,14 @@ class HazardModel:
                 return ("weibull", float(sum(f.c for f in fams)), kappas.pop())
         return ("numeric",)
 
+    def memoryless(self, i: int) -> bool:
+        """Whether every exit rate of state i is constant in age: constant,
+        affine with b = 0 or Weibull with kappa = 1.  The holding time is
+        then exponential, so nothing that follows depends on the age in i.
+        A tabulated rate counts as age-dependent even with equal knots."""
+        kind = self._row_kind[i]
+        return kind[0] == "affine" and kind[2] == 0.0
+
     # -- elementary laws ------------------------------------------------------
 
     def rate(self, i: int, j: int, y):

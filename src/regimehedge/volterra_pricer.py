@@ -44,6 +44,19 @@ linear part c1.s once; the excesses of all edges out of a regime tuple are
 stacked and smoothed together (one correlation with taps), and each edge
 adds its weighted share.
 
+A component in a memoryless state (HazardModel.memoryless: every exit rate
+constant in age) has an exponential holding time, and a jump resets its
+age, so the price in that regime tuple does not depend on its age: the
+Markov-modulated case of Deshpande and Ghosh (Stoch. Anal. Appl. 26, 2008)
+inside the semi-Markov model of Ghosh and Goswami (SIAM J. Control Optim.
+48, 2009).  The switch branch therefore smooths and accumulates each regime
+tuple on age row 0 of its memoryless axes only, and broadcasts the result
+along them (the edges of a tuple are stacked by the age axes their excess
+keeps); a component memoryless in every state is gathered from age row 0
+alone.  Every age takes the age-0 survival increments of a memoryless
+state, so the weights, and with them the solved field and its hedges, are
+exactly constant along those axes.  The stored slabs keep their full shape.
+
 The kernel expectation smooths the multilinearly interpolated field with
 tensor Gauss-Hermite nodes, each splatted onto the corners of its grid
 cell, so the nodes collapse into taps centred on offset 0 (the QUAD idea
@@ -570,10 +583,31 @@ class VolterraSolver:
         self.dlam = {}       # (m, state) -> (A, 2M+1)
         for m, h in enumerate(self.models):
             for a in range(1, h.k + 1):
-                self.dlam[(m, a)] = (
-                    h.cumulative_hazard(a, ages[:, None] + half_steps[None, :])
-                    - h.cumulative_hazard(a, ages)[:, None])
+                inc = (h.cumulative_hazard(a, ages[:, None] + half_steps[None, :])
+                       - h.cumulative_hazard(a, ages)[:, None])
+                # constant in age up to rounding in a memoryless state: every
+                # age takes the age-0 row, so the weights are exactly constant
+                # along a memoryless axis
+                self.dlam[(m, a)] = np.broadcast_to(inc[:1], inc.shape) \
+                    if h.memoryless(a) else inc
         self.edges = switch_edges(self.models, g.x_tuples)
+        # the age axes a regime tuple cannot depend on, and the components
+        # whose age no tuple depends on
+        self.memoryless_axes = [
+            [m for m, h in enumerate(self.models) if h.memoryless(x[m])]
+            for x in g.x_tuples]
+        self.ageless = [m for m, h in enumerate(self.models)
+                        if all(h.memoryless(a) for a in range(1, h.k + 1))]
+        # per regime tuple, its switch edges grouped by the age axes their
+        # gathered excess keeps after the memoryless ones are cut to row 0
+        self._edge_groups = []
+        for edges, frozen in zip(self.edges, self.memoryless_axes):
+            groups = {}
+            for e, (l, _, xpi, _) in enumerate(edges):
+                kept = tuple(m not in frozen for m in range(g.n_components)
+                             if m != l)
+                groups.setdefault(kept, []).append((e, l, xpi))
+            self._edge_groups.append(list(groups.values()))
 
         # c1 . s on the price grid; its discounted kernel mean is c1 . s
         mesh = np.meshgrid(*g.s_axes, indexing="ij")
@@ -701,7 +735,7 @@ class VolterraSolver:
                                  for side in (i + p, i + p + 1))
         return count
 
-    def _gather(self, slabs, i, p, l):
+    def _gather(self, slabs, i, p, l, shift=None):
         """Continuation values at ages (y + v_p with component l reset to 0).
 
         Returns an array (n_x, c_i, ..., c_i, S...) over the ages of every
@@ -709,20 +743,25 @@ class VolterraSolver:
         slabs i + p and i + p + 1, which bracket t_i + v_p at its midpoint.
         Each bracketing slab gives the rows i0..i0 + c_i of its own stored
         ages, clamped to them (slices where no index clamps), and the mean
-        of the two is blended once per age axis.
+        of the two is blended once per age axis.  shift names the
+        components whose age axes move (every one but l by default); the
+        others are passed through as the slabs hold them, so a caller cuts
+        the slabs to age row 0 there and gets singleton axes back.
         """
         g = self.grid
         c = int(g.c_counts[i])
         cells = self.v_mid[p] / g.dy
         i0 = math.floor(cells)
+        axes = [1 + m - (m > l) for m in range(g.n_components)
+                if m != l and (shift is None or m in shift)]
         rows = []
         for side in (i + p, i + p + 1):
             arr = slabs[side][(slice(None),) * (1 + l) + (0,)]
-            for ax in range(1, g.n_components):
+            for ax in axes:
                 arr = _shift_axis(arr, ax, i0, c + 1)
             rows.append(arr)
         mean = 0.5 * (rows[0] + rows[1])
-        for ax in range(1, g.n_components):
+        for ax in axes:
             mean = _shift_axis(mean, ax, cells - i0, c)
         return mean
 
@@ -737,38 +776,73 @@ class VolterraSolver:
         for hedging.  All actions share the gathers and the weights of slab
         i's tables (see _slab_tables), built afresh when not given.  panels
         selects the v-panels to sum (all by default); the panels p >= 1 read
-        only slabs after i.  Per panel, the excesses of all switch edges out
-        of a regime tuple are stacked and smoothed by one action call; each
-        edge then adds its weighted share.
+        only slabs after i.  Per panel, the excesses of the switch edges out
+        of a regime tuple that keep the same age axes are stacked and
+        smoothed by one action call; each edge then adds its weighted share.
+
+        A regime tuple's result does not depend on the age of a component
+        in a memoryless state (HazardModel.memoryless): its holding time is
+        exponential and a jump resets the age, the Markov-modulated case
+        (Deshpande and Ghosh, Stoch. Anal. Appl. 26, 2008) inside the
+        semi-Markov model (Ghosh and Goswami, SIAM J. Control Optim. 48,
+        2009).  The discrete operator keeps this, by backward induction:
+        rho and the terminal slab do not depend on age, the survival
+        weights and hazards are constant along a memoryless axis, an edge
+        of another component keeps that component's state, and a clamped
+        age shift copies an edge row.  So the edge weights and gathered
+        excesses of a tuple are cut to age row 0 on its memoryless axes,
+        smoothed and accumulated there, and the result is broadcast along
+        those axes; components memoryless in every state are gathered from
+        age row 0 of the slabs alone.
         """
         g = self.grid
+        nc = g.n_components
         if tables is None:
             tables = self._slab_tables(i)
         if panels is None:
             panels = range(g.spec.time_steps - i)
         c = int(g.c_counts[i])
-        accs = [np.zeros((len(g.x_tuples),) + (c,) * g.n_components + g.s_shape)
+        accs = [np.zeros((len(g.x_tuples),) + (c,) * nc + g.s_shape)
                 for _ in actions]
-        share = np.empty(accs[0].shape[1:])
+        cuts = [tuple(slice(0, 1) if m in frozen else slice(None)
+                      for m in range(nc)) for frozen in self.memoryless_axes]
+        # per regime tuple and action, the accumulator on age row 0 of the
+        # tuple's memoryless axes: a view of the result
+        reduced = [[acc[xi][cut] for acc in accs] for xi, cut in enumerate(cuts)]
+        shares = {red.shape: np.empty(red.shape) for red, *_ in reduced}
+        moved = [m for m in range(nc) if m not in self.ageless]
+        if self.ageless:
+            row0 = (slice(None),) + tuple(
+                slice(0, 1) if m in self.ageless else slice(None)
+                for m in range(nc))
+            slabs = [slab[row0] for slab in slabs]
         for p in panels:
             # the linear part of the field integrates in closed form
             # (discounted kernel mean of c1.S is c1.s exactly); only the
             # excess is smoothed
             excess = []
-            for l in range(g.n_components):
-                gathered = self._gather(slabs, i, p, l)
+            for l in range(nc):
+                gathered = self._gather(slabs, i, p, l, moved)
                 gathered -= self._lin
                 excess.append(gathered)
             for xi, (sm, w) in enumerate(tables):
-                edges = self.edges[xi]
-                stacked = np.stack([excess[l][xpi] for l, _, xpi, _ in edges])
-                for acc, action in zip(accs, actions):
-                    smoothed = action(sm, stacked, p)
-                    # each edge's reset axis comes back as a singleton
-                    for (l, _, _, _), we, se in zip(edges, w[p], smoothed):
-                        np.multiply(we, se[(slice(None),) * l + (None,)],
-                                    out=share)
-                        acc[xi] += share
+                cut = cuts[xi]
+                wp = w[p][(slice(None),) + cut]
+                for group in self._edge_groups[xi]:
+                    stacked = np.stack([excess[l][xpi][cut[:l] + cut[l + 1:]]
+                                        for _, l, xpi in group])
+                    for red, action in zip(reduced[xi], actions):
+                        share = shares[red.shape]
+                        smoothed = action(sm, stacked, p)
+                        # each edge's reset axis comes back as a singleton
+                        for (e, l, _), se in zip(group, smoothed):
+                            np.multiply(wp[e], se[(slice(None),) * l + (None,)],
+                                        out=share)
+                            red += share
+        for acc in accs:
+            for xi, cut in enumerate(cuts):
+                if self.memoryless_axes[xi]:
+                    acc[xi] = acc[xi][cut]
         return accs
 
     # -- the operator, split for marching ------------------------------------

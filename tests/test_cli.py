@@ -381,6 +381,26 @@ def test_full_output_set_runs(tmp_path):
     parse_scenario(report["config"])
 
 
+def test_shipped_markov_modulated_config_passes_its_mc_check(tmp_path):
+    # every state of both components is memoryless, so every age axis of
+    # the solver collapses; the field and hedges do not depend on the ages
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "markov_modulated_call.json")
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["mc_check"][0]["within_3se"]
+    for name, value_cols in (("price_field.csv", 1), ("hedge_field.csv", 2)):
+        rows = (out / name).read_text().strip().splitlines()
+        assert rows[0].split(",")[4:6] == ["y0", "y1"]
+        by_node = {}
+        for line in rows[1:]:
+            cols = line.split(",")
+            by_node.setdefault(tuple(cols[:4]), set()).add(
+                tuple(cols[-value_cols:]))
+        assert all(len(values) == 1 for values in by_node.values())
+
+
 def test_field_csv_rows_match_slabs_two_assets_two_components(tmp_path):
     doc = copy.deepcopy(BASE_CONFIG)
     doc["assets"] = {"n": 2}

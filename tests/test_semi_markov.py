@@ -97,6 +97,33 @@ def test_residual_holding_memoryless_iff_constant():
                - residual_holding_cdf(hw, 1, 1.0, 1.0)) > 1e-3
 
 
+def test_memoryless_flags_rows_constant_in_age():
+    flat = [ConstantRate(0.7), AffineRate(0.4, 0.0), WeibullRate(0.9, 1.0)]
+    for fam in flat:
+        assert two_state(fam).memoryless(1)
+    aging = [AffineRate(0.4, 0.1), WeibullRate(0.9, 1.5),
+             TabulatedRate([0.0, 1.0], [0.5, 0.8]),
+             # equal knot values are still not classified as constant
+             TabulatedRate([0.0, 1.0], [0.5, 0.5])]
+    for fam in aging:
+        h = two_state(fam, ConstantRate(0.6))
+        assert not h.memoryless(1)
+        assert h.memoryless(2)
+    # a row mixing the constant families is memoryless; one aging exit
+    # rate makes its row age-dependent and leaves the other rows alone
+    mixed = HazardModel(3, {(1, 2): ConstantRate(0.3),
+                            (1, 3): AffineRate(0.2, 0.0),
+                            (2, 1): WeibullRate(0.5, 1.0),
+                            (2, 3): WeibullRate(0.5, 2.0),
+                            (3, 1): TabulatedRate([0.0, 2.0], [0.4, 0.4])})
+    assert [mixed.memoryless(i) for i in (1, 2, 3)] == [True, False, False]
+    for factor in (0.5, 3.0):
+        scaled = mixed.scaled(factor)
+        assert [scaled.memoryless(i) for i in (1, 2, 3)] \
+            == [True, False, False]
+        assert two_state(WeibullRate(0.9, 1.0)).scaled(factor).memoryless(1)
+
+
 def test_residual_holding_zero_increment():
     h = two_state(AffineRate(0.2, 0.3))
     assert residual_holding_cdf(h, 1, 1.3, 0.0) == 0.0

@@ -727,6 +727,33 @@ def test_marched_field_within_certificate_of_picard_reference():
     assert 0.0 < gap <= report.residual / (1.0 - report.contraction_bound)
 
 
+def test_field_and_hedges_do_not_depend_on_memoryless_ages():
+    # in a state whose exit rates are constant in age the holding time is
+    # exponential and a jump resets the age, so neither the price nor the
+    # hedge of a regime tuple can depend on the age of a component in a
+    # memoryless state (the Markov-modulated case inside the semi-Markov
+    # model); C3's component 0 is memoryless in both states, components 1
+    # and 2 in state 2
+    from regimehedge import acceptance
+    from regimehedge.hedging import hedge_field
+    field = acceptance._bundle_c3("fast")["field"]
+    models = field.solver.models
+    hf = hedge_field(field)
+    checked = 0
+    for i, slab in enumerate(field.slabs):
+        for xi, x in enumerate(field.grid.x_tuples):
+            axes = [m for m, h in enumerate(models) if h.memoryless(x[m])]
+            for arr in (slab[xi], hf.xi[i][xi], hf.eps[i][xi]):
+                for m in axes:
+                    row0 = arr[(slice(None),) * m + (slice(0, 1),)]
+                    spread = float(np.max(np.abs(arr - row0)))
+                    assert spread <= 1e-13 * np.max(np.abs(arr))
+                    assert np.array_equal(arr,
+                                          np.broadcast_to(row0, arr.shape))
+                    checked += 1
+    assert checked == 3 * len(field.slabs) * 16
+
+
 def test_field_lookup_interpolation_and_extrapolation():
     m, claim, models, grid = degenerate_setup(price_nodes=41, time_steps=8,
                                               age_nodes=4)
@@ -871,6 +898,24 @@ def _switch_case(case):
         grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
                     GridSpec(time_steps=6, price_nodes=13, age_nodes=4))
         return m, claim, models, grid, SolverSettings(gh_nodes=6)
+    if case == "markov_modulated":
+        # every state memoryless (constant, affine with b = 0, Weibull with
+        # kappa = 1), so every age axis of every tuple collapses
+        def vol(x):
+            return np.diag([0.2 if x[0] == 1 else 0.3,
+                            0.25 if x[1] == 1 else 0.32])
+        m = build_market(2, 2, 2, lambda x: 0.02 if x[1] == 1 else 0.05,
+                         np.array([0.06, 0.07]), vol)
+        claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
+        models = [
+            HazardModel(2, {(1, 2): ConstantRate(0.4),
+                            (2, 1): AffineRate(0.3, 0.0)}),
+            HazardModel(2, {(1, 2): WeibullRate(0.5, 1.0),
+                            (2, 1): ConstantRate(0.6)}),
+        ]
+        grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
+                    GridSpec(time_steps=6, price_nodes=13, age_nodes=4))
+        return m, claim, models, grid, SolverSettings(gh_nodes=6)
     # one 3-state component: every (tuple, component) pair has two edges
     m = build_market(1, 3, 1, lambda x: 0.02 + 0.01 * x[0], np.array([0.07]),
                      lambda x: (0.15 + 0.05 * x[0]) * np.eye(1))
@@ -889,13 +934,17 @@ def _switch_case(case):
 @pytest.mark.parametrize("case", ["1_asset_2_components",
                                   "2_assets_3_components",
                                   "2_assets_correlated",
-                                  "one_3_state_component"])
+                                  "one_3_state_component",
+                                  "markov_modulated"])
 def test_switch_branch_matches_per_edge_reference(case):
     from regimehedge.volterra_pricer import _Smoother
     m, claim, models, grid, settings = _switch_case(case)
     solver = VolterraSolver(m, claim, models, grid, settings)
     if case == "one_3_state_component":
         assert all(len(edges) == 2 for edges in solver.edges)
+    if case == "markov_modulated":
+        assert solver.ageless == [0, 1]
+        assert all(axes == [0, 1] for axes in solver.memoryless_axes)
     if case == "2_assets_correlated":
         chol = np.linalg.cholesky(m.a_integral(0.0, 0.5, (1, 2)))
         sm = _Smoother(np.zeros((1, 2)), chol[None], grid, 6)
@@ -1033,6 +1082,33 @@ def test_gather_matches_per_slab_interp(clamps):
                 assert got.shape == (4, c) + grid.s_shape
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
     assert found > 0
+
+
+def test_gather_of_cut_slabs_equals_full_gather_of_constant_slabs():
+    # slabs constant along the age axes of components 0 and 2: the gather
+    # that moves only component 1, on slabs cut to age row 0 along 0 and 2,
+    # gives the full gather with singleton axes there
+    m, claim, models, grid, _ = _switch_case("2_assets_3_components")
+    solver = VolterraSolver(m, claim, models, grid)
+    rng = np.random.default_rng(11)
+    M = grid.spec.time_steps
+    full, cut = [], []
+    for i in range(M + 1):
+        c = int(grid.c_counts[i])
+        row = rng.uniform(0.0, 50.0, (8, 1, c, 1) + grid.s_shape)
+        full.append(np.broadcast_to(row, (8, c, c, c) + grid.s_shape))
+        cut.append(row)
+    for i in range(M):
+        c = int(grid.c_counts[i])
+        for p in range(M - i):
+            for l in range(3):
+                want = solver._gather(full, i, p, l)
+                got = solver._gather(cut, i, p, l, [1])
+                kept = [1 if m in (0, 2) else c for m in range(3) if m != l]
+                assert got.shape == (8,) + tuple(kept) + grid.s_shape
+                np.testing.assert_allclose(
+                    np.broadcast_to(got, want.shape), want, rtol=1e-14,
+                    atol=0.0)
 
 
 def test_permuting_components_permutes_age_axes():
