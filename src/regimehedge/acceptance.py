@@ -338,14 +338,14 @@ def criterion_3(profile: str, threads: int) -> CriterionResult:
     field = b["field"]
     claim, grid = field.claim, field.grid
     pay = claim(grid.s_mesh())
-    terminal_gap = float(np.max(np.abs(
-        field.slabs[-1] - pay[(None,) * (1 + grid.n_components)])))
-    min_phi = min(float(np.min(s)) for s in field.slabs)
+    # a slab's stored cells stand for every grid node they broadcast to
+    terminal_gap = max(float(np.max(np.abs(part - pay)))
+                       for part in field.slabs[-1].parts)
+    parts = [part for slab in field.slabs for part in slab.parts]
+    min_phi = min(float(np.min(part)) for part in parts)
     lin = sum(c * m for c, m in zip(claim.c1,
                                     np.meshgrid(*grid.s_axes, indexing="ij")))
-    worst_env = 0.0
-    for slab in field.slabs:
-        worst_env = max(worst_env, float(np.max(np.abs(slab - lin))))
+    worst_env = max(float(np.max(np.abs(part - lin))) for part in parts)
     passed = terminal_gap == 0.0 and min_phi >= 0.0 \
         and worst_env <= claim.c2 + TOL_C3_ENVELOPE
     return CriterionResult(3, "terminal and envelope bounds", passed,
@@ -396,11 +396,8 @@ def criterion_5(profile: str, threads: int) -> CriterionResult:
     field, report = solve_price_field(market, claim, models, grid, 1e-7,
                                       settings=settings)
     smesh = grid.s_mesh()[..., 0]
-    worst_phi = 0.0
-    for slab in field.slabs:
-        target = 1.2 * smesh[(None,) * (1 + grid.n_components)]
-        worst_phi = max(worst_phi, float(np.max(
-            np.abs(slab - target) / (1.0 + smesh))))
+    worst_phi = max(float(np.max(np.abs(part - 1.2 * smesh) / (1.0 + smesh)))
+                    for slab in field.slabs for part in slab.parts)
     start = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
     xi, eps = strategy_at(field, start)
     rr = residual_risk(field, start, paths, seed=7)

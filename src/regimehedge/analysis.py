@@ -71,7 +71,9 @@ def sensitivity_check(base, models_tilde,
                                        grid, tol, settings=solver.settings)
     sup_phi = 0.0
     for sa, sb in zip(field_a.slabs, field_b.slabs):
-        sup_phi = max(sup_phi, float(np.max(np.abs(sa - sb))))
+        # per regime tuple: the two solves may store different age axes
+        for xi in range(len(grid.x_tuples)):
+            sup_phi = max(sup_phi, float(np.max(np.abs(sa[xi] - sb[xi]))))
 
     diffs = _pair_sup_diffs(models, models_tilde, grid.horizon)
     lam_sup = max(diffs.values()) if diffs else 0.0

@@ -55,16 +55,19 @@ def _write_csv(path, grid, header, n_values, blocks):
 
 
 def _field_blocks(grid, slabs):
-    """(t, keys, values) per (time node, regime tuple, ages) of slabs shaped
-    (n_x, c_i.., S.., k)."""
+    """(t, keys, values) per (time node, regime tuple, ages) of slabs, where
+    slabs[i][xi] is a regime tuple's stored array (c_i or 1 per component,
+    S.., k); an age index clips to its stored rows."""
     for i, slab in enumerate(slabs):
         c = int(grid.c_counts[i])
         for xi, x in enumerate(grid.x_tuples):
+            arr = slab[xi]
+            last = [n - 1 for n in arr.shape[:grid.n_components]]
             for y_idx in itertools.product(range(c),
                                            repeat=grid.n_components):
                 keys = "".join(f",{v}" for v in x) \
                     + "".join(",%.17g" % grid.age_nodes[a] for a in y_idx)
-                yield grid.t_nodes[i], keys, slab[(xi,) + y_idx]
+                yield grid.t_nodes[i], keys, arr[tuple(map(min, y_idx, last))]
 
 
 def _field_header(g, value_cols):
@@ -77,7 +80,7 @@ def write_price_field(field, report, csv_path, json_path):
     """Columnar CSV (t, s.., x.., y.., phi) plus a JSON header."""
     g = field.grid
     _write_csv(csv_path, g, _field_header(g, ["phi"]), 1,
-               _field_blocks(g, (slab[..., None] for slab in field.slabs)))
+               _field_blocks(g, field.slabs))
     _json_dump({"grid": g.describe(), "convergence": report.to_dict()},
                json_path)
 
@@ -86,8 +89,8 @@ def write_hedge_field(hf, csv_path):
     """Columnar CSV (t, s.., x.., y.., xi.., eps)."""
     g = hf.grid
     header = _field_header(g, [f"xi{l+1}" for l in range(g.n)] + ["eps"])
-    slabs = (np.concatenate([xi, eps[..., None]], axis=-1)
-             for xi, eps in zip(hf.xi, hf.eps))
+    slabs = ([np.concatenate([xi[k], eps[k][..., None]], axis=-1)
+              for k in range(len(g.x_tuples))] for xi, eps in zip(hf.xi, hf.eps))
     _write_csv(csv_path, g, header, g.n + 1, _field_blocks(g, slabs))
 
 

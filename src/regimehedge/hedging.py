@@ -32,7 +32,7 @@ from .market import build_kernel
 from .quadrature import gauss_legendre, tensor_normal_nodes
 from .regime_bsm import bsm_delta, bsm_delta_grid
 from .semi_markov import CsmState, _joint_log_survival
-from .volterra_pricer import Grid, PriceField
+from .volterra_pricer import Grid, PriceField, Slab
 
 
 def hedge_ratio(field: PriceField, point, axis: int) -> float:
@@ -117,8 +117,8 @@ class HedgeField:
     """Hedge ratios and cash positions on the price grid."""
 
     grid: Grid
-    xi: list      # per time node: (n_x, c_i.., S.., n)
-    eps: list     # per time node: (n_x, c_i.., S..)
+    xi: list      # per time node: a Slab of shape (n_x, c_i.., S.., n)
+    eps: list     # per time node: a Slab of shape (n_x, c_i.., S..)
 
 
 def hedge_field(field: PriceField) -> HedgeField:
@@ -145,10 +145,12 @@ def hedge_field(field: PriceField) -> HedgeField:
                for m in range(g.n)]
 
     y_pad = (...,) + (None,) * g.n
+    c1 = np.stack([np.broadcast_to(c1m, g.s_shape) for c1m in claim.c1],
+                  axis=-1)
     xi_slabs, eps_slabs = [], []
     for i in range(M + 1):
         t = float(g.t_nodes[i])
-        js_T = solver.js_T(i)
+        c = int(g.c_counts[i])
 
         drho = np.empty((n_x,) + g.s_shape + (g.n,))
         for xi_i, x in enumerate(g.x_tuples):
@@ -156,18 +158,20 @@ def hedge_field(field: PriceField) -> HedgeField:
                 drho[xi_i, ..., m_ax] = bsm_delta_grid(
                     market, claim, x, t, g.horizon, g.lns_axes, m_ax,
                     solver.settings.bsm_outer_nodes)
-        xi_slab = js_T[y_pad + (None,)] \
-            * drho[(slice(None),) + (None,) * g.n_components]
-
         if i < M:
             branch = solver.switch_branch(i, field.slabs, actions)
-            xi_slab += np.stack(branch, axis=-1)
-            xi_slab += ((1.0 - js_T)[y_pad + (None,)]
-                        * np.stack([np.broadcast_to(c1m, g.s_shape)
-                                    for c1m in claim.c1], axis=-1))
-
-        eps_slab = field.slabs[i] - np.einsum(
-            "...m,...m->...", xi_slab, np.broadcast_to(spots, xi_slab.shape))
-        xi_slabs.append(xi_slab)
-        eps_slabs.append(eps_slab)
+        xi_parts, eps_parts = [], []
+        for gi, ((members, _), js_T) in enumerate(zip(solver.groups,
+                                                      solver.js_T(i))):
+            xi_part = js_T[y_pad + (None,)] \
+                * drho[members][(slice(None),) + (None,) * g.n_components]
+            if i < M:
+                xi_part += np.stack([b[gi] for b in branch], axis=-1)
+                xi_part += (1.0 - js_T)[y_pad + (None,)] * c1
+            xi_parts.append(xi_part)
+            eps_parts.append(field.slabs[i].part(gi) - np.einsum(
+                "...m,...m->...", xi_part,
+                np.broadcast_to(spots, xi_part.shape)))
+        xi_slabs.append(Slab(solver, xi_parts, c))
+        eps_slabs.append(Slab(solver, eps_parts, c))
     return HedgeField(grid=g, xi=xi_slabs, eps=eps_slabs)

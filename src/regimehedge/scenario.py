@@ -101,12 +101,24 @@ def _number(spec, key, default, path, positive=False):
     return float(v)
 
 
-def _section(spec, key, path):
-    """spec[key] as an object, {} when absent."""
+def _section(spec, key, path, keys=None, retired=()):
+    """spec[key] as an object, {} when absent; with keys, every key of it
+    must be one of keys or retired."""
     v = spec.get(key, {})
     if not isinstance(v, dict):
         _fail(f"{key} must be an object, got {v!r}", f"{path}.{key}")
+    if keys is not None:
+        _known(v, keys, f"{path}.{key}", retired)
     return v
+
+
+def _known(spec, keys, path, retired=()):
+    """Fail on the first key of spec that is neither one of keys nor a
+    retired key (read by no code, still accepted: see README)."""
+    for key in spec:
+        if key not in keys and key not in retired:
+            _fail(f"unknown key {key!r}; expected one of "
+                  f"{', '.join(sorted(keys))}", f"{path}.{key}")
 
 
 def _union(coeffs):
@@ -231,9 +243,14 @@ class Scenario:
 def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         _fail("config root must be an object", path)
+    _known(doc, ("name", "horizon", "assets", "components",
+                 "states_per_component", "market", "claim", "grid", "solver",
+                 "threads", "outputs", "mc", "residual_risk", "sensitivity",
+                 "eval_points"), path, retired=("envelope_check_seed",))
     name = doc.get("name", "scenario")
     horizon = _number(doc, "horizon", None, path, positive=True)
-    n = _count(_section(doc, "assets", path), "n", None, f"{path}.assets")
+    n = _count(_section(doc, "assets", path, ("n",)), "n", None,
+               f"{path}.assets")
 
     comps = doc.get("components")
     if not isinstance(comps, list) or not comps:
@@ -314,7 +331,8 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
     if claim.weights.shape != (n,):
         _fail(f"claim needs {n} weights", f"{cl_path}.weights")
 
-    gr = _section(doc, "grid", path)
+    gr = _section(doc, "grid", path,
+                  ("time_steps", "price_nodes", "age_nodes", "span_stds"))
     gr_path = f"{path}.grid"
     # the smallest grid Grid accepts: 2 time steps, 5 price and 2 age nodes
     grid_spec = GridSpec(
@@ -323,7 +341,10 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
         age_nodes=_count(gr, "age_nodes", 11, gr_path, least=2),
         span_stds=_number(gr, "span_stds", 8.0, gr_path, positive=True))
 
-    sv = _section(doc, "solver", path)
+    sv = _section(doc, "solver", path,
+                  ("tol", "max_iter", "gh_nodes", "bsm_outer_nodes"),
+                  retired=("bsm_gl_nodes", "bsm_gh_nodes", "panel_nodes",
+                           "sparse_level"))
     sv_path = f"{path}.solver"
     threads = _count(doc, "threads", 1, path)
     solver = SolverSettings(
@@ -344,19 +365,19 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
                   f"{path}.outputs")
 
     # path counts are integers; a requested output needs at least 100 paths
-    mc = _section(doc, "mc", path)
+    mc = _section(doc, "mc", path, ("paths", "seed"), retired=("antithetic",))
     mc_on = "mc-check" in outputs
     mc_seed = _seed(mc, f"{path}.mc", mc_on, "mc-check")
     mc_paths = _count(mc, "paths", 0, f"{path}.mc", least=100 if mc_on else 0,
                       most=_MAX_PATHS)
-    rr = _section(doc, "residual_risk", path)
+    rr = _section(doc, "residual_risk", path, ("paths", "seed"))
     rr_on = "residual-risk" in outputs
     rr_seed = _seed(rr, f"{path}.residual_risk", rr_on, "residual-risk")
     rr_paths = _count(rr, "paths", 0, f"{path}.residual_risk",
                       least=100 if rr_on else 0, most=_MAX_PATHS)
 
-    sens_scale = _number(_section(doc, "sensitivity", path), "scale", 1.1,
-                         f"{path}.sensitivity", positive=True)
+    sens_scale = _number(_section(doc, "sensitivity", path, ("scale",)),
+                         "scale", 1.1, f"{path}.sensitivity", positive=True)
 
     eps = doc.get("eval_points", [])
     if not isinstance(eps, list) or not eps:

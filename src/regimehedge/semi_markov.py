@@ -537,7 +537,6 @@ class RegimePath:
     states: np.ndarray          # (m+1, n+1) state tuple on each inter-jump interval
     ages_before: np.ndarray     # (m, n+1) ages just before each jump
     ages_after: np.ndarray      # (m, n+1) the same with the jumper's age at 0
-    final_ages: np.ndarray      # (n+1,) ages at the horizon
 
     @property
     def n_jumps(self):
@@ -557,7 +556,7 @@ def simulate_csm(models, initial: CsmState, horizon: float,
     probabilities, and its age resets to zero while the others keep running.
 
     max_jumps truncates the record early (first-jump studies); the returned
-    final ages then refer to the truncation time, not the horizon.
+    horizon is then the truncation time.
     """
     start = float(start)
     if horizon <= 0 or horizon < start:
@@ -606,5 +605,4 @@ def simulate_csm(models, initial: CsmState, horizon: float,
         states=np.asarray(states, dtype=int),
         ages_before=np.asarray(ages_b, dtype=float).reshape(n_jumps, n_comp),
         ages_after=np.asarray(ages_a, dtype=float).reshape(n_jumps, n_comp),
-        final_ages=np.array([horizon - r for r in reset_time]),
     )

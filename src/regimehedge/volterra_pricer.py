@@ -49,13 +49,12 @@ constant in age) has an exponential holding time, and a jump resets its
 age, so the price in that regime tuple does not depend on its age: the
 Markov-modulated case of Deshpande and Ghosh (Stoch. Anal. Appl. 26, 2008)
 inside the semi-Markov model of Ghosh and Goswami (SIAM J. Control Optim.
-48, 2009).  The switch branch therefore smooths and accumulates each regime
-tuple on age row 0 of its memoryless axes only, and broadcasts the result
-along them (the edges of a tuple are stacked by the age axes their excess
-keeps); a component memoryless in every state is gathered from age row 0
-alone.  Every age takes the age-0 survival increments of a memoryless
-state, so the weights, and with them the solved field and its hedges, are
-exactly constant along those axes.  The stored slabs keep their full shape.
+48, 2009).  So a slab stores a regime tuple with one age row on each of
+those axes (Slab), and the solver's arrays take that shape by themselves: a
+memoryless state's survival increments are its age-0 row, an edge of
+component l keeps every other component's state, and the gather moves only
+the age axes a tuple stores in full.  Readers clip ages to the stored rows,
+so every output keeps the full grid.
 
 The kernel expectation smooths the multilinearly interpolated field with
 tensor Gauss-Hermite nodes, each splatted onto the corners of its grid
@@ -148,9 +147,6 @@ class Grid:
     def s_shape(self):
         return tuple(len(a) for a in self.lns_axes)
 
-    def y_shape(self, i: int):
-        return (int(self.c_counts[i]),) * self.n_components
-
     def s_mesh(self):
         mesh = np.meshgrid(*self.s_axes, indexing="ij")
         return np.stack(mesh, axis=-1)
@@ -193,13 +189,45 @@ class Grid:
         }
 
 
+class Slab:
+    """The field at one time node, one array per group of regime tuples
+    in a memoryless state on the same components (VolterraSolver.groups):
+    parts[g] has shape (n_group, c_i or 1 per component, S_1, ..., S_n,
+    ...), one age row on a memoryless axis.  A part may hold more rows
+    there (a broadcast view, say); readers see the first.  shape is the
+    full grid shape (n_x, c_i, ..., c_i, S_1, ..., S_n, ...), slab[xi]
+    regime tuple xi's stored array and np.asarray(slab) the full broadcast.
+    """
+
+    def __init__(self, solver: VolterraSolver, parts, c: int):
+        g = solver.grid
+        self.solver = solver
+        self.parts = parts
+        self.shape = (len(g.x_tuples),) + (c,) * g.n_components \
+            + parts[0].shape[1 + g.n_components:]
+
+    def part(self, gi: int):
+        """parts[gi] on its stored rows."""
+        return self.parts[gi][self.solver.stored_rows[gi]]
+
+    def __getitem__(self, xi: int):
+        gi, k = self.solver.where[xi]
+        return self.part(gi)[k]
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.empty(self.shape, dtype=dtype)
+        for (members, _), part in zip(self.solver.groups, self.parts):
+            out[members] = part
+        return out
+
+
 class PriceField:
     """Price values on the grid with multilinear interpolation.
 
-    slabs[i] has shape (n_x, c_i, ..., c_i, S_1, ..., S_n): age axes first
-    (one per component), then log-price axes.  Interpolation is linear in t
-    between slabs and multilinear in (ln s, y); ages clamp to the stored
-    range and prices beyond the top edge extrapolate with slope c1.
+    slabs[i] is the Slab of time node i.  Interpolation is linear in t
+    between slabs and multilinear in (ln s, y); ages clamp to the rows a
+    regime tuple stores (one on a memoryless axis) and prices beyond the
+    top edge extrapolate with slope c1.
 
     The field holds the VolterraSolver that produced it and takes its grid
     and claim from it, so whatever reads the field (hedges, residual risk,
@@ -264,8 +292,7 @@ class PriceField:
             res = np.zeros(len(sel))
             for side, wgt in ((i, 1.0 - theta[sel]), (i + 1, theta[sel])):
                 slab = self.slabs[side][xi]
-                c = self.grid.c_counts[side]
-                coords = [np.clip(yy[sel, m] / g.dy, 0.0, c - 1.0)
+                coords = [np.clip(yy[sel, m] / g.dy, 0.0, slab.shape[m] - 1.0)
                           for m in range(g.n_components)]
                 coords += [cs[sel] for cs in coords_s]
                 res += wgt * map_coordinates(slab, np.array(coords), order=1,
@@ -286,8 +313,9 @@ def linear_growth_norm(field: PriceField, other: PriceField | None = None) -> fl
     w = field.grid.inv_weight()
     worst = 0.0
     for i, slab in enumerate(field.slabs):
-        diff = slab if other is None else slab - other.slabs[i]
-        worst = max(worst, float(np.max(np.abs(diff) * w)))
+        for xi in range(len(field.grid.x_tuples)):
+            diff = slab[xi] if other is None else slab[xi] - other.slabs[i][xi]
+            worst = max(worst, float(np.max(np.abs(diff) * w)))
     return worst
 
 
@@ -585,29 +613,22 @@ class VolterraSolver:
             for a in range(1, h.k + 1):
                 inc = (h.cumulative_hazard(a, ages[:, None] + half_steps[None, :])
                        - h.cumulative_hazard(a, ages)[:, None])
-                # constant in age up to rounding in a memoryless state: every
-                # age takes the age-0 row, so the weights are exactly constant
-                # along a memoryless axis
-                self.dlam[(m, a)] = np.broadcast_to(inc[:1], inc.shape) \
-                    if h.memoryless(a) else inc
+                # constant in age up to rounding in a memoryless state: its
+                # age-0 row stands for every age
+                self.dlam[(m, a)] = inc[:1] if h.memoryless(a) else inc
         self.edges = switch_edges(self.models, g.x_tuples)
-        # the age axes a regime tuple cannot depend on, and the components
-        # whose age no tuple depends on
-        self.memoryless_axes = [
-            [m for m, h in enumerate(self.models) if h.memoryless(x[m])]
-            for x in g.x_tuples]
-        self.ageless = [m for m, h in enumerate(self.models)
-                        if all(h.memoryless(a) for a in range(1, h.k + 1))]
-        # per regime tuple, its switch edges grouped by the age axes their
-        # gathered excess keeps after the memoryless ones are cut to row 0
-        self._edge_groups = []
-        for edges, frozen in zip(self.edges, self.memoryless_axes):
-            groups = {}
-            for e, (l, _, xpi, _) in enumerate(edges):
-                kept = tuple(m not in frozen for m in range(g.n_components)
-                             if m != l)
-                groups.setdefault(kept, []).append((e, l, xpi))
-            self._edge_groups.append(list(groups.values()))
+        # the regime tuples grouped by their memoryless components (see
+        # Slab); where[xi] is tuple xi's (group, position)
+        groups = {}
+        for xi, x in enumerate(g.x_tuples):
+            groups.setdefault(tuple(h.memoryless(x[m]) for m, h in enumerate(
+                self.models)), []).append(xi)
+        self.groups = [(members, frozen) for frozen, members in groups.items()]
+        self.where = {xi: (gi, k) for gi, (members, _) in enumerate(self.groups)
+                      for k, xi in enumerate(members)}
+        self.stored_rows = [(slice(None),) + tuple(
+            slice(0, 1) if f else slice(None) for f in frozen)
+            for _, frozen in self.groups]
 
         # c1 . s on the price grid; its discounted kernel mean is c1 . s
         mesh = np.meshgrid(*g.s_axes, indexing="ij")
@@ -636,36 +657,48 @@ class VolterraSolver:
                 self._rho.append(slab)
         return self._rho
 
+    def _broadcast(self, values, i):
+        """The Slab of time node i whose regime tuple xi holds values[xi]
+        (an array over the price axes) at every age, as broadcast views in
+        the stored shape, which is that of the survival weights."""
+        nc = self.grid.n_components
+        return Slab(self, [
+            np.broadcast_to(values[members][(slice(None),) + (None,) * nc],
+                            js.shape + values.shape[1:])
+            for (members, _), js in zip(self.groups, self.js_T(i))],
+            int(self.grid.c_counts[i]))
+
     def _terminal_slab(self):
         if self._terminal is None:
             g = self.grid
             payoff = self.claim(g.s_mesh())
-            shape = (len(g.x_tuples),) + g.y_shape(g.spec.time_steps) + g.s_shape
-            view = payoff[(None,) * (1 + g.n_components)]
-            self._terminal = np.broadcast_to(view, shape)
+            self._terminal = self._broadcast(
+                np.broadcast_to(payoff, (len(g.x_tuples),) + payoff.shape),
+                g.spec.time_steps)
         return self._terminal
 
     def _joint_survival(self, i, ks):
         """exp(-sum_m dLam) over the offsets k dt/2 for k in ks, on the age
-        sub-grid of slab i: an array (n_x, len(ks), c_i, ..., c_i)."""
+        sub-grid of slab i: per group of regime tuples an array
+        (n_group, len(ks), c_i or 1 per component), in the stored shape
+        (a memoryless state's dLam is one row)."""
         g = self.grid
         c = int(g.c_counts[i])
         nc = g.n_components
-        out = np.empty((len(g.x_tuples), len(ks)) + (c,) * nc)
-        for xi, x in enumerate(g.x_tuples):
-            acc = np.zeros((len(ks),) + (c,) * nc)
-            for m in range(nc):
-                col = self.dlam[(m, x[m])][:c, ks]
-                acc = acc + _on_axis(col.T, (0, 1 + m), 1 + nc)
-            out[xi] = np.exp(-acc)
-        return out
+
+        def survival(x):
+            return np.exp(-sum(_on_axis(self.dlam[(m, x[m])][:c, ks].T,
+                                        (0, 1 + m), 1 + nc) for m in range(nc)))
+        return [np.stack([survival(g.x_tuples[xi]) for xi in members])
+                for members, _ in self.groups]
 
     def js_T(self, i):
-        """JS(T - t_i; x, y) on the age sub-grid of slab i, per regime tuple."""
+        """JS(T - t_i; x, y) on the age sub-grid of slab i, per group of
+        regime tuples in the stored shape."""
         js = self._js_T.get(i)
         if js is None:
-            js = self._joint_survival(
-                i, [2 * (self.grid.spec.time_steps - i)])[:, 0]
+            js = [part[:, 0] for part in self._joint_survival(
+                i, [2 * (self.grid.spec.time_steps - i)])]
             self._js_T[i] = js
         return js
 
@@ -673,7 +706,8 @@ class VolterraSolver:
         """The switch-branch tables of slab i, one entry per regime tuple:
         the smoother of the tuple's kernels over the panel midpoints v_p,
         and the weights of its switch edges (self.edges order), an array
-        (P, E, c..c, 1..1) over panels and edges, where
+        (P, E, ages, 1..1) over panels and edges in the tuple's stored age
+        shape (c_i or 1 per component), where
 
             w = kappa e^{-r(x) v_p} dt JS(v_p; x, y) lam^l(y_l + v_p)
 
@@ -691,25 +725,26 @@ class VolterraSolver:
         y_pad = (...,) + (None,) * g.n
         v_mid = self.v_mid[:P]
         js = self._joint_survival(i, range(1, 2 * P, 2))
+        js_T = self.js_T(i)
         ages = v_mid[:, None] + g.age_nodes[:c]
         rates = {}
-        weights = []
-        mass = np.empty((len(g.x_tuples),) + (c,) * nc)
-        for xi, edges in enumerate(self.edges):
-            base = g.dt * js[xi]
-            wt = np.empty((P, len(edges)) + (c,) * nc)
+        tables = []
+        for xi, (x, edges) in enumerate(zip(g.x_tuples, self.edges)):
+            gi, k = self.where[xi]
+            base = g.dt * js[gi][k]
+            stored = base.shape[1:]
+            wt = np.empty((P, len(edges)) + stored)
             for e, (l, _, _, fam) in enumerate(edges):
                 if id(fam) not in rates:
                     rates[id(fam)] = fam.rate(ages)
-                wt[:, e] = base * _on_axis(rates[id(fam)], (0, 1 + l), 1 + nc)
-            mass[xi] = wt.reshape((-1,) + (c,) * nc).sum(axis=0)
-            weights.append(wt)
-        kappa = np.where(
-            mass > 1e-300, (1.0 - self.js_T(i)) / np.maximum(mass, 1e-300), 1.0)
-        tables = []
-        for xi, (x, wt) in enumerate(zip(g.x_tuples, weights)):
+                # a memoryless state's rate is constant: one age column
+                wt[:, e] = base * _on_axis(rates[id(fam)][:, :stored[l]],
+                                           (0, 1 + l), 1 + nc)
+            mass = wt.reshape((-1,) + stored).sum(axis=0)
+            kappa = np.where(mass > 1e-300, (1.0 - js_T[gi][k])
+                             / np.maximum(mass, 1e-300), 1.0)
             disc = np.exp(-self.market.r(x) * v_mid)
-            scale = kappa[xi] * _on_axis(disc, (0,), 1 + nc)
+            scale = kappa * _on_axis(disc, (0,), 1 + nc)
             wt *= scale[:, None]
             # the smoother acts on the excess over the linear part c1.s,
             # which clamps at the box edges, so no growth correction here
@@ -735,40 +770,44 @@ class VolterraSolver:
                                  for side in (i + p, i + p + 1))
         return count
 
-    def _gather(self, slabs, i, p, l, shift=None):
+    def _gather(self, slabs, i, p, l):
         """Continuation values at ages (y + v_p with component l reset to 0).
 
-        Returns an array (n_x, c_i, ..., c_i, S...) over the ages of every
-        component but l (the reset axis is dropped): the mean of the time
-        slabs i + p and i + p + 1, which bracket t_i + v_p at its midpoint.
-        Each bracketing slab gives the rows i0..i0 + c_i of its own stored
-        ages, clamped to them (slices where no index clamps), and the mean
-        of the two is blended once per age axis.  shift names the
-        components whose age axes move (every one but l by default); the
-        others are passed through as the slabs hold them, so a caller cuts
-        the slabs to age row 0 there and gets singleton axes back.
+        Returns per group of regime tuples an array (n_group, ages, S...)
+        over the ages of every component but l (the reset axis is dropped),
+        in the group's stored shape: the mean of the time slabs i + p and
+        i + p + 1, which bracket t_i + v_p at its midpoint.  Each bracketing
+        slab gives the rows i0..i0 + c_i of its own stored ages, clamped to
+        them (slices where no index clamps), and the mean of the two is
+        blended once per age axis.  Only the axes a group stores in full
+        move; a memoryless axis keeps its one row.
         """
         g = self.grid
         c = int(g.c_counts[i])
         cells = self.v_mid[p] / g.dy
         i0 = math.floor(cells)
-        axes = [1 + m - (m > l) for m in range(g.n_components)
-                if m != l and (shift is None or m in shift)]
-        rows = []
-        for side in (i + p, i + p + 1):
-            arr = slabs[side][(slice(None),) * (1 + l) + (0,)]
+        out = []
+        for gi, (_, frozen) in enumerate(self.groups):
+            axes = [1 + m - (m > l) for m in range(g.n_components)
+                    if m != l and not frozen[m]]
+            rows = []
+            for side in (i + p, i + p + 1):
+                arr = slabs[side].part(gi)[(slice(None),) * (1 + l) + (0,)]
+                for ax in axes:
+                    arr = _shift_axis(arr, ax, i0, c + 1)
+                rows.append(arr)
+            mean = 0.5 * (rows[0] + rows[1])
             for ax in axes:
-                arr = _shift_axis(arr, ax, i0, c + 1)
-            rows.append(arr)
-        mean = 0.5 * (rows[0] + rows[1])
-        for ax in axes:
-            mean = _shift_axis(mean, ax, cells - i0, c)
-        return mean
+                mean = _shift_axis(mean, ax, cells - i0, c)
+            out.append(mean)
+        return out
 
     # -- the switch-branch operator ------------------------------------------
 
     def switch_branch(self, i, slabs, actions, panels=None, tables=None):
-        """The switch-branch integral of slab i, one result per action.
+        """The switch-branch integral of slab i, one result per action, each
+        a list of arrays in the stored shape of the groups of regime tuples
+        (see Slab).
 
         An action maps (a regime tuple's smoother, excess of the gathered
         continuation over c1.s, panel p) to the integral against kernel p:
@@ -777,88 +816,74 @@ class VolterraSolver:
         i's tables (see _slab_tables), built afresh when not given.  panels
         selects the v-panels to sum (all by default); the panels p >= 1 read
         only slabs after i.  Per panel, the excesses of the switch edges out
-        of a regime tuple that keep the same age axes are stacked and
-        smoothed by one action call; each edge then adds its weighted share.
+        of a regime tuple that have the same shape are stacked and smoothed
+        by one action call; each edge then adds its weighted share.
 
         A regime tuple's result does not depend on the age of a component
-        in a memoryless state (HazardModel.memoryless): its holding time is
-        exponential and a jump resets the age, the Markov-modulated case
-        (Deshpande and Ghosh, Stoch. Anal. Appl. 26, 2008) inside the
-        semi-Markov model (Ghosh and Goswami, SIAM J. Control Optim. 48,
-        2009).  The discrete operator keeps this, by backward induction:
-        rho and the terminal slab do not depend on age, the survival
-        weights and hazards are constant along a memoryless axis, an edge
-        of another component keeps that component's state, and a clamped
-        age shift copies an edge row.  So the edge weights and gathered
-        excesses of a tuple are cut to age row 0 on its memoryless axes,
-        smoothed and accumulated there, and the result is broadcast along
-        those axes; components memoryless in every state are gathered from
-        age row 0 of the slabs alone.
+        in a memoryless state (see the module docstring); the discrete
+        operator keeps this by backward induction: rho and the terminal
+        slab do not depend on age, the survival weights and hazards are
+        constant along a memoryless axis, an edge of another component
+        keeps that component's state, and a clamped age shift copies an
+        edge row.  So the edge weights, the gathered excesses and the
+        result have one row on the tuple's memoryless axes.
         """
         g = self.grid
-        nc = g.n_components
         if tables is None:
             tables = self._slab_tables(i)
         if panels is None:
             panels = range(g.spec.time_steps - i)
-        c = int(g.c_counts[i])
-        accs = [np.zeros((len(g.x_tuples),) + (c,) * nc + g.s_shape)
+        accs = [[np.zeros(js.shape + g.s_shape) for js in self.js_T(i)]
                 for _ in actions]
-        cuts = [tuple(slice(0, 1) if m in frozen else slice(None)
-                      for m in range(nc)) for frozen in self.memoryless_axes]
-        # per regime tuple and action, the accumulator on age row 0 of the
-        # tuple's memoryless axes: a view of the result
-        reduced = [[acc[xi][cut] for acc in accs] for xi, cut in enumerate(cuts)]
-        shares = {red.shape: np.empty(red.shape) for red, *_ in reduced}
-        moved = [m for m in range(nc) if m not in self.ageless]
-        if self.ageless:
-            row0 = (slice(None),) + tuple(
-                slice(0, 1) if m in self.ageless else slice(None)
-                for m in range(nc))
-            slabs = [slab[row0] for slab in slabs]
+        shares = {part.shape[1:]: np.empty(part.shape[1:]) for part in accs[0]}
         for p in panels:
             # the linear part of the field integrates in closed form
             # (discounted kernel mean of c1.S is c1.s exactly); only the
             # excess is smoothed
             excess = []
-            for l in range(nc):
-                gathered = self._gather(slabs, i, p, l, moved)
-                gathered -= self._lin
+            for l in range(g.n_components):
+                gathered = self._gather(slabs, i, p, l)
+                for part in gathered:
+                    part -= self._lin
                 excess.append(gathered)
             for xi, (sm, w) in enumerate(tables):
-                cut = cuts[xi]
-                wp = w[p][(slice(None),) + cut]
-                for group in self._edge_groups[xi]:
-                    stacked = np.stack([excess[l][xpi][cut[:l] + cut[l + 1:]]
-                                        for _, l, xpi in group])
-                    for red, action in zip(reduced[xi], actions):
+                gi, k = self.where[xi]
+                stacks = {}
+                for e, (l, _, xpi, _) in enumerate(self.edges[xi]):
+                    gj, kj = self.where[xpi]
+                    ex = excess[l][gj][kj]
+                    stacks.setdefault(ex.shape, []).append((e, l, ex))
+                for group in stacks.values():
+                    stacked = np.stack([ex for _, _, ex in group])
+                    for acc, action in zip(accs, actions):
+                        red = acc[gi][k]
                         share = shares[red.shape]
                         smoothed = action(sm, stacked, p)
                         # each edge's reset axis comes back as a singleton
                         for (e, l, _), se in zip(group, smoothed):
-                            np.multiply(wp[e], se[(slice(None),) * l + (None,)],
+                            np.multiply(w[p][e], se[(slice(None),) * l + (None,)],
                                         out=share)
                             red += share
-        for acc in accs:
-            for xi, cut in enumerate(cuts):
-                if self.memoryless_axes[xi]:
-                    acc[xi] = acc[xi][cut]
         return accs
 
     # -- the operator, split for marching ------------------------------------
 
     def _fixed_part(self, slabs, i, tables):
         """The part of (T phi)_i that does not read slab i: the no-switch
-        branch, the closed-form linear part and the panels p >= 1."""
+        branch, the closed-form linear part and the panels p >= 1, per
+        group of regime tuples."""
         g = self.grid
-        js_T = self.js_T(i)
         y_pad = (...,) + (None,) * g.n
         rho = self._rho_slabs()[i]
-        out = js_T[y_pad] * rho[(slice(None),) + (None,) * g.n_components]
         far, = self.switch_branch(i, slabs, (_Smoother.apply,),
                                   panels=range(1, g.spec.time_steps - i),
                                   tables=tables)
-        out += far + ((1.0 - js_T)[y_pad]) * self._lin
+        out = []
+        for (members, _), js_T, f in zip(self.groups, self.js_T(i), far):
+            part = js_T[y_pad] \
+                * rho[members][(slice(None),) + (None,) * g.n_components]
+            part += f + ((1.0 - js_T)[y_pad]) * self._lin
+            out.append(part)
         return out
 
     def step(self, field: PriceField, i: int | None = None, fixed=None,
@@ -866,7 +891,7 @@ class VolterraSolver:
         """One application of T.
 
         Without i, to every slab of field: returns the PriceField T phi.
-        With i, to slab i only: returns the array (T phi)_i, which reads
+        With i, to slab i only: returns the Slab (T phi)_i, which reads
         slabs i..M of field.  The backward march makes one such call per
         local application and passes what stays the same between them:
         fixed, the part of (T phi)_i that does not read slab i, and slab
@@ -883,29 +908,21 @@ class VolterraSolver:
             fixed = self._fixed_part(field.slabs, i, tables)
         near, = self.switch_branch(i, field.slabs, (_Smoother.apply,),
                                    panels=range(1), tables=tables)
-        new = fixed + near
-        np.maximum(new, 0.0, out=new)
-        return new
+        new = [f + n for f, n in zip(fixed, near)]
+        for part in new:
+            np.maximum(part, 0.0, out=part)
+        return Slab(self, new, int(self.grid.c_counts[i]))
 
     def initial_field(self) -> PriceField:
         rho = self._rho_slabs()
-        g = self.grid
-        slabs = []
-        for i in range(g.spec.time_steps + 1):
-            shape = (len(g.x_tuples),) + g.y_shape(i) + g.s_shape
-            view = rho[i][(slice(None),) + (None,) * g.n_components]
-            slabs.append(np.broadcast_to(view, shape))
-        slabs[-1] = self._terminal_slab()
-        return PriceField(self, slabs)
+        return PriceField(self, [self._broadcast(rho[i], i) for i in range(
+            self.grid.spec.time_steps)] + [self._terminal_slab()])
 
     def contraction_bound(self) -> float:
         """max over grid nodes of 1 - JS(T - t; x, y)."""
-        g = self.grid
-        M = g.spec.time_steps
-        worst = 0.0
-        for i in range(M):
-            worst = max(worst, float(np.max(1.0 - self.js_T(i))))
-        return worst
+        return max(float(np.max(1.0 - js))
+                   for i in range(self.grid.spec.time_steps)
+                   for js in self.js_T(i))
 
     def solve(self, tol: float, max_iter: int = 200):
         """March backward from maturity; iterate only the p = 0 panel of
@@ -928,7 +945,8 @@ class VolterraSolver:
             settled = None
             for k in range(max_iter):
                 new = self.step(field, i, fixed, tables)
-                delta = float(np.max(np.abs(new - slabs[i]) * w))
+                delta = max(float(np.max(np.abs(a - b) * w))
+                            for a, b in zip(new.parts, slabs[i].parts))
                 if k == len(report.deltas):
                     report.deltas.append(delta)
                 else:
@@ -965,12 +983,13 @@ class VolterraSolver:
         curv = 0.0
         w = self.grid.inv_weight()
         for slab in (field.slabs[0], field.slabs[len(field.slabs) // 2]):
-            for d in range(slab.ndim - self.grid.n, slab.ndim):
-                ds = d - (slab.ndim - self.grid.n)
-                trim = tuple(slice(1, -1) if a == ds else slice(None)
-                             for a in range(self.grid.n))
-                second = np.abs(np.diff(slab, n=2, axis=d)) * w[trim]
-                curv = max(curv, float(np.max(second)) / 8.0)
+            for part in slab.parts:
+                for d in range(part.ndim - self.grid.n, part.ndim):
+                    ds = d - (part.ndim - self.grid.n)
+                    trim = tuple(slice(1, -1) if a == ds else slice(None)
+                                 for a in range(self.grid.n))
+                    second = np.abs(np.diff(part, n=2, axis=d)) * w[trim]
+                    curv = max(curv, float(np.max(second)) / 8.0)
         return float(tail + 2.0 * curv)
 
 
@@ -1121,11 +1140,12 @@ def pde_residual(field: PriceField,
         slab_max = 0.0
 
         for xi, x in enumerate(g.x_tuples):
-            phi = field.slabs[i][xi]
-            sub = phi[(slice(0, keep),) * g.n_components]
+            # c_{i+1} >= 2: an axis of one stored row is memoryless
+            sub = field.slabs[i][xi][(slice(0, keep),) * g.n_components]
             adv = field.slabs[i + 1][xi]
             for m in range(g.n_components):
-                adv = _shift_axis(adv, m, g.dt / g.dy, keep)
+                if adv.shape[m] > 1:
+                    adv = _shift_axis(adv, m, g.dt / g.dy, keep)
             d_char = (adv - sub) / g.dt
 
             rx = market.r(x)
@@ -1135,20 +1155,19 @@ def pde_residual(field: PriceField,
             # non-local switch coupling at the node itself
             ages = g.age_nodes[:keep]
             for l, _, xpi, fam in edges[xi]:
-                lam = _on_axis(fam.rate(ages), l, sub.ndim)
-                jumped = field.slabs[i][xpi]
-                jumped = jumped[(slice(0, keep),) * g.n_components]
-                sel = [slice(None)] * jumped.ndim
-                sel[l] = slice(0, 1)
-                jumped = np.broadcast_to(jumped[tuple(sel)], sub.shape)
+                lam = _on_axis(fam.rate(ages[:sub.shape[l]]), l, sub.ndim)
+                jumped = field.slabs[i][xpi][tuple(
+                    slice(0, 1 if m == l else keep) for m in range(g.n_components))]
                 res = res + lam * (jumped - sub)
 
             scaled = np.abs(res) * inv_w
             trimmed = scaled[(slice(None),) * g.n_components + core]
+            # each stored row of a memoryless axis stands for keep nodes
+            mult = keep ** g.n_components // math.prod(sub.shape[:g.n_components])
             if trimmed.size:
                 slab_max = max(slab_max, float(np.max(trimmed)))
-                total += float(np.sum(trimmed))
-                count += trimmed.size
+                total += float(np.sum(trimmed)) * mult
+                count += trimmed.size * mult
         worst = max(worst, slab_max)
         max_by_time.append(slab_max)
     return PdeResidualReport(max_scaled=worst,

@@ -13,10 +13,11 @@ from regimehedge import acceptance
 from regimehedge.cli import main, run_scenario, write_hedge_field, \
     write_price_field
 from regimehedge.errors import ConfigError
-from regimehedge.hedging import hedge_field
+from regimehedge.hedging import HedgeField, hedge_field
 from regimehedge.regime_bsm import bsm_price
 from regimehedge.scenario import parse_scenario
-from regimehedge.volterra_pricer import Grid, solve_price_field
+from regimehedge.volterra_pricer import Grid, PriceField, Slab, \
+    linear_growth_norm, pde_residual, solve_price_field
 
 BASE_CONFIG = {
     "name": "single-regime-call",
@@ -221,6 +222,43 @@ def test_malformed_config_exits_2_naming_its_path(tmp_path, capsys, keys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("solver", "gh_node", 4),
+    ("grid", "price_node", 41),
+    (None, "outputz", ["price-field"]),
+])
+def test_unknown_key_exits_2_naming_its_path(tmp_path, capsys, section, key,
+                                             value):
+    # a misspelt key would otherwise leave its default in force unseen
+    doc = copy.deepcopy(BASE_CONFIG)
+    (doc if section is None else doc[section])[key] = value
+    where = ".".join(p for p in ("scenario", section, key) if p)
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        parse_scenario(doc)
+    assert err.value.path == where
+    path = write_config(tmp_path, doc)
+    assert run_scenario(path, out_dir=str(tmp_path / "out")) == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_retired_keys_and_shipped_configs_still_parse():
+    doc = copy.deepcopy(BASE_CONFIG)
+    doc["solver"].update(bsm_gl_nodes=16, bsm_gh_nodes=8, panel_nodes=1,
+                         sparse_level=2)
+    doc["mc"]["antithetic"] = True
+    doc["envelope_check_seed"] = 5
+    base = parse_scenario(copy.deepcopy(BASE_CONFIG))
+    scn = parse_scenario(doc)
+    assert scn.solver == base.solver and scn.mc_paths == base.mc_paths
+    folder = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    names = sorted(os.listdir(folder))
+    assert names
+    for name in names:
+        with open(os.path.join(folder, name)) as fh:
+            parse_scenario(json.load(fh))
+
+
 def _leaves(node, keys=()):
     """Key paths of the values of a config that are not objects or lists."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -401,6 +439,85 @@ def test_shipped_markov_modulated_config_passes_its_mc_check(tmp_path):
         assert all(len(values) == 1 for values in by_node.values())
 
 
+def _markov_modulated_field():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "markov_modulated_call.json")
+    with open(path) as fh:
+        scn = parse_scenario(json.load(fh))
+    grid = Grid(scn.market, scn.horizon,
+                np.array([ep[1] for ep in scn.eval_points]), scn.grid_spec)
+    return solve_price_field(scn.market, scn.claim, scn.models, grid,
+                             scn.tol, scn.max_iter, scn.solver)
+
+
+def _c3_fast_field():
+    b = acceptance._bundle_c3("fast")
+    return b["field"], b["report"]
+
+
+@pytest.mark.parametrize("model", [_markov_modulated_field, _c3_fast_field],
+                         ids=["markov_modulated_call", "c3_fast"])
+def test_storage_shape_never_changes_what_a_reader_returns(tmp_path, model):
+    # the solved field, stored with one age row on each memoryless axis,
+    # against the same values as full-shape arrays (n_x, c_i.., S..): every
+    # reader returns the same numbers and writes the same bytes.  Where a
+    # reader blends or sums the equal age rows of the full arrays, the two
+    # agree to round-off: a few ulp of the largest value, 1e-12 relative
+    # for the PDE residual, a difference quotient of such values
+    field, report = model()
+    solver, g = field.solver, field.grid
+    nc = g.n_components
+    full = PriceField(solver, [np.asarray(slab) for slab in field.slabs])
+    assert any(part.shape[1:1 + nc] != slab.shape[1:1 + nc]
+               for slab in field.slabs for part in slab.parts)
+
+    rng = np.random.default_rng(5)
+    B = 400
+    t = rng.uniform(0.0, g.horizon, B)
+    s = np.exp(rng.uniform(np.array([a[0] for a in g.lns_axes]) - 0.2,
+                           np.array([a[-1] for a in g.lns_axes]) + 0.2,
+                           (B, g.n)))
+    x_idx = rng.integers(0, len(g.x_tuples), B)
+    y = rng.uniform(0.0, 1.0, (B, nc)) * t[:, None]
+    got = field.values(t, s, x_idx, y)
+    np.testing.assert_allclose(got, full.values(t, s, x_idx, y), rtol=0,
+                               atol=16 * np.finfo(float).eps
+                               * np.max(np.abs(got)))
+
+    res, res_full = pde_residual(field), pde_residual(full)
+    assert res.n_nodes == res_full.n_nodes
+    for a, b in zip([res.max_scaled, res.mean_scaled] + res.max_by_time,
+                    [res_full.max_scaled, res_full.mean_scaled]
+                    + res_full.max_by_time):
+        assert (a is None and b is None) or a == pytest.approx(b, rel=1e-12)
+    assert linear_growth_norm(field) == linear_growth_norm(full)
+    assert linear_growth_norm(field, full) == 0.0
+
+    # the switch branch reads a slab through its stored rows: parts that
+    # hold every age row give the same hedges
+    wide = PriceField(solver, [Slab(solver, [
+        np.broadcast_to(part, part.shape[:1] + slab.shape[1:1 + nc]
+                        + part.shape[1 + nc:]) for part in slab.parts],
+        slab.shape[1]) for slab in field.slabs])
+    hf = hedge_field(field)
+    for a, b in zip(hf.xi + hf.eps, (lambda w: w.xi + w.eps)(hedge_field(wide))):
+        np.testing.assert_array_equal(a, b)
+
+    written = []
+    for tag, f, h in (("stored", field, hf),
+                      ("full", full, HedgeField(
+                          g, [np.asarray(x) for x in hf.xi],
+                          [np.asarray(e) for e in hf.eps]))):
+        out = tmp_path / tag
+        out.mkdir()
+        write_price_field(f, report, str(out / "price_field.csv"),
+                          str(out / "price_field.json"))
+        write_hedge_field(h, str(out / "hedge_field.csv"))
+        written.append([(out / name).read_bytes()
+                        for name in ("price_field.csv", "hedge_field.csv")])
+    assert written[0] == written[1]
+
+
 def test_field_csv_rows_match_slabs_two_assets_two_components(tmp_path):
     doc = copy.deepcopy(BASE_CONFIG)
     doc["assets"] = {"n": 2}
@@ -426,9 +543,12 @@ def test_field_csv_rows_match_slabs_two_assets_two_components(tmp_path):
     n, nc = 2, 2
     n_rows = sum(len(grid.x_tuples) * int(c) ** nc * 5 ** n
                  for c in grid.c_counts)
-    per_slab = {"price_field.csv": [s[..., None] for s in field.slabs],
-                "hedge_field.csv": [np.concatenate([xi, eps[..., None]], -1)
-                                    for xi, eps in zip(hf.xi, hf.eps)]}
+    # the full broadcast of the stored slabs: every grid row is written
+    per_slab = {"price_field.csv": [np.asarray(s)[..., None]
+                                    for s in field.slabs],
+                "hedge_field.csv": [np.concatenate(
+                    [np.asarray(xi), np.asarray(eps)[..., None]], -1)
+                    for xi, eps in zip(hf.xi, hf.eps)]}
     for name, slabs in per_slab.items():
         lines = (tmp_path / name).read_text().splitlines()
         assert len(lines) - 1 == n_rows

@@ -123,7 +123,7 @@ def test_hedge_bounded_by_payoff_slope():
         assert float(np.max(np.abs(hf.xi[i]))) <= bound
     # value identity: phi = xi . s + eps at discount one
     smesh = field.grid.s_mesh()[..., 0]
-    recon = hf.xi[10][..., 0] * smesh + hf.eps[10]
+    recon = np.asarray(hf.xi[10])[..., 0] * smesh + hf.eps[10]
     np.testing.assert_allclose(recon, field.slabs[10], rtol=1e-12, atol=1e-12)
 
     # grid pass agrees with the point-query route at interior nodes
@@ -134,7 +134,7 @@ def test_hedge_bounded_by_payoff_slope():
         x = g.x_tuples[xi_i]
         y = np.array([g.age_nodes[a] for a in y_idx])
         s = np.array([g.s_axes[0][s_idx]])
-        grid_val = hf.xi[i][(xi_i,) + y_idx + (s_idx, 0)]
+        grid_val = np.asarray(hf.xi[i])[(xi_i,) + y_idx + (s_idx, 0)]
         point_val = hedge_ratio(field, (t, s, x, y), 0)
         assert point_val == pytest.approx(grid_val, rel=3e-3, abs=3e-4)
 
@@ -172,7 +172,8 @@ def test_correlated_two_asset_hedge_field_matches_point_route(settings):
                     s = np.array([grid.s_axes[0][s_idx[0]],
                                   grid.s_axes[1][s_idx[1]]])
                     for axis in (0, 1):
-                        grid_val = hf.xi[i][(xi_i, a) + s_idx + (axis,)]
+                        grid_val = np.asarray(hf.xi[i])[(xi_i, a) + s_idx
+                                                        + (axis,)]
                         point_val = hedge_ratio(field, (t, s, x, y), axis)
                         assert point_val == pytest.approx(grid_val, rel=3e-3,
                                                           abs=3e-4)

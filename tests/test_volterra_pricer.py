@@ -23,6 +23,7 @@ from regimehedge.volterra_pricer import (
     Grid,
     GridSpec,
     PriceField,
+    Slab,
     SolverSettings,
     VolterraSolver,
     linear_growth_norm,
@@ -82,7 +83,7 @@ def test_linear_growth_norm_cases():
     ones = []
     smesh = grid.s_mesh()[..., 0]
     for i in range(5):
-        shape = (4,) + grid.y_shape(i) + grid.s_shape
+        shape = (4,) + (int(grid.c_counts[i]),) * 2 + grid.s_shape
         ones.append(np.broadcast_to(1.0 + smesh, shape))
     g1 = PriceField(solver, ones)
     zero = PriceField(solver, [np.zeros_like(s) for s in ones])
@@ -94,7 +95,8 @@ def test_linear_growth_norm_cases():
     brute = 0.0
     w = 1.0 / (1.0 + smesh)
     for i in range(5):
-        brute = max(brute, float(np.max(np.abs(f2.slabs[i] - f.slabs[i]) * w)))
+        diff = np.asarray(f2.slabs[i]) - np.asarray(f.slabs[i])
+        brute = max(brute, float(np.max(np.abs(diff) * w)))
     assert linear_growth_norm(f2, f) == pytest.approx(brute, rel=1e-12)
 
 
@@ -176,7 +178,7 @@ def test_payoff_scaling_linearity():
     f1, _ = solve_price_field(m, c1, models, grid, tol=1e-5)
     f3, _ = solve_price_field(m, c3, models, grid, tol=3e-5)
     for i in (0, 4, 8):
-        np.testing.assert_allclose(3.0 * f1.slabs[i], f3.slabs[i],
+        np.testing.assert_allclose(3.0 * np.asarray(f1.slabs[i]), f3.slabs[i],
                                    rtol=2e-5, atol=2e-4)
 
 
@@ -278,7 +280,7 @@ def test_step_matches_conditional_law_route():
                     inner += pl[j - 1] * value
                 total += probs[l] * grid.dt * math.exp(-m.r(x) * v) \
                     * law.pdf(v) * inner
-        got = float(stepped.slabs[i][(xi,) + y_idx + (s_idx,)])
+        got = float(np.asarray(stepped.slabs[i])[(xi,) + y_idx + (s_idx,)])
         # the solver floors each slab at zero (positivity invariant)
         assert got == pytest.approx(max(total, 0.0), rel=2e-3, abs=2e-3)
 
@@ -645,10 +647,10 @@ def test_lumped_three_state_components_match_two_state_model():
     (g3, f3, h3, r3), (g2, f2, h2, r2) = runs
     lump = [g2.x_index[tuple(min(v, 2) for v in x)] for x in g3.x_tuples]
     for i in range(spec.time_steps + 1):
-        np.testing.assert_allclose(f3.slabs[i], f2.slabs[i][lump],
+        np.testing.assert_allclose(f3.slabs[i], np.asarray(f2.slabs[i])[lump],
                                    rtol=0, atol=1e-10)
-        np.testing.assert_allclose(h3.xi[i], h2.xi[i][lump], rtol=0,
-                                   atol=1e-10)
+        np.testing.assert_allclose(h3.xi[i], np.asarray(h2.xi[i])[lump],
+                                   rtol=0, atol=1e-10)
     assert r3.n_nodes == 9 * r2.n_nodes // 4
     assert r3.max_scaled == pytest.approx(r2.max_scaled, rel=1e-9)
     for a, b in zip(r3.max_by_time, r2.max_by_time):
@@ -668,10 +670,12 @@ def test_far_and_near_panels_sum_to_the_full_switch_branch():
                                     panels=range(1, M - i))
         near, = solver.switch_branch(i, field.slabs, (_Smoother.apply,),
                                      panels=range(1))
-        np.testing.assert_allclose(far + near, full, rtol=1e-13,
-                                   atol=1e-13 * np.max(np.abs(full)))
-        if i == M - 1:
-            assert not np.any(far)
+        scale = max(float(np.max(np.abs(part))) for part in full)
+        for f_part, n_part, part in zip(far, near, full):
+            np.testing.assert_allclose(f_part + n_part, part, rtol=1e-13,
+                                       atol=1e-13 * scale)
+            if i == M - 1:
+                assert not np.any(f_part)
 
 
 def test_report_residual_is_one_global_application():
@@ -737,13 +741,15 @@ def test_field_and_hedges_do_not_depend_on_memoryless_ages():
     from regimehedge import acceptance
     from regimehedge.hedging import hedge_field
     field = acceptance._bundle_c3("fast")["field"]
+    g = field.grid
     models = field.solver.models
     hf = hedge_field(field)
     checked = 0
     for i, slab in enumerate(field.slabs):
-        for xi, x in enumerate(field.grid.x_tuples):
+        fulls = [np.asarray(a) for a in (slab, hf.xi[i], hf.eps[i])]
+        for xi, x in enumerate(g.x_tuples):
             axes = [m for m, h in enumerate(models) if h.memoryless(x[m])]
-            for arr in (slab[xi], hf.xi[i][xi], hf.eps[i][xi]):
+            for arr in (full[xi] for full in fulls):
                 for m in axes:
                     row0 = arr[(slice(None),) * m + (slice(0, 1),)]
                     spread = float(np.max(np.abs(arr - row0)))
@@ -752,6 +758,23 @@ def test_field_and_hedges_do_not_depend_on_memoryless_ages():
                                           np.broadcast_to(row0, arr.shape))
                     checked += 1
     assert checked == 3 * len(field.slabs) * 16
+
+    # the layout: a tuple's stored arrays have one row exactly on its
+    # memoryless axes, so the slabs store the cells the field depends on
+    depends = stored = grid_cells = 0
+    for i, slab in enumerate(field.slabs):
+        c = int(g.c_counts[i])
+        assert slab.shape == (8,) + (c,) * 3 + g.s_shape
+        for xi, x in enumerate(g.x_tuples):
+            want = tuple(1 if h.memoryless(x[m]) else c
+                         for m, h in enumerate(models))
+            for full in (slab, hf.xi[i], hf.eps[i]):
+                assert full[xi].shape[:3] == want
+            depends += math.prod(want + g.s_shape)
+        stored += sum(part.size for part in slab.parts)
+        grid_cells += math.prod(slab.shape)
+    assert stored == depends
+    assert stored < grid_cells
 
 
 def test_field_lookup_interpolation_and_extrapolation():
@@ -824,8 +847,13 @@ def _ref_slab_tables(solver, i):
                 edges.append((l, xpi, wt))
             panel.append((sm, edges))
         tables.append(panel)
+    js_T = np.empty_like(mass)
+    for xi, x in enumerate(g.x_tuples):
+        js_T[xi] = np.exp(-sum(
+            _on_axis(solver.dlam[(m, x[m])][:c, 2 * len(v_mid)], m, nc)
+            for m in range(nc)))
     kappa = np.where(mass > 1e-300,
-                     (1.0 - solver.js_T(i)) / np.maximum(mass, 1e-300), 1.0)
+                     (1.0 - js_T) / np.maximum(mass, 1e-300), 1.0)
     for v, panel in zip(v_mid, tables):
         for xi, (sm, edges) in enumerate(panel):
             scale = kappa[xi] * math.exp(-solver.market.r(g.x_tuples[xi]) * v)
@@ -943,8 +971,7 @@ def test_switch_branch_matches_per_edge_reference(case):
     if case == "one_3_state_component":
         assert all(len(edges) == 2 for edges in solver.edges)
     if case == "markov_modulated":
-        assert solver.ageless == [0, 1]
-        assert all(axes == [0, 1] for axes in solver.memoryless_axes)
+        assert [frozen for _, frozen in solver.groups] == [(True, True)]
     if case == "2_assets_correlated":
         chol = np.linalg.cholesky(m.a_integral(0.0, 0.5, (1, 2)))
         sm = _Smoother(np.zeros((1, 2)), chol[None], grid, 6)
@@ -953,11 +980,15 @@ def test_switch_branch_matches_per_edge_reference(case):
     actions = [_Smoother.apply] + [
         lambda sm, e, p, d=d: sm.apply(e, p, deriv_axis=d)
         for d in range(grid.n)]
+    # the reference runs on the full broadcast of the stored slabs
+    full = [np.asarray(slab) for slab in field.slabs]
     for i in range(grid.spec.time_steps):
         got = solver.switch_branch(i, field.slabs, actions)
-        want = _ref_switch_branch(solver, i, field.slabs, actions)
-        for g_arr, w_arr in zip(got, want):
-            np.testing.assert_allclose(g_arr, w_arr, rtol=1e-12,
+        want = _ref_switch_branch(solver, i, full, actions)
+        c = int(grid.c_counts[i])
+        for g_parts, w_arr in zip(got, want):
+            np.testing.assert_allclose(Slab(solver, g_parts, c), w_arr,
+                                       rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(w_arr)))
 
 
@@ -1057,10 +1088,14 @@ def _interp_ages(arr, axes, cells, count):
 def test_gather_matches_per_slab_interp(clamps):
     m, claim, models, grid = regime_setup(price_nodes=11, time_steps=16,
                                           age_nodes=5)
-    solver = VolterraSolver(m, claim, models, grid)
+    # component 1's hazards age in both states, so no state is memoryless
+    # and every age axis is stored in full and moved
+    solver = VolterraSolver(m, claim, [models[1]] * 2, grid)
     rng = np.random.default_rng(8)
-    slabs = [rng.uniform(0.0, 50.0, (4,) + grid.y_shape(i) + grid.s_shape)
-             for i in range(17)]
+    slabs = [rng.uniform(0.0, 50.0, (4, int(c), int(c)) + grid.s_shape)
+             for c in grid.c_counts]
+    stored = [Slab(solver, [slab], int(grid.c_counts[i]))
+              for i, slab in enumerate(slabs)]
     cc = grid.c_counts
     found = 0
     for i in range(16):
@@ -1078,37 +1113,45 @@ def test_gather_matches_per_slab_interp(clamps):
                     _interp_ages(slabs[side][:, 0] if l == 0
                                  else slabs[side][:, :, 0], [1], cells, c)
                     for side in (i + p, i + p + 1))
-                got = solver._gather(slabs, i, p, l)
+                got, = solver._gather(stored, i, p, l)
                 assert got.shape == (4, c) + grid.s_shape
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
     assert found > 0
 
 
-def test_gather_of_cut_slabs_equals_full_gather_of_constant_slabs():
-    # slabs constant along the age axes of components 0 and 2: the gather
-    # that moves only component 1, on slabs cut to age row 0 along 0 and 2,
-    # gives the full gather with singleton axes there
+def test_gather_of_grouped_slabs_equals_full_gather_of_their_broadcast():
+    # C3's pattern: component 0 is memoryless in both states, components 1
+    # and 2 in state 2, so the tuples fall into four groups.  Random slabs
+    # in each group's stored shape: the gather, which moves only the axes a
+    # group stores in full, equals the per-slab gather of their full
+    # broadcast, which moves every age axis but the reset one
     m, claim, models, grid, _ = _switch_case("2_assets_3_components")
     solver = VolterraSolver(m, claim, models, grid)
+    assert len(solver.groups) == 4
     rng = np.random.default_rng(11)
     M = grid.spec.time_steps
-    full, cut = [], []
+    slabs = []
     for i in range(M + 1):
         c = int(grid.c_counts[i])
-        row = rng.uniform(0.0, 50.0, (8, 1, c, 1) + grid.s_shape)
-        full.append(np.broadcast_to(row, (8, c, c, c) + grid.s_shape))
-        cut.append(row)
+        slabs.append(Slab(solver, [
+            rng.uniform(0.0, 50.0, js.shape + grid.s_shape)
+            for js in solver.js_T(i)], c))
+    full = [np.asarray(slab) for slab in slabs]
     for i in range(M):
         c = int(grid.c_counts[i])
         for p in range(M - i):
             for l in range(3):
-                want = solver._gather(full, i, p, l)
-                got = solver._gather(cut, i, p, l, [1])
-                kept = [1 if m in (0, 2) else c for m in range(3) if m != l]
-                assert got.shape == (8,) + tuple(kept) + grid.s_shape
-                np.testing.assert_allclose(
-                    np.broadcast_to(got, want.shape), want, rtol=1e-14,
-                    atol=0.0)
+                got = solver._gather(slabs, i, p, l)
+                want = _ref_gather(solver, full, i, p, l)
+                for xi, x in enumerate(grid.x_tuples):
+                    gi, k = solver.where[xi]
+                    kept = tuple(1 if models[m].memoryless(x[m]) else c
+                                 for m in range(3) if m != l)
+                    assert got[gi][k].shape == kept + grid.s_shape
+                    w_arr = want[xi][(slice(None),) * l + (0,)]
+                    np.testing.assert_allclose(
+                        np.broadcast_to(got[gi][k], w_arr.shape), w_arr,
+                        rtol=1e-14, atol=0.0)
 
 
 def test_permuting_components_permutes_age_axes():
@@ -1155,6 +1198,6 @@ def test_permuting_components_permutes_age_axes():
     order = [g0.x_index[old_x(x)] for x in g1.x_tuples]
     axes = (0,) + tuple(1 + pj for pj in perm) + (4,)
     for i in range(spec.time_steps + 1):
-        want = np.transpose(f0.slabs[i][order], axes)
+        want = np.transpose(np.asarray(f0.slabs[i])[order], axes)
         np.testing.assert_allclose(f1.slabs[i], want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
