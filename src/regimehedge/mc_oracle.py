@@ -13,12 +13,12 @@ payoff average is an unbiased estimate of the price; under the physical
 drift the same paths feed the residual-risk accounting.
 
 Path ``pid`` of a run with seed ``seed`` draws its switch history from the
-Philox stream of ``SeedSequence(seed, spawn_key=(pid, 0))`` and its Gaussian
-increments from that of ``spawn_key=(pid, 1)``.  Philox is counter based
-(Salmon, Moraes, Dror and Shaw, SC'11): a stream is fixed by its 128-bit key
-alone.  So the keys of a block are hashed at once with SeedSequence's own
-mixing, vectorized over the path ids, and one pair of generators is re-keyed
-for each path instead of building two seed sequences per path.
+Philox stream with key ``(w, 2 pid)`` and its Gaussian increments from the
+one with key ``(w, 2 pid + 1)``, where ``w`` is the first 64-bit word of
+``SeedSequence(seed)``.  Philox is counter based and keyed (Salmon, Moraes,
+Dror and Shaw, SC'11): a stream is fixed by its 128-bit key alone, and
+distinct keys give independent streams.  So one pair of generators is
+re-keyed for each path instead of building two generators per path.
 """
 
 from __future__ import annotations
@@ -55,68 +55,19 @@ class PathBlock:
     discount_at_jumps: np.ndarray  # (J,) exp(-int_t0^{T_m} r)
 
 
-# SeedSequence's hash (numpy/random/bit_generator.pyx): pool of 4 uint32
-# words, multiply-xorshift hashes and a pairwise mix, all modulo 2**32
-_MASK = 0xFFFFFFFF
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
 def _stream_keys(seed: int, ids, k: int) -> np.ndarray:
-    """(P, 2) uint64 Philox keys of the paths ids: row p is
-    SeedSequence(entropy=seed, spawn_key=(ids[p], k)).generate_state(2,
-    np.uint64), computed for all ids at once.
-
-    The words are Python ints while they do not depend on the path and
-    uint32 arrays once they do; every product is reduced modulo 2**32, so
-    both kinds follow the same code.
-    """
+    """(P, 2) uint64 Philox keys of stream k of the paths ids: row p is
+    (w, 2 ids[p] + k), w the first word of SeedSequence(seed), which
+    rejects a negative seed."""
     ids = np.asarray(ids).reshape(-1)
-    if ids.size and (ids.min() < 0 or ids.max() > _MASK):
-        raise ValueError("path ids must lie in [0, 2**32) to hash as one "
-                         "entropy word each")
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    # entropy: the seed's little-endian words, zero-padded to the pool
-    # size, then the spawn key (path id, k)
-    words = [seed >> b & _MASK
-             for b in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words)) + [ids.astype(np.uint32), k]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK
-        value = value * const & _MASK
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
-
-    # generate_state(2, np.uint64): four uint32 words, paired little-endian
-    const = _INIT_B
-    state = np.empty((len(ids), 4), dtype=np.uint32)
-    for i in range(4):
-        value = pool[i] ^ const
-        const = const * _MULT_B & _MASK
-        value = value * const & _MASK
-        state[:, i] = value ^ value >> 16
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    if ids.size and (ids.min() < 0 or ids.max() >= 2 ** 32):
+        raise ValueError("path ids must lie in [0, 2**32)")
+    w = np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)[0]
+    return np.stack([np.full(len(ids), w),
+                     2 * ids.astype(np.uint64) + k], axis=1)
 
 
 def _stream_pair():
@@ -139,7 +90,7 @@ def stream_blocks(seed: int, ids):
     """The streams of ids in consecutive blocks of _BLOCK, made lazily.
 
     Each block is an iterator of (regime, Gaussian) generator pairs, one
-    per id.  The keys of a block are hashed together, and every pair this
+    per id.  The keys of a block are made together, and every pair this
     call yields is the same two generators re-keyed for the next id, so a
     pair is valid only until the next one is drawn: use each path's streams
     completely before advancing.  Separate calls own separate generators.
@@ -152,17 +103,13 @@ def stream_blocks(seed: int, ids):
 
 
 def map_chunks(fn, ids, n_jobs: int):
-    """[fn(chunk)] over n_jobs contiguous chunks of ids, in chunk order."""
+    """[fn(chunk)] over at most n_jobs contiguous chunks of ids, none empty
+    unless ids is, in chunk order."""
+    n_jobs = min(n_jobs, len(ids))
     if n_jobs <= 1:
         return [fn(ids)]
     with ThreadPoolExecutor(max_workers=n_jobs) as ex:
         return list(ex.map(fn, np.array_split(ids, n_jobs)))
-
-
-def _exp(u: np.ndarray) -> np.ndarray:
-    # math.exp per entry: np.exp differs from it in the last bit for some
-    # arguments, and the discounts have always been math.exp
-    return np.array([math.exp(w) for w in u.tolist()])
 
 
 def simulate_path(market: MarketModel, models, start, horizon: float, rngs,
@@ -236,11 +183,11 @@ def simulate_path(market: MarketModel, models, start, horizon: float, rngs,
 
     pre_seg = np.arange(J) + jump_path    # jump m of path p ends segment m
     return PathBlock(
-        n_jumps=n_segs - 1, s_terminal=s, discount=_exp(log_disc),
+        n_jumps=n_segs - 1, s_terminal=s, discount=np.exp(log_disc),
         jump_path=jump_path, jump_times=np.concatenate(j_times),
         pre_index=seg_x[pre_seg], post_index=seg_x[pre_seg + 1],
         ages_before=np.concatenate(ages_b), ages_after=np.concatenate(ages_a),
-        s_at_jumps=s_jumps, discount_at_jumps=_exp(log_disc_jumps))
+        s_at_jumps=s_jumps, discount_at_jumps=np.exp(log_disc_jumps))
 
 
 def _discounted_payoffs(market, claim, models, start, horizon, seed, ids):

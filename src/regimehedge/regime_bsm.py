@@ -46,15 +46,14 @@ def bsm_price(market: MarketModel, claim: Claim, x, t: float, maturity: float,
 
 def bsm_delta(market: MarketModel, claim: Claim, x, t: float, maturity: float,
               s, axis: int, outer_nodes: int = OUTER_NODES):
-    """d(price)/d s_axis by the likelihood ratio of the kernel."""
+    """d(price)/d s_axis by the likelihood ratio of the kernel; at maturity
+    the right derivative of the payoff."""
     s_batch, scalar = _batched(s)
     v = maturity - t
     if v <= 0.0:
-        # one-sided slope of the payoff itself
-        h = 1e-6 * np.maximum(s_batch[:, axis], 1.0)
-        bump = s_batch.copy()
-        bump[:, axis] += h
-        out = (claim(bump) - claim(s_batch)) / h
+        # right slope of the hinge form: every hinge at or below b is on
+        on = claim.basket(s_batch)[:, None] >= claim.hinge_strikes
+        out = claim.weights[axis] * (claim.slope + on @ claim.hinge_slopes)
         return float(out[0]) if scalar else out
     kern = build_kernel(market, t, x, v, mode="risk-neutral")
     w, _, score = claim_nodes(kern, claim, s_batch, outer_nodes)

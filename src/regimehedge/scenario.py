@@ -26,7 +26,7 @@ from .volterra_pricer import GridSpec, SolverSettings
 
 ALL_OUTPUTS = ("price-field", "hedge-field", "mc-check", "pde-residual",
                "sensitivity", "residual-risk")
-_MAX_PATHS = 2 ** 32   # path ids 0..paths-1 key their streams as one uint32
+_MAX_PATHS = 2 ** 32   # path ids 0..paths-1 are 32-bit, keyed (w, 2 id + k)
 
 
 def _fail(msg, path):

@@ -27,8 +27,8 @@ from regimehedge.volterra_pricer import (
 
 
 def _spawn_rngs(seed, pid):
-    """The (regime, Gaussian) streams of path pid, built by numpy itself:
-    the children 0 and 1 of SeedSequence(seed, spawn_key=(pid,))."""
+    """Independent (regime, Gaussian) streams for path pid: the children 0
+    and 1 of SeedSequence(seed, spawn_key=(pid,))."""
     return tuple(np.random.Generator(np.random.Philox(
         np.random.SeedSequence(seed, spawn_key=(pid, k)))) for k in (0, 1))
 

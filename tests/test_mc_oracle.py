@@ -16,6 +16,7 @@ from regimehedge.market import (
 from regimehedge.analysis import residual_risk
 from regimehedge.mc_oracle import (
     PathBlock,
+    map_chunks,
     mc_price,
     simulate_path,
     stream_blocks,
@@ -33,11 +34,14 @@ from regimehedge.semi_markov import (
 from regimehedge.volterra_pricer import Grid, GridSpec, solve_price_field
 
 
-def _spawn_rngs(seed, pid):
+def _path_streams(seed, pid):
     """The (regime, Gaussian) streams of path pid, built by numpy itself:
-    the children 0 and 1 of SeedSequence(seed, spawn_key=(pid,))."""
+    Philox keyed (w, 2 pid + k) for k = 0, 1, with w the first 64-bit word
+    of SeedSequence(seed)."""
+    w = np.random.SeedSequence(seed).generate_state(1, np.uint64)[0]
     return tuple(np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(seed, spawn_key=(pid, k)))) for k in (0, 1))
+        key=np.array([w, 2 * int(pid) + k], dtype=np.uint64)))
+        for k in (0, 1))
 
 
 def flat_market(r=0.05, sigma=0.2, mu=0.09):
@@ -55,7 +59,7 @@ START = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
 def paths(market, models, start, horizon, seed, ids, mode="risk-neutral"):
     """The block of the paths ids, each on its own streams."""
     return simulate_path(market, models, start, horizon,
-                         (_spawn_rngs(seed, pid) for pid in ids), mode=mode)
+                         (_path_streams(seed, pid) for pid in ids), mode=mode)
 
 
 def path_states(market, blk, p, x0):
@@ -171,7 +175,7 @@ def test_switch_history_is_simulate_csm():
     start = (t0, np.array([100.0]), x0, y0)
     blk = paths(m, models, start, 1.5, 8, range(50), mode="physical")
     for pid in range(50):
-        rr, _ = _spawn_rngs(8, pid)
+        rr, _ = _path_streams(8, pid)
         reg = simulate_csm(models, CsmState(x0, y0), 1.5, rr, start=t0)
         sel = blk.jump_path == pid
         assert blk.n_jumps[pid] == reg.n_jumps
@@ -328,32 +332,61 @@ def test_worker_count_changes_no_estimate():
     assert one.mean_jumps > 0.5
 
 
-def test_path_streams_are_the_spawned_children():
+def test_path_streams_are_philox_keyed_by_id():
+    # numpy's 128-bit integer key is little-endian in its two words: the
+    # seed word below, 2 pid + k above
     for seed, pid in ((0, 0), (42, 7), (2 ** 31 - 1, np.int64(123456))):
-        kids = np.random.SeedSequence(seed, spawn_key=(pid,)).spawn(2)
-        for rng, kid in zip(_spawn_rngs(seed, pid), kids):
-            want = np.random.Generator(np.random.Philox(kid))
+        w = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+        for k, rng in enumerate(_path_streams(seed, pid)):
+            key = w + ((2 * int(pid) + k) << 64)
+            want = np.random.Generator(np.random.Philox(key=key))
             np.testing.assert_array_equal(rng.random(8), want.random(8))
 
 
-def test_stream_keys_are_seed_sequence_states():
+def test_stream_keys_are_seed_word_and_path_id():
     pids = [0, 1, 1023, 1024, 1025, 2 ** 32 - 1]
     for seed in (0, 5, 2 ** 32, 2 ** 64 + 3):
         for k in (0, 1):
             got = _stream_keys(seed, np.array(pids), k)
-            want = [np.random.SeedSequence(seed, spawn_key=(pid, k))
-                    .generate_state(2, np.uint64) for pid in pids]
             assert got.dtype == np.uint64
-            np.testing.assert_array_equal(got, want)
+            for key, pid in zip(got, pids):
+                rng = _path_streams(seed, pid)[k]
+                np.testing.assert_array_equal(
+                    key, rng.bit_generator.state["state"]["key"])
+                assert int(key[1]) == 2 * pid + k
     for seed, bad in ((5, [2 ** 32]), (5, [3, -1]), (-1, [0])):
         with pytest.raises(ValueError):
             _stream_keys(seed, np.array(bad), 0)
 
 
-def _numpy_streams(seed, pid):
-    """The streams of path pid as numpy builds them, without re-keying."""
-    return tuple(np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        seed, spawn_key=(int(pid), k)))) for k in (0, 1))
+@pytest.mark.parametrize("seed", [3, 2 ** 31 - 1])
+def test_streams_of_consecutive_ids_are_independent_draws(seed):
+    # adjacent keys differ in their low bits only: the first draw of each
+    # stream over 20,000 consecutive ids still follows its law (KS p-value
+    # above 1e-3), and no two streams of the run share a key
+    ids = np.arange(20_000)
+    first_u, first_z = [], []
+    for block in stream_blocks(seed, ids):
+        for rng_regime, rng_gauss in block:
+            first_u.append(rng_regime.random())
+            first_z.append(rng_gauss.standard_normal())
+    assert stats.kstest(first_u, "uniform").pvalue > 1e-3
+    assert stats.kstest(first_z, "norm").pvalue > 1e-3
+    keys = np.concatenate([_stream_keys(seed, ids, k) for k in (0, 1)])
+    assert len(np.unique(keys, axis=0)) == 2 * len(ids)
+
+
+def test_map_chunks_gives_no_worker_an_empty_chunk():
+    def chunks(ids, n_jobs):
+        return [c.tolist() for c in map_chunks(lambda c: c, ids, n_jobs)]
+
+    for n in (2, 3):
+        ids = np.arange(n)
+        for n_jobs in range(1, n + 1):
+            assert chunks(ids, n_jobs) == [
+                c.tolist() for c in np.array_split(ids, n_jobs)]
+        for n_jobs in range(n + 1, 5):
+            assert chunks(ids, n_jobs) == [[i] for i in range(n)]
 
 
 def _mixed_draws(rng_regime, rng_gauss, pid):
@@ -379,7 +412,7 @@ def test_stream_blocks_rekey_to_the_numpy_streams():
     assert sizes == [1024, 1024, 52]
     for pid in ids:
         np.testing.assert_array_equal(
-            got[pid], _mixed_draws(*_numpy_streams(42, pid), pid))
+            got[pid], _mixed_draws(*_path_streams(42, pid), pid))
 
 
 def test_estimates_equal_numpy_stream_reference():
@@ -388,7 +421,7 @@ def test_estimates_equal_numpy_stream_reference():
 
     def block(seed, n_ids, **kw):
         return simulate_path(m, models, start, 1.0,
-                             (_numpy_streams(seed, pid)
+                             (_path_streams(seed, pid)
                               for pid in range(n_ids)),
                              **kw)
 

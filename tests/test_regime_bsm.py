@@ -91,6 +91,34 @@ def test_delta_linear_claim_exact():
     assert got == pytest.approx(0.7, abs=1e-8)
 
 
+def test_terminal_delta_is_the_right_slope_of_the_hinge_form():
+    # asset 0 carries weight 0.5 and asset 1 none, so s0 = 2 b puts nodes
+    # exactly on the hinges at b = 80, 100 and 120
+    b = np.array([30.0, 80.0, 85.0, 100.0, 115.0, 120.0, 150.0])
+    s = np.stack([2.0 * b, np.full_like(b, 70.0)], axis=1)
+    weights = [0.5, 0.0]
+    right_slopes = {   # dK/db from the right at each b
+        "basket-call": [0, 0, 0, 1, 1, 1, 1],
+        "basket-put": [-1, -1, -1, 0, 0, 0, 0],
+        "linear": [1, 1, 1, 1, 1, 1, 1],
+        "custom-piecewise-linear": [0, 1, 1, -1, -1, 0, 0],
+    }
+    claims = [Claim("basket-call", weights=weights, strike=100.0),
+              Claim("basket-put", weights=weights, strike=100.0),
+              Claim("linear", weights=weights),
+              # configs/butterfly_custom.json's butterfly
+              Claim("custom-piecewise-linear", weights=weights,
+                    knots=[80.0, 100.0, 120.0], values=[0.0, 20.0, 0.0])]
+    m = build_market(2, 2, 2, 0.04, np.zeros(2), 0.3 * np.eye(2))
+    for claim in claims:
+        want = 0.5 * np.array(right_slopes[claim.kind], dtype=float)
+        np.testing.assert_array_equal(
+            bsm_delta(m, claim, X0, 1.0, 1.0, s, 0), want)
+        assert np.all(bsm_delta(m, claim, X0, 1.0, 1.0, s, 1) == 0.0)
+        for row, d in zip(s, want):
+            assert bsm_delta(m, claim, X0, 1.0, 1.0, row, 0) == d
+
+
 def test_delta_deep_out_of_the_money():
     m = flat_market()
     got = bsm_delta(m, CALL, X0, 0.0, 1.0, np.array([1.0]), axis=0)
