@@ -34,7 +34,7 @@ from .volterra_pricer import (
     solve_price_field,
 )
 from .mc_oracle import mc_price
-from .hedging import HedgeField, hedge_field, hedge_ratio, strategy_at
+from .hedging import HedgeField, hedge_field, strategy_at
 from .analysis import (
     ResidualRiskReport,
     SensitivityReport,
@@ -49,7 +49,7 @@ __all__ = [
     "RegimeHedgeError", "RegimePath",
     "ResidualRiskReport", "RootFindFailure", "SensitivityReport",
     "SingularCovariance", "SolverSettings", "TimeCoeff", "TruncationFailure",
-    "build_market", "hedge_field", "hedge_ratio", "linear_growth_norm",
+    "build_market", "hedge_field", "linear_growth_norm",
     "mc_price", "pde_residual", "residual_risk",
     "sensitivity_check", "simulate_csm",
     "solve_price_field", "strategy_at",

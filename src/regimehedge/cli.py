@@ -167,10 +167,6 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
         entry = {"t": t, "s": list(map(float, s)), "x": list(x),
                  "y": list(map(float, y)),
                  "price": field.value(t, s, x, y)}
-        if "hedge-field" in scn.outputs:
-            xi, eps = strategy_at(field, ep)
-            entry["xi"] = [float(v) for v in xi]
-            entry["eps"] = float(eps)
         points.append(entry)
     report["eval_points"] = points
 
@@ -180,8 +176,14 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
         for ep in scn.eval_points:
             write_surface(field, ep, os.path.join(out_dir, _surface_name(ep)))
     if "hedge-field" in scn.outputs:
-        write_hedge_field(hedge_field(field),
-                          os.path.join(out_dir, "hedge_field.csv"))
+        # scoped to this block: the hedge field is let go before the MC check
+        hedge = hedge_field(field)
+        for entry, ep in zip(points, scn.eval_points):
+            xi, eps = strategy_at(hedge, ep)
+            entry["xi"] = [float(v) for v in xi]
+            entry["eps"] = float(eps)
+        write_hedge_field(hedge, os.path.join(out_dir, "hedge_field.csv"))
+        del hedge
     if "mc-check" in scn.outputs:
         checks = []
         for ep in scn.eval_points:

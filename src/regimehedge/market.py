@@ -169,9 +169,6 @@ class MarketModel:
     def r(self, x) -> float:
         return self._rate[tuple(x)]
 
-    def mu(self, t: float, x) -> np.ndarray:
-        return np.asarray(self._mu[tuple(x)](t), dtype=float).reshape(self.n)
-
     def sigma(self, t: float, x) -> np.ndarray:
         return np.asarray(self._sigma[tuple(x)](t), dtype=float).reshape(self.n, self.n)
 

@@ -24,12 +24,6 @@ def gauss_hermite_standard(n: int):
     return x * math.sqrt(2.0), w / math.sqrt(math.pi)
 
 
-@lru_cache(maxsize=64)
-def gauss_legendre(n: int):
-    """Nodes/weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
-
-
 # largest dimension served by a tensor rule
 _MAX_TENSOR_DIM = 4
 

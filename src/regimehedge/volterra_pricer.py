@@ -156,26 +156,47 @@ class Grid:
         mesh = np.meshgrid(*self.s_axes, indexing="ij")
         return 1.0 / (1.0 + sum(mesh))
 
-    def interp_linear_part(self, sig, c1):
-        """The multilinear interpolant of the node values of c1 . s.
+    def interp(self, slabs, t, s, x_idx, y) -> np.ndarray:
+        """slabs read at scattered points: linear in t between time nodes,
+        multilinear in (y, ln s), with ages clipped to the rows a regime
+        tuple stores and ln s clamped to the box.
 
-        Inside the box this is the per-axis chord of the exponential in
-        ln s; beyond the box the linear-growth extension makes it exact.
-        Used to translate between a field and its stored excess over c1.s.
+        slabs[i][xi] is regime tuple xi's array at time node i, of shape
+        (c_i or 1 per component, S_1, .., S_n, k..); t : (B,) in [0, T],
+        s : (B, n) prices, x_idx : (B,) regime-tuple indices,
+        y : (B, n_components) ages.  Returns (B, k..).  The points of one
+        (time interval, regime tuple) share one map_coordinates call per
+        bracketing slab and trailing index.
         """
-        sig = np.atleast_2d(np.asarray(sig, dtype=float))
-        out = np.zeros(sig.shape[0])
-        for l in range(self.n):
-            ax = self.lns_axes[l]
-            sv = self.s_axes[l]
-            idx = np.clip((np.log(sig[:, l]) - ax[0]) / self.h[l],
-                          0.0, len(ax) - 1.0)
-            i0 = np.minimum(idx.astype(int), len(ax) - 2)
-            frac = idx - i0
-            chord = (1.0 - frac) * sv[i0] + frac * sv[i0 + 1]
-            over = np.clip(sig[:, l] - sv[-1], 0.0, None)
-            under = np.clip(sig[:, l] - sv[0], None, 0.0)
-            out += c1[l] * (chord + over + under)
+        nc = self.n_components
+        i_lo = np.clip(np.searchsorted(self.t_nodes, t, side="right") - 1,
+                       0, len(self.t_nodes) - 2)
+        theta = (t - self.t_nodes[i_lo]) / self.dt
+        lns = np.log(s)
+        coords_s = [np.clip((lns[:, l] - ax[0]) / self.h[l], 0.0,
+                            len(ax) - 1.0)
+                    for l, ax in enumerate(self.lns_axes)]
+
+        tail = slabs[0].shape[1 + nc + self.n:]
+        out = np.empty(t.shape + tail)
+        keys = i_lo * len(self.x_tuples) + x_idx
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        bounds = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+        bounds = np.r_[bounds, len(sorted_keys)]
+        for b0, b1 in zip(bounds[:-1], bounds[1:]):
+            sel = order[b0:b1]
+            i, xi = int(i_lo[sel[0]]), int(x_idx[sel[0]])
+            res = np.zeros((len(sel),) + tail)
+            for side, wgt in ((i, 1.0 - theta[sel]), (i + 1, theta[sel])):
+                arr = slabs[side][xi]
+                coords = [np.clip(y[sel, m] / self.dy, 0.0, arr.shape[m] - 1.0)
+                          for m in range(nc)]
+                coords = np.array(coords + [cs[sel] for cs in coords_s])
+                for k in np.ndindex(tail):
+                    res[(slice(None),) + k] += wgt * map_coordinates(
+                        arr[(...,) + k], coords, order=1, mode="nearest")
+            out[sel] = res
         return out
 
     def describe(self):
@@ -224,10 +245,10 @@ class Slab:
 class PriceField:
     """Price values on the grid with multilinear interpolation.
 
-    slabs[i] is the Slab of time node i.  Interpolation is linear in t
-    between slabs and multilinear in (ln s, y); ages clamp to the rows a
-    regime tuple stores (one on a memoryless axis) and prices beyond the
-    top edge extrapolate with slope c1.
+    slabs[i] is the Slab of time node i.  Interpolation (Grid.interp) is
+    linear in t between slabs and multilinear in (ln s, y); ages clamp to
+    the rows a regime tuple stores (one on a memoryless axis) and prices
+    beyond the box extrapolate with slope c1.
 
     The field holds the VolterraSolver that produced it and takes its grid
     and claim from it, so whatever reads the field (hedges, residual risk,
@@ -252,8 +273,7 @@ class PriceField:
         s = np.atleast_2d(np.asarray(s, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         x_idx = np.asarray(x_idx, dtype=int)
-        B = t.shape[0]
-        out = np.empty(B)
+        out = np.empty(t.shape[0])
 
         at_T = t >= g.horizon - 1e-13
         if np.any(at_T):
@@ -262,44 +282,13 @@ class PriceField:
         if not np.any(todo):
             return out
 
-        tt = t[todo]
-        i_lo = np.clip(np.searchsorted(g.t_nodes, tt, side="right") - 1,
-                       0, len(g.t_nodes) - 2)
-        theta = (tt - g.t_nodes[i_lo]) / g.dt
-
-        lns = np.log(s[todo])
         excess = np.zeros(todo.sum())
-        coords_s = []
-        for l in range(g.n):
-            ax = g.lns_axes[l]
-            idx = (lns[:, l] - ax[0]) / g.h[l]
+        for l, ax in enumerate(g.lns_axes):
             over = np.clip(s[todo, l] - math.exp(ax[-1]), 0.0, None)
             under = np.clip(s[todo, l] - math.exp(ax[0]), None, 0.0)
             excess += self.claim.c1[l] * (over + under)
-            coords_s.append(np.clip(idx, 0.0, len(ax) - 1.0))
-
-        vals = np.zeros(todo.sum())
-        keys = i_lo * len(g.x_tuples) + x_idx[todo]
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        bounds = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-        bounds = np.r_[bounds, len(sorted_keys)]
-        yy = y[todo]
-        for b0, b1 in zip(bounds[:-1], bounds[1:]):
-            sel = order[b0:b1]
-            i = int(i_lo[sel[0]])
-            xi = int(x_idx[todo][sel[0]])
-            res = np.zeros(len(sel))
-            for side, wgt in ((i, 1.0 - theta[sel]), (i + 1, theta[sel])):
-                slab = self.slabs[side][xi]
-                coords = [np.clip(yy[sel, m] / g.dy, 0.0, slab.shape[m] - 1.0)
-                          for m in range(g.n_components)]
-                coords += [cs[sel] for cs in coords_s]
-                res += wgt * map_coordinates(slab, np.array(coords), order=1,
-                                             mode="nearest")
-            vals[sel] = res
-        out_idx = np.flatnonzero(todo)
-        out[out_idx] = np.maximum(vals + excess, 0.0)
+        vals = g.interp(self.slabs, t[todo], s[todo], x_idx[todo], y[todo])
+        out[todo] = np.maximum(vals + excess, 0.0)
         return out
 
     def value(self, t: float, s, x, y) -> float:

@@ -438,6 +438,18 @@ def test_shipped_markov_modulated_config_passes_its_mc_check(tmp_path):
                 tuple(cols[-value_cols:]))
         assert all(len(values) == 1 for values in by_node.values())
 
+    # the report's eval-point hedge is the hedge field's row at that node
+    ep = report["eval_points"][0]
+    rows = [[float(v) for v in line.split(",")] for line in
+            (out / "hedge_field.csv").read_text().strip().splitlines()[1:]]
+    match = [row for row in rows if row[0] == ep["t"]
+             and row[2:4] == ep["x"] and row[4:6] == ep["y"]
+             and abs(row[1] - ep["s"][0]) <= 1e-12 * ep["s"][0]]
+    assert len(match) == 1
+    xi, eps = match[0][6], match[0][7]
+    assert abs(xi - ep["xi"][0]) <= 1e-12
+    assert abs(eps - ep["eps"]) <= 1e-12 * (1.0 + abs(ep["s"][0]))
+
 
 def _markov_modulated_field():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -506,7 +518,7 @@ def test_storage_shape_never_changes_what_a_reader_returns(tmp_path, model):
     written = []
     for tag, f, h in (("stored", field, hf),
                       ("full", full, HedgeField(
-                          g, [np.asarray(x) for x in hf.xi],
+                          full, [np.asarray(x) for x in hf.xi],
                           [np.asarray(e) for e in hf.eps]))):
         out = tmp_path / tag
         out.mkdir()

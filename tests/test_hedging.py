@@ -6,7 +6,7 @@ import pytest
 from regimehedge import hedging
 from regimehedge.market import Claim, build_kernel, build_market
 from regimehedge.mc_oracle import simulate_path
-from regimehedge.quadrature import gauss_legendre, tensor_normal_nodes
+from regimehedge.quadrature import tensor_normal_nodes
 from regimehedge.regime_bsm import bsm_delta
 from regimehedge.semi_markov import (
     AffineRate,
@@ -17,7 +17,7 @@ from regimehedge.semi_markov import (
     _joint_log_survival,
     switch_edges,
 )
-from regimehedge.hedging import hedge_field, hedge_ratio, strategy_at
+from regimehedge.hedging import hedge_field, strategy_at
 from regimehedge.volterra_pricer import (
     Grid,
     GridSpec,
@@ -71,9 +71,7 @@ def test_linear_claim_hedge_is_weights():
     field, _ = solve_price_field(m, claim, [h, h], grid, tol=1e-7,
                                  settings=SolverSettings(gh_nodes=32))
     pt = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
-    eta = hedge_ratio(field, pt, 0)
-    assert eta == pytest.approx(1.3, abs=1e-6)
-    xi, eps = strategy_at(field, pt)
+    xi, eps = strategy_at(hedge_field(field), pt)
     assert xi[0] == pytest.approx(1.3, abs=1e-6)
     assert eps == pytest.approx(0.0, abs=1e-6)
 
@@ -81,7 +79,7 @@ def test_linear_claim_hedge_is_weights():
 def test_regime_independent_hedge_matches_frozen_delta():
     field = degenerate_case()
     pt = (0.25, np.array([100.0]), (1, 1), np.array([0.1, 0.2]))
-    eta = hedge_ratio(field, pt, 0)
+    eta = strategy_at(hedge_field(field), pt)[0][0]
     ref = bsm_delta(field.solver.market, field.claim, (1, 1), 0.25, 1.0,
                     np.array([100.0]), 0)
     assert eta == pytest.approx(ref, abs=1e-3)
@@ -91,6 +89,7 @@ def test_hedge_matches_field_finite_difference():
     # oracle: 4th-order central difference of the solved field in ln s,
     # converted to an s-derivative at the node
     field = regime_case()
+    hedge = hedge_field(field)
     g = field.grid
     rng = np.random.default_rng(8)
     checked = 0
@@ -103,7 +102,7 @@ def test_hedge_matches_field_finite_difference():
         s_idx = int(rng.integers(45, 76))
         s = np.array([g.s_axes[0][s_idx]])
         pt = (t, s, x, y)
-        eta = hedge_ratio(field, pt, 0)
+        eta = strategy_at(hedge, pt)[0][0]
         vals = [field.value(t, np.array([g.s_axes[0][s_idx + k]]), x, y)
                 for k in (-2, -1, 1, 2)]
         dz = (-vals[3] + 8.0 * vals[2] - 8.0 * vals[1] + vals[0]) / (12.0 * g.h[0])
@@ -126,7 +125,7 @@ def test_hedge_bounded_by_payoff_slope():
     recon = np.asarray(hf.xi[10])[..., 0] * smesh + hf.eps[10]
     np.testing.assert_allclose(recon, field.slabs[10], rtol=1e-12, atol=1e-12)
 
-    # grid pass agrees with the point-query route at interior nodes
+    # grid pass agrees with the point-route oracle at interior nodes
     g = field.grid
     i = 10
     t = float(g.t_nodes[i])
@@ -135,7 +134,7 @@ def test_hedge_bounded_by_payoff_slope():
         y = np.array([g.age_nodes[a] for a in y_idx])
         s = np.array([g.s_axes[0][s_idx]])
         grid_val = np.asarray(hf.xi[i])[(xi_i,) + y_idx + (s_idx, 0)]
-        point_val = hedge_ratio(field, (t, s, x, y), 0)
+        point_val = _hedge_ratio_per_node(field, (t, s, x, y), 0)
         assert point_val == pytest.approx(grid_val, rel=3e-3, abs=3e-4)
 
 
@@ -174,7 +173,8 @@ def test_correlated_two_asset_hedge_field_matches_point_route(settings):
                     for axis in (0, 1):
                         grid_val = np.asarray(hf.xi[i])[(xi_i, a) + s_idx
                                                         + (axis,)]
-                        point_val = hedge_ratio(field, (t, s, x, y), axis)
+                        point_val = _hedge_ratio_per_node(
+                            field, (t, s, x, y), axis)
                         assert point_val == pytest.approx(grid_val, rel=3e-3,
                                                           abs=3e-4)
                         checked += 1
@@ -222,9 +222,10 @@ def test_derivative_taps_built_once_per_smoother_and_axis(monkeypatch):
 
 
 def test_hedge_pass_runs_on_the_pricing_solver_at_its_settings(monkeypatch):
-    # the grid pass and the point route read the solver that priced the
-    # field: no second solver, no survival weights recomputed, and the
-    # field's node counts (not the SolverSettings defaults, 16 and 24)
+    # the grid pass and the reading of it at a point use the solver that
+    # priced the field: no second solver, no survival weights recomputed,
+    # and the field's node counts (not the SolverSettings defaults, 16 and
+    # 24)
     from regimehedge import volterra_pricer as vp
     m = build_market(2, 2, 1, 0.03, np.array([0.06, 0.07]),
                      lambda x: (1.0 if x[0] == 1 else 1.3)
@@ -253,15 +254,13 @@ def test_hedge_pass_runs_on_the_pricing_solver_at_its_settings(monkeypatch):
             return fn(*args)
         return wrapper
     monkeypatch.setattr(vp.VolterraSolver, "__init__", counting_init)
-    for mod in (hedging, vp):
-        monkeypatch.setattr(mod, "tensor_normal_nodes",
-                            recording(mod.tensor_normal_nodes, gh, 1))
-    for name in ("bsm_delta", "bsm_delta_grid"):
-        monkeypatch.setattr(hedging, name,
-                            recording(getattr(hedging, name), outer, 7))
+    monkeypatch.setattr(vp, "tensor_normal_nodes",
+                        recording(vp.tensor_normal_nodes, gh, 1))
+    monkeypatch.setattr(hedging, "bsm_delta_grid",
+                        recording(hedging.bsm_delta_grid, outer, 7))
 
-    hedge_field(field)
-    strategy_at(field, (0.3, np.array([95.0, 104.0]), (2,), np.array([0.3])))
+    hedge = hedge_field(field)
+    strategy_at(hedge, (0.3, np.array([95.0, 104.0]), (2,), np.array([0.3])))
     assert built == []
     assert gh == {8} and outer == {2}
     for i, js in cached.items():
@@ -271,7 +270,7 @@ def test_hedge_pass_runs_on_the_pricing_solver_at_its_settings(monkeypatch):
 def test_strategy_value_identity_and_terminal_replication():
     field = regime_case()
     pt = (0.5, np.array([110.0]), (2, 1), np.array([0.3, 0.1]))
-    xi, eps = strategy_at(field, pt, discount=0.97)
+    xi, eps = strategy_at(hedge_field(field), pt, discount=0.97)
     phi = field.value(*pt)
     assert xi[0] * 110.0 + eps / 0.97 == pytest.approx(phi, rel=1e-12)
 
@@ -309,8 +308,9 @@ def test_self_financing_along_no_jump_path():
 
     r = 0.04
     t = 0.0
+    hedge = hedge_field(field)
     pt = (0.0, np.array([sset[0]]), (1, 1), np.zeros(2))
-    xi, eps = strategy_at(field, pt)
+    xi, eps = strategy_at(hedge, pt)
     value = field.value(*pt)
     for k in range(1, n_steps + 1):
         t = k * dt
@@ -319,13 +319,32 @@ def test_self_financing_along_no_jump_path():
         phi = field.value(t, np.array([sset[k]]), (1, 1), y)
         if k < n_steps:
             ptk = (t, np.array([sset[k]]), (1, 1), y)
-            xi, eps = strategy_at(field, ptk, discount=math.exp(-r * t))
+            xi, eps = strategy_at(hedge, ptk, discount=math.exp(-r * t))
         assert abs(value - phi) < 0.8  # discrete-rebalancing slippage
 
 
+def _interp_linear_part(g, sig, c1):
+    """The multilinear interpolant of the node values of c1 . s: inside the
+    box the per-axis chord of the exponential in ln s, beyond it the
+    linear-growth extension."""
+    out = np.zeros(sig.shape[0])
+    for l in range(g.n):
+        ax, sv = g.lns_axes[l], g.s_axes[l]
+        idx = np.clip((np.log(sig[:, l]) - ax[0]) / g.h[l], 0.0, len(ax) - 1.0)
+        i0 = np.minimum(idx.astype(int), len(ax) - 2)
+        frac = idx - i0
+        chord = (1.0 - frac) * sv[i0] + frac * sv[i0 + 1]
+        over = np.clip(sig[:, l] - sv[-1], 0.0, None)
+        under = np.clip(sig[:, l] - sv[0], None, 0.0)
+        out += c1[l] * (chord + over + under)
+    return out
+
+
 def _hedge_ratio_per_node(field, point, axis):
-    """hedge_ratio with one scalar kernel and one inverse per panel node:
-    the loop the batched kernels must reproduce bit for bit."""
+    """d(price)/d s_axis at point = (t, s, x, y) by a switch-time quadrature
+    of its own, the oracle of hedge_field: 2 Gauss-Legendre nodes per panel,
+    one kernel and one inverse Cholesky factor per node, and the solved
+    field read at the kernel's tensor Gauss-Hermite nodes."""
     solver = field.solver
     market, claim, models = solver.market, solver.claim, solver.models
     settings = solver.settings
@@ -345,7 +364,7 @@ def _hedge_ratio_per_node(field, point, axis):
                           settings.bsm_outer_nodes)) * js_T
     n_panels = max(1, int(round(rem / g.dt)))
     width = rem / n_panels
-    gl_x, gl_w = gauss_legendre(2)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(2)
     edges = switch_edges(models, g.x_tuples)[g.x_index[x]]
     rate_x = market.r(x)
     nodes, wq = tensor_normal_nodes(g.n, settings.gh_nodes)
@@ -370,7 +389,9 @@ def _hedge_ratio_per_node(field, point, axis):
                 B = sig.shape[0]
                 vals = field.values(np.full(B, t + v), sig, np.full(B, xpi),
                                     np.tile(yp, (B, 1)))
-                excess = vals - g.interp_linear_part(sig, claim.c1)
+                # the excess over the interpolated linear part, whose
+                # derivative is restored in closed form, as on the grid
+                excess = vals - _interp_linear_part(g, sig, claim.c1)
                 d_excess = float(np.dot(wq * fac, excess))
                 switch += wv * math.exp(-rate_x * v) * js * lam \
                     * (d_excess + lin_term)
@@ -378,41 +399,3 @@ def _hedge_ratio_per_node(field, point, axis):
     if mass > 1e-300:
         switch *= (1.0 - js_T) / mass
     return out + switch
-
-
-def _one_asset_case():
-    field = regime_case()
-    points = [(0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0])),
-              (0.37, np.array([93.0]), (2, 1), np.array([0.2, 0.37])),
-              (0.95, np.array([108.0]), (1, 2), np.array([0.5, 0.1]))]
-    return field, points
-
-
-def _small_correlated_case():
-    def vol(x):
-        base = np.array([[0.2, 0.0], [0.12, 0.22]])
-        return base if x[0] == 1 else 1.4 * base
-
-    m = build_market(2, 2, 1, 0.03, np.array([0.06, 0.07]), vol)
-    claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
-    models = [HazardModel(2, {(1, 2): WeibullRate(0.8, 1.6),
-                              (2, 1): ConstantRate(0.9)})]
-    grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
-                GridSpec(time_steps=6, price_nodes=21, age_nodes=3))
-    field, _ = solve_price_field(m, claim, models, grid, tol=1e-4,
-                                 settings=SolverSettings(gh_nodes=8))
-    points = [(0.0, np.array([100.0, 95.0]), (1,), np.array([0.0])),
-              (0.41, np.array([90.0, 112.0]), (2,), np.array([0.3]))]
-    return field, points
-
-
-@pytest.mark.parametrize("case", [_one_asset_case, _small_correlated_case],
-                         ids=["one-asset", "correlated-two-asset"])
-def test_batched_kernels_equal_the_per_node_loop(monkeypatch, case):
-    field, points = case()
-    got = [strategy_at(field, pt, 0.93) for pt in points]
-    monkeypatch.setattr(hedging, "hedge_ratio", _hedge_ratio_per_node)
-    for pt, (xi, eps) in zip(points, got):
-        ref_xi, ref_eps = strategy_at(field, pt, 0.93)
-        np.testing.assert_array_equal(xi, ref_xi)
-        assert eps == ref_eps

@@ -156,7 +156,7 @@ def test_time_integrals_match_quad_on_random_piecewise_linear(seed):
         scale = d * max(float(np.max(np.abs(m.a(u, X0)))) for u in (t0, t1))
         np.testing.assert_allclose(a_int, want, rtol=1e-12, atol=1e-13 * scale)
         mu_int = m.mu_integral(t0, t1, X0)
-        want = _quad_integral(lambda u: m.mu(u, X0), t0, t1, knots, (n,))
+        want = _quad_integral(drift, t0, t1, knots, (n,))
         np.testing.assert_allclose(mu_int, want, rtol=1e-12, atol=1e-13 * d)
         if d <= 1e-9:
             np.linalg.cholesky(a_int)

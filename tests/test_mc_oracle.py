@@ -218,8 +218,9 @@ def _trapezoid_mu_integral(self, t0, t1, x):
     # the trapezoid rule per piece between the knots of mu: exact for linear mu
     if t1 <= t0:
         return np.zeros(self.n)
-    cuts = [t0] + [k for k in self._mu[tuple(x)].knots if t0 < k < t1] + [t1]
-    return sum(0.5 * (b - a) * (self.mu(a, x) + self.mu(b, x))
+    mu = self._mu[tuple(x)]
+    cuts = [t0] + [k for k in mu.knots if t0 < k < t1] + [t1]
+    return sum(0.5 * (b - a) * (mu(a) + mu(b))
                for a, b in zip(cuts[:-1], cuts[1:]))
 
 
