@@ -22,7 +22,7 @@ from .errors import (
     TruncationFailure,
 )
 from .market import Claim, MarketModel, TimeCoeff, build_market
-from .semi_markov import CsmState, HazardModel, RegimePath, simulate_csm
+from .semi_markov import CsmState, HazardModel, SwitchBlock, simulate_csm
 from .volterra_pricer import (
     ConvergenceReport,
     Grid,
@@ -46,9 +46,9 @@ __all__ = [
     "Claim", "ConfigError", "ConvergenceReport", "CsmState",
     "DimensionTooLarge", "Grid", "GridSpec", "HazardModel", "HedgeField",
     "MarketModel", "NoConvergence", "PriceField",
-    "RegimeHedgeError", "RegimePath",
-    "ResidualRiskReport", "RootFindFailure", "SensitivityReport",
-    "SingularCovariance", "SolverSettings", "TimeCoeff", "TruncationFailure",
+    "RegimeHedgeError", "ResidualRiskReport", "RootFindFailure",
+    "SensitivityReport", "SingularCovariance", "SolverSettings",
+    "SwitchBlock", "TimeCoeff", "TruncationFailure",
     "build_market", "hedge_field", "linear_growth_norm",
     "mc_price", "pde_residual", "residual_risk",
     "sensitivity_check", "simulate_csm",

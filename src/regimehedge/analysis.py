@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .mc_oracle import map_chunks, simulate_path, stream_blocks
+from .mc_oracle import id_blocks, map_chunks, simulate_path
 from .volterra_pricer import PriceField, solve_price_field
 
 _SUP_GRID = 1001
@@ -115,9 +115,9 @@ class ResidualRiskReport:
 def _path_costs(field: PriceField, start, seed, ids):
     solver = field.solver
     costs, jumps = [], []
-    for rngs in stream_blocks(seed, ids):
+    for block in id_blocks(ids):
         blk = simulate_path(solver.market, solver.models, start,
-                            field.grid.horizon, rngs, mode="physical")
+                            field.grid.horizon, seed, block, mode="physical")
         phi_pre = field.values(blk.jump_times, blk.s_at_jumps,
                                blk.pre_index, blk.ages_before)
         phi_post = field.values(blk.jump_times, blk.s_at_jumps,

@@ -156,7 +156,6 @@ class MarketModel:
             if rate[x] < 0:
                 raise ConfigError(f"rate must be nonnegative at {x}")
         self._rate = {x: float(rate[x]) for x in self.x_tuples}
-        self._mu = drift
         self._sigma = vol
         # per regime tuple, the pieces of mu and of a = sigma sigma^T
         self._mu_pieces = {x: _piece_table(drift[x], (self.n,), False)

@@ -2,23 +2,41 @@
 
 Between regime switches the asset vector is exactly lognormal, so paths are
 sampled without any time-discretization error: ``semi_markov.simulate_csm``
-draws the switch history by hazard-clock inversion, and the oracle overlays
-one multivariate normal log-increment (and the discount) per no-switch
-segment.  Paths are simulated in blocks: the switch histories and Gaussian
-draws of a block first, then one ``build_kernel`` call per regime tuple over
-all of the block's segments.  Each path owns its streams, and a segment's
-kernel does not depend on the block it sits in, so the block size and the
-worker count never change a result.  Under the pricing drift the discounted
-payoff average is an unbiased estimate of the price; under the physical
-drift the same paths feed the residual-risk accounting.
+draws the switch histories by hazard-clock inversion, and the oracle
+overlays one multivariate normal log-increment (and the discount) per
+no-switch segment.  Paths are simulated in blocks: the switch histories of
+a block one jump round at a time, then its Gaussian draws, then one
+``build_kernel`` call per regime tuple over all of the block's segments.
+Each path owns its streams, and a segment's kernel does not depend on the
+block it sits in, so the block size and the worker count never change a
+result.  Under the pricing drift the discounted payoff average is an
+unbiased estimate of the price; under the physical drift the same paths
+feed the residual-risk accounting.
 
-Path ``pid`` of a run with seed ``seed`` draws its switch history from the
-Philox stream with key ``(w, 2 pid)`` and its Gaussian increments from the
-one with key ``(w, 2 pid + 1)``, where ``w`` is the first 64-bit word of
-``SeedSequence(seed)``.  Philox is counter based and keyed (Salmon, Moraes,
-Dror and Shaw, SC'11): a stream is fixed by its 128-bit key alone, and
-distinct keys give independent streams.  So one pair of generators is
-re-keyed for each path instead of building two generators per path.
+Path ``pid`` of a run with seed ``seed`` reads the Philox4x64-10 stream
+with key ``(w, 2 pid)`` for its switch history and the one with key
+``(w, 2 pid + 1)`` for its Gaussian increments, where ``w`` is the first
+64-bit word of ``SeedSequence(seed)``.  Philox is counter based and keyed
+(Salmon, Moraes, Dror and Shaw, SC'11): word 4b + j of a stream is output j
+of the cipher applied to the counter (b + 1, 0, 0, 0), the layout of
+numpy's ``Philox(key=...).random_raw()``.  So the words of every path of a
+block are computed at once in numpy (``semi_markov._philox_words``).  A
+word becomes
+
+* U = (word >> 11) 2**-53 in [0, 1), numpy's ``Generator.random()``;
+* E = -log1p(-U), an Exp(1) draw;
+* Z = ndtri(((word >> 12) + 0.5) 2**-52), an N(0, 1) draw from the
+  midpoint of one of 2**52 equal cells, a float that is never 0 or 1.
+
+The regime stream gives one E per component for the initial clocks, then
+one U (the destination) and one E (the new clock) per jump.  The Gaussian
+stream gives one Z per asset of each segment of positive length, in segment
+order and then asset order.  E is not numpy's
+``standard_exponential(method="inv")``: that method calls libm's ``log``,
+which differs in the last bit from numpy's ``log1p`` ufunc on a few percent
+of draws.  The ufuncs used here give the same bits for an element alone as
+at any position of an array, which keeps a path's draws independent of its
+block.
 """
 
 from __future__ import annotations
@@ -28,9 +46,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .market import Claim, MarketModel, build_kernel
-from .semi_markov import CsmState, simulate_csm
+from .semi_markov import CsmState, _philox_words, simulate_csm
 
 _BLOCK = 1024   # path ids simulated together
 
@@ -55,9 +74,6 @@ class PathBlock:
     discount_at_jumps: np.ndarray  # (J,) exp(-int_t0^{T_m} r)
 
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
-
-
 def _stream_keys(seed: int, ids, k: int) -> np.ndarray:
     """(P, 2) uint64 Philox keys of stream k of the paths ids: row p is
     (w, 2 ids[p] + k), w the first word of SeedSequence(seed), which
@@ -70,36 +86,21 @@ def _stream_keys(seed: int, ids, k: int) -> np.ndarray:
                      2 * ids.astype(np.uint64) + k], axis=1)
 
 
-def _stream_pair():
-    """A (regime, Gaussian) pair of generators, to be re-keyed per path."""
-    return tuple(np.random.Generator(np.random.Philox(0)) for _ in (0, 1))
+def id_blocks(ids):
+    """The path ids in consecutive blocks of _BLOCK."""
+    return (ids[lo:lo + _BLOCK] for lo in range(0, len(ids), _BLOCK))
 
 
-def _rekey(pair, keys):
-    """Point pair at the streams keys, at counter 0 with empty buffers."""
-    for rng, key in zip(pair, keys):
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZERO4, "key": key},
-            "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0,
-            "uinteger": 0}
-    return pair
-
-
-def stream_blocks(seed: int, ids):
-    """The streams of ids in consecutive blocks of _BLOCK, made lazily.
-
-    Each block is an iterator of (regime, Gaussian) generator pairs, one
-    per id.  The keys of a block are made together, and every pair this
-    call yields is the same two generators re-keyed for the next id, so a
-    pair is valid only until the next one is drawn: use each path's streams
-    completely before advancing.  Separate calls own separate generators.
-    """
-    pair = _stream_pair()
-    for lo in range(0, len(ids), _BLOCK):
-        block = ids[lo:lo + _BLOCK]
-        keys = zip(*(_stream_keys(seed, block, k) for k in (0, 1)))
-        yield (_rekey(pair, path_keys) for path_keys in keys)
+def _normals(keys, counts):
+    """The first counts[p] N(0, 1) draws Z of the stream keyed keys[p], for
+    every row p, concatenated in row order."""
+    n_ctr = -(-int(counts.max(initial=0)) // 4)
+    words = np.zeros((len(keys), 4 * n_ctr), dtype=np.uint64)
+    for b in range(n_ctr):
+        rows = np.flatnonzero(counts > 4 * b)
+        words[rows, 4 * b:4 * b + 4] = _philox_words(keys[rows], b)
+    used = words[np.arange(4 * n_ctr) < counts[:, None]]
+    return ndtri(((used >> np.uint64(12)) + 0.5) * 2.0 ** -52)
 
 
 def map_chunks(fn, ids, n_jobs: int):
@@ -112,40 +113,42 @@ def map_chunks(fn, ids, n_jobs: int):
         return list(ex.map(fn, np.array_split(ids, n_jobs)))
 
 
-def simulate_path(market: MarketModel, models, start, horizon: float, rngs,
-                  mode: str = "risk-neutral") -> PathBlock:
+def simulate_path(market: MarketModel, models, start, horizon: float,
+                  seed: int, ids, mode: str = "risk-neutral") -> PathBlock:
     """Exact paths over [t0, horizon] from start = (t0, s, x, y), one per
-    (rng_regime, rng_gauss) pair of rngs.
+    path id of ids, on the streams of seed.
 
-    Pass 1 runs simulate_csm on each path's regime stream and draws
-    standard_normal((k, n)) from its Gaussian stream, k the number of its
-    segments of positive length.  Pass 2 builds the kernels of the block's
-    segments with one build_kernel call per regime tuple and compounds
-    prices and log-discounts in segment order.
+    Pass 1 runs simulate_csm on the block's regime streams and draws
+    n Gaussians per segment of positive length from the Gaussian streams.
+    Pass 2 builds the kernels of the block's segments with one build_kernel
+    call per regime tuple and compounds prices and log-discounts in segment
+    order.
     """
     t0, s0, x0, y0 = start
-    init = CsmState(x0, np.asarray(y0, dtype=float).tolist())
     n = market.n
-    seg_t, seg_v, seg_x, n_segs, draws = [], [], [], [], []
-    j_times, ages_b, ages_a = [], [], []
-    for rng_regime, rng_gauss in rngs:
-        reg = simulate_csm(models, init, horizon, rng_regime, start=t0)
-        bounds = [reg.start_time, *reg.jump_times.tolist(), horizon]
-        lengths = [b - a for a, b in zip(bounds[:-1], bounds[1:])]
-        seg_t += bounds[:-1]
-        seg_v += lengths
-        seg_x += [market.x_index[x] for x in map(tuple, reg.states.tolist())]
-        n_segs.append(len(lengths))
-        draws.append(rng_gauss.standard_normal(
-            (sum(d > 0 for d in lengths), n)))
-        j_times.append(reg.jump_times)
-        ages_b.append(reg.ages_before)
-        ages_a.append(reg.ages_after)
-
-    seg_t, seg_v = np.array(seg_t), np.array(seg_v)
-    seg_x, n_segs = np.array(seg_x, dtype=int), np.array(n_segs, dtype=int)
-    eps = np.concatenate(draws)
+    sw = simulate_csm(models, CsmState(x0, np.asarray(y0, float).tolist()),
+                      horizon, _stream_keys(seed, ids, 0), start=t0)
+    P, J = len(sw.n_jumps), len(sw.jump_times)
+    # segments by path, then by time: segment 0 of a path starts at t0 and
+    # segment m + 1 at its jump m
+    n_segs = sw.n_jumps + 1
+    first = np.cumsum(n_segs) - n_segs
+    at_jump = np.ones(P + J, dtype=bool)
+    at_jump[first] = False
+    seg_t = np.full(P + J, float(t0))
+    seg_t[at_jump] = sw.jump_times
+    seg_end = np.append(seg_t[1:], float(horizon))
+    seg_end[first + n_segs - 1] = float(horizon)
+    seg_v = seg_end - seg_t
+    index = np.empty((market.k,) * market.n_components, dtype=int)
+    for xi, x in enumerate(market.x_tuples):
+        index[tuple(v - 1 for v in x)] = xi
+    seg_x = np.full(P + J, market.x_index[tuple(x0)])
+    seg_x[at_jump] = index[tuple((sw.states_after - 1).T)]
     live = np.flatnonzero(seg_v > 0)     # the segments that own a draw
+    per_path = np.bincount(np.repeat(np.arange(P), n_segs)[live],
+                           minlength=P)
+    eps = _normals(_stream_keys(seed, ids, 1), n * per_path).reshape(-1, n)
     growth = np.ones((len(seg_v), n))
     rate_dt = np.zeros(len(seg_v))
     live_x = seg_x[live]
@@ -162,11 +165,7 @@ def simulate_path(market: MarketModel, models, start, horizon: float, rngs,
         growth[seg] = np.exp(kern.zbar + shock)
         rate_dt[seg] = market.r(x) * seg_v[seg]
 
-    P = len(n_segs)
-    first = np.cumsum(n_segs) - n_segs
     jump_first = first - np.arange(P)
-    J = len(seg_v) - P
-    jump_path = np.repeat(np.arange(P), n_segs - 1)
     s = np.broadcast_to(np.asarray(s0, dtype=float), (P, n)).copy()
     log_disc = np.zeros(P)
     s_jumps = np.empty((J, n))
@@ -181,21 +180,23 @@ def simulate_path(market: MarketModel, models, start, horizon: float, rngs,
         s_jumps[jrow] = s[jumping]
         log_disc_jumps[jrow] = log_disc[jumping]
 
-    pre_seg = np.arange(J) + jump_path    # jump m of path p ends segment m
+    pre_seg = np.arange(J) + sw.jump_path  # jump m of path p ends segment m
     return PathBlock(
-        n_jumps=n_segs - 1, s_terminal=s, discount=np.exp(log_disc),
-        jump_path=jump_path, jump_times=np.concatenate(j_times),
+        n_jumps=sw.n_jumps, s_terminal=s, discount=np.exp(log_disc),
+        jump_path=sw.jump_path, jump_times=sw.jump_times,
         pre_index=seg_x[pre_seg], post_index=seg_x[pre_seg + 1],
-        ages_before=np.concatenate(ages_b), ages_after=np.concatenate(ages_a),
+        ages_before=sw.ages_before, ages_after=sw.ages_after,
         s_at_jumps=s_jumps, discount_at_jumps=np.exp(log_disc_jumps))
 
 
-def _discounted_payoffs(market, claim, models, start, horizon, seed, ids):
-    out = []
-    for rngs in stream_blocks(seed, ids):
-        blk = simulate_path(market, models, start, horizon, rngs)
-        out.append(blk.discount * claim(blk.s_terminal))
-    return np.concatenate(out)
+def _terminal_states(market, models, start, horizon, seed, ids):
+    """Discounts and terminal prices of the paths ids."""
+    disc, s_T = [], []
+    for block in id_blocks(ids):
+        blk = simulate_path(market, models, start, horizon, seed, block)
+        disc.append(blk.discount)
+        s_T.append(blk.s_terminal)
+    return np.concatenate(disc), np.concatenate(s_T)
 
 
 def mc_price(market: MarketModel, claim: Claim, models, start, horizon: float,
@@ -203,14 +204,19 @@ def mc_price(market: MarketModel, claim: Claim, models, start, horizon: float,
     """Discounted-payoff mean and standard error over n_paths exact paths.
 
     Reproducible for a fixed seed: each path owns counter-derived streams
-    and the aggregation order is fixed regardless of the worker count.
+    and the aggregation order is fixed regardless of the worker count.  The
+    claim is evaluated once over all terminal prices, because its basket
+    (a matrix product) rounds a lone row differently from the same row
+    among others.
     """
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
-    vals = np.concatenate(map_chunks(
-        lambda ids: _discounted_payoffs(market, claim, models, start, horizon,
-                                        seed, ids),
-        np.arange(n_paths), n_jobs))
+    parts = map_chunks(
+        lambda ids: _terminal_states(market, models, start, horizon, seed,
+                                     ids),
+        np.arange(n_paths), n_jobs)
+    vals = np.concatenate([d for d, _ in parts]) \
+        * claim(np.concatenate([s for _, s in parts]))
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     return mean, se

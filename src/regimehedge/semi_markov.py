@@ -271,73 +271,105 @@ class HazardModel:
         s = np.asarray(s, dtype=float)
         return -(self.cumulative_hazard(i, y + s) - self.cumulative_hazard(i, float(y)))
 
-    def transition_probs(self, i: int, y: float):
-        """Destination distribution given a jump out of i at age y."""
-        p = np.zeros(self.k)
-        for j in self._rows[i]:
-            p[j - 1] = float(self.rates[(i, j)].rate(np.asarray(y, dtype=float)))
-        tot = p.sum()
-        if tot <= 0:
-            # Only reachable when every exit rate vanishes at y (weibull/affine
-            # rows at age 0); the embedded ratio is the limit of rate ratios.
-            eps = 1e-9
-            for j in self._rows[i]:
-                p[j - 1] = float(self.rates[(i, j)].rate(np.asarray(y + eps)))
-            tot = p.sum()
-        return p / tot
+    def transition_probs(self, i: int, y):
+        """Destination distribution given a jump out of i at age y, shaped
+        y.shape + (k,): each destination's rate over the row's rates summed
+        in ascending destination order."""
+        y = np.asarray(y, dtype=float)
 
-    def draw_destination(self, i: int, y: float, u: float) -> int:
-        """Destination of a jump out of i at age y, for a uniform draw u.
+        def rates(age):
+            lam = [self.rates[(i, j)].rate(age) for j in self._rows[i]]
+            tot = lam[0]
+            for r in lam[1:]:
+                tot = tot + r
+            return lam, tot
+        lam, tot = rates(y)
+        flat = tot <= 0
+        if flat.any():
+            # only reachable when every exit rate vanishes at y (weibull or
+            # affine rows at age 0): the embedded ratio is the limit of
+            # rate ratios
+            lam, tot = rates(np.where(flat, y + 1e-9, y))
+        p = np.zeros(y.shape + (self.k,))
+        for j, r in zip(self._rows[i], lam):
+            p[..., j - 1] = r / tot
+        return p
 
-        The first state whose cumulative probability exceeds u, so a state of
-        zero probability is never drawn; a u at or above a cumulative sum that
-        rounds below 1 goes to the row's last destination.
+    def draw_destination(self, i: int, y, u):
+        """Destinations of jumps out of i at ages y, for uniform draws u.
+
+        Elementwise over the arrays y and u.  A jump goes to the first state
+        whose cumulative probability, summed in ascending order, exceeds u,
+        so a state of zero probability is never drawn; a u at or above a
+        cumulative sum that rounds below 1 goes to the row's last
+        destination.
         """
         row = self._rows[i]
+        y, u = np.broadcast_arrays(np.asarray(y, dtype=float),
+                                   np.asarray(u, dtype=float))
         if len(row) == 1:
-            return row[0]
-        cum = np.cumsum(self.transition_probs(i, y))
-        return min(int(np.searchsorted(cum, u, side="right")) + 1, row[-1])
+            return np.full(y.shape, row[0])
+        p = self.transition_probs(i, y)
+        cum, below = np.zeros(y.shape), np.zeros(y.shape, dtype=int)
+        for j in row[:-1]:
+            cum = cum + p[..., j - 1]
+            below = below + (cum <= u)
+        return np.asarray(row)[below]
 
     # -- clock inversion -------------------------------------------------------
 
-    def invert_clock(self, i: int, y: float, e: float) -> float:
-        """Solve Lambda_i(y + tau) - Lambda_i(y) = e for tau >= 0."""
+    def invert_clock(self, i: int, y, e):
+        """Solve Lambda_i(y + tau) - Lambda_i(y) = e for tau >= 0,
+        elementwise over the arrays y and e.
+
+        Affine and one-shape Weibull rows invert in closed form; other rows
+        bracket each root and refine it with brentq, one element at a time.
+        """
+        y, e = np.broadcast_arrays(np.asarray(y, dtype=float),
+                                   np.asarray(e, dtype=float))
         kind = self._row_kind[i]
         if kind[0] == "affine":
             _, a, b = kind
             if b == 0.0:
                 return e / a
             r = a + b * y
-            return 2.0 * e / (r + math.sqrt(r * r + 2.0 * b * e))
+            return 2.0 * e / (r + np.sqrt(r * r + 2.0 * b * e))
         if kind[0] == "weibull":
             _, c, kap = kind
-            return (y ** kap + kap * e / c) ** (1.0 / kap) - y
-        base = float(self.cumulative_hazard(i, np.asarray(y)))
-        g = lambda tau: float(self.cumulative_hazard(i, np.asarray(y + tau))) - base - e
-
-        # first-order guess e / rate, capped so that it stays finite when
-        # the exit rate vanishes at y
-        rate = float(self.exit_rate(i, np.asarray(y)))
-        hi = max(min(e / rate, 1e12) if rate > 0 else 1e12, 1e-12)
-        for _ in range(200):
-            if g(hi) >= 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise RootFindFailure(
-                f"cumulative hazard failed to reach {e} from age {y} in state {i}"
-            )
-        # a guess past the root by more than a millionfold (a rate rising
-        # from near zero at y) leaves brentq a bracket it cannot close
-        while hi > 1e-12 and g(1e-6 * hi) >= 0.0:
-            hi *= 1e-6
+            return np.power(np.power(y, kap) + kap * e / c, 1.0 / kap) - y
         from scipy import optimize
-        return float(optimize.brentq(g, 0.0, hi, xtol=1e-12))
+        tau = np.empty(y.shape)
+        for idx in np.ndindex(y.shape):
+            yy, ee = float(y[idx]), float(e[idx])
+            base = float(self.cumulative_hazard(i, np.asarray(yy)))
+
+            def g(t):
+                return float(self.cumulative_hazard(i, np.asarray(yy + t))) \
+                    - base - ee
+
+            # first-order guess e / rate, capped so that it stays finite
+            # when the exit rate vanishes at y
+            rate = float(self.exit_rate(i, np.asarray(yy)))
+            hi = max(min(ee / rate, 1e12) if rate > 0 else 1e12, 1e-12)
+            for _ in range(200):
+                if g(hi) >= 0.0:
+                    break
+                hi *= 2.0
+            else:
+                raise RootFindFailure(
+                    f"cumulative hazard failed to reach {ee} from age {yy} "
+                    f"in state {i}")
+            # a guess past the root by more than a millionfold (a rate
+            # rising from near zero at y) leaves brentq a bracket it cannot
+            # close
+            while hi > 1e-12 and g(1e-6 * hi) >= 0.0:
+                hi *= 1e-6
+            tau[idx] = optimize.brentq(g, 0.0, hi, xtol=1e-12)
+        return tau
 
     def clock_scale(self, i: int, y: float) -> float:
         """Residual time to accumulate one unit of hazard (e-folding time)."""
-        return self.invert_clock(i, y, 1.0)
+        return float(self.invert_clock(i, y, 1.0))
 
     def scaled(self, factor: float) -> "HazardModel":
         """New model with every rate multiplied by a positive factor."""
@@ -524,85 +556,150 @@ def next_jump_time_law(models, state: CsmState, l: int) -> JumpTimeLaw:
 # Exact simulation
 # ---------------------------------------------------------------------------
 
+# Philox4x64 multipliers and key increments, one row per half of the state
+_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_M0, _M1 = _M & _LO32, _M >> _S32
+
+
+def _mulhilo(x):
+    """High and low 64-bit words of _M * x, from 32-bit halves."""
+    x0, x1 = x & _LO32, x >> _S32
+    p00, p01, p10, p11 = _M0 * x0, _M0 * x1, _M1 * x0, _M1 * x1
+    mid = (p00 >> _S32) + (p01 & _LO32) + (p10 & _LO32)
+    return p11 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32), _M * x
+
+
+def _philox_words(keys, b: int) -> np.ndarray:
+    """(P, 4) uint64 words 4b .. 4b + 3 of the Philox streams keyed by the
+    rows of the (P, 2) uint64 keys: Philox4x64-10 of the counter
+    (b + 1, 0, 0, 0), as numpy's Philox(key=keys[p]).random_raw() gives
+    them."""
+    key = np.array(np.asarray(keys).T, dtype=np.uint64)
+    ctr = np.zeros((4, key.shape[1]), dtype=np.uint64)
+    ctr[0] = b + 1
+    for rnd in range(10):
+        if rnd:
+            key += _W
+        hi, lo = _mulhilo(ctr[0::2])
+        out = np.empty_like(ctr)
+        out[0::2] = hi[::-1] ^ ctr[1::2] ^ key
+        out[1::2] = lo[::-1]
+        ctr = out
+    return ctr.T
+
+
+def _uniform(words):
+    """U = (word >> 11) 2**-53 in [0, 1), numpy's Generator.random()."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def _exponential(words):
+    """E = -log1p(-U), an Exp(1) draw."""
+    return -np.log1p(-_uniform(words))
+
+
 @dataclass
-class RegimePath:
-    """Jump record of a simulated componentwise path over [start_time, horizon]."""
+class SwitchBlock:
+    """Switch histories of a block of paths, flat per path and per jump.
 
-    start_time: float
-    horizon: float
-    jump_times: np.ndarray      # (m,) absolute times in (start_time, horizon]
-    jump_component: np.ndarray  # (m,) int
-    jump_from: np.ndarray       # (m,) state labels
-    jump_to: np.ndarray         # (m,)
-    states: np.ndarray          # (m+1, n+1) state tuple on each inter-jump interval
-    ages_before: np.ndarray     # (m, n+1) ages just before each jump
-    ages_after: np.ndarray      # (m, n+1) the same with the jumper's age at 0
+    Jumps are ordered by path, then by time.
+    """
 
-    @property
-    def n_jumps(self):
-        return len(self.jump_times)
+    n_jumps: np.ndarray          # (P,)
+    jump_path: np.ndarray        # (J,) row of the jump's path
+    jump_times: np.ndarray       # (J,) absolute times in (start, horizon]
+    jump_component: np.ndarray   # (J,)
+    states_after: np.ndarray     # (J, c) state tuple after the jump
+    ages_before: np.ndarray      # (J, c) ages just before the jump
+    ages_after: np.ndarray       # (J, c) the same with the jumper's age at 0
 
 
-def simulate_csm(models, initial: CsmState, horizon: float,
-                 rng: np.random.Generator, max_jumps: int | None = None,
-                 start: float = 0.0) -> RegimePath:
-    """Simulate all components exactly by inverting each exponential clock.
+def simulate_csm(models, initial: CsmState, horizon: float, keys,
+                 start: float = 0.0,
+                 max_jumps: int | None = None) -> SwitchBlock:
+    """Switch histories of all components, exact by clock inversion, for a
+    block of paths: one per row of the (P, 2) uint64 Philox keys.
 
-    Times are absolute: the components hold ``initial`` at time ``start``
-    and the path runs to ``horizon``.  Each component repeatedly draws
-    E ~ Exp(1) and solves Lambda(age + tau) - Lambda(age) = E for its next
-    jump; the earliest candidate jump fires (ties broken by lowest component
-    index), its destination is drawn from the age-dependent transition
-    probabilities, and its age resets to zero while the others keep running.
+    Times are absolute: every path holds ``initial`` at time ``start`` and
+    runs to ``horizon``.  Each component draws E ~ Exp(1) and solves
+    Lambda(age + tau) - Lambda(age) = E for its next jump.  The block
+    advances one jump round at a time: in each round, each path whose
+    earliest candidate jump lies within the horizon fires it (ties broken by
+    lowest component index), draws its destination from the age-dependent
+    transition probabilities, resets the jumper's age to zero while the
+    others keep running, and draws the jumper's next clock.
 
-    max_jumps truncates the record early (first-jump studies); the returned
-    horizon is then the truncation time.
+    Path p reads the words of the stream keyed keys[p] in order: one E per
+    component for the initial clocks, then for each jump one U for the
+    destination and one E for the new clock.  Every path of a round reads
+    the same word positions, and a path's history depends on its key alone,
+    never on the block it is simulated in.
+
+    max_jumps stops each path after that many jumps (first-jump studies).
     """
     start = float(start)
     if horizon <= 0 or horizon < start:
         raise ConfigError("horizon must be positive and not before the start")
-    n_comp = len(models)
-    x = list(initial.x)
-    ages0 = [float(a) for a in initial.y]
-    reset_time = [start - a for a in ages0]  # age(t) = t - reset
-    next_time = [start + models[m].invert_clock(x[m], ages0[m], rng.exponential())
-                 for m in range(n_comp)]
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+    P, n_comp = len(keys), len(models)
+    x = np.tile(np.asarray(initial.x, dtype=int), (P, 1))
+    reset = np.tile(start - np.asarray(initial.y, dtype=float), (P, 1))
+    cached = [-1, None]   # a counter and its words, for the rows then live
 
-    times, comps, frs, tos, states = [], [], [], [], [tuple(x)]
-    ages_b, ages_a = [], []
-    while True:
-        l = min(range(n_comp), key=next_time.__getitem__)  # lowest on ties
-        t_jump = float(next_time[l])
-        if t_jump > horizon:
+    def word(q, rows):
+        b, j = divmod(q, 4)
+        if cached[0] != b:
+            cached[1] = np.zeros((P, 4), dtype=np.uint64)
+            cached[1][rows] = _philox_words(keys[rows], b)
+            cached[0] = b
+        return cached[1][rows, j]
+
+    live = np.arange(P)
+    next_time = np.empty((P, n_comp))   # age(t) = t - reset
+    for m, h in enumerate(models):
+        next_time[:, m] = start + h.invert_clock(
+            initial.x[m], initial.y[m], _exponential(word(m, live)))
+
+    rounds = []
+    q = n_comp
+    while live.size and (max_jumps is None or len(rounds) < max_jumps):
+        comp = np.argmin(next_time[live], axis=1)     # lowest on ties
+        t = next_time[live, comp]
+        fire = t <= horizon
+        live, comp, t = live[fire], comp[fire], t[fire]
+        if not live.size:
             break
-        j = models[l].draw_destination(x[l], t_jump - reset_time[l],
-                                       rng.random())
-        before = [t_jump - r for r in reset_time]
+        u, e = _uniform(word(q, live)), _exponential(word(q + 1, live))
+        q += 2
+        before = t[:, None] - reset[live]
         after = before.copy()
-        after[l] = 0.0
-        ages_b.append(before)
-        ages_a.append(after)
-        times.append(t_jump)
-        comps.append(l)
-        frs.append(x[l])
-        tos.append(j)
-        x[l] = j
-        reset_time[l] = t_jump
-        next_time[l] = t_jump + models[l].invert_clock(j, 0.0, rng.exponential())
-        states.append(tuple(x))
-        if max_jumps is not None and len(times) >= max_jumps:
-            horizon = t_jump
-            break
+        after[np.arange(len(live)), comp] = 0.0
+        x_from = x[live, comp]
+        dest, tau = np.empty(len(live), dtype=int), np.empty(len(live))
+        for m, h in enumerate(models):
+            for i in range(1, h.k + 1):
+                g = np.flatnonzero((comp == m) & (x_from == i))
+                if g.size:
+                    dest[g] = h.draw_destination(i, before[g, m], u[g])
+            for j in range(1, h.k + 1):
+                g = np.flatnonzero((comp == m) & (dest == j))
+                if g.size:
+                    tau[g] = h.invert_clock(j, 0.0, e[g])
+        x[live, comp] = dest
+        reset[live, comp] = t
+        next_time[live, comp] = t + tau
+        rounds.append((live, t, comp, x[live], before, after))
 
-    n_jumps = len(times)
-    return RegimePath(
-        start_time=start,
-        horizon=horizon,
-        jump_times=np.asarray(times, dtype=float),
-        jump_component=np.asarray(comps, dtype=int),
-        jump_from=np.asarray(frs, dtype=int),
-        jump_to=np.asarray(tos, dtype=int),
-        states=np.asarray(states, dtype=int),
-        ages_before=np.asarray(ages_b, dtype=float).reshape(n_jumps, n_comp),
-        ages_after=np.asarray(ages_a, dtype=float).reshape(n_jumps, n_comp),
-    )
+    none = (np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=int),
+            np.empty((0, n_comp), dtype=int), np.empty((0, n_comp)),
+            np.empty((0, n_comp)))
+    path, t, comp, states, before, after = (
+        np.concatenate(a) for a in zip(none, *rounds))
+    order = np.argsort(path, kind="stable")    # by path, then by round
+    return SwitchBlock(
+        n_jumps=np.bincount(path, minlength=P), jump_path=path[order],
+        jump_times=t[order], jump_component=comp[order],
+        states_after=states[order], ages_before=before[order],
+        ages_after=after[order])

@@ -289,7 +289,7 @@ def test_self_financing_along_no_jump_path():
     while True:
         path = simulate_path(m, models,
                              (0.0, np.array([100.0]), (1, 1), np.zeros(2)),
-                             1.0, [_spawn_rngs(31, pid)], mode="physical")
+                             1.0, 31, [pid], mode="physical")
         if path.n_jumps[0] == 0:
             break
         pid += 1

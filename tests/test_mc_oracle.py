@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from regimehedge.market import (
     Claim,
@@ -13,23 +14,28 @@ from regimehedge.market import (
     build_kernel,
     build_market,
 )
+from regimehedge import mc_oracle
 from regimehedge.analysis import residual_risk
 from regimehedge.mc_oracle import (
     PathBlock,
+    id_blocks,
     map_chunks,
     mc_price,
     simulate_path,
-    stream_blocks,
+    _normals,
     _stream_keys,
 )
 from regimehedge.regime_bsm import bsm_price
 from regimehedge.scenario import parse_scenario
 from regimehedge.semi_markov import (
+    AffineRate,
     ConstantRate,
-    CsmState,
     HazardModel,
+    TabulatedRate,
     WeibullRate,
-    simulate_csm,
+    _exponential,
+    _philox_words,
+    _uniform,
 )
 from regimehedge.volterra_pricer import Grid, GridSpec, solve_price_field
 
@@ -58,8 +64,74 @@ START = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
 
 def paths(market, models, start, horizon, seed, ids, mode="risk-neutral"):
     """The block of the paths ids, each on its own streams."""
-    return simulate_path(market, models, start, horizon,
-                         (_path_streams(seed, pid) for pid in ids), mode=mode)
+    return simulate_path(market, models, start, horizon, seed,
+                         np.asarray(ids), mode=mode)
+
+
+def reference_path(market, models, start, horizon, seed, pid, mode):
+    """Path pid alone, on the streams numpy's own Generator draws.
+
+    The switch history goes one jump at a time, the earliest clock first
+    (lowest component on ties), with U = rng.random() and E = -log1p(-U):
+    one E per component, then per jump one U for the destination and one E
+    for the new clock.  Each segment of positive length draws n
+    Z = ndtri((floor(2**52 U) + 0.5) 2**-52) and builds its own kernel.
+    """
+    rng_regime, rng_gauss = _path_streams(seed, pid)
+    t0, s0, x0, y0 = start
+    x, ages = list(x0), [float(a) for a in y0]
+    reset = [t0 - a for a in ages]
+
+    def clock():
+        return -np.log1p(-rng_regime.random())
+
+    nxt = [t0 + float(h.invert_clock(x[m], ages[m], clock()))
+           for m, h in enumerate(models)]
+    rec = dict(jump_times=[], pre_index=[], post_index=[], ages_before=[],
+               ages_after=[])
+    while True:
+        l = min(range(len(models)), key=nxt.__getitem__)
+        t = nxt[l]
+        if t > horizon:
+            break
+        before = [t - r for r in reset]
+        after = before.copy()
+        after[l] = 0.0
+        rec["pre_index"].append(market.x_index[tuple(x)])
+        x[l] = int(models[l].draw_destination(x[l], before[l],
+                                              rng_regime.random()))
+        rec["post_index"].append(market.x_index[tuple(x)])
+        reset[l] = t
+        nxt[l] = t + float(models[l].invert_clock(x[l], 0.0, clock()))
+        rec["jump_times"].append(t)
+        rec["ages_before"].append(before)
+        rec["ages_after"].append(after)
+
+    n = market.n
+    bounds = [float(t0), *rec["jump_times"], float(horizon)]
+    states = [market.x_index[tuple(x0)], *rec["post_index"]]
+    s, log_disc = np.asarray(s0, dtype=float).copy(), 0.0
+    s_jumps, disc_jumps = [], []
+    for k, xi in enumerate(states):
+        v = bounds[k + 1] - bounds[k]
+        if v > 0:
+            u = np.array([rng_gauss.random() for _ in range(n)])
+            z = ndtri((np.floor(u * 2.0 ** 52) + 0.5) * 2.0 ** -52)[None]
+            kern = build_kernel(market, np.array([bounds[k]]),
+                                market.x_tuples[xi], np.array([v]), mode=mode)
+            shock = kern.chol[..., 0] * z[:, None, 0]
+            for col in range(1, n):
+                shock = shock + kern.chol[..., col] * z[:, None, col]
+            s = s * np.exp(kern.zbar + shock)[0]
+            log_disc = log_disc - market.r(market.x_tuples[xi]) * v
+        if k < len(states) - 1:
+            s_jumps.append(s)
+            disc_jumps.append(np.exp(log_disc))
+    m = len(rec["jump_times"])
+    rec.update(n_jumps=m, s_terminal=s, discount=np.exp(log_disc),
+               s_at_jumps=np.reshape(s_jumps, (m, n)),
+               discount_at_jumps=np.array(disc_jumps))
+    return rec
 
 
 def path_states(market, blk, p, x0):
@@ -163,28 +235,88 @@ def test_path_record_bookkeeping():
     assert path.s_at_jumps.shape == (n_jumps, 1)
 
 
-def test_switch_history_is_simulate_csm():
-    # the oracle draws its switch history from simulate_csm on the same
-    # regime stream, from a start time t0 > 0 and nonzero ages
+def _demo_case():
+    root = Path(__file__).resolve().parents[1]
+    doc = json.loads((root / "configs" / "two_state_call.json").read_text())
+    scn = parse_scenario(doc)
+    return scn.market, scn.models, (1, 1), [0.0, 0.0], 0.0
+
+
+def _c3_case():
+    # the acceptance suite's C3 model: affine with b > 0, constant and
+    # Weibull with kappa = 2, over three components and two assets
+    m = build_market(2, 2, 3, lambda x: 0.02 if x[0] == 1 else 0.05,
+                     np.array([0.06, 0.07]),
+                     lambda x: np.diag([0.2 if x[1] == 1 else 0.3,
+                                        0.25 if x[2] == 1 else 0.32]))
+    models = [HazardModel(2, {(1, 2): up, (2, 1): ConstantRate(down)})
+              for up, down in ((ConstantRate(0.25), 0.35),
+                               (WeibullRate(0.4, 2.0), 0.3),
+                               (AffineRate(0.2, 0.15), 0.25))]
+    return m, models, (1, 2, 1), [0.0, 0.0, 0.0], 0.0
+
+
+def _three_state_case():
+    # every row has two destinations with age-dependent odds
+    def h(s):
+        return HazardModel(3, {
+            (1, 2): WeibullRate(0.9 * s, 1.8),
+            (1, 3): AffineRate(0.3, 0.8 * s),
+            (2, 1): ConstantRate(1.1 * s),
+            (2, 3): WeibullRate(0.7, 2.5),
+            (3, 1): AffineRate(0.5 * s, 0.4),
+            (3, 2): ConstantRate(0.6)})
+    m = build_market(1, 3, 2, lambda x: 0.01 * x[0], np.array([0.05]),
+                     lambda x: (0.15 + 0.05 * x[1]) * np.eye(1))
+    return m, [h(1.0), h(1.6)], (1, 3), [0.0, 0.0], 0.0
+
+
+def _tabulated_case():
+    # the tabulated model of test_imports: its clock inverts with brentq
+    m = build_market(1, 2, 2, 0.04, np.array([0.08]), 0.25 * np.eye(1))
+    models = [HazardModel(2, {(1, 2): TabulatedRate([0.0, 0.5, 2.0],
+                                                    [0.3, 0.9, 0.6]),
+                              (2, 1): WeibullRate(0.9, 1.4)}),
+              HazardModel(2, {(1, 2): AffineRate(0.2, 0.15),
+                              (2, 1): ConstantRate(0.7)})]
+    return m, models, (1, 1), [0.0, 0.0], 0.0
+
+
+def _late_start_case():
+    # a start at t0 > 0 with nonzero ages
     m = flat_market()
     models = [HazardModel(2, {(1, 2): WeibullRate(1.8, 1.6),
                               (2, 1): ConstantRate(1.2)}),
               HazardModel(2, {(1, 2): ConstantRate(0.9),
                               (2, 1): WeibullRate(2.2, 2.0)})]
-    t0, x0, y0 = 0.37, (2, 1), np.array([0.45, 1.3])
-    start = (t0, np.array([100.0]), x0, y0)
-    blk = paths(m, models, start, 1.5, 8, range(50), mode="physical")
-    for pid in range(50):
-        rr, _ = _path_streams(8, pid)
-        reg = simulate_csm(models, CsmState(x0, y0), 1.5, rr, start=t0)
-        sel = blk.jump_path == pid
-        assert blk.n_jumps[pid] == reg.n_jumps
-        np.testing.assert_array_equal(path_states(m, blk, pid, x0),
-                                      reg.states)
-        for name in ("jump_times", "ages_before", "ages_after"):
-            np.testing.assert_array_equal(getattr(blk, name)[sel],
-                                          getattr(reg, name), err_msg=name)
-        assert reg.start_time == t0
+    return m, models, (2, 1), [0.45, 1.3], 0.37
+
+
+_CASES = {"demo": _demo_case, "c3": _c3_case, "three_state": _three_state_case,
+          "tabulated": _tabulated_case, "late_start": _late_start_case}
+
+
+@pytest.mark.parametrize("mode", ["risk-neutral", "physical"])
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_paths_equal_one_path_reference(case, mode):
+    # the block simulator reads each path's streams as numpy's Generator
+    # draws them, bit for bit, on every path of a 150-path block
+    m, models, x0, y0, t0 = _CASES[case]()
+    start = (t0, np.full(m.n, 100.0), x0, np.array(y0))
+    ids = np.arange(500, 650)
+    blk = paths(m, models, start, 1.5, 8, ids, mode=mode)
+    for p, pid in enumerate(ids):
+        ref = reference_path(m, models, start, 1.5, 8, pid, mode)
+        sel = blk.jump_path == p
+        assert blk.n_jumps[p] == ref["n_jumps"] == sel.sum()
+        for name in ("jump_times", "pre_index", "post_index", "ages_before",
+                     "ages_after", "s_at_jumps", "discount_at_jumps"):
+            np.testing.assert_array_equal(
+                getattr(blk, name)[sel],
+                np.reshape(ref[name], getattr(blk, name)[sel].shape),
+                err_msg=f"{name} of path {pid}")
+        np.testing.assert_array_equal(blk.s_terminal[p], ref["s_terminal"])
+        assert blk.discount[p] == ref["discount"]
     assert blk.n_jumps.sum() > 50
 
 
@@ -214,14 +346,16 @@ def _simpson_a_integral(self, t0, t1, x):
                for a, b in zip(cuts[:-1], cuts[1:]))
 
 
-def _trapezoid_mu_integral(self, t0, t1, x):
-    # the trapezoid rule per piece between the knots of mu: exact for linear mu
-    if t1 <= t0:
-        return np.zeros(self.n)
-    mu = self._mu[tuple(x)]
-    cuts = [t0] + [k for k in mu.knots if t0 < k < t1] + [t1]
-    return sum(0.5 * (b - a) * (mu(a) + mu(b))
-               for a, b in zip(cuts[:-1], cuts[1:]))
+def _trapezoid_mu_integral(mu):
+    # the trapezoid rule per piece between the knots of the drift mu of
+    # every regime tuple: exact for linear mu
+    def integral(self, t0, t1, x):
+        if t1 <= t0:
+            return np.zeros(self.n)
+        cuts = [t0] + [k for k in mu.knots if t0 < k < t1] + [t1]
+        return sum(0.5 * (b - a) * (mu(a) + mu(b))
+                   for a, b in zip(cuts[:-1], cuts[1:]))
+    return integral
 
 
 def _per_segment(integral):
@@ -239,6 +373,7 @@ def _per_segment(integral):
 _HISTORY = ("n_jumps", "jump_path", "jump_times", "pre_index", "post_index",
             "ages_before", "ages_after")
 _PRICES = ("s_terminal", "discount", "s_at_jumps", "discount_at_jumps")
+_PER_PATH = ("n_jumps", "s_terminal", "discount")
 
 
 @pytest.mark.parametrize("mode", ["risk-neutral", "physical"])
@@ -249,7 +384,9 @@ def test_paths_match_pointwise_quadrature_of_the_coefficients(
     # discounts by rounding only: 200 demo paths against per-piece
     # Simpson/trapezoid integrals of the pointwise coefficients
     path = Path(__file__).resolve().parents[1] / "configs" / "two_state_call.json"
-    scn = parse_scenario(json.loads(path.read_text()))
+    doc = json.loads(path.read_text())
+    scn = parse_scenario(doc)
+    drift = TimeCoeff.constant(np.array(doc["market"]["drift"]))
     start = (t0, np.array([100.0]), (1, 2), np.array(y0))
 
     def records():
@@ -260,7 +397,7 @@ def test_paths_match_pointwise_quadrature_of_the_coefficients(
     monkeypatch.setattr(MarketModel, "a_integral",
                         _per_segment(_simpson_a_integral))
     monkeypatch.setattr(MarketModel, "mu_integral",
-                        _per_segment(_trapezoid_mu_integral))
+                        _per_segment(_trapezoid_mu_integral(drift)))
     oracle = records()
     for name in _HISTORY:
         np.testing.assert_array_equal(getattr(table, name),
@@ -316,21 +453,45 @@ def test_block_equals_smaller_blocks_bit_for_bit(mode, t0, y0):
         for name in _HISTORY + _PRICES:
             np.testing.assert_array_equal(getattr(parts, name),
                                           getattr(whole, name), err_msg=name)
+    # the same paths at the head of a block of 1024
+    big = paths(m, models, start, 1.0, 5, range(1024), mode=mode)
+    head = big.jump_path < 300
+    for name in _HISTORY + _PRICES:
+        got = getattr(big, name)
+        got = got[:300] if name in _PER_PATH else got[head]
+        np.testing.assert_array_equal(got, getattr(whole, name), err_msg=name)
 
 
-def test_worker_count_changes_no_estimate():
+def test_worker_count_changes_no_estimate(monkeypatch):
+    # block sizes 1, 7 and 1024 and one or two workers give the same bytes
     m, models, claim = correlated_case()
     start = (0.37, np.array([100.0, 90.0]), (2, 1), np.array([0.2, 0.37]))
-    one = mc_price(m, claim, models, start, 1.0, 2500, 4, n_jobs=1)
-    two = mc_price(m, claim, models, start, 1.0, 2500, 4, n_jobs=2)
-    assert one == two
     grid = Grid(m, 1.0, np.array([[100.0, 90.0]]),
                 GridSpec(time_steps=4, price_nodes=9, age_nodes=3))
     field, _ = solve_price_field(m, claim, models, grid, 1e-3)
-    one = residual_risk(field, start, 2500, 6, n_jobs=1)
-    two = residual_risk(field, start, 2500, 6, n_jobs=2)
-    assert one.to_dict() == two.to_dict()
-    assert one.mean_jumps > 0.5
+    assert mc_oracle._BLOCK == 1024
+    one = mc_price(m, claim, models, start, 1.0, 2500, 4, n_jobs=1)
+    one_rr = residual_risk(field, start, 2500, 6, n_jobs=1).to_dict()
+    for block, n_jobs in ((1024, 2), (7, 1), (1, 2)):
+        monkeypatch.setattr(mc_oracle, "_BLOCK", block)
+        assert mc_price(m, claim, models, start, 1.0, 2500, 4,
+                        n_jobs=n_jobs) == one
+        assert residual_risk(field, start, 2500, 6,
+                             n_jobs=n_jobs).to_dict() == one_rr
+    assert one_rr["mean_jumps"] > 0.5
+
+
+def test_philox_words_equal_numpy_philox():
+    # counters b = 0..5 of random keys and of keys within 2**10 of 2**64
+    # (the Weyl increments of the key schedule wrap)
+    rng = np.random.default_rng(2024)
+    keys = np.concatenate([
+        rng.integers(0, 2 ** 64, size=(40, 2), dtype=np.uint64),
+        ~rng.integers(0, 2 ** 10, size=(24, 2), dtype=np.uint64)])
+    words = np.concatenate([_philox_words(keys, b) for b in range(6)], 1)
+    for key, row in zip(keys, words):
+        np.testing.assert_array_equal(
+            row, np.random.Philox(key=key).random_raw(24))
 
 
 def test_path_streams_are_philox_keyed_by_id():
@@ -338,10 +499,45 @@ def test_path_streams_are_philox_keyed_by_id():
     # seed word below, 2 pid + k above
     for seed, pid in ((0, 0), (42, 7), (2 ** 31 - 1, np.int64(123456))):
         w = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
-        for k, rng in enumerate(_path_streams(seed, pid)):
+        for k in (0, 1):
+            keys = _stream_keys(seed, [pid], k)
             key = w + ((2 * int(pid) + k) << 64)
             want = np.random.Generator(np.random.Philox(key=key))
-            np.testing.assert_array_equal(rng.random(8), want.random(8))
+            got = np.concatenate([_philox_words(keys, b)[0] for b in (0, 1)])
+            np.testing.assert_array_equal(_uniform(got), want.random(8))
+
+
+def test_stream_blocks_rekey_to_the_numpy_streams():
+    # each id block's words, computed for the whole block at once, are the
+    # words numpy's Philox gives each path's own streams; the Gaussian
+    # counts vary by path and cross a counter
+    ids = np.arange(2100)     # two full blocks and a partial one
+    blocks = list(id_blocks(ids))
+    assert [len(b) for b in blocks] == [1024, 1024, 52]
+    for blk in blocks:
+        regime = np.concatenate(
+            [_philox_words(_stream_keys(42, blk, 0), b) for b in (0, 1)], 1)
+        counts = 1 + blk % 7
+        z = np.split(_normals(_stream_keys(42, blk, 1), counts),
+                     np.cumsum(counts)[:-1])
+        for pid, row, zp in zip(blk, regime, z):
+            rng_regime, rng_gauss = (
+                g.bit_generator for g in _path_streams(42, pid))
+            np.testing.assert_array_equal(row, rng_regime.random_raw(8))
+            words = rng_gauss.random_raw(len(zp))
+            np.testing.assert_array_equal(
+                zp, ndtri(((words >> np.uint64(12)) + 0.5) * 2.0 ** -52))
+
+
+def test_stream_words_follow_their_laws():
+    # at a fixed seed, 80,000 E words of the regime streams are Exp(1) and
+    # 80,000 Z words of the Gaussian streams N(0, 1) (KS p-value above 1e-3)
+    ids = np.arange(20_000)
+    e = _exponential(_philox_words(_stream_keys(77, ids, 0), 0)).ravel()
+    z = _normals(_stream_keys(77, ids, 1), np.full(len(ids), 4))
+    assert len(e) == len(z) == 80_000
+    assert stats.kstest(e, "expon").pvalue > 1e-3
+    assert stats.kstest(z, "norm").pvalue > 1e-3
 
 
 def test_stream_keys_are_seed_word_and_path_id():
@@ -366,11 +562,8 @@ def test_streams_of_consecutive_ids_are_independent_draws(seed):
     # stream over 20,000 consecutive ids still follows its law (KS p-value
     # above 1e-3), and no two streams of the run share a key
     ids = np.arange(20_000)
-    first_u, first_z = [], []
-    for block in stream_blocks(seed, ids):
-        for rng_regime, rng_gauss in block:
-            first_u.append(rng_regime.random())
-            first_z.append(rng_gauss.standard_normal())
+    first_u = _uniform(_philox_words(_stream_keys(seed, ids, 0), 0)[:, 0])
+    first_z = _normals(_stream_keys(seed, ids, 1), np.ones(len(ids), int))
     assert stats.kstest(first_u, "uniform").pvalue > 1e-3
     assert stats.kstest(first_z, "norm").pvalue > 1e-3
     keys = np.concatenate([_stream_keys(seed, ids, k) for k in (0, 1)])
@@ -390,44 +583,14 @@ def test_map_chunks_gives_no_worker_an_empty_chunk():
             assert chunks(ids, n_jobs) == [[i] for i in range(n)]
 
 
-def _mixed_draws(rng_regime, rng_gauss, pid):
-    """Draws of every kind a path makes, of a length that varies by path.
-    Raw 32-bit draws come first, and an odd count of them leaves half a
-    buffered word behind, so a stale buffer after re-keying shows."""
-    k = 1 + pid % 4
-    return np.concatenate([
-        rng_regime.integers(0, 2 ** 32, size=k, dtype=np.uint32),
-        rng_regime.exponential(size=k), rng_regime.random(k),
-        rng_gauss.standard_normal((k, 2)).ravel(),
-        rng_regime.random(2), rng_gauss.standard_normal(3)])
-
-
-def test_stream_blocks_rekey_to_the_numpy_streams():
-    ids = np.arange(2100)     # two full blocks and a partial one
-    got, sizes = [], []
-    for block in stream_blocks(42, ids):
-        # each pair is used up before the block re-keys it for the next id
-        for pair in block:
-            got.append(_mixed_draws(*pair, len(got)))
-        sizes.append(len(got) - sum(sizes))
-    assert sizes == [1024, 1024, 52]
-    for pid in ids:
-        np.testing.assert_array_equal(
-            got[pid], _mixed_draws(*_path_streams(42, pid), pid))
-
-
-def test_estimates_equal_numpy_stream_reference():
+def test_estimates_equal_one_path_reference():
+    # mc_price and residual_risk average the reference paths in id order
     m, models, claim = correlated_case()
     start = (0.37, np.array([100.0, 90.0]), (2, 1), np.array([0.2, 0.37]))
-
-    def block(seed, n_ids, **kw):
-        return simulate_path(m, models, start, 1.0,
-                             (_path_streams(seed, pid)
-                              for pid in range(n_ids)),
-                             **kw)
-
-    blk = block(4, 2100)
-    vals = blk.discount * claim(blk.s_terminal)
+    refs = [reference_path(m, models, start, 1.0, 4, pid, "risk-neutral")
+            for pid in range(2100)]
+    vals = np.array([r["discount"] for r in refs]) \
+        * claim(np.array([r["s_terminal"] for r in refs]))
     want = (float(np.mean(vals)),
             float(np.std(vals, ddof=1) / math.sqrt(len(vals))))
     assert mc_price(m, claim, models, start, 1.0, 2100, 4) == want
@@ -435,14 +598,20 @@ def test_estimates_equal_numpy_stream_reference():
     grid = Grid(m, 1.0, np.array([[100.0, 90.0]]),
                 GridSpec(time_steps=4, price_nodes=9, age_nodes=3))
     field, _ = solve_price_field(m, claim, models, grid, 1e-3)
-    blk = block(6, 2100, mode="physical")
-    s = blk.s_at_jumps
-    jump = blk.discount_at_jumps * (
-        field.values(blk.jump_times, s, blk.post_index, blk.ages_after)
-        - field.values(blk.jump_times, s, blk.pre_index, blk.ages_before))
-    costs = np.bincount(blk.jump_path, weights=jump ** 2, minlength=2100)
+    refs = [reference_path(m, models, start, 1.0, 6, pid, "physical")
+            for pid in range(2100)]
+    costs = np.zeros(len(refs))
+    for p, r in enumerate(refs):
+        t, s = np.array(r["jump_times"]), r["s_at_jumps"]
+        ages_b, ages_a = (np.reshape(r[k], (-1, 2))
+                          for k in ("ages_before", "ages_after"))
+        jump = r["discount_at_jumps"] * (
+            field.values(t, s, np.array(r["post_index"], dtype=int), ages_a)
+            - field.values(t, s, np.array(r["pre_index"], dtype=int), ages_b))
+        for c in jump ** 2:      # summed in jump order
+            costs[p] += c
     rep = residual_risk(field, start, 2100, 6)
     assert rep.r0 == float(np.mean(costs))
     assert rep.se == float(np.std(costs, ddof=1) / math.sqrt(2100))
-    assert rep.mean_jumps == float(np.mean(blk.n_jumps)) > 0.5
+    assert rep.mean_jumps == float(np.mean([r["n_jumps"] for r in refs])) > 0.5
     assert rep.cost_quantiles["q90"] == float(np.quantile(costs, 0.9))

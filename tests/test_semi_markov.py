@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from regimehedge.errors import ConfigError, TruncationFailure
+from regimehedge.mc_oracle import _stream_keys
 from regimehedge.semi_markov import (
     AffineRate,
     ConstantRate,
@@ -21,10 +22,10 @@ from regimehedge.semi_markov import (
 SUM_TOL = 1e-8
 
 
-def path_rng(seed, stream=0):
-    """The Philox generator of SeedSequence(seed, spawn_key=(stream,))."""
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
+def path_keys(seed, n):
+    """Philox keys of the regime streams of the first n paths of a Monte
+    Carlo run with this seed."""
+    return _stream_keys(seed, np.arange(n), 0)
 
 
 def two_state(rate12, rate21=None):
@@ -275,13 +276,12 @@ def test_decaying_tail_is_still_priced():
 def test_simulate_mean_holding_time():
     c = 0.8
     m = two_state(ConstantRate(c))
-    rng = path_rng(2024, 0)
     n = 20000
     # first holding time from age 0, state 1
-    holds = np.empty(n)
-    for i in range(n):
-        path = simulate_csm([m], CsmState((1,), (0.0,)), 200.0, rng, max_jumps=1)
-        holds[i] = path.jump_times[0]
+    path = simulate_csm([m], CsmState((1,), (0.0,)), 200.0, path_keys(2024, n),
+                        max_jumps=1)
+    assert np.all(path.n_jumps == 1)
+    holds = path.jump_times
     se = holds.std(ddof=1) / math.sqrt(n)
     assert abs(holds.mean() - 1.0 / c) < 3 * se
 
@@ -291,40 +291,36 @@ def test_simulate_component_frequencies_match_quadrature():
     m1 = two_state(AffineRate(0.4, 0.6), ConstantRate(1.2))
     state = CsmState((1, 2), (0.3, 0.6))
     p = next_jump_component_prob([m0, m1], state)
-    rng = path_rng(99, 0)
     n = 20000
-    wins = np.zeros(2)
-    for _ in range(n):
-        path = simulate_csm([m0, m1], state, 500.0, rng, max_jumps=1)
-        wins[path.jump_component[0]] += 1
-    freq = wins / n
+    path = simulate_csm([m0, m1], state, 500.0, path_keys(99, n), max_jumps=1)
+    assert np.all(path.n_jumps == 1)
+    freq = np.bincount(path.jump_component, minlength=2) / n
     se = np.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(freq - p) < 3 * se + 1e-12)
 
 
 def test_simulate_holding_times_ks_against_cdf():
     m = two_state(WeibullRate(1.3, 2.2), ConstantRate(0.7))
-    rng = path_rng(5150, 0)
     n = 10000
-    samples = np.empty(n)
-    for i in range(n):
-        path = simulate_csm([m], CsmState((1,), (0.0,)), 500.0, rng, max_jumps=1)
-        samples[i] = path.jump_times[0]
-    res = stats.kstest(samples, lambda v: holding_cdf(m, 1, np.asarray(v)))
+    path = simulate_csm([m], CsmState((1,), (0.0,)), 500.0, path_keys(5150, n),
+                        max_jumps=1)
+    assert np.all(path.n_jumps == 1)
+    res = stats.kstest(path.jump_times,
+                       lambda v: holding_cdf(m, 1, np.asarray(v)))
     assert res.pvalue > 0.01
 
 
 def test_simulate_reproducible_and_short_horizon():
     m = two_state(ConstantRate(0.5))
     state = CsmState((1, 1), (0.0, 0.2))
-    p1 = simulate_csm([m, m], state, 3.0, path_rng(11, 4))
-    p2 = simulate_csm([m, m], state, 3.0, path_rng(11, 4))
-    np.testing.assert_array_equal(p1.jump_times, p2.jump_times)
-    np.testing.assert_array_equal(p1.states, p2.states)
+    p1 = simulate_csm([m, m], state, 3.0, path_keys(11, 4))
+    p2 = simulate_csm([m, m], state, 3.0, path_keys(11, 4))
+    for name in ("n_jumps", "jump_times", "states_after", "ages_before"):
+        np.testing.assert_array_equal(getattr(p1, name), getattr(p2, name))
 
     # vanishing horizon: no jumps with overwhelming probability
-    none = simulate_csm([m, m], state, 1e-9, path_rng(12, 0))
-    assert none.n_jumps == 0
+    none = simulate_csm([m, m], state, 1e-9, path_keys(12, 4))
+    assert none.n_jumps.sum() == 0 and none.jump_times.shape == (0,)
 
 
 def test_simulate_age_resets_and_monotone_times():
@@ -332,14 +328,16 @@ def test_simulate_age_resets_and_monotone_times():
         (1, 2): ConstantRate(1.0), (2, 3): ConstantRate(1.5),
         (3, 1): WeibullRate(0.8, 1.5),
     })
-    path = simulate_csm([m, m], CsmState((1, 2), (0.0, 0.0)), 50.0, path_rng(3, 1))
-    assert path.n_jumps > 5
+    path = simulate_csm([m, m], CsmState((1, 2), (0.0, 0.0)), 50.0,
+                        path_keys(3, 1))
+    assert path.n_jumps[0] > 5
     assert np.all(np.diff(path.jump_times) > 0)
-    # exactly one component changes per jump
-    for step in range(path.n_jumps):
-        changed = np.sum(path.states[step] != path.states[step + 1])
-        assert changed == 1
-
+    # exactly one component changes per jump, and its age resets
+    states = np.vstack([[1, 2], path.states_after])
+    for step in range(path.n_jumps[0]):
+        changed = np.flatnonzero(states[step] != states[step + 1])
+        assert changed.tolist() == [path.jump_component[step]]
+        assert path.ages_after[step][changed[0]] == 0.0
 
 
 def test_invert_clock_when_every_exit_rate_vanishes_at_the_age():
@@ -404,24 +402,29 @@ def test_simulate_csm_path_properties(case, seed):
     models, state, start, horizon = case
     if horizon <= 0:
         return
-    path = simulate_csm(models, state, horizon, path_rng(seed, 0), start=start)
-    t = path.jump_times
-    assert path.start_time == start and path.horizon == horizon
-    assert np.all(np.diff(t) > 0)
-    assert np.all((t > start) & (t <= horizon))
-    np.testing.assert_array_equal(path.states[0], state.x)
-    ages = np.asarray(state.y, dtype=float)
-    prev = start
-    for k in range(path.n_jumps):
-        l = path.jump_component[k]
-        changed = np.flatnonzero(path.states[k] != path.states[k + 1])
-        assert changed.tolist() == [l]
-        assert path.states[k][l] == path.jump_from[k]
-        assert path.states[k + 1][l] == path.jump_to[k]
-        np.testing.assert_allclose(path.ages_before[k], ages + (t[k] - prev),
-                                   rtol=0, atol=1e-12)
-        assert path.ages_after[k][l] == 0.0
-        others = np.arange(len(models)) != l
-        np.testing.assert_array_equal(path.ages_after[k][others],
-                                      path.ages_before[k][others])
-        ages, prev = path.ages_after[k], t[k]
+    path = simulate_csm(models, state, horizon, path_keys(seed, 3),
+                        start=start)
+    assert path.jump_path.tolist() == sorted(path.jump_path.tolist())
+    np.testing.assert_array_equal(np.bincount(path.jump_path, minlength=3),
+                                  path.n_jumps)
+    for p in range(3):
+        sel = path.jump_path == p
+        t = path.jump_times[sel]
+        assert np.all(np.diff(t) > 0)
+        assert np.all((t > start) & (t <= horizon))
+        x = np.asarray(state.x)
+        ages = np.asarray(state.y, dtype=float)
+        prev = start
+        for k, l in enumerate(path.jump_component[sel]):
+            after_x = path.states_after[sel][k]
+            changed = np.flatnonzero(x != after_x)
+            assert changed.tolist() == [l]
+            assert after_x[l] in models[l]._rows[x[l]]
+            np.testing.assert_allclose(path.ages_before[sel][k],
+                                       ages + (t[k] - prev), rtol=0,
+                                       atol=1e-12)
+            assert path.ages_after[sel][k][l] == 0.0
+            others = np.arange(len(models)) != l
+            np.testing.assert_array_equal(path.ages_after[sel][k][others],
+                                          path.ages_before[sel][k][others])
+            x, ages, prev = after_x, path.ages_after[sel][k], t[k]
