@@ -35,14 +35,17 @@ The switches out of each regime tuple come from ``semi_markov.switch_edges``.
 Slab i builds its switch tables once, for all panels at once
 (``_slab_tables``): the joint survival at every panel midpoint as one
 array, each hazard family's rate over the (panel, age) grid in one call,
-and per regime tuple one smoother over the kernels of all panels, whose
-taps come from one batch per tap array.  Per panel, regime tuple and
-switch edge, one weight carries the discount e^{-r(x) v_p}, dt, JS(v_p),
-the hazard and the mass normalization.  The switch branch of a panel then
-gathers the continuation once per resetting component and subtracts the
-linear part c1.s once; the excesses of all edges out of a regime tuple are
-stacked and smoothed together (one correlation with taps), and each edge
-adds its weighted share.
+and the taps of the kernels of all panels and regime tuples as one batch
+per tap array (derivative taps too, per axis on first use); each tuple's
+smoother reads its panels' rows of that batch.  Per panel, regime tuple
+and switch edge, one weight carries the discount e^{-r(x) v_p}, dt,
+JS(v_p), the hazard and the mass normalization.  The switch branch of a
+panel then gathers the continuation once per resetting component and
+subtracts the linear part c1.s once; the excesses of all edges out of a
+regime tuple are stacked and smoothed together (one correlation with
+taps), and each edge adds its weighted share.  The edges are grouped by
+shape once per call, and the stacks and smoothed results go into buffers
+shared by all panels and tuples, so a panel allocates no stack.
 
 A component in a memoryless state (HazardModel.memoryless: every exit rate
 constant in age) has an exponential holding time, and a jump resets its
@@ -66,8 +69,9 @@ edges.  Moving a slab along the age axes (ages grow by v between t and
 t + v) is one clamped linear shift per age axis, ``_shift_axis``, shared
 by the gather and the PDE residual; it blends slices of the slab and
 builds the rows whose indices clamp from the edge row they read.  The
-gather takes the whole rows of both bracketing slabs, each clamped to its
-own stored ages, and blends their mean once per age axis.
+gather takes the mean of the rows of both bracketing slabs, each clamped
+to its own stored ages (a clamped row is read from the edge row in
+place), and blends that mean once per age axis.
 """
 
 from __future__ import annotations
@@ -448,6 +452,22 @@ def _shift_axis(arr, axis, cells, count):
     return out
 
 
+class _TapBatch:
+    """The taps of a stack of kernels (zbar (K, n), chol (K, n, n)), built
+    by one _kernel_taps call, and the derivative taps of each log-price
+    axis, built by one call on the axis' first use."""
+
+    def __init__(self, zbar, chol, grid: Grid, gh_nodes: int):
+        self.kernels = (zbar, chol, grid, gh_nodes)
+        self.taps = _kernel_taps(*self.kernels)
+        self._deriv = {}
+
+    def deriv(self, axis: int):
+        if axis not in self._deriv:
+            self._deriv[axis] = _kernel_taps(*self.kernels, axis)
+        return self._deriv[axis]
+
+
 class _Smoother:
     """Kernel smoothing operators on the log-price axes of a slab, one per
     kernel of a stack (zbar (P, n), chol (P, n, n)): the panels of one
@@ -455,36 +475,41 @@ class _Smoother:
 
     apply(arr, p) integrates the multilinearly interpolated slab against
     kernel p, apply(arr, p, deriv_axis=m) against its s_m-derivative.  Both
-    correlate the slab with taps from _kernel_taps, built for all kernels
-    at once: the kernel taps with the smoother, the derivative taps of an
-    axis on its first use.  A diagonal kernel has one 1-D tap array per
-    log-price axis, each one correlate1d; a correlated kernel has one n-D
-    array over its tensor nodes, correlated with the slab by FFT
-    (_correlate_nd).
+    correlate the slab with taps from _kernel_taps, which builds the taps
+    of a stack of kernels at once and each kernel's taps as if built on
+    their own.  The smoother reads rows start.. of a _TapBatch: of its own
+    stack, or of the batch given, built for a larger stack that holds this
+    one from row start on (_slab_tables builds one for all regime tuples
+    of a slab).  A diagonal kernel has one 1-D tap array per log-price
+    axis, each one correlate1d; a correlated kernel has one n-D array over
+    its tensor nodes, correlated with the slab by FFT (_correlate_nd).
     The smoother acts on the excess over the linear part c1.s, which
     PriceField holds at its edge value beyond the box, so both replicate
     the edges.
     """
 
-    def __init__(self, zbar, chol, grid: Grid, gh_nodes: int):
+    def __init__(self, zbar, chol, grid: Grid, gh_nodes: int,
+                 batch: _TapBatch | None = None, start: int = 0):
         self.grid = grid
-        self.zbar = zbar
-        self.chol = chol
-        self.gh_nodes = gh_nodes
-        self.taps = _kernel_taps(zbar, chol, grid, gh_nodes)
+        self.batch = batch or _TapBatch(zbar, chol, grid, gh_nodes)
+        self.rows = slice(start, start + len(zbar))
+        self.taps = self.batch.taps[self.rows]
         self._deriv = {}
 
-    def apply(self, arr, p: int, deriv_axis: int | None = None):
+    def apply(self, arr, p: int, deriv_axis: int | None = None, out=None):
         """arr has age axes first, then the n log-price axes (last).
 
         With deriv_axis = m the result is the expectation against
-        d(kernel p)/d s_m, still to be divided by s_m by the caller.
+        d(kernel p)/d s_m, still to be divided by s_m by the caller.  A
+        diagonal kernel writes the result into out when it is given (an
+        array of arr's shape, not arr); a correlated one returns a new
+        array.
         """
         taps = self.taps[p]
         if deriv_axis is not None:
             if deriv_axis not in self._deriv:
-                self._deriv[deriv_axis] = _kernel_taps(
-                    self.zbar, self.chol, self.grid, self.gh_nodes, deriv_axis)
+                self._deriv[deriv_axis] = self.batch.deriv(deriv_axis)[
+                    self.rows]
             d_tap, = self._deriv[deriv_axis][p]
             taps = [d_tap] if d_tap.ndim > 1 else \
                 taps[:deriv_axis] + [d_tap] + taps[deriv_axis + 1:]
@@ -492,7 +517,8 @@ class _Smoother:
             return _correlate_nd(arr, taps[0])
         lead = arr.ndim - self.grid.n
         for d, tap in enumerate(taps):
-            arr = correlate1d(arr, tap, axis=lead + d, mode="nearest")
+            arr = correlate1d(arr, tap, axis=lead + d, mode="nearest",
+                              output=out if d == len(taps) - 1 else None)
         return arr
 
 
@@ -704,9 +730,11 @@ class VolterraSolver:
         (1 - JS(T - t_i)) over the quadrature mass of all panels; it keeps
         linear claims exact and the operator a strict sub-probability
         mixture.  All panels are built at once: one joint-survival array,
-        one rate call per hazard family and one kernel call and smoother
-        per regime tuple.  Whoever applies slab i builds its tables once
-        and drops them after."""
+        one rate call per hazard family and one kernel call per regime
+        tuple.  The kernels of all tuples share one _TapBatch, so the taps
+        of the slab, and its derivative taps per axis, are one batch; each
+        tuple's smoother reads its P rows of it.  Whoever applies slab i
+        builds its tables once and drops them after."""
         g = self.grid
         nc = g.n_components
         c = int(g.c_counts[i])
@@ -716,9 +744,17 @@ class VolterraSolver:
         js = self._joint_survival(i, range(1, 2 * P, 2))
         js_T = self.js_T(i)
         ages = v_mid[:, None] + g.age_nodes[:c]
+        # the smoother acts on the excess over the linear part c1.s, which
+        # clamps at the box edges, so no growth correction in the kernels
+        kerns = [build_kernel(self.market, g.t_nodes[i], x, v_mid)
+                 for x in g.x_tuples]
+        batch = _TapBatch(np.concatenate([k.zbar for k in kerns]),
+                          np.concatenate([k.chol for k in kerns]), g,
+                          self.settings.gh_nodes)
         rates = {}
         tables = []
-        for xi, (x, edges) in enumerate(zip(g.x_tuples, self.edges)):
+        for xi, (x, edges, kern) in enumerate(zip(g.x_tuples, self.edges,
+                                                   kerns)):
             gi, k = self.where[xi]
             base = g.dt * js[gi][k]
             stored = base.shape[1:]
@@ -735,11 +771,9 @@ class VolterraSolver:
             disc = np.exp(-self.market.r(x) * v_mid)
             scale = kappa * _on_axis(disc, (0,), 1 + nc)
             wt *= scale[:, None]
-            # the smoother acts on the excess over the linear part c1.s,
-            # which clamps at the box edges, so no growth correction here
-            kern = build_kernel(self.market, g.t_nodes[i], x, v_mid)
             tables.append((_Smoother(kern.zbar, kern.chol, g,
-                                     self.settings.gh_nodes), wt[y_pad]))
+                                     self.settings.gh_nodes, batch, xi * P),
+                           wt[y_pad]))
         return tables
 
     # -- gathering the continuation slab ---------------------------------------
@@ -767,25 +801,43 @@ class VolterraSolver:
         in the group's stored shape: the mean of the time slabs i + p and
         i + p + 1, which bracket t_i + v_p at its midpoint.  Each bracketing
         slab gives the rows i0..i0 + c_i of its own stored ages, clamped to
-        them (slices where no index clamps), and the mean of the two is
-        blended once per age axis.  Only the axes a group stores in full
-        move; a memoryless axis keeps its one row.
+        them, and the mean of the two is blended once per age axis.  The
+        mean is taken run by run: along each moved axis the rows split into
+        runs where each slab reads rows k + i0 or its last stored row, so a
+        clamped row is read from the edge row without copying it out first.
+        Only the axes a group stores in full move; a memoryless axis keeps
+        its one row.
         """
         g = self.grid
         c = int(g.c_counts[i])
         cells = self.v_mid[p] / g.dy
         i0 = math.floor(cells)
+        # the runs of rows k < c + 1 of a moved axis, each with the rows
+        # both bracketing slabs read there
+        sizes = [int(g.c_counts[side]) for side in (i + p, i + p + 1)]
+        ends = sorted({0, c + 1} | {min(max(s - i0, 0), c + 1) for s in sizes})
+        runs = [(slice(a, b), [slice(a + i0, b + i0) if b + i0 <= s
+                               else slice(s - 1, s) for s in sizes])
+                for a, b in zip(ends[:-1], ends[1:])]
         out = []
         for gi, (_, frozen) in enumerate(self.groups):
             axes = [1 + m - (m > l) for m in range(g.n_components)
                     if m != l and not frozen[m]]
-            rows = []
-            for side in (i + p, i + p + 1):
-                arr = slabs[side].part(gi)[(slice(None),) * (1 + l) + (0,)]
-                for ax in axes:
-                    arr = _shift_axis(arr, ax, i0, c + 1)
-                rows.append(arr)
-            mean = 0.5 * (rows[0] + rows[1])
+            sides = [slabs[side].part(gi)[(slice(None),) * (1 + l) + (0,)]
+                     for side in (i + p, i + p + 1)]
+            shape = list(sides[0].shape)
+            for ax in axes:
+                shape[ax] = c + 1
+            mean = np.empty(shape)
+            for run in itertools.product(runs, repeat=len(axes)):
+                dst = [slice(None)] * len(shape)
+                src = [list(dst), list(dst)]
+                for ax, (rows, reads) in zip(axes, run):
+                    dst[ax] = rows
+                    src[0][ax], src[1][ax] = reads
+                np.add(sides[0][tuple(src[0])], sides[1][tuple(src[1])],
+                       out=mean[tuple(dst)])
+            mean *= 0.5
             for ax in axes:
                 mean = _shift_axis(mean, ax, cells - i0, c)
             out.append(mean)
@@ -806,7 +858,11 @@ class VolterraSolver:
         selects the v-panels to sum (all by default); the panels p >= 1 read
         only slabs after i.  Per panel, the excesses of the switch edges out
         of a regime tuple that have the same shape are stacked and smoothed
-        by one action call; each edge then adds its weighted share.
+        by one action call; each edge then adds its weighted share.  The
+        edges are grouped by shape once per call, and the stacks are copied
+        into one buffer per stack shape, shared by all tuples and panels;
+        the pricing action (_Smoother.apply itself) smooths into a second
+        such buffer, any other action returns a new array.
 
         A regime tuple's result does not depend on the age of a component
         in a memoryless state (see the module docstring); the discrete
@@ -822,9 +878,32 @@ class VolterraSolver:
             tables = self._slab_tables(i)
         if panels is None:
             panels = range(g.spec.time_steps - i)
-        accs = [[np.zeros(js.shape + g.s_shape) for js in self.js_T(i)]
+        js_T = self.js_T(i)
+        accs = [[np.zeros(js.shape + g.s_shape) for js in js_T]
                 for _ in actions]
         shares = {part.shape[1:]: np.empty(part.shape[1:]) for part in accs[0]}
+        # per regime tuple, its edges grouped by the shape of their excess
+        # (the landing group's stored ages without the reset axis), each
+        # group with the stack and output buffers of its stack shape
+        buffers = {}
+        plans = []
+        for xi, edges in enumerate(self.edges):
+            gi, k = self.where[xi]
+            stacks = {}
+            for e, (l, _, xpi, _) in enumerate(edges):
+                gj, kj = self.where[xpi]
+                ages = js_T[gj].shape[1:]
+                stacks.setdefault(ages[:l] + ages[l + 1:] + g.s_shape,
+                                  []).append((e, l, gj, kj))
+            plan = []
+            for shape, group in stacks.items():
+                key = (len(group),) + shape
+                if key not in buffers:
+                    buffers[key] = np.empty(key), np.empty(key)
+                # each edge's reset axis comes back as a singleton
+                plan.append(([(e, (slice(None),) * l + (None,), l, gj, kj)
+                              for e, l, gj, kj in group], *buffers[key]))
+            plans.append((gi, k, plan))
         for p in panels:
             # the linear part of the field integrates in closed form
             # (discounted kernel mean of c1.S is c1.s exactly); only the
@@ -835,23 +914,19 @@ class VolterraSolver:
                 for part in gathered:
                     part -= self._lin
                 excess.append(gathered)
-            for xi, (sm, w) in enumerate(tables):
-                gi, k = self.where[xi]
-                stacks = {}
-                for e, (l, _, xpi, _) in enumerate(self.edges[xi]):
-                    gj, kj = self.where[xpi]
-                    ex = excess[l][gj][kj]
-                    stacks.setdefault(ex.shape, []).append((e, l, ex))
-                for group in stacks.values():
-                    stacked = np.stack([ex for _, _, ex in group])
+            for (sm, w), (gi, k, plan) in zip(tables, plans):
+                wp = w[p]
+                for group, stacked, out in plan:
+                    for j, (_, _, l, gj, kj) in enumerate(group):
+                        stacked[j] = excess[l][gj][kj]
                     for acc, action in zip(accs, actions):
                         red = acc[gi][k]
                         share = shares[red.shape]
-                        smoothed = action(sm, stacked, p)
-                        # each edge's reset axis comes back as a singleton
-                        for (e, l, _), se in zip(group, smoothed):
-                            np.multiply(w[p][e], se[(slice(None),) * l + (None,)],
-                                        out=share)
+                        smoothed = sm.apply(stacked, p, out=out) \
+                            if action is _Smoother.apply \
+                            else action(sm, stacked, p)
+                        for (e, reset, *_), se in zip(group, smoothed):
+                            np.multiply(wp[e], se[reset], out=share)
                             red += share
         return accs
 
@@ -1054,36 +1129,42 @@ def _d2_ds(arr, sv, axis):
 
 
 def _add_price_terms(res, sub, s_axes, rx, a):
-    """res + r sum_l s_l d_l phi + 1/2 sum_{l,l'} a_ll' s_l s_l' d_l d_l' phi.
+    """res + r sum_l s_l d_l phi + 1/2 sum_{l,l'} a_ll' s_l s_l' d_l d_l' phi,
+    added into res in place.
 
     phi = sub, whose last len(s_axes) axes are the price axes; every term
-    is zero on the price-axis edges it cannot reach.  a is symmetric, so the
+    is zero on the price-axis edges it cannot reach, so each is added into
+    the interior of the axes it differentiates.  a is symmetric, so the
     two ordered terms of a mixed derivative are one term a_ll' d_l' d_l phi,
     taken once per pair l < l' with the first-derivative stencil.
     """
     n = len(s_axes)
     lead = sub.ndim - n
+
+    def inner(*axes):
+        sel = [slice(None)] * sub.ndim
+        for ax in axes:
+            sel[ax] = slice(1, -1)
+        return res[tuple(sel)]
+
     d1s = []
     for l in range(n):
         ax = lead + l
         d1 = _d1_ds(sub, s_axes[l], ax)
         d2 = _d2_ds(sub, s_axes[l], ax)
         d1s.append(d1)
-        pad = [(0, 0)] * sub.ndim
-        pad[ax] = (1, 1)
         smid = _on_axis(s_axes[l][1:-1], ax, sub.ndim)
-        res = res + rx * np.pad(smid * d1, pad) \
-            + 0.5 * a[l, l] * np.pad(smid ** 2 * d2, pad)
+        part = inner(ax)
+        part += rx * (smid * d1)
+        part += 0.5 * a[l, l] * (smid ** 2 * d2)
     for l in range(n):
         for lp in range(l + 1, n):
             axl, axp = lead + l, lead + lp
             dcross = _d1_ds(d1s[l], s_axes[lp], axp)
             svl = _on_axis(s_axes[l][1:-1], axl, sub.ndim)
             svp = _on_axis(s_axes[lp][1:-1], axp, sub.ndim)
-            pad = [(0, 0)] * sub.ndim
-            pad[axl] = (1, 1)
-            pad[axp] = (1, 1)
-            res = res + a[l, lp] * np.pad(svl * svp * dcross, pad)
+            part = inner(axl, axp)
+            part += a[l, lp] * (svl * svp * dcross)
     return res
 
 

@@ -511,7 +511,8 @@ def test_price_terms_take_each_mixed_derivative_once(n):
     a = b @ b.T
     rx = 0.04
     res0 = rng.normal(size=sub.shape)
-    got = _add_price_terms(res0, sub, s_axes, rx, a)
+    # the terms are added into the array passed, in place
+    got = _add_price_terms(res0.copy(), sub, s_axes, rx, a)
 
     lead = sub.ndim - n
     want = res0
@@ -863,22 +864,27 @@ def _ref_slab_tables(solver, i):
 
 
 def _ref_gather(solver, slabs, i, p, l):
-    """Each bracketing slab shifted on its own along every age axis but l
-    (l collapsed to age 0), then the mean of the two."""
+    """Each bracketing slab moved on its own by the whole cells i0 along
+    every age axis but l (l collapsed to age 0), its clamped rows copied
+    out, then the mean of the two blended by the fraction once per axis."""
     from regimehedge.volterra_pricer import _shift_axis
     g = solver.grid
     c = int(g.c_counts[i])
     cells = solver.v_mid[p] / g.dy
+    i0 = math.floor(cells)
+    axes = [1 + m for m in range(g.n_components) if m != l]
     pieces = []
     for side in (i + p, i + p + 1):
         sel = [slice(None)] * slabs[side].ndim
         sel[1 + l] = slice(0, 1)
         arr = slabs[side][tuple(sel)]
-        for m in range(g.n_components):
-            if m != l:
-                arr = _shift_axis(arr, 1 + m, cells, c)
+        for ax in axes:
+            arr = _shift_axis(arr, ax, i0, c + 1)
         pieces.append(arr)
-    return 0.5 * (pieces[0] + pieces[1])
+    mean = 0.5 * (pieces[0] + pieces[1])
+    for ax in axes:
+        mean = _shift_axis(mean, ax, cells - i0, c)
+    return mean
 
 
 def _ref_switch_branch(solver, i, slabs, actions):
@@ -1152,6 +1158,107 @@ def test_gather_of_grouped_slabs_equals_full_gather_of_their_broadcast():
                     np.testing.assert_allclose(
                         np.broadcast_to(got[gi][k], w_arr.shape), w_arr,
                         rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("ages", ["y <= t", "all"])
+def test_gather_equals_reference_bit_for_bit_where_shifts_clamp(ages):
+    # no state is memoryless, so every age axis but the reset one moves.
+    # With ages y <= t the whole shift clamps on some bracketing slabs; with
+    # every slab storing all age_nodes ages (c = age_nodes, a grid whose
+    # ages are not cut at t) it clamps on every panel
+    m, claim, _, grid, _ = _switch_case("2_assets_3_components")
+    h = HazardModel(2, {(1, 2): WeibullRate(0.4, 2.0),
+                        (2, 1): AffineRate(0.2, 0.15)})
+    A = grid.spec.age_nodes
+    if ages == "all":
+        grid.c_counts = np.full_like(grid.c_counts, A)
+    solver = VolterraSolver(m, claim, [h] * 3, grid)
+    assert len(solver.groups) == 1
+    rng = np.random.default_rng(12)
+    M = grid.spec.time_steps
+    full = [rng.uniform(0.0, 50.0, (8,) + (int(c),) * 3 + grid.s_shape)
+            for c in grid.c_counts]
+    slabs = [Slab(solver, [arr], int(c))
+             for arr, c in zip(full, grid.c_counts)]
+    clamped = 0
+    for i in range(M):
+        c = int(grid.c_counts[i])
+        for p in range(M - i):
+            top = math.floor(solver.v_mid[p] / grid.dy) + c
+            clamped += top > int(grid.c_counts[i + p]) - 1
+            for l in range(3):
+                got, = solver._gather(slabs, i, p, l)
+                want = _ref_gather(solver, full, i, p, l)
+                assert np.array_equal(got, np.take(want, 0, axis=1 + l))
+    assert clamped == M * (M + 1) // 2 if ages == "all" else clamped > 0
+
+
+def _mixed_corr_case():
+    """One asset pair whose log covariance is diagonal in the tuples with
+    x_0 = 1 and correlated in those with x_0 = 2."""
+    def vol(x):
+        return np.array([[0.2 if x[1] == 1 else 0.3, 0.0],
+                         [0.0 if x[0] == 1 else 0.12, 0.25]])
+    m = build_market(2, 2, 2, 0.03, np.array([0.06, 0.07]), vol)
+    claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
+    models = [HazardModel(2, {(1, 2): ConstantRate(0.4),
+                              (2, 1): WeibullRate(0.5, 1.5)}),
+              HazardModel(2, {(1, 2): WeibullRate(0.6, 2.0),
+                              (2, 1): AffineRate(0.3, 0.2)})]
+    grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
+                GridSpec(time_steps=5, price_nodes=13, age_nodes=3))
+    return VolterraSolver(m, claim, models, grid, SolverSettings(gh_nodes=6))
+
+
+def test_slab_tap_batch_gives_each_tuple_its_own_taps():
+    # the tap batch of a slab holds the kernels of all regime tuples; each
+    # tuple's smoother reads the taps, and the derivative taps of every
+    # axis, that _kernel_taps builds for that tuple's kernels alone
+    from regimehedge.volterra_pricer import _kernel_taps
+    solver = _mixed_corr_case()
+    g = solver.grid
+    kinds = set()
+    for i in (0, 2, g.spec.time_steps - 1):
+        tables = solver._slab_tables(i)
+        v_mid = solver.v_mid[:g.spec.time_steps - i]
+        assert len({id(sm.batch) for sm, _ in tables}) == 1
+        for (sm, _), x in zip(tables, g.x_tuples):
+            kern = build_kernel(solver.market, g.t_nodes[i], x, v_mid)
+            alone = [_kernel_taps(kern.zbar, kern.chol, g, 6)] + [
+                _kernel_taps(kern.zbar, kern.chol, g, 6, d) for d in range(2)]
+            excess = np.zeros((1,) + g.s_shape)
+            for d in range(2):
+                sm.apply(excess, 0, deriv_axis=d)
+            got = [sm.taps] + [sm._deriv[d] for d in range(2)]
+            for got_k, want_k in zip(got, alone):
+                assert len(got_k) == len(want_k) == len(v_mid)
+                for g_taps, w_taps in zip(got_k, want_k):
+                    assert len(g_taps) == len(w_taps)
+                    kinds.add(g_taps[0].ndim)
+                    for a, b in zip(g_taps, w_taps):
+                        assert a.shape == b.shape and np.array_equal(a, b)
+    assert kinds == {1, 2}
+
+
+def test_switch_branch_buffers_carry_nothing_between_calls():
+    # slab i, then slab j, then slab i again, with the pricing action and
+    # the hedge actions: the two results of slab i are equal, and the
+    # pricing action's reused output buffer gives the bytes of a fresh
+    # smoothing
+    from regimehedge.volterra_pricer import _Smoother
+    for solver in (_mixed_corr_case(), VolterraSolver(
+            *_switch_case("2_assets_3_components")[:4], SolverSettings(6))):
+        g = solver.grid
+        field, _ = solver.solve(tol=1e-3)
+        actions = [_Smoother.apply, lambda sm, e, p: sm.apply(e, p)] + [
+            lambda sm, e, p, d=d: sm.apply(e, p, deriv_axis=d)
+            for d in range(g.n)]
+        runs = [solver.switch_branch(i, field.slabs, actions)
+                for i in (1, 3, 1)]
+        for first, again in zip(runs[0], runs[2]):
+            assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        for run in runs:
+            assert all(np.array_equal(a, b) for a, b in zip(run[0], run[1]))
 
 
 def test_permuting_components_permutes_age_axes():
