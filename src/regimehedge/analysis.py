@@ -2,11 +2,14 @@
 
 Two diagnostics on a solved price field:
 
-* sensitivity_check solves the pricing equation under a perturbed hazard
-  specification with the market, claim, grid and node counts of the
-  caller's solved base field and compares the sup distance of the two
-  fields against the Lipschitz bound 2 c2 T sum |lam - lam~|_sup (the
-  per-pair sums maximized over the regime tuple).
+* sensitivity_check compares the price field under a perturbed hazard
+  specification, solved with the market, claim, grid and node counts of
+  the caller's solved base field, with that base field: the sup distance
+  of the two fields against the Lipschitz bound 2 c2 T sum |lam - lam~|_sup
+  (the per-pair sums maximized over the regime tuple).  The caller may
+  hand in the perturbed field solved in the base's own march
+  (solve_price_field's also, as run_scenario does); else it is solved
+  here.
 
 * residual_risk estimates the expected squared discounted price jump that
   the optimal non-self-financing hedge absorbs at regime switches, by
@@ -55,20 +58,25 @@ def _pair_sup_diffs(models, models_tilde, horizon: float):
     return out
 
 
-def sensitivity_check(base, models_tilde,
-                      tol: float = 1e-4) -> SensitivityReport:
-    """Solve under the perturbed hazards and compare with the sup bound.
+def sensitivity_check(base, models_tilde, tol: float = 1e-4,
+                      perturbed=None) -> SensitivityReport:
+    """Compare the fields under the base and the perturbed hazards with the
+    sup bound.
 
-    base is a solved (field, report); the perturbed hazards are solved with
-    the market, claim, grid and settings of the field's solver at tol.
-    Each solve's own error budget enters the numerical floor, so base may
-    have been solved at another tol.
+    base is a solved (field, report).  perturbed is the (field, report) of
+    models_tilde solved with base's market, claim, grid and settings, as
+    solve_price_field's also returns it; without it, models_tilde is
+    solved here with the market, claim, grid and settings of the field's
+    solver at tol.  Each solve's own error budget enters the numerical
+    floor, so base may have been solved at another tol.
     """
     field_a, rep_a = base
     solver, grid = field_a.solver, field_a.grid
     models, claim = solver.models, solver.claim
-    field_b, rep_b = solve_price_field(solver.market, claim, models_tilde,
-                                       grid, tol, settings=solver.settings)
+    if perturbed is None:
+        perturbed = solve_price_field(solver.market, claim, models_tilde,
+                                      grid, tol, settings=solver.settings)
+    field_b, rep_b = perturbed
     sup_phi = 0.0
     for sa, sb in zip(field_a.slabs, field_b.slabs):
         # per regime tuple: the two solves may store different age axes

@@ -144,9 +144,13 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
     os.makedirs(out_dir, exist_ok=True)
     report = {"scenario": scn.name, "config": scn.resolved_dict()}
     try:
-        field, conv = solve_price_field(scn.market, scn.claim, scn.models,
-                                        grid, scn.tol, scn.max_iter,
-                                        scn.solver)
+        # the sensitivity check's scaled hazards are hazard set 1 of the
+        # march, solved with the config's hazards under the same settings
+        also = [[h.scaled(scn.sensitivity_scale) for h in scn.models]] \
+            if "sensitivity" in scn.outputs else []
+        field, conv, *perturbed = solve_price_field(
+            scn.market, scn.claim, scn.models, grid, scn.tol, scn.max_iter,
+            scn.solver, also)
     except NoConvergence as exc:
         report["error"] = {"type": "NoConvergence", "message": str(exc),
                            "convergence": exc.report.to_dict()
@@ -200,8 +204,8 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
             1, round(0.1 * scn.grid_spec.time_steps)))
         report["pde_residual"] = res.to_dict()
     if "sensitivity" in scn.outputs:
-        tilde = [h.scaled(scn.sensitivity_scale) for h in scn.models]
-        rep = sensitivity_check((field, conv), tilde, scn.tol)
+        rep = sensitivity_check((field, conv), also[0], scn.tol,
+                                perturbed=perturbed[0])
         report["sensitivity"] = rep.to_dict()
     if "residual-risk" in scn.outputs:
         rep = residual_risk(field, scn.eval_points[0], scn.rr_paths,

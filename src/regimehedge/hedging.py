@@ -91,6 +91,7 @@ def hedge_field(field: PriceField) -> HedgeField:
     y_pad = (...,) + (None,) * g.n
     c1 = np.stack([np.broadcast_to(c1m, g.s_shape) for c1m in claim.c1],
                   axis=-1)
+    stack = field.stacked()
     xi_slabs, eps_slabs = [], []
     for i in range(M + 1):
         t = float(g.t_nodes[i])
@@ -103,14 +104,14 @@ def hedge_field(field: PriceField) -> HedgeField:
                     market, claim, x, t, g.horizon, g.lns_axes, m_ax,
                     solver.settings.bsm_outer_nodes)
         if i < M:
-            branch = solver.switch_branch(i, field.slabs, actions)
+            branch = solver.switch_branch(i, stack, actions)
         xi_parts, eps_parts = [], []
         for gi, ((members, _), js_T) in enumerate(zip(solver.groups,
                                                       solver.js_T(i))):
             xi_part = js_T[y_pad + (None,)] \
                 * drho[members][(slice(None),) + (None,) * g.n_components]
             if i < M:
-                xi_part += np.stack([b[gi] for b in branch], axis=-1)
+                xi_part += np.stack([b[gi][0] for b in branch], axis=-1)
                 xi_part += (1.0 - js_T)[y_pad + (None,)] * c1
             xi_parts.append(xi_part)
             eps_parts.append(field.slabs[i].part(gi) - np.einsum(

@@ -47,6 +47,20 @@ taps), and each edge adds its weighted share.  The edges are grouped by
 shape once per call, and the stacks and smoothed results go into buffers
 shared by all panels and tuples, so a panel allocates no stack.
 
+The hazards enter the operator only through these weights (JS, lambda,
+kappa and JS(T - t_i)), so one march solves several hazard sets on the
+same market, claim, grid and settings at once (VolterraSolver.solve's
+also; the sensitivity check's scaled hazards, for one).  Its arrays carry
+a leading member axis, one row per hazard set.  Shared by all members and
+built once per slab: the kernels and their tap batch, rho, the terminal
+payoff and c1.s.  Per member: the weights, JS(T - t_i), each member's
+solver (its hazard models, edges and report) and its stop.  Each gather,
+stacked smoothing call and weighted add acts on all members at once, and
+each acts on a member's rows alone, so a member's field is that of its own
+solve bit for bit.  Each member stops its local iteration at its own tol;
+its slab then stays as it is while the others iterate on.  A plain solve
+is the one-member case of the same march.
+
 A component in a memoryless state (HazardModel.memoryless: every exit rate
 constant in age) has an exponential holding time, and a jump resets its
 age, so the price in that regime tuple does not depend on its age: the
@@ -265,6 +279,14 @@ class PriceField:
         self.grid = solver.grid
         self.claim = solver.claim
         self.slabs = slabs
+
+    def stacked(self):
+        """The field as a stack of one member, the form the solver's
+        operators read (VolterraSolver._gather): per time node, each
+        group's stored part with a leading member axis of length one, as
+        views."""
+        return [[slab.part(gi)[None] for gi in range(len(slab.parts))]
+                for slab in self.slabs]
 
     def values(self, t, s, x_idx, y) -> np.ndarray:
         """Interpolated field at scattered points.
@@ -717,32 +739,36 @@ class VolterraSolver:
             self._js_T[i] = js
         return js
 
-    def _slab_tables(self, i):
-        """The switch-branch tables of slab i, one entry per regime tuple:
-        the smoother of the tuple's kernels over the panel midpoints v_p,
-        and the weights of its switch edges (self.edges order), an array
-        (P, E, ages, 1..1) over panels and edges in the tuple's stored age
-        shape (c_i or 1 per component), where
+    def _slab_tables(self, i, members=None):
+        """The switch-branch tables of slab i for the hazard sets of members
+        (solvers that share this one's market, claim, grid, settings and
+        layout; [self] by default): one entry per regime tuple, the
+        smoother of the tuple's kernels over the panel midpoints v_p, and
+        the weights of its switch edges (self.edges order), an array
+        (B, P, E, ages, 1..1) over members, panels and edges in the tuple's
+        stored age shape (c_i or 1 per component), where
 
             w = kappa e^{-r(x) v_p} dt JS(v_p; x, y) lam^l(y_l + v_p)
 
         broadcasts over the price axes.  kappa is the mass normalization
         (1 - JS(T - t_i)) over the quadrature mass of all panels; it keeps
         linear claims exact and the operator a strict sub-probability
-        mixture.  All panels are built at once: one joint-survival array,
-        one rate call per hazard family and one kernel call per regime
-        tuple.  The kernels of all tuples share one _TapBatch, so the taps
-        of the slab, and its derivative taps per axis, are one batch; each
-        tuple's smoother reads its P rows of it.  Whoever applies slab i
-        builds its tables once and drops them after."""
+        mixture.  All panels are built at once: per member one
+        joint-survival array and one rate call per hazard family, and one
+        kernel call per regime tuple for all members.  The kernels of all
+        tuples share one _TapBatch, so the taps of the slab, and its
+        derivative taps per axis, are one batch; each tuple's smoother
+        reads its P rows of it.  Whoever applies slab i builds its tables
+        once and drops them after."""
         g = self.grid
+        members = members or [self]
         nc = g.n_components
         c = int(g.c_counts[i])
         P = g.spec.time_steps - i
         y_pad = (...,) + (None,) * g.n
         v_mid = self.v_mid[:P]
-        js = self._joint_survival(i, range(1, 2 * P, 2))
-        js_T = self.js_T(i)
+        js = [s._joint_survival(i, range(1, 2 * P, 2)) for s in members]
+        js_T = [s.js_T(i) for s in members]
         ages = v_mid[:, None] + g.age_nodes[:c]
         # the smoother acts on the excess over the linear part c1.s, which
         # clamps at the box edges, so no growth correction in the kernels
@@ -753,24 +779,23 @@ class VolterraSolver:
                           self.settings.gh_nodes)
         rates = {}
         tables = []
-        for xi, (x, edges, kern) in enumerate(zip(g.x_tuples, self.edges,
-                                                   kerns)):
+        for xi, (x, kern) in enumerate(zip(g.x_tuples, kerns)):
             gi, k = self.where[xi]
-            base = g.dt * js[gi][k]
-            stored = base.shape[1:]
-            wt = np.empty((P, len(edges)) + stored)
-            for e, (l, _, _, fam) in enumerate(edges):
-                if id(fam) not in rates:
-                    rates[id(fam)] = fam.rate(ages)
-                # a memoryless state's rate is constant: one age column
-                wt[:, e] = base * _on_axis(rates[id(fam)][:, :stored[l]],
-                                           (0, 1 + l), 1 + nc)
-            mass = wt.reshape((-1,) + stored).sum(axis=0)
-            kappa = np.where(mass > 1e-300, (1.0 - js_T[gi][k])
-                             / np.maximum(mass, 1e-300), 1.0)
-            disc = np.exp(-self.market.r(x) * v_mid)
-            scale = kappa * _on_axis(disc, (0,), 1 + nc)
-            wt *= scale[:, None]
+            stored = js[0][gi].shape[2:]
+            disc = _on_axis(np.exp(-self.market.r(x) * v_mid), (0,), 1 + nc)
+            wt = np.empty((len(members), P, len(self.edges[xi])) + stored)
+            for b, s in enumerate(members):
+                base = g.dt * js[b][gi][k]
+                for e, (l, _, _, fam) in enumerate(s.edges[xi]):
+                    if id(fam) not in rates:
+                        rates[id(fam)] = fam.rate(ages)
+                    # a memoryless state's rate is constant: one age column
+                    wt[b, :, e] = base * _on_axis(
+                        rates[id(fam)][:, :stored[l]], (0, 1 + l), 1 + nc)
+                mass = wt[b].reshape((-1,) + stored).sum(axis=0)
+                kappa = np.where(mass > 1e-300, (1.0 - js_T[b][gi][k])
+                                 / np.maximum(mass, 1e-300), 1.0)
+                wt[b] *= (kappa * disc)[:, None]
             tables.append((_Smoother(kern.zbar, kern.chol, g,
                                      self.settings.gh_nodes, batch, xi * P),
                            wt[y_pad]))
@@ -793,12 +818,14 @@ class VolterraSolver:
                                  for side in (i + p, i + p + 1))
         return count
 
-    def _gather(self, slabs, i, p, l):
+    def _gather(self, stack, i, p, l):
         """Continuation values at ages (y + v_p with component l reset to 0).
 
-        Returns per group of regime tuples an array (n_group, ages, S...)
-        over the ages of every component but l (the reset axis is dropped),
-        in the group's stored shape: the mean of the time slabs i + p and
+        stack is the field over a member axis (PriceField.stacked): per time
+        node, per group of regime tuples, an array (B, n_group, ages, S...)
+        in the group's stored shape.  Returns per group an array (B,
+        n_group, ages, S...) over the ages of every component but l (the
+        reset axis is dropped): the mean of the time slabs i + p and
         i + p + 1, which bracket t_i + v_p at its midpoint.  Each bracketing
         slab gives the rows i0..i0 + c_i of its own stored ages, clamped to
         them, and the mean of the two is blended once per age axis.  The
@@ -821,9 +848,9 @@ class VolterraSolver:
                 for a, b in zip(ends[:-1], ends[1:])]
         out = []
         for gi, (_, frozen) in enumerate(self.groups):
-            axes = [1 + m - (m > l) for m in range(g.n_components)
+            axes = [2 + m - (m > l) for m in range(g.n_components)
                     if m != l and not frozen[m]]
-            sides = [slabs[side].part(gi)[(slice(None),) * (1 + l) + (0,)]
+            sides = [stack[side][gi][(slice(None),) * (2 + l) + (0,)]
                      for side in (i + p, i + p + 1)]
             shape = list(sides[0].shape)
             for ax in axes:
@@ -845,24 +872,28 @@ class VolterraSolver:
 
     # -- the switch-branch operator ------------------------------------------
 
-    def switch_branch(self, i, slabs, actions, panels=None, tables=None):
+    def switch_branch(self, i, stack, actions, panels=None, tables=None):
         """The switch-branch integral of slab i, one result per action, each
-        a list of arrays in the stored shape of the groups of regime tuples
-        (see Slab).
+        a list of arrays (B, ...) in the stored shape of the groups of
+        regime tuples (see Slab), over the member axis of stack (see
+        _gather) and of the tables' weights.
 
         An action maps (a regime tuple's smoother, excess of the gathered
         continuation over c1.s, panel p) to the integral against kernel p:
         the kernel itself for pricing (_Smoother.apply), its s-derivatives
         for hedging.  All actions share the gathers and the weights of slab
-        i's tables (see _slab_tables), built afresh when not given.  panels
-        selects the v-panels to sum (all by default); the panels p >= 1 read
-        only slabs after i.  Per panel, the excesses of the switch edges out
-        of a regime tuple that have the same shape are stacked and smoothed
-        by one action call; each edge then adds its weighted share.  The
+        i's tables (see _slab_tables), built afresh for self alone when not
+        given.  panels selects the v-panels to sum (all by default); the
+        panels p >= 1 read only slabs after i.  Per panel, the excesses of
+        the switch edges out of a regime tuple that have the same shape are
+        stacked, for all members, and smoothed by one action call; each
+        edge then adds its weighted share, each member's own weight.  The
         edges are grouped by shape once per call, and the stacks are copied
         into one buffer per stack shape, shared by all tuples and panels;
         the pricing action (_Smoother.apply itself) smooths into a second
-        such buffer, any other action returns a new array.
+        such buffer, any other action returns a new array.  Every operation
+        acts on each member's rows alone, so a member's result is that of
+        a call on its own.
 
         A regime tuple's result does not depend on the age of a component
         in a memoryless state (see the module docstring); the discrete
@@ -878,13 +909,16 @@ class VolterraSolver:
             tables = self._slab_tables(i)
         if panels is None:
             panels = range(g.spec.time_steps - i)
+        B = len(tables[0][1])
         js_T = self.js_T(i)
-        accs = [[np.zeros(js.shape + g.s_shape) for js in js_T]
+        accs = [[np.zeros((B,) + js.shape + g.s_shape) for js in js_T]
                 for _ in actions]
-        shares = {part.shape[1:]: np.empty(part.shape[1:]) for part in accs[0]}
-        # per regime tuple, its edges grouped by the shape of their excess
-        # (the landing group's stored ages without the reset axis), each
-        # group with the stack and output buffers of its stack shape
+        shares = {(B,) + part.shape[2:]: np.empty((B,) + part.shape[2:])
+                  for part in accs[0]}
+        # per regime tuple, its rows of each action's result and its edges
+        # grouped by the shape of their excess (the landing group's stored
+        # ages without the reset axis), each group with the stack and
+        # output buffers of its stack shape
         buffers = {}
         plans = []
         for xi, edges in enumerate(self.edges):
@@ -897,85 +931,95 @@ class VolterraSolver:
                                   []).append((e, l, gj, kj))
             plan = []
             for shape, group in stacks.items():
-                key = (len(group),) + shape
+                key = (B, len(group)) + shape
                 if key not in buffers:
                     buffers[key] = np.empty(key), np.empty(key)
-                # each edge's reset axis comes back as a singleton
-                plan.append(([(e, (slice(None),) * l + (None,), l, gj, kj)
-                              for e, l, gj, kj in group], *buffers[key]))
-            plans.append((gi, k, plan))
+                # per edge, each index behind the member axis: its excess,
+                # its row of the stack and of the weights, and its smoothed
+                # row with the reset axis back as a singleton
+                plan.append(([(l, gj, (slice(None), kj), (slice(None), j),
+                               (slice(None), e), (slice(None), j)
+                               + (slice(None),) * l + (None,))
+                              for j, (e, l, gj, kj) in enumerate(group)],
+                             *buffers[key]))
+            plans.append(([acc[gi][:, k] for acc in accs], plan))
         for p in panels:
             # the linear part of the field integrates in closed form
             # (discounted kernel mean of c1.S is c1.s exactly); only the
             # excess is smoothed
             excess = []
             for l in range(g.n_components):
-                gathered = self._gather(slabs, i, p, l)
+                gathered = self._gather(stack, i, p, l)
                 for part in gathered:
                     part -= self._lin
                 excess.append(gathered)
-            for (sm, w), (gi, k, plan) in zip(tables, plans):
-                wp = w[p]
+            for (sm, w), (reds, plan) in zip(tables, plans):
+                wp = w[:, p]
+                share = shares[reds[0].shape]
                 for group, stacked, out in plan:
-                    for j, (_, _, l, gj, kj) in enumerate(group):
-                        stacked[j] = excess[l][gj][kj]
-                    for acc, action in zip(accs, actions):
-                        red = acc[gi][k]
-                        share = shares[red.shape]
+                    for l, gj, src, row, _, _ in group:
+                        stacked[row] = excess[l][gj][src]
+                    for red, action in zip(reds, actions):
                         smoothed = sm.apply(stacked, p, out=out) \
                             if action is _Smoother.apply \
                             else action(sm, stacked, p)
-                        for (e, reset, *_), se in zip(group, smoothed):
-                            np.multiply(wp[e], se[reset], out=share)
+                        for *_, e, reset in group:
+                            np.multiply(wp[e], smoothed[reset], out=share)
                             red += share
         return accs
 
     # -- the operator, split for marching ------------------------------------
 
-    def _fixed_part(self, slabs, i, tables):
+    def _fixed_part(self, stack, i, tables, members=None):
         """The part of (T phi)_i that does not read slab i: the no-switch
         branch, the closed-form linear part and the panels p >= 1, per
-        group of regime tuples."""
+        group of regime tuples over the member axis of stack, whose hazard
+        sets are those of members ([self] by default)."""
         g = self.grid
         y_pad = (...,) + (None,) * g.n
         rho = self._rho_slabs()[i]
-        far, = self.switch_branch(i, slabs, (_Smoother.apply,),
+        far, = self.switch_branch(i, stack, (_Smoother.apply,),
                                   panels=range(1, g.spec.time_steps - i),
                                   tables=tables)
         out = []
-        for (members, _), js_T, f in zip(self.groups, self.js_T(i), far):
-            part = js_T[y_pad] \
-                * rho[members][(slice(None),) + (None,) * g.n_components]
+        for gi, ((group, _), f) in enumerate(zip(self.groups, far)):
+            js_T = np.stack([s.js_T(i)[gi] for s in members or [self]])
+            part = js_T[y_pad] * rho[group][
+                (None, slice(None)) + (None,) * g.n_components]
             part += f + ((1.0 - js_T)[y_pad]) * self._lin
             out.append(part)
         return out
 
-    def step(self, field: PriceField, i: int | None = None, fixed=None,
-             tables=None):
+    def step(self, phi, i: int | None = None, fixed=None, tables=None):
         """One application of T.
 
-        Without i, to every slab of field: returns the PriceField T phi.
-        With i, to slab i only: returns the Slab (T phi)_i, which reads
-        slabs i..M of field.  The backward march makes one such call per
-        local application and passes what stays the same between them:
-        fixed, the part of (T phi)_i that does not read slab i, and slab
-        i's tables.
+        Without i, to every slab of the PriceField phi: returns the
+        PriceField T phi.  With i, to slab i only: phi is then a stack over
+        members (PriceField.stacked, or the march's) and step returns
+        (T phi)_i per group of regime tuples over the member axis; it reads
+        slabs i..M.  The backward march makes one such call per local
+        application, for all its members at once, and passes what stays
+        the same between them: fixed, the part of (T phi)_i that does not
+        read slab i, and slab i's tables.
         """
+        g = self.grid
         if i is None:
-            new_slabs = [self.step(field, j)
-                         for j in range(self.grid.spec.time_steps)]
+            stack = phi.stacked()
+            new_slabs = [Slab(self, [part[0] for part in self.step(stack, j)],
+                              int(g.c_counts[j]))
+                         for j in range(g.spec.time_steps)]
             new_slabs.append(self._terminal_slab())
             return PriceField(self, new_slabs)
         if tables is None:
             tables = self._slab_tables(i)
         if fixed is None:
-            fixed = self._fixed_part(field.slabs, i, tables)
-        near, = self.switch_branch(i, field.slabs, (_Smoother.apply,),
+            fixed = self._fixed_part(phi, i, tables)
+        near, = self.switch_branch(i, phi, (_Smoother.apply,),
                                    panels=range(1), tables=tables)
         new = [f + n for f, n in zip(fixed, near)]
         for part in new:
             np.maximum(part, 0.0, out=part)
-        return Slab(self, new, int(self.grid.c_counts[i]))
+        return new
 
     def initial_field(self) -> PriceField:
         rho = self._rho_slabs()
@@ -988,56 +1032,100 @@ class VolterraSolver:
                    for i in range(self.grid.spec.time_steps)
                    for js in self.js_T(i))
 
-    def solve(self, tol: float, max_iter: int = 200):
+    def _layout(self):
+        """What the shape of the march's arrays depends on besides the grid:
+        the groups of regime tuples and every switch edge's component,
+        destination and landing tuple."""
+        return self.groups, [[e[:3] for e in edges] for edges in self.edges]
+
+    def solve(self, tol: float, max_iter: int = 200, also=()):
         """March backward from maturity; iterate only the p = 0 panel of
-        each slab, at most max_iter local applications per slab."""
+        each slab, at most max_iter local applications per slab.
+
+        Returns (field, report), then one (field, report) per hazard set
+        of also (one hazard model per component each), marched with this
+        one as a member of the stack (see the module docstring): each gets
+        the field and report of its own solve with this solver's market,
+        claim, grid and settings, bit for bit.  The hazard sets must share
+        this one's memoryless states and switch edges, as scaled hazards
+        do.
+        """
         if not tol > 0:
             raise ConfigError("tol must be positive")
         if max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
+        members = [self] + [VolterraSolver(self.market, self.claim, models,
+                                           self.grid, self.settings)
+                            for models in also]
+        if any(s._layout() != self._layout() for s in members[1:]):
+            raise ConfigError("hazard sets solved together must share their "
+                              "memoryless states and switch edges")
         g = self.grid
-        report = ConvergenceReport(tol=tol, grid=g.describe())
-        field = self.initial_field()
-        slabs = field.slabs     # settled in place, from the last slab back
+        B = len(members)
+        reports = [ConvergenceReport(tol=tol, grid=g.describe())
+                   for _ in members]
+        # settled in place, from the last slab back
+        stack = [[np.broadcast_to(part, (B,) + part.shape)
+                  for part in slab.parts]
+                 for slab in self.initial_field().slabs]
         w = g.inv_weight()
         least = min(_MIN_REPORT_ITERS, max_iter)
-        residual = 0.0
-        converged_at = 0
+        residual = [0.0] * B
+        converged_at = [0] * B
         for i in range(g.spec.time_steps - 1, -1, -1):
-            tables = self._slab_tables(i)
-            fixed = self._fixed_part(slabs, i, tables)
-            settled = None
+            tables = self._slab_tables(i, members)
+            fixed = self._fixed_part(stack, i, tables, members)
+            settled = [None] * B
+            active = list(range(B))
             for k in range(max_iter):
-                new = self.step(field, i, fixed, tables)
-                delta = max(float(np.max(np.abs(a - b) * w))
-                            for a, b in zip(new.parts, slabs[i].parts))
-                if k == len(report.deltas):
-                    report.deltas.append(delta)
-                else:
-                    report.deltas[k] = max(report.deltas[k], delta)
-                report.iterations = max(report.iterations, k + 1)
-                if settled is None and delta < tol:
-                    settled = k + 1
-                if delta < tol and k + 1 >= least:
+                new = self.step(stack, i, fixed, tables)
+                deltas = np.max([(np.abs(a - old) * w).reshape(B, -1).max(1)
+                                 for a, old in zip(new, stack[i])], axis=0)
+                for b in list(active):
+                    rep, delta = reports[b], float(deltas[b])
+                    if k == len(rep.deltas):
+                        rep.deltas.append(delta)
+                    else:
+                        rep.deltas[k] = max(rep.deltas[k], delta)
+                    rep.iterations = max(rep.iterations, k + 1)
+                    if settled[b] is None and delta < tol:
+                        settled[b] = k + 1
+                    if delta < tol and k + 1 >= least:
+                        # keep slab i: delta is then exactly (T phi - phi)_i
+                        converged_at[b] = max(converged_at[b], settled[b])
+                        residual[b] = max(residual[b], delta)
+                        active.remove(b)
+                if not active:
                     break
-                slabs[i] = new
+                # a member that has stopped keeps its slab i
+                for b in range(B):
+                    if b not in active:
+                        for part, old in zip(new, stack[i]):
+                            part[b] = old[b]
+                stack[i] = new
             else:
-                report.ratios = _ratios(report.deltas)
-                report.contraction_bound = self.contraction_bound()
+                b = active[0]
+                rep = reports[b]
+                rep.ratios = _ratios(rep.deltas)
+                rep.contraction_bound = members[b].contraction_bound()
+                who = f"hazard set {b}: " if B > 1 else ""
                 raise NoConvergence(
-                    f"no convergence in {max_iter} local iterations at time "
-                    f"node {i} (last residual {delta:.3e}, tol {tol:.3e})",
-                    report)
-            # keep slabs[i]: delta is then exactly (T phi - phi)_i
-            converged_at = max(converged_at, settled)
-            residual = max(residual, delta)
-        report.converged_at = converged_at
-        report.ratios = _ratios(report.deltas)
-        report.residual = residual
-        report.contraction_bound = self.contraction_bound()
-        report.age_clamp_events = self.age_clamp_events()
-        report.error_budget = self._error_budget(report, field)
-        return field, report
+                    f"{who}no convergence in {max_iter} local iterations at "
+                    f"time node {i} (last residual {deltas[b]:.3e}, tol "
+                    f"{tol:.3e})", rep)
+        out = []
+        for b, (s, rep) in enumerate(zip(members, reports)):
+            field = PriceField(s, [
+                Slab(s, [part[b] for part in parts], int(c))
+                for parts, c in zip(stack, g.c_counts)])
+            rep.converged_at = converged_at[b]
+            rep.ratios = _ratios(rep.deltas)
+            rep.residual = residual[b]
+            rep.contraction_bound = s.contraction_bound()
+            rep.age_clamp_events = s.age_clamp_events()
+            rep.error_budget = s._error_budget(rep, field)
+            out.append((field, rep))
+        return out[0] + tuple(out[1:])
 
     def _error_budget(self, report, field: PriceField) -> float:
         """Crude certified-style budget: the a-posteriori iteration error
@@ -1067,11 +1155,12 @@ def _ratios(deltas):
 
 def solve_price_field(market, claim, models, grid: Grid, tol: float = 1e-4,
                       max_iter: int = 200,
-                      settings: SolverSettings | None = None):
+                      settings: SolverSettings | None = None, also=()):
     """Solve for the fixed point of the pricing operator by backward
-    marching (see VolterraSolver.solve)."""
+    marching (see VolterraSolver.solve): (field, report), then one
+    (field, report) per further hazard set of also, marched with it."""
     solver = VolterraSolver(market, claim, models, grid, settings)
-    return solver.solve(tol, max_iter)
+    return solver.solve(tol, max_iter, also)
 
 
 @dataclass

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regimehedge import acceptance
+from regimehedge.analysis import sensitivity_check
 from regimehedge.cli import main, run_scenario, write_hedge_field, \
     write_price_field
 from regimehedge.errors import ConfigError
@@ -364,6 +365,54 @@ def test_no_convergence_maps_to_exit_3(tmp_path):
     assert code == 3
     rep = json.loads((out / "report.json").read_text())
     assert rep["error"]["type"] == "NoConvergence"
+
+
+def _demo_doc(**solver):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "two_state_call.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["grid"] = {"time_steps": 8, "price_nodes": 31, "age_nodes": 4}
+    doc["solver"].update(solver)
+    doc["outputs"] = ["sensitivity"]
+    return doc
+
+
+def test_perturbed_solve_that_does_not_converge_exits_3(tmp_path, capsys):
+    # the base settles in 4 local applications, the hazards scaled by 10
+    # need 7: with max_iter 4 the sensitivity's solve fails, and the run
+    # ends in exit 3 with an error block that names the hazard set
+    doc = _demo_doc(tol=1e-6, max_iter=4)
+    doc["sensitivity"] = {"scale": 10.0}
+    out = tmp_path / "out"
+    assert run_scenario(write_config(tmp_path, doc), out_dir=str(out)) == 3
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"]["type"] == "NoConvergence"
+    assert rep["error"]["message"].startswith("hazard set 1: ")
+    assert rep["error"]["convergence"]["iterations"] == 4
+    assert "sensitivity" not in rep
+    assert "hazard set 1" in capsys.readouterr().err
+    # the same run converges with max_iter 7
+    doc["solver"]["max_iter"] = 7
+    assert run_scenario(write_config(tmp_path, doc),
+                        out_dir=str(tmp_path / "out7")) == 0
+
+
+def test_sensitivity_block_equals_a_separate_sensitivity_check(tmp_path):
+    # run_scenario marches the scaled hazards with the base; the block it
+    # writes is that of sensitivity_check solving them on its own
+    doc = _demo_doc()
+    scn = parse_scenario(copy.deepcopy(doc))
+    out = tmp_path / "out"
+    assert run_scenario(write_config(tmp_path, doc), out_dir=str(out)) == 0
+    grid = Grid(scn.market, scn.horizon,
+                np.stack([ep[1] for ep in scn.eval_points]), scn.grid_spec)
+    base = solve_price_field(scn.market, scn.claim, scn.models, grid,
+                             scn.tol, scn.max_iter, scn.solver)
+    tilde = [h.scaled(scn.sensitivity_scale) for h in scn.models]
+    want = sensitivity_check(base, tilde, scn.tol).to_dict()
+    got = json.loads((out / "report.json").read_text())["sensitivity"]
+    assert got == json.loads(json.dumps(want))
 
 
 def test_price_scenario_outputs_match_frozen_reference(tmp_path):

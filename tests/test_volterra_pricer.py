@@ -665,11 +665,12 @@ def test_far_and_near_panels_sum_to_the_full_switch_branch():
     solver = VolterraSolver(m, claim, models, grid)
     field, _ = solver.solve(tol=1e-3)
     M = grid.spec.time_steps
+    stack = field.stacked()
     for i in (0, 3, M - 2, M - 1):
-        full, = solver.switch_branch(i, field.slabs, (_Smoother.apply,))
-        far, = solver.switch_branch(i, field.slabs, (_Smoother.apply,),
+        full, = solver.switch_branch(i, stack, (_Smoother.apply,))
+        far, = solver.switch_branch(i, stack, (_Smoother.apply,),
                                     panels=range(1, M - i))
-        near, = solver.switch_branch(i, field.slabs, (_Smoother.apply,),
+        near, = solver.switch_branch(i, stack, (_Smoother.apply,),
                                      panels=range(1))
         scale = max(float(np.max(np.abs(part))) for part in full)
         for f_part, n_part, part in zip(far, near, full):
@@ -989,10 +990,12 @@ def test_switch_branch_matches_per_edge_reference(case):
     # the reference runs on the full broadcast of the stored slabs
     full = [np.asarray(slab) for slab in field.slabs]
     for i in range(grid.spec.time_steps):
-        got = solver.switch_branch(i, field.slabs, actions)
+        got = solver.switch_branch(i, field.stacked(), actions)
         want = _ref_switch_branch(solver, i, full, actions)
         c = int(grid.c_counts[i])
         for g_parts, w_arr in zip(got, want):
+            # the one member of the stack
+            g_parts = [part[0] for part in g_parts]
             np.testing.assert_allclose(Slab(solver, g_parts, c), w_arr,
                                        rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(w_arr)))
@@ -1100,8 +1103,8 @@ def test_gather_matches_per_slab_interp(clamps):
     rng = np.random.default_rng(8)
     slabs = [rng.uniform(0.0, 50.0, (4, int(c), int(c)) + grid.s_shape)
              for c in grid.c_counts]
-    stored = [Slab(solver, [slab], int(grid.c_counts[i]))
-              for i, slab in enumerate(slabs)]
+    stored = PriceField(solver, [Slab(solver, [slab], int(grid.c_counts[i]))
+                                 for i, slab in enumerate(slabs)]).stacked()
     cc = grid.c_counts
     found = 0
     for i in range(16):
@@ -1120,6 +1123,7 @@ def test_gather_matches_per_slab_interp(clamps):
                                  else slabs[side][:, :, 0], [1], cells, c)
                     for side in (i + p, i + p + 1))
                 got, = solver._gather(stored, i, p, l)
+                got = got[0]
                 assert got.shape == (4, c) + grid.s_shape
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-12)
     assert found > 0
@@ -1143,11 +1147,12 @@ def test_gather_of_grouped_slabs_equals_full_gather_of_their_broadcast():
             rng.uniform(0.0, 50.0, js.shape + grid.s_shape)
             for js in solver.js_T(i)], c))
     full = [np.asarray(slab) for slab in slabs]
+    stack = PriceField(solver, slabs).stacked()
     for i in range(M):
         c = int(grid.c_counts[i])
         for p in range(M - i):
             for l in range(3):
-                got = solver._gather(slabs, i, p, l)
+                got = [part[0] for part in solver._gather(stack, i, p, l)]
                 want = _ref_gather(solver, full, i, p, l)
                 for xi, x in enumerate(grid.x_tuples):
                     gi, k = solver.where[xi]
@@ -1178,8 +1183,8 @@ def test_gather_equals_reference_bit_for_bit_where_shifts_clamp(ages):
     M = grid.spec.time_steps
     full = [rng.uniform(0.0, 50.0, (8,) + (int(c),) * 3 + grid.s_shape)
             for c in grid.c_counts]
-    slabs = [Slab(solver, [arr], int(c))
-             for arr, c in zip(full, grid.c_counts)]
+    slabs = PriceField(solver, [Slab(solver, [arr], int(c)) for arr, c
+                                in zip(full, grid.c_counts)]).stacked()
     clamped = 0
     for i in range(M):
         c = int(grid.c_counts[i])
@@ -1189,7 +1194,7 @@ def test_gather_equals_reference_bit_for_bit_where_shifts_clamp(ages):
             for l in range(3):
                 got, = solver._gather(slabs, i, p, l)
                 want = _ref_gather(solver, full, i, p, l)
-                assert np.array_equal(got, np.take(want, 0, axis=1 + l))
+                assert np.array_equal(got[0], np.take(want, 0, axis=1 + l))
     assert clamped == M * (M + 1) // 2 if ages == "all" else clamped > 0
 
 
@@ -1253,7 +1258,7 @@ def test_switch_branch_buffers_carry_nothing_between_calls():
         actions = [_Smoother.apply, lambda sm, e, p: sm.apply(e, p)] + [
             lambda sm, e, p, d=d: sm.apply(e, p, deriv_axis=d)
             for d in range(g.n)]
-        runs = [solver.switch_branch(i, field.slabs, actions)
+        runs = [solver.switch_branch(i, field.stacked(), actions)
                 for i in (1, 3, 1)]
         for first, again in zip(runs[0], runs[2]):
             assert all(np.array_equal(a, b) for a, b in zip(first, again))
@@ -1308,3 +1313,84 @@ def test_permuting_components_permutes_age_axes():
         want = np.transpose(np.asarray(f0.slabs[i])[order], axes)
         np.testing.assert_allclose(f1.slabs[i], want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
+
+
+def _config_case(name, **grid):
+    import json
+    import os
+    from regimehedge.scenario import parse_scenario
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", name)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["grid"].update(grid)
+    scn = parse_scenario(doc)
+    g = Grid(scn.market, scn.horizon,
+             np.stack([ep[1] for ep in scn.eval_points]), scn.grid_spec)
+    return scn.market, scn.claim, scn.models, g, scn.solver
+
+
+@pytest.mark.parametrize("case, scale, tol", [
+    ("demo", 1.1, 1e-4),
+    ("2_assets_3_components", 1.3, 1e-4),
+    ("correlated_config", 1.1, 1e-4),
+    ("demo_stops_apart", 10.0, 1e-6),
+])
+def test_pair_march_equals_separate_solves_bit_for_bit(case, scale, tol):
+    # the base and the scaled hazards marched as members of one stack: each
+    # member's slabs and report are those of its own solve, bit for bit,
+    # and so is the hedge field read off the perturbed member
+    from regimehedge.hedging import hedge_field
+    if case.startswith("demo"):
+        m, claim, models, grid, settings = _config_case(
+            "two_state_call.json", time_steps=8, price_nodes=31, age_nodes=4)
+    elif case == "correlated_config":
+        m, claim, models, grid, settings = _config_case(
+            "two_asset_correlated_call.json", time_steps=6)
+    else:
+        m, claim, models, grid, settings = _switch_case(case)
+    tilde = [h.scaled(scale) for h in models]
+    field, report, perturbed = solve_price_field(
+        m, claim, models, grid, tol, settings=settings, also=[tilde])
+    if case == "2_assets_3_components":
+        assert len(field.solver.groups) == 4
+    for hazards, (got, got_rep) in zip((models, tilde),
+                                       ((field, report), perturbed)):
+        assert got.solver.models is hazards
+        want, want_rep = solve_price_field(m, claim, hazards, grid, tol,
+                                           settings=settings)
+        assert got_rep.to_dict() == want_rep.to_dict()
+        for a, b in zip(got.slabs, want.slabs):
+            assert len(a.parts) == len(b.parts)
+            assert all(np.array_equal(pa, pb)
+                       for pa, pb in zip(a.parts, b.parts))
+    if case == "demo_stops_apart":
+        # the base settles in 4 local applications, the scaled hazards in 7
+        assert (report.converged_at, perturbed[1].converged_at) == (4, 7)
+    h_got, h_want = hedge_field(perturbed[0]), hedge_field(want)
+    for slabs_got, slabs_want in ((h_got.xi, h_want.xi),
+                                  (h_got.eps, h_want.eps)):
+        for a, b in zip(slabs_got, slabs_want):
+            assert all(np.array_equal(pa, pb)
+                       for pa, pb in zip(a.parts, b.parts))
+
+
+def test_pair_march_names_the_hazard_set_that_does_not_converge():
+    m, claim, models, grid, settings = _config_case(
+        "two_state_call.json", time_steps=8, price_nodes=31, age_nodes=4)
+    tilde = [h.scaled(10.0) for h in models]
+    # alone, the base settles within 4 local applications
+    solve_price_field(m, claim, models, grid, 1e-6, 4, settings)
+    with pytest.raises(NoConvergence, match="^hazard set 1: ") as info:
+        solve_price_field(m, claim, models, grid, 1e-6, 4, settings,
+                          also=[tilde])
+    assert info.value.report.iterations == 4
+
+
+def test_pair_march_rejects_hazard_sets_of_another_layout():
+    m, claim, models, grid = regime_setup(price_nodes=21, time_steps=4,
+                                          age_nodes=3)
+    # constant rates make every state memoryless: other slab shapes
+    other = [HazardModel(2, {(1, 2): ConstantRate(0.3),
+                             (2, 1): ConstantRate(0.4)})] * 2
+    with pytest.raises(ConfigError, match="memoryless states"):
+        solve_price_field(m, claim, models, grid, 1e-3, also=[other])
