@@ -6,8 +6,8 @@ rather than by numerical differentiation of the field: the frozen-regime
 delta carries the no-switch weight and the switch branch integrates the
 continuation value against the kernel's s-derivative.  hedge_field runs
 the pricing step's own switch-branch operator
-(VolterraSolver.switch_branch) with the kernel's s-derivatives in place of
-the kernel, so price and hedge share one discretization, and strategy_at
+(VolterraSolver.switch_branch) with one derivative axis per asset in place
+of the kernel, so price and hedge share one discretization, and strategy_at
 reads that field between the nodes the way PriceField.values reads a
 price (Grid.interp).  Finite differences of the solved field are kept only
 as a test oracle.
@@ -69,9 +69,10 @@ def hedge_field(field: PriceField) -> HedgeField:
     """Hedge ratios at every grid node via the integral formula.
 
     Applies the pricing step's switch-branch operator to the solved field
-    with the kernel's s-derivatives in place of the kernel, one action per
-    asset in a single pass, so every axis shares the gathered continuation
-    slabs, survival weights and mass normalization of the pricing step.
+    with the kernel's s-derivatives in place of the kernel, one derivative
+    axis per asset in a single pass, so every axis shares the gathered
+    continuation slabs, survival weights and mass normalization of the
+    pricing step.
     Runs on field.solver, whose survival weights JS(T - t_i) the solve
     cached; each slab's switch tables are built again here, one slab at a
     time, since keeping them from the march would hold the tables of every
@@ -82,11 +83,7 @@ def hedge_field(field: PriceField) -> HedgeField:
     g = field.grid
     M = g.spec.time_steps
     n_x = len(g.x_tuples)
-    smesh = np.meshgrid(*g.s_axes, indexing="ij")
-    spots = np.stack(smesh, axis=-1)
-    # d/ds_m of the kernel integral, as sm.apply(e, p, deriv_axis=m) / s_m
-    actions = [lambda sm, e, p, m=m: sm.apply(e, p, deriv_axis=m) / smesh[m]
-               for m in range(g.n)]
+    spots = g.s_mesh()
 
     y_pad = (...,) + (None,) * g.n
     c1 = np.stack([np.broadcast_to(c1m, g.s_shape) for c1m in claim.c1],
@@ -104,7 +101,7 @@ def hedge_field(field: PriceField) -> HedgeField:
                     market, claim, x, t, g.horizon, g.lns_axes, m_ax,
                     solver.settings.bsm_outer_nodes)
         if i < M:
-            branch = solver.switch_branch(i, stack, actions)
+            branch = solver.switch_branch(i, stack, range(g.n))
         xi_parts, eps_parts = [], []
         for gi, ((members, _), js_T) in enumerate(zip(solver.groups,
                                                       solver.js_T(i))):

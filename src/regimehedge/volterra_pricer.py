@@ -35,24 +35,25 @@ The switches out of each regime tuple come from ``semi_markov.switch_edges``.
 Slab i builds its switch tables once, for all panels at once
 (``_slab_tables``): the joint survival at every panel midpoint as one
 array, each hazard family's rate over the (panel, age) grid in one call,
-and the taps of the kernels of all panels and regime tuples as one batch
-per tap array (derivative taps too, per axis on first use); each tuple's
-smoother reads its panels' rows of that batch.  Per panel, regime tuple
-and switch edge, one weight carries the discount e^{-r(x) v_p}, dt,
-JS(v_p), the hazard and the mass normalization.  The switch branch of a
-panel then gathers the continuation once per resetting component and
-subtracts the linear part c1.s once; the excesses of all edges out of a
-regime tuple are stacked and smoothed together (one correlation with
-taps), and each edge adds its weighted share.  The edges are grouped by
-shape once per call, and the stacks and smoothed results go into buffers
-shared by all panels and tuples, so a panel allocates no stack.
+and one smoother (_Smoother) of the kernels of all panels and regime
+tuples, whose taps are one _kernel_taps call (the derivative taps of each
+axis one more, on first use).  Per panel, regime tuple and switch edge,
+one weight carries the discount e^{-r(x) v_p}, dt, JS(v_p), the hazard
+and the mass normalization.  The switch branch of a panel then gathers
+the continuation once per resetting component and subtracts the linear
+part c1.s once; the excesses of all edges out of a regime tuple are
+stacked and smoothed together (one correlation with taps per derivative
+axis asked for: None for the price, m for the hedge in asset m), and each
+edge adds its weighted share.  The edges are grouped by shape once per
+call, and the stacks and smoothed results go into buffers shared by all
+panels, tuples and axes, so a panel allocates no stack.
 
 The hazards enter the operator only through these weights (JS, lambda,
 kappa and JS(T - t_i)), so one march solves several hazard sets on the
 same market, claim, grid and settings at once (VolterraSolver.solve's
 also; the sensitivity check's scaled hazards, for one).  Its arrays carry
 a leading member axis, one row per hazard set.  Shared by all members and
-built once per slab: the kernels and their tap batch, rho, the terminal
+built once per slab: the kernels and their smoother, rho, the terminal
 payoff and c1.s.  Per member: the weights, JS(T - t_i), each member's
 solver (its hazard models, edges and report) and its stop.  Each gather,
 stacked smoothing call and weighted add acts on all members at once, and
@@ -79,13 +80,17 @@ cell, so the nodes collapse into taps centred on offset 0 (the QUAD idea
 of Andricopoulos et al., 2003).  A diagonal log covariance gives one
 ``scipy.ndimage.correlate1d`` per log-price axis, any other one n-D tap
 array, correlated with the edge-padded slab by FFT; both replicate the
-edges.  Moving a slab along the age axes (ages grow by v between t and
-t + v) is one clamped linear shift per age axis, ``_shift_axis``, shared
-by the gather and the PDE residual; it blends slices of the slab and
-builds the rows whose indices clamp from the edge row they read.  The
-gather takes the mean of the rows of both bracketing slabs, each clamped
-to its own stored ages (a clamped row is read from the edge row in
-place), and blends that mean once per age axis.
+edges and write into the caller's output buffer.  The kernel's
+s_m-derivative splats the same nodes, each weighted by its score, so the
+hedge is the same smoothing with other taps, divided by s_m.
+
+Moving a slab along the age axes (ages grow by v between t and t + v) is
+one clamped linear shift per age axis, ``_shift_axis``, shared by the
+gather and the PDE residual; it blends slices of the slab and builds the
+rows whose indices clamp from the edge row they read.  The gather takes
+the mean of the rows of both bracketing slabs, each clamped to its own
+stored ages (a clamped row is read from the edge row in place), and
+blends that mean once per age axis.
 """
 
 from __future__ import annotations
@@ -474,69 +479,48 @@ def _shift_axis(arr, axis, cells, count):
     return out
 
 
-class _TapBatch:
-    """The taps of a stack of kernels (zbar (K, n), chol (K, n, n)), built
-    by one _kernel_taps call, and the derivative taps of each log-price
-    axis, built by one call on the axis' first use."""
+class _Smoother:
+    """Kernel smoothing operators on the log-price axes of a slab, one per
+    kernel of a stack (zbar (K, n), chol (K, n, n)); _slab_tables stacks
+    the panels of all regime tuples of a slab.
+
+    apply(arr, k) integrates the multilinearly interpolated slab against
+    kernel k, apply(arr, k, deriv_axis=m) against its s_m-derivative.  Both
+    correlate the slab with taps from _kernel_taps, which builds the taps
+    of the whole stack in one call and each kernel's taps as if built on
+    their own; the derivative taps of axis m are built the same way, in
+    one call on that axis' first use, and kept.  A diagonal kernel has one
+    1-D tap array per log-price axis, each one correlate1d; a correlated
+    kernel has one n-D array over its tensor nodes, correlated with the
+    slab by FFT (_correlate_nd).  The smoother acts on the excess over the
+    linear part c1.s, which PriceField holds at its edge value beyond the
+    box, so both replicate the edges.
+    """
 
     def __init__(self, zbar, chol, grid: Grid, gh_nodes: int):
+        self.grid = grid
         self.kernels = (zbar, chol, grid, gh_nodes)
         self.taps = _kernel_taps(*self.kernels)
         self._deriv = {}
 
-    def deriv(self, axis: int):
-        if axis not in self._deriv:
-            self._deriv[axis] = _kernel_taps(*self.kernels, axis)
-        return self._deriv[axis]
-
-
-class _Smoother:
-    """Kernel smoothing operators on the log-price axes of a slab, one per
-    kernel of a stack (zbar (P, n), chol (P, n, n)): the panels of one
-    regime tuple.
-
-    apply(arr, p) integrates the multilinearly interpolated slab against
-    kernel p, apply(arr, p, deriv_axis=m) against its s_m-derivative.  Both
-    correlate the slab with taps from _kernel_taps, which builds the taps
-    of a stack of kernels at once and each kernel's taps as if built on
-    their own.  The smoother reads rows start.. of a _TapBatch: of its own
-    stack, or of the batch given, built for a larger stack that holds this
-    one from row start on (_slab_tables builds one for all regime tuples
-    of a slab).  A diagonal kernel has one 1-D tap array per log-price
-    axis, each one correlate1d; a correlated kernel has one n-D array over
-    its tensor nodes, correlated with the slab by FFT (_correlate_nd).
-    The smoother acts on the excess over the linear part c1.s, which
-    PriceField holds at its edge value beyond the box, so both replicate
-    the edges.
-    """
-
-    def __init__(self, zbar, chol, grid: Grid, gh_nodes: int,
-                 batch: _TapBatch | None = None, start: int = 0):
-        self.grid = grid
-        self.batch = batch or _TapBatch(zbar, chol, grid, gh_nodes)
-        self.rows = slice(start, start + len(zbar))
-        self.taps = self.batch.taps[self.rows]
-        self._deriv = {}
-
-    def apply(self, arr, p: int, deriv_axis: int | None = None, out=None):
+    def apply(self, arr, k: int, deriv_axis: int | None = None, out=None):
         """arr has age axes first, then the n log-price axes (last).
 
         With deriv_axis = m the result is the expectation against
-        d(kernel p)/d s_m, still to be divided by s_m by the caller.  A
-        diagonal kernel writes the result into out when it is given (an
-        array of arr's shape, not arr); a correlated one returns a new
-        array.
+        d(kernel k)/d s_m, still to be divided by s_m by the caller.  The
+        result is written into out when it is given (an array of arr's
+        shape, not arr), else into a new array.
         """
-        taps = self.taps[p]
+        taps = self.taps[k]
         if deriv_axis is not None:
             if deriv_axis not in self._deriv:
-                self._deriv[deriv_axis] = self.batch.deriv(deriv_axis)[
-                    self.rows]
-            d_tap, = self._deriv[deriv_axis][p]
+                self._deriv[deriv_axis] = _kernel_taps(*self.kernels,
+                                                       deriv_axis)
+            d_tap, = self._deriv[deriv_axis][k]
             taps = [d_tap] if d_tap.ndim > 1 else \
                 taps[:deriv_axis] + [d_tap] + taps[deriv_axis + 1:]
         if taps[0].ndim > 1:
-            return _correlate_nd(arr, taps[0])
+            return _correlate_nd(arr, taps[0], out)
         lead = arr.ndim - self.grid.n
         for d, tap in enumerate(taps):
             arr = correlate1d(arr, tap, axis=lead + d, mode="nearest",
@@ -587,15 +571,15 @@ def _kernel_taps(zbar, chol, grid: Grid, gh_nodes: int,
     return taps
 
 
-def _correlate_nd(arr, taps):
+def _correlate_nd(arr, taps, out=None):
     """Correlate the last taps.ndim axes of arr with the centred n-D taps,
     holding the edge values beyond the box (ndimage's mode="nearest"), by
-    FFT of the edge-padded slab: the cost does not grow with the number of
-    taps, and with all but the last transform in place the peak memory is
-    about twice the padded slab.  (ndimage.correlate would keep a table of
-    prod(min(S, width)) x (nonzero taps) offsets, 0.3 GB for n = 3 on 31
-    nodes.)  The result changes at round-off only, about 1e-15 of its
-    largest value.
+    FFT of the edge-padded slab, into out (a new array when not given):
+    the cost does not grow with the number of taps, and with all but the
+    last transform in place the peak memory is about twice the padded
+    slab.  (ndimage.correlate would keep a table of prod(min(S, width)) x
+    (nonzero taps) offsets, 0.3 GB for n = 3 on 31 nodes.)  The result
+    changes at round-off only, about 1e-15 of its largest value.
     """
     lead = arr.ndim - taps.ndim
     half = [w // 2 for w in taps.shape]
@@ -612,8 +596,11 @@ def _correlate_nd(arr, taps):
     # the circular convolution with the reversed taps is exact from index
     # 2 half on, where the output of slab node 0 sits
     full = np.fft.irfft(spec, n=shape[-1], axis=-1)
-    return full[(...,) + tuple(slice(2 * h, 2 * h + s)
-                               for h, s in zip(half, size))].copy()
+    if out is None:
+        out = np.empty(arr.shape)
+    out[...] = full[(...,) + tuple(slice(2 * h, 2 * h + s)
+                                   for h, s in zip(half, size))]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +655,8 @@ class VolterraSolver:
             for _, frozen in self.groups]
 
         # c1 . s on the price grid; its discounted kernel mean is c1 . s
-        mesh = np.meshgrid(*g.s_axes, indexing="ij")
-        self._lin = sum(c * m for c, m in zip(self.claim.c1, mesh))
+        self._mesh = np.meshgrid(*g.s_axes, indexing="ij")
+        self._lin = sum(c * m for c, m in zip(self.claim.c1, self._mesh))
         self._rho = None
         self._terminal = None
         self._js_T = {}
@@ -742,11 +729,14 @@ class VolterraSolver:
     def _slab_tables(self, i, members=None):
         """The switch-branch tables of slab i for the hazard sets of members
         (solvers that share this one's market, claim, grid, settings and
-        layout; [self] by default): one entry per regime tuple, the
-        smoother of the tuple's kernels over the panel midpoints v_p, and
-        the weights of its switch edges (self.edges order), an array
-        (B, P, E, ages, 1..1) over members, panels and edges in the tuple's
-        stored age shape (c_i or 1 per component), where
+        layout; [self] by default): (sm, weights).  sm is one smoother of
+        the kernels of all regime tuples over the P panel midpoints v_p,
+        regime tuple xi's kernel of panel p at row xi * P + p, so the taps
+        of the slab, and its derivative taps per axis, are one
+        _kernel_taps call each.  weights[xi] holds the weights of tuple
+        xi's switch edges (self.edges order), an array (B, P, E, ages,
+        1..1) over members, panels and edges in the tuple's stored age
+        shape (c_i or 1 per component), where
 
             w = kappa e^{-r(x) v_p} dt JS(v_p; x, y) lam^l(y_l + v_p)
 
@@ -755,11 +745,8 @@ class VolterraSolver:
         linear claims exact and the operator a strict sub-probability
         mixture.  All panels are built at once: per member one
         joint-survival array and one rate call per hazard family, and one
-        kernel call per regime tuple for all members.  The kernels of all
-        tuples share one _TapBatch, so the taps of the slab, and its
-        derivative taps per axis, are one batch; each tuple's smoother
-        reads its P rows of it.  Whoever applies slab i builds its tables
-        once and drops them after."""
+        kernel call per regime tuple for all members.  Whoever applies slab
+        i builds its tables once and drops them after."""
         g = self.grid
         members = members or [self]
         nc = g.n_components
@@ -774,12 +761,12 @@ class VolterraSolver:
         # clamps at the box edges, so no growth correction in the kernels
         kerns = [build_kernel(self.market, g.t_nodes[i], x, v_mid)
                  for x in g.x_tuples]
-        batch = _TapBatch(np.concatenate([k.zbar for k in kerns]),
-                          np.concatenate([k.chol for k in kerns]), g,
-                          self.settings.gh_nodes)
+        sm = _Smoother(np.concatenate([k.zbar for k in kerns]),
+                       np.concatenate([k.chol for k in kerns]), g,
+                       self.settings.gh_nodes)
         rates = {}
-        tables = []
-        for xi, (x, kern) in enumerate(zip(g.x_tuples, kerns)):
+        weights = []
+        for xi, x in enumerate(g.x_tuples):
             gi, k = self.where[xi]
             stored = js[0][gi].shape[2:]
             disc = _on_axis(np.exp(-self.market.r(x) * v_mid), (0,), 1 + nc)
@@ -796,10 +783,8 @@ class VolterraSolver:
                 kappa = np.where(mass > 1e-300, (1.0 - js_T[b][gi][k])
                                  / np.maximum(mass, 1e-300), 1.0)
                 wt[b] *= (kappa * disc)[:, None]
-            tables.append((_Smoother(kern.zbar, kern.chol, g,
-                                     self.settings.gh_nodes, batch, xi * P),
-                           wt[y_pad]))
-        return tables
+            weights.append(wt[y_pad])
+        return sm, weights
 
     # -- gathering the continuation slab ---------------------------------------
 
@@ -872,28 +857,27 @@ class VolterraSolver:
 
     # -- the switch-branch operator ------------------------------------------
 
-    def switch_branch(self, i, stack, actions, panels=None, tables=None):
-        """The switch-branch integral of slab i, one result per action, each
-        a list of arrays (B, ...) in the stored shape of the groups of
-        regime tuples (see Slab), over the member axis of stack (see
-        _gather) and of the tables' weights.
+    def switch_branch(self, i, stack, axes=(None,), panels=None,
+                      tables=None):
+        """The switch-branch integral of slab i, one result per entry of
+        axes, each a list of arrays (B, ...) in the stored shape of the
+        groups of regime tuples (see Slab), over the member axis of stack
+        (see _gather) and of the tables' weights.
 
-        An action maps (a regime tuple's smoother, excess of the gathered
-        continuation over c1.s, panel p) to the integral against kernel p:
-        the kernel itself for pricing (_Smoother.apply), its s-derivatives
-        for hedging.  All actions share the gathers and the weights of slab
-        i's tables (see _slab_tables), built afresh for self alone when not
-        given.  panels selects the v-panels to sum (all by default); the
-        panels p >= 1 read only slabs after i.  Per panel, the excesses of
-        the switch edges out of a regime tuple that have the same shape are
-        stacked, for all members, and smoothed by one action call; each
-        edge then adds its weighted share, each member's own weight.  The
-        edges are grouped by shape once per call, and the stacks are copied
-        into one buffer per stack shape, shared by all tuples and panels;
-        the pricing action (_Smoother.apply itself) smooths into a second
-        such buffer, any other action returns a new array.  Every operation
-        acts on each member's rows alone, so a member's result is that of
-        a call on its own.
+        Axis None integrates the excess of the gathered continuation over
+        c1.s against the kernel (pricing), axis m against the kernel's
+        s_m-derivative, divided by s_m (the hedge in asset m).  All axes
+        share the gathers and the weights of slab i's tables (see
+        _slab_tables), built afresh for self alone when not given.  panels
+        selects the v-panels to sum (all by default); the panels p >= 1
+        read only slabs after i.  Per panel, the excesses of the switch
+        edges out of a regime tuple that have the same shape are stacked,
+        for all members, and smoothed by one call per axis; each edge then
+        adds its weighted share, each member's own weight.  The edges are
+        grouped by shape once per call, and the stacks and their smoothed
+        results go into two buffers per stack shape, shared by all tuples,
+        panels and axes.  Every operation acts on each member's rows
+        alone, so a member's result is that of a call on its own.
 
         A regime tuple's result does not depend on the age of a component
         in a memoryless state (see the module docstring); the discrete
@@ -905,17 +889,17 @@ class VolterraSolver:
         result have one row on the tuple's memoryless axes.
         """
         g = self.grid
-        if tables is None:
-            tables = self._slab_tables(i)
+        sm, weights = tables or self._slab_tables(i)
+        P = g.spec.time_steps - i
         if panels is None:
-            panels = range(g.spec.time_steps - i)
-        B = len(tables[0][1])
+            panels = range(P)
+        B = len(weights[0])
         js_T = self.js_T(i)
         accs = [[np.zeros((B,) + js.shape + g.s_shape) for js in js_T]
-                for _ in actions]
+                for _ in axes]
         shares = {(B,) + part.shape[2:]: np.empty((B,) + part.shape[2:])
                   for part in accs[0]}
-        # per regime tuple, its rows of each action's result and its edges
+        # per regime tuple, its rows of each axis' result and its edges
         # grouped by the shape of their excess (the landing group's stored
         # ages without the reset axis), each group with the stack and
         # output buffers of its stack shape
@@ -953,16 +937,16 @@ class VolterraSolver:
                 for part in gathered:
                     part -= self._lin
                 excess.append(gathered)
-            for (sm, w), (reds, plan) in zip(tables, plans):
+            for xi, (w, (reds, plan)) in enumerate(zip(weights, plans)):
                 wp = w[:, p]
                 share = shares[reds[0].shape]
                 for group, stacked, out in plan:
                     for l, gj, src, row, _, _ in group:
                         stacked[row] = excess[l][gj][src]
-                    for red, action in zip(reds, actions):
-                        smoothed = sm.apply(stacked, p, out=out) \
-                            if action is _Smoother.apply \
-                            else action(sm, stacked, p)
+                    for red, axis in zip(reds, axes):
+                        smoothed = sm.apply(stacked, xi * P + p, axis, out)
+                        if axis is not None:
+                            smoothed /= self._mesh[axis]
                         for *_, e, reset in group:
                             np.multiply(wp[e], smoothed[reset], out=share)
                             red += share
@@ -978,7 +962,7 @@ class VolterraSolver:
         g = self.grid
         y_pad = (...,) + (None,) * g.n
         rho = self._rho_slabs()[i]
-        far, = self.switch_branch(i, stack, (_Smoother.apply,),
+        far, = self.switch_branch(i, stack,
                                   panels=range(1, g.spec.time_steps - i),
                                   tables=tables)
         out = []
@@ -1014,8 +998,7 @@ class VolterraSolver:
             tables = self._slab_tables(i)
         if fixed is None:
             fixed = self._fixed_part(phi, i, tables)
-        near, = self.switch_branch(i, phi, (_Smoother.apply,),
-                                   panels=range(1), tables=tables)
+        near, = self.switch_branch(i, phi, panels=range(1), tables=tables)
         new = [f + n for f, n in zip(fixed, near)]
         for part in new:
             np.maximum(part, 0.0, out=part)

@@ -187,8 +187,8 @@ def test_derivative_taps_built_once_per_smoother_and_axis(monkeypatch):
     # derivative taps per panel kernel and asset axis, shared by every
     # (component, destination) branch.  _build_taps builds a batch of tap
     # arrays per call, so the count is of arrays built, not of calls, and
-    # a smoother reads the taps of all panels of a slab's regime tuple
-    # from the slab's batch, which holds those of every tuple
+    # a slab's one smoother holds the taps of all its panels and regime
+    # tuples
     from regimehedge import volterra_pricer as vp
     m = build_market(2, 2, 2, 0.03, np.zeros(2), np.diag([0.2, 0.3]))
     claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)

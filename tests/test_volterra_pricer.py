@@ -659,7 +659,6 @@ def test_lumped_three_state_components_match_two_state_model():
 
 
 def test_far_and_near_panels_sum_to_the_full_switch_branch():
-    from regimehedge.volterra_pricer import _Smoother
     m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
                                           age_nodes=4)
     solver = VolterraSolver(m, claim, models, grid)
@@ -667,11 +666,9 @@ def test_far_and_near_panels_sum_to_the_full_switch_branch():
     M = grid.spec.time_steps
     stack = field.stacked()
     for i in (0, 3, M - 2, M - 1):
-        full, = solver.switch_branch(i, stack, (_Smoother.apply,))
-        far, = solver.switch_branch(i, stack, (_Smoother.apply,),
-                                    panels=range(1, M - i))
-        near, = solver.switch_branch(i, stack, (_Smoother.apply,),
-                                     panels=range(1))
+        full, = solver.switch_branch(i, stack)
+        far, = solver.switch_branch(i, stack, panels=range(1, M - i))
+        near, = solver.switch_branch(i, stack, panels=range(1))
         scale = max(float(np.max(np.abs(part))) for part in full)
         for f_part, n_part, part in zip(far, near, full):
             np.testing.assert_allclose(f_part + n_part, part, rtol=1e-13,
@@ -888,22 +885,27 @@ def _ref_gather(solver, slabs, i, p, l):
     return mean
 
 
-def _ref_switch_branch(solver, i, slabs, actions):
+def _ref_switch_branch(solver, i, slabs, axes):
     """The switch branch with one gather per (panel, component) and one
-    smoothing and weighted add per (panel, tuple, edge)."""
+    smoothing and weighted add per (panel, tuple, edge): against the kernel
+    for axis None, against its s_m-derivative over s_m for axis m."""
     g = solver.grid
     tables = _ref_slab_tables(solver, i)
     c = int(g.c_counts[i])
+    spots = g.s_mesh()
     accs = [np.zeros((len(g.x_tuples),) + (c,) * g.n_components + g.s_shape)
-            for _ in actions]
+            for _ in axes]
     for p in range(len(tables)):
         gathered = [_ref_gather(solver, slabs, i, p, l)
                     for l in range(g.n_components)]
         for xi, (sm, edges) in enumerate(tables[p]):
             for l, xpi, w in edges:
                 excess = gathered[l][xpi] - solver._lin
-                for acc, action in zip(accs, actions):
-                    acc[xi] += w * action(sm, excess, 0)
+                for acc, axis in zip(accs, axes):
+                    smoothed = sm.apply(excess, 0, deriv_axis=axis)
+                    if axis is not None:
+                        smoothed = smoothed / spots[..., axis]
+                    acc[xi] += w * smoothed
     return accs
 
 
@@ -984,14 +986,12 @@ def test_switch_branch_matches_per_edge_reference(case):
         sm = _Smoother(np.zeros((1, 2)), chol[None], grid, 6)
         assert [t.ndim for t in sm.taps[0]] == [2]
     field, _ = solver.solve(tol=1e-3)
-    actions = [_Smoother.apply] + [
-        lambda sm, e, p, d=d: sm.apply(e, p, deriv_axis=d)
-        for d in range(grid.n)]
+    axes = (None,) + tuple(range(grid.n))
     # the reference runs on the full broadcast of the stored slabs
     full = [np.asarray(slab) for slab in field.slabs]
     for i in range(grid.spec.time_steps):
-        got = solver.switch_branch(i, field.stacked(), actions)
-        want = _ref_switch_branch(solver, i, full, actions)
+        got = solver.switch_branch(i, field.stacked(), axes)
+        want = _ref_switch_branch(solver, i, full, axes)
         c = int(grid.c_counts[i])
         for g_parts, w_arr in zip(got, want):
             # the one member of the stack
@@ -1216,25 +1216,28 @@ def _mixed_corr_case():
 
 
 def test_slab_tap_batch_gives_each_tuple_its_own_taps():
-    # the tap batch of a slab holds the kernels of all regime tuples; each
-    # tuple's smoother reads the taps, and the derivative taps of every
-    # axis, that _kernel_taps builds for that tuple's kernels alone
+    # the smoother of a slab holds the kernels of all regime tuples, tuple
+    # xi's panel p at row xi * P + p; each tuple's rows hold the taps, and
+    # the derivative taps of every axis, that _kernel_taps builds for that
+    # tuple's kernels alone
     from regimehedge.volterra_pricer import _kernel_taps
     solver = _mixed_corr_case()
     g = solver.grid
     kinds = set()
     for i in (0, 2, g.spec.time_steps - 1):
-        tables = solver._slab_tables(i)
+        sm, weights = solver._slab_tables(i)
         v_mid = solver.v_mid[:g.spec.time_steps - i]
-        assert len({id(sm.batch) for sm, _ in tables}) == 1
-        for (sm, _), x in zip(tables, g.x_tuples):
+        P = len(v_mid)
+        assert len(sm.taps) == len(weights) * P == len(g.x_tuples) * P
+        excess = np.zeros((1,) + g.s_shape)
+        for d in range(2):
+            sm.apply(excess, 0, deriv_axis=d)
+        for xi, x in enumerate(g.x_tuples):
             kern = build_kernel(solver.market, g.t_nodes[i], x, v_mid)
             alone = [_kernel_taps(kern.zbar, kern.chol, g, 6)] + [
                 _kernel_taps(kern.zbar, kern.chol, g, 6, d) for d in range(2)]
-            excess = np.zeros((1,) + g.s_shape)
-            for d in range(2):
-                sm.apply(excess, 0, deriv_axis=d)
-            got = [sm.taps] + [sm._deriv[d] for d in range(2)]
+            rows = slice(xi * P, (xi + 1) * P)
+            got = [sm.taps[rows]] + [sm._deriv[d][rows] for d in range(2)]
             for got_k, want_k in zip(got, alone):
                 assert len(got_k) == len(want_k) == len(v_mid)
                 for g_taps, w_taps in zip(got_k, want_k):
@@ -1246,24 +1249,46 @@ def test_slab_tap_batch_gives_each_tuple_its_own_taps():
 
 
 def test_switch_branch_buffers_carry_nothing_between_calls():
-    # slab i, then slab j, then slab i again, with the pricing action and
-    # the hedge actions: the two results of slab i are equal, and the
-    # pricing action's reused output buffer gives the bytes of a fresh
-    # smoothing
-    from regimehedge.volterra_pricer import _Smoother
+    # slab i, then slab j, then slab i again, with the price axis before
+    # and after the hedge axes: the two results of slab i are equal, the
+    # price result read after the hedge axes have used the shared output
+    # buffer is that read before, and each axis gives the bytes of a call
+    # with that axis alone
     for solver in (_mixed_corr_case(), VolterraSolver(
             *_switch_case("2_assets_3_components")[:4], SolverSettings(6))):
         g = solver.grid
         field, _ = solver.solve(tol=1e-3)
-        actions = [_Smoother.apply, lambda sm, e, p: sm.apply(e, p)] + [
-            lambda sm, e, p, d=d: sm.apply(e, p, deriv_axis=d)
-            for d in range(g.n)]
-        runs = [solver.switch_branch(i, field.stacked(), actions)
+        axes = (None,) + tuple(range(g.n)) + (None,)
+        runs = [solver.switch_branch(i, field.stacked(), axes)
                 for i in (1, 3, 1)]
         for first, again in zip(runs[0], runs[2]):
             assert all(np.array_equal(a, b) for a, b in zip(first, again))
         for run in runs:
-            assert all(np.array_equal(a, b) for a, b in zip(run[0], run[1]))
+            assert all(np.array_equal(a, b) for a, b in zip(run[0], run[-1]))
+        for axis, got in zip(axes, runs[0]):
+            alone, = solver.switch_branch(1, field.stacked(), (axis,))
+            assert all(np.array_equal(a, b) for a, b in zip(got, alone))
+
+
+@pytest.mark.parametrize("correlated", [False, True])
+def test_smoother_writes_into_out_what_it_returns_without(correlated):
+    # for the price and every derivative axis, apply with out fills and
+    # returns out with the bytes of apply without it
+    from regimehedge.volterra_pricer import _Smoother
+    vol = np.array([[0.25, 0.0], [0.12 if correlated else 0.0, 0.22]])
+    m = build_market(2, 2, 1, 0.03, np.full(2, 0.05), vol)
+    grid = Grid(m, 1.0, np.full((1, 2), 100.0),
+                GridSpec(time_steps=2, price_nodes=15, age_nodes=2))
+    kern = build_kernel(m, 0.0, (1,), np.array([0.2, 0.7]))
+    sm = _Smoother(kern.zbar, kern.chol, grid, 8)
+    assert [t.ndim for t in sm.taps[1]] == ([2] if correlated else [1, 1])
+    arr = np.random.default_rng(5).uniform(-5.0, 50.0,
+                                           size=(3, 2) + grid.s_shape)
+    for axis in (None, 0, 1):
+        buf = np.full(arr.shape, np.nan)
+        got = sm.apply(arr, 1, axis, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, sm.apply(arr, 1, axis))
 
 
 def test_permuting_components_permutes_age_axes():
