@@ -15,16 +15,20 @@ Two diagnostics on a solved price field:
   the optimal non-self-financing hedge absorbs at regime switches, by
   simulating physical-measure paths under the field's market and hazard
   models and reading the solved field at the pre- and post-switch states.
+  Like mc_oracle.mc_price, it maps one block of path ids at a time
+  (mc_oracle.map_blocks, serially or on worker threads) and takes its mean
+  and standard error from mc_oracle.estimate.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .mc_oracle import id_blocks, map_chunks, simulate_path
+from .mc_oracle import estimate, map_blocks, simulate_path
 from .volterra_pricer import PriceField, solve_price_field
 
 _SUP_GRID = 1001
@@ -41,9 +45,7 @@ class SensitivityReport:
     numerical_floor: float
 
     def to_dict(self):
-        return {k: getattr(self, k) for k in (
-            "lambda_sup_diff", "phi_sup_diff", "bound_summed", "bound_plain",
-            "satisfied", "ratio", "numerical_floor")}
+        return dataclasses.asdict(self)
 
 
 def _pair_sup_diffs(models, models_tilde, horizon: float):
@@ -115,27 +117,7 @@ class ResidualRiskReport:
     cost_quantiles: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
-        return {"r0": self.r0, "se": self.se, "n_paths": self.n_paths,
-                "mean_jumps": self.mean_jumps,
-                "cost_quantiles": self.cost_quantiles}
-
-
-def _path_costs(field: PriceField, start, seed, ids):
-    solver = field.solver
-    costs, jumps = [], []
-    for block in id_blocks(ids):
-        blk = simulate_path(solver.market, solver.models, start,
-                            field.grid.horizon, seed, block, mode="physical")
-        phi_pre = field.values(blk.jump_times, blk.s_at_jumps,
-                               blk.pre_index, blk.ages_before)
-        phi_post = field.values(blk.jump_times, blk.s_at_jumps,
-                                blk.post_index, blk.ages_after)
-        contrib = np.square(blk.discount_at_jumps * (phi_post - phi_pre))
-        # per path, summed in jump order
-        costs.append(np.bincount(blk.jump_path, weights=contrib,
-                                 minlength=len(blk.n_jumps)))
-        jumps.append(blk.n_jumps)
-    return np.concatenate(costs), np.concatenate(jumps)
+        return dataclasses.asdict(self)
 
 
 def residual_risk(field: PriceField, start, n_paths: int, seed: int,
@@ -146,14 +128,23 @@ def residual_risk(field: PriceField, start, n_paths: int, seed: int,
     each simulated path; the estimate is the path average.  The paths
     follow the market and hazard models of the field's solver.
     """
-    if n_paths < 100:
-        raise ValueError("n_paths must be at least 100")
-    parts = map_chunks(lambda ids: _path_costs(field, start, seed, ids),
-                       np.arange(n_paths), n_jobs)
-    costs = np.concatenate([p[0] for p in parts])
-    jumps = np.concatenate([p[1] for p in parts])
-    r0 = float(np.mean(costs))
-    se = float(np.std(costs, ddof=1) / math.sqrt(n_paths))
+    solver = field.solver
+
+    def path_costs(ids):
+        blk = simulate_path(solver.market, solver.models, start,
+                            field.grid.horizon, seed, ids, mode="physical")
+        phi_pre = field.values(blk.jump_times, blk.s_at_jumps,
+                               blk.pre_index, blk.ages_before)
+        phi_post = field.values(blk.jump_times, blk.s_at_jumps,
+                                blk.post_index, blk.ages_after)
+        contrib = np.square(blk.discount_at_jumps * (phi_post - phi_pre))
+        # per path, summed in jump order
+        return np.bincount(blk.jump_path, weights=contrib,
+                           minlength=len(blk.n_jumps)), blk.n_jumps
+
+    costs, jumps = map(np.concatenate, zip(*map_blocks(path_costs, n_paths,
+                                                       n_jobs)))
+    r0, se = estimate(costs)
     qs = {f"q{int(100 * q)}": float(np.quantile(costs, q))
           for q in (0.5, 0.9, 0.99)}
     return ResidualRiskReport(r0=r0, se=se, n_paths=int(n_paths),

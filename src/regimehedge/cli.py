@@ -119,12 +119,16 @@ def _surface_name(ep):
     return f"surface_{x_tag}_{y_tag}.csv"
 
 
+def _check_threads(threads):
+    if threads is not None and threads < 1:
+        raise ConfigError(f"must be an integer >= 1, got {threads}",
+                          path="--threads")
+
+
 def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = None,
                  dry_run: bool = False) -> int:
     try:
-        if threads is not None and threads < 1:
-            raise ConfigError(f"must be an integer >= 1, got {threads}",
-                              path="--threads")
+        _check_threads(threads)
         scn = load_scenario(config_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -193,7 +197,7 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
         for ep in scn.eval_points:
             est, se = mc_price(scn.market, scn.claim, scn.models, ep,
                                scn.horizon, scn.mc_paths, scn.mc_seed,
-                               n_jobs=max(scn.threads, 1))
+                               n_jobs=scn.threads)
             price = field.value(*ep)
             checks.append({"price": price, "mc": est, "se": se,
                            "abs_diff": abs(price - est),
@@ -209,7 +213,7 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
         report["sensitivity"] = rep.to_dict()
     if "residual-risk" in scn.outputs:
         rep = residual_risk(field, scn.eval_points[0], scn.rr_paths,
-                            scn.rr_seed, n_jobs=max(scn.threads, 1))
+                            scn.rr_seed, n_jobs=scn.threads)
         report["residual_risk"] = rep.to_dict()
 
     _json_dump(report, os.path.join(out_dir, "report.json"))
@@ -218,6 +222,11 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
 
 def run_selftest(profile: str = "full", threads: int = 1,
                  out_dir: str | None = None) -> int:
+    try:
+        _check_threads(threads)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     from . import acceptance
     results = acceptance.run_all(profile=profile, threads=threads)
     rows = acceptance.render_table(results)

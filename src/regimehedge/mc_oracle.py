@@ -4,14 +4,18 @@ Between regime switches the asset vector is exactly lognormal, so paths are
 sampled without any time-discretization error: ``semi_markov.simulate_csm``
 draws the switch histories by hazard-clock inversion, and the oracle
 overlays one multivariate normal log-increment (and the discount) per
-no-switch segment.  Paths are simulated in blocks: the switch histories of
-a block one jump round at a time, then its Gaussian draws, then one
-``build_kernel`` call per regime tuple over all of the block's segments.
-Each path owns its streams, and a segment's kernel does not depend on the
-block it sits in, so the block size and the worker count never change a
-result.  Under the pricing drift the discounted payoff average is an
-unbiased estimate of the price; under the physical drift the same paths
-feed the residual-risk accounting.
+no-switch segment.  A block of path ids is the one unit of work:
+``map_blocks`` cuts the ids 0..n-1 into blocks of ``_BLOCK`` and hands them
+to ``fn`` in block order, serially or on worker threads.  ``simulate_path``
+simulates a block's switch histories one jump round at a time, then its
+Gaussian draws, then makes one ``build_kernel`` call per regime tuple over
+all of the block's segments.  Each path owns its streams, and a segment's
+kernel does not depend on the block it sits in, so the block size and the
+worker count never change a result.  Under the pricing drift the discounted
+payoff average is an unbiased estimate of the price; under the physical
+drift the same paths feed the residual-risk accounting
+(``analysis.residual_risk``).  Both take their mean and standard error from
+``estimate``.
 
 Path ``pid`` of a run with seed ``seed`` reads the Philox4x64-10 stream
 with key ``(w, 2 pid)`` for its switch history and the one with key
@@ -49,27 +53,20 @@ import numpy as np
 from scipy.special import ndtri
 
 from .market import Claim, MarketModel, build_kernel
-from .semi_markov import CsmState, _philox_words, simulate_csm
+from .semi_markov import CsmState, SwitchBlock, _philox_words, simulate_csm
 
 _BLOCK = 1024   # path ids simulated together
 
 
 @dataclass
-class PathBlock:
-    """Exact paths of a block, flat per path and per jump.
+class PathBlock(SwitchBlock):
+    """Exact paths of a block: its switch histories with the asset and
+    discount overlay, flat per path and per jump."""
 
-    Jumps are ordered by path, then by time.
-    """
-
-    n_jumps: np.ndarray            # (P,)
-    s_terminal: np.ndarray         # (P, n)
-    discount: np.ndarray           # (P,) exp(-int_t0^T r)
-    jump_path: np.ndarray          # (J,) row of the jump's path
-    jump_times: np.ndarray         # (J,)
     pre_index: np.ndarray          # (J,) regime-tuple index before the jump
     post_index: np.ndarray         # (J,) and after it
-    ages_before: np.ndarray        # (J, c)
-    ages_after: np.ndarray         # (J, c) the jumper's age at 0
+    s_terminal: np.ndarray         # (P, n)
+    discount: np.ndarray           # (P,) exp(-int_t0^T r)
     s_at_jumps: np.ndarray         # (J, n)
     discount_at_jumps: np.ndarray  # (J,) exp(-int_t0^{T_m} r)
 
@@ -86,11 +83,6 @@ def _stream_keys(seed: int, ids, k: int) -> np.ndarray:
                      2 * ids.astype(np.uint64) + k], axis=1)
 
 
-def id_blocks(ids):
-    """The path ids in consecutive blocks of _BLOCK."""
-    return (ids[lo:lo + _BLOCK] for lo in range(0, len(ids), _BLOCK))
-
-
 def _normals(keys, counts):
     """The first counts[p] N(0, 1) draws Z of the stream keyed keys[p], for
     every row p, concatenated in row order."""
@@ -103,14 +95,24 @@ def _normals(keys, counts):
     return ndtri(((used >> np.uint64(12)) + 0.5) * 2.0 ** -52)
 
 
-def map_chunks(fn, ids, n_jobs: int):
-    """[fn(chunk)] over at most n_jobs contiguous chunks of ids, none empty
-    unless ids is, in chunk order."""
-    n_jobs = min(n_jobs, len(ids))
+def map_blocks(fn, n_paths: int, n_jobs: int = 1):
+    """[fn(ids)] over the path ids 0..n_paths-1 in consecutive blocks of
+    _BLOCK, in block order: serially when n_jobs <= 1, else on at most
+    n_jobs threads."""
+    if n_paths < 100:
+        raise ValueError("n_paths must be at least 100")
+    ids = np.arange(n_paths)
+    blocks = [ids[lo:lo + _BLOCK] for lo in range(0, n_paths, _BLOCK)]
     if n_jobs <= 1:
-        return [fn(ids)]
-    with ThreadPoolExecutor(max_workers=n_jobs) as ex:
-        return list(ex.map(fn, np.array_split(ids, n_jobs)))
+        return [fn(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=min(n_jobs, len(blocks))) as ex:
+        return list(ex.map(fn, blocks))
+
+
+def estimate(vals):
+    """Mean and standard error of the per-path values vals."""
+    return (float(np.mean(vals)),
+            float(np.std(vals, ddof=1) / math.sqrt(len(vals))))
 
 
 def simulate_path(market: MarketModel, models, start, horizon: float,
@@ -140,11 +142,11 @@ def simulate_path(market: MarketModel, models, start, horizon: float,
     seg_end = np.append(seg_t[1:], float(horizon))
     seg_end[first + n_segs - 1] = float(horizon)
     seg_v = seg_end - seg_t
-    index = np.empty((market.k,) * market.n_components, dtype=int)
-    for xi, x in enumerate(market.x_tuples):
-        index[tuple(v - 1 for v in x)] = xi
+    # x_tuples run in itertools.product order: a tuple's index is its flat
+    # index in the (k,) * c array of states
     seg_x = np.full(P + J, market.x_index[tuple(x0)])
-    seg_x[at_jump] = index[tuple((sw.states_after - 1).T)]
+    seg_x[at_jump] = np.ravel_multi_index(
+        tuple((sw.states_after - 1).T), (market.k,) * market.n_components)
     live = np.flatnonzero(seg_v > 0)     # the segments that own a draw
     per_path = np.bincount(np.repeat(np.arange(P), n_segs)[live],
                            minlength=P)
@@ -182,21 +184,9 @@ def simulate_path(market: MarketModel, models, start, horizon: float,
 
     pre_seg = np.arange(J) + sw.jump_path  # jump m of path p ends segment m
     return PathBlock(
-        n_jumps=sw.n_jumps, s_terminal=s, discount=np.exp(log_disc),
-        jump_path=sw.jump_path, jump_times=sw.jump_times,
-        pre_index=seg_x[pre_seg], post_index=seg_x[pre_seg + 1],
-        ages_before=sw.ages_before, ages_after=sw.ages_after,
-        s_at_jumps=s_jumps, discount_at_jumps=np.exp(log_disc_jumps))
-
-
-def _terminal_states(market, models, start, horizon, seed, ids):
-    """Discounts and terminal prices of the paths ids."""
-    disc, s_T = [], []
-    for block in id_blocks(ids):
-        blk = simulate_path(market, models, start, horizon, seed, block)
-        disc.append(blk.discount)
-        s_T.append(blk.s_terminal)
-    return np.concatenate(disc), np.concatenate(s_T)
+        **vars(sw), pre_index=seg_x[pre_seg], post_index=seg_x[pre_seg + 1],
+        s_terminal=s, discount=np.exp(log_disc), s_at_jumps=s_jumps,
+        discount_at_jumps=np.exp(log_disc_jumps))
 
 
 def mc_price(market: MarketModel, claim: Claim, models, start, horizon: float,
@@ -209,14 +199,10 @@ def mc_price(market: MarketModel, claim: Claim, models, start, horizon: float,
     (a matrix product) rounds a lone row differently from the same row
     among others.
     """
-    if n_paths < 100:
-        raise ValueError("n_paths must be at least 100")
-    parts = map_chunks(
-        lambda ids: _terminal_states(market, models, start, horizon, seed,
-                                     ids),
-        np.arange(n_paths), n_jobs)
-    vals = np.concatenate([d for d, _ in parts]) \
-        * claim(np.concatenate([s for _, s in parts]))
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-    return mean, se
+    def terminal(ids):
+        blk = simulate_path(market, models, start, horizon, seed, ids)
+        return blk.discount, blk.s_terminal
+
+    disc, s_T = map(np.concatenate, zip(*map_blocks(terminal, n_paths,
+                                                    n_jobs)))
+    return estimate(disc * claim(s_T))

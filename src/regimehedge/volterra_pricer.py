@@ -95,6 +95,7 @@ blends that mean once per age axis.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -383,18 +384,7 @@ class ConvergenceReport:
     grid: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "tol": self.tol,
-            "iterations": self.iterations,
-            "converged_at": self.converged_at,
-            "deltas": [float(d) for d in self.deltas],
-            "ratios": [float(r) for r in self.ratios],
-            "contraction_bound": self.contraction_bound,
-            "residual": self.residual,
-            "age_clamp_events": self.age_clamp_events,
-            "error_budget": self.error_budget,
-            "grid": self.grid,
-        }
+        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -666,19 +656,10 @@ class VolterraSolver:
             g = self.grid
             self._rho = []
             for i, t in enumerate(g.t_nodes):
-                slab = np.empty((len(g.x_tuples),) + g.s_shape)
-                seen = {}
-                for xi, x in enumerate(g.x_tuples):
-                    # tuples sharing (r, sigma) share the frozen-regime price
-                    key = (self.market.r(x), id(self.market._sigma[x]))
-                    if key in seen:
-                        slab[xi] = slab[seen[key]]
-                        continue
-                    slab[xi] = bsm_price_grid(
-                        self.market, self.claim, x, float(t), g.horizon,
-                        g.lns_axes, self.settings.bsm_outer_nodes)
-                    seen[key] = xi
-                self._rho.append(slab)
+                self._rho.append(np.stack([bsm_price_grid(
+                    self.market, self.claim, x, float(t), g.horizon,
+                    g.lns_axes, self.settings.bsm_outer_nodes)
+                    for x in g.x_tuples]))
         return self._rho
 
     def _broadcast(self, values, i):
@@ -1154,10 +1135,7 @@ class PdeResidualReport:
     max_by_time: list = dc_field(default_factory=list)
 
     def to_dict(self):
-        return {"max_scaled": self.max_scaled, "mean_scaled": self.mean_scaled,
-                "n_nodes": self.n_nodes,
-                "max_by_time": [None if v is None else float(v)
-                                for v in self.max_by_time]}
+        return dataclasses.asdict(self)
 
 
 def _on_axis(vec, axis, ndim):

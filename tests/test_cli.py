@@ -305,6 +305,18 @@ def test_nonpositive_threads_flag_exits_2(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_nonpositive_selftest_threads_exits_2(tmp_path, capsys, threads):
+    # validated as price --threads is, before any criterion runs
+    out = tmp_path / "out"
+    assert main(["selftest", "--profile", "fast", "--threads", str(threads),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "--threads" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value,kind", [("bsm_gl_nodes", 16, "basket-call"),
                                             ("bsm_gh_nodes", 4, "linear"),
                                             ("panel_nodes", 2, "basket-call"),

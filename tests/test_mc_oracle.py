@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
@@ -18,8 +19,7 @@ from regimehedge import mc_oracle
 from regimehedge.analysis import residual_risk
 from regimehedge.mc_oracle import (
     PathBlock,
-    id_blocks,
-    map_chunks,
+    map_blocks,
     mc_price,
     simulate_path,
     _normals,
@@ -371,7 +371,7 @@ def _per_segment(integral):
 
 
 _HISTORY = ("n_jumps", "jump_path", "jump_times", "pre_index", "post_index",
-            "ages_before", "ages_after")
+            "ages_before", "ages_after", "jump_component", "states_after")
 _PRICES = ("s_terminal", "discount", "s_at_jumps", "discount_at_jumps")
 _PER_PATH = ("n_jumps", "s_terminal", "discount")
 
@@ -511,8 +511,7 @@ def test_stream_blocks_rekey_to_the_numpy_streams():
     # each id block's words, computed for the whole block at once, are the
     # words numpy's Philox gives each path's own streams; the Gaussian
     # counts vary by path and cross a counter
-    ids = np.arange(2100)     # two full blocks and a partial one
-    blocks = list(id_blocks(ids))
+    blocks = map_blocks(lambda b: b, 2100)  # two full blocks and a partial one
     assert [len(b) for b in blocks] == [1024, 1024, 52]
     for blk in blocks:
         regime = np.concatenate(
@@ -570,17 +569,44 @@ def test_streams_of_consecutive_ids_are_independent_draws(seed):
     assert len(np.unique(keys, axis=0)) == 2 * len(ids)
 
 
-def test_map_chunks_gives_no_worker_an_empty_chunk():
-    def chunks(ids, n_jobs):
-        return [c.tolist() for c in map_chunks(lambda c: c, ids, n_jobs)]
+def test_map_blocks_maps_every_id_once_in_block_order(monkeypatch):
+    # every id once, in blocks of _BLOCK in block order, on one thread or
+    # several
+    for n_jobs in (1, 2, 5):
+        for block, n in ((1024, 2100), (1024, 100), (7, 100), (30, 100)):
+            monkeypatch.setattr(mc_oracle, "_BLOCK", block)
+            got = map_blocks(lambda b: b.tolist(), n, n_jobs)
+            assert [i for b in got for i in b] == list(range(n))
+            assert [len(b) for b in got[:-1]] == [block] * (len(got) - 1)
+            assert 0 < len(got[-1]) <= block
+    # more workers than blocks: no block is empty
+    monkeypatch.setattr(mc_oracle, "_BLOCK", 40)
+    assert map_blocks(lambda b: b.tolist(), 100, 5) == [
+        list(range(0, 40)), list(range(40, 80)), list(range(80, 100))]
+    # fewer than 100 paths is an error for the price as for residual risk
+    m, models, claim = correlated_case()
+    start = (0.0, np.array([100.0, 90.0]), (2, 1), np.array([0.0, 0.0]))
+    for n_paths in (0, 1, 99):
+        with pytest.raises(ValueError, match="at least 100"):
+            mc_price(m, claim, models, start, 1.0, n_paths, 4)
 
-    for n in (2, 3):
-        ids = np.arange(n)
-        for n_jobs in range(1, n + 1):
-            assert chunks(ids, n_jobs) == [
-                c.tolist() for c in np.array_split(ids, n_jobs)]
-        for n_jobs in range(n + 1, 5):
-            assert chunks(ids, n_jobs) == [[i] for i in range(n)]
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data(), k=st.integers(2, 4), c=st.integers(1, 3))
+def test_state_tuple_flat_index_is_its_x_index(data, k, c):
+    # simulate_path reads a jump's regime-tuple index as the flat index of
+    # its states in the (k,) * c array, which needs x_tuples in
+    # itertools.product order
+    m = build_market(1, k, c, 0.05, np.array([0.09]), 0.2 * np.eye(1))
+    assert len(m.x_tuples) == k ** c
+    states = np.array(data.draw(st.lists(
+        st.tuples(*[st.integers(1, k)] * c), min_size=1, max_size=20)))
+    flat = np.ravel_multi_index(tuple((states - 1).T), (k,) * c)
+    assert flat.tolist() == [m.x_index[tuple(x)] for x in states.tolist()]
+    every = np.array(m.x_tuples)
+    np.testing.assert_array_equal(
+        np.ravel_multi_index(tuple((every - 1).T), (k,) * c),
+        np.arange(k ** c))
 
 
 def test_estimates_equal_one_path_reference():
