@@ -40,13 +40,19 @@ tuples, whose taps are one _kernel_taps call (the derivative taps of each
 axis one more, on first use).  Per panel, regime tuple and switch edge,
 one weight carries the discount e^{-r(x) v_p}, dt, JS(v_p), the hazard
 and the mass normalization.  The switch branch of a panel then gathers
-the continuation once per resetting component and subtracts the linear
-part c1.s once; the excesses of all edges out of a regime tuple are
-stacked and smoothed together (one correlation with taps per derivative
-axis asked for: None for the price, m for the hedge in asset m), and each
-edge adds its weighted share.  The edges are grouped by shape once per
-call, and the stacks and smoothed results go into buffers shared by all
-panels, tuples and axes, so a panel allocates no stack.
+the continuation once per resetting component, subtracts the linear part
+c1.s once and copies the excess into the stack rows of the edges that
+read it; the excesses of all edges out of a regime tuple are stacked and
+smoothed together (one correlation with taps per derivative axis asked
+for: None for the price, m for the hedge in asset m), into the panel's
+slot of a block buffer, shared by all tuples whose stacks have its shape.
+The panels come in blocks bounded in bytes and in panels
+(_panel_blocks), and each edge adds its weighted share of all the panels
+of a block at once, one matrix product of its weights (ages x panels) and
+its smoothed rows (panels x prices) batched over the other ages (Goto and
+van de Geijn, ACM TOMS 34(3), 2008: a contraction blocked over the panels
+in place of one pass over the result per panel).  The edges are grouped
+by shape once per call, so a panel allocates no stack.
 
 The hazards enter the operator only through these weights (JS, lambda,
 kappa and JS(T - t_i)), so one march solves several hazard sets on the
@@ -55,12 +61,14 @@ also; the sensitivity check's scaled hazards, for one).  Its arrays carry
 a leading member axis, one row per hazard set.  Shared by all members and
 built once per slab: the kernels and their smoother, rho, the terminal
 payoff and c1.s.  Per member: the weights, JS(T - t_i), each member's
-solver (its hazard models, edges and report) and its stop.  Each gather,
-stacked smoothing call and weighted add acts on all members at once, and
-each acts on a member's rows alone, so a member's field is that of its own
-solve bit for bit.  Each member stops its local iteration at its own tol;
-its slab then stays as it is while the others iterate on.  A plain solve
-is the one-member case of the same march.
+solver (its hazard models, edges and report) and its stop.  Each gather
+and stacked smoothing call acts on all members at once, and each acts on a
+member's rows alone; each member makes its own weighted products, of the
+same shapes for any member count, in blocks that do not depend on it.  So
+a member's field is that of its own solve bit for bit.  Each member stops
+its local iteration at its own tol; its slab then stays as it is while
+the others iterate on.  A plain solve is the one-member case of the same
+march.
 
 A component in a memoryless state (HazardModel.memoryless: every exit rate
 constant in age) has an exponential holding time, and a jump resets its
@@ -354,6 +362,16 @@ class SolverSettings:
     bsm_outer_nodes: int = OUTER_NODES
 
 
+# a block of panels (VolterraSolver.switch_branch) spans at most this many
+# bytes of one member's panel stacks (all regime tuples, per axis), and at
+# most _PANEL_BLOCK_MAX panels: the far panels of a fine one-asset slab come in blocks of
+# several, the wide slabs of a three-component age tensor one panel at a
+# time, and the small slabs that end a march, when the field is at its
+# largest, keep short blocks (longer ones gained no time and held the
+# buffers at the peak of the memory)
+_PANEL_BLOCK_BYTES = 1 << 20
+_PANEL_BLOCK_MAX = 8
+
 # local applications every slab makes before it may stop, so the report
 # always carries at least one contraction ratio
 _MIN_REPORT_ITERS = 2
@@ -469,6 +487,21 @@ def _shift_axis(arr, axis, cells, count):
     return out
 
 
+def _panel_blocks(panels, panel_bytes: int):
+    """panels, a range, cut into consecutive blocks of as many panels as
+    _PANEL_BLOCK_BYTES holds at panel_bytes each, at least one and at most
+    _PANEL_BLOCK_MAX."""
+    size = min(max(1, _PANEL_BLOCK_BYTES // panel_bytes), _PANEL_BLOCK_MAX)
+    return [panels[a:a + size] for a in range(0, len(panels), size)]
+
+
+def _next_to_last(arr, axis: int):
+    """arr with axis (not negative) moved next to the last axis, a view."""
+    order = list(range(arr.ndim))
+    order.insert(-1, order.pop(axis))
+    return arr.transpose(order)
+
+
 class _Smoother:
     """Kernel smoothing operators on the log-price axes of a slab, one per
     kernel of a stack (zbar (K, n), chol (K, n, n)); _slab_tables stacks
@@ -499,7 +532,9 @@ class _Smoother:
         With deriv_axis = m the result is the expectation against
         d(kernel k)/d s_m, still to be divided by s_m by the caller.  The
         result is written into out when it is given (an array of arr's
-        shape, not arr), else into a new array.
+        shape, arr itself allowed: each correlation reads a line of its
+        input, or the whole slab, before it writes there), else into a new
+        array.
         """
         taps = self.taps[k]
         if deriv_axis is not None:
@@ -715,13 +750,14 @@ class VolterraSolver:
         regime tuple xi's kernel of panel p at row xi * P + p, so the taps
         of the slab, and its derivative taps per axis, are one
         _kernel_taps call each.  weights[xi] holds the weights of tuple
-        xi's switch edges (self.edges order), an array (B, P, E, ages,
-        1..1) over members, panels and edges in the tuple's stored age
-        shape (c_i or 1 per component), where
+        xi's switch edges (self.edges order), an array (B, E, ages, P)
+        over members, edges, the tuple's stored age shape (c_i or 1 per
+        component) and panels, panels last so that a block of panels is a
+        matrix with unit column stride (see switch_branch), where
 
-            w = kappa e^{-r(x) v_p} dt JS(v_p; x, y) lam^l(y_l + v_p)
+            w = kappa e^{-r(x) v_p} dt JS(v_p; x, y) lam^l(y_l + v_p).
 
-        broadcasts over the price axes.  kappa is the mass normalization
+        kappa is the mass normalization
         (1 - JS(T - t_i)) over the quadrature mass of all panels; it keeps
         linear claims exact and the operator a strict sub-probability
         mixture.  All panels are built at once: per member one
@@ -733,7 +769,6 @@ class VolterraSolver:
         nc = g.n_components
         c = int(g.c_counts[i])
         P = g.spec.time_steps - i
-        y_pad = (...,) + (None,) * g.n
         v_mid = self.v_mid[:P]
         js = [s._joint_survival(i, range(1, 2 * P, 2)) for s in members]
         js_T = [s.js_T(i) for s in members]
@@ -764,7 +799,7 @@ class VolterraSolver:
                 kappa = np.where(mass > 1e-300, (1.0 - js_T[b][gi][k])
                                  / np.maximum(mass, 1e-300), 1.0)
                 wt[b] *= (kappa * disc)[:, None]
-            weights.append(wt[y_pad])
+            weights.append(np.ascontiguousarray(np.moveaxis(wt, 1, -1)))
         return sm, weights
 
     # -- gathering the continuation slab ---------------------------------------
@@ -849,16 +884,29 @@ class VolterraSolver:
         c1.s against the kernel (pricing), axis m against the kernel's
         s_m-derivative, divided by s_m (the hedge in asset m).  All axes
         share the gathers and the weights of slab i's tables (see
-        _slab_tables), built afresh for self alone when not given.  panels
-        selects the v-panels to sum (all by default); the panels p >= 1
-        read only slabs after i.  Per panel, the excesses of the switch
-        edges out of a regime tuple that have the same shape are stacked,
-        for all members, and smoothed by one call per axis; each edge then
-        adds its weighted share, each member's own weight.  The edges are
-        grouped by shape once per call, and the stacks and their smoothed
-        results go into two buffers per stack shape, shared by all tuples,
-        panels and axes.  Every operation acts on each member's rows
-        alone, so a member's result is that of a call on its own.
+        _slab_tables), built afresh for self alone when not given.  panels,
+        a range of consecutive v-panels, selects the panels to sum (all by
+        default); the panels p >= 1 read only slabs after i.
+
+        The panels are taken in blocks (_panel_blocks) of at most
+        _PANEL_BLOCK_BYTES of a member's panel stacks of all regime tuples,
+        per axis, or one panel.  The switch edges out of a regime tuple
+        whose excesses have the same shape share a stack, one row per edge,
+        for all members; the edges are grouped once per call.  A block
+        first gathers the excesses of all its panels.  Then, per regime
+        tuple and stack, each panel's excesses are copied into the stack
+        rows, the panel's slot in the first axis' block buffer, and smoothed
+        by one call per axis into that axis' slot, the first axis last and
+        in place; and each member and edge adds its weighted share of the
+        whole block at once: one matrix product of its weights (ages of the
+        reset component x panels) and its smoothed rows (panels x prices),
+        batched over the other ages (of a one-panel block, the outer
+        product).  The block buffers of a stack shape
+        are shared by all regime tuples.  Each member makes its own
+        products, of the same shapes and layouts for any member count, and
+        every other operation acts on each member's rows alone, so a
+        member's result is that of a call on its own.  The blocks depend on
+        slab i's shapes and on panels only.
 
         A regime tuple's result does not depend on the age of a component
         in a memoryless state (see the module docstring); the discrete
@@ -870,68 +918,105 @@ class VolterraSolver:
         result have one row on the tuple's memoryless axes.
         """
         g = self.grid
+        nc = g.n_components
         sm, weights = tables or self._slab_tables(i)
         P = g.spec.time_steps - i
         if panels is None:
             panels = range(P)
         B = len(weights[0])
+        axes = list(axes)
         js_T = self.js_T(i)
-        accs = [[np.zeros((B,) + js.shape + g.s_shape) for js in js_T]
+        # the price axes flattened into one: the columns of the products
+        flat = (math.prod(g.s_shape),)
+        accs = [[np.zeros((B,) + js.shape + flat) for js in js_T]
                 for _ in axes]
-        shares = {(B,) + part.shape[2:]: np.empty((B,) + part.shape[2:])
-                  for part in accs[0]}
-        # per regime tuple, its rows of each axis' result and its edges
-        # grouped by the shape of their excess (the landing group's stored
-        # ages without the reset axis), each group with the stack and
-        # output buffers of its stack shape
-        buffers = {}
-        plans = []
-        for xi, edges in enumerate(self.edges):
-            gi, k = self.where[xi]
-            stacks = {}
+        # per regime tuple, its edges grouped by the shape of their excess
+        # (the landing group's stored ages without the reset axis)
+        stacks = []
+        for edges in self.edges:
+            by_shape = {}
             for e, (l, _, xpi, _) in enumerate(edges):
                 gj, kj = self.where[xpi]
                 ages = js_T[gj].shape[1:]
-                stacks.setdefault(ages[:l] + ages[l + 1:] + g.s_shape,
-                                  []).append((e, l, gj, kj))
+                by_shape.setdefault(ages[:l] + ages[l + 1:],
+                                    []).append((e, l, gj, kj))
+            stacks.append(list(by_shape.items()))
+        blocks = _panel_blocks(panels, 8 * flat[0] * sum(
+            len(group) * math.prod(ages)
+            for by_shape in stacks for ages, group in by_shape))
+        size = max(map(len, blocks), default=0)
+        # per stack shape, shared by all regime tuples: a block buffer per
+        # axis (B, edges, size, ages, prices) and its slots, the views of
+        # each panel's stacks, first axis last (it smooths the rows in
+        # place); per product shape, a buffer for the product
+        buffers, prods = {}, {}
+        # per regime tuple and stack: its edges, its buffers' slots and its
+        # products: the weights (B, other ages, reset ages, panels), the
+        # smoothed rows (B, other ages, size, prices), moved so that each
+        # is a batch of matrices, the result's rows they add to and the
+        # product's buffer
+        plans = []
+        for xi, by_shape in enumerate(stacks):
+            gi, k = self.where[xi]
             plan = []
-            for shape, group in stacks.items():
-                key = (B, len(group)) + shape
+            for ages, group in by_shape:
+                key = (B, len(group), size) + ages + flat
                 if key not in buffers:
-                    buffers[key] = np.empty(key), np.empty(key)
-                # per edge, each index behind the member axis: its excess,
-                # its row of the stack and of the weights, and its smoothed
-                # row with the reset axis back as a singleton
-                plan.append(([(l, gj, (slice(None), kj), (slice(None), j),
-                               (slice(None), e), (slice(None), j)
-                               + (slice(None),) * l + (None,))
-                              for j, (e, l, gj, kj) in enumerate(group)],
-                             *buffers[key]))
-            plans.append(([acc[gi][:, k] for acc in accs], plan))
-        for p in panels:
+                    bufs = [np.empty(key) for _ in axes]
+                    shape = (B, len(group)) + ages + g.s_shape
+                    slots = [[buf[:, :, j].reshape(shape)
+                              for buf in bufs[1:] + bufs[:1]]
+                             for j in range(size)]
+                    buffers[key] = bufs, slots
+                bufs, slots = buffers[key]
+                products = []
+                for buf, acc in zip(bufs, accs):
+                    for r, (e, l, _, _) in enumerate(group):
+                        share = _next_to_last(acc[gi][:, k], 1 + l)
+                        if share.shape[1:] not in prods:
+                            prods[share.shape[1:]] = np.empty(
+                                share.shape[1:])
+                        products.append((
+                            _next_to_last(weights[xi][:, e], 1 + l),
+                            _next_to_last(buf[:, r], 1), share,
+                            prods[share.shape[1:]]))
+                plan.append((group, slots, products))
+            plans.append(plan)
+        order = axes[1:] + axes[:1]
+        for block in blocks:
             # the linear part of the field integrates in closed form
             # (discounted kernel mean of c1.S is c1.s exactly); only the
             # excess is smoothed
             excess = []
-            for l in range(g.n_components):
-                gathered = self._gather(stack, i, p, l)
-                for part in gathered:
-                    part -= self._lin
+            for p in block:
+                gathered = [self._gather(stack, i, p, l) for l in range(nc)]
+                for parts in gathered:
+                    for part in parts:
+                        part -= self._lin
                 excess.append(gathered)
-            for xi, (w, (reds, plan)) in enumerate(zip(weights, plans)):
-                wp = w[:, p]
-                share = shares[reds[0].shape]
-                for group, stacked, out in plan:
-                    for l, gj, src, row, _, _ in group:
-                        stacked[row] = excess[l][gj][src]
-                    for red, axis in zip(reds, axes):
-                        smoothed = sm.apply(stacked, xi * P + p, axis, out)
-                        if axis is not None:
-                            smoothed /= self._mesh[axis]
-                        for *_, e, reset in group:
-                            np.multiply(wp[e], smoothed[reset], out=share)
-                            red += share
-        return accs
+            cols = slice(block[0], block[-1] + 1)
+            # over one panel the product is an outer product: np.multiply
+            # forms it with the same bytes, where np.matmul takes a slow
+            # loop outside BLAS for an inner size of 1
+            contract = np.matmul if len(block) > 1 else np.multiply
+            for xi, plan in enumerate(plans):
+                for group, slots, products in plan:
+                    for j, p in enumerate(block):
+                        stacked = slots[j][-1]
+                        for r, (_, l, gj, kj) in enumerate(group):
+                            stacked[:, r] = excess[j][l][gj][:, kj]
+                        for out, axis in zip(slots[j], order):
+                            sm.apply(stacked, xi * P + p, axis, out)
+                            if axis is not None:
+                                out /= self._mesh[axis]
+                    for w, smoothed, share, prod in products:
+                        for b in range(B):
+                            contract(w[b, ..., cols],
+                                     smoothed[b, ..., :len(block), :],
+                                     out=prod)
+                            share[b] += prod
+        return [[acc.reshape(acc.shape[:-1] + g.s_shape) for acc in parts]
+                for parts in accs]
 
     # -- the operator, split for marching ------------------------------------
 

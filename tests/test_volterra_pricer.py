@@ -1270,10 +1270,148 @@ def test_switch_branch_buffers_carry_nothing_between_calls():
             assert all(np.array_equal(a, b) for a, b in zip(got, alone))
 
 
+def _per_panel_switch_branch(solver, i, stack, axes, panels):
+    """The switch branch of slab i summed panel by panel, each edge adding
+    its weighted share elementwise: the reference for the blocked
+    products.  One member, its own tables."""
+    g = solver.grid
+    sm, weights = solver._slab_tables(i)
+    P = g.spec.time_steps - i
+    accs = [[np.zeros((1,) + js.shape + g.s_shape) for js in solver.js_T(i)]
+            for _ in axes]
+    for p in panels:
+        gathered = [solver._gather(stack, i, p, l)
+                    for l in range(g.n_components)]
+        for xi, edges in enumerate(solver.edges):
+            gi, k = solver.where[xi]
+            for e, (l, _, xpi, _) in enumerate(edges):
+                gj, kj = solver.where[xpi]
+                excess = gathered[l][gj][:, kj] - solver._lin
+                w = weights[xi][:, e, ..., p][(...,) + (None,) * g.n]
+                for acc, axis in zip(accs, axes):
+                    smoothed = sm.apply(excess, xi * P + p, axis)
+                    if axis is not None:
+                        smoothed = smoothed / solver._mesh[axis]
+                    acc[gi][:, k] += w * np.expand_dims(smoothed, 1 + l)
+    return accs
+
+
+def _spy_blocks(monkeypatch):
+    """Record the panel count and blocks of every _panel_blocks call."""
+    from regimehedge import volterra_pricer as vp
+    calls = []
+    original = vp._panel_blocks
+
+    def spy(panels, panel_bytes):
+        blocks = original(panels, panel_bytes)
+        calls.append((panel_bytes, [len(b) for b in blocks]))
+        return blocks
+
+    monkeypatch.setattr(vp, "_panel_blocks", spy)
+    return calls
+
+
+@pytest.mark.parametrize("length, sizes", [
+    (1, [1] * 7), (2, [2, 2, 2, 1]), (3, [3, 3, 1]), (7, [7])])
+def test_blocked_products_match_per_panel_reference(monkeypatch, length,
+                                                    sizes):
+    # the 7 far panels of slab 0 in blocks of 1, of 2, unevenly and all in
+    # one: each matches the panel-by-panel elementwise sum, for the price
+    # and the hedge axis
+    from regimehedge import volterra_pricer as vp
+    m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
+                                          age_nodes=4)
+    solver = VolterraSolver(m, claim, models, grid)
+    field, _ = solver.solve(tol=1e-3)
+    stack = field.stacked()
+    far = range(1, grid.spec.time_steps)
+    calls = _spy_blocks(monkeypatch)
+    solver.switch_branch(0, stack, panels=far)
+    panel_bytes = calls[0][0]
+    monkeypatch.setattr(vp, "_PANEL_BLOCK_BYTES", length * panel_bytes)
+    monkeypatch.setattr(vp, "_PANEL_BLOCK_MAX", len(far))
+    got = solver.switch_branch(0, stack, (None, 0), panels=far)
+    assert calls[-1] == (panel_bytes, sizes)
+    want = _per_panel_switch_branch(solver, 0, stack, (None, 0), far)
+    for g_parts, w_parts in zip(got, want):
+        scale = max(float(np.max(np.abs(part))) for part in w_parts)
+        for g_part, w_part in zip(g_parts, w_parts):
+            np.testing.assert_allclose(g_part, w_part, rtol=1e-13,
+                                       atol=1e-13 * scale)
+
+
+def test_blocks_stay_within_the_panel_cap(monkeypatch):
+    from regimehedge import volterra_pricer as vp
+    m, claim, models, grid = regime_setup(price_nodes=11, time_steps=20,
+                                          age_nodes=4)
+    solver = VolterraSolver(m, claim, models, grid)
+    calls = _spy_blocks(monkeypatch)
+    solver.switch_branch(0, solver.initial_field().stacked(),
+                         panels=range(1, 20))
+    (panel_bytes, sizes), = calls
+    assert vp._PANEL_BLOCK_BYTES // panel_bytes > vp._PANEL_BLOCK_MAX
+    assert sizes == [vp._PANEL_BLOCK_MAX] * 2 + [19 - 2 * vp._PANEL_BLOCK_MAX]
+
+
+def test_block_partition_ignores_member_count_and_axes(monkeypatch):
+    # the far panels of a slab split into the same blocks for one member
+    # and two, for the price alone and with the hedge axis
+    from regimehedge import volterra_pricer as vp
+    m, claim, models, grid = regime_setup(price_nodes=31, time_steps=8,
+                                          age_nodes=4)
+    tilde = [h.scaled(1.3) for h in models]
+    field, _, (other_field, _) = solve_price_field(m, claim, models, grid,
+                                                   1e-3, also=[tilde])
+    solver, other = field.solver, other_field.solver
+    stack = field.stacked()
+    pair = [[np.concatenate([a, b]) for a, b in zip(sa, sb)]
+            for sa, sb in zip(stack, other_field.stacked())]
+    calls = _spy_blocks(monkeypatch)
+    solver.switch_branch(0, stack, panels=range(1, 8))
+    monkeypatch.setattr(vp, "_PANEL_BLOCK_BYTES", 3 * calls[0][0])
+    runs = []
+    for axes in ((None,), (None, 0)):
+        for st, tables in ((stack, solver._slab_tables(0)),
+                           (pair, solver._slab_tables(0, [solver, other]))):
+            solver.switch_branch(0, st, axes, range(1, 8), tables)
+            runs.append(calls[-1])
+    assert runs == [runs[0]] * 4
+    assert runs[0][1] == [3, 3, 1]
+
+
+@pytest.mark.parametrize("case", ["1_asset_2_components",
+                                  "2_assets_3_components",
+                                  "2_assets_correlated",
+                                  "one_3_state_component",
+                                  "markov_modulated"])
+def test_switch_branch_of_two_members_equals_two_calls_bit_for_bit(case):
+    # every slab, the price and every hedge axis: each member of a
+    # two-member stack gets the bytes of a call with it alone
+    m, claim, models, grid, settings = _switch_case(case)
+    tilde = [h.scaled(1.3) for h in models]
+    field, _, (other_field, _) = solve_price_field(
+        m, claim, models, grid, 1e-3, settings=settings, also=[tilde])
+    solver, other = field.solver, other_field.solver
+    pair = [[np.concatenate([a, b]) for a, b in zip(sa, sb)]
+            for sa, sb in zip(field.stacked(), other_field.stacked())]
+    axes = (None,) + tuple(range(grid.n))
+    for i in range(grid.spec.time_steps):
+        both = solver.switch_branch(i, pair, axes,
+                                    tables=solver._slab_tables(
+                                        i, [solver, other]))
+        alone = [s.switch_branch(i, f.stacked(), axes)
+                 for s, f in ((solver, field), (other, other_field))]
+        for b, runs in enumerate(alone):
+            for got, want in zip(both, runs):
+                assert all(np.array_equal(g_part[b], w_part[0])
+                           for g_part, w_part in zip(got, want))
+
+
 @pytest.mark.parametrize("correlated", [False, True])
 def test_smoother_writes_into_out_what_it_returns_without(correlated):
     # for the price and every derivative axis, apply with out fills and
-    # returns out with the bytes of apply without it
+    # returns out with the bytes of apply without it, also when out is the
+    # input itself (switch_branch smooths its first axis in place)
     from regimehedge.volterra_pricer import _Smoother
     vol = np.array([[0.25, 0.0], [0.12 if correlated else 0.0, 0.22]])
     m = build_market(2, 2, 1, 0.03, np.full(2, 0.05), vol)
@@ -1289,6 +1427,27 @@ def test_smoother_writes_into_out_what_it_returns_without(correlated):
         got = sm.apply(arr, 1, axis, out=buf)
         assert got is buf
         assert np.array_equal(buf, sm.apply(arr, 1, axis))
+        same = arr.copy()
+        assert sm.apply(same, 1, axis, out=same) is same
+        assert np.array_equal(same, buf)
+
+
+def test_smoother_smooths_one_asset_in_place():
+    # one asset, a diagonal kernel: one correlate1d reads and writes the
+    # same array, for the price and the hedge axis
+    from regimehedge.volterra_pricer import _Smoother
+    m = build_market(1, 2, 1, 0.03, np.full(1, 0.05), np.array([[0.25]]))
+    grid = Grid(m, 1.0, np.full((1, 1), 100.0),
+                GridSpec(time_steps=2, price_nodes=41, age_nodes=2))
+    kern = build_kernel(m, 0.0, (1,), np.array([0.2, 0.7]))
+    sm = _Smoother(kern.zbar, kern.chol, grid, 8)
+    assert [t.ndim for t in sm.taps[1]] == [1]
+    arr = np.random.default_rng(6).uniform(-5.0, 50.0,
+                                           size=(3, 2) + grid.s_shape)
+    for axis in (None, 0):
+        same = arr.copy()
+        assert sm.apply(same, 1, axis, out=same) is same
+        assert np.array_equal(same, sm.apply(arr, 1, axis))
 
 
 def test_permuting_components_permutes_age_axes():
