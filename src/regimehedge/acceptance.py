@@ -400,7 +400,7 @@ def criterion_5(profile: str, threads: int) -> CriterionResult:
                     for slab in field.slabs for part in slab.parts)
     start = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
     xi, eps = strategy_at(hedge_field(field), start)
-    rr = residual_risk(field, start, paths, seed=7)
+    rr = residual_risk(field, start, paths, seed=7, n_jobs=threads)
     tol = TOL_C5_LINEAR
     passed = worst_phi <= tol and abs(xi[0] - 1.2) <= tol \
         and abs(eps) <= tol and rr.r0 <= 3 * rr.se + 1e-12

@@ -155,15 +155,11 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
         field, conv, *perturbed = solve_price_field(
             scn.market, scn.claim, scn.models, grid, scn.tol, scn.max_iter,
             scn.solver, also)
-    except NoConvergence as exc:
-        report["error"] = {"type": "NoConvergence", "message": str(exc),
-                           "convergence": exc.report.to_dict()
-                           if exc.report else None}
-        _json_dump(report, os.path.join(out_dir, "report.json"))
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
     except RegimeHedgeError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, NoConvergence):
+            report["error"]["convergence"] = exc.report.to_dict() \
+                if exc.report else None
         _json_dump(report, os.path.join(out_dir, "report.json"))
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

@@ -5,12 +5,12 @@ computed by differentiating the pricing operator under the integral sign
 rather than by numerical differentiation of the field: the frozen-regime
 delta carries the no-switch weight and the switch branch integrates the
 continuation value against the kernel's s-derivative.  hedge_field runs
-the pricing step's own switch-branch operator
-(VolterraSolver.switch_branch) with one derivative axis per asset in place
-of the kernel, so price and hedge share one discretization, and strategy_at
-reads that field between the nodes the way PriceField.values reads a
-price (Grid.interp).  Finite differences of the solved field are kept only
-as a test oracle.
+the pricing step's own operator (VolterraSolver.apply, which assembles
+slab i of T) with one derivative axis per asset in place of the kernel,
+so price and hedge share one discretization and one assembly, and
+strategy_at reads that field between the nodes the way PriceField.values
+reads a price (Grid.interp).  Finite differences of the solved field are
+kept only as a test oracle.
 
 hedge_field takes only the solved field, and strategy_at only the hedge
 field, which holds it: the market, claim, hazard models, node counts and
@@ -68,52 +68,38 @@ def strategy_at(hedge: HedgeField, point, discount: float = 1.0):
 def hedge_field(field: PriceField) -> HedgeField:
     """Hedge ratios at every grid node via the integral formula.
 
-    Applies the pricing step's switch-branch operator to the solved field
-    with the kernel's s-derivatives in place of the kernel, one derivative
-    axis per asset in a single pass, so every axis shares the gathered
-    continuation slabs, survival weights and mass normalization of the
-    pricing step.
-    Runs on field.solver, whose survival weights JS(T - t_i) the solve
-    cached; each slab's switch tables are built again here, one slab at a
-    time, since keeping them from the march would hold the tables of every
-    slab through the whole solve.
+    Slab i < M is VolterraSolver.apply on the solved field over all
+    panels, one derivative axis per asset with the frozen-regime deltas,
+    so every axis shares the gathered continuation slabs, survival
+    weights and mass normalization of the pricing step; slab M is the
+    frozen-regime delta at every age.  Runs on field.solver, whose
+    survival weights JS(T - t_i) the solve cached; each slab's switch
+    tables are built again here, one slab at a time, since keeping them
+    from the march would hold the tables of every slab through the whole
+    solve.
     """
     solver = field.solver
-    market, claim = solver.market, solver.claim
     g = field.grid
     M = g.spec.time_steps
-    n_x = len(g.x_tuples)
     spots = g.s_mesh()
-
-    y_pad = (...,) + (None,) * g.n
-    c1 = np.stack([np.broadcast_to(c1m, g.s_shape) for c1m in claim.c1],
-                  axis=-1)
     stack = field.stacked()
     xi_slabs, eps_slabs = [], []
     for i in range(M + 1):
         t = float(g.t_nodes[i])
-        c = int(g.c_counts[i])
-
-        drho = np.empty((n_x,) + g.s_shape + (g.n,))
-        for xi_i, x in enumerate(g.x_tuples):
-            for m_ax in range(g.n):
-                drho[xi_i, ..., m_ax] = bsm_delta_grid(
-                    market, claim, x, t, g.horizon, g.lns_axes, m_ax,
-                    solver.settings.bsm_outer_nodes)
+        # per asset m, the delta of rho_i over (regime tuple, prices)
+        drho = np.stack([np.stack([
+            bsm_delta_grid(solver.market, solver.claim, x, t, g.horizon,
+                           g.lns_axes, m, solver.settings.bsm_outer_nodes)
+            for x in g.x_tuples]) for m in range(g.n)])
         if i < M:
-            branch = solver.switch_branch(i, stack, range(g.n))
-        xi_parts, eps_parts = [], []
-        for gi, ((members, _), js_T) in enumerate(zip(solver.groups,
-                                                      solver.js_T(i))):
-            xi_part = js_T[y_pad + (None,)] \
-                * drho[members][(slice(None),) + (None,) * g.n_components]
-            if i < M:
-                xi_part += np.stack([b[gi][0] for b in branch], axis=-1)
-                xi_part += (1.0 - js_T)[y_pad + (None,)] * c1
-            xi_parts.append(xi_part)
-            eps_parts.append(field.slabs[i].part(gi) - np.einsum(
-                "...m,...m->...", xi_part,
-                np.broadcast_to(spots, xi_part.shape)))
-        xi_slabs.append(Slab(solver, xi_parts, c))
-        eps_slabs.append(Slab(solver, eps_parts, c))
+            xi = Slab(solver, [np.stack(axes, axis=-1)[0] for axes in zip(
+                *solver.apply(i, stack, drho, range(g.n)))],
+                int(g.c_counts[i]))
+        else:
+            xi = solver._broadcast(np.moveaxis(drho, 0, -1), i)
+        xi_slabs.append(xi)
+        eps_slabs.append(Slab(solver, [
+            field.slabs[i].part(gi) - np.einsum(
+                "...m,...m->...", part, np.broadcast_to(spots, part.shape))
+            for gi, part in enumerate(xi.parts)], int(g.c_counts[i])))
     return HedgeField(field=field, xi=xi_slabs, eps=eps_slabs)

@@ -378,6 +378,10 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
 
     sens_scale = _number(_section(doc, "sensitivity", path, ("scale",)),
                          "scale", 1.1, f"{path}.sensitivity", positive=True)
+    if sens_scale == 1.0:
+        # the scaled hazards would be the config's own: the check's ratio
+        # is then 0/0
+        _fail("scale must not be 1", f"{path}.sensitivity.scale")
 
     eps = doc.get("eval_points", [])
     if not isinstance(eps, list) or not eps:

@@ -93,12 +93,12 @@ s_m-derivative splats the same nodes, each weighted by its score, so the
 hedge is the same smoothing with other taps, divided by s_m.
 
 Moving a slab along the age axes (ages grow by v between t and t + v) is
-one clamped linear shift per age axis, ``_shift_axis``, shared by the
-gather and the PDE residual; it blends slices of the slab and builds the
-rows whose indices clamp from the edge row they read.  The gather takes
-the mean of the rows of both bracketing slabs, each clamped to its own
-stored ages (a clamped row is read from the edge row in place), and
-blends that mean once per age axis.
+one linear shift per age axis, ``_shift_axis``, shared by the gather and
+the PDE residual; it blends two slices of the slab and reads stored rows
+only.  The gather takes the mean of the rows of both bracketing slabs,
+each clamped to its own stored ages (a clamped row is read from the edge
+row in place), and blends that mean once per age axis; the PDE residual
+keeps the ages whose advance stays inside the next slab.
 """
 
 from __future__ import annotations
@@ -447,43 +447,21 @@ def _build_taps(shifts, weights, h):
 
 def _shift_axis(arr, axis, cells, count):
     """out[k] = (1 - f) arr[k + i0] + f arr[k + i0 + 1] for k < count, where
-    cells = i0 + f with 0 <= f < 1 and indices clamp to the axis.
-
-    Rows k in [head, stop) read arr unclamped and blend slices of it; the
-    rows before read only the first stored row and those after only the
-    last, so each of those is blended once and broadcast.  A whole shift
-    (f = 0) with no clamp returns its rows unblended, as a view of arr."""
+    cells = i0 + f with 0 <= f < 1 and every row read is stored (the
+    callers keep 0 <= i0 and i0 + count + (f > 0) within the axis).  A
+    whole shift (f = 0) returns its rows unblended, as a view of arr."""
     i0 = math.floor(cells)
     f = cells - i0
-    size = arr.shape[axis]
-    head = min(max(-i0, 0), count)
-    stop = max(min(size - (f > 0) - i0, count), head)
 
-    def rows(a, b):
+    def rows(a):
         sel = [slice(None)] * arr.ndim
-        sel[axis] = slice(a, b)
+        sel[axis] = slice(a, a + count)
         return tuple(sel)
 
-    lo = arr[rows(head + i0, stop + i0)]
-    if head == 0 and stop == count:
-        if f == 0:
-            return lo
-        out = (1.0 - f) * lo
-        out += f * arr[rows(i0 + 1, i0 + count + 1)]
-        return out
-    shape = list(arr.shape)
-    shape[axis] = count
-    out = np.empty(shape)
-    for a, b, src in ((0, head, 0), (stop, count, size - 1)):
-        if a < b:
-            edge = arr[rows(src, src + 1)]
-            out[rows(a, b)] = (1.0 - f) * edge + f * edge if f > 0 else edge
-    mid = out[rows(head, stop)]
     if f == 0:
-        mid[...] = lo
-    else:
-        np.multiply(lo, 1.0 - f, out=mid)
-        mid += f * arr[rows(head + i0 + 1, stop + i0 + 1)]
+        return arr[rows(i0)]
+    out = (1.0 - f) * arr[rows(i0)]
+    out += f * arr[rows(i0 + 1)]
     return out
 
 
@@ -913,9 +891,9 @@ class VolterraSolver:
         operator keeps this by backward induction: rho and the terminal
         slab do not depend on age, the survival weights and hazards are
         constant along a memoryless axis, an edge of another component
-        keeps that component's state, and a clamped age shift copies an
-        edge row.  So the edge weights, the gathered excesses and the
-        result have one row on the tuple's memoryless axes.
+        keeps that component's state, and the gather reads a clamped age
+        from the edge row.  So the edge weights, the gathered excesses and
+        the result have one row on the tuple's memoryless axes.
         """
         g = self.grid
         nc = g.n_components
@@ -1018,52 +996,63 @@ class VolterraSolver:
         return [[acc.reshape(acc.shape[:-1] + g.s_shape) for acc in parts]
                 for parts in accs]
 
-    # -- the operator, split for marching ------------------------------------
+    # -- the operator T -------------------------------------------------------
 
-    def _fixed_part(self, stack, i, tables, members=None):
-        """The part of (T phi)_i that does not read slab i: the no-switch
-        branch, the closed-form linear part and the panels p >= 1, per
-        group of regime tuples over the member axis of stack, whose hazard
-        sets are those of members ([self] by default)."""
-        g = self.grid
-        y_pad = (...,) + (None,) * g.n
-        rho = self._rho_slabs()[i]
-        far, = self.switch_branch(i, stack,
-                                  panels=range(1, g.spec.time_steps - i),
-                                  tables=tables)
+    def apply(self, i, stack, frozen, axes=(None,), panels=None, tables=None,
+              members=None):
+        """Slab i of T applied to stack (see _gather), before the clamp at
+        0, per entry a of axes and group of regime tuples over the member
+        axis (the hazard sets of members, [self] by default):
+
+            JS(T - t_i) frozen[k] + switch branch_a + (1 - JS) d_a(c1.s)
+
+        frozen[k], for the k-th entry of axes, is over (regime tuple,
+        prices): rho_i for a = None, its s_m-derivative for a = m, whose
+        linear part d_m(c1.s) is c1_m.  The linear part integrates in
+        closed form, switch_branch (over panels, with tables) its excess.
+        The march's fixed part is the call over the panels p >= 1, the
+        hedge field the call over all panels with one axis per asset.
+        """
+        nc = self.grid.n_components
+        y_pad = (...,) + (None,) * self.grid.n
+        branch = self.switch_branch(i, stack, axes, panels, tables)
+        js_T = [np.stack([s.js_T(i)[gi] for s in members or [self]])[y_pad]
+                for gi in range(len(self.groups))]
         out = []
-        for gi, ((group, _), f) in enumerate(zip(self.groups, far)):
-            js_T = np.stack([s.js_T(i)[gi] for s in members or [self]])
-            part = js_T[y_pad] * rho[group][
-                (None, slice(None)) + (None,) * g.n_components]
-            part += f + ((1.0 - js_T)[y_pad]) * self._lin
-            out.append(part)
+        for axis, values, parts in zip(axes, frozen, branch):
+            lin = self._lin if axis is None else self.claim.c1[axis]
+            res = []
+            for (group, _), js, f in zip(self.groups, js_T, parts):
+                part = js * values[group][(None, slice(None)) + (None,) * nc]
+                part += f + (1.0 - js) * lin
+                res.append(part)
+            out.append(res)
         return out
 
     def step(self, phi, i: int | None = None, fixed=None, tables=None):
-        """One application of T.
+        """One application of T, clamped at 0.
 
-        Without i, to every slab of the PriceField phi: returns the
-        PriceField T phi.  With i, to slab i only: phi is then a stack over
-        members (PriceField.stacked, or the march's) and step returns
-        (T phi)_i per group of regime tuples over the member axis; it reads
-        slabs i..M.  The backward march makes one such call per local
-        application, for all its members at once, and passes what stays
-        the same between them: fixed, the part of (T phi)_i that does not
-        read slab i, and slab i's tables.
+        Without i, to every slab of the PriceField phi (apply over all
+        panels): returns the PriceField T phi.  With i, to slab i of the
+        march's stack over members (see solve): returns (T phi)_i per group
+        of regime tuples over the member axis, fixed (the part that does
+        not read slab i: apply over the panels p >= 1) plus the panel p = 0
+        summed with slab i's tables.  The march makes one such call per
+        local application, for all its members at once.
         """
         g = self.grid
         if i is None:
             stack = phi.stacked()
-            new_slabs = [Slab(self, [part[0] for part in self.step(stack, j)],
-                              int(g.c_counts[j]))
-                         for j in range(g.spec.time_steps)]
+            rho = self._rho_slabs()
+            new_slabs = []
+            for j in range(g.spec.time_steps):
+                new, = self.apply(j, stack, [rho[j]])
+                for part in new:
+                    np.maximum(part, 0.0, out=part)
+                new_slabs.append(Slab(self, [part[0] for part in new],
+                                      int(g.c_counts[j])))
             new_slabs.append(self._terminal_slab())
             return PriceField(self, new_slabs)
-        if tables is None:
-            tables = self._slab_tables(i)
-        if fixed is None:
-            fixed = self._fixed_part(phi, i, tables)
         near, = self.switch_branch(i, phi, panels=range(1), tables=tables)
         new = [f + n for f, n in zip(fixed, near)]
         for part in new:
@@ -1121,9 +1110,12 @@ class VolterraSolver:
         least = min(_MIN_REPORT_ITERS, max_iter)
         residual = [0.0] * B
         converged_at = [0] * B
+        rho = self._rho_slabs()
         for i in range(g.spec.time_steps - 1, -1, -1):
             tables = self._slab_tables(i, members)
-            fixed = self._fixed_part(stack, i, tables, members)
+            fixed, = self.apply(i, stack, [rho[i]],
+                                panels=range(1, g.spec.time_steps - i),
+                                tables=tables, members=members)
             settled = [None] * B
             active = list(range(B))
             for k in range(max_iter):
@@ -1331,15 +1323,17 @@ def pde_residual(field: PriceField,
     core = tuple(slice(_INTERIOR_MARGIN, -_INTERIOR_MARGIN) for _ in range(n))
     max_by_time = []
     edges = field.solver.edges
+    cells = float(g.dt / g.dy)
+    i0 = math.floor(cells)
+    f = cells - i0
 
     for i in range(M - maturity_margin_steps):
         t = float(g.t_nodes[i])
         c = int(g.c_counts[i])
-        c_next = int(g.c_counts[i + 1])
-        # restrict to ages whose advance by dt stays inside the next slab
-        keep = int(np.sum(g.age_nodes[:c] + g.dt
-                          <= g.age_nodes[c_next - 1] + 1e-12))
-        if keep == 0:
+        # restrict to ages whose advance by dt (cells = i0 + f age steps)
+        # reads only rows the next slab stores
+        keep = min(c, int(g.c_counts[i + 1]) - i0 - (f > 0))
+        if keep <= 0:
             max_by_time.append(None)    # no node of this slab is checked
             continue
         slab_max = 0.0
@@ -1350,7 +1344,7 @@ def pde_residual(field: PriceField,
             adv = field.slabs[i + 1][xi]
             for m in range(g.n_components):
                 if adv.shape[m] > 1:
-                    adv = _shift_axis(adv, m, g.dt / g.dy, keep)
+                    adv = _shift_axis(adv, m, cells, keep)
             d_char = (adv - sub) / g.dt
 
             rx = market.r(x)

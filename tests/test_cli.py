@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regimehedge import acceptance
+from regimehedge import acceptance, cli
 from regimehedge.analysis import sensitivity_check
 from regimehedge.cli import main, run_scenario, write_hedge_field, \
     write_price_field
-from regimehedge.errors import ConfigError
+from regimehedge.errors import ConfigError, SingularCovariance
 from regimehedge.hedging import HedgeField, hedge_field
 from regimehedge.regime_bsm import bsm_price
 from regimehedge.scenario import parse_scenario
@@ -117,6 +117,7 @@ def test_missing_seed_rejected_for_stochastic_output():
     pytest.param("solver", "tol", 10 ** 400, id="solver-tol-huge-int"),
     ("sensitivity", "scale", float("inf")),
     ("sensitivity", "scale", -1.1),
+    ("sensitivity", "scale", 1.0),
     ("grid", "time_steps", "abc"),
     ("grid", "time_steps", 1),
     ("grid", "price_nodes", 7.9),
@@ -377,6 +378,22 @@ def test_no_convergence_maps_to_exit_3(tmp_path):
     assert code == 3
     rep = json.loads((out / "report.json").read_text())
     assert rep["error"]["type"] == "NoConvergence"
+
+
+def test_solver_breakdown_maps_to_exit_3(tmp_path, capsys, monkeypatch):
+    # any engine error of the solve other than NoConvergence: exit 3 and an
+    # error block with its type and message, and no convergence entry
+    def breakdown(*args, **kwargs):
+        raise SingularCovariance("log covariance not positive definite")
+    monkeypatch.setattr(cli, "solve_price_field", breakdown)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, copy.deepcopy(BASE_CONFIG))
+    assert run_scenario(path, out_dir=str(out)) == 3
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["error"] == {"type": "SingularCovariance",
+                            "message": "log covariance not positive definite"}
+    assert "eval_points" not in rep
+    assert "solver error: log covariance" in capsys.readouterr().err
 
 
 def _demo_doc(**solver):

@@ -489,7 +489,8 @@ def test_shift_axis_matches_clamped_interp(axis):
     arr = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 7, 8))
     size = arr.shape[axis]
     count = size - 2
-    for cells in (-2.5, -1.0, 0.0, 0.3, 1.0, 2.75, size - 0.5, size + 3.2):
+    # the shifts whose rows all lie on the axis, whole and fractional
+    for cells in (0.0, 0.3, 1.0, 1.75, 2.0):
         want = np.apply_along_axis(
             lambda line: np.interp(np.arange(count) + cells,
                                    np.arange(size), line), axis, arr)
@@ -569,6 +570,40 @@ def test_pde_residual_reports_unchecked_slabs_as_none():
     checked = by_time[len(unchecked):]
     assert all(math.isfinite(v) for v in checked)
     assert max(checked) == res.max_scaled
+
+
+def test_pde_residual_keeps_the_ages_that_advance_inside_the_next_slab(
+        monkeypatch):
+    # dt = dy (T = 1, 4 steps, 5 age nodes): the characteristic moves the
+    # ages by one whole cell, the shift's view path (f = 0).  Each slab
+    # keeps the ages whose advance by dt stays inside the next slab, counted
+    # here on the age nodes themselves, and every shift reads stored rows
+    from regimehedge import volterra_pricer
+    m, claim, models, grid = regime_setup(price_nodes=21, time_steps=4,
+                                          age_nodes=5)
+    assert grid.dt == grid.dy
+    field, _ = solve_price_field(m, claim, models, grid, tol=1e-3)
+    shift, calls = volterra_pricer._shift_axis, []
+
+    def spy(arr, axis, cells, count):
+        out = shift(arr, axis, cells, count)
+        assert out.shape[axis] == count
+        calls.append((arr.shape[axis], cells, count))
+        return out
+    monkeypatch.setattr(volterra_pricer, "_shift_axis", spy)
+    res = pde_residual(field)
+    want = [int(np.sum(grid.age_nodes[:c] + grid.dt
+                       <= grid.age_nodes[c_next - 1] + 1e-12))
+            for c, c_next in zip(grid.c_counts[:-1], grid.c_counts[1:])]
+    assert want == [1, 2, 3, 4]
+    # component 1 ages in both states and moves; component 0 is memoryless
+    per_slab = len(grid.x_tuples)
+    assert calls == [(int(grid.c_counts[i + 1]), 1.0, keep)
+                     for i, keep in enumerate(want) for _ in range(per_slab)]
+    assert all(v is not None for v in res.max_by_time)
+    # each tuple's stored rows stand for keep ** 2 nodes, on the 17
+    # interior price nodes
+    assert res.n_nodes == sum(per_slab * keep ** 2 * 17 for keep in want)
 
 
 def test_pde_residual_first_order_in_dt():
@@ -865,11 +900,11 @@ def _ref_gather(solver, slabs, i, p, l):
     """Each bracketing slab moved on its own by the whole cells i0 along
     every age axis but l (l collapsed to age 0), its clamped rows copied
     out, then the mean of the two blended by the fraction once per axis."""
-    from regimehedge.volterra_pricer import _shift_axis
     g = solver.grid
     c = int(g.c_counts[i])
     cells = solver.v_mid[p] / g.dy
     i0 = math.floor(cells)
+    f = cells - i0
     axes = [1 + m for m in range(g.n_components) if m != l]
     pieces = []
     for side in (i + p, i + p + 1):
@@ -877,11 +912,13 @@ def _ref_gather(solver, slabs, i, p, l):
         sel[1 + l] = slice(0, 1)
         arr = slabs[side][tuple(sel)]
         for ax in axes:
-            arr = _shift_axis(arr, ax, i0, c + 1)
+            arr = np.take(arr, np.minimum(np.arange(c + 1) + i0,
+                                          arr.shape[ax] - 1), axis=ax)
         pieces.append(arr)
     mean = 0.5 * (pieces[0] + pieces[1])
     for ax in axes:
-        mean = _shift_axis(mean, ax, cells - i0, c)
+        mean = (1.0 - f) * np.take(mean, np.arange(c), axis=ax) \
+            + f * np.take(mean, np.arange(1, c + 1), axis=ax)
     return mean
 
 
@@ -1165,22 +1202,29 @@ def test_gather_of_grouped_slabs_equals_full_gather_of_their_broadcast():
                         rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("ages", ["y <= t", "all"])
+@pytest.mark.parametrize("ages", ["y <= t", "all", "whole cells"])
 def test_gather_equals_reference_bit_for_bit_where_shifts_clamp(ages):
     # no state is memoryless, so every age axis but the reset one moves.
     # With ages y <= t the whole shift clamps on some bracketing slabs; with
     # every slab storing all age_nodes ages (c = age_nodes, a grid whose
-    # ages are not cut at t) it clamps on every panel
+    # ages are not cut at t) it clamps on every panel.  With dt = 2 dy (4
+    # steps, 9 age nodes) panel p moves the ages by v_p / dy = 2p + 1 whole
+    # cells, so the mean's blend is the shift's view path (f = 0)
     m, claim, _, grid, _ = _switch_case("2_assets_3_components")
     h = HazardModel(2, {(1, 2): WeibullRate(0.4, 2.0),
                         (2, 1): AffineRate(0.2, 0.15)})
     A = grid.spec.age_nodes
     if ages == "all":
         grid.c_counts = np.full_like(grid.c_counts, A)
+    if ages == "whole cells":
+        grid = Grid(m, 1.0, np.array([[100.0, 100.0]]),
+                    GridSpec(time_steps=4, price_nodes=13, age_nodes=9))
     solver = VolterraSolver(m, claim, [h] * 3, grid)
     assert len(solver.groups) == 1
     rng = np.random.default_rng(12)
     M = grid.spec.time_steps
+    if ages == "whole cells":
+        assert [solver.v_mid[p] / grid.dy for p in range(M)] == [1, 3, 5, 7]
     full = [rng.uniform(0.0, 50.0, (8,) + (int(c),) * 3 + grid.s_shape)
             for c in grid.c_counts]
     slabs = PriceField(solver, [Slab(solver, [arr], int(c)) for arr, c
@@ -1518,6 +1562,7 @@ def _config_case(name, **grid):
     ("2_assets_3_components", 1.3, 1e-4),
     ("correlated_config", 1.1, 1e-4),
     ("demo_stops_apart", 10.0, 1e-6),
+    ("whole_cell_shifts", 1.3, 1e-4),
 ])
 def test_pair_march_equals_separate_solves_bit_for_bit(case, scale, tol):
     # the base and the scaled hazards marched as members of one stack: each
@@ -1530,6 +1575,11 @@ def test_pair_march_equals_separate_solves_bit_for_bit(case, scale, tol):
     elif case == "correlated_config":
         m, claim, models, grid, settings = _config_case(
             "two_asset_correlated_call.json", time_steps=6)
+    elif case == "whole_cell_shifts":
+        # dt = 2 dy: every age shift of the gather is a whole one (f = 0)
+        m, claim, models, grid = regime_setup(price_nodes=21, time_steps=4,
+                                              age_nodes=9)
+        settings = SolverSettings()
     else:
         m, claim, models, grid, settings = _switch_case(case)
     tilde = [h.scaled(scale) for h in models]
