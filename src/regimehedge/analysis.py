@@ -41,7 +41,7 @@ class SensitivityReport:
     bound_summed: float         # 2 c2 T max_x sum_pairs |dlam|_sup
     bound_plain: float          # 2 c2 T |dlam|_sup (single worst pair)
     satisfied: bool
-    ratio: float
+    ratio: float | None         # phi_sup_diff / bound_summed; None at bound 0
     numerical_floor: float
 
     def to_dict(self):
@@ -101,10 +101,10 @@ def sensitivity_check(base, models_tilde, tol: float = 1e-4,
     floor = ((rep_a.error_budget or 0.0) + (rep_b.error_budget or 0.0)) \
         * (1.0 + s_top)
     satisfied = sup_phi <= bound_summed + floor
-    ratio = sup_phi / bound_summed if bound_summed > 0 else math.inf
+    ratio = float(sup_phi / bound_summed) if bound_summed > 0 else None
     return SensitivityReport(lambda_sup_diff=lam_sup, phi_sup_diff=sup_phi,
                              bound_summed=bound_summed, bound_plain=bound_plain,
-                             satisfied=bool(satisfied), ratio=float(ratio),
+                             satisfied=bool(satisfied), ratio=ratio,
                              numerical_floor=float(floor))
 
 

@@ -125,27 +125,35 @@ def _check_threads(threads):
                           path="--threads")
 
 
+def _make_out_dir(out_dir):
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(str(exc), path="--out") from exc
+
+
 def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = None,
                  dry_run: bool = False) -> int:
     try:
         _check_threads(threads)
         scn = load_scenario(config_path)
+        grid = Grid(scn.market, scn.horizon,
+                    np.stack([ep[1] for ep in scn.eval_points]),
+                    scn.grid_spec)
+        if not dry_run:
+            _make_out_dir(out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     if threads is not None:
         scn.threads = threads
-
-    grid = Grid(scn.market, scn.horizon,
-                np.stack([ep[1] for ep in scn.eval_points]), scn.grid_spec)
     if dry_run:
         print(json.dumps({"scenario": scn.name, "grid": grid.describe(),
                           "outputs": list(scn.outputs)}, sort_keys=True,
                          indent=2))
         return 0
 
-    os.makedirs(out_dir, exist_ok=True)
     report = {"scenario": scn.name, "config": scn.resolved_dict()}
     try:
         # the sensitivity check's scaled hazards are hazard set 1 of the
@@ -220,6 +228,8 @@ def run_selftest(profile: str = "full", threads: int = 1,
                  out_dir: str | None = None) -> int:
     try:
         _check_threads(threads)
+        if out_dir:
+            _make_out_dir(out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -228,7 +238,6 @@ def run_selftest(profile: str = "full", threads: int = 1,
     rows = acceptance.render_table(results)
     print(rows)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "selftest_report.json"), "wb") as fh:
             fh.write(acceptance.report_bytes(results))
     return 0 if all(r.passed for r in results) else 1

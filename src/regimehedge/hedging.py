@@ -7,7 +7,9 @@ delta carries the no-switch weight and the switch branch integrates the
 continuation value against the kernel's s-derivative.  hedge_field runs
 the pricing step's own operator (VolterraSolver.apply, which assembles
 slab i of T) with one derivative axis per asset in place of the kernel,
-so price and hedge share one discretization and one assembly, and
+so price and hedge share one discretization and one assembly; the
+frozen-regime deltas of all assets come from one bsm_delta_grid call per
+slab and regime tuple (one kernel, one claim_nodes call), and
 strategy_at reads that field between the nodes the way PriceField.values
 reads a price (Grid.interp).  Finite differences of the solved field are
 kept only as a test oracle.
@@ -69,8 +71,9 @@ def hedge_field(field: PriceField) -> HedgeField:
     """Hedge ratios at every grid node via the integral formula.
 
     Slab i < M is VolterraSolver.apply on the solved field over all
-    panels, one derivative axis per asset with the frozen-regime deltas,
-    so every axis shares the gathered continuation slabs, survival
+    panels, one derivative axis per asset with the frozen-regime deltas
+    (every asset's from one bsm_delta_grid call per regime tuple), so
+    every axis shares the gathered continuation slabs, survival
     weights and mass normalization of the pricing step; slab M is the
     frozen-regime delta at every age.  Runs on field.solver, whose
     survival weights JS(T - t_i) the solve cached; each slab's switch
@@ -86,17 +89,16 @@ def hedge_field(field: PriceField) -> HedgeField:
     xi_slabs, eps_slabs = [], []
     for i in range(M + 1):
         t = float(g.t_nodes[i])
-        # per asset m, the delta of rho_i over (regime tuple, prices)
-        drho = np.stack([np.stack([
-            bsm_delta_grid(solver.market, solver.claim, x, t, g.horizon,
-                           g.lns_axes, m, solver.settings.bsm_outer_nodes)
-            for x in g.x_tuples]) for m in range(g.n)])
+        # rho_i's delta in every asset, over (regime tuple, prices.., asset)
+        drho = np.stack([bsm_delta_grid(
+            solver.market, solver.claim, x, t, g.horizon, spots,
+            solver.settings.bsm_outer_nodes) for x in g.x_tuples])
         if i < M:
             xi = Slab(solver, [np.stack(axes, axis=-1)[0] for axes in zip(
-                *solver.apply(i, stack, drho, range(g.n)))],
-                int(g.c_counts[i]))
+                *solver.apply(i, stack, np.moveaxis(drho, -1, 0),
+                              range(g.n)))], int(g.c_counts[i]))
         else:
-            xi = solver._broadcast(np.moveaxis(drho, 0, -1), i)
+            xi = solver._broadcast(drho, i)
         xi_slabs.append(xi)
         eps_slabs.append(Slab(solver, [
             field.slabs[i].part(gi) - np.einsum(

@@ -6,7 +6,9 @@ assets at the outer Gauss-Hermite nodes of ``claim_nodes``, the pivot
 integral is a Black formula per payoff hinge, so for one asset price and
 delta are the classical closed forms and for n >= 2 the outer rule, with
 ``outer_nodes`` per head axis (``SolverSettings.bsm_outer_nodes``), is the
-only quadrature.
+only quadrature.  One kernel and one ``claim_nodes`` call give the price
+and the delta in every asset: the value and the likelihood-ratio score of
+the same outer nodes.
 """
 
 from __future__ import annotations
@@ -23,62 +25,40 @@ from .market import Claim, MarketModel, build_kernel, claim_nodes
 OUTER_NODES = 24
 
 
-def _batched(s):
+def _frozen(market: MarketModel, claim: Claim, x, t: float, maturity: float,
+            s, outer_nodes: int):
+    """Discounted claim value, shape (...), and its derivative in every
+    asset, shape (..., n), at the price points s of shape (..., n); at
+    maturity the payoff and its right slope.  The delta is the kernel's
+    likelihood-ratio score over s."""
     s = np.asarray(s, dtype=float)
-    if s.ndim == 1:
-        return s[None, :], True
-    return s, False
-
-
-def bsm_price(market: MarketModel, claim: Claim, x, t: float, maturity: float,
-              s, outer_nodes: int = OUTER_NODES):
-    """Frozen-regime discounted claim value; terminal slice returns K(s)."""
-    s_batch, scalar = _batched(s)
-    v = maturity - t
-    if v <= 0.0:
-        out = claim(s_batch)
-        return float(out[0]) if scalar else out
-    kern = build_kernel(market, t, x, v, mode="risk-neutral")
-    w, value, _ = claim_nodes(kern, claim, s_batch, outer_nodes)
-    out = math.exp(-market.r(tuple(x)) * v) * (value @ w)
-    return float(out[0]) if scalar else out
-
-
-def bsm_delta(market: MarketModel, claim: Claim, x, t: float, maturity: float,
-              s, axis: int, outer_nodes: int = OUTER_NODES):
-    """d(price)/d s_axis by the likelihood ratio of the kernel; at maturity
-    the right derivative of the payoff."""
-    s_batch, scalar = _batched(s)
+    flat = s.reshape(-1, s.shape[-1])
     v = maturity - t
     if v <= 0.0:
         # right slope of the hinge form: every hinge at or below b is on
-        on = claim.basket(s_batch)[:, None] >= claim.hinge_strikes
-        out = claim.weights[axis] * (claim.slope + on @ claim.hinge_slopes)
-        return float(out[0]) if scalar else out
-    kern = build_kernel(market, t, x, v, mode="risk-neutral")
-    w, _, score = claim_nodes(kern, claim, s_batch, outer_nodes)
-    out = math.exp(-market.r(tuple(x)) * v) * (score[..., axis] @ w) \
-        / s_batch[:, axis]
-    return float(out[0]) if scalar else out
+        on = claim.basket(flat)[:, None] >= claim.hinge_strikes
+        price = claim(flat)
+        delta = (claim.slope + on @ claim.hinge_slopes)[:, None] \
+            * claim.weights
+    else:
+        kern = build_kernel(market, t, x, v, mode="risk-neutral")
+        w, value, score = claim_nodes(kern, claim, flat, outer_nodes)
+        disc = math.exp(-market.r(tuple(x)) * v)
+        price = disc * (value @ w)
+        # reduced one asset at a time, which rounds as a single price does
+        delta = np.stack([disc * (score[..., m] @ w) / flat[:, m]
+                          for m in range(flat.shape[1])], axis=-1)
+    return price.reshape(s.shape[:-1]), delta.reshape(s.shape)
 
 
-def _grid_points(lns_axes):
-    mesh = np.meshgrid(*[np.exp(a) for a in lns_axes], indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return pts, tuple(len(a) for a in lns_axes)
-
-
-def bsm_price_grid(market, claim, x, t, maturity, lns_axes,
+def bsm_price_grid(market, claim, x, t, maturity, s,
                    outer_nodes: int = OUTER_NODES):
-    """Price surface over the tensor log-price grid."""
-    pts, shape = _grid_points(lns_axes)
-    return bsm_price(market, claim, x, t, maturity, pts,
-                     outer_nodes).reshape(shape)
+    """Frozen-regime price at the points s (..., n), e.g. Grid.s_mesh()."""
+    return _frozen(market, claim, x, t, maturity, s, outer_nodes)[0]
 
 
-def bsm_delta_grid(market, claim, x, t, maturity, lns_axes, axis,
+def bsm_delta_grid(market, claim, x, t, maturity, s,
                    outer_nodes: int = OUTER_NODES):
-    """Delta surface along one asset axis over the tensor log-price grid."""
-    pts, shape = _grid_points(lns_axes)
-    return bsm_delta(market, claim, x, t, maturity, pts, axis,
-                     outer_nodes).reshape(shape)
+    """Frozen-regime delta in every asset at the points s (..., n),
+    shape (..., n)."""
+    return _frozen(market, claim, x, t, maturity, s, outer_nodes)[1]

@@ -666,13 +666,13 @@ class VolterraSolver:
 
     def _rho_slabs(self):
         if self._rho is None:
+            # slabs 0..M-1: the payoff slab M is _terminal_slab's
             g = self.grid
-            self._rho = []
-            for i, t in enumerate(g.t_nodes):
-                self._rho.append(np.stack([bsm_price_grid(
-                    self.market, self.claim, x, float(t), g.horizon,
-                    g.lns_axes, self.settings.bsm_outer_nodes)
-                    for x in g.x_tuples]))
+            spots = g.s_mesh()
+            self._rho = [np.stack([bsm_price_grid(
+                self.market, self.claim, x, float(t), g.horizon, spots,
+                self.settings.bsm_outer_nodes) for x in g.x_tuples])
+                for t in g.t_nodes[:-1]]
         return self._rho
 
     def _broadcast(self, values, i):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,9 @@ def test_identical_hazards_give_zero_diff():
     assert rep.phi_sup_diff == 0.0
     assert rep.bound_summed == 0.0
     assert rep.satisfied
+    # 0 / 0 has no ratio, and the report stays strict JSON
+    assert rep.ratio is None
+    json.dumps(rep.to_dict(), allow_nan=False)
 
 
 def test_linear_claim_insensitive_to_hazards():

@@ -15,7 +15,7 @@ from regimehedge.cli import main, run_scenario, write_hedge_field, \
     write_price_field
 from regimehedge.errors import ConfigError, SingularCovariance
 from regimehedge.hedging import HedgeField, hedge_field
-from regimehedge.regime_bsm import bsm_price
+from regimehedge.regime_bsm import bsm_price_grid
 from regimehedge.scenario import parse_scenario
 from regimehedge.volterra_pricer import Grid, PriceField, Slab, \
     linear_growth_norm, pde_residual, solve_price_field
@@ -318,6 +318,33 @@ def test_nonpositive_selftest_threads_exits_2(tmp_path, capsys, threads):
     assert not out.exists()
 
 
+def never(*args, **kwargs):
+    raise AssertionError("called after --out was rejected")
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    # the output directory is made before the solve, and a path that cannot
+    # be one is a config error, not a traceback
+    monkeypatch.setattr(cli, "solve_price_field", never)
+    path = write_config(tmp_path, copy.deepcopy(BASE_CONFIG))
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main(["price", path, "--out", str(taken)]) == 2
+    assert "config error: --out:" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
+def test_selftest_out_naming_a_file_exits_2_before_any_criterion(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "run_all", never)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert main(["selftest", "--profile", "fast", "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: --out:" in captured.err and captured.out == ""
+    assert taken.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("key,value,kind", [("bsm_gl_nodes", 16, "basket-call"),
                                             ("bsm_gh_nodes", 4, "linear"),
                                             ("panel_nodes", 2, "basket-call"),
@@ -462,7 +489,8 @@ def test_price_scenario_outputs_match_frozen_reference(tmp_path):
         vals = [float(v) for v in line.split(",")]
         t, s = vals[0], vals[1]
         phi = vals[-1]
-        ref = bsm_price(scn.market, scn.claim, (1, 1), t, 1.0, np.array([s]))
+        ref = bsm_price_grid(scn.market, scn.claim, (1, 1), t, 1.0,
+                             np.array([s]))
         worst = max(worst, abs(phi - ref) / (1.0 + s))
     assert worst < 2e-3
 

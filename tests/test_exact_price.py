@@ -23,7 +23,7 @@ from scipy.linalg import expm
 
 from regimehedge.hedging import hedge_field, strategy_at
 from regimehedge.market import Claim, build_market
-from regimehedge.regime_bsm import bsm_delta, bsm_price
+from regimehedge.regime_bsm import bsm_delta_grid, bsm_price_grid
 from regimehedge.scenario import load_scenario
 from regimehedge.semi_markov import ConstantRate, HazardModel
 from regimehedge.volterra_pricer import Grid, solve_price_field
@@ -101,11 +101,11 @@ def test_exact_call_is_black_scholes_when_regimes_agree():
     for s0 in (70.0, 100.0, 140.0):
         price, delta = exact_call(m, [h, h], claim, 1.5, s0, (2, 1))
         assert price == pytest.approx(
-            bsm_price(m, claim, (2, 1), 0.0, 1.5, np.array([s0])),
+            bsm_price_grid(m, claim, (2, 1), 0.0, 1.5, np.array([s0])),
             rel=1e-10, abs=1e-10)
         assert delta == pytest.approx(
-            float(bsm_delta(m, claim, (2, 1), 0.0, 1.5,
-                            np.array([[s0]]), 0)[0]), abs=1e-10)
+            float(bsm_delta_grid(m, claim, (2, 1), 0.0, 1.5,
+                                 np.array([[s0]]))[0, 0]), abs=1e-10)
 
 
 def test_grid_error_against_exact_price_falls_as_h_squared():

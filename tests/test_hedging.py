@@ -7,7 +7,7 @@ from regimehedge import hedging
 from regimehedge.market import Claim, build_kernel, build_market
 from regimehedge.mc_oracle import simulate_path
 from regimehedge.quadrature import tensor_normal_nodes
-from regimehedge.regime_bsm import bsm_delta
+from regimehedge.regime_bsm import bsm_delta_grid
 from regimehedge.semi_markov import (
     AffineRate,
     ConstantRate,
@@ -80,8 +80,8 @@ def test_regime_independent_hedge_matches_frozen_delta():
     field = degenerate_case()
     pt = (0.25, np.array([100.0]), (1, 1), np.array([0.1, 0.2]))
     eta = strategy_at(hedge_field(field), pt)[0][0]
-    ref = bsm_delta(field.solver.market, field.claim, (1, 1), 0.25, 1.0,
-                    np.array([100.0]), 0)
+    ref = bsm_delta_grid(field.solver.market, field.claim, (1, 1), 0.25, 1.0,
+                         np.array([100.0]))[0]
     assert eta == pytest.approx(ref, abs=1e-3)
 
 
@@ -242,28 +242,35 @@ def test_hedge_pass_runs_on_the_pricing_solver_at_its_settings(monkeypatch):
     cached = dict(field.solver._js_T)
     assert cached
 
-    built, gh, outer = [], set(), set()
+    built, gh, outer, deltas = [], set(), set(), []
     init = vp.VolterraSolver.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    def recording(fn, seen, arg):
+    def recording(fn, seen, arg, results=None):
         def wrapper(*args):
             seen.add(args[arg])
-            return fn(*args)
+            out = fn(*args)
+            if results is not None:
+                results.append((args[5].shape, out.shape))
+            return out
         return wrapper
     monkeypatch.setattr(vp.VolterraSolver, "__init__", counting_init)
     monkeypatch.setattr(vp, "tensor_normal_nodes",
                         recording(vp.tensor_normal_nodes, gh, 1))
     monkeypatch.setattr(hedging, "bsm_delta_grid",
-                        recording(hedging.bsm_delta_grid, outer, 7))
+                        recording(hedging.bsm_delta_grid, outer, 6, deltas))
 
     hedge = hedge_field(field)
     strategy_at(hedge, (0.3, np.array([95.0, 104.0]), (2,), np.array([0.3])))
     assert built == []
     assert gh == {8} and outer == {2}
+    # one call per (time node, regime tuple), each with every asset's delta
+    g = field.grid
+    assert len(deltas) == (g.spec.time_steps + 1) * len(g.x_tuples)
+    assert all(out == pts == g.s_shape + (2,) for pts, out in deltas)
     for i, js in cached.items():
         assert field.solver._js_T[i] is js
 
@@ -357,12 +364,12 @@ def _hedge_ratio_per_node(field, point, axis):
     T = g.horizon
     rem = T - t
     if rem <= 1e-12:
-        return float(bsm_delta(market, claim, x, T, T, s, axis,
-                               settings.bsm_outer_nodes))
+        return float(bsm_delta_grid(market, claim, x, T, T, s,
+                                    settings.bsm_outer_nodes)[axis])
     log_js = _joint_log_survival(models, CsmState(x, y))
     js_T = math.exp(log_js(rem))
-    out = float(bsm_delta(market, claim, x, t, T, s, axis,
-                          settings.bsm_outer_nodes)) * js_T
+    out = float(bsm_delta_grid(market, claim, x, t, T, s,
+                               settings.bsm_outer_nodes)[axis]) * js_T
     n_panels = max(1, int(round(rem / g.dt)))
     width = rem / n_panels
     gl_x, gl_w = np.polynomial.legendre.leggauss(2)

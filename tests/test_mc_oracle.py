@@ -25,7 +25,7 @@ from regimehedge.mc_oracle import (
     _normals,
     _stream_keys,
 )
-from regimehedge.regime_bsm import bsm_price
+from regimehedge.regime_bsm import bsm_price_grid
 from regimehedge.scenario import parse_scenario
 from regimehedge.semi_markov import (
     AffineRate,
@@ -170,7 +170,7 @@ def test_regime_independent_matches_frozen_price():
     models = models_const(0.6, 0.9)
     claim = Claim("basket-call", weights=[1.0], strike=100.0)
     est, se = mc_price(m, claim, models, START, 1.0, n_paths=20_000, seed=4)
-    ref = bsm_price(m, claim, (1, 1), 0.0, 1.0, np.array([100.0]))
+    ref = bsm_price_grid(m, claim, (1, 1), 0.0, 1.0, np.array([100.0]))
     assert abs(est - ref) < 3 * se
 
 

@@ -15,12 +15,7 @@ from regimehedge.market import (
     claim_nodes,
 )
 from regimehedge.quadrature import tensor_normal_nodes
-from regimehedge.regime_bsm import (
-    bsm_delta,
-    bsm_delta_grid,
-    bsm_price,
-    bsm_price_grid,
-)
+from regimehedge.regime_bsm import bsm_delta_grid, bsm_price_grid
 
 
 def closed_form_call(s, k, r, var, tau):
@@ -42,20 +37,20 @@ CALL = Claim("basket-call", weights=[1.0], strike=100.0)
 def test_terminal_slice_returns_payoff():
     m = flat_market()
     s = np.array([[80.0], [100.0], [123.0]])
-    np.testing.assert_allclose(bsm_price(m, CALL, X0, 1.0, 1.0, s),
+    np.testing.assert_allclose(bsm_price_grid(m, CALL, X0, 1.0, 1.0, s),
                                [0.0, 0.0, 23.0])
 
 
 def test_linear_claim_prices_at_spot():
     m = flat_market(r=0.07)
     lin = Claim("linear", weights=[1.4])
-    got = bsm_price(m, lin, X0, 0.2, 1.0, np.array([90.0]))
+    got = bsm_price_grid(m, lin, X0, 0.2, 1.0, np.array([90.0]))
     assert got == pytest.approx(1.4 * 90.0, rel=1e-9)
 
 
 def test_vanilla_call_matches_closed_form():
     m = flat_market(sigma=0.2, r=0.05)
-    got = bsm_price(m, CALL, X0, 0.0, 1.0, np.array([100.0]))
+    got = bsm_price_grid(m, CALL, X0, 0.0, 1.0, np.array([100.0]))
     want, _ = closed_form_call(100.0, 100.0, 0.05, 0.04, 1.0)
     assert want == pytest.approx(10.450583572185565, abs=5e-7)
     assert got == pytest.approx(want, abs=1e-8)
@@ -66,28 +61,28 @@ def test_call_with_time_varying_sigma_matches_closed_form():
     m = build_market(1, 2, 2, 0.04, np.array([0.1]), lambda x: vol)
     t = 0.25
     var = float(m.a_integral(t, 1.0, X0)[0, 0])
-    got = bsm_price(m, CALL, X0, t, 1.0, np.array([105.0]))
+    got = bsm_price_grid(m, CALL, X0, t, 1.0, np.array([105.0]))
     want, _ = closed_form_call(105.0, 100.0, 0.04, var, 0.75)
     assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_delta_matches_closed_form_and_fd():
     m = flat_market(sigma=0.2, r=0.05)
-    got = bsm_delta(m, CALL, X0, 0.0, 1.0, np.array([100.0]), axis=0)
+    got = bsm_delta_grid(m, CALL, X0, 0.0, 1.0, np.array([100.0]))[0]
     _, nd1 = closed_form_call(100.0, 100.0, 0.05, 0.04, 1.0)
     assert nd1 == pytest.approx(0.6368306511756191, abs=5e-7)
     assert got == pytest.approx(nd1, abs=1e-6)
 
     h = 1e-3
-    up = bsm_price(m, CALL, X0, 0.0, 1.0, np.array([100.0 + h]))
-    dn = bsm_price(m, CALL, X0, 0.0, 1.0, np.array([100.0 - h]))
+    up = bsm_price_grid(m, CALL, X0, 0.0, 1.0, np.array([100.0 + h]))
+    dn = bsm_price_grid(m, CALL, X0, 0.0, 1.0, np.array([100.0 - h]))
     assert got == pytest.approx((up - dn) / (2 * h), abs=1e-5)
 
 
 def test_delta_linear_claim_exact():
     m = flat_market()
     lin = Claim("linear", weights=[0.7])
-    got = bsm_delta(m, lin, X0, 0.1, 1.0, np.array([95.0]), axis=0)
+    got = bsm_delta_grid(m, lin, X0, 0.1, 1.0, np.array([95.0]))[0]
     assert got == pytest.approx(0.7, abs=1e-8)
 
 
@@ -112,23 +107,23 @@ def test_terminal_delta_is_the_right_slope_of_the_hinge_form():
     m = build_market(2, 2, 2, 0.04, np.zeros(2), 0.3 * np.eye(2))
     for claim in claims:
         want = 0.5 * np.array(right_slopes[claim.kind], dtype=float)
-        np.testing.assert_array_equal(
-            bsm_delta(m, claim, X0, 1.0, 1.0, s, 0), want)
-        assert np.all(bsm_delta(m, claim, X0, 1.0, 1.0, s, 1) == 0.0)
+        delta = bsm_delta_grid(m, claim, X0, 1.0, 1.0, s)
+        np.testing.assert_array_equal(delta[:, 0], want)
+        assert np.all(delta[:, 1] == 0.0)
         for row, d in zip(s, want):
-            assert bsm_delta(m, claim, X0, 1.0, 1.0, row, 0) == d
+            assert bsm_delta_grid(m, claim, X0, 1.0, 1.0, row)[0] == d
 
 
 def test_delta_deep_out_of_the_money():
     m = flat_market()
-    got = bsm_delta(m, CALL, X0, 0.0, 1.0, np.array([1.0]), axis=0)
+    got = bsm_delta_grid(m, CALL, X0, 0.0, 1.0, np.array([1.0]))[0]
     assert abs(got) < 1e-6
 
 
 def test_price_nonnegative_and_monotone_in_s():
     m = flat_market(sigma=0.3, r=0.02)
     s = np.linspace(40.0, 220.0, 25)[:, None]
-    p = bsm_price(m, CALL, X0, 0.3, 1.0, s)
+    p = bsm_price_grid(m, CALL, X0, 0.3, 1.0, s)
     assert np.all(p >= -1e-12)
     assert np.all(np.diff(p) > -1e-10)
 
@@ -139,7 +134,7 @@ def test_basket_call_two_assets_vs_mc_oracle():
     claim = Claim("basket-call", weights=[0.5, 0.5], strike=100.0)
     x = (1, 1, 1)
     s0 = np.array([100.0, 100.0])
-    got = bsm_price(m, claim, x, 0.0, 1.0, s0)
+    got = bsm_price_grid(m, claim, x, 0.0, 1.0, s0)
 
     rng = np.random.default_rng(7)
     npaths = 400_000
@@ -159,9 +154,10 @@ def test_bsm_pde_residual_fourth_order():
     lns = np.log(100.0) + np.linspace(-1.2, 1.2, 161)
     h = lns[1] - lns[0]
     dt = 1e-4
-    grid = bsm_price_grid(m, CALL, X0, t0, T, [lns])
-    grid_up = bsm_price_grid(m, CALL, X0, t0 + dt, T, [lns])
-    grid_dn = bsm_price_grid(m, CALL, X0, t0 - dt, T, [lns])
+    s = np.exp(lns)[:, None]
+    grid = bsm_price_grid(m, CALL, X0, t0, T, s)
+    grid_up = bsm_price_grid(m, CALL, X0, t0 + dt, T, s)
+    grid_dn = bsm_price_grid(m, CALL, X0, t0 - dt, T, s)
     dpdt = (grid_up - grid_dn) / (2 * dt)
     c = slice(2, -2)
     dz = (-grid[4:] + 8 * grid[3:-1] - 8 * grid[1:-3] + grid[:-4]) / (12 * h)
@@ -245,12 +241,13 @@ def test_claim_nodes_match_pivot_quadrature_two_assets(claim, corr):
                                            atol=1e-9)
         disc = math.exp(-m.r(x) * (1.0 - t))
         np.testing.assert_allclose(
-            bsm_price(m, claim, x, t, 1.0, s_batch, 8),
+            bsm_price_grid(m, claim, x, t, 1.0, s_batch, 8),
             disc * value @ w, rtol=0, atol=1e-12)
+        delta = bsm_delta_grid(m, claim, x, t, 1.0, s_batch, 8)
         for a in range(2):
             np.testing.assert_allclose(
-                bsm_delta(m, claim, x, t, 1.0, s_batch, a, 8),
-                disc * score[..., a] @ w / s_batch[:, a], rtol=0, atol=1e-12)
+                delta[:, a], disc * score[..., a] @ w / s_batch[:, a],
+                rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("weights", [[0.0], [0.0, 0.0]])
@@ -261,18 +258,20 @@ def test_zero_weight_claim_prices_discounted_constant(weights):
               Claim("custom-piecewise-linear", weights=weights,
                     knots=[10.0, 20.0], values=[3.0, 5.0], final_slope=0.5)]
     s = np.array([[50.0] * n, [100.0] * n, [1e-3] * n])
-    lns = [np.log(100.0) + np.linspace(-1.0, 1.0, 5)] * n
+    axis = np.exp(np.log(100.0) + np.linspace(-1.0, 1.0, 5))
+    mesh = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1)
     for claim, k0 in zip(claims, [90.0, 3.0]):
         for t in (0.0, 0.5, 1.0):
             want = math.exp(-0.04 * (1.0 - t)) * k0
-            price = bsm_price(m, claim, X0, t, 1.0, s)
+            price = bsm_price_grid(m, claim, X0, t, 1.0, s)
             np.testing.assert_allclose(price, want, rtol=1e-14, atol=0)
-            grid = bsm_price_grid(m, claim, X0, t, 1.0, lns)
+            grid = bsm_price_grid(m, claim, X0, t, 1.0, mesh)
+            assert grid.shape == (5,) * n
             np.testing.assert_allclose(grid, want, rtol=1e-14, atol=0)
-            for a in range(n):
-                assert np.all(bsm_delta(m, claim, X0, t, 1.0, s, a) == 0.0)
-                assert np.all(bsm_delta_grid(m, claim, X0, t, 1.0, lns,
-                                             a) == 0.0)
+            assert np.all(bsm_delta_grid(m, claim, X0, t, 1.0, s) == 0.0)
+            delta = bsm_delta_grid(m, claim, X0, t, 1.0, mesh)
+            assert delta.shape == (5,) * n + (n,)
+            assert np.all(delta == 0.0)
 
 
 @st.composite
@@ -298,12 +297,20 @@ def test_frozen_price_properties(case):
 
     def rho(kind, s, k=strike):
         claim = Claim(kind, weights=weights, strike=k)
-        return bsm_price(m, claim, x, 0.0, v, s, 8)
+        return bsm_price_grid(m, claim, x, 0.0, v, s, 8)
+
+    def delta(kind):
+        claim = Claim(kind, weights=weights, strike=strike)
+        return bsm_delta_grid(m, claim, x, 0.0, v, spot, 8)
 
     lin = rho("linear", spot)
     parity = rho("basket-call", spot) - rho("basket-put", spot)
     assert parity == pytest.approx(lin - strike * math.exp(-r * v),
                                    abs=1e-9 * (1.0 + lin))
+    # the strike term has no delta: parity holds in every asset
+    np.testing.assert_allclose(delta("basket-call") - delta("basket-put"),
+                               delta("linear"), rtol=0,
+                               atol=1e-9 * (1.0 + lin))
 
     spots = np.repeat(spot[None, :], 41, axis=0)
     spots[:, axis] *= np.linspace(0.2, 3.0, 41)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from regimehedge.errors import ConfigError, NoConvergence
 from regimehedge.market import Claim, build_kernel, build_market, kernel_expectation
 from regimehedge.quadrature import tensor_normal_nodes
-from regimehedge.regime_bsm import bsm_price, bsm_price_grid
+from regimehedge.regime_bsm import bsm_price_grid
 from regimehedge.semi_markov import (
     AffineRate,
     ConstantRate,
@@ -242,7 +242,7 @@ def test_step_matches_conditional_law_route():
 
         state = CsmState(x, y)
         probs = next_jump_component_prob(models, state)
-        rho = bsm_price(m, claim, x, t, T, np.array([s]))
+        rho = bsm_price_grid(m, claim, x, t, T, np.array([s]))
         total = 0.0
         for l in range(2):
             law = next_jump_time_law(models, state, l)
