@@ -3,13 +3,11 @@
 Each criterion builds its own scenario, runs the relevant pipeline at a
 pinned tolerance and returns a structured pass/fail row.  The tolerances
 are module constants, so nothing outside the code can loosen a gate; the
-suite is deterministic for fixed seeds, including under different worker
-counts.
+suite is deterministic for fixed seeds.
 
 The ``full`` profile runs every criterion at its stated scale; the ``fast``
 profile shrinks grids and path counts for smoke runs and the determinism
-criterion, which replays the fast suite under two worker counts and
-compares report bytes.
+criterion, which replays the fast suite twice and compares report bytes.
 """
 
 from __future__ import annotations
@@ -238,7 +236,7 @@ def _bundle_c6(profile: str):
 # Criteria
 # ---------------------------------------------------------------------------
 
-def criterion_1(profile: str, threads: int) -> CriterionResult:
+def criterion_1(profile: str) -> CriterionResult:
     """Competing-jump probabilities sum to one; the zero-time density
     identity pdf(0) P(l first) = exit rate holds for randomized draws."""
     tol = TOL_C1_IDENTITY
@@ -265,7 +263,7 @@ def criterion_1(profile: str, threads: int) -> CriterionResult:
                             "max_identity_error": worst_id, "tol": tol})
 
 
-def criterion_2(profile: str, threads: int) -> CriterionResult:
+def criterion_2(profile: str) -> CriterionResult:
     """Kernel normalization and first/second moments against the
     conditional-law formulas, with time-varying volatility."""
     tol_norm = TOL_C2_NORM
@@ -331,7 +329,7 @@ def criterion_2(profile: str, threads: int) -> CriterionResult:
                             "tol_norm": tol_norm, "tol_moments": tol_mom})
 
 
-def criterion_3(profile: str, threads: int) -> CriterionResult:
+def criterion_3(profile: str) -> CriterionResult:
     """Terminal exactness, positivity and the linear-growth envelope for a
     two-asset basket call driven by three components."""
     b = _bundle_c3(profile)
@@ -355,7 +353,7 @@ def criterion_3(profile: str, threads: int) -> CriterionResult:
                             "converged_at": b["report"].converged_at})
 
 
-def criterion_4(profile: str, threads: int) -> CriterionResult:
+def criterion_4(profile: str) -> CriterionResult:
     """Regime-independent coefficients collapse the field to the
     frozen-regime price within 1e-3 in the weighted sup norm."""
     b = _bundle_c4(profile)
@@ -370,7 +368,7 @@ def criterion_4(profile: str, threads: int) -> CriterionResult:
                             "tol": tol})
 
 
-def criterion_5(profile: str, threads: int) -> CriterionResult:
+def criterion_5(profile: str) -> CriterionResult:
     """Linear claims are priced and hedged exactly: phi = c1.s, xi = c1,
     eps = 0, and the residual risk vanishes."""
     def rate(x):
@@ -400,7 +398,7 @@ def criterion_5(profile: str, threads: int) -> CriterionResult:
                     for slab in field.slabs for part in slab.parts)
     start = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
     xi, eps = strategy_at(hedge_field(field), start)
-    rr = residual_risk(field, start, paths, seed=7, n_jobs=threads)
+    rr = residual_risk(field, start, paths, seed=7)
     tol = TOL_C5_LINEAR
     passed = worst_phi <= tol and abs(xi[0] - 1.2) <= tol \
         and abs(eps) <= tol and rr.r0 <= 3 * rr.se + 1e-12
@@ -411,14 +409,14 @@ def criterion_5(profile: str, threads: int) -> CriterionResult:
                             "tol": tol})
 
 
-def criterion_6(profile: str, threads: int) -> CriterionResult:
+def criterion_6(profile: str) -> CriterionResult:
     """Fixed-point price agrees with the exact-path Monte Carlo oracle
     within three standard errors, at sub-percent standard error."""
     b = _bundle_c6(profile)
     solver = b["field"].solver
     price = b["field"].value(*b["start"])
     est, se = mc_price(solver.market, solver.claim, solver.models, b["start"],
-                       1.0, b["mc_paths"], b["mc_seed"], n_jobs=threads)
+                       1.0, b["mc_paths"], b["mc_seed"])
     rel_se_cap = 0.01 if profile == "full" else 0.03
     passed = abs(price - est) <= 3 * se and se / est < rel_se_cap
     return CriterionResult(6, "cross-method price agreement", passed,
@@ -427,7 +425,7 @@ def criterion_6(profile: str, threads: int) -> CriterionResult:
                             "rel_se": se / est, "paths": b["mc_paths"]})
 
 
-def criterion_7(profile: str, threads: int) -> CriterionResult:
+def criterion_7(profile: str) -> CriterionResult:
     """The hedge field matches a central finite difference of the solved
     field at randomized interior grid nodes."""
     b = _bundle_c6(profile)
@@ -469,7 +467,7 @@ def criterion_7(profile: str, threads: int) -> CriterionResult:
                             "tol": tol})
 
 
-def criterion_8(profile: str, threads: int) -> CriterionResult:
+def criterion_8(profile: str) -> CriterionResult:
     """Every solve certifies a strict contraction: successive-difference
     ratios stay below one and below the joint-survival bound plus slack."""
     rows = {}
@@ -487,7 +485,7 @@ def criterion_8(profile: str, threads: int) -> CriterionResult:
     return CriterionResult(8, "contraction certificates", ok, rows)
 
 
-def criterion_9(profile: str, threads: int) -> CriterionResult:
+def criterion_9(profile: str) -> CriterionResult:
     """The non-local equation residual of the converged field decays at
     first order under grid refinement and is small on the fine grid."""
     if profile == "full":
@@ -514,7 +512,7 @@ def criterion_9(profile: str, threads: int) -> CriterionResult:
                             "tol_abs": TOL_C9_RESIDUAL})
 
 
-def criterion_10(profile: str, threads: int) -> CriterionResult:
+def criterion_10(profile: str) -> CriterionResult:
     """Hazard perturbations move the price by no more than the Lipschitz
     bound 2 c2 T sum |dlam|_sup."""
     b = _bundle_c6(profile)
@@ -537,34 +535,30 @@ def criterion_10(profile: str, threads: int) -> CriterionResult:
     return CriterionResult(10, "hazard perturbation bound", ok, rows)
 
 
-def criterion_11(profile: str, threads: int) -> CriterionResult:
-    """The fast suite produces byte-identical reports across repeated runs
-    and across worker counts."""
+def criterion_11(profile: str) -> CriterionResult:
+    """The fast suite produces byte-identical reports across repeated
+    runs."""
     _BUNDLES.clear()
-    run_a = report_bytes(_run_core("fast", threads=1))
+    run_a = report_bytes(_run_core("fast"))
     _BUNDLES.clear()
-    run_b = report_bytes(_run_core("fast", threads=2))
-    _BUNDLES.clear()
-    run_c = report_bytes(_run_core("fast", threads=1))
-    passed = run_a == run_b == run_c
+    run_b = report_bytes(_run_core("fast"))
+    passed = run_a == run_b
     return CriterionResult(11, "selftest determinism", passed,
-                           {"bytes": len(run_a),
-                            "threads_match": run_a == run_b,
-                            "rerun_match": run_a == run_c})
+                           {"bytes": len(run_a), "rerun_match": passed})
 
 
 _CORE = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
          criterion_6, criterion_7, criterion_8, criterion_9, criterion_10]
 
 
-def _run_core(profile: str, threads: int):
-    return [fn(profile, threads) for fn in _CORE]
+def _run_core(profile: str):
+    return [fn(profile) for fn in _CORE]
 
 
-def run_all(profile: str = "full", threads: int = 1):
+def run_all(profile: str = "full"):
     """All criteria; the fast profile omits the (self-referential)
     determinism criterion, which itself replays the fast profile."""
-    results = _run_core(profile, threads)
+    results = _run_core(profile)
     if profile == "full":
-        results.append(criterion_11(profile, threads))
+        results.append(criterion_11(profile))
     return results

@@ -16,8 +16,8 @@ Two diagnostics on a solved price field:
   simulating physical-measure paths under the field's market and hazard
   models and reading the solved field at the pre- and post-switch states.
   Like mc_oracle.mc_price, it maps one block of path ids at a time
-  (mc_oracle.map_blocks, serially or on worker threads) and takes its mean
-  and standard error from mc_oracle.estimate.
+  (mc_oracle.map_blocks) and takes its mean and standard error from
+  mc_oracle.estimate.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class ResidualRiskReport:
         return dataclasses.asdict(self)
 
 
-def residual_risk(field: PriceField, start, n_paths: int, seed: int,
-                  n_jobs: int = 1) -> ResidualRiskReport:
+def residual_risk(field: PriceField, start, n_paths: int,
+                  seed: int) -> ResidualRiskReport:
     """Quadratic residual risk at the start point under the physical measure.
 
     Accumulates the squared discounted field jump at every switch epoch of
@@ -142,8 +142,7 @@ def residual_risk(field: PriceField, start, n_paths: int, seed: int,
         return np.bincount(blk.jump_path, weights=contrib,
                            minlength=len(blk.n_jumps)), blk.n_jumps
 
-    costs, jumps = map(np.concatenate, zip(*map_blocks(path_costs, n_paths,
-                                                       n_jobs)))
+    costs, jumps = map(np.concatenate, zip(*map_blocks(path_costs, n_paths)))
     r0, se = estimate(costs)
     qs = {f"q{int(100 * q)}": float(np.quantile(costs, q))
           for q in (0.5, 0.9, 0.99)}

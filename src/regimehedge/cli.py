@@ -114,15 +114,12 @@ def write_surface(field, ep, path):
 
 
 def _surface_name(ep):
+    """surface_<x>_<ages>.csv, each age at its shortest round-trip form, so
+    eval points at distinct ages never share a file."""
     x_tag = "".join(str(v) for v in ep[2])
-    y_tag = "-".join(f"{v:g}" for v in np.asarray(ep[3], dtype=float))
+    y_tag = "-".join(np.format_float_positional(v, trim="-")
+                     for v in np.asarray(ep[3], dtype=float))
     return f"surface_{x_tag}_{y_tag}.csv"
-
-
-def _check_threads(threads):
-    if threads is not None and threads < 1:
-        raise ConfigError(f"must be an integer >= 1, got {threads}",
-                          path="--threads")
 
 
 def _make_out_dir(out_dir):
@@ -132,10 +129,14 @@ def _make_out_dir(out_dir):
         raise ConfigError(str(exc), path="--out") from exc
 
 
-def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = None,
+def run_scenario(config_path: str, out_dir: str = ".", threads=None,
                  dry_run: bool = False) -> int:
+    """Price the scenario of config_path into out_dir; the exit code.
+
+    threads is a retired argument, ignored like the config key of that
+    name: the Monte Carlo blocks run one after another.
+    """
     try:
-        _check_threads(threads)
         scn = load_scenario(config_path)
         grid = Grid(scn.market, scn.horizon,
                     np.stack([ep[1] for ep in scn.eval_points]),
@@ -146,8 +147,6 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if threads is not None:
-        scn.threads = threads
     if dry_run:
         print(json.dumps({"scenario": scn.name, "grid": grid.describe(),
                           "outputs": list(scn.outputs)}, sort_keys=True,
@@ -200,8 +199,7 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
         checks = []
         for ep in scn.eval_points:
             est, se = mc_price(scn.market, scn.claim, scn.models, ep,
-                               scn.horizon, scn.mc_paths, scn.mc_seed,
-                               n_jobs=scn.threads)
+                               scn.horizon, scn.mc_paths, scn.mc_seed)
             price = field.value(*ep)
             checks.append({"price": price, "mc": est, "se": se,
                            "abs_diff": abs(price - est),
@@ -217,24 +215,22 @@ def run_scenario(config_path: str, out_dir: str = ".", threads: int | None = Non
         report["sensitivity"] = rep.to_dict()
     if "residual-risk" in scn.outputs:
         rep = residual_risk(field, scn.eval_points[0], scn.rr_paths,
-                            scn.rr_seed, n_jobs=scn.threads)
+                            scn.rr_seed)
         report["residual_risk"] = rep.to_dict()
 
     _json_dump(report, os.path.join(out_dir, "report.json"))
     return 0
 
 
-def run_selftest(profile: str = "full", threads: int = 1,
-                 out_dir: str | None = None) -> int:
+def run_selftest(profile: str = "full", out_dir: str | None = None) -> int:
     try:
-        _check_threads(threads)
         if out_dir:
             _make_out_dir(out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     from . import acceptance
-    results = acceptance.run_all(profile=profile, threads=threads)
+    results = acceptance.run_all(profile=profile)
     rows = acceptance.render_table(results)
     print(rows)
     if out_dir:
@@ -253,21 +249,19 @@ def main(argv=None) -> int:
     p_price = sub.add_parser("price", help="run a scenario config")
     p_price.add_argument("config")
     p_price.add_argument("--out", default=".", help="output directory")
-    p_price.add_argument("--threads", type=int, default=None)
     p_price.add_argument("--dry-run", action="store_true")
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
     p_self.add_argument("--profile", choices=("full", "fast"), default="full")
-    p_self.add_argument("--threads", type=int, default=1)
     p_self.add_argument("--out", default=None)
 
     sub.add_parser("version", help="print the version")
 
     args = parser.parse_args(argv)
     if args.command == "price":
-        return run_scenario(args.config, args.out, args.threads, args.dry_run)
+        return run_scenario(args.config, args.out, dry_run=args.dry_run)
     if args.command == "selftest":
-        return run_selftest(args.profile, args.threads, args.out)
+        return run_selftest(args.profile, args.out)
     if args.command == "version":
         print(__version__)
         return 0

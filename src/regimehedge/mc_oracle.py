@@ -6,16 +6,15 @@ draws the switch histories by hazard-clock inversion, and the oracle
 overlays one multivariate normal log-increment (and the discount) per
 no-switch segment.  A block of path ids is the one unit of work:
 ``map_blocks`` cuts the ids 0..n-1 into blocks of ``_BLOCK`` and hands them
-to ``fn`` in block order, serially or on worker threads.  ``simulate_path``
-simulates a block's switch histories one jump round at a time, then its
-Gaussian draws, then makes one ``build_kernel`` call per regime tuple over
-all of the block's segments.  Each path owns its streams, and a segment's
-kernel does not depend on the block it sits in, so the block size and the
-worker count never change a result.  Under the pricing drift the discounted
-payoff average is an unbiased estimate of the price; under the physical
-drift the same paths feed the residual-risk accounting
-(``analysis.residual_risk``).  Both take their mean and standard error from
-``estimate``.
+to ``fn`` one after another, in block order.  ``simulate_path`` simulates a
+block's switch histories one jump round at a time, then its Gaussian draws,
+then makes one ``build_kernel`` call per regime tuple over all of the
+block's segments.  Each path owns its streams, and a segment's kernel does
+not depend on the block it sits in, so the block size never changes a
+result.  Under the pricing drift the discounted payoff average is an
+unbiased estimate of the price; under the physical drift the same paths
+feed the residual-risk accounting (``analysis.residual_risk``).  Both take
+their mean and standard error from ``estimate``.
 
 Path ``pid`` of a run with seed ``seed`` reads the Philox4x64-10 stream
 with key ``(w, 2 pid)`` for its switch history and the one with key
@@ -46,7 +45,6 @@ block.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,18 +93,13 @@ def _normals(keys, counts):
     return ndtri(((used >> np.uint64(12)) + 0.5) * 2.0 ** -52)
 
 
-def map_blocks(fn, n_paths: int, n_jobs: int = 1):
+def map_blocks(fn, n_paths: int):
     """[fn(ids)] over the path ids 0..n_paths-1 in consecutive blocks of
-    _BLOCK, in block order: serially when n_jobs <= 1, else on at most
-    n_jobs threads."""
+    _BLOCK, in block order."""
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     ids = np.arange(n_paths)
-    blocks = [ids[lo:lo + _BLOCK] for lo in range(0, n_paths, _BLOCK)]
-    if n_jobs <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=min(n_jobs, len(blocks))) as ex:
-        return list(ex.map(fn, blocks))
+    return [fn(ids[lo:lo + _BLOCK]) for lo in range(0, n_paths, _BLOCK)]
 
 
 def estimate(vals):
@@ -190,19 +183,17 @@ def simulate_path(market: MarketModel, models, start, horizon: float,
 
 
 def mc_price(market: MarketModel, claim: Claim, models, start, horizon: float,
-             n_paths: int, seed: int, n_jobs: int = 1):
+             n_paths: int, seed: int):
     """Discounted-payoff mean and standard error over n_paths exact paths.
 
     Reproducible for a fixed seed: each path owns counter-derived streams
-    and the aggregation order is fixed regardless of the worker count.  The
-    claim is evaluated once over all terminal prices, because its basket
-    (a matrix product) rounds a lone row differently from the same row
-    among others.
+    and the blocks are aggregated in path order.  The claim is evaluated
+    once over all terminal prices, because its basket (a matrix product)
+    rounds a lone row differently from the same row among others.
     """
     def terminal(ids):
         blk = simulate_path(market, models, start, horizon, seed, ids)
         return blk.discount, blk.s_terminal
 
-    disc, s_T = map(np.concatenate, zip(*map_blocks(terminal, n_paths,
-                                                    n_jobs)))
+    disc, s_T = map(np.concatenate, zip(*map_blocks(terminal, n_paths)))
     return estimate(disc * claim(s_T))

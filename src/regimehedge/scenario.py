@@ -232,7 +232,6 @@ class Scenario:
     sensitivity_scale: float
     eval_points: list
     outputs: tuple
-    threads: int
     raw: dict = dc_field(repr=False, default_factory=dict)
 
     def resolved_dict(self):
@@ -245,8 +244,9 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
         _fail("config root must be an object", path)
     _known(doc, ("name", "horizon", "assets", "components",
                  "states_per_component", "market", "claim", "grid", "solver",
-                 "threads", "outputs", "mc", "residual_risk", "sensitivity",
-                 "eval_points"), path, retired=("envelope_check_seed",))
+                 "outputs", "mc", "residual_risk", "sensitivity",
+                 "eval_points"), path,
+           retired=("envelope_check_seed", "threads"))
     name = doc.get("name", "scenario")
     horizon = _number(doc, "horizon", None, path, positive=True)
     n = _count(_section(doc, "assets", path, ("n",)), "n", None,
@@ -346,7 +346,6 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
                   retired=("bsm_gl_nodes", "bsm_gh_nodes", "panel_nodes",
                            "sparse_level"))
     sv_path = f"{path}.solver"
-    threads = _count(doc, "threads", 1, path)
     solver = SolverSettings(
         gh_nodes=_count(sv, "gh_nodes", 16, sv_path),
         bsm_outer_nodes=_count(sv, "bsm_outer_nodes", OUTER_NODES, sv_path))
@@ -415,7 +414,7 @@ def parse_scenario(doc: dict, path: str = "scenario") -> Scenario:
         max_iter=max_iter, mc_paths=mc_paths, mc_seed=mc_seed,
         rr_paths=rr_paths, rr_seed=rr_seed,
         sensitivity_scale=sens_scale, eval_points=eval_points,
-        outputs=outputs, threads=threads, raw=doc)
+        outputs=outputs, raw=doc)
 
 
 def load_scenario(path: str) -> Scenario:

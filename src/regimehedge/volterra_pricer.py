@@ -122,6 +122,10 @@ from .semi_markov import switch_edges
 # Grid and field containers
 # ---------------------------------------------------------------------------
 
+# the largest |ln s| of a node price s at which s**2 and 1 / s**2 are both
+# finite, about 354.9
+_LNS_MAX = 0.5 * math.log(np.finfo(float).max)
+
 @dataclass(frozen=True)
 class GridSpec:
     time_steps: int = 40
@@ -136,7 +140,8 @@ class Grid:
     Ages are restricted to y <= t: the slab at time node i stores only the
     first c_counts[i] age nodes per component.  The log-price box spans the
     evaluation points plus span_stds total standard deviations of ln S over
-    the full horizon.
+    the full horizon; a box with a node beyond |ln s| = _LNS_MAX, where the
+    solver's s**2 or 1 / s**2 overflows, is a ConfigError.
     """
 
     def __init__(self, market: MarketModel, horizon: float, eval_prices,
@@ -165,6 +170,12 @@ class Grid:
         for l in range(market.n):
             lo = float(np.min(np.log(pts[:, l]))) - spec.span_stds * stds[l]
             hi = float(np.max(np.log(pts[:, l]))) + spec.span_stds * stds[l]
+            if not max(-lo, hi) <= _LNS_MAX:
+                raise ConfigError(
+                    f"the price box of asset {l + 1} spans ln s in "
+                    f"[{lo:.6g}, {hi:.6g}], past +-{_LNS_MAX:.4g} where s**2 "
+                    "or 1/s**2 overflows: lower span_stds, the horizon or "
+                    "the volatility", path="grid.span_stds")
             self.lns_axes.append(np.linspace(lo, hi, spec.price_nodes))
         self.s_axes = [np.exp(a) for a in self.lns_axes]
         self.h = [a[1] - a[0] for a in self.lns_axes]

@@ -11,8 +11,8 @@ import pytest
 from regimehedge import acceptance
 
 
-def _run(fn, profile="full", threads=1):
-    result = fn(profile, threads)
+def _run(fn, profile="full"):
+    result = fn(profile)
     status = "PASS" if result.passed else "FAIL"
     detail_keys = ("max_sum_error", "max_identity_error", "max_mean_rel_error",
                    "max_envelope_gap", "sup_gap_scaled", "max_phi_gap_scaled",

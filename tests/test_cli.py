@@ -127,7 +127,6 @@ def test_missing_seed_rejected_for_stochastic_output():
     ("grid", "span_stds", -2),
     ("mc", "paths", "many"),
     ("residual_risk", "paths", "many"),
-    (None, "threads", "x"),
 ])
 def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
                                                         section, key, value):
@@ -224,6 +223,33 @@ def test_malformed_config_exits_2_naming_its_path(tmp_path, capsys, keys,
     assert not (tmp_path / "out").exists()
 
 
+def _shipped_config(name):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           name)) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("grid", "span_stds", 1e4),
+    ("grid", "span_stds", 1500),
+    (None, "horizon", 1e6),
+    ("market", "vol", [[1e6]]),
+], ids=["span_stds-1e4", "span_stds-1500", "horizon-1e6", "vol-1e6"])
+def test_overflowing_price_box_exits_2_before_any_solve(tmp_path, capsys,
+                                                        monkeypatch, section,
+                                                        key, value):
+    # a node price s beyond |ln s| = 354.9 overflows s**2 or 1/s**2: the
+    # solve would end in NaN (exit 3) or write non-finite hedge ratios
+    monkeypatch.setattr(cli, "solve_price_field", never)
+    doc = _shipped_config("markov_modulated_call.json")
+    doc["grid"].update(time_steps=4, price_nodes=11, age_nodes=3)
+    (doc if section is None else doc[section])[key] = value
+    out = tmp_path / "out"
+    assert run_scenario(write_config(tmp_path, doc), out_dir=str(out)) == 2
+    assert "config error: grid.span_stds:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("solver", "gh_node", 4),
     ("grid", "price_node", 41),
@@ -295,26 +321,17 @@ def test_fuzzed_config_parses_or_names_its_path(keys, value):
                     and not math.isfinite(value))
 
 
-@pytest.mark.parametrize("threads", [0, -3])
-def test_nonpositive_threads_flag_exits_2(tmp_path, capsys, threads):
-    # like threads: 0 in a config, a count below 1 is an error, not ignored
+@pytest.mark.parametrize("command", ["price", "selftest"])
+def test_threads_flag_is_rejected(tmp_path, capsys, command):
+    # the Monte Carlo blocks run one after another: there is no thread
+    # count to set, and argparse exits 2 on the flag before any work
     path = write_config(tmp_path, copy.deepcopy(BASE_CONFIG))
     out = tmp_path / "out"
-    assert main(["price", path, "--out", str(out), "--dry-run",
-                 "--threads", str(threads)]) == 2
+    args = [path, "--dry-run"] if command == "price" else ["--profile", "fast"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--out", str(out), "--threads", "2"])
+    assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("threads", [0, -1])
-def test_nonpositive_selftest_threads_exits_2(tmp_path, capsys, threads):
-    # validated as price --threads is, before any criterion runs
-    out = tmp_path / "out"
-    assert main(["selftest", "--profile", "fast", "--threads", str(threads),
-                 "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert "config error" in captured.err and "--threads" in captured.err
-    assert captured.out == ""
     assert not out.exists()
 
 
@@ -502,6 +519,22 @@ def test_price_scenario_outputs_match_frozen_reference(tmp_path):
     assert float(sample) == float(f"{float(sample):.17g}")
     # surface slice exists for the eval point
     assert (out / "surface_11_0-0.csv").exists()
+
+
+def test_eval_points_at_distinct_ages_write_distinct_surfaces(tmp_path):
+    # each age is named at its shortest round-trip form: 0.2500001 and
+    # 0.2500004 agree to 6 significant digits but name two files
+    doc = _shipped_config("two_state_call.json")
+    doc["grid"] = {"time_steps": 6, "price_nodes": 21, "age_nodes": 4}
+    doc["outputs"] = ["price-field"]
+    doc["eval_points"] = [{"t": 0.5, "s": [100.0], "x": [1, 1], "y": [a, 0.0]}
+                          for a in (0.2500001, 0.2500004)]
+    out = tmp_path / "out"
+    assert run_scenario(write_config(tmp_path, doc), out_dir=str(out)) == 0
+    names = sorted(p.name for p in out.glob("surface_*.csv"))
+    assert names == ["surface_11_0.2500001-0.csv",
+                     "surface_11_0.2500004-0.csv"]
+    assert (out / names[0]).read_bytes() != (out / names[1]).read_bytes()
 
 
 def test_full_output_set_runs(tmp_path):
@@ -695,37 +728,52 @@ def test_version_command(capsys):
     assert out == "0.1.0"
 
 
-def test_price_report_bytes_identical_across_threads(tmp_path):
-    doc = copy.deepcopy(BASE_CONFIG)
-    doc["grid"] = {"time_steps": 6, "price_nodes": 21, "age_nodes": 3}
-    doc["outputs"] = ["price-field", "mc-check"]
-    path = write_config(tmp_path, doc)
-    blobs = []
-    for tag, threads in (("t1", 1), ("t2", 2), ("t1b", 1)):
-        out = tmp_path / tag
-        assert run_scenario(path, out_dir=str(out), threads=threads) == 0
-        rep = json.loads((out / "report.json").read_text())
-        rep["config"].pop("threads", None)
-        blobs.append((out / "price_field.csv").read_bytes())
-        blobs.append(json.dumps(rep["convergence"], sort_keys=True).encode())
-        blobs.append(json.dumps(rep["mc_check"], sort_keys=True).encode())
-    assert blobs[0:3] == blobs[3:6] == blobs[6:9]
+def test_retired_threads_key_leaves_every_output_unchanged(tmp_path):
+    # the Monte Carlo blocks run one after another, so the config key
+    # threads and run_scenario's threads argument are read by no code:
+    # every file is the same bytes, bar the report's echo of the config
+    runs = []
+    for extra, kwargs in (({}, {}), ({"threads": 2}, {}), ({}, {"threads": 2})):
+        doc = copy.deepcopy(BASE_CONFIG)
+        doc.update(extra)
+        doc["grid"] = {"time_steps": 6, "price_nodes": 21, "age_nodes": 3}
+        doc["outputs"] = ["price-field", "hedge-field", "mc-check",
+                          "residual-risk"]
+        out = tmp_path / f"out{len(runs)}"
+        assert run_scenario(write_config(tmp_path, doc), out_dir=str(out),
+                            **kwargs) == 0
+        report = json.loads((out / "report.json").read_text())
+        report["config"].pop("threads", None)
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                 if p.name != "report.json"}
+        runs.append((report, files))
+    assert runs[0] == runs[1] == runs[2]
+    assert set(runs[0][0]) >= {"mc_check", "residual_risk"}
+    assert len(runs[0][1]) == 4
+
+
+def _reject_constant(literal):
+    raise ValueError(f"non-finite number {literal}")
 
 
 def test_selftest_fast_deterministic_bytes(tmp_path):
+    # two runs in fresh processes write the same report, and it is strict
+    # JSON: json writes a non-finite float as NaN or Infinity, which
+    # parse_constant rejects
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = "0"
     cmd = [sys.executable, "-m", "regimehedge.cli", "selftest",
            "--profile", "fast"]
     outs = []
-    for threads, tag in ((1, "a"), (2, "b"), (1, "c")):
+    for tag in "ab":
         d = tmp_path / tag
-        r = subprocess.run(cmd + ["--threads", str(threads), "--out", str(d)],
-                           env=env, capture_output=True, text=True,
-                           timeout=900)
+        r = subprocess.run(cmd + ["--out", str(d)], env=env,
+                           capture_output=True, text=True, timeout=900)
         assert r.returncode == 0, r.stdout + r.stderr
         outs.append((d / "selftest_report.json").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0], parse_constant=_reject_constant)
+    assert len(report["results"]) == 10
 
 
 def test_selftest_corrupted_tolerance_fails(tmp_path, capsys, monkeypatch):

@@ -198,9 +198,6 @@ def test_reproducibility():
     a1 = mc_price(m, claim, models, START, 1.0, n_paths=4000, seed=9)
     a2 = mc_price(m, claim, models, START, 1.0, n_paths=4000, seed=9)
     assert a1 == a2
-    # batch split must not change the estimate
-    a3 = mc_price(m, claim, models, START, 1.0, n_paths=4000, seed=9, n_jobs=3)
-    assert a3[0] == a1[0]
 
 
 def test_variance_scales_inversely_with_paths():
@@ -463,21 +460,20 @@ def test_block_equals_smaller_blocks_bit_for_bit(mode, t0, y0):
 
 
 def test_worker_count_changes_no_estimate(monkeypatch):
-    # block sizes 1, 7 and 1024 and one or two workers give the same bytes
+    # blocks of 1024, 7 and 1 paths, mapped one after another, give the
+    # same bytes
     m, models, claim = correlated_case()
     start = (0.37, np.array([100.0, 90.0]), (2, 1), np.array([0.2, 0.37]))
     grid = Grid(m, 1.0, np.array([[100.0, 90.0]]),
                 GridSpec(time_steps=4, price_nodes=9, age_nodes=3))
     field, _ = solve_price_field(m, claim, models, grid, 1e-3)
     assert mc_oracle._BLOCK == 1024
-    one = mc_price(m, claim, models, start, 1.0, 2500, 4, n_jobs=1)
-    one_rr = residual_risk(field, start, 2500, 6, n_jobs=1).to_dict()
-    for block, n_jobs in ((1024, 2), (7, 1), (1, 2)):
+    one = mc_price(m, claim, models, start, 1.0, 2500, 4)
+    one_rr = residual_risk(field, start, 2500, 6).to_dict()
+    for block in (7, 1):
         monkeypatch.setattr(mc_oracle, "_BLOCK", block)
-        assert mc_price(m, claim, models, start, 1.0, 2500, 4,
-                        n_jobs=n_jobs) == one
-        assert residual_risk(field, start, 2500, 6,
-                             n_jobs=n_jobs).to_dict() == one_rr
+        assert mc_price(m, claim, models, start, 1.0, 2500, 4) == one
+        assert residual_risk(field, start, 2500, 6).to_dict() == one_rr
     assert one_rr["mean_jumps"] > 0.5
 
 
@@ -570,18 +566,16 @@ def test_streams_of_consecutive_ids_are_independent_draws(seed):
 
 
 def test_map_blocks_maps_every_id_once_in_block_order(monkeypatch):
-    # every id once, in blocks of _BLOCK in block order, on one thread or
-    # several
-    for n_jobs in (1, 2, 5):
-        for block, n in ((1024, 2100), (1024, 100), (7, 100), (30, 100)):
-            monkeypatch.setattr(mc_oracle, "_BLOCK", block)
-            got = map_blocks(lambda b: b.tolist(), n, n_jobs)
-            assert [i for b in got for i in b] == list(range(n))
-            assert [len(b) for b in got[:-1]] == [block] * (len(got) - 1)
-            assert 0 < len(got[-1]) <= block
-    # more workers than blocks: no block is empty
+    # every id once, in blocks of _BLOCK in block order
+    for block, n in ((1024, 2100), (1024, 100), (7, 100), (30, 100)):
+        monkeypatch.setattr(mc_oracle, "_BLOCK", block)
+        got = map_blocks(lambda b: b.tolist(), n)
+        assert [i for b in got for i in b] == list(range(n))
+        assert [len(b) for b in got[:-1]] == [block] * (len(got) - 1)
+        assert 0 < len(got[-1]) <= block
+    # no block is empty
     monkeypatch.setattr(mc_oracle, "_BLOCK", 40)
-    assert map_blocks(lambda b: b.tolist(), 100, 5) == [
+    assert map_blocks(lambda b: b.tolist(), 100) == [
         list(range(0, 40)), list(range(40, 80)), list(range(80, 100))]
     # fewer than 100 paths is an error for the price as for residual risk
     m, models, claim = correlated_case()
