@@ -114,10 +114,12 @@ def write_surface(field, ep, path):
 
 
 def _surface_name(ep):
-    """surface_<x>_<ages>.csv, each age at its shortest round-trip form, so
-    eval points at distinct ages never share a file."""
+    """surface_<x>_<ages>.csv, each age at the shorter of its positional and
+    scientific round-trip forms, so eval points at distinct ages never
+    share a file and no name outgrows the file system's limit."""
     x_tag = "".join(str(v) for v in ep[2])
-    y_tag = "-".join(np.format_float_positional(v, trim="-")
+    y_tag = "-".join(min(np.format_float_positional(v, trim="-"),
+                         np.format_float_scientific(v, trim="-"), key=len)
                      for v in np.asarray(ep[3], dtype=float))
     return f"surface_{x_tag}_{y_tag}.csv"
 
@@ -165,7 +167,9 @@ def run_scenario(config_path: str, out_dir: str = ".", threads=None,
     except RegimeHedgeError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NoConvergence):
-            report["error"]["convergence"] = exc.report.to_dict() \
+            # a breakdown leaves NaN residuals: null keeps the report strict
+            report["error"]["convergence"] = json.loads(json.dumps(
+                exc.report.to_dict()), parse_constant=lambda c: None) \
                 if exc.report else None
         _json_dump(report, os.path.join(out_dir, "report.json"))
         print(f"solver error: {exc}", file=sys.stderr)

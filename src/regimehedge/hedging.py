@@ -101,7 +101,8 @@ def hedge_field(field: PriceField) -> HedgeField:
             xi = solver._broadcast(drho, i)
         xi_slabs.append(xi)
         eps_slabs.append(Slab(solver, [
-            field.slabs[i].part(gi) - np.einsum(
+            phi - np.einsum(
                 "...m,...m->...", part, np.broadcast_to(spots, part.shape))
-            for gi, part in enumerate(xi.parts)], int(g.c_counts[i])))
+            for phi, part in zip(field.slabs[i].parts, xi.parts)],
+            int(g.c_counts[i])))
     return HedgeField(field=field, xi=xi_slabs, eps=eps_slabs)

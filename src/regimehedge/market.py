@@ -85,10 +85,14 @@ def _piece_table(coeff: TimeCoeff, shape, square: bool):
     lines = [(knots[0], c[0], zero)] + [
         (knots[j - 1], c[j - 1], (c[j] - c[j - 1]) / (knots[j] - knots[j - 1]))
         for j in range(1, len(knots))] + [(knots[-1], c[-1], zero)]
-    # (c0 + c1 w)(c0 + c1 w)^T, or c0 + c1 w
-    polys = [np.reshape((c0 @ c0.T, c0 @ c1.T + c1 @ c0.T, c1 @ c1.T)
-                        if square else (c0, c1, zero), (3, -1))
-             for _, c0, c1 in lines]
+    # (c0 + c1 w)(c0 + c1 w)^T, or c0 + c1 w; a knot gap near the float
+    # minimum overflows them
+    with np.errstate(over="ignore"):
+        polys = [np.reshape((c0 @ c0.T, c0 @ c1.T + c1 @ c0.T, c1 @ c1.T)
+                            if square else (c0, c1, zero), (3, -1))
+                 for _, c0, c1 in lines]
+    if not np.all(np.isfinite(polys)):
+        raise ConfigError("coefficient knots too close for a finite slope")
     return (np.array([-math.inf] + knots + [math.inf]),
             np.array([u for u, _, _ in lines]), np.stack(polys), shape)
 
@@ -296,6 +300,11 @@ class Claim:
             self.hinge_strikes = self.knots
             self.hinge_slopes = np.diff(
                 np.concatenate([[0.0], slopes, [self.final_slope]]))
+            # tiny knot gaps lose the final slope to cancellation
+            if not math.isclose(self.hinge_slopes.sum(), self.final_slope,
+                                rel_tol=1e-6, abs_tol=1e-6):
+                raise ConfigError(
+                    "custom claim knots too close for its hinge form")
         else:
             raise ConfigError(f"unknown claim kind {kind!r}")
 
@@ -458,7 +467,8 @@ def claim_nodes(kern: LognormalKernel, claim: Claim, s_batch,
 
     gap = claim.hinge_strikes - head[..., None]                 # (B, Qo, J)
     itm = gap <= 0.0     # the hinge is active on every path
-    with np.errstate(divide="ignore"):  # log 0 = -inf at a zero price
+    # log 0 = -inf at a zero price, and inf at a gap near the float minimum
+    with np.errstate(divide="ignore", over="ignore"):
         d1 = np.log(fwd[..., None] / np.where(itm, 1.0, gap)) / sd + 0.5 * sd
     n1 = np.where(itm, 1.0, ndtr(d1))
     n2 = np.where(itm, 1.0, ndtr(d1 - sd))

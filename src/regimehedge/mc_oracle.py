@@ -7,11 +7,13 @@ overlays one multivariate normal log-increment (and the discount) per
 no-switch segment.  A block of path ids is the one unit of work:
 ``map_blocks`` cuts the ids 0..n-1 into blocks of ``_BLOCK`` and hands them
 to ``fn`` one after another, in block order.  ``simulate_path`` simulates a
-block's switch histories one jump round at a time, then its Gaussian draws,
-then makes one ``build_kernel`` call per regime tuple over all of the
-block's segments.  Each path owns its streams, and a segment's kernel does
-not depend on the block it sits in, so the block size never changes a
-result.  Under the pricing drift the discounted payoff average is an
+block's switch histories one jump round at a time, lays its segments out
+in a table with a row per path and a column per segment, draws the
+Gaussians of the table's cells of positive length, and makes one
+``build_kernel`` call per regime tuple over them; prices and discounts
+compound along the rows.  Each path owns its streams, and a segment's
+kernel does not depend on the block it sits in, so the block size never
+changes a result.  Under the pricing drift the discounted payoff average is an
 unbiased estimate of the price; under the physical drift the same paths
 feed the residual-risk accounting (``analysis.residual_risk``).  Both take
 their mean and standard error from ``estimate``.
@@ -113,39 +115,42 @@ def simulate_path(market: MarketModel, models, start, horizon: float,
     """Exact paths over [t0, horizon] from start = (t0, s, x, y), one per
     path id of ids, on the streams of seed.
 
-    Pass 1 runs simulate_csm on the block's regime streams and draws
-    n Gaussians per segment of positive length from the Gaussian streams.
-    Pass 2 builds the kernels of the block's segments with one build_kernel
-    call per regime tuple and compounds prices and log-discounts in segment
-    order.
+    The block's segments form a table with a row per path and a column per
+    segment, K columns for a block whose longest path jumps K - 1 times:
+    column 0 is the segment from t0 and column k + 1 the one from jump k.
+    The cells past a path's last segment start and end at the horizon, so
+    they draw nothing, grow by 1 and add 0 to the log-discount.  The jump
+    cells, in row-major order, are the block's jumps in SwitchBlock order.
+    The cells of positive length draw n Gaussians each, in row-major order,
+    and take their kernels from one build_kernel call per regime tuple,
+    which reads and writes its cells through one array of flat row-major
+    cell indices.
+    Prices are the cumulative product along a row of the growths, with s
+    put in column 0; log-discounts are minus the cumulative sum of r v.
     """
     t0, s0, x0, y0 = start
     n = market.n
     sw = simulate_csm(models, CsmState(x0, np.asarray(y0, float).tolist()),
                       horizon, _stream_keys(seed, ids, 0), start=t0)
-    P, J = len(sw.n_jumps), len(sw.jump_times)
-    # segments by path, then by time: segment 0 of a path starts at t0 and
-    # segment m + 1 at its jump m
-    n_segs = sw.n_jumps + 1
-    first = np.cumsum(n_segs) - n_segs
-    at_jump = np.ones(P + J, dtype=bool)
-    at_jump[first] = False
-    seg_t = np.full(P + J, float(t0))
-    seg_t[at_jump] = sw.jump_times
-    seg_end = np.append(seg_t[1:], float(horizon))
-    seg_end[first + n_segs - 1] = float(horizon)
+    P, K = len(sw.n_jumps), int(sw.n_jumps.max(initial=0)) + 1
+    # cell p K + k is column k of row p; pre are the cells that end at a
+    # jump and post the cells that start at one, both in SwitchBlock order
+    pre = np.flatnonzero(np.arange(K) < sw.n_jumps[:, None])
+    post = pre + 1
+    seg_t, seg_end = np.full((2, P * K), float(horizon))
+    seg_t[::K] = t0
+    seg_t[post] = seg_end[pre] = sw.jump_times
     seg_v = seg_end - seg_t
     # x_tuples run in itertools.product order: a tuple's index is its flat
     # index in the (k,) * c array of states
-    seg_x = np.full(P + J, market.x_index[tuple(x0)])
-    seg_x[at_jump] = np.ravel_multi_index(
+    seg_x = np.full(P * K, market.x_index[tuple(x0)])
+    seg_x[post] = np.ravel_multi_index(
         tuple((sw.states_after - 1).T), (market.k,) * market.n_components)
-    live = np.flatnonzero(seg_v > 0)     # the segments that own a draw
-    per_path = np.bincount(np.repeat(np.arange(P), n_segs)[live],
-                           minlength=P)
-    eps = _normals(_stream_keys(seed, ids, 1), n * per_path).reshape(-1, n)
-    growth = np.ones((len(seg_v), n))
-    rate_dt = np.zeros(len(seg_v))
+    live = seg_v > 0     # the cells that own a draw
+    eps = _normals(_stream_keys(seed, ids, 1),
+                   n * live.reshape(P, K).sum(axis=1)).reshape(-1, n)
+    live = np.flatnonzero(live)
+    growth, rate_dt = np.ones((P * K, n)), np.zeros(P * K)
     live_x = seg_x[live]
     for xi in np.unique(live_x):
         rows = np.flatnonzero(live_x == xi)
@@ -160,26 +165,13 @@ def simulate_path(market: MarketModel, models, start, horizon: float,
         growth[seg] = np.exp(kern.zbar + shock)
         rate_dt[seg] = market.r(x) * seg_v[seg]
 
-    jump_first = first - np.arange(P)
-    s = np.broadcast_to(np.asarray(s0, dtype=float), (P, n)).copy()
-    log_disc = np.zeros(P)
-    s_jumps = np.empty((J, n))
-    log_disc_jumps = np.empty(J)
-    for k in range(int(n_segs.max(initial=0))):
-        alive = np.flatnonzero(n_segs > k)
-        seg = first[alive] + k
-        s[alive] = s[alive] * growth[seg]
-        log_disc[alive] = log_disc[alive] - rate_dt[seg]
-        jumping = alive[n_segs[alive] > k + 1]
-        jrow = jump_first[jumping] + k
-        s_jumps[jrow] = s[jumping]
-        log_disc_jumps[jrow] = log_disc[jumping]
-
-    pre_seg = np.arange(J) + sw.jump_path  # jump m of path p ends segment m
+    growth[::K] *= s0     # column 0
+    s = np.cumprod(growth.reshape(P, K, n), axis=1)
+    disc = np.exp(-np.cumsum(rate_dt.reshape(P, K), axis=1))
     return PathBlock(
-        **vars(sw), pre_index=seg_x[pre_seg], post_index=seg_x[pre_seg + 1],
-        s_terminal=s, discount=np.exp(log_disc), s_at_jumps=s_jumps,
-        discount_at_jumps=np.exp(log_disc_jumps))
+        **vars(sw), pre_index=seg_x[pre], post_index=seg_x[post],
+        s_terminal=s[:, -1], discount=disc[:, -1],
+        s_at_jumps=s.reshape(-1, n)[pre], discount_at_jumps=disc.ravel()[pre])
 
 
 def mc_price(market: MarketModel, claim: Claim, models, start, horizon: float,

@@ -129,8 +129,13 @@ class TabulatedRate:
         from scipy.interpolate import PchipInterpolator
         self.knots = knots
         self.values = values
-        self._interp = PchipInterpolator(knots, values, extrapolate=False)
-        self._anti = self._interp.antiderivative()
+        # a knot gap near the float minimum overflows the PCHIP slopes
+        with np.errstate(all="ignore"):
+            self._interp = PchipInterpolator(knots, values, extrapolate=False)
+            self._anti = self._interp.antiderivative()
+        if not np.all(np.isfinite(self._anti.c)):
+            raise ConfigError(
+                "tabulated hazard knots too close for a finite interpolant")
 
     def rate(self, y):
         y = np.asarray(y, dtype=float)

@@ -257,10 +257,9 @@ class Slab:
     """The field at one time node, one array per group of regime tuples
     in a memoryless state on the same components (VolterraSolver.groups):
     parts[g] has shape (n_group, c_i or 1 per component, S_1, ..., S_n,
-    ...), one age row on a memoryless axis.  A part may hold more rows
-    there (a broadcast view, say); readers see the first.  shape is the
-    full grid shape (n_x, c_i, ..., c_i, S_1, ..., S_n, ...), slab[xi]
-    regime tuple xi's stored array and np.asarray(slab) the full broadcast.
+    ...), one age row on a memoryless axis.  shape is the full grid shape
+    (n_x, c_i, ..., c_i, S_1, ..., S_n, ...), slab[xi] regime tuple xi's
+    stored array and np.asarray(slab) the full broadcast.
     """
 
     def __init__(self, solver: VolterraSolver, parts, c: int):
@@ -270,13 +269,9 @@ class Slab:
         self.shape = (len(g.x_tuples),) + (c,) * g.n_components \
             + parts[0].shape[1 + g.n_components:]
 
-    def part(self, gi: int):
-        """parts[gi] on its stored rows."""
-        return self.parts[gi][self.solver.stored_rows[gi]]
-
     def __getitem__(self, xi: int):
         gi, k = self.solver.where[xi]
-        return self.part(gi)[k]
+        return self.parts[gi][k]
 
     def __array__(self, dtype=None, copy=None):
         out = np.empty(self.shape, dtype=dtype)
@@ -310,8 +305,7 @@ class PriceField:
         operators read (VolterraSolver._gather): per time node, each
         group's stored part with a leading member axis of length one, as
         views."""
-        return [[slab.part(gi)[None] for gi in range(len(slab.parts))]
-                for slab in self.slabs]
+        return [[part[None] for part in slab.parts] for slab in self.slabs]
 
     def values(self, t, s, x_idx, y) -> np.ndarray:
         """Interpolated field at scattered points.
@@ -664,9 +658,6 @@ class VolterraSolver:
         self.groups = [(members, frozen) for frozen, members in groups.items()]
         self.where = {xi: (gi, k) for gi, (members, _) in enumerate(self.groups)
                       for k, xi in enumerate(members)}
-        self.stored_rows = [(slice(None),) + tuple(
-            slice(0, 1) if f else slice(None) for f in frozen)
-            for _, frozen in self.groups]
 
         # c1 . s on the price grid; its discounted kernel mean is c1 . s
         self._mesh = np.meshgrid(*g.s_axes, indexing="ij")

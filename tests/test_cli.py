@@ -13,11 +13,11 @@ from regimehedge import acceptance, cli
 from regimehedge.analysis import sensitivity_check
 from regimehedge.cli import main, run_scenario, write_hedge_field, \
     write_price_field
-from regimehedge.errors import ConfigError, SingularCovariance
+from regimehedge.errors import ConfigError, NoConvergence, SingularCovariance
 from regimehedge.hedging import HedgeField, hedge_field
 from regimehedge.regime_bsm import bsm_price_grid
 from regimehedge.scenario import parse_scenario
-from regimehedge.volterra_pricer import Grid, PriceField, Slab, \
+from regimehedge.volterra_pricer import ConvergenceReport, Grid, PriceField, \
     linear_growth_norm, pde_residual, solve_price_field
 
 BASE_CONFIG = {
@@ -206,6 +206,16 @@ def test_invalid_solver_setting_exits_2_naming_its_path(tmp_path, capsys,
      "scenario.components[1].hazards['1->2']"),
     (("mc", "paths"), 2 ** 32 + 1, "scenario.mc.paths"),
     (("residual_risk", "paths"), 2 ** 40, "scenario.residual_risk.paths"),
+    (("components", 1, "hazards", "1->2"),
+     {"family": "tabulated", "knots": [0.0, 1e-300, 1.0],
+      "values": [1.0, 0.01, 2.0]},
+     "scenario.components[1].hazards['1->2']"),
+    (("claim",), {"kind": "custom-piecewise-linear", "weights": [1.0],
+                  "knots": [0.0, 1e-241, 1e-104, 1.5],
+                  "values": [37.0, 36.0, 40.0, 37.0], "final_slope": 0.6},
+     "scenario.claim"),
+    (("market", "vol"), {"knots": [[0.0, [[0.25]]], [1e-200, [[0.5]]]]},
+     "scenario.market"),
 ])
 def test_malformed_config_exits_2_naming_its_path(tmp_path, capsys, keys,
                                                   value, where):
@@ -440,6 +450,24 @@ def test_solver_breakdown_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert "solver error: log covariance" in capsys.readouterr().err
 
 
+def test_breakdown_residuals_leave_the_report_strict_json(tmp_path,
+                                                          monkeypatch):
+    # a march that broke down reports NaN residuals: the error block
+    # writes them as null, so the report stays strict JSON
+    def breakdown(*args, **kwargs):
+        raise NoConvergence("last residual nan", ConvergenceReport(
+            tol=1e-3, iterations=2, deltas=[0.5, math.nan],
+            ratios=[math.nan], residual=math.inf))
+    monkeypatch.setattr(cli, "solve_price_field", breakdown)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, copy.deepcopy(BASE_CONFIG))
+    assert run_scenario(path, out_dir=str(out)) == 3
+    conv = json.loads((out / "report.json").read_text(),
+                      parse_constant=_reject_constant)["error"]["convergence"]
+    assert conv["deltas"] == [0.5, None] and conv["ratios"] == [None]
+    assert conv["residual"] is None and conv["iterations"] == 2
+
+
 def _demo_doc(**solver):
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                         "two_state_call.json")
@@ -535,6 +563,18 @@ def test_eval_points_at_distinct_ages_write_distinct_surfaces(tmp_path):
     assert names == ["surface_11_0.2500001-0.csv",
                      "surface_11_0.2500004-0.csv"]
     assert (out / names[0]).read_bytes() != (out / names[1]).read_bytes()
+
+
+def test_tiny_eval_age_names_a_short_surface_file(tmp_path):
+    # an age of 1e-241 at its positional form would be a 250-character
+    # name, past the file system's limit: it is named in scientific form
+    doc = copy.deepcopy(BASE_CONFIG)
+    doc["grid"] = {"time_steps": 4, "price_nodes": 9, "age_nodes": 3}
+    doc["eval_points"][0].update(t=0.5, y=[1e-241, 0.25])
+    out = tmp_path / "out"
+    assert run_scenario(write_config(tmp_path, doc), out_dir=str(out)) == 0
+    assert [p.name for p in out.glob("surface_*.csv")] == [
+        "surface_11_1e-241-0.25.csv"]
 
 
 def test_full_output_set_runs(tmp_path):
@@ -644,16 +684,7 @@ def test_storage_shape_never_changes_what_a_reader_returns(tmp_path, model):
     assert linear_growth_norm(field) == linear_growth_norm(full)
     assert linear_growth_norm(field, full) == 0.0
 
-    # the switch branch reads a slab through its stored rows: parts that
-    # hold every age row give the same hedges
-    wide = PriceField(solver, [Slab(solver, [
-        np.broadcast_to(part, part.shape[:1] + slab.shape[1:1 + nc]
-                        + part.shape[1 + nc:]) for part in slab.parts],
-        slab.shape[1]) for slab in field.slabs])
     hf = hedge_field(field)
-    for a, b in zip(hf.xi + hf.eps, (lambda w: w.xi + w.eps)(hedge_field(wide))):
-        np.testing.assert_array_equal(a, b)
-
     written = []
     for tag, f, h in (("stored", field, hf),
                       ("full", full, HedgeField(
@@ -780,3 +811,111 @@ def test_selftest_corrupted_tolerance_fails(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(acceptance, "TOL_C1_IDENTITY", 1e-30)
     assert main(["selftest", "--profile", "fast", "--out", str(tmp_path)]) == 1
     assert "[FAIL] C01" in capsys.readouterr().out
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+def _knots(first, gap, min_size, max_size):
+    """Strictly increasing knots: the first drawn from first, each next one
+    a draw of gap later."""
+    return st.tuples(first, st.lists(gap, min_size=min_size - 1,
+                                     max_size=max_size - 1)).map(
+        lambda fg: np.cumsum([fg[0], *fg[1]]).tolist())
+
+
+@st.composite
+def _hazard(draw):
+    """One hazard spec of any family, within the range its family accepts."""
+    family = draw(st.sampled_from(["constant", "affine", "weibull",
+                                   "tabulated"]))
+    if family == "constant":
+        return {"family": family, "c": draw(st.floats(0.01, 10.0))}
+    if family == "affine":
+        a, b = draw(st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0))
+                    .filter(lambda ab: sum(ab) > 0))
+        return {"family": family, "a": a, "b": b}
+    if family == "weibull":
+        return {"family": family, "c": draw(st.floats(0.01, 10.0)),
+                "kappa": draw(st.floats(1.0, 4.0))}
+    knots = draw(_knots(st.floats(0.0, 0.5), st.floats(0.01, 1.0), 2, 4))
+    return {"family": family, "knots": knots,
+            "values": draw(st.lists(st.floats(0.01, 10.0),
+                                    min_size=len(knots),
+                                    max_size=len(knots)))}
+
+
+@st.composite
+def _random_config(draw):
+    """A one-asset, two-component config with every hazard family, a
+    regime-dependent rate, a volatility with time knots and every claim
+    kind, on a small grid with every output but the sensitivity check."""
+    horizon = draw(st.floats(0.1, 2.0))
+    t = draw(_unit) * horizon
+    vol = st.floats(0.05, 0.6)
+    knot_times = draw(_knots(st.floats(0.0, 1.0), st.floats(0.01, 1.0), 1, 3))
+    kind = draw(st.sampled_from(["basket-call", "basket-put", "linear",
+                                 "custom-piecewise-linear"]))
+    claim = {"kind": kind, "weights": [draw(st.floats(0.1, 2.0))]}
+    if kind in ("basket-call", "basket-put"):
+        claim["strike"] = draw(st.floats(0.0, 200.0))
+    elif kind == "custom-piecewise-linear":
+        knots = draw(_knots(st.floats(0.0, 150.0), st.floats(1.0, 60.0), 1,
+                            4))
+        claim["knots"] = knots
+        claim["values"] = draw(st.lists(st.floats(0.0, 50.0),
+                                        min_size=len(knots),
+                                        max_size=len(knots)))
+        claim["final_slope"] = draw(st.floats(0.0, 1.0))
+    return {
+        "name": "random",
+        "horizon": horizon,
+        "assets": {"n": 1},
+        "states_per_component": 2,
+        "components": [{"hazards": {"1->2": draw(_hazard()),
+                                    "2->1": draw(_hazard())}}
+                       for _ in range(2)],
+        "market": {
+            "rate": {"by_component": {
+                "component": draw(st.integers(0, 1)),
+                "values": draw(st.lists(st.floats(0.0, 0.15), min_size=2,
+                                        max_size=2))}},
+            "drift": [draw(st.floats(-0.2, 0.3))],
+            "vol": {"by_component": {
+                "component": draw(st.integers(0, 1)),
+                "matrices": [{"knots": [[t, [[draw(vol)]]]
+                                        for t in knot_times]}
+                             for _ in range(2)]}},
+        },
+        "claim": claim,
+        "grid": {"time_steps": draw(st.integers(4, 6)),
+                 "price_nodes": draw(st.integers(9, 13)), "age_nodes": 3},
+        "solver": {"tol": 1e-3, "max_iter": 50, "gh_nodes": 16},
+        "mc": {"paths": 200, "seed": draw(st.integers(0, 2 ** 31 - 1))},
+        "residual_risk": {"paths": 200,
+                          "seed": draw(st.integers(0, 2 ** 31 - 1))},
+        "eval_points": [{
+            "t": t, "s": [draw(st.floats(20.0, 300.0))],
+            "x": [draw(st.integers(1, 2)), draw(st.integers(1, 2))],
+            "y": [draw(_unit) * t, draw(_unit) * t]}],
+        "outputs": ["price-field", "hedge-field", "pde-residual", "mc-check",
+                    "residual-risk"],
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(doc=_random_config())
+def test_random_valid_config_writes_only_finite_numbers(tmp_path_factory,
+                                                        doc):
+    # a config that parses either prices (exit 0) or reports a solver
+    # error (exit 3); either way its report is strict JSON and no CSV it
+    # writes holds a NaN or an infinity
+    tmp = tmp_path_factory.mktemp("random")
+    out = tmp / "out"
+    code = run_scenario(write_config(tmp, doc), out_dir=str(out))
+    assert code in (0, 3)
+    json.loads((out / "report.json").read_text(),
+               parse_constant=_reject_constant)
+    for path in out.glob("*.csv"):
+        text = path.read_text().lower()
+        assert "nan" not in text and "inf" not in text, path.name

@@ -289,8 +289,22 @@ def _late_start_case():
     return m, models, (2, 1), [0.45, 1.3], 0.37
 
 
+def _bursty_case():
+    # one three-state component whose state 1 is left rarely and whose
+    # states 2 and 3 swap fast: most paths never jump, a few jump a dozen
+    # times, so the block's segment table is mostly padding
+    m = build_market(1, 3, 1, lambda x: 0.02 * x[0], np.array([0.06]),
+                     lambda x: (0.1 + 0.05 * x[0]) * np.eye(1))
+    models = [HazardModel(3, {(1, 2): ConstantRate(0.4),
+                              (2, 3): ConstantRate(15.0),
+                              (3, 2): WeibullRate(12.0, 1.5),
+                              (3, 1): ConstantRate(0.2)})]
+    return m, models, (1,), [0.0], 0.0
+
+
 _CASES = {"demo": _demo_case, "c3": _c3_case, "three_state": _three_state_case,
-          "tabulated": _tabulated_case, "late_start": _late_start_case}
+          "tabulated": _tabulated_case, "late_start": _late_start_case,
+          "bursty": _bursty_case}
 
 
 @pytest.mark.parametrize("mode", ["risk-neutral", "physical"])
