@@ -85,12 +85,15 @@ so every output keeps the full grid.
 The kernel expectation smooths the multilinearly interpolated field with
 tensor Gauss-Hermite nodes, each splatted onto the corners of its grid
 cell, so the nodes collapse into taps centred on offset 0 (the QUAD idea
-of Andricopoulos et al., 2003).  A diagonal log covariance gives one
-``scipy.ndimage.correlate1d`` per log-price axis, any other one n-D tap
-array, correlated with the edge-padded slab by FFT; both replicate the
-edges and write into the caller's output buffer.  The kernel's
-s_m-derivative splats the same nodes, each weighted by its score, so the
-hedge is the same smoothing with other taps, divided by s_m.
+of Andricopoulos et al., 2003).  A diagonal log covariance gives one 1-D
+tap array per log-price axis: a narrow one is one
+``scipy.ndimage.correlate1d``, a wide one (at least a third of the axis)
+one BLAS product with its dense n x n operator.  Any other covariance
+gives one n-D tap array, correlated with the edge-padded slab by FFT.
+All replicate the edges and write into the caller's output buffer.  The
+kernel's s_m-derivative splats the same nodes, each weighted by its
+score, so the hedge is the same smoothing with other taps, divided by
+s_m.
 
 Moving a slab along the age axes (ages grow by v between t and t + v) is
 one linear shift per age axis, ``_shift_axis``, shared by the gather and
@@ -496,11 +499,19 @@ class _Smoother:
     of the whole stack in one call and each kernel's taps as if built on
     their own; the derivative taps of axis m are built the same way, in
     one call on that axis' first use, and kept.  A diagonal kernel has one
-    1-D tap array per log-price axis, each one correlate1d; a correlated
-    kernel has one n-D array over its tensor nodes, correlated with the
-    slab by FFT (_correlate_nd).  The smoother acts on the excess over the
-    linear part c1.s, which PriceField holds at its edge value beyond the
-    box, so both replicate the edges.
+    1-D tap array per log-price axis; a correlated kernel has one n-D array
+    over its tensor nodes, correlated with the slab by FFT (_correlate_nd).
+    A 1-D array of width w on an axis of n nodes is one correlate1d when
+    3 w < n, else one matrix product with its dense n x n operator
+    (_band_operator), which BLAS runs at a cost that does not grow with w
+    and correlate1d at one multiply-add per tap, zero or not.  The path
+    depends on w and n alone, and each product is a batch of matrices of
+    arr's last axes, so a member's rows are smoothed as in a call on their
+    own.  The operator is built on each call, not kept: most are used
+    once, and kept ones would hold 8 n^2 bytes per kernel of the stack.
+    The smoother acts on the excess over the linear part c1.s, which
+    PriceField holds at its edge value beyond the box, so all paths
+    replicate the edges.
     """
 
     def __init__(self, zbar, chol, grid: Grid, gh_nodes: int):
@@ -516,8 +527,13 @@ class _Smoother:
         d(kernel k)/d s_m, still to be divided by s_m by the caller.  The
         result is written into out when it is given (an array of arr's
         shape, arr itself allowed: each correlation reads a line of its
-        input, or the whole slab, before it writes there), else into a new
-        array.
+        input, or the whole slab, before it writes there, and np.matmul
+        copies an input that overlaps its output), else into a new array.
+        On the last axis the product is arr @ A.T; on an earlier axis m it
+        is A @ arr viewed as (..., n_m, the product of the later price
+        axes), a view since the price axes are contiguous: every matrix
+        np.matmul gets has a unit stride, which BLAS takes (see
+        switch_branch's contract).
         """
         taps = self.taps[k]
         if deriv_axis is not None:
@@ -531,9 +547,40 @@ class _Smoother:
             return _correlate_nd(arr, taps[0], out)
         lead = arr.ndim - self.grid.n
         for d, tap in enumerate(taps):
-            arr = correlate1d(arr, tap, axis=lead + d, mode="nearest",
-                              output=out if d == len(taps) - 1 else None)
+            axis, n = lead + d, arr.shape[lead + d]
+            if 3 * len(tap) < n:
+                arr = correlate1d(arr, tap, axis=axis, mode="nearest",
+                                  output=out if d == len(taps) - 1 else None)
+            elif d == len(taps) - 1:
+                arr = np.matmul(arr, _band_operator(tap, n).T, out=out)
+            else:
+                arr = np.matmul(_band_operator(tap, n), arr.reshape(
+                    arr.shape[:axis] + (n, -1))).reshape(arr.shape)
         return arr
+
+
+def _band_operator(taps, n: int):
+    """The n x n matrix of correlating an axis of n nodes with the centred
+    1-D taps (odd width w), edges held (ndimage's mode="nearest"): row k
+    holds taps[j - k + w // 2] at column j, with the taps that fall below
+    column 0 summed into column 0 and those beyond n - 1 into column n - 1.
+    One copy of a Toeplitz view of the zero-padded taps, then the two edge
+    columns from running sums of the taps, each from its own end."""
+    w = len(taps)
+    half = w // 2
+    pad = np.zeros(2 * n - 1)
+    lo, hi = max(-half, 1 - n), min(half, n - 1)
+    pad[n - 1 + lo:n + hi] = taps[half + lo:half + hi + 1]
+    op = np.ndarray((n, n), buffer=pad, offset=8 * (n - 1),
+                    strides=(-8, 8)).copy()
+    sums = np.zeros(w + 1)
+    np.cumsum(taps, out=sums[1:])
+    m = min(half + 1, n)
+    op[:m, 0] = sums[half + 2 - m:half + 2][::-1]
+    np.cumsum(taps[::-1], out=sums[1:])
+    k = max(n - 1 - half, 0)
+    op[k:, -1] = sums[half + k - n + 2:half + 2]
+    return op
 
 
 def _kernel_nodes(zbar, chol, axes, gh_nodes: int):

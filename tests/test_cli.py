@@ -903,13 +903,32 @@ def _random_config(draw):
     }
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=30)
-@given(doc=_random_config())
-def test_random_valid_config_writes_only_finite_numbers(tmp_path_factory,
-                                                        doc):
-    # a config that parses either prices (exit 0) or reports a solver
-    # error (exit 3); either way its report is strict JSON and no CSV it
-    # writes holds a NaN or an infinity
+@st.composite
+def _random_two_asset_config(draw):
+    """_random_config on two assets: per state and volatility knot a
+    lower-triangular matrix, diagonal or correlated for the whole config,
+    a second drift, basket weight and evaluation price, and 9-11 nodes per
+    price axis.  A diagonal kernel smooths its first price axis by the
+    dense product, a correlated one by FFT."""
+    doc = draw(_random_config())
+    correlated = draw(st.booleans())
+    vol = st.floats(0.05, 0.6)
+    for matrices in doc["market"]["vol"]["by_component"]["matrices"]:
+        for knot in matrices["knots"]:
+            lower = draw(st.floats(-0.3, 0.3)) if correlated else 0.0
+            knot[1] = [[draw(vol), 0.0], [lower, draw(vol)]]
+    doc["assets"] = {"n": 2}
+    doc["market"]["drift"].append(draw(st.floats(-0.2, 0.3)))
+    doc["claim"]["weights"].append(draw(st.floats(0.1, 2.0)))
+    doc["eval_points"][0]["s"].append(draw(st.floats(20.0, 300.0)))
+    doc["grid"]["price_nodes"] = draw(st.integers(9, 11))
+    return doc
+
+
+def _writes_only_finite_numbers(tmp_path_factory, doc):
+    """A config that parses either prices (exit 0) or reports a solver
+    error (exit 3); either way its report is strict JSON and no CSV it
+    writes holds a NaN or an infinity."""
     tmp = tmp_path_factory.mktemp("random")
     out = tmp / "out"
     code = run_scenario(write_config(tmp, doc), out_dir=str(out))
@@ -919,3 +938,17 @@ def test_random_valid_config_writes_only_finite_numbers(tmp_path_factory,
     for path in out.glob("*.csv"):
         text = path.read_text().lower()
         assert "nan" not in text and "inf" not in text, path.name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(doc=_random_config())
+def test_random_valid_config_writes_only_finite_numbers(tmp_path_factory,
+                                                        doc):
+    _writes_only_finite_numbers(tmp_path_factory, doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=16)
+@given(doc=_random_two_asset_config())
+def test_random_two_asset_config_writes_only_finite_numbers(tmp_path_factory,
+                                                            doc):
+    _writes_only_finite_numbers(tmp_path_factory, doc)

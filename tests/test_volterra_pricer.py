@@ -437,7 +437,8 @@ def _interp_smoothing(arr, axes, shifts, weights):
 
 
 @pytest.mark.parametrize("case", ["one_asset", "drift_past_taps",
-                                  "taps_wider_than_axis", "two_assets"])
+                                  "taps_wider_than_axis", "two_assets",
+                                  "wide_window_161_nodes"])
 def test_diagonal_smoother_matches_interp_oracle(case):
     from regimehedge.volterra_pricer import _Smoother
     if case == "one_asset":
@@ -451,6 +452,11 @@ def test_diagonal_smoother_matches_interp_oracle(case):
     elif case == "taps_wider_than_axis":
         vol, nodes = 0.1 * np.eye(1), 5
         zbar, sd = np.array([-0.9]), [0.6]
+    elif case == "wide_window_161_nodes":
+        # the nodes spread over more than a third of the axis, so the
+        # smoother takes the dense product
+        vol, nodes = 0.25 * np.eye(1), 161
+        zbar, sd = np.array([-0.1]), [0.5]
     else:
         vol, nodes = np.diag([0.2, 0.3]), 21
         zbar, sd = np.array([-0.01, 0.5 - 0.5 * 0.02 ** 2]), [0.1, 0.02]
@@ -467,6 +473,8 @@ def test_diagonal_smoother_matches_interp_oracle(case):
         assert zbar[0] - spread > spread + grid.h[0]
     if case == "taps_wider_than_axis":
         assert len(sm.taps[0][0]) > nodes
+    if case == "wide_window_161_nodes":
+        assert 3 * len(sm.taps[0][0]) >= nodes
 
     shifts = [zbar[d] + sd[d] * xi for d in range(n)]
     arr = np.random.default_rng(3).uniform(-5.0, 50.0,
@@ -1451,22 +1459,32 @@ def test_switch_branch_of_two_members_equals_two_calls_bit_for_bit(case):
                            for g_part, w_part in zip(got, want))
 
 
-@pytest.mark.parametrize("correlated", [False, True])
-def test_smoother_writes_into_out_what_it_returns_without(correlated):
+@pytest.mark.parametrize("correlated, n_assets, v", [
+    (False, 2, 0.7), (True, 2, 0.7), (False, 2, 0.02), (False, 1, 0.02),
+    (False, 1, 0.7)], ids=["False", "True", "two_assets_narrow",
+                           "one_asset_narrow", "one_asset_wide"])
+def test_smoother_writes_into_out_what_it_returns_without(correlated,
+                                                          n_assets, v):
     # for the price and every derivative axis, apply with out fills and
     # returns out with the bytes of apply without it, also when out is the
     # input itself (switch_branch smooths its first axis in place)
     from regimehedge.volterra_pricer import _Smoother
     vol = np.array([[0.25, 0.0], [0.12 if correlated else 0.0, 0.22]])
-    m = build_market(2, 2, 1, 0.03, np.full(2, 0.05), vol)
-    grid = Grid(m, 1.0, np.full((1, 2), 100.0),
+    vol = vol[:n_assets, :n_assets]
+    m = build_market(n_assets, 2, 1, 0.03, np.full(n_assets, 0.05), vol)
+    grid = Grid(m, 1.0, np.full((1, n_assets), 100.0),
                 GridSpec(time_steps=2, price_nodes=15, age_nodes=2))
-    kern = build_kernel(m, 0.0, (1,), np.array([0.2, 0.7]))
+    kern = build_kernel(m, 0.0, (1,), np.array([0.2, v]))
     sm = _Smoother(kern.zbar, kern.chol, grid, 8)
-    assert [t.ndim for t in sm.taps[1]] == ([2] if correlated else [1, 1])
+    if correlated:
+        assert [t.ndim for t in sm.taps[1]] == [2]
+    else:
+        # over v = 0.02 a diagonal kernel's taps are 3 of 15 nodes wide
+        # (correlate1d), over v = 0.7 9 nodes (the dense product)
+        assert [len(t) for t in sm.taps[1]] == [3 if v < 0.1 else 9] * n_assets
     arr = np.random.default_rng(5).uniform(-5.0, 50.0,
                                            size=(3, 2) + grid.s_shape)
-    for axis in (None, 0, 1):
+    for axis in (None,) + tuple(range(n_assets)):
         buf = np.full(arr.shape, np.nan)
         got = sm.apply(arr, 1, axis, out=buf)
         assert got is buf
@@ -1477,8 +1495,9 @@ def test_smoother_writes_into_out_what_it_returns_without(correlated):
 
 
 def test_smoother_smooths_one_asset_in_place():
-    # one asset, a diagonal kernel: one correlate1d reads and writes the
-    # same array, for the price and the hedge axis
+    # one asset, a diagonal kernel with taps of 19 of 41 nodes: one dense
+    # product reads and writes the same array (np.matmul copies an input
+    # that overlaps its output), for the price and the hedge axis
     from regimehedge.volterra_pricer import _Smoother
     m = build_market(1, 2, 1, 0.03, np.full(1, 0.05), np.array([[0.25]]))
     grid = Grid(m, 1.0, np.full((1, 1), 100.0),
@@ -1492,6 +1511,53 @@ def test_smoother_smooths_one_asset_in_place():
         same = arr.copy()
         assert sm.apply(same, 1, axis, out=same) is same
         assert np.array_equal(same, sm.apply(arr, 1, axis))
+
+
+def _odd_widths(n):
+    """Tap widths around the switch to the dense product at 3 w >= n, as
+    odd widths: 1, 3, ceil(n/3) - 2, ceil(n/3), n, 2n + 1 and 4n + 1."""
+    third = -(-n // 3)
+    return sorted({w | 1 for w in (1, 3, third - 2, third, n, 2 * n + 1,
+                                   4 * n + 1) if w > 0})
+
+
+@pytest.mark.parametrize("place", ["last", "second_last", "first_of_three"])
+@pytest.mark.parametrize("n", [2, 5, 31, 161])
+def test_smoother_dense_product_matches_correlate1d(monkeypatch, n, place):
+    # a diagonal kernel's taps on one price axis of n nodes, the identity
+    # tap on the others: apply equals correlate1d(mode="nearest") on that
+    # axis up to round-off, through the dense n x n operator when 3 w >= n
+    # and through correlate1d below, with out absent, a separate buffer
+    # and the input itself.  The worst measured difference over these
+    # cases was 2.0e-16 max|arr| sum|taps|.
+    from scipy.ndimage import correlate1d
+    from regimehedge import volterra_pricer as vp
+    built = []
+    band = vp._band_operator
+    monkeypatch.setattr(vp, "_band_operator",
+                        lambda taps, m: built.append(m) or band(taps, m))
+    sizes, d = {"last": ([4, n], 1), "second_last": ([3, n, 4], 1),
+                "first_of_three": ([n, 4, 3], 0)}[place]
+    rng = np.random.default_rng(n)
+    arr = rng.uniform(-5.0, 50.0, size=(2, 3) + tuple(sizes))
+    # the smoother's taps set directly: a stack of one kernel
+    sm = object.__new__(vp._Smoother)
+    sm.grid = SimpleNamespace(n=len(sizes))
+    for w in _odd_widths(n):
+        tap = rng.uniform(-1.0, 1.0, w)
+        sm.taps = [[tap if e == d else np.ones(1) for e in range(len(sizes))]]
+        want = correlate1d(arr, tap, axis=2 + d, mode="nearest")
+        tol = 1e-13 * np.max(np.abs(arr)) * np.sum(np.abs(tap))
+        before = built.count(n)
+        got = sm.apply(arr, 0)
+        assert (built.count(n) > before) == (3 * w >= n)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        buf = np.full(arr.shape, np.nan)
+        assert sm.apply(arr, 0, out=buf) is buf
+        assert np.array_equal(buf, got)
+        same = arr.copy()
+        assert sm.apply(same, 0, out=same) is same
+        assert np.array_equal(same, got)
 
 
 def test_permuting_components_permutes_age_axes():
