@@ -527,9 +527,8 @@ def criterion_10(profile: str) -> CriterionResult:
         solver.settings, also=tildes[1:])
     rows = {}
     ok = True
-    for scale, tilde, pert in zip(scales, tildes, [(field, report), *others]):
-        rep = sensitivity_check((b["field"], b["report"]), tilde,
-                                perturbed=pert)
+    for scale, pert in zip(scales, [(field, report), *others]):
+        rep = sensitivity_check((b["field"], b["report"]), pert)
         ok = ok and rep.satisfied and rep.phi_sup_diff <= rep.bound_summed
         rows[f"scale_{scale}"] = rep.to_dict()
     return CriterionResult(10, "hazard perturbation bound", ok, rows)

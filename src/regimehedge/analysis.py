@@ -2,14 +2,12 @@
 
 Two diagnostics on a solved price field:
 
-* sensitivity_check compares the price field under a perturbed hazard
-  specification, solved with the market, claim, grid and node counts of
-  the caller's solved base field, with that base field: the sup distance
-  of the two fields against the Lipschitz bound 2 c2 T sum |lam - lam~|_sup
-  (the per-pair sums maximized over the regime tuple).  The caller may
-  hand in the perturbed field solved in the base's own march
-  (solve_price_field's also, as run_scenario does); else it is solved
-  here.
+* sensitivity_check compares two solved price fields, the base and one
+  under perturbed hazards with the same market, claim, grid and node
+  counts (solve_price_field's also marches them together, as run_scenario
+  does): the sup distance of the two fields against the Lipschitz bound
+  2 c2 T sum |lam - lam~|_sup (the per-pair sums maximized over the regime
+  tuple), each field's hazards read from its own solver.
 
 * residual_risk estimates the expected squared discounted price jump that
   the optimal non-self-financing hedge absorbs at regime switches, by
@@ -29,6 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .mc_oracle import estimate, map_blocks, simulate_path
+# solve_price_field is called by no code here: bench/spans.py wraps this binding
 from .volterra_pricer import PriceField, solve_price_field
 
 _SUP_GRID = 1001
@@ -60,24 +59,18 @@ def _pair_sup_diffs(models, models_tilde, horizon: float):
     return out
 
 
-def sensitivity_check(base, models_tilde, tol: float = 1e-4,
-                      perturbed=None) -> SensitivityReport:
-    """Compare the fields under the base and the perturbed hazards with the
-    sup bound.
+def sensitivity_check(base, perturbed) -> SensitivityReport:
+    """Compare two solved fields with the sup bound.
 
-    base is a solved (field, report).  perturbed is the (field, report) of
-    models_tilde solved with base's market, claim, grid and settings, as
-    solve_price_field's also returns it; without it, models_tilde is
-    solved here with the market, claim, grid and settings of the field's
-    solver at tol.  Each solve's own error budget enters the numerical
-    floor, so base may have been solved at another tol.
+    base and perturbed are solved (field, report) pairs with the same
+    market, claim, grid and settings, as solve_price_field's also returns
+    them; each field's hazards are its solver's models, and the grid and
+    claim are base's.  Each solve's own error budget enters the numerical
+    floor, so the two may have been solved at different tols.
     """
     field_a, rep_a = base
     solver, grid = field_a.solver, field_a.grid
     models, claim = solver.models, solver.claim
-    if perturbed is None:
-        perturbed = solve_price_field(solver.market, claim, models_tilde,
-                                      grid, tol, settings=solver.settings)
     field_b, rep_b = perturbed
     sup_phi = 0.0
     for sa, sb in zip(field_a.slabs, field_b.slabs):
@@ -85,7 +78,7 @@ def sensitivity_check(base, models_tilde, tol: float = 1e-4,
         for xi in range(len(grid.x_tuples)):
             sup_phi = max(sup_phi, float(np.max(np.abs(sa[xi] - sb[xi]))))
 
-    diffs = _pair_sup_diffs(models, models_tilde, grid.horizon)
+    diffs = _pair_sup_diffs(models, field_b.solver.models, grid.horizon)
     lam_sup = max(diffs.values()) if diffs else 0.0
     T = grid.horizon
     worst_sum = 0.0

@@ -214,8 +214,7 @@ def run_scenario(config_path: str, out_dir: str = ".", threads=None,
             1, round(0.1 * scn.grid_spec.time_steps)))
         report["pde_residual"] = res.to_dict()
     if "sensitivity" in scn.outputs:
-        rep = sensitivity_check((field, conv), also[0], scn.tol,
-                                perturbed=perturbed[0])
+        rep = sensitivity_check((field, conv), perturbed[0])
         report["sensitivity"] = rep.to_dict()
     if "residual-risk" in scn.outputs:
         rep = residual_risk(field, scn.eval_points[0], scn.rr_paths,

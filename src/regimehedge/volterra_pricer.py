@@ -128,6 +128,12 @@ from .semi_markov import switch_edges
 # the largest |ln s| of a node price s at which s**2 and 1 / s**2 are both
 # finite, about 354.9
 _LNS_MAX = 0.5 * math.log(np.finfo(float).max)
+# the widest spacing h of a log-price axis.  The switch branch smooths the
+# excess phi - c1.s, rounded to about 1e-16 s at a node, and hands each node
+# a share of its neighbours' excess, at e^h times its price: with nodes far
+# apart the rounding grows node by node toward the money until it swamps
+# the price (from h = 6 with volatility 0.6 and hazards 10).
+_H_MAX = 3.0
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -144,7 +150,8 @@ class Grid:
     first c_counts[i] age nodes per component.  The log-price box spans the
     evaluation points plus span_stds total standard deviations of ln S over
     the full horizon; a box with a node beyond |ln s| = _LNS_MAX, where the
-    solver's s**2 or 1 / s**2 overflows, is a ConfigError.
+    solver's s**2 or 1 / s**2 overflows, or with nodes more than _H_MAX
+    apart in ln s, is a ConfigError.
     """
 
     def __init__(self, market: MarketModel, horizon: float, eval_prices,
@@ -179,6 +186,12 @@ class Grid:
                     f"[{lo:.6g}, {hi:.6g}], past +-{_LNS_MAX:.4g} where s**2 "
                     "or 1/s**2 overflows: lower span_stds, the horizon or "
                     "the volatility", path="grid.span_stds")
+            h = (hi - lo) / (spec.price_nodes - 1)
+            if not h <= _H_MAX:
+                raise ConfigError(
+                    f"the price nodes of asset {l + 1} lie {h:.4g} apart in "
+                    f"ln s, past {_H_MAX:g}: lower span_stds or raise "
+                    "price_nodes", path="grid.span_stds")
             self.lns_axes.append(np.linspace(lo, hi, spec.price_nodes))
         self.s_axes = [np.exp(a) for a in self.lns_axes]
         self.h = [a[1] - a[0] for a in self.lns_axes]

@@ -31,11 +31,18 @@ def two_state_setup(price_nodes=61, time_steps=16, age_nodes=5):
 START = (0.0, np.array([100.0]), (1, 1), np.array([0.0, 0.0]))
 
 
+def _pair(m, claim, models, tilde, grid, tol, settings=None):
+    """The solved (field, report) of models and of tilde, marched
+    together: each is that of its own solve bit for bit."""
+    field, report, perturbed = solve_price_field(
+        m, claim, models, grid, tol, settings=settings, also=[tilde])
+    return (field, report), perturbed
+
+
 def test_identical_hazards_give_zero_diff():
     m, claim, models, grid = two_state_setup(price_nodes=41, time_steps=8,
                                              age_nodes=4)
-    base = solve_price_field(m, claim, models, grid, 1e-4)
-    rep = sensitivity_check(base, models, tol=1e-4)
+    rep = sensitivity_check(*_pair(m, claim, models, models, grid, 1e-4))
     assert rep.lambda_sup_diff == 0.0
     assert rep.phi_sup_diff == 0.0
     assert rep.bound_summed == 0.0
@@ -51,16 +58,15 @@ def test_linear_claim_insensitive_to_hazards():
     claim = Claim("linear", weights=[1.0])
     tilde = [h.scaled(1.5) for h in models]
     settings = SolverSettings(gh_nodes=32)
-    base = solve_price_field(m, claim, models, grid, 1e-6, settings=settings)
-    rep = sensitivity_check(base, tilde, tol=1e-6)
+    rep = sensitivity_check(*_pair(m, claim, models, tilde, grid, 1e-6,
+                                   settings))
     assert rep.phi_sup_diff < 1e-5
 
 
 def test_perturbation_bound_holds():
     m, claim, models, grid = two_state_setup()
     tilde = [h.scaled(1.1) for h in models]
-    base = solve_price_field(m, claim, models, grid, 1e-4)
-    rep = sensitivity_check(base, tilde, tol=1e-4)
+    rep = sensitivity_check(*_pair(m, claim, models, tilde, grid, 1e-4))
     assert rep.satisfied
     assert rep.phi_sup_diff > 0.0
     assert rep.phi_sup_diff <= rep.bound_summed
@@ -72,10 +78,32 @@ def test_perturbation_bound_holds():
 def test_sup_diff_uses_age_grid():
     m, claim, models, grid = two_state_setup(price_nodes=41, time_steps=8)
     tilde = [models[0].scaled(1.2), models[1]]
-    base = solve_price_field(m, claim, models, grid, 1e-3)
-    rep = sensitivity_check(base, tilde, tol=1e-3)
+    rep = sensitivity_check(*_pair(m, claim, models, tilde, grid, 1e-3))
     # constant 0.7 scaled by 1.2 gives the largest gap: 0.14
     assert rep.lambda_sup_diff == pytest.approx(0.14, abs=1e-12)
+
+
+def test_each_perturbed_field_is_checked_against_its_own_hazards():
+    # two scaled hazard sets marched with the base: each report's hazard
+    # gap is the one between the base's models and its own field's solver's
+    m, claim, models, grid = two_state_setup(price_nodes=41, time_steps=8,
+                                             age_nodes=4)
+    scales = (1.1, 1.5)
+    field, report, *others = solve_price_field(
+        m, claim, models, grid, 1e-3,
+        also=[[h.scaled(scale) for h in models] for scale in scales])
+    ygrid = np.linspace(0.0, grid.horizon, 1001)
+    gaps = []
+    for perturbed in others:
+        own = perturbed[0].solver.models
+        gap = max(float(np.max(np.abs(h.rate(i, j, ygrid)
+                                      - ht.rate(i, j, ygrid))))
+                  for h, ht in zip(models, own) for (i, j) in h.rates)
+        rep = sensitivity_check((field, report), perturbed)
+        assert rep.lambda_sup_diff == gap
+        gaps.append(gap)
+    # the scalings add 0.1 and 0.5 of every rate: five times the gap
+    assert gaps[1] == pytest.approx(5.0 * gaps[0], rel=1e-12)
 
 
 def test_residual_risk_zero_for_regime_independent():

@@ -260,6 +260,24 @@ def test_overflowing_price_box_exits_2_before_any_solve(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("span_stds", [990, 1000])
+def test_too_coarse_price_box_exits_2_before_any_solve(tmp_path, capsys,
+                                                       monkeypatch, span_stds):
+    # inside the overflow bound, but with price nodes about 70 ln units
+    # apart: the switch branch's rounding would price the call at 3.19e116
+    # (990) or 0 (1000) and exit 0
+    monkeypatch.setattr(cli, "solve_price_field", never)
+    doc = _shipped_config("markov_modulated_call.json")
+    doc["grid"].update(time_steps=4, price_nodes=11, age_nodes=3,
+                       span_stds=span_stds)
+    out = tmp_path / "out"
+    assert main(["price", write_config(tmp_path, doc), "--out",
+                 str(out)]) == 2
+    assert "config error: grid.span_stds: the price nodes" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("solver", "gh_node", 4),
     ("grid", "price_node", 41),
@@ -501,7 +519,7 @@ def test_perturbed_solve_that_does_not_converge_exits_3(tmp_path, capsys):
 
 def test_sensitivity_block_equals_a_separate_sensitivity_check(tmp_path):
     # run_scenario marches the scaled hazards with the base; the block it
-    # writes is that of sensitivity_check solving them on its own
+    # writes is that of sensitivity_check on two separate solves
     doc = _demo_doc()
     scn = parse_scenario(copy.deepcopy(doc))
     out = tmp_path / "out"
@@ -511,7 +529,9 @@ def test_sensitivity_block_equals_a_separate_sensitivity_check(tmp_path):
     base = solve_price_field(scn.market, scn.claim, scn.models, grid,
                              scn.tol, scn.max_iter, scn.solver)
     tilde = [h.scaled(scn.sensitivity_scale) for h in scn.models]
-    want = sensitivity_check(base, tilde, scn.tol).to_dict()
+    perturbed = solve_price_field(scn.market, scn.claim, tilde, grid,
+                                  scn.tol, scn.max_iter, scn.solver)
+    want = sensitivity_check(base, perturbed).to_dict()
     got = json.loads((out / "report.json").read_text())["sensitivity"]
     assert got == json.loads(json.dumps(want))
 
@@ -925,6 +945,29 @@ def _random_two_asset_config(draw):
     return doc
 
 
+@st.composite
+def _random_three_state_config(draw):
+    """_random_config with three states per component: the cycle
+    1->2->3->1 and any of the reverse pairs, so a state exits to one
+    destination or draws one of two, and a rate and volatility per
+    state."""
+    doc = draw(_random_config())
+    doc["states_per_component"] = 3
+    for comp in doc["components"]:
+        pairs = ["1->2", "2->3", "3->1"] + [
+            p for p in ("2->1", "3->2", "1->3") if draw(st.booleans())]
+        comp["hazards"] = {p: draw(_hazard()) for p in pairs}
+    market = doc["market"]
+    market["rate"]["by_component"]["values"].append(draw(st.floats(0.0,
+                                                                   0.15)))
+    matrices = market["vol"]["by_component"]["matrices"]
+    matrices.append({"knots": [[t, [[draw(st.floats(0.05, 0.6))]]]
+                               for t, _ in matrices[0]["knots"]]})
+    doc["eval_points"][0]["x"] = [draw(st.integers(1, 3)),
+                                  draw(st.integers(1, 3))]
+    return doc
+
+
 def _writes_only_finite_numbers(tmp_path_factory, doc):
     """A config that parses either prices (exit 0) or reports a solver
     error (exit 3); either way its report is strict JSON and no CSV it
@@ -951,4 +994,11 @@ def test_random_valid_config_writes_only_finite_numbers(tmp_path_factory,
 @given(doc=_random_two_asset_config())
 def test_random_two_asset_config_writes_only_finite_numbers(tmp_path_factory,
                                                             doc):
+    _writes_only_finite_numbers(tmp_path_factory, doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(doc=_random_three_state_config())
+def test_random_three_state_config_writes_only_finite_numbers(
+        tmp_path_factory, doc):
     _writes_only_finite_numbers(tmp_path_factory, doc)
