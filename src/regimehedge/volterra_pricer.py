@@ -39,20 +39,19 @@ and one smoother (_Smoother) of the kernels of all panels and regime
 tuples, whose taps are one _kernel_taps call (the derivative taps of each
 axis one more, on first use).  Per panel, regime tuple and switch edge,
 one weight carries the discount e^{-r(x) v_p}, dt, JS(v_p), the hazard
-and the mass normalization.  The switch branch of a panel then gathers
-the continuation once per resetting component, subtracts the linear part
-c1.s once and copies the excess into the stack rows of the edges that
-read it; the excesses of all edges out of a regime tuple are stacked and
-smoothed together (one correlation with taps per derivative axis asked
-for: None for the price, m for the hedge in asset m), into the panel's
-slot of a block buffer, shared by all tuples whose stacks have its shape.
-The panels come in blocks bounded in bytes and in panels
-(_panel_blocks), and each edge adds its weighted share of all the panels
-of a block at once, one matrix product of its weights (ages x panels) and
-its smoothed rows (panels x prices) batched over the other ages (Goto and
-van de Geijn, ACM TOMS 34(3), 2008: a contraction blocked over the panels
-in place of one pass over the result per panel).  The edges are grouped
-by shape once per call, so a panel allocates no stack.
+and the mass normalization.  The switch branch takes the panels in
+blocks bounded in bytes and in panels (_panel_blocks).  A block gathers
+the continuation of each panel once per resetting component and
+subtracts the linear part c1.s once; then, per regime tuple, the edges
+whose excesses have the same shape copy them into one stack array made
+for the block, a row per edge and panel, smoothed together panel by panel
+(one correlation with taps per derivative axis asked for: None for the
+price, m for the hedge in asset m).  Each edge adds its weighted share of
+all the panels of the block at once, one matrix product of its weights
+(ages x panels) and its smoothed rows (panels x prices) batched over the
+other ages (Goto and van de Geijn, ACM TOMS 34(3), 2008: a contraction
+blocked over the panels in place of one pass over the result per panel).
+No stack outlives its block.
 
 The hazards enter the operator only through these weights (JS, lambda,
 kappa and JS(T - t_i)), so one march solves several hazard sets on the
@@ -785,25 +784,28 @@ class VolterraSolver:
     def _slab_tables(self, i, members=None):
         """The switch-branch tables of slab i for the hazard sets of members
         (solvers that share this one's market, claim, grid, settings and
-        layout; [self] by default): (sm, weights).  sm is one smoother of
-        the kernels of all regime tuples over the P panel midpoints v_p,
-        regime tuple xi's kernel of panel p at row xi * P + p, so the taps
-        of the slab, and its derivative taps per axis, are one
-        _kernel_taps call each.  weights[xi] holds the weights of tuple
-        xi's switch edges (self.edges order), an array (B, E, ages, P)
-        over members, edges, the tuple's stored age shape (c_i or 1 per
-        component) and panels, panels last so that a block of panels is a
-        matrix with unit column stride (see switch_branch), where
+        layout; [self] by default): (sm, weights, js_T).  sm is one
+        smoother of the kernels of all regime tuples over the P panel
+        midpoints v_p, regime tuple xi's kernel of panel p at row
+        xi * P + p, so the taps of the slab, and its derivative taps per
+        axis, are one _kernel_taps call each.  weights[xi] holds the
+        weights of tuple xi's switch edges (self.edges order), an array
+        (B, E, ages, P) over members, edges, the tuple's stored age shape
+        (c_i or 1 per component) and panels, panels last so that a block of
+        panels is a matrix with unit column stride (see switch_branch),
+        where
 
             w = kappa e^{-r(x) v_p} dt JS(v_p; x, y) lam^l(y_l + v_p).
 
         kappa is the mass normalization
         (1 - JS(T - t_i)) over the quadrature mass of all panels; it keeps
         linear claims exact and the operator a strict sub-probability
-        mixture.  All panels are built at once: per member one
-        joint-survival array and one rate call per hazard family, and one
-        kernel call per regime tuple for all members.  Whoever applies slab
-        i builds its tables once and drops them after."""
+        mixture.  js_T holds that JS(T - t_i) per group of regime tuples,
+        an array (B, n_group, ages) over members.  All panels are built at
+        once: per member one joint-survival array and one rate call per
+        hazard family, and one kernel call per regime tuple for all
+        members.  Whoever applies slab i builds its tables once and drops
+        them after."""
         g = self.grid
         members = members or [self]
         nc = g.n_components
@@ -840,7 +842,7 @@ class VolterraSolver:
                                  / np.maximum(mass, 1e-300), 1.0)
                 wt[b] *= (kappa * disc)[:, None]
             weights.append(np.ascontiguousarray(np.moveaxis(wt, 1, -1)))
-        return sm, weights
+        return sm, weights, [np.stack(parts) for parts in zip(*js_T)]
 
     # -- gathering the continuation slab ---------------------------------------
 
@@ -931,22 +933,20 @@ class VolterraSolver:
         The panels are taken in blocks (_panel_blocks) of at most
         _PANEL_BLOCK_BYTES of a member's panel stacks of all regime tuples,
         per axis, or one panel.  The switch edges out of a regime tuple
-        whose excesses have the same shape share a stack, one row per edge,
-        for all members; the edges are grouped once per call.  A block
-        first gathers the excesses of all its panels.  Then, per regime
-        tuple and stack, each panel's excesses are copied into the stack
-        rows, the panel's slot in the first axis' block buffer, and smoothed
-        by one call per axis into that axis' slot, the first axis last and
-        in place; and each member and edge adds its weighted share of the
-        whole block at once: one matrix product of its weights (ages of the
-        reset component x panels) and its smoothed rows (panels x prices),
-        batched over the other ages (of a one-panel block, the outer
-        product).  The block buffers of a stack shape
-        are shared by all regime tuples.  Each member makes its own
-        products, of the same shapes and layouts for any member count, and
-        every other operation acts on each member's rows alone, so a
-        member's result is that of a call on its own.  The blocks depend on
-        slab i's shapes and on panels only.
+        whose excesses have the same shape share a stack.  A block first
+        gathers the excesses of all its panels.  Then, per regime tuple and
+        stack shape, it fills one array (members, edges, panels of the
+        block, ages, prices) with them and smooths each panel by one call
+        per axis, every later axis into a new array of that shape, the
+        first axis last and in place; and each member and edge adds its
+        weighted share of the whole block at once: one matrix product of
+        its weights (ages of the reset component x panels) and its smoothed
+        rows (panels x prices), batched over the other ages (of a one-panel
+        block, the outer product).  Each member makes its own products, of
+        the same shapes and layouts for any member count, and every other
+        operation acts on each member's rows alone, so a member's result is
+        that of a call on its own.  The blocks depend on slab i's shapes
+        and on panels only.
 
         A regime tuple's result does not depend on the age of a component
         in a memoryless state (see the module docstring); the discrete
@@ -959,17 +959,15 @@ class VolterraSolver:
         """
         g = self.grid
         nc = g.n_components
-        sm, weights = tables or self._slab_tables(i)
+        sm, weights, js_T = tables or self._slab_tables(i)
         P = g.spec.time_steps - i
         if panels is None:
             panels = range(P)
-        B = len(weights[0])
+        B = len(js_T[0])
         axes = list(axes)
-        js_T = self.js_T(i)
         # the price axes flattened into one: the columns of the products
         flat = (math.prod(g.s_shape),)
-        accs = [[np.zeros((B,) + js.shape + flat) for js in js_T]
-                for _ in axes]
+        accs = [[np.zeros(js.shape + flat) for js in js_T] for _ in axes]
         # per regime tuple, its edges grouped by the shape of their excess
         # (the landing group's stored ages without the reset axis)
         stacks = []
@@ -977,52 +975,13 @@ class VolterraSolver:
             by_shape = {}
             for e, (l, _, xpi, _) in enumerate(edges):
                 gj, kj = self.where[xpi]
-                ages = js_T[gj].shape[1:]
+                ages = js_T[gj].shape[2:]
                 by_shape.setdefault(ages[:l] + ages[l + 1:],
                                     []).append((e, l, gj, kj))
             stacks.append(list(by_shape.items()))
         blocks = _panel_blocks(panels, 8 * flat[0] * sum(
             len(group) * math.prod(ages)
             for by_shape in stacks for ages, group in by_shape))
-        size = max(map(len, blocks), default=0)
-        # per stack shape, shared by all regime tuples: a block buffer per
-        # axis (B, edges, size, ages, prices) and its slots, the views of
-        # each panel's stacks, first axis last (it smooths the rows in
-        # place); per product shape, a buffer for the product
-        buffers, prods = {}, {}
-        # per regime tuple and stack: its edges, its buffers' slots and its
-        # products: the weights (B, other ages, reset ages, panels), the
-        # smoothed rows (B, other ages, size, prices), moved so that each
-        # is a batch of matrices, the result's rows they add to and the
-        # product's buffer
-        plans = []
-        for xi, by_shape in enumerate(stacks):
-            gi, k = self.where[xi]
-            plan = []
-            for ages, group in by_shape:
-                key = (B, len(group), size) + ages + flat
-                if key not in buffers:
-                    bufs = [np.empty(key) for _ in axes]
-                    shape = (B, len(group)) + ages + g.s_shape
-                    slots = [[buf[:, :, j].reshape(shape)
-                              for buf in bufs[1:] + bufs[:1]]
-                             for j in range(size)]
-                    buffers[key] = bufs, slots
-                bufs, slots = buffers[key]
-                products = []
-                for buf, acc in zip(bufs, accs):
-                    for r, (e, l, _, _) in enumerate(group):
-                        share = _next_to_last(acc[gi][:, k], 1 + l)
-                        if share.shape[1:] not in prods:
-                            prods[share.shape[1:]] = np.empty(
-                                share.shape[1:])
-                        products.append((
-                            _next_to_last(weights[xi][:, e], 1 + l),
-                            _next_to_last(buf[:, r], 1), share,
-                            prods[share.shape[1:]]))
-                plan.append((group, slots, products))
-            plans.append(plan)
-        order = axes[1:] + axes[:1]
         for block in blocks:
             # the linear part of the field integrates in closed form
             # (discounted kernel mean of c1.S is c1.s exactly); only the
@@ -1039,47 +998,57 @@ class VolterraSolver:
             # forms it with the same bytes, where np.matmul takes a slow
             # loop outside BLAS for an inner size of 1
             contract = np.matmul if len(block) > 1 else np.multiply
-            for xi, plan in enumerate(plans):
-                for group, slots, products in plan:
+            for xi, by_shape in enumerate(stacks):
+                gi, k = self.where[xi]
+                for ages, group in by_shape:
+                    lead = (B, len(group), len(block)) + ages
+                    stacked = np.empty(lead + g.s_shape)
                     for j, p in enumerate(block):
-                        stacked = slots[j][-1]
                         for r, (_, l, gj, kj) in enumerate(group):
-                            stacked[:, r] = excess[j][l][gj][:, kj]
-                        for out, axis in zip(slots[j], order):
-                            sm.apply(stacked, xi * P + p, axis, out)
-                            if axis is not None:
-                                out /= self._mesh[axis]
-                    for w, smoothed, share, prod in products:
-                        for b in range(B):
-                            contract(w[b, ..., cols],
-                                     smoothed[b, ..., :len(block), :],
-                                     out=prod)
-                            share[b] += prod
+                            stacked[:, r, j] = excess[j][l][gj][:, kj]
+                    # the first axis last, in place
+                    smoothed = [stacked] + [np.empty_like(stacked)
+                                            for _ in axes[1:]]
+                    for j, p in enumerate(block):
+                        for out, axis in zip(smoothed[::-1], axes[::-1]):
+                            sm.apply(stacked[:, :, j], xi * P + p, axis,
+                                     out[:, :, j])
+                    for acc, rows, axis in zip(accs, smoothed, axes):
+                        if axis is not None:
+                            rows /= self._mesh[axis]
+                        rows = rows.reshape(lead + flat)
+                        for r, (e, l, _, _) in enumerate(group):
+                            w = _next_to_last(weights[xi][:, e], 1 + l)
+                            share = _next_to_last(acc[gi][:, k], 1 + l)
+                            own = _next_to_last(rows[:, r], 1)
+                            for b in range(B):
+                                share[b] += contract(w[b, ..., cols], own[b])
         return [[acc.reshape(acc.shape[:-1] + g.s_shape) for acc in parts]
                 for parts in accs]
 
     # -- the operator T -------------------------------------------------------
 
-    def apply(self, i, stack, frozen, axes=(None,), panels=None, tables=None,
-              members=None):
+    def apply(self, i, stack, frozen, axes=(None,), panels=None, tables=None):
         """Slab i of T applied to stack (see _gather), before the clamp at
         0, per entry a of axes and group of regime tuples over the member
-        axis (the hazard sets of members, [self] by default):
+        axis (the hazard sets the tables were built for, self alone when
+        they are not given; see _slab_tables):
 
             JS(T - t_i) frozen[k] + switch branch_a + (1 - JS) d_a(c1.s)
 
         frozen[k], for the k-th entry of axes, is over (regime tuple,
         prices): rho_i for a = None, its s_m-derivative for a = m, whose
-        linear part d_m(c1.s) is c1_m.  The linear part integrates in
-        closed form, switch_branch (over panels, with tables) its excess.
+        linear part d_m(c1.s) is c1_m.  Each member's JS(T - t_i) is read
+        from the tables.  The linear part integrates in closed form,
+        switch_branch (over panels, with tables) its excess.
         The march's fixed part is the call over the panels p >= 1, the
         hedge field the call over all panels with one axis per asset.
         """
         nc = self.grid.n_components
         y_pad = (...,) + (None,) * self.grid.n
+        tables = tables or self._slab_tables(i)
         branch = self.switch_branch(i, stack, axes, panels, tables)
-        js_T = [np.stack([s.js_T(i)[gi] for s in members or [self]])[y_pad]
-                for gi in range(len(self.groups))]
+        js_T = [js[y_pad] for js in tables[2]]
         out = []
         for axis, values, parts in zip(axes, frozen, branch):
             lin = self._lin if axis is None else self.claim.c1[axis]
@@ -1177,7 +1146,7 @@ class VolterraSolver:
             tables = self._slab_tables(i, members)
             fixed, = self.apply(i, stack, [rho[i]],
                                 panels=range(1, g.spec.time_steps - i),
-                                tables=tables, members=members)
+                                tables=tables)
             settled = [None] * B
             active = list(range(B))
             for k in range(max_iter):

@@ -473,7 +473,7 @@ def test_block_equals_smaller_blocks_bit_for_bit(mode, t0, y0):
         np.testing.assert_array_equal(got, getattr(whole, name), err_msg=name)
 
 
-def test_worker_count_changes_no_estimate(monkeypatch):
+def test_block_size_changes_no_estimate(monkeypatch):
     # blocks of 1024, 7 and 1 paths, mapped one after another, give the
     # same bytes
     m, models, claim = correlated_case()
